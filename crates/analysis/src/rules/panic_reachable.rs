@@ -5,7 +5,7 @@
 //! the pass-1 call graph so the *callers* of panicking wrappers are
 //! caught too. A panic **source** is either a function whose doc
 //! comment declares a `# Panics` section (the workspace's documented
-//! panicking-wrapper contract — `medoids`, `dbscan_with_index`) or a
+//! panicking-wrapper contract — `dbscan`, `MihIndex::new`) or a
 //! scoped lib function with an unsuppressed panic token in its body.
 //! A suppressed-but-undocumented panic (e.g. the crossbeam panic
 //! re-raise sites) is *not* a source: the suppression is the reviewed

@@ -3,8 +3,10 @@
 //! The walker mirrors the workspace layout in `Cargo.toml`: member
 //! crates under `crates/*`, the root facade under `src/`, integration
 //! tests under `tests/`. `vendor/` (offline stand-ins for external
-//! crates), `target/`, and fixture corpora are never scanned — the
-//! invariants are ours, not our dependencies'.
+//! crates), `target/`, fixture corpora and `benchmark/` (a workspace of
+//! its own, outside `Cargo.toml`'s members, whose job is to read the
+//! wall clock) are never scanned — the invariants are ours, not our
+//! dependencies'.
 
 use crate::error::AnalysisError;
 use std::fs;
@@ -100,7 +102,14 @@ fn classify(path: &str) -> FileClass {
 }
 
 /// Directories the walker never descends into.
-const EXCLUDED_DIRS: [&str; 5] = ["vendor", "target", ".git", "fixtures", "repro-out"];
+const EXCLUDED_DIRS: [&str; 6] = [
+    "vendor",
+    "target",
+    ".git",
+    "fixtures",
+    "repro-out",
+    "benchmark",
+];
 
 /// Collect every workspace `.rs` file under `root`, sorted by path so
 /// every run (and the JSON report) is deterministic.

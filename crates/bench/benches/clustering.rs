@@ -2,7 +2,7 @@
 //! clustering, including the Appendix-A eps ablation's cost profile.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use meme_cluster::dbscan::{dbscan, dbscan_with_index, DbscanParams};
+use meme_cluster::dbscan::{dbscan, try_dbscan_with_index, DbscanParams};
 use meme_cluster::hier::{Dendrogram, Linkage};
 use meme_index::{all_neighbors, MihIndex};
 use meme_phash::PHash;
@@ -33,7 +33,7 @@ fn bench_dbscan(c: &mut Criterion) {
         let hashes = clustered_hashes(n, 7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let index = MihIndex::new(hashes.clone(), 8);
-            b.iter(|| black_box(dbscan_with_index(&index, DbscanParams::default(), 0)))
+            b.iter(|| black_box(try_dbscan_with_index(&index, DbscanParams::default(), 0)))
         });
     }
     group.finish();

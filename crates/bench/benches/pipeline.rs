@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use meme_core::pipeline::{Pipeline, PipelineConfig};
+use meme_core::supervise::SupervisedRunner;
 use meme_simweb::SimConfig;
 use std::hint::black_box;
 
@@ -24,8 +25,8 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_steps_1_6");
     group.sample_size(10);
     group.bench_function("tiny_oracle_filter", |b| {
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        b.iter(|| black_box(pipeline.run(&dataset).expect("runs")))
+        let runner = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()));
+        b.iter(|| black_box(runner.run(&dataset).expect("runs")))
     });
     group.finish();
 }

@@ -70,7 +70,10 @@ pub fn ablation_hashers(r: &Repro) {
 /// weightings via Fig. 7 component purity.
 pub fn ablation_metric_weights(r: &Repro) {
     section("Ablation: custom-metric weights (Fig. 7 component purity)");
-    let (descriptors, labels) = r.output.annotated_descriptors();
+    let (descriptors, labels) = r
+        .output
+        .try_annotated_descriptors()
+        .expect("a pipeline-produced output keeps cluster and entry ids in range");
     let variants: [(&str, MetricWeights); 3] = [
         ("paper (0.4/0.4/0.1/0.1)", MetricWeights::FULL),
         ("perceptual only", MetricWeights::PARTIAL),
@@ -156,7 +159,7 @@ pub fn ablation_min_pts(r: &Repro) {
 /// impulse estimate against the assumed exponential.
 pub fn ablation_beta(r: &Repro) {
     section("Ablation: Hawkes kernel decay (beta sensitivity)");
-    let streams = r.output.all_cluster_events(&r.dataset);
+    let streams = r.cluster_events();
     let mut cells = Vec::new();
     for beta in [1.0f64, FIT_BETA, 10.0] {
         let estimator = InfluenceEstimator::new(Community::COUNT, beta);
@@ -247,11 +250,10 @@ pub fn provenance(r: &Repro) {
 
     section("Extension (§7 future work): which memes disseminate?");
     let estimator = InfluenceEstimator::new(Community::COUNT, FIT_BETA);
-    let influence = r
-        .output
-        .estimate_influence(&r.dataset, &estimator, r.opts.threads)
+    let streams = r.cluster_events();
+    let influence = estimator
+        .estimate(&streams, r.dataset.horizon(), r.opts.threads)
         .expect("estimation succeeds");
-    let streams = r.output.all_cluster_events(&r.dataset);
     let annotated = r.output.annotated_clusters();
     let mut cells = Vec::new();
     for (label, filter) in [

@@ -23,7 +23,6 @@
 
 use crate::legacy::{legacy_all_neighbors, legacy_hash_posts, LegacyMihIndex};
 use meme_core::pipeline::{Pipeline, PipelineConfig, ScreenshotFilterMode};
-use meme_core::runner::PipelineRunner;
 use meme_core::supervise::SupervisedRunner;
 use meme_hawkes::InfluenceEstimator;
 use meme_index::{
@@ -64,17 +63,6 @@ pub fn scale_label(scale: SimScale) -> &'static str {
 /// Run the full pipeline (oracle screenshot filter) plus Step-7
 /// influence under a metrics registry; return the `BENCH_pipeline.json`
 /// document.
-///
-/// Also measures [`SupervisedRunner`] (DESIGN.md §11) overhead against
-/// the bare runner and records it as gauges (`supervise.overhead_ratio`
-/// and the two raw `pipeline`-span totals). The comparison is paired
-/// and noise-robust: after the instrumented baseline pass, the bare
-/// output is dropped (so neither side runs under its memory pressure)
-/// and bare/supervised passes are interleaved under fresh registries,
-/// taking the **minimum** span total of each side — min-vs-min cancels
-/// cold-start and scheduling noise that a single A/B difference cannot.
-/// The runner-level guard is that supervision costs ≤ 2% wall time on a
-/// healthy run.
 pub fn pipeline_baseline(scale: SimScale, seed: u64, threads: usize) -> String {
     let dataset = SimConfig::new(scale, seed).generate();
     let registry = Arc::new(Registry::new());
@@ -84,69 +72,17 @@ pub fn pipeline_baseline(scale: SimScale, seed: u64, threads: usize) -> String {
         threads,
         ..PipelineConfig::default()
     };
-    let output = PipelineRunner::new(Pipeline::new(config.clone()))
+    let output = SupervisedRunner::new(Pipeline::new(config))
         .with_metrics(metrics.clone())
         .run(&dataset)
         .expect("pipeline runs on generated data")
         .expect_complete();
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let _ = output.estimate_influence_instrumented(&dataset, &estimator, threads, &metrics);
-    drop(output);
-
-    // Interleaved S/B/S passes under fresh registries (the instrumented
-    // pass above is the first bare sample), so stage spans never
-    // pollute the baseline document and both sides get a warm sample.
-    let mut bare_secs = pipeline_span_secs(&registry);
-    let mut supervised_secs = f64::INFINITY;
-    for round in 0..7 {
-        let reg = Arc::new(Registry::new());
-        let m = Metrics::from_registry(Arc::clone(&reg));
-        if round % 2 == 0 {
-            let _ = SupervisedRunner::new(Pipeline::new(config.clone()))
-                .with_metrics(m)
-                .run(&dataset)
-                .expect("supervised pipeline runs on generated data")
-                .expect_complete();
-            supervised_secs = supervised_secs.min(pipeline_span_secs(&reg));
-        } else {
-            let _ = PipelineRunner::new(Pipeline::new(config.clone()))
-                .with_metrics(m)
-                .run(&dataset)
-                .expect("pipeline runs on generated data")
-                .expect_complete();
-            bare_secs = bare_secs.min(pipeline_span_secs(&reg));
-        }
-    }
-    metrics.gauge("supervise.bare_pipeline_secs", bare_secs);
-    metrics.gauge("supervise.supervised_pipeline_secs", supervised_secs);
-    if bare_secs > 0.0 {
-        metrics.gauge("supervise.overhead_ratio", supervised_secs / bare_secs);
-    }
+    output
+        .estimate_influence(&dataset, &estimator, threads, &metrics)
+        .expect("a pipeline-produced output keeps cluster ids in range");
 
     wrap("pipeline", scale_label(scale), seed, &registry.to_json())
-}
-
-/// Total seconds of a registry's top-level `pipeline` span.
-fn pipeline_span_secs(registry: &Registry) -> f64 {
-    registry
-        .snapshot()
-        .spans
-        .get("pipeline")
-        .map(|s| s.total_secs)
-        .unwrap_or(0.0)
-}
-
-/// Extract the `supervise.overhead_ratio` gauge back out of a
-/// `BENCH_pipeline.json` document (the bin uses it to warn when
-/// supervision exceeds its ≤ 2% overhead budget).
-pub fn supervision_overhead_ratio(doc: &str) -> Option<f64> {
-    let marker = "\"supervise.overhead_ratio\": ";
-    let at = doc.find(marker)? + marker.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// A corpus with planted Hamming families (center + satellites inside
@@ -375,7 +311,7 @@ fn bench_hash_uncached(dataset: &Dataset, threads: usize) -> Vec<PHash> {
 }
 
 /// The full current hash stage: shared render cache + per-worker
-/// scratch, mirroring `meme-core`'s clean `hash_posts` loop.
+/// scratch, mirroring `meme-core`'s `hash_posts` loop.
 fn bench_hash_cached(
     dataset: &Dataset,
     cache: &RenderCache,
@@ -572,65 +508,6 @@ mod tests {
                 assert!(groups.collapse_ratio() <= 0.55, "pct {pct}");
             }
         }
-    }
-
-    /// Diagnostic (run with `--ignored --nocapture`): per-stage span
-    /// comparison between the bare and supervised runner over paired
-    /// rounds, to localize any supervision overhead to a stage before
-    /// trusting the aggregate `supervise.overhead_ratio` gauge.
-    #[test]
-    #[ignore]
-    fn supervision_overhead_profile() {
-        use meme_core::runner::StageId;
-        let dataset = SimConfig::new(SimScale::Tiny, 7).generate();
-        let config = PipelineConfig {
-            screenshot_filter: ScreenshotFilterMode::Oracle,
-            ..PipelineConfig::default()
-        };
-        let mut bare = vec![f64::INFINITY; StageId::ALL.len() + 1];
-        let mut sup = vec![f64::INFINITY; StageId::ALL.len() + 1];
-        for round in 0..8 {
-            let reg = Arc::new(Registry::new());
-            let m = Metrics::from_registry(Arc::clone(&reg));
-            let mins = if round % 2 == 0 {
-                let _ = SupervisedRunner::new(Pipeline::new(config.clone()))
-                    .with_metrics(m)
-                    .run(&dataset)
-                    .expect("supervised run")
-                    .expect_complete();
-                &mut sup
-            } else {
-                let _ = PipelineRunner::new(Pipeline::new(config.clone()))
-                    .with_metrics(m)
-                    .run(&dataset)
-                    .expect("bare run")
-                    .expect_complete();
-                &mut bare
-            };
-            let snap = reg.snapshot();
-            for (k, stage) in StageId::ALL.iter().enumerate() {
-                let secs = snap.spans[&format!("pipeline/{stage}")].total_secs;
-                mins[k] = mins[k].min(secs);
-            }
-            let total = snap.spans["pipeline"].total_secs;
-            mins[StageId::ALL.len()] = mins[StageId::ALL.len()].min(total);
-        }
-        for (k, stage) in StageId::ALL.iter().enumerate() {
-            println!(
-                "{stage:>10}: bare {:8.4}s  supervised {:8.4}s  ({:+.2}%)",
-                bare[k],
-                sup[k],
-                (sup[k] / bare[k] - 1.0) * 100.0
-            );
-        }
-        let k = StageId::ALL.len();
-        println!(
-            "{:>10}: bare {:8.4}s  supervised {:8.4}s  ({:+.2}%)",
-            "total",
-            bare[k],
-            sup[k],
-            (sup[k] / bare[k] - 1.0) * 100.0
-        );
     }
 
     #[test]

@@ -16,10 +16,7 @@
 //! post count for smoke runs) into `--out-dir` (default: the current
 //! directory). All files pass `memes validate-metrics`.
 
-use meme_bench::baseline::{
-    clustering_baseline, hash_baseline, index_baseline, pipeline_baseline,
-    supervision_overhead_ratio,
-};
+use meme_bench::baseline::{clustering_baseline, hash_baseline, index_baseline, pipeline_baseline};
 use meme_bench::harness::Options;
 use std::path::Path;
 use std::process::ExitCode;
@@ -37,17 +34,6 @@ fn main() -> ExitCode {
         opts.scale, opts.seed
     );
     let pipeline = pipeline_baseline(opts.scale, opts.seed, opts.threads);
-    match supervision_overhead_ratio(&pipeline) {
-        Some(ratio) if ratio > 1.02 => eprintln!(
-            "[bench-baselines] WARNING: supervised runner overhead {:+.2}% exceeds the 2% budget",
-            (ratio - 1.0) * 100.0
-        ),
-        Some(ratio) => eprintln!(
-            "[bench-baselines] supervised runner overhead {:+.2}% (budget 2%)",
-            (ratio - 1.0) * 100.0
-        ),
-        None => eprintln!("[bench-baselines] WARNING: no supervision overhead gauge recorded"),
-    }
     let pipeline_path = Path::new(&dir).join("BENCH_pipeline.json");
     if let Err(e) = std::fs::write(&pipeline_path, pipeline) {
         eprintln!("cannot write {}: {e}", pipeline_path.display());

@@ -47,6 +47,7 @@ use meme_bench::serveload::{
     run_cohort, Adversary,
 };
 use meme_core::pipeline::{Pipeline, PipelineConfig};
+use meme_core::supervise::SupervisedRunner;
 use meme_hawkes::InfluenceEstimator;
 use meme_metrics::{Metrics, Registry};
 use meme_phash::PHash;
@@ -167,11 +168,14 @@ fn build_fixture(opts: &Options) -> Option<Fixture> {
         opts.scale, opts.seed
     );
     let dataset = SimConfig::new(opts.scale, opts.seed).generate();
-    let output = Pipeline::new(PipelineConfig::default())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::default()))
         .run(&dataset)
-        .expect("pipeline runs on generated data");
+        .expect("pipeline runs on generated data")
+        .expect_complete();
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let (influence, skipped) = output.estimate_influence_robust(&dataset, &estimator, 0);
+    let (influence, skipped) = output
+        .estimate_influence(&dataset, &estimator, 0, &Metrics::disabled())
+        .expect("a pipeline-produced output keeps cluster ids in range");
     if !skipped.is_empty() {
         eprintln!(
             "[serve-load] influence: {} cluster(s) skipped",

@@ -1,6 +1,8 @@
 //! Shared setup for the `repro-*` binaries.
 
 use meme_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode};
+use meme_core::supervise::SupervisedRunner;
+use meme_hawkes::Event;
 use meme_simweb::{Dataset, SimConfig, SimScale};
 use std::time::Instant;
 
@@ -135,9 +137,10 @@ impl Repro {
         };
         let t1 = Instant::now();
         eprintln!("[repro] running pipeline (steps 1-6)...");
-        let output = Pipeline::new(config)
+        let output = SupervisedRunner::new(Pipeline::new(config))
             .run(&dataset)
-            .expect("pipeline runs on generated data");
+            .expect("pipeline runs on generated data")
+            .expect_complete();
         eprintln!(
             "[repro]   {} clusters ({} annotated), {} matched posts ({:.1?})",
             output.clustering.n_clusters(),
@@ -155,6 +158,13 @@ impl Repro {
     /// Build from CLI args.
     pub fn from_args() -> Self {
         Self::build(Options::from_args())
+    }
+
+    /// Step-7 input: one event stream per annotated cluster.
+    pub fn cluster_events(&self) -> Vec<Vec<Event>> {
+        self.output
+            .try_all_cluster_events(&self.dataset)
+            .expect("a pipeline-produced output keeps cluster ids in range")
     }
 }
 

@@ -77,6 +77,7 @@ pub fn community_runs(r: &Repro) -> Vec<CommunityClustering> {
                 8,
                 r.opts.threads,
             )
+            .expect("default DBSCAN parameters are valid")
         })
         .collect()
 }
@@ -681,9 +682,8 @@ pub fn fig10(seed: u64) {
 pub fn influence(r: &Repro) -> (meme_hawkes::ClusterInfluence, InfluenceMatrix) {
     let estimator = InfluenceEstimator::new(Community::COUNT, FIT_BETA);
     let t0 = Instant::now();
-    let fitted = r
-        .output
-        .estimate_influence(&r.dataset, &estimator, r.opts.threads)
+    let fitted = estimator
+        .estimate(&r.cluster_events(), r.dataset.horizon(), r.opts.threads)
         .expect("influence estimation succeeds");
     eprintln!(
         "[repro] fitted {} per-cluster Hawkes models in {:.1?}",
@@ -781,9 +781,8 @@ pub fn fig11_12(r: &Repro) {
 /// with KS significance stars.
 pub fn fig13_16(r: &Repro) {
     let estimator = InfluenceEstimator::new(Community::COUNT, FIT_BETA);
-    let fitted = r
-        .output
-        .estimate_influence(&r.dataset, &estimator, r.opts.threads)
+    let fitted = estimator
+        .estimate(&r.cluster_events(), r.dataset.horizon(), r.opts.threads)
         .expect("influence estimation succeeds");
     let annotated = r.output.annotated_clusters();
 

@@ -21,6 +21,7 @@ use meme_bench::serveload::{
     Adversary,
 };
 use meme_core::pipeline::{Pipeline, PipelineConfig};
+use meme_core::supervise::SupervisedRunner;
 use meme_metrics::{Metrics, Registry};
 use meme_phash::PHash;
 use meme_serve::{protocol, Server, ServerConfig, Snapshot, SnapshotStore, DEFAULT_THETA};
@@ -49,9 +50,10 @@ fn fixture() -> &'static (Arc<SnapshotStore>, Vec<PHash>) {
     static FIXTURE: OnceLock<(Arc<SnapshotStore>, Vec<PHash>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let dataset = SimConfig::tiny(17).generate();
-        let output = Pipeline::new(PipelineConfig::fast())
+        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
             .run(&dataset)
-            .expect("tiny pipeline runs");
+            .expect("tiny pipeline runs")
+            .expect_complete();
         let snapshot = Snapshot::build(&output, None, DEFAULT_THETA, 0).expect("snapshot builds");
         let medoids: Vec<PHash> = snapshot.records().iter().map(|r| r.medoid).collect();
         assert!(!medoids.is_empty(), "tiny run must produce clusters");

@@ -167,22 +167,8 @@ impl Clustering {
     }
 
     /// Medoid item index of each cluster, given the item hashes
-    /// (Step 5's cluster representative).
-    ///
-    /// # Panics
-    /// Panics when a cluster id has no members (only possible for
-    /// deserialized label vectors); [`Clustering::try_medoids`] returns
-    /// a typed error instead.
-    pub fn medoids(&self, hashes: &[PHash]) -> Vec<usize> {
-        match self.try_medoids(hashes) {
-            Ok(m) => m,
-            // lint:allow(panic-in-pipeline): documented panicking convenience over try_medoids
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible medoid computation: one checked bucketing pass over the
-    /// labels (no per-cluster rescans, no [`Clustering::all_members`]
+    /// (Step 5's cluster representative): one checked bucketing pass over
+    /// the labels (no per-cluster rescans, no [`Clustering::all_members`]
     /// indexing), then one medoid per cluster. Label vectors [`dbscan`]
     /// never emits but a corrupt checkpoint can contain — out-of-range
     /// labels, memberless cluster ids — surface as typed
@@ -281,27 +267,10 @@ pub fn try_dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Result<Clustering
     Ok(Clustering { labels, n_clusters })
 }
 
-/// Convenience: compute neighbourhoods from a Hamming index and run
-/// DBSCAN in one call, parallelizing the pairwise stage over `threads`
-/// workers (0 = all cores).
-///
-/// # Panics
-/// Panics on malformed parameters (`min_pts == 0`);
-/// [`try_dbscan_with_index`] returns a typed error instead.
-pub fn dbscan_with_index<I: HammingIndex + Sync>(
-    index: &I,
-    params: DbscanParams,
-    threads: usize,
-) -> Clustering {
-    match try_dbscan_with_index(index, params, threads) {
-        Ok(c) => c,
-        // lint:allow(panic-in-pipeline): documented panicking convenience over try_dbscan_with_index
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`dbscan_with_index`], routed through the duplicate-collapsed
-/// pair sweep: the item hashes are collapsed with [`HashGroups`], a fresh
+/// Compute neighbourhoods from a Hamming index and run DBSCAN in one
+/// call, parallelizing the pairwise stage over `threads` workers (0 =
+/// all cores), routed through the duplicate-collapsed pair sweep: the
+/// item hashes are collapsed with [`HashGroups`], a fresh
 /// index is built over the distinct hashes only, and the item adjacency is
 /// recovered through the owner lists by [`symmetric_neighbors`] — the same
 /// path the pipeline's cluster stage takes. Labels are byte-identical to
@@ -430,10 +399,10 @@ mod tests {
         }
         hashes.push(PHash(rng.random()));
         let idx = BruteForceIndex::new(hashes.clone());
-        let c = dbscan_with_index(&idx, DbscanParams::default(), 1);
+        let c = try_dbscan_with_index(&idx, DbscanParams::default(), 1).unwrap();
         assert_eq!(c.n_clusters(), 2);
         assert_eq!(c.noise_count(), 1);
-        let medoids = c.medoids(&hashes);
+        let medoids = c.try_medoids(&hashes).unwrap();
         assert_eq!(medoids.len(), 2);
         // Medoid of the first cluster is one of its members.
         assert!(c.members(0).contains(&medoids[0]));
@@ -446,17 +415,17 @@ mod tests {
             .map(|_| PHash(rng.random::<u64>() & 0xFFFF))
             .collect();
         let idx = BruteForceIndex::new(hashes);
-        let a = dbscan_with_index(&idx, DbscanParams { eps: 6, min_pts: 3 }, 1);
-        let b = dbscan_with_index(&idx, DbscanParams { eps: 6, min_pts: 3 }, 4);
+        let a = try_dbscan_with_index(&idx, DbscanParams { eps: 6, min_pts: 3 }, 1).unwrap();
+        let b = try_dbscan_with_index(&idx, DbscanParams { eps: 6, min_pts: 3 }, 4).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn try_medoids_matches_medoids_on_valid_clusterings() {
+    fn try_medoids_picks_one_member_per_cluster_on_valid_clusterings() {
         let edges = [(0, 1), (0, 2), (1, 2), (4, 5), (4, 6), (5, 6)];
         let c = dbscan(&adjacency(7, &edges), 3);
         let hashes: Vec<PHash> = (0..7).map(|i| PHash(1u64 << i)).collect();
-        assert_eq!(c.try_medoids(&hashes).unwrap(), c.medoids(&hashes));
+        assert_eq!(c.try_medoids(&hashes).unwrap(), vec![0, 4]);
     }
 
     #[test]

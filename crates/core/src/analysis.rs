@@ -7,7 +7,7 @@
 use crate::pipeline::PipelineOutput;
 use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnnotation};
 use meme_annotate::kym::KymCategory;
-use meme_cluster::dbscan::{dbscan, Clustering, DbscanParams};
+use meme_cluster::dbscan::{dbscan, try_dbscan, ClusterError, Clustering, DbscanParams};
 use meme_cluster::purity::cluster_false_positive_fractions;
 use meme_index::{symmetric_neighbors, HashGroups, MihIndex};
 use meme_phash::PHash;
@@ -138,7 +138,7 @@ pub fn cluster_community(
     params: DbscanParams,
     theta: u32,
     threads: usize,
-) -> CommunityClustering {
+) -> Result<CommunityClustering, ClusterError> {
     let post_indices: Vec<usize> = dataset.posts_of(community).map(|p| p.id).collect();
     let hashes: Vec<PHash> = post_indices
         .iter()
@@ -150,21 +150,19 @@ pub fn cluster_community(
     // lint:allow(panic-reachable): eps is a hash-distance threshold far below MihIndex::new's 64-band limit
     let index = MihIndex::new(groups.unique().to_vec(), params.eps);
     let (neighbors, _) = symmetric_neighbors(&index, &groups, params.eps, threads);
-    // lint:allow(panic-reachable): min_pts >= 1 comes from validated clustering parameters; dbscan's contract holds
-    let clustering = dbscan(&neighbors, params.min_pts);
-    // lint:allow(panic-reachable): the clustering comes straight from dbscan, so every cluster id has members
-    let medoid_positions = clustering.medoids(&hashes);
+    let clustering = try_dbscan(&neighbors, params.min_pts)?;
+    let medoid_positions = clustering.try_medoids(&hashes)?;
     let medoid_hashes: Vec<PHash> = medoid_positions.iter().map(|&p| hashes[p]).collect();
     let medoid_posts: Vec<usize> = medoid_positions.iter().map(|&p| post_indices[p]).collect();
     let annotations = annotate_clusters(&medoid_hashes, &output.site, theta);
-    CommunityClustering {
+    Ok(CommunityClustering {
         community,
         post_indices,
         clustering,
         medoid_hashes,
         medoid_posts,
         annotations,
-    }
+    })
 }
 
 // ---------------------------------------------------------------- Table 2
@@ -564,6 +562,7 @@ pub fn eps_sweep(
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
+    use crate::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
     use std::sync::OnceLock;
 
@@ -571,7 +570,10 @@ mod tests {
         static FIXTURE: OnceLock<(Dataset, PipelineOutput)> = OnceLock::new();
         FIXTURE.get_or_init(|| {
             let dataset = SimConfig::tiny(23).generate();
-            let out = Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap();
+            let out = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+                .run(&dataset)
+                .unwrap()
+                .expect_complete();
             (dataset, out)
         })
     }
@@ -596,7 +598,7 @@ mod tests {
         let (dataset, out) = fixture();
         let runs: Vec<CommunityClustering> = Community::FRINGE
             .iter()
-            .map(|&c| cluster_community(dataset, out, c, DbscanParams::default(), 8, 2))
+            .map(|&c| cluster_community(dataset, out, c, DbscanParams::default(), 8, 2).unwrap())
             .collect();
         let rows = table2(&runs);
         assert_eq!(rows.len(), 3);
@@ -628,7 +630,8 @@ mod tests {
     #[test]
     fn top_entries_tables_are_ranked() {
         let (dataset, out) = fixture();
-        let run = cluster_community(dataset, out, Community::Pol, DbscanParams::default(), 8, 2);
+        let run =
+            cluster_community(dataset, out, Community::Pol, DbscanParams::default(), 8, 2).unwrap();
         let t3 = top_entries_by_clusters(&run, out, 10);
         assert!(!t3.is_empty());
         for w in t3.windows(2) {

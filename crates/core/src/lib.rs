@@ -45,10 +45,9 @@ pub use quarantine::{
 pub use runner::{
     crc32, dataset_fingerprint, decode_checkpoint, encode_checkpoint, fsck_bytes, fsck_file,
     persist_checkpoint, prev_checkpoint_path, Checkpoint, CheckpointDefect, CheckpointMedium,
-    DiskMedium, FsckClass, FsckReport, MediumError, PipelineRunner, RunnerOutcome, StageId,
-    StageState, CHECKPOINT_SCHEMA_VERSION,
+    DiskMedium, FsckClass, FsckReport, MediumError, RunnerOutcome, StageId, StageState,
+    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use supervise::{
-    ExecFaults, FaultyMedium, ItemFault, NoFaults, SpecFaults, StageFault, StagePolicy,
-    StageRetries, SupervisedRun, SupervisedRunner, SupervisionReport,
+    FaultyMedium, StagePolicy, StageRetries, SupervisedRun, SupervisedRunner, SupervisionReport,
 };

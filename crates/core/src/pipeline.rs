@@ -1,6 +1,8 @@
 //! The seven-step processing pipeline (Fig. 2).
 //!
-//! [`Pipeline::run`] drives a [`meme_simweb::Dataset`] through:
+//! [`Pipeline`] is the stage library; the one driver,
+//! [`crate::supervise::SupervisedRunner`], takes a
+//! [`meme_simweb::Dataset`] through:
 //!
 //! 1. **pHash extraction** — render each post's image lazily, hash it,
 //!    drop the pixels (the paper: "after computing the pHashes, we
@@ -20,8 +22,7 @@
 
 use crate::metric::ClusterDescriptor;
 use crate::quarantine::{QuarantineEntry, QuarantineReason};
-use crate::runner::{PipelineRunner, RunnerOutcome, StageId, StageState};
-use crate::supervise::{ExecFaults, ItemFault, NoFaults, StageFault};
+use crate::runner::{StageId, StageState};
 use meme_annotate::annotator::{annotate_clusters_with_stats, ClusterAnnotation};
 use meme_annotate::kym::{KymEntry, KymSite};
 use meme_annotate::nn::TrainConfig;
@@ -35,11 +36,12 @@ use meme_index::{
 };
 use meme_metrics::Metrics;
 use meme_phash::{HashScratch, ImageHasher, PHash, PerceptualHasher};
-use meme_simweb::{Community, Dataset, RenderCache, RenderStats};
+use meme_simweb::{
+    Community, Dataset, ExecFaultSpec, ExecItemFault, ExecStageFault, RenderCache, RenderStats,
+};
 use meme_stats::dist::DistError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// How many times Step 4 retries CNN training (reseeding each attempt)
 /// before falling back to the ground-truth oracle filter.
@@ -143,8 +145,6 @@ impl std::error::Error for StageError {}
 pub enum PipelineError {
     /// The dataset had no posts at all.
     EmptyDataset,
-    /// Influence estimation failed.
-    Hawkes(HawkesError),
     /// A stage failed; the tag records where and (when per-cluster
     /// work was involved) which cluster sank it.
     Stage {
@@ -178,7 +178,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::EmptyDataset => write!(f, "dataset contains no image posts"),
-            Self::Hawkes(e) => write!(f, "influence estimation failed: {e}"),
             Self::Stage {
                 stage,
                 cluster: Some(c),
@@ -203,16 +202,9 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Hawkes(e) => Some(e),
             Self::Stage { source, .. } => Some(source),
             _ => None,
         }
-    }
-}
-
-impl From<HawkesError> for PipelineError {
-    fn from(e: HawkesError) -> Self {
-        Self::Hawkes(e)
     }
 }
 
@@ -347,19 +339,15 @@ pub struct PipelineOutput {
     pub degradations: Vec<Degradation>,
 }
 
-/// The pipeline driver.
+/// The stage library: one method per Fig. 2 step, driven stage by stage
+/// by [`crate::supervise::SupervisedRunner`].
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     config: PipelineConfig,
     metrics: Metrics,
-    /// Execution-fault oracle (chaos testing); [`NoFaults`] in
-    /// production, where every consultation is skipped via
-    /// [`ExecFaults::enabled`].
-    faults: Arc<dyn ExecFaults>,
-    /// Which supervised attempt of the current stage this is (0-based);
-    /// only fault decisions depend on it, so clean runs are identical
-    /// for any value.
-    attempt: u32,
+    /// Execution-fault schedule (chaos testing); the default spec
+    /// injects nothing.
+    faults: ExecFaultSpec,
 }
 
 impl Pipeline {
@@ -368,8 +356,7 @@ impl Pipeline {
         Self {
             config,
             metrics: Metrics::disabled(),
-            faults: Arc::new(NoFaults),
-            attempt: 0,
+            faults: ExecFaultSpec::default(),
         }
     }
 
@@ -380,15 +367,9 @@ impl Pipeline {
         self
     }
 
-    /// Attach an execution-fault oracle (chaos testing only).
-    pub fn with_exec_faults(mut self, faults: Arc<dyn ExecFaults>) -> Self {
+    /// Attach an execution-fault schedule (chaos testing only).
+    pub fn with_exec_faults(mut self, faults: ExecFaultSpec) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// The supervised-attempt number fault decisions key on.
-    pub(crate) fn with_attempt(mut self, attempt: u32) -> Self {
-        self.attempt = attempt;
         self
     }
 
@@ -402,55 +383,36 @@ impl Pipeline {
         &self.config
     }
 
-    /// Run Steps 1–6 over a dataset.
-    ///
-    /// Equivalent to driving a [`PipelineRunner`] without a checkpoint;
-    /// use the runner directly for checkpointed / resumable runs.
-    pub fn run(&self, dataset: &Dataset) -> Result<PipelineOutput, PipelineError> {
-        match PipelineRunner::new(self.clone()).run(dataset)? {
-            RunnerOutcome::Complete(out) => Ok(*out),
-            RunnerOutcome::Halted { .. } => {
-                // lint:allow(panic-in-pipeline): new() sets no halt_after, so Halted is unrepresentable
-                unreachable!("runner without halt_after always completes")
-            }
-        }
-    }
-
-    /// Execute one stage against the accumulated state.
+    /// Execute one stage against the accumulated state. `attempt` is the
+    /// supervisor's 0-based attempt number for this stage; only fault
+    /// decisions depend on it, so clean runs are identical for any value.
     pub(crate) fn run_stage(
         &self,
         stage: StageId,
+        attempt: u32,
         dataset: &Dataset,
         state: &mut StageState,
     ) -> Result<(), PipelineError> {
-        if self.faults.enabled() {
-            match self.faults.stage_fault(stage, self.attempt) {
-                StageFault::Pass => {}
-                StageFault::Panic => {
-                    // lint:allow(panic-in-pipeline): deliberate injected fault — the supervisor's catch_unwind must contain it
-                    panic!(
-                        "injected fault: stage `{stage}` panicked on attempt {}",
-                        self.attempt
-                    )
-                }
-                StageFault::Transient => {
-                    return Err(PipelineError::Stage {
-                        stage,
-                        cluster: None,
-                        source: StageError::Transient {
-                            detail: format!(
-                                "injected transient stage fault on attempt {}",
-                                self.attempt
-                            ),
-                        },
-                    })
-                }
+        match self.faults.stage_fault(stage.name(), attempt) {
+            ExecStageFault::Pass => {}
+            ExecStageFault::Panic => {
+                // lint:allow(panic-in-pipeline): deliberate injected fault — the supervisor's catch_unwind must contain it
+                panic!("injected fault: stage `{stage}` panicked on attempt {attempt}")
+            }
+            ExecStageFault::Transient => {
+                return Err(PipelineError::Stage {
+                    stage,
+                    cluster: None,
+                    source: StageError::Transient {
+                        detail: format!("injected transient stage fault on attempt {attempt}"),
+                    },
+                })
             }
         }
         match stage {
             StageId::Hash => {
                 // --- Step 1: pHash extraction (parallel render + hash).
-                let (hashes, quarantined) = self.hash_posts(dataset)?;
+                let (hashes, quarantined) = self.hash_posts(dataset, attempt)?;
                 state.post_hashes = Some(hashes);
                 record_quarantined(state, StageId::Hash, quarantined);
                 Ok(())
@@ -482,7 +444,7 @@ impl Pipeline {
                 state.annotations = Some(annotations);
                 Ok(())
             }
-            StageId::Associate => self.stage_associate(state),
+            StageId::Associate => self.stage_associate(state, attempt),
         }
     }
 
@@ -584,7 +546,12 @@ impl Pipeline {
     /// [`Pipeline::hash_posts`], with per-worker [`QueryScratch`]
     /// reuse), then an expansion back to posts through the owner table.
     /// Byte-identical to querying per post, for any thread count.
-    fn stage_associate(&self, state: &mut StageState) -> Result<(), PipelineError> {
+    ///
+    /// Per-item fault verdicts are collected positionally (chunked
+    /// exactly like the slots), so thread count cannot reorder them.
+    /// Faulted items keep the `None` sentinel — a poison hash simply
+    /// matches no cluster.
+    fn stage_associate(&self, state: &mut StageState, attempt: u32) -> Result<(), PipelineError> {
         let post_hashes = req(&state.post_hashes, StageId::Associate)?;
         let medoid_hashes = req(&state.medoid_hashes, StageId::Associate)?;
         let annotations = req(&state.annotations, StageId::Associate)?;
@@ -606,81 +573,54 @@ impl Pipeline {
             let n_unique = groups.len_unique();
             self.metrics.add("associate.hash_queries", n_unique as u64);
             let mut unique_occ: Vec<Option<usize>> = vec![None; n_unique];
+            let mut verdicts = vec![ExecItemFault::Pass; n_unique];
             let threads = effective_threads(self.config.threads, n_unique);
             let chunk_len = n_unique.div_ceil(threads);
             let theta = self.config.theta;
             let annotated = &annotated;
             let assoc_index = &assoc_index;
             let groups_ref = &groups;
-            if !self.faults.enabled() {
-                crossbeam::thread::scope(|s| {
-                    for (chunk_id, slot_chunk) in unique_occ.chunks_mut(chunk_len).enumerate() {
-                        s.spawn(move |_| {
-                            let mut scratch = QueryScratch::new();
-                            let mut hits = Vec::new();
-                            for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                                let h = groups_ref.unique()[chunk_id * chunk_len + off];
-                                assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
-                                *slot = hits
-                                    .iter()
-                                    .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
-                                    .map(|&pos| annotated[pos]);
+            let faults = &self.faults;
+            let faults_active = faults.is_active();
+            crossbeam::thread::scope(|s| {
+                for ((chunk_id, slot_chunk), verdict_chunk) in unique_occ
+                    .chunks_mut(chunk_len)
+                    .enumerate()
+                    .zip(verdicts.chunks_mut(chunk_len))
+                {
+                    s.spawn(move |_| {
+                        let mut scratch = QueryScratch::new();
+                        let mut hits = Vec::new();
+                        for (off, (slot, verdict)) in slot_chunk
+                            .iter_mut()
+                            .zip(verdict_chunk.iter_mut())
+                            .enumerate()
+                        {
+                            let k = chunk_id * chunk_len + off;
+                            if faults_active {
+                                *verdict = faults.item_fault(StageId::Associate.name(), k, attempt);
                             }
-                        });
-                    }
-                })
-                // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-                .expect("association worker panicked");
-            } else {
-                // Fault-aware twin of the loop above: per-item verdicts
-                // are collected positionally (chunked exactly like the
-                // slots), so thread count cannot reorder them. Faulted
-                // items keep the `None` sentinel — a poison hash simply
-                // matches no cluster.
-                let mut verdicts: Vec<ItemFault> = vec![ItemFault::Pass; n_unique];
-                let faults = &*self.faults;
-                let attempt = self.attempt;
-                crossbeam::thread::scope(|s| {
-                    for ((chunk_id, slot_chunk), verdict_chunk) in unique_occ
-                        .chunks_mut(chunk_len)
-                        .enumerate()
-                        .zip(verdicts.chunks_mut(chunk_len))
-                    {
-                        s.spawn(move |_| {
-                            let mut scratch = QueryScratch::new();
-                            let mut hits = Vec::new();
-                            for (off, (slot, verdict)) in slot_chunk
-                                .iter_mut()
-                                .zip(verdict_chunk.iter_mut())
-                                .enumerate()
-                            {
-                                let k = chunk_id * chunk_len + off;
-                                *verdict = faults.item_fault(StageId::Associate, k, attempt);
-                                if *verdict != ItemFault::Pass {
-                                    continue;
-                                }
-                                let h = groups_ref.unique()[k];
-                                assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
-                                *slot = hits
-                                    .iter()
-                                    .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
-                                    .map(|&pos| annotated[pos]);
+                            if *verdict != ExecItemFault::Pass {
+                                continue;
                             }
-                        });
-                    }
-                })
-                // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-                .expect("association worker panicked");
-                // Quarantine coordinates are post indices: map each
-                // poisoned unique hash to its first owning post.
-                let mut first_owner = vec![usize::MAX; n_unique];
-                for i in (0..n).rev() {
-                    first_owner[groups.owner_of(i)] = i;
+                            let h = groups_ref.unique()[k];
+                            assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
+                            *slot = hits
+                                .iter()
+                                .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
+                                .map(|&pos| annotated[pos]);
+                        }
+                    });
                 }
-                quarantined = collect_item_verdicts(StageId::Associate, &verdicts, attempt, |k| {
-                    first_owner[k]
-                })?;
-            }
+            })
+            // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
+            .expect("association worker panicked");
+            // Quarantine coordinates are post indices: a poisoned unique
+            // hash is reported as its first owning post (owner lists are
+            // ascending and never empty).
+            quarantined = collect_item_verdicts(StageId::Associate, &verdicts, attempt, |k| {
+                groups.owners(k)[0] as usize
+            })?;
             for (i, slot) in occurrences.iter_mut().enumerate() {
                 *slot = unique_occ[groups.owner_of(i)];
             }
@@ -700,15 +640,16 @@ impl Pipeline {
 
     /// Step 1 worker: hash every post's image in parallel.
     ///
-    /// Under an active fault oracle, every item's verdict is collected
-    /// (deterministically, in a pre-chunked verdict table so thread
-    /// count cannot reorder anything): transient item faults abort the
-    /// stage with a retryable [`StageError::Transient`]; poison items
-    /// keep the `PHash::default()` sentinel and come back as quarantine
-    /// entries. The clean path is the original loop, untouched.
+    /// Every item's fault verdict is collected in a pre-chunked verdict
+    /// table (so thread count cannot reorder anything): transient item
+    /// faults abort the stage with a retryable [`StageError::Transient`];
+    /// poison items keep the `PHash::default()` sentinel and come back
+    /// as quarantine entries. Without an active fault schedule every
+    /// verdict is `Pass` and nothing is consulted per item.
     fn hash_posts(
         &self,
         dataset: &Dataset,
+        attempt: u32,
     ) -> Result<(Vec<PHash>, Vec<QuarantineEntry>), PipelineError> {
         let n = dataset.posts.len();
         if n == 0 {
@@ -728,35 +669,9 @@ impl Pipeline {
         let n_chunks = n.div_ceil(chunk_len);
         let mut worker_stats = vec![RenderStats::default(); n_chunks];
         let mut hashes = vec![PHash::default(); n];
-        if !self.faults.enabled() {
-            crossbeam::thread::scope(|s| {
-                for ((chunk_id, slot_chunk), stats) in hashes
-                    .chunks_mut(chunk_len)
-                    .enumerate()
-                    .zip(worker_stats.iter_mut())
-                {
-                    let cache = &cache;
-                    s.spawn(move |_| {
-                        // lint:allow(panic-reachable): new() uses the default hash/DCT sizes, which satisfy with_sizes' contract
-                        let hasher = PerceptualHasher::new();
-                        let mut scratch = HashScratch::new();
-                        for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            let post = &dataset.posts[chunk_id * chunk_len + off];
-                            // lint:allow(panic-reachable): post canvases render at fixed non-zero dimensions, so Image::filled's contract holds
-                            let img = dataset.render_post_cached(post, cache, stats);
-                            *slot = hasher.hash_into(img.as_image(), &mut scratch);
-                        }
-                    });
-                }
-            })
-            // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-            .expect("hashing worker panicked");
-            self.record_render_stats(&cache, &worker_stats);
-            return Ok((hashes, Vec::new()));
-        }
-        let mut verdicts: Vec<ItemFault> = vec![ItemFault::Pass; n];
-        let faults = &*self.faults;
-        let attempt = self.attempt;
+        let mut verdicts = vec![ExecItemFault::Pass; n];
+        let faults = &self.faults;
+        let faults_active = faults.is_active();
         crossbeam::thread::scope(|s| {
             for (((chunk_id, slot_chunk), verdict_chunk), stats) in hashes
                 .chunks_mut(chunk_len)
@@ -775,8 +690,10 @@ impl Pipeline {
                         .enumerate()
                     {
                         let i = chunk_id * chunk_len + off;
-                        *verdict = faults.item_fault(StageId::Hash, i, attempt);
-                        if *verdict == ItemFault::Pass {
+                        if faults_active {
+                            *verdict = faults.item_fault(StageId::Hash.name(), i, attempt);
+                        }
+                        if *verdict == ExecItemFault::Pass {
                             let post = &dataset.posts[i];
                             // lint:allow(panic-reachable): post canvases render at fixed non-zero dimensions, so Image::filled's contract holds
                             let img = dataset.render_post_cached(post, cache, stats);
@@ -932,21 +849,21 @@ fn record_quarantined(state: &mut StageState, stage: StageId, entries: Vec<Quara
 /// the supervisor re-runs the whole stage deterministically) or the
 /// batch of quarantine entries for the poison verdicts. `coord` maps a
 /// verdict index to its post index (identity for the hash stage; the
-/// first-owner table for deduplicated association).
+/// first owner of the unique hash for deduplicated association).
 fn collect_item_verdicts(
     stage: StageId,
-    verdicts: &[ItemFault],
+    verdicts: &[ExecItemFault],
     attempt: u32,
     coord: impl Fn(usize) -> usize,
 ) -> Result<Vec<QuarantineEntry>, PipelineError> {
     let transient = verdicts
         .iter()
-        .filter(|v| **v == ItemFault::Transient)
+        .filter(|v| **v == ExecItemFault::Transient)
         .count();
     if transient > 0 {
         let first = verdicts
             .iter()
-            .position(|v| *v == ItemFault::Transient)
+            .position(|v| *v == ExecItemFault::Transient)
             .unwrap_or(0);
         return Err(PipelineError::Stage {
             stage,
@@ -962,7 +879,7 @@ fn collect_item_verdicts(
     Ok(verdicts
         .iter()
         .enumerate()
-        .filter(|(_, v)| **v == ItemFault::Poison)
+        .filter(|(_, v)| **v == ExecItemFault::Poison)
         .map(|(k, _)| QuarantineEntry {
             stage,
             item: coord(k),
@@ -1039,24 +956,10 @@ impl PipelineOutput {
     }
 
     /// Event streams for all annotated clusters, in
-    /// [`PipelineOutput::annotated_clusters`] order.
-    ///
-    /// # Panics
-    /// Panics when an annotation or occurrence references a cluster
-    /// outside the medoid table — impossible for a pipeline-produced
-    /// output, but reachable through a corrupt checkpoint;
-    /// [`PipelineOutput::try_all_cluster_events`] returns a typed error
-    /// instead.
-    pub fn all_cluster_events(&self, dataset: &Dataset) -> Vec<Vec<Event>> {
-        match self.try_all_cluster_events(dataset) {
-            Ok(streams) => streams,
-            // lint:allow(panic-in-pipeline): documented panicking convenience over try_all_cluster_events
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`PipelineOutput::all_cluster_events`]: cluster ids that
-    /// point outside the medoid table surface as
+    /// [`PipelineOutput::annotated_clusters`] order. Cluster ids that
+    /// point outside the medoid table — impossible for a
+    /// pipeline-produced output, but reachable through an artifact or
+    /// checkpoint loaded from disk — surface as
     /// [`PipelineError::CheckpointCorrupt`] instead of an index panic.
     pub fn try_all_cluster_events(
         &self,
@@ -1097,46 +1000,29 @@ impl PipelineOutput {
     }
 
     /// Step 7: fit a Hawkes model per annotated cluster and aggregate
-    /// influence. Returns the per-cluster and total matrices, in
-    /// [`PipelineOutput::annotated_clusters`] order.
+    /// influence (per-cluster and total matrices, in
+    /// [`PipelineOutput::annotated_clusters`] order).
+    ///
+    /// Clusters whose fit fails (NaN times, foreign community ids,
+    /// non-stationary or diverged EM) are skipped — contributing zero
+    /// influence — and each skip comes back as a
+    /// [`Degradation::HawkesClusterSkipped`] naming the cluster; a caller
+    /// that wants fail-fast checks that list. Only an output whose
+    /// cluster ids are out of range (a mangled artifact) is an `Err`.
+    ///
+    /// Records the Step-7 span (`pipeline/influence`), per-run EM
+    /// iteration counts (total + histogram), final log-likelihood per
+    /// fitted cluster, and a `degradation.hawkes_cluster_skipped`
+    /// counter per skip; pass a disabled [`Metrics`] to record nothing.
     pub fn estimate_influence(
         &self,
         dataset: &Dataset,
         estimator: &InfluenceEstimator,
         threads: usize,
-    ) -> Result<ClusterInfluence, PipelineError> {
-        let streams = self.try_all_cluster_events(dataset)?;
-        Ok(estimator.estimate(&streams, dataset.horizon(), threads)?)
-    }
-
-    /// Step 7, fault-tolerantly: clusters whose Hawkes fit fails (NaN
-    /// times, foreign community ids, non-stationary or diverged EM) are
-    /// skipped — contributing zero influence — and each skip comes back
-    /// as a [`Degradation::HawkesClusterSkipped`] naming the cluster.
-    pub fn estimate_influence_robust(
-        &self,
-        dataset: &Dataset,
-        estimator: &InfluenceEstimator,
-        threads: usize,
-    ) -> (ClusterInfluence, Vec<Degradation>) {
-        self.estimate_influence_instrumented(dataset, estimator, threads, &Metrics::disabled())
-    }
-
-    /// [`PipelineOutput::estimate_influence_robust`] with observability:
-    /// records the Step-7 span (`pipeline/influence`), per-run EM
-    /// iteration counts (total + histogram), final log-likelihood per
-    /// fitted cluster, and a `degradation.hawkes_cluster_skipped`
-    /// counter per skip.
-    pub fn estimate_influence_instrumented(
-        &self,
-        dataset: &Dataset,
-        estimator: &InfluenceEstimator,
-        threads: usize,
         metrics: &Metrics,
-    ) -> (ClusterInfluence, Vec<Degradation>) {
+    ) -> Result<(ClusterInfluence, Vec<Degradation>), PipelineError> {
         let span = metrics.span("pipeline/influence");
-        // lint:allow(panic-reachable): this output was produced by the running pipeline, not a deserialized checkpoint; cluster ids are in range
-        let streams = self.all_cluster_events(dataset);
+        let streams = self.try_all_cluster_events(dataset)?;
         let robust = estimator.estimate_robust(&streams, dataset.horizon(), threads);
         let elapsed = span.finish();
         let annotated = self.annotated_clusters();
@@ -1176,7 +1062,7 @@ impl PipelineOutput {
         for d in &degradations {
             metrics.inc(&format!("degradation.{}", d.slug()));
         }
-        (robust.influence, degradations)
+        Ok((robust.influence, degradations))
     }
 
     /// Degradation counts grouped by kind, in first-seen order — the
@@ -1195,16 +1081,7 @@ impl PipelineOutput {
     /// Custom-metric descriptors plus representative-entry names for
     /// every annotated cluster (in [`PipelineOutput::annotated_clusters`]
     /// order) — the shared input of the Fig. 6 dendrograms, the Fig. 7
-    /// graph, and the `memes graph` CLI.
-    pub fn annotated_descriptors(&self) -> (Vec<ClusterDescriptor>, Vec<String>) {
-        match self.try_annotated_descriptors() {
-            Ok(r) => r,
-            // lint:allow(panic-in-pipeline): documented panicking convenience over try_annotated_descriptors
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`PipelineOutput::annotated_descriptors`]: annotations
+    /// graph, and the `memes graph` CLI. Annotations
     /// whose cluster id falls outside the medoid table, or whose matched
     /// entry ids fall outside the KYM site — shapes the pipeline never
     /// emits, but a corrupt or stale-schema checkpoint can — surface as
@@ -1273,11 +1150,19 @@ impl PipelineOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
+
+    fn run(pipeline: Pipeline, dataset: &Dataset) -> PipelineOutput {
+        SupervisedRunner::new(pipeline)
+            .run(dataset)
+            .unwrap()
+            .expect_complete()
+    }
 
     fn run_tiny() -> (Dataset, PipelineOutput) {
         let dataset = SimConfig::tiny(17).generate();
-        let out = Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap();
+        let out = run(Pipeline::new(PipelineConfig::fast()), &dataset);
         (dataset, out)
     }
 
@@ -1390,7 +1275,7 @@ mod tests {
     fn cluster_events_are_sorted_and_complete() {
         let (dataset, out) = run_tiny();
         let annotated = out.annotated_clusters();
-        let streams = out.all_cluster_events(&dataset);
+        let streams = out.try_all_cluster_events(&dataset).unwrap();
         assert_eq!(streams.len(), annotated.len());
         let total: usize = streams.iter().map(|s| s.len()).sum();
         let matched = out.occurrences.iter().flatten().count();
@@ -1410,7 +1295,10 @@ mod tests {
     fn influence_estimation_runs_end_to_end() {
         let (dataset, out) = run_tiny();
         let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-        let inf = out.estimate_influence(&dataset, &estimator, 2).unwrap();
+        let (inf, skipped) = out
+            .estimate_influence(&dataset, &estimator, 2, &Metrics::disabled())
+            .unwrap();
+        assert!(skipped.is_empty(), "{skipped:?}");
         let events: f64 = inf.total.events_per_community().iter().sum();
         let matched = out.occurrences.iter().flatten().count() as f64;
         assert!((events - matched).abs() < 1e-6);
@@ -1420,7 +1308,7 @@ mod tests {
     fn empty_dataset_is_an_error() {
         let mut dataset = SimConfig::tiny(18).generate();
         dataset.posts.clear();
-        let err = Pipeline::new(PipelineConfig::fast()).run(&dataset);
+        let err = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast())).run(&dataset);
         assert!(matches!(err, Err(PipelineError::EmptyDataset)));
     }
 
@@ -1437,7 +1325,7 @@ mod tests {
                 threads,
                 ..PipelineConfig::fast()
             });
-            let (hashes, quarantined) = pipeline.hash_posts(&dataset).unwrap();
+            let (hashes, quarantined) = pipeline.hash_posts(&dataset, 0).unwrap();
             assert!(hashes.is_empty());
             assert!(quarantined.is_empty());
         }
@@ -1446,19 +1334,16 @@ mod tests {
     #[test]
     fn associate_output_is_byte_identical_across_thread_counts() {
         let dataset = SimConfig::tiny(31).generate();
-        let reference = Pipeline::new(PipelineConfig {
-            threads: 1,
-            ..PipelineConfig::fast()
-        })
-        .run(&dataset)
-        .unwrap();
-        for threads in [2usize, 8] {
-            let out = Pipeline::new(PipelineConfig {
+        let with_threads = |threads: usize| {
+            let config = PipelineConfig {
                 threads,
                 ..PipelineConfig::fast()
-            })
-            .run(&dataset)
-            .unwrap();
+            };
+            run(Pipeline::new(config), &dataset)
+        };
+        let reference = with_threads(1);
+        for threads in [2usize, 8] {
+            let out = with_threads(threads);
             // Field-level checks first, so a determinism regression
             // names the stage that drifted instead of dumping two JSON
             // blobs: cluster ID assignment order (Step 3), medoid
@@ -1502,12 +1387,10 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let metrics = Metrics::from_registry(Arc::clone(&registry));
         let pipeline = Pipeline::new(PipelineConfig::fast()).with_metrics(metrics.clone());
-        let out = PipelineRunner::new(pipeline)
-            .run(&dataset)
-            .unwrap()
-            .expect_complete();
+        let out = run(pipeline, &dataset);
         let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-        let (_inf, _deg) = out.estimate_influence_instrumented(&dataset, &estimator, 2, &metrics);
+        out.estimate_influence(&dataset, &estimator, 2, &metrics)
+            .unwrap();
 
         let snap = registry.snapshot();
         assert_eq!(
@@ -1556,7 +1439,7 @@ mod tests {
                 ..PipelineConfig::fast()
             })
             .with_metrics(Metrics::from_registry(Arc::clone(&registry)));
-            pipeline.run(&dataset).unwrap();
+            run(pipeline, &dataset);
             registry.snapshot().counters
         };
         let reference = count_with(1);
@@ -1595,13 +1478,14 @@ mod tests {
     #[test]
     fn filter_off_mode_keeps_screenshots_in_galleries() {
         let dataset = SimConfig::tiny(19).generate();
-        let with = Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap();
-        let without = Pipeline::new(PipelineConfig {
-            screenshot_filter: ScreenshotFilterMode::Off,
-            ..PipelineConfig::fast()
-        })
-        .run(&dataset)
-        .unwrap();
+        let with = run(Pipeline::new(PipelineConfig::fast()), &dataset);
+        let without = run(
+            Pipeline::new(PipelineConfig {
+                screenshot_filter: ScreenshotFilterMode::Off,
+                ..PipelineConfig::fast()
+            }),
+            &dataset,
+        );
         assert!(without.site.total_gallery_images() > with.site.total_gallery_images());
     }
 
@@ -1609,8 +1493,8 @@ mod tests {
     fn influence_with_zero_annotated_clusters_is_zero_not_an_abort() {
         // Regression: a run where no cluster earned a KYM annotation
         // used to abort the process inside the Hawkes estimator
-        // (`chunks_mut(0)`); through the robust entry point it must be
-        // the zero result with no degradations.
+        // (`chunks_mut(0)`); it must be the zero result with no
+        // degradations.
         let (dataset, mut out) = run_tiny();
         for ann in &mut out.annotations {
             ann.matches.clear();
@@ -1618,10 +1502,18 @@ mod tests {
         }
         assert!(out.annotated_clusters().is_empty());
         let estimator = InfluenceEstimator::new(Community::COUNT, 2.0);
-        let (influence, degradations) = out.estimate_influence_robust(&dataset, &estimator, 2);
+        let (influence, degradations) = out
+            .estimate_influence(&dataset, &estimator, 2, &Metrics::disabled())
+            .unwrap();
         assert!(influence.per_cluster.is_empty());
         assert!(degradations.is_empty());
-        let strict = out.estimate_influence(&dataset, &estimator, 2).unwrap();
+        let strict = estimator
+            .estimate(
+                &out.try_all_cluster_events(&dataset).unwrap(),
+                dataset.horizon(),
+                2,
+            )
+            .unwrap();
         assert!(strict.per_cluster.is_empty());
     }
 

@@ -236,15 +236,27 @@ pub fn caption_analysis(dataset: &Dataset, output: &PipelineOutput) -> CaptionAn
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
-    use meme_hawkes::InfluenceEstimator;
+    use crate::supervise::SupervisedRunner;
+    use meme_hawkes::{ClusterInfluence, InfluenceEstimator};
+    use meme_metrics::Metrics;
     use meme_simweb::SimConfig;
 
     fn fixture() -> (Dataset, PipelineOutput) {
         let dataset = SimConfig::tiny(31).generate();
-        let output = Pipeline::new(PipelineConfig::fast())
+        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
             .run(&dataset)
-            .expect("pipeline runs");
+            .expect("pipeline runs")
+            .expect_complete();
         (dataset, output)
+    }
+
+    fn influence(dataset: &Dataset, output: &PipelineOutput) -> ClusterInfluence {
+        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
+        let (influence, skipped) = output
+            .estimate_influence(dataset, &estimator, 0, &Metrics::disabled())
+            .expect("cluster ids are in range");
+        assert!(skipped.is_empty(), "estimation succeeds: {skipped:?}");
+        influence
     }
 
     #[test]
@@ -263,11 +275,8 @@ mod tests {
     #[test]
     fn virality_profile_is_consistent() {
         let (dataset, output) = fixture();
-        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-        let influence = output
-            .estimate_influence(&dataset, &estimator, 0)
-            .expect("estimation succeeds");
-        let streams = output.all_cluster_events(&dataset);
+        let influence = influence(&dataset, &output);
+        let streams = output.try_all_cluster_events(&dataset).unwrap();
         let profile = virality(&influence.per_cluster, &streams);
         assert_eq!(profile.clusters, streams.len());
         assert!(profile.events > 0.0);
@@ -281,11 +290,8 @@ mod tests {
         // The generator gives political memes stronger cross-community
         // weights; the fitted virality must reflect it.
         let (dataset, output) = fixture();
-        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-        let influence = output
-            .estimate_influence(&dataset, &estimator, 0)
-            .expect("estimation succeeds");
-        let streams = output.all_cluster_events(&dataset);
+        let influence = influence(&dataset, &output);
+        let streams = output.try_all_cluster_events(&dataset).unwrap();
         let annotated = output.annotated_clusters();
         let mut pol_m = Vec::new();
         let mut pol_s = Vec::new();

@@ -1,13 +1,14 @@
-//! Checkpointed stage runner — fault tolerance for the Fig. 2 pipeline.
+//! Stages and checkpoints — fault tolerance for the Fig. 2 pipeline.
 //!
-//! [`PipelineRunner`] drives a [`Pipeline`] through its steps as named,
-//! resumable **stages** ([`StageId`]). After every stage it snapshots a
+//! The driver ([`crate::supervise::SupervisedRunner`]) takes a
+//! [`crate::pipeline::Pipeline`] through its steps as named, resumable
+//! **stages** ([`StageId`]). After every stage it snapshots a
 //! [`Checkpoint`] — the accumulated [`StageState`], the configuration,
 //! and a fingerprint of the dataset — to disk, so a run killed after
-//! stage *k* can [`PipelineRunner::resume`] from stage *k + 1* instead
-//! of starting over. This mirrors the paper's own batch/one-time-task
-//! split (§3.3): the expensive phases (hashing 160M images, pairwise
-//! distances) are exactly the ones worth never redoing.
+//! stage *k* can resume from stage *k + 1* instead of starting over.
+//! This mirrors the paper's own batch/one-time-task split (§3.3): the
+//! expensive phases (hashing 160M images, pairwise distances) are
+//! exactly the ones worth never redoing.
 //!
 //! On-disk integrity (DESIGN.md §11): checkpoints are wrapped in a
 //! checksummed, schema-versioned **envelope** — a one-line ASCII header
@@ -26,7 +27,7 @@
 //! [`PipelineError::CheckpointMismatch`], because silently mixing stage
 //! outputs across configs would corrupt every downstream figure.
 
-use crate::pipeline::{Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput};
+use crate::pipeline::{Degradation, PipelineConfig, PipelineError, PipelineOutput};
 use crate::quarantine::QuarantineEntry;
 use meme_annotate::annotator::ClusterAnnotation;
 use meme_annotate::kym::KymSite;
@@ -44,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Step 7 (Hawkes influence) is deliberately not a stage: it is computed
 /// on demand from a completed [`PipelineOutput`] (see
-/// [`PipelineOutput::estimate_influence_robust`]).
+/// [`PipelineOutput::estimate_influence`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StageId {
     /// Step 1 — pHash extraction over every post image.
@@ -676,125 +677,6 @@ pub enum RunnerOutcome {
     },
 }
 
-impl RunnerOutcome {
-    /// Unwrap the completed output; panics on [`RunnerOutcome::Halted`].
-    pub fn expect_complete(self) -> PipelineOutput {
-        match self {
-            RunnerOutcome::Complete(out) => *out,
-            RunnerOutcome::Halted { after } => {
-                // lint:allow(panic-in-pipeline): documented panicking accessor, mirrors Option::expect
-                panic!("pipeline halted after stage `{after}`, no output")
-            }
-        }
-    }
-}
-
-/// Drives a [`Pipeline`] stage by stage with optional checkpointing.
-#[derive(Debug, Clone)]
-pub struct PipelineRunner {
-    pipeline: Pipeline,
-    checkpoint_path: Option<PathBuf>,
-    halt_after: Option<StageId>,
-}
-
-impl PipelineRunner {
-    /// A runner with no checkpointing.
-    pub fn new(pipeline: Pipeline) -> Self {
-        Self {
-            pipeline,
-            checkpoint_path: None,
-            halt_after: None,
-        }
-    }
-
-    /// Attach a metrics handle to the underlying pipeline; the runner
-    /// additionally records one span per stage under `pipeline/<stage>`,
-    /// a `degradation.<slug>` counter per recorded fallback, and
-    /// per-stage throughput gauges.
-    pub fn with_metrics(mut self, metrics: meme_metrics::Metrics) -> Self {
-        self.pipeline = self.pipeline.with_metrics(metrics);
-        self
-    }
-
-    /// Snapshot a checkpoint to `path` after every completed stage.
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Stop (checkpoint saved) after the given stage completes — the
-    /// test hook that simulates a run killed mid-pipeline.
-    pub fn halt_after(mut self, stage: StageId) -> Self {
-        self.halt_after = Some(stage);
-        self
-    }
-
-    /// Run every stage from scratch, ignoring any existing checkpoint.
-    pub fn run(&self, dataset: &Dataset) -> Result<RunnerOutcome, PipelineError> {
-        if dataset.posts.is_empty() {
-            return Err(PipelineError::EmptyDataset);
-        }
-        let ckpt = Checkpoint::fresh(dataset, self.pipeline.config().clone());
-        self.drive(dataset, ckpt)
-    }
-
-    /// Continue from the checkpoint on disk (validated against this
-    /// dataset and configuration), or start fresh when none exists.
-    pub fn resume(&self, dataset: &Dataset) -> Result<RunnerOutcome, PipelineError> {
-        if dataset.posts.is_empty() {
-            return Err(PipelineError::EmptyDataset);
-        }
-        let ckpt = match &self.checkpoint_path {
-            Some(path) if path.exists() => {
-                load_validated(&DiskMedium, path, dataset, self.pipeline.config())?
-            }
-            _ => Checkpoint::fresh(dataset, self.pipeline.config().clone()),
-        };
-        self.drive(dataset, ckpt)
-    }
-
-    /// Run the stages the checkpoint has not yet completed.
-    fn drive(
-        &self,
-        dataset: &Dataset,
-        mut ckpt: Checkpoint,
-    ) -> Result<RunnerOutcome, PipelineError> {
-        let metrics = self.pipeline.metrics().clone();
-        let run_span = metrics.span("pipeline");
-        for (idx, stage) in StageId::ALL.into_iter().enumerate() {
-            let is_last = idx + 1 == StageId::ALL.len();
-            if ckpt.completed.contains(&stage) {
-                continue;
-            }
-            let span = run_span.child(stage.name());
-            let degradations_before = ckpt.state.degradations.len();
-            self.pipeline.run_stage(stage, dataset, &mut ckpt.state)?;
-            let elapsed = span.finish();
-            for d in &ckpt.state.degradations[degradations_before..] {
-                metrics.inc(&format!("degradation.{}", d.slug()));
-            }
-            record_throughput(&metrics, stage, elapsed);
-            ckpt.completed.push(stage);
-            self.save(&ckpt)?;
-            if self.halt_after == Some(stage) && !is_last {
-                return Ok(RunnerOutcome::Halted { after: stage });
-            }
-        }
-        run_span.finish();
-        ckpt.state
-            .into_output()
-            .map(|out| RunnerOutcome::Complete(Box::new(out)))
-    }
-
-    /// Persist the checkpoint crash-safely (see [`persist_checkpoint`]).
-    fn save(&self, ckpt: &Checkpoint) -> Result<(), PipelineError> {
-        let Some(path) = &self.checkpoint_path else {
-            return Ok(());
-        };
-        persist_checkpoint(&DiskMedium, path, ckpt)
-    }
-}
-
 /// Derive a stage's items-per-second gauge from its wall time and the
 /// work counter the stage itself recorded. Gauges hold the last value,
 /// so on a resumed run they reflect the stages that actually ran.
@@ -985,204 +867,5 @@ mod tests {
 
         // Without expectations, any intact checkpoint is clean.
         assert_eq!(fsck_bytes(&bytes, None).class, FsckClass::Clean);
-    }
-
-    #[test]
-    fn runner_matches_plain_pipeline() {
-        let dataset = SimConfig::tiny(23).generate();
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        let plain = pipeline.run(&dataset).unwrap();
-        let staged = PipelineRunner::new(pipeline)
-            .run(&dataset)
-            .unwrap()
-            .expect_complete();
-        assert_eq!(plain.to_json(), staged.to_json());
-    }
-
-    #[test]
-    fn halt_then_resume_equals_uninterrupted() {
-        let dataset = SimConfig::tiny(24).generate();
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        let whole = pipeline.run(&dataset).unwrap();
-        for stage in StageId::ALL {
-            let path = tmp_path(&format!("halt-{stage}"));
-            let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(prev_checkpoint_path(&path));
-            let runner = PipelineRunner::new(pipeline.clone())
-                .with_checkpoint(&path)
-                .halt_after(stage);
-            let outcome = runner.run(&dataset).unwrap();
-            let resumed = match outcome {
-                RunnerOutcome::Halted { after } => {
-                    assert_eq!(after, stage);
-                    let ckpt = decode_checkpoint(&fs::read(&path).unwrap()).unwrap();
-                    assert!(ckpt.completed.contains(&stage));
-                    assert!(!ckpt.is_complete());
-                    PipelineRunner::new(pipeline.clone())
-                        .with_checkpoint(&path)
-                        .resume(&dataset)
-                        .unwrap()
-                        .expect_complete()
-                }
-                // Halting after the final stage just completes.
-                RunnerOutcome::Complete(out) => *out,
-            };
-            assert_eq!(whole.to_json(), resumed.to_json(), "stage {stage}");
-            let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(prev_checkpoint_path(&path));
-        }
-    }
-
-    #[test]
-    fn resume_under_different_thread_count_is_byte_identical() {
-        // A checkpoint written by a serial run and resumed on 8 threads
-        // (or vice versa) must reproduce the uninterrupted serial
-        // output byte for byte: stage outputs may never encode thread
-        // chunking or HashMap iteration order. The config fingerprint
-        // intentionally includes `threads`, so the resuming runner gets
-        // a same-threads config and the cross-thread comparison is done
-        // against a separately-computed reference.
-        let dataset = SimConfig::tiny(27).generate();
-        let reference = Pipeline::new(PipelineConfig {
-            threads: 1,
-            ..PipelineConfig::fast()
-        })
-        .run(&dataset)
-        .unwrap();
-        for threads in [1usize, 8] {
-            let config = PipelineConfig {
-                threads,
-                ..PipelineConfig::fast()
-            };
-            let path = tmp_path(&format!("threads-{threads}"));
-            let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(prev_checkpoint_path(&path));
-            let halted = PipelineRunner::new(Pipeline::new(config.clone()))
-                .with_checkpoint(&path)
-                .halt_after(StageId::Cluster)
-                .run(&dataset)
-                .unwrap();
-            assert!(matches!(halted, RunnerOutcome::Halted { .. }));
-            let resumed = PipelineRunner::new(Pipeline::new(config))
-                .with_checkpoint(&path)
-                .resume(&dataset)
-                .unwrap()
-                .expect_complete();
-            assert_eq!(
-                reference.to_json(),
-                resumed.to_json(),
-                "run/resume with {threads} threads diverged from serial reference"
-            );
-            let _ = fs::remove_file(&path);
-            let _ = fs::remove_file(prev_checkpoint_path(&path));
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_other_dataset_and_config() {
-        let dataset = SimConfig::tiny(25).generate();
-        let other = SimConfig::tiny(26).generate();
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        let path = tmp_path("mismatch");
-        let _ = fs::remove_file(&path);
-        let outcome = PipelineRunner::new(pipeline.clone())
-            .with_checkpoint(&path)
-            .halt_after(StageId::Hash)
-            .run(&dataset)
-            .unwrap();
-        assert!(matches!(outcome, RunnerOutcome::Halted { .. }));
-
-        let err = PipelineRunner::new(pipeline.clone())
-            .with_checkpoint(&path)
-            .resume(&other)
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::CheckpointMismatch(_)), "{err}");
-
-        let mut changed = PipelineConfig::fast();
-        changed.theta = 5;
-        let err = PipelineRunner::new(Pipeline::new(changed))
-            .with_checkpoint(&path)
-            .resume(&dataset)
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::CheckpointMismatch(_)), "{err}");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(prev_checkpoint_path(&path));
-    }
-
-    #[test]
-    fn empty_dataset_is_typed_error_for_run_and_resume() {
-        // Regression: an empty dataset must surface as EmptyDataset from
-        // both entry points (never a worker panic), with or without a
-        // checkpoint path, at any thread count.
-        let mut dataset = SimConfig::tiny(28).generate();
-        dataset.posts.clear();
-        for threads in [0usize, 1, 8] {
-            let pipeline = Pipeline::new(PipelineConfig {
-                threads,
-                ..PipelineConfig::fast()
-            });
-            let runner = PipelineRunner::new(pipeline.clone());
-            assert!(matches!(
-                runner.run(&dataset),
-                Err(PipelineError::EmptyDataset)
-            ));
-            let path = tmp_path(&format!("empty-{threads}"));
-            let _ = fs::remove_file(&path);
-            let runner = PipelineRunner::new(pipeline).with_checkpoint(&path);
-            assert!(matches!(
-                runner.resume(&dataset),
-                Err(PipelineError::EmptyDataset)
-            ));
-            let _ = fs::remove_file(&path);
-        }
-    }
-
-    #[test]
-    fn corrupt_checkpoint_is_a_typed_error() {
-        let dataset = SimConfig::tiny(27).generate();
-        let path = tmp_path("corrupt");
-        fs::write(&path, "{ not json").unwrap();
-        let err = PipelineRunner::new(Pipeline::new(PipelineConfig::fast()))
-            .with_checkpoint(&path)
-            .resume(&dataset)
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::CheckpointCorrupt(_)), "{err}");
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn truncated_checkpoint_resume_is_torn_corrupt_never_a_fresh_run() {
-        // Satellite regression: resume on a torn checkpoint must return
-        // CheckpointCorrupt with the torn classification — not a serde
-        // panic, and *not* a silent fresh run.
-        let dataset = SimConfig::tiny(24).generate();
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        let path = tmp_path("torn-resume");
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(prev_checkpoint_path(&path));
-        let outcome = PipelineRunner::new(pipeline.clone())
-            .with_checkpoint(&path)
-            .halt_after(StageId::Hash)
-            .run(&dataset)
-            .unwrap();
-        assert!(matches!(outcome, RunnerOutcome::Halted { .. }));
-        let bytes = fs::read(&path).unwrap();
-        let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        for cut in [1, header_len - 2, header_len + 1, bytes.len() - 1] {
-            fs::write(&path, &bytes[..cut]).unwrap();
-            let err = PipelineRunner::new(pipeline.clone())
-                .with_checkpoint(&path)
-                .resume(&dataset)
-                .unwrap_err();
-            match err {
-                PipelineError::CheckpointCorrupt(detail) => assert!(
-                    detail.contains("torn"),
-                    "cut at {cut}: classification missing from {detail:?}"
-                ),
-                other => panic!("cut at {cut}: expected CheckpointCorrupt, got {other}"),
-            }
-        }
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(prev_checkpoint_path(&path));
     }
 }

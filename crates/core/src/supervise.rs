@@ -1,7 +1,8 @@
 //! Supervised stage execution (DESIGN.md §11).
 //!
-//! [`SupervisedRunner`] wraps the bare [`PipelineRunner`] loop with the
-//! survival machinery a production batch run needs:
+//! [`SupervisedRunner`] is the one stage driver: it takes a
+//! [`Pipeline`] through [`StageId::ALL`] with the survival machinery a
+//! production batch run needs:
 //!
 //! * **Bounded, deterministic retry/backoff** — each stage attempt runs
 //!   under a [`StagePolicy`]; retryable failures (transient stage and
@@ -28,7 +29,9 @@
 //!
 //! Every decision is deterministic: a retried, resumed, or rolled-back
 //! run produces output byte-identical to an uninterrupted clean run
-//! (the chaos suite in `tests/chaos_exec.rs` holds this line).
+//! (the chaos suite in `tests/chaos_exec.rs` holds this line). The bare
+//! run is this driver under `StagePolicy { max_attempts: 1,
+//! save_attempts: 1, .. }`: the first error comes back as is.
 
 use crate::pipeline::{Degradation, Pipeline, PipelineError, PipelineOutput, StageError};
 use crate::quarantine::write_quarantine;
@@ -36,93 +39,12 @@ use crate::runner::{
     load_validated, persist_checkpoint, prev_checkpoint_path, record_throughput, Checkpoint,
     CheckpointMedium, DiskMedium, MediumError, RunnerOutcome, StageId, StageState,
 };
-use meme_simweb::{Dataset, ExecFaultSpec, ExecItemFault, ExecStageFault, ExecWriteFault};
+use meme_simweb::{Dataset, ExecFaultSpec, ExecWriteFault};
 use meme_stats::child_seed;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// What an execution-fault oracle does to one stage attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageFault {
-    /// Run normally.
-    Pass,
-    /// Panic mid-stage (containment exercise).
-    Panic,
-    /// Fail with a retryable transient error.
-    Transient,
-}
-
-/// What an execution-fault oracle does to one item of a stage attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemFault {
-    /// Process normally.
-    Pass,
-    /// Fail this attempt; succeed on a later one.
-    Transient,
-    /// Fail every attempt — quarantine material.
-    Poison,
-}
-
-/// The execution-fault oracle the pipeline consults at its fault
-/// points. Production uses [`NoFaults`]; the chaos suite adapts a
-/// [`meme_simweb::ExecFaultSpec`] through [`SpecFaults`].
-pub trait ExecFaults: fmt::Debug + Send + Sync {
-    /// Whether any fault can ever fire (lets hot loops skip per-item
-    /// consultation entirely).
-    fn enabled(&self) -> bool;
-    /// The fault for one attempt of a stage.
-    fn stage_fault(&self, stage: StageId, attempt: u32) -> StageFault;
-    /// The fault for one item of a stage on one attempt.
-    fn item_fault(&self, stage: StageId, item: usize, attempt: u32) -> ItemFault;
-}
-
-/// The production oracle: injects nothing, costs one `bool` check.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl ExecFaults for NoFaults {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn stage_fault(&self, _stage: StageId, _attempt: u32) -> StageFault {
-        StageFault::Pass
-    }
-
-    fn item_fault(&self, _stage: StageId, _item: usize, _attempt: u32) -> ItemFault {
-        ItemFault::Pass
-    }
-}
-
-/// Adapts the simulator's substrate-free [`ExecFaultSpec`] (stages
-/// addressed by name) to the pipeline's typed fault points.
-#[derive(Debug, Clone)]
-pub struct SpecFaults(pub ExecFaultSpec);
-
-impl ExecFaults for SpecFaults {
-    fn enabled(&self) -> bool {
-        self.0.is_active()
-    }
-
-    fn stage_fault(&self, stage: StageId, attempt: u32) -> StageFault {
-        match self.0.stage_fault(stage.name(), attempt) {
-            ExecStageFault::Pass => StageFault::Pass,
-            ExecStageFault::Panic => StageFault::Panic,
-            ExecStageFault::Transient => StageFault::Transient,
-        }
-    }
-
-    fn item_fault(&self, stage: StageId, item: usize, attempt: u32) -> ItemFault {
-        match self.0.item_fault(stage.name(), item, attempt) {
-            ExecItemFault::Pass => ItemFault::Pass,
-            ExecItemFault::Transient => ItemFault::Transient,
-            ExecItemFault::Poison => ItemFault::Poison,
-        }
-    }
-}
 
 /// A [`CheckpointMedium`] that injects the write faults an
 /// [`ExecFaultSpec`] schedules: write *k* can fail outright or be torn
@@ -278,10 +200,15 @@ pub struct SupervisedRun {
 }
 
 impl SupervisedRun {
-    /// Unwrap the completed output; panics on a halted run (mirrors
-    /// [`RunnerOutcome::expect_complete`]).
+    /// Unwrap the completed output; panics on a halted run.
     pub fn expect_complete(self) -> PipelineOutput {
-        self.outcome.expect_complete()
+        match self.outcome {
+            RunnerOutcome::Complete(out) => *out,
+            RunnerOutcome::Halted { after } => {
+                // lint:allow(panic-in-pipeline): documented panicking accessor, mirrors Option::expect
+                panic!("pipeline halted after stage `{after}`, no output")
+            }
+        }
     }
 }
 
@@ -346,8 +273,8 @@ impl SupervisedRunner {
         self
     }
 
-    /// Attach an execution-fault oracle to the pipeline's fault points.
-    pub fn with_exec_faults(mut self, faults: Arc<dyn ExecFaults>) -> Self {
+    /// Attach an execution-fault schedule to the pipeline's fault points.
+    pub fn with_exec_faults(mut self, faults: ExecFaultSpec) -> Self {
         self.pipeline = self.pipeline.with_exec_faults(faults);
         self
     }
@@ -444,12 +371,12 @@ impl SupervisedRunner {
             let mut stage_retries: u32 = 0;
             let mut stage_ticks: u64 = 0;
             loop {
-                let pipeline = self.pipeline.clone().with_attempt(attempt);
                 let span = run_span.child(stage.name());
                 let degradations_before = ckpt.state.degradations.len();
                 let quarantined_before = ckpt.state.quarantined.len();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    pipeline.run_stage(stage, dataset, &mut ckpt.state)
+                    self.pipeline
+                        .run_stage(stage, attempt, dataset, &mut ckpt.state)
                 }));
                 let error = match outcome {
                     Ok(Ok(())) => {
@@ -629,6 +556,19 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PipelineConfig;
+    use crate::runner::decode_checkpoint;
+    use meme_simweb::SimConfig;
+    use std::fs;
+
+    fn tmp_path(name: &str) -> PathBuf {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "memes-runner-test-{}-{name}.json",
+            std::process::id()
+        ));
+        p
+    }
 
     #[test]
     fn backoff_is_deterministic_and_exponentially_bounded() {
@@ -662,22 +602,6 @@ mod tests {
         };
         assert_eq!(policy.backoff_ticks(StageId::Hash, 0), 0);
         assert_eq!(policy.backoff_ticks(StageId::Hash, 5), 0);
-    }
-
-    #[test]
-    fn no_faults_is_inert() {
-        let f = NoFaults;
-        assert!(!f.enabled());
-        assert_eq!(f.stage_fault(StageId::Hash, 0), StageFault::Pass);
-        assert_eq!(f.item_fault(StageId::Associate, 7, 0), ItemFault::Pass);
-    }
-
-    #[test]
-    fn spec_faults_adapt_stage_names() {
-        let f = SpecFaults(ExecFaultSpec::persistent_panic(1, "cluster"));
-        assert!(f.enabled());
-        assert_eq!(f.stage_fault(StageId::Cluster, 4), StageFault::Panic);
-        assert_eq!(f.stage_fault(StageId::Hash, 0), StageFault::Pass);
     }
 
     #[test]
@@ -737,5 +661,195 @@ mod tests {
             state.post_hashes.is_some(),
             "completed earlier stages must be untouched"
         );
+    }
+
+    #[test]
+    fn halt_then_resume_equals_uninterrupted() {
+        let dataset = SimConfig::tiny(24).generate();
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let whole = SupervisedRunner::new(pipeline.clone())
+            .run(&dataset)
+            .unwrap()
+            .expect_complete();
+        for stage in StageId::ALL {
+            let path = tmp_path(&format!("halt-{stage}"));
+            let _ = fs::remove_file(&path);
+            let _ = fs::remove_file(prev_checkpoint_path(&path));
+            let runner = SupervisedRunner::new(pipeline.clone())
+                .with_checkpoint(&path)
+                .halt_after(stage);
+            let resumed = match runner.run(&dataset).unwrap().outcome {
+                RunnerOutcome::Halted { after } => {
+                    assert_eq!(after, stage);
+                    let ckpt = decode_checkpoint(&fs::read(&path).unwrap()).unwrap();
+                    assert!(ckpt.completed.contains(&stage));
+                    assert!(!ckpt.is_complete());
+                    SupervisedRunner::new(pipeline.clone())
+                        .with_checkpoint(&path)
+                        .resume(&dataset)
+                        .unwrap()
+                        .expect_complete()
+                }
+                // Halting after the final stage just completes.
+                RunnerOutcome::Complete(out) => *out,
+            };
+            assert_eq!(whole.to_json(), resumed.to_json(), "stage {stage}");
+            let _ = fs::remove_file(&path);
+            let _ = fs::remove_file(prev_checkpoint_path(&path));
+        }
+    }
+
+    #[test]
+    fn resume_under_different_thread_count_is_byte_identical() {
+        // A checkpoint written by a serial run and resumed on 8 threads
+        // (or vice versa) must reproduce the uninterrupted serial
+        // output byte for byte: stage outputs may never encode thread
+        // chunking or HashMap iteration order. The config fingerprint
+        // intentionally includes `threads`, so the resuming runner gets
+        // a same-threads config and the cross-thread comparison is done
+        // against a separately-computed reference.
+        let dataset = SimConfig::tiny(27).generate();
+        let reference = SupervisedRunner::new(Pipeline::new(PipelineConfig {
+            threads: 1,
+            ..PipelineConfig::fast()
+        }))
+        .run(&dataset)
+        .unwrap()
+        .expect_complete();
+        for threads in [1usize, 8] {
+            let config = PipelineConfig {
+                threads,
+                ..PipelineConfig::fast()
+            };
+            let path = tmp_path(&format!("threads-{threads}"));
+            let _ = fs::remove_file(&path);
+            let _ = fs::remove_file(prev_checkpoint_path(&path));
+            let halted = SupervisedRunner::new(Pipeline::new(config.clone()))
+                .with_checkpoint(&path)
+                .halt_after(StageId::Cluster)
+                .run(&dataset)
+                .unwrap();
+            assert!(matches!(halted.outcome, RunnerOutcome::Halted { .. }));
+            let resumed = SupervisedRunner::new(Pipeline::new(config))
+                .with_checkpoint(&path)
+                .resume(&dataset)
+                .unwrap()
+                .expect_complete();
+            assert_eq!(
+                reference.to_json(),
+                resumed.to_json(),
+                "run/resume with {threads} threads diverged from serial reference"
+            );
+            let _ = fs::remove_file(&path);
+            let _ = fs::remove_file(prev_checkpoint_path(&path));
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_other_dataset_and_config() {
+        let dataset = SimConfig::tiny(25).generate();
+        let other = SimConfig::tiny(26).generate();
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let path = tmp_path("mismatch");
+        let _ = fs::remove_file(&path);
+        let outcome = SupervisedRunner::new(pipeline.clone())
+            .with_checkpoint(&path)
+            .halt_after(StageId::Hash)
+            .run(&dataset)
+            .unwrap();
+        assert!(matches!(outcome.outcome, RunnerOutcome::Halted { .. }));
+
+        let err = SupervisedRunner::new(pipeline.clone())
+            .with_checkpoint(&path)
+            .resume(&other)
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::CheckpointMismatch(_)), "{err}");
+
+        let mut changed = PipelineConfig::fast();
+        changed.theta = 5;
+        let err = SupervisedRunner::new(Pipeline::new(changed))
+            .with_checkpoint(&path)
+            .resume(&dataset)
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::CheckpointMismatch(_)), "{err}");
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(prev_checkpoint_path(&path));
+    }
+
+    #[test]
+    fn empty_dataset_is_typed_error_for_run_and_resume() {
+        // Regression: an empty dataset must surface as EmptyDataset from
+        // both entry points (never a worker panic), with or without a
+        // checkpoint path, at any thread count.
+        let mut dataset = SimConfig::tiny(28).generate();
+        dataset.posts.clear();
+        for threads in [0usize, 1, 8] {
+            let pipeline = Pipeline::new(PipelineConfig {
+                threads,
+                ..PipelineConfig::fast()
+            });
+            let runner = SupervisedRunner::new(pipeline.clone());
+            assert!(matches!(
+                runner.run(&dataset),
+                Err(PipelineError::EmptyDataset)
+            ));
+            let path = tmp_path(&format!("empty-{threads}"));
+            let _ = fs::remove_file(&path);
+            let runner = SupervisedRunner::new(pipeline).with_checkpoint(&path);
+            assert!(matches!(
+                runner.resume(&dataset),
+                Err(PipelineError::EmptyDataset)
+            ));
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn corrupt_checkpoint_is_a_typed_error() {
+        let dataset = SimConfig::tiny(27).generate();
+        let path = tmp_path("corrupt");
+        fs::write(&path, "{ not json").unwrap();
+        let err = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+            .with_checkpoint(&path)
+            .resume(&dataset)
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::CheckpointCorrupt(_)), "{err}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn truncated_checkpoint_resume_is_torn_corrupt_never_a_fresh_run() {
+        // Satellite regression: resume on a torn checkpoint must return
+        // CheckpointCorrupt with the torn classification — not a serde
+        // panic, and *not* a silent fresh run.
+        let dataset = SimConfig::tiny(24).generate();
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let path = tmp_path("torn-resume");
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(prev_checkpoint_path(&path));
+        let outcome = SupervisedRunner::new(pipeline.clone())
+            .with_checkpoint(&path)
+            .halt_after(StageId::Hash)
+            .run(&dataset)
+            .unwrap();
+        assert!(matches!(outcome.outcome, RunnerOutcome::Halted { .. }));
+        let bytes = fs::read(&path).unwrap();
+        let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        for cut in [1, header_len - 2, header_len + 1, bytes.len() - 1] {
+            fs::write(&path, &bytes[..cut]).unwrap();
+            let err = SupervisedRunner::new(pipeline.clone())
+                .with_checkpoint(&path)
+                .resume(&dataset)
+                .unwrap_err();
+            match err {
+                PipelineError::CheckpointCorrupt(detail) => assert!(
+                    detail.contains("torn"),
+                    "cut at {cut}: classification missing from {detail:?}"
+                ),
+                other => panic!("cut at {cut}: expected CheckpointCorrupt, got {other}"),
+            }
+        }
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(prev_checkpoint_path(&path));
     }
 }

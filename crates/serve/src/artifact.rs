@@ -45,7 +45,8 @@ pub fn load_output(path: &Path) -> Result<PipelineOutput, ServeError> {
 mod tests {
     use super::*;
     use meme_core::pipeline::{Pipeline, PipelineConfig};
-    use meme_core::runner::{Checkpoint, PipelineRunner};
+    use meme_core::runner::Checkpoint;
+    use meme_core::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
 
     fn tempdir() -> std::path::PathBuf {
@@ -86,7 +87,8 @@ mod tests {
         let config = PipelineConfig::fast();
         let dir = tempdir();
         let ckpt_path = dir.join("run.ckpt");
-        let runner = PipelineRunner::new(Pipeline::new(config.clone())).with_checkpoint(&ckpt_path);
+        let runner =
+            SupervisedRunner::new(Pipeline::new(config.clone())).with_checkpoint(&ckpt_path);
         let direct = runner.run(&dataset).unwrap().expect_complete();
         let loaded = load_output(&ckpt_path).unwrap();
         assert_eq!(loaded.medoid_hashes, direct.medoid_hashes);

@@ -54,6 +54,7 @@ pub use store::SnapshotStore;
 #[cfg(test)]
 pub(crate) mod testutil {
     use meme_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+    use meme_core::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
     use std::sync::OnceLock;
 
@@ -64,7 +65,10 @@ pub(crate) mod testutil {
         static OUT: OnceLock<PipelineOutput> = OnceLock::new();
         OUT.get_or_init(|| {
             let dataset = SimConfig::tiny(17).generate();
-            Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap()
+            SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+                .run(&dataset)
+                .unwrap()
+                .expect_complete()
         })
     }
 }

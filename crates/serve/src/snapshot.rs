@@ -104,7 +104,7 @@ impl Snapshot {
     /// Build a snapshot from a completed run.
     ///
     /// `influence`, when given, must come from
-    /// [`PipelineOutput::estimate_influence_robust`] (or `estimate`) on
+    /// [`PipelineOutput::estimate_influence`] on
     /// the same artifact, so its per-cluster matrices line up with
     /// [`PipelineOutput::annotated_clusters`] order.
     ///

@@ -10,6 +10,7 @@
 //! concurrent test's allocations would pollute the counting window).
 
 use meme_core::pipeline::{Pipeline, PipelineConfig};
+use meme_core::supervise::SupervisedRunner;
 use meme_index::IndexEngine;
 use meme_phash::PHash;
 use meme_serve::{ServeScratch, Snapshot, SnapshotStore, DEFAULT_THETA};
@@ -52,7 +53,10 @@ fn allocations() -> u64 {
 #[test]
 fn steady_state_lookups_do_not_allocate() {
     let dataset = SimConfig::tiny(17).generate();
-    let output = Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap();
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+        .run(&dataset)
+        .unwrap()
+        .expect_complete();
     let store = SnapshotStore::new(Snapshot::build(&output, None, DEFAULT_THETA, 0).unwrap());
     {
         let snap = store.load();

@@ -7,6 +7,7 @@
 //! generation or the new one, never a blend.
 
 use meme_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use meme_core::supervise::SupervisedRunner;
 use meme_phash::PHash;
 use meme_serve::{ServeScratch, Snapshot, SnapshotStore, DEFAULT_THETA};
 use meme_simweb::SimConfig;
@@ -17,7 +18,10 @@ fn tiny_output() -> &'static PipelineOutput {
     static OUT: OnceLock<PipelineOutput> = OnceLock::new();
     OUT.get_or_init(|| {
         let dataset = SimConfig::tiny(17).generate();
-        Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap()
+        SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+            .run(&dataset)
+            .unwrap()
+            .expect_complete()
     })
 }
 

@@ -10,10 +10,11 @@
 //! of `(seed, site, attempt)`, so a chaos schedule replays bit-for-bit
 //! and a retried run can be asserted byte-identical to a clean one.
 //!
-//! This module is deliberately substrate-free — stages are named by
-//! string, items and writes by index — so the supervision layer in
-//! `meme-core` can adapt it to its own types without a dependency
-//! cycle. The spec answers three questions:
+//! The spec is substrate-free — stages are named by string, items and
+//! writes by index — and `meme-core` holds it directly: `Pipeline`
+//! consults it at its fault points, `FaultyMedium` at checkpoint
+//! writes. [`ExecFaultSpec::default`] injects nothing and is the
+//! production value. The spec answers three questions:
 //!
 //! * [`ExecFaultSpec::stage_fault`] — should this *stage attempt* panic
 //!   or fail transiently?

@@ -8,14 +8,16 @@
 
 use origins_of_memes::core::analysis::{self, MemeFilter};
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::{Community, SimConfig};
 use origins_of_memes::stats::Ecdf;
 
 fn main() {
     let dataset = SimConfig::tiny(11).generate();
-    let output = Pipeline::new(PipelineConfig::fast())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
 
     // --- Popularity: what does each community share? (Tables 4/5)
     for community in [Community::Pol, Community::Twitter] {

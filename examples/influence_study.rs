@@ -7,7 +7,9 @@
 //! ```
 
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::hawkes::{Fitter, GibbsConfig, InfluenceEstimator, InfluenceMatrix};
+use origins_of_memes::metrics::Metrics;
 use origins_of_memes::simweb::{Community, SimConfig};
 
 fn print_matrix(title: &str, m: &[Vec<f64>]) {
@@ -28,9 +30,10 @@ fn print_matrix(title: &str, m: &[Vec<f64>]) {
 
 fn main() {
     let dataset = SimConfig::tiny(7).generate();
-    let output = Pipeline::new(PipelineConfig::fast())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
 
     // Ground truth influence from the simulator's lineage.
     let mut truth = vec![vec![0.0f64; Community::COUNT]; Community::COUNT];
@@ -46,9 +49,9 @@ fn main() {
 
     // EM fit (deterministic maximum likelihood).
     let em = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let em_fit = output
-        .estimate_influence(&dataset, &em, 0)
-        .expect("EM estimation succeeds");
+    let (em_fit, _) = output
+        .estimate_influence(&dataset, &em, 0, &Metrics::disabled())
+        .expect("a fresh run keeps cluster ids in range");
 
     // Gibbs fit (the paper's Bayesian approach).
     let gibbs = InfluenceEstimator::with_fitter(
@@ -63,9 +66,9 @@ fn main() {
             99,
         ),
     );
-    let gibbs_fit = output
-        .estimate_influence(&dataset, &gibbs, 0)
-        .expect("Gibbs estimation succeeds");
+    let (gibbs_fit, _) = output
+        .estimate_influence(&dataset, &gibbs, 0, &Metrics::disabled())
+        .expect("a fresh run keeps cluster ids in range");
 
     println!("percent of destination events caused by each source (Fig. 11 view):\n");
     print_matrix(

@@ -11,13 +11,15 @@ use origins_of_memes::core::dendro::Phylogeny;
 use origins_of_memes::core::graph::{ClusterGraph, GraphConfig};
 use origins_of_memes::core::metric::{ClusterDescriptor, ClusterDistance};
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::{Community, SimConfig};
 
 fn main() {
     let dataset = SimConfig::tiny(42).generate();
-    let output = Pipeline::new(PipelineConfig::fast())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
 
     // Describe every annotated cluster: medoid hash + the union of its
     // KYM annotations (meme names, people, cultures).

@@ -8,6 +8,7 @@
 
 use origins_of_memes::core::analysis;
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::SimConfig;
 use std::time::Instant;
 
@@ -16,9 +17,10 @@ fn main() {
 
     // The expensive part: hash + cluster + annotate + associate.
     let t0 = Instant::now();
-    let output = Pipeline::new(PipelineConfig::fast())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
     println!("pipeline ran in {:.1?}", t0.elapsed());
 
     // Persist the run.

@@ -6,7 +6,9 @@
 //! ```
 
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::hawkes::InfluenceEstimator;
+use origins_of_memes::metrics::Metrics;
 use origins_of_memes::simweb::{Community, SimConfig};
 
 fn main() {
@@ -25,9 +27,10 @@ fn main() {
     // 2. Steps 1-6: hash, cluster, filter, annotate, associate.
     //    `PipelineConfig::fast()` uses the ground-truth screenshot
     //    oracle; `PipelineConfig::default()` trains the Appendix-C CNN.
-    let output = Pipeline::new(PipelineConfig::fast())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
     println!(
         "clustering: {} clusters, {:.1}% noise",
         output.clustering.n_clusters(),
@@ -54,9 +57,13 @@ fn main() {
     // 3. Step 7: fit a Hawkes model per annotated cluster and estimate
     //    which community drives the meme ecosystem.
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let influence = output
-        .estimate_influence(&dataset, &estimator, 0)
-        .expect("influence estimation succeeds");
+    //    Clusters whose fit fails are skipped and named in `skipped`.
+    let (influence, skipped) = output
+        .estimate_influence(&dataset, &estimator, 0, &Metrics::disabled())
+        .expect("a fresh run keeps cluster ids in range");
+    for s in &skipped {
+        println!("  {s}");
+    }
     let ext = influence.total.total_external_normalized();
     println!("\nper-community external influence (normalized, % of own events):");
     for c in Community::ALL {

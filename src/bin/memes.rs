@@ -77,15 +77,17 @@
 use meme_analysis::Exit;
 use origins_of_memes::core::graph::{ClusterGraph, GraphConfig};
 use origins_of_memes::core::metric::ClusterDistance;
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, ScreenshotFilterMode};
+use origins_of_memes::core::pipeline::{
+    Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
+};
 use origins_of_memes::core::quarantine::{read_quarantine, summarize, QuarantineError};
 use origins_of_memes::core::runner::{
     dataset_fingerprint, fsck_file, DiskMedium, FsckClass, RunnerOutcome, StageId,
 };
 use origins_of_memes::core::supervise::{
-    FaultyMedium, SpecFaults, StagePolicy, SupervisedRunner, SupervisionReport,
+    FaultyMedium, StagePolicy, SupervisedRunner, SupervisionReport,
 };
-use origins_of_memes::hawkes::InfluenceEstimator;
+use origins_of_memes::hawkes::{ClusterInfluence, InfluenceEstimator};
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
 use origins_of_memes::phash::{ImageHasher, PHash, PerceptualHasher};
@@ -468,8 +470,8 @@ fn cmd_quarantine_replay(args: &Args, path: &str) -> ExitCode {
     // clean, and resolve every associate-stage entry against it.
     let needs_full_run = entries.iter().any(|e| e.stage != StageId::Hash);
     let clean_output = if needs_full_run {
-        match Pipeline::new(pipeline_config(args)).run(&dataset) {
-            Ok(output) => Some(output),
+        match SupervisedRunner::new(Pipeline::new(pipeline_config(args))).run(&dataset) {
+            Ok(run) => Some(run.expect_complete()),
             Err(e) => {
                 eprintln!("replay: clean pipeline run failed: {e}");
                 return Exit::Operational.into();
@@ -523,6 +525,35 @@ fn cmd_quarantine_replay(args: &Args, path: &str) -> ExitCode {
     }
 }
 
+/// Step 7 over `output`, narrating skipped clusters on stderr. An
+/// artifact whose cluster ids are out of range is reported and becomes
+/// the operational exit code.
+fn estimate_influence(
+    output: &PipelineOutput,
+    dataset: &Dataset,
+    metrics: &Metrics,
+) -> Result<ClusterInfluence, ExitCode> {
+    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
+    match output.estimate_influence(dataset, &estimator, 0, metrics) {
+        Ok((influence, skipped)) => {
+            if !skipped.is_empty() {
+                eprintln!(
+                    "influence: {} cluster(s) skipped (failed Hawkes fits)",
+                    skipped.len()
+                );
+                for d in &skipped {
+                    eprintln!("  {d}");
+                }
+            }
+            Ok(influence)
+        }
+        Err(e) => {
+            eprintln!("influence: {e}");
+            Err(Exit::Operational.into())
+        }
+    }
+}
+
 /// `memes serve --artifact PATH` — load a completed run artifact and
 /// answer lookups over TCP until killed. Exit 2 on any startup failure;
 /// a healthy server never returns.
@@ -543,12 +574,10 @@ fn cmd_serve(args: &Args) -> ExitCode {
     // described the producing run with --scale/--seed.
     let influence = if args.explicit_dataset {
         let dataset = generate_dataset(args);
-        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-        let (influence, skipped) = output.estimate_influence_robust(&dataset, &estimator, 0);
-        if !skipped.is_empty() {
-            eprintln!("influence: {} cluster(s) skipped", skipped.len());
+        match estimate_influence(&output, &dataset, &Metrics::disabled()) {
+            Ok(influence) => Some(influence),
+            Err(exit) => return exit,
         }
-        Some(influence)
     } else {
         None
     };
@@ -800,7 +829,7 @@ fn main() -> ExitCode {
                 eprintln!("chaos: injecting preset `{preset}` (seed {})", args.seed);
                 runner = runner
                     .with_medium(Arc::new(FaultyMedium::new(spec.clone())))
-                    .with_exec_faults(Arc::new(SpecFaults(spec)));
+                    .with_exec_faults(spec);
             }
             let result = if cmd == "resume" {
                 runner.resume(&dataset)
@@ -844,11 +873,8 @@ fn main() -> ExitCode {
                     if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
                         // Step 7 under the same registry, so the export
                         // carries the Hawkes EM iteration counts too.
-                        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-                        let (_, skipped) = output
-                            .estimate_influence_instrumented(&dataset, &estimator, 0, &metrics);
-                        if !skipped.is_empty() {
-                            eprintln!("influence: {} cluster(s) skipped", skipped.len());
+                        if let Err(exit) = estimate_influence(&output, &dataset, &metrics) {
+                            return exit;
                         }
                         if let Err(e) = std::fs::write(path, registry.to_json()) {
                             eprintln!("cannot write {path}: {e}");
@@ -858,18 +884,11 @@ fn main() -> ExitCode {
                     }
                 }
                 "influence" => {
-                    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-                    let (influence, skipped) =
-                        output.estimate_influence_robust(&dataset, &estimator, 0);
-                    if !skipped.is_empty() {
-                        eprintln!(
-                            "influence: {} cluster(s) skipped (failed Hawkes fits)",
-                            skipped.len()
-                        );
-                        for d in &skipped {
-                            eprintln!("  {d}");
-                        }
-                    }
+                    let influence =
+                        match estimate_influence(&output, &dataset, &Metrics::disabled()) {
+                            Ok(influence) => influence,
+                            Err(exit) => return exit,
+                        };
                     let pct = influence.total.percent_of_destination();
                     println!("percent of destination events caused by source:");
                     print!("{:>9}", "src\\dst");
@@ -891,7 +910,13 @@ fn main() -> ExitCode {
                     }
                 }
                 "graph" => {
-                    let (descriptors, labels) = output.annotated_descriptors();
+                    let (descriptors, labels) = match output.try_annotated_descriptors() {
+                        Ok(pair) => pair,
+                        Err(e) => {
+                            eprintln!("graph: {e}");
+                            return Exit::Operational.into();
+                        }
+                    };
                     let graph = ClusterGraph::build(
                         &descriptors,
                         &labels,

@@ -10,12 +10,16 @@
 //! ## Quickstart
 //!
 //! ```no_run
+//! use origins_of_memes::core::SupervisedRunner;
 //! use origins_of_memes::prelude::*;
 //!
 //! // Simulate a small Web ecosystem, then run the paper's 7-step
 //! // pipeline end to end.
 //! let dataset = SimConfig::tiny(7).generate();
-//! let report = Pipeline::new(PipelineConfig::default()).run(&dataset).unwrap();
+//! let report = SupervisedRunner::new(Pipeline::new(PipelineConfig::default()))
+//!     .run(&dataset)
+//!     .unwrap()
+//!     .expect_complete();
 //! println!("{} annotated clusters", report.annotated_clusters().len());
 //! ```
 

@@ -11,6 +11,7 @@ use origins_of_memes::core::pipeline::{
     Degradation, Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
 };
 use origins_of_memes::core::runner::StageId;
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::hawkes::InfluenceEstimator;
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::simweb::{Community, Dataset, FaultSpec, SimConfig};
@@ -22,15 +23,18 @@ fn run_corrupted(spec: FaultSpec) -> (Dataset, PipelineOutput) {
     let mut dataset = SimConfig::tiny(31).generate();
     let report = spec.apply(&mut dataset);
     assert!(report.any(), "preset corrupted nothing");
-    let out = Pipeline::new(PipelineConfig::fast())
+    let out = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline completes under corruption");
+        .expect("pipeline completes under corruption")
+        .expect_complete();
     (dataset, out)
 }
 
 fn robust_influence(dataset: &Dataset, out: &PipelineOutput) -> Vec<Degradation> {
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let (_, degradations) = out.estimate_influence_robust(dataset, &estimator, 2);
+    let (_, degradations) = out
+        .estimate_influence(dataset, &estimator, 2, &Metrics::disabled())
+        .expect("pipeline-produced cluster ids are in range");
     degradations
 }
 
@@ -50,7 +54,8 @@ fn chaos_nan_storm_skips_poisoned_clusters() {
     );
     // The strict path refuses the same data with a typed error.
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    assert!(out.estimate_influence(&dataset, &estimator, 2).is_err());
+    let streams = out.try_all_cluster_events(&dataset).unwrap();
+    assert!(estimator.estimate(&streams, dataset.horizon(), 2).is_err());
 }
 
 #[test]
@@ -62,10 +67,11 @@ fn chaos_duplicate_flood_is_absorbed_by_dedup() {
     let report = FaultSpec::duplicate_flood(2).apply(&mut dataset);
     assert!(report.any(), "preset corrupted nothing");
     let registry = Arc::new(Registry::new());
-    let out = Pipeline::new(PipelineConfig::fast())
+    let out = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .with_metrics(Metrics::from_registry(Arc::clone(&registry)))
         .run(&dataset)
-        .expect("pipeline completes under corruption");
+        .expect("pipeline completes under corruption")
+        .expect_complete();
     assert!(
         !out.degradations.iter().any(|d| matches!(
             d,
@@ -158,9 +164,10 @@ fn chaos_cnn_divergence_falls_back_to_oracle() {
         corpus_scale: 0.004,
         config: train,
     };
-    let out = Pipeline::new(config)
+    let out = SupervisedRunner::new(Pipeline::new(config))
         .run(&dataset)
-        .expect("fallback completes");
+        .expect("fallback completes")
+        .expect_complete();
     let fell_back = out.degradations.iter().any(
         |d| matches!(d, Degradation::ScreenshotFilterFellBack { attempts, .. } if *attempts >= 2),
     );
@@ -192,9 +199,10 @@ fn chaos_degradations_survive_serialization() {
         corpus_scale: 0.004,
         config: train,
     };
-    let out = Pipeline::new(config)
+    let out = SupervisedRunner::new(Pipeline::new(config))
         .run(&dataset)
-        .expect("fallback completes");
+        .expect("fallback completes")
+        .expect_complete();
     assert!(!out.degradations.is_empty());
     let back = PipelineOutput::from_json(&out.to_json()).expect("roundtrip");
     assert_eq!(back.degradations, out.degradations);

@@ -15,11 +15,12 @@
 //!   resume and still converges to the clean output.
 
 use origins_of_memes::core::pipeline::{
-    Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
+    Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput, StageError,
 };
 use origins_of_memes::core::quarantine::{read_quarantine, QuarantineReason};
 use origins_of_memes::core::runner::{prev_checkpoint_path, StageId};
-use origins_of_memes::core::supervise::{FaultyMedium, SpecFaults, StagePolicy, SupervisedRunner};
+use origins_of_memes::core::supervise::{FaultyMedium, StagePolicy, SupervisedRunner};
+use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::simweb::{Dataset, ExecFaultSpec, SimConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,15 +32,19 @@ fn dataset() -> Dataset {
 }
 
 fn supervised(faults: ExecFaultSpec) -> SupervisedRunner {
-    SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
-        .with_exec_faults(Arc::new(SpecFaults(faults)))
+    SupervisedRunner::new(Pipeline::new(PipelineConfig::fast())).with_exec_faults(faults)
 }
 
-/// The reference output of an unsupervised, fault-free run.
+/// The reference output of a fault-free run; supervision of a healthy
+/// run must be invisible.
 fn clean_output(dataset: &Dataset) -> PipelineOutput {
-    Pipeline::new(PipelineConfig::fast())
+    let run = supervised(ExecFaultSpec::default())
         .run(dataset)
-        .expect("clean pipeline completes")
+        .expect("clean pipeline completes");
+    assert_eq!(run.report.total_retries(), 0);
+    assert_eq!(run.report.panics_contained, 0);
+    assert_eq!(run.report.quarantined_items, 0);
+    run.expect_complete()
 }
 
 /// Byte-level equality modulo the degradation ledger (rollback and
@@ -327,16 +332,83 @@ fn torn_checkpoint_without_previous_generation_is_typed_corrupt() {
 }
 
 #[test]
-fn supervised_clean_run_matches_bare_pipeline_exactly() {
+fn item_faults_are_identical_across_thread_counts() {
+    // The hash and associate workers run one loop whether or not a
+    // fault schedule is active; its per-item verdicts are positional, so
+    // the thread count may change neither what is quarantined, nor how
+    // often a stage is retried, nor a byte of the output.
     let data = dataset();
-    let run = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+    for stage in ["hash", "associate"] {
+        for spec in [
+            ExecFaultSpec::poison_items(SEED, stage, 0.05),
+            ExecFaultSpec::flaky_items(SEED, stage, 0.1),
+        ] {
+            let run_with = |threads: usize| {
+                let qpath = tmp_path(&format!("threads-{stage}-{threads}.jsonl"));
+                cleanup(&qpath);
+                let config = PipelineConfig {
+                    threads,
+                    ..PipelineConfig::fast()
+                };
+                let run = SupervisedRunner::new(Pipeline::new(config))
+                    .with_exec_faults(spec.clone())
+                    .with_quarantine(&qpath)
+                    .run(&data)
+                    .expect("item faults fit the default budget");
+                let entries = if qpath.exists() {
+                    read_quarantine(&qpath).expect("quarantine file parses")
+                } else {
+                    Vec::new()
+                };
+                cleanup(&qpath);
+                let retries = run.report.retries.clone();
+                (run.expect_complete().to_json(), entries, retries)
+            };
+            let reference = run_with(1);
+            assert!(
+                !reference.1.is_empty() || !reference.2.is_empty(),
+                "{stage}: the schedule must hit something"
+            );
+            for threads in [2usize, 8] {
+                let got = run_with(threads);
+                assert_eq!(reference.0, got.0, "{stage}: output at {threads} threads");
+                assert_eq!(
+                    reference.1, got.1,
+                    "{stage}: quarantine at {threads} threads"
+                );
+                assert_eq!(reference.2, got.2, "{stage}: retries at {threads} threads");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_attempt_policy_returns_the_first_transient_error_unretried() {
+    // `max_attempts: 1` is the bare run: a fault that a single retry
+    // would absorb comes straight back, and nothing is retried.
+    let data = dataset();
+    let registry = Arc::new(Registry::new());
+    let err = supervised(ExecFaultSpec::transient_stage(SEED, "cluster", 1))
+        .with_metrics(Metrics::from_registry(Arc::clone(&registry)))
+        .with_policy(StagePolicy {
+            max_attempts: 1,
+            save_attempts: 1,
+            ..StagePolicy::default()
+        })
         .run(&data)
-        .expect("supervision of a healthy run is invisible");
-    assert_eq!(run.report.total_retries(), 0);
-    assert_eq!(run.report.panics_contained, 0);
-    assert_eq!(run.report.quarantined_items, 0);
-    assert_eq!(
-        run.expect_complete().to_json(),
-        clean_output(&data).to_json()
-    );
+        .expect_err("one attempt cannot absorb one failure");
+    match err {
+        PipelineError::Stage {
+            stage: StageId::Cluster,
+            source: StageError::Transient { detail },
+            ..
+        } => assert!(
+            detail.contains("attempt 0"),
+            "not the first error: {detail}"
+        ),
+        other => panic!("expected the transient cluster error, got: {other}"),
+    }
+    let snap = registry.snapshot();
+    assert!(!snap.counters.contains_key("supervise.retries"));
+    assert_eq!(snap.spans["pipeline/cluster"].calls, 1);
 }

@@ -5,7 +5,8 @@
 //! on: the bound address is the first stdout line, so `--addr
 //! 127.0.0.1:0` (a free port) stays discoverable.
 
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::SimConfig;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -19,7 +20,10 @@ fn artifact() -> &'static (PathBuf, String) {
     static ART: OnceLock<(PathBuf, String)> = OnceLock::new();
     ART.get_or_init(|| {
         let dataset = SimConfig::tiny(17).generate();
-        let output = Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap();
+        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+            .run(&dataset)
+            .unwrap()
+            .expect_complete();
         let ann = output
             .annotations
             .iter()
@@ -223,7 +227,10 @@ fn shutdown_joins_every_reader_thread() {
     // the thread baseline, so pipeline internals cannot skew the count.
     let _ = artifact();
     let dataset = SimConfig::tiny(17).generate();
-    let output = Pipeline::new(PipelineConfig::fast()).run(&dataset).unwrap();
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+        .run(&dataset)
+        .unwrap()
+        .expect_complete();
     let snapshot = Snapshot::build(&output, None, DEFAULT_THETA, 0).expect("snapshot builds");
     let store = Arc::new(SnapshotStore::new(snapshot));
     let Some(baseline) = live_threads() else {
@@ -311,4 +318,39 @@ fn serve_and_lookup_bad_usage_exits_two() {
         2,
         "serve with unloadable artifact"
     );
+}
+
+#[test]
+fn serve_rejects_a_mangled_artifact_typed_instead_of_panicking() {
+    // An artifact is outside input: one annotation naming a cluster past
+    // the medoid table must be refused with the corrupt-artifact detail
+    // and the operational exit code — also when --scale/--seed ask for
+    // influence profiles, which read the cluster ids before the snapshot
+    // build gets to validate them.
+    let (path, _) = artifact();
+    let mut output = PipelineOutput::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let n_medoids = output.medoid_hashes.len();
+    let victim = output
+        .annotations
+        .iter_mut()
+        .find(|a| a.is_annotated())
+        .expect("tiny(17) run has annotated clusters");
+    victim.cluster = n_medoids + 7;
+    let bad = std::env::temp_dir().join(format!("memes-cli-serve-bad-{}.json", std::process::id()));
+    std::fs::write(&bad, output.to_json()).expect("write mangled artifact");
+
+    let out = memes(&[
+        "serve",
+        "--artifact",
+        bad.to_str().unwrap(),
+        "--scale",
+        "tiny",
+        "--seed",
+        "17",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(exit_code(&out), 2, "stderr: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert!(stderr.contains("corrupt"), "{stderr}");
+    let _ = std::fs::remove_file(&bad);
 }

@@ -4,7 +4,7 @@
 //! counters, and degradation counters the acceptance criteria promise.
 
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
-use origins_of_memes::core::runner::PipelineRunner;
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::hawkes::InfluenceEstimator;
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
@@ -16,13 +16,15 @@ fn metrics_export_passes_schema_validation_and_covers_the_run() {
     let dataset = SimConfig::tiny(7).generate();
     let registry = Arc::new(Registry::new());
     let metrics = Metrics::from_registry(Arc::clone(&registry));
-    let output = PipelineRunner::new(Pipeline::new(PipelineConfig::fast()))
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .with_metrics(metrics.clone())
         .run(&dataset)
         .unwrap()
         .expect_complete();
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let _ = output.estimate_influence_instrumented(&dataset, &estimator, 0, &metrics);
+    output
+        .estimate_influence(&dataset, &estimator, 0, &metrics)
+        .unwrap();
 
     let json = registry.to_json();
     validate_metrics_json(&json).unwrap();
@@ -57,14 +59,17 @@ fn metrics_export_passes_schema_validation_and_covers_the_run() {
 #[test]
 fn disabled_metrics_change_nothing_and_export_nothing() {
     let dataset = SimConfig::tiny(8).generate();
-    let pipeline = Pipeline::new(PipelineConfig::fast());
-    let plain = pipeline.run(&dataset).unwrap();
+    let plain = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+        .run(&dataset)
+        .unwrap()
+        .expect_complete();
 
     let registry = Arc::new(Registry::new());
-    let instrumented = Pipeline::new(PipelineConfig::fast())
+    let instrumented = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .with_metrics(Metrics::from_registry(Arc::clone(&registry)))
         .run(&dataset)
-        .unwrap();
+        .unwrap()
+        .expect_complete();
     // Observability must be read-only: identical output either way.
     assert_eq!(plain.to_json(), instrumented.to_json());
 

@@ -5,7 +5,9 @@
 use origins_of_memes::cluster::dbscan::DbscanParams;
 use origins_of_memes::core::analysis::{self, MemeFilter};
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::hawkes::InfluenceEstimator;
+use origins_of_memes::metrics::Metrics;
 use origins_of_memes::simweb::{Community, Dataset, SimConfig};
 use std::sync::OnceLock;
 
@@ -13,9 +15,10 @@ fn fixture() -> &'static (Dataset, PipelineOutput) {
     static FIXTURE: OnceLock<(Dataset, PipelineOutput)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let dataset = SimConfig::tiny(99).generate();
-        let output = Pipeline::new(PipelineConfig::fast())
+        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
             .run(&dataset)
-            .expect("pipeline runs");
+            .expect("pipeline runs")
+            .expect_complete();
         (dataset, output)
     })
 }
@@ -137,9 +140,10 @@ fn influence_shape_matches_paper_headline() {
     // the *fitted* model, end to end through the pipeline.
     let (dataset, output) = fixture();
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let influence = output
-        .estimate_influence(dataset, &estimator, 0)
-        .expect("estimation succeeds");
+    let (influence, skipped) = output
+        .estimate_influence(dataset, &estimator, 0, &Metrics::disabled())
+        .expect("cluster ids are in range");
+    assert!(skipped.is_empty(), "estimation succeeds: {skipped:?}");
     let ext = influence.total.total_external_normalized();
     let td = ext[Community::TheDonald.index()];
     let pol = ext[Community::Pol.index()];
@@ -158,9 +162,10 @@ fn influence_shape_matches_paper_headline() {
 fn fitted_influence_tracks_ground_truth() {
     let (dataset, output) = fixture();
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let influence = output
-        .estimate_influence(dataset, &estimator, 0)
-        .expect("estimation succeeds");
+    let (influence, skipped) = output
+        .estimate_influence(dataset, &estimator, 0, &Metrics::disabled())
+        .expect("cluster ids are in range");
+    assert!(skipped.is_empty(), "estimation succeeds: {skipped:?}");
     let fitted = influence.total.percent_of_destination();
 
     let mut truth = vec![vec![0.0f64; Community::COUNT]; Community::COUNT];
@@ -199,14 +204,16 @@ fn eps_sweep_shape() {
 #[test]
 fn custom_dbscan_params_flow_through() {
     let (dataset, _) = fixture();
-    let strict = Pipeline::new(PipelineConfig {
+    let strict = SupervisedRunner::new(Pipeline::new(PipelineConfig {
         dbscan: DbscanParams { eps: 4, min_pts: 5 },
         ..PipelineConfig::fast()
-    })
+    }))
     .run(dataset)
-    .expect("pipeline runs");
-    let default = Pipeline::new(PipelineConfig::fast())
+    .expect("pipeline runs")
+    .expect_complete();
+    let default = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
     assert!(strict.clustering.noise_fraction() > default.clustering.noise_fraction());
 }

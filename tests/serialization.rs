@@ -3,6 +3,7 @@
 //! (the paper's batch/one-time split, §3.3).
 
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::{Dataset, SimConfig};
 
 #[test]
@@ -25,9 +26,10 @@ fn dataset_roundtrips_through_json() {
 #[test]
 fn pipeline_output_roundtrips_and_stays_analyzable() {
     let dataset = SimConfig::tiny(5).generate();
-    let output = Pipeline::new(PipelineConfig::fast())
+    let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
-        .expect("pipeline runs");
+        .expect("pipeline runs")
+        .expect_complete();
     let json = output.to_json();
     let back = PipelineOutput::from_json(&json).expect("output deserializes");
     assert_eq!(back.post_hashes, output.post_hashes);
@@ -35,8 +37,8 @@ fn pipeline_output_roundtrips_and_stays_analyzable() {
     assert_eq!(back.annotations, output.annotations);
     assert_eq!(back.annotated_clusters(), output.annotated_clusters());
     // Step-7 analysis works on the restored run.
-    let restored_events = back.all_cluster_events(&dataset);
-    let original_events = output.all_cluster_events(&dataset);
+    let restored_events = back.try_all_cluster_events(&dataset).unwrap();
+    let original_events = output.try_all_cluster_events(&dataset).unwrap();
     assert_eq!(restored_events, original_events);
 }
 
@@ -49,8 +51,7 @@ fn corrupt_json_is_rejected() {
 #[test]
 fn checkpoints_roundtrip_preserving_stage_equality() {
     use origins_of_memes::core::runner::{
-        decode_checkpoint, encode_checkpoint, prev_checkpoint_path, PipelineRunner, RunnerOutcome,
-        StageId,
+        decode_checkpoint, encode_checkpoint, prev_checkpoint_path, RunnerOutcome, StageId,
     };
     let dataset = SimConfig::tiny(5).generate();
     let pipeline = Pipeline::new(PipelineConfig::fast());
@@ -61,13 +62,13 @@ fn checkpoints_roundtrip_preserving_stage_equality() {
     ));
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_checkpoint_path(&path));
-    let outcome = PipelineRunner::new(pipeline.clone())
+    let run = SupervisedRunner::new(pipeline.clone())
         .with_checkpoint(&path)
         .halt_after(StageId::Cluster)
         .run(&dataset)
         .expect("runner halts cleanly");
     assert!(matches!(
-        outcome,
+        run.outcome,
         RunnerOutcome::Halted {
             after: StageId::Cluster
         }
