@@ -170,7 +170,7 @@ mod tests {
         // of its own would be self-defeating. Pin every file of the
         // layer into this rule's scope.
         for path in [
-            "crates/core/src/runner.rs",
+            "crates/core/src/checkpoint.rs",
             "crates/core/src/supervise.rs",
             "crates/core/src/quarantine.rs",
             "crates/core/src/pipeline.rs",

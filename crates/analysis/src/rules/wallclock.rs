@@ -7,7 +7,7 @@
 //! `Instant::now()` in an algorithm crate is either dead weight or —
 //! worse — a timestamp about to end up inside supposedly deterministic
 //! output. Flags `Instant::now()` / `SystemTime::now()` everywhere
-//! except `crates/metrics` and `crates/bench`; benches and tests are
+//! except `crates/metrics` and `crates/repro`; benches and tests are
 //! exempt by class.
 
 use super::Finding;
@@ -15,8 +15,9 @@ use super::Rule;
 use crate::context::FileContext;
 use crate::source::{FileClass, SourceFile};
 
-/// Crates that own time measurement.
-const EXEMPT_CRATES: [&str; 2] = ["metrics", "bench"];
+/// Crates that may read the clock: `metrics` owns time measurement,
+/// `repro` logs how long an experiment took on stderr.
+const EXEMPT_CRATES: [&str; 2] = ["metrics", "repro"];
 
 pub struct WallclockOutsideMetrics;
 
@@ -26,7 +27,7 @@ impl Rule for WallclockOutsideMetrics {
     }
 
     fn summary(&self) -> &'static str {
-        "Instant::now/SystemTime::now outside crates/metrics and crates/bench"
+        "Instant::now/SystemTime::now outside crates/metrics and crates/repro"
     }
 
     fn applies(&self, file: &SourceFile) -> bool {
@@ -89,10 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_bench_are_exempt() {
+    fn metrics_and_repro_are_exempt() {
         let file = SourceFile::new("crates/metrics/src/span.rs", "");
         assert!(!WallclockOutsideMetrics.applies(&file));
-        let file = SourceFile::new("crates/bench/src/lib.rs", "");
+        let file = SourceFile::new("crates/repro/src/lib.rs", "");
         assert!(!WallclockOutsideMetrics.applies(&file));
         let file = SourceFile::new("crates/core/benches/b.rs", "");
         assert!(!WallclockOutsideMetrics.applies(&file));

@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(f.crate_name, "root");
         assert_eq!(f.class, FileClass::Test);
 
-        let f = SourceFile::new("crates/bench/benches/annotate.rs", "");
+        let f = SourceFile::new("crates/core/benches/annotate.rs", "");
         assert_eq!(f.class, FileClass::Bench);
 
         let f = SourceFile::new("build.rs", "");

@@ -28,7 +28,7 @@ pub enum ClusterError {
         len: usize,
     },
     /// A cluster id has no members — impossible for a [`Clustering`]
-    /// produced by [`dbscan`], but reachable through deserialized
+    /// produced by [`try_dbscan`], but reachable through deserialized
     /// (e.g. checkpointed) label vectors whose `n_clusters` overcounts.
     EmptyCluster {
         /// The memberless cluster id.
@@ -169,7 +169,7 @@ impl Clustering {
     /// Medoid item index of each cluster, given the item hashes
     /// (Step 5's cluster representative): one checked bucketing pass over
     /// the labels (no per-cluster rescans, no [`Clustering::all_members`]
-    /// indexing), then one medoid per cluster. Label vectors [`dbscan`]
+    /// indexing), then one medoid per cluster. Label vectors [`try_dbscan`]
     /// never emits but a corrupt checkpoint can contain — out-of-range
     /// labels, memberless cluster ids — surface as typed
     /// [`ClusterError`]s instead of a panic.
@@ -206,20 +206,9 @@ impl Clustering {
 /// point appears. Border points are assigned to the first cluster that
 /// reaches them (the standard tie-break).
 ///
-/// # Panics
-/// Panics when `min_pts == 0`; [`try_dbscan`] returns a typed error
-/// instead.
-pub fn dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Clustering {
-    match try_dbscan(neighbors, min_pts) {
-        Ok(c) => c,
-        // lint:allow(panic-in-pipeline): documented panicking convenience over try_dbscan
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible DBSCAN: validates `min_pts` and the adjacency lists before
-/// propagating labels, so malformed input surfaces as a
-/// [`ClusterError`] rather than a panic mid-flood-fill.
+/// `min_pts` and the adjacency lists are validated before labels are
+/// propagated, so malformed input surfaces as a [`ClusterError`] rather
+/// than a panic mid-flood-fill.
 pub fn try_dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Result<Clustering, ClusterError> {
     if min_pts == 0 {
         return Err(ClusterError::InvalidMinPts);
@@ -274,8 +263,8 @@ pub fn try_dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Result<Clustering
 /// index is built over the distinct hashes only, and the item adjacency is
 /// recovered through the owner lists by [`symmetric_neighbors`] — the same
 /// path the pipeline's cluster stage takes. Labels are byte-identical to
-/// the legacy per-item `all_neighbors` sweep for every thread count;
-/// malformed parameters surface as a [`ClusterError`] instead of a panic.
+/// one radius query per item for every thread count; malformed
+/// parameters surface as a [`ClusterError`] instead of a panic.
 pub fn try_dbscan_with_index<I: HammingIndex + Sync>(
     index: &I,
     params: DbscanParams,
@@ -310,7 +299,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let c = dbscan(&[], 5);
+        let c = try_dbscan(&[], 5).unwrap();
         assert!(c.is_empty());
         assert_eq!(c.n_clusters(), 0);
         assert_eq!(c.noise_fraction(), 0.0);
@@ -319,7 +308,7 @@ mod tests {
     #[test]
     fn all_noise_when_sparse() {
         // 4 isolated points, min_pts 2 -> all noise.
-        let c = dbscan(&adjacency(4, &[]), 2);
+        let c = try_dbscan(&adjacency(4, &[]), 2).unwrap();
         assert_eq!(c.n_clusters(), 0);
         assert_eq!(c.noise_count(), 4);
         assert_eq!(c.noise_fraction(), 1.0);
@@ -327,7 +316,7 @@ mod tests {
 
     #[test]
     fn min_pts_one_clusters_everything() {
-        let c = dbscan(&adjacency(3, &[]), 1);
+        let c = try_dbscan(&adjacency(3, &[]), 1).unwrap();
         assert_eq!(c.n_clusters(), 3);
         assert_eq!(c.noise_count(), 0);
     }
@@ -336,7 +325,7 @@ mod tests {
     fn two_separate_cliques() {
         // Clique {0,1,2} and clique {3,4,5}, min_pts = 3.
         let edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)];
-        let c = dbscan(&adjacency(6, &edges), 3);
+        let c = try_dbscan(&adjacency(6, &edges), 3).unwrap();
         assert_eq!(c.n_clusters(), 2);
         assert_eq!(c.labels()[0], c.labels()[1]);
         assert_eq!(c.labels()[0], c.labels()[2]);
@@ -361,7 +350,7 @@ mod tests {
             (3, 4),
             (4, 5),
         ];
-        let c = dbscan(&adjacency(6, &edges), 4);
+        let c = try_dbscan(&adjacency(6, &edges), 4).unwrap();
         assert_eq!(c.n_clusters(), 1);
         assert_eq!(c.labels()[4], Some(0)); // border
         assert_eq!(c.labels()[5], None); // noise beyond border
@@ -372,7 +361,7 @@ mod tests {
         // Path 0-1-2-3-4 with min_pts 2: every point is core
         // (>= 1 neighbour + self), density-connectivity chains them.
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4)];
-        let c = dbscan(&adjacency(5, &edges), 2);
+        let c = try_dbscan(&adjacency(5, &edges), 2).unwrap();
         assert_eq!(c.n_clusters(), 1);
         assert_eq!(c.noise_count(), 0);
     }
@@ -380,7 +369,7 @@ mod tests {
     #[test]
     fn members_and_all_members_agree() {
         let edges = [(0, 1), (0, 2), (1, 2)];
-        let c = dbscan(&adjacency(4, &edges), 3);
+        let c = try_dbscan(&adjacency(4, &edges), 3).unwrap();
         assert_eq!(c.members(0), vec![0, 1, 2]);
         assert_eq!(c.all_members(), vec![vec![0, 1, 2]]);
         assert_eq!(c.labels()[3], None);
@@ -423,7 +412,7 @@ mod tests {
     #[test]
     fn try_medoids_picks_one_member_per_cluster_on_valid_clusterings() {
         let edges = [(0, 1), (0, 2), (1, 2), (4, 5), (4, 6), (5, 6)];
-        let c = dbscan(&adjacency(7, &edges), 3);
+        let c = try_dbscan(&adjacency(7, &edges), 3).unwrap();
         let hashes: Vec<PHash> = (0..7).map(|i| PHash(1u64 << i)).collect();
         assert_eq!(c.try_medoids(&hashes).unwrap(), vec![0, 4]);
     }
@@ -453,18 +442,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_pts")]
-    fn zero_min_pts_panics() {
-        let _ = dbscan(&[], 0);
-    }
-
-    #[test]
-    fn collapsed_sweep_matches_legacy_all_neighbors_path() {
+    fn collapsed_sweep_matches_per_item_all_neighbors_oracle() {
         // The duplicate-collapsed pair sweep must be a pure optimization:
-        // labels byte-identical to the legacy per-item `all_neighbors`
-        // adjacency for every thread count, on a workload heavy with
-        // verbatim duplicates (reposts — exactly what collapsing exists
-        // for).
+        // labels byte-identical to one radius query per item, for every
+        // thread count, on a workload heavy with verbatim duplicates
+        // (reposts — exactly what collapsing exists for).
+        fn all_neighbors(index: &BruteForceIndex, radius: u32) -> Vec<Vec<usize>> {
+            (0..index.len())
+                .map(|i| {
+                    let mut hits = index.radius_query(index.hash_at(i), radius);
+                    hits.retain(|&j| j != i);
+                    hits
+                })
+                .collect()
+        }
         let mut rng = seeded_rng(11);
         let mut hashes = Vec::new();
         for _ in 0..8 {
@@ -480,15 +471,11 @@ mod tests {
         }
         let idx = BruteForceIndex::new(hashes.clone());
         for params in [DbscanParams::default(), DbscanParams { eps: 4, min_pts: 3 }] {
-            let legacy = try_dbscan(
-                &meme_index::all_neighbors(&idx, params.eps, 1),
-                params.min_pts,
-            )
-            .unwrap();
+            let per_item = try_dbscan(&all_neighbors(&idx, params.eps), params.min_pts).unwrap();
             for threads in [1, 2, 8] {
                 let collapsed = try_dbscan_with_index(&idx, params, threads).unwrap();
                 assert_eq!(
-                    legacy, collapsed,
+                    per_item, collapsed,
                     "eps {} min_pts {} threads {threads}",
                     params.eps, params.min_pts
                 );
@@ -517,8 +504,5 @@ mod tests {
                 len: 2
             })
         );
-        // Valid input matches the panicking entry point.
-        let adj = adjacency(4, &[(0, 1), (1, 2)]);
-        assert_eq!(try_dbscan(&adj, 2).unwrap(), dbscan(&adj, 2));
     }
 }

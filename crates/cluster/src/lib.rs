@@ -26,7 +26,7 @@ pub mod hier;
 pub mod medoid;
 pub mod purity;
 
-pub use dbscan::{dbscan, try_dbscan, ClusterError, Clustering, DbscanParams};
+pub use dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
 pub use hier::{Dendrogram, Linkage};
 pub use medoid::{medoid_of, medoid_of_hashes};
 pub use purity::{cluster_false_positive_fractions, majority_purity};

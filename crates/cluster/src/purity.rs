@@ -81,7 +81,7 @@ pub fn identity_recall<T>(clustering: &Clustering, truth: &[Option<T>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::dbscan;
+    use crate::dbscan::try_dbscan;
 
     fn adjacency(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); n];
@@ -95,7 +95,7 @@ mod tests {
     /// Two triangles -> two clusters; item 6 is noise.
     fn two_cluster_fixture() -> Clustering {
         let edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)];
-        dbscan(&adjacency(7, &edges), 3)
+        try_dbscan(&adjacency(7, &edges), 3).unwrap()
     }
 
     #[test]
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_clustering_is_vacuously_pure() {
-        let c = dbscan(&[], 5);
+        let c = try_dbscan(&[], 5).unwrap();
         let truth: Vec<Option<u32>> = vec![];
         assert_eq!(majority_purity(&c, &truth), 1.0);
         assert_eq!(identity_recall(&c, &truth), 1.0);

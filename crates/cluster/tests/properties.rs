@@ -3,7 +3,7 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use meme_cluster::dbscan::dbscan;
+use meme_cluster::dbscan::try_dbscan;
 use meme_cluster::hier::{condensed_index, Dendrogram, Linkage};
 use meme_cluster::medoid::medoid_of;
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ proptest! {
 
     #[test]
     fn dbscan_core_points_are_never_noise(adj in adjacency_strategy(), min_pts in 1usize..6) {
-        let c = dbscan(&adj, min_pts);
+        let c = try_dbscan(&adj, min_pts).unwrap();
         for (i, nbrs) in adj.iter().enumerate() {
             if nbrs.len() + 1 >= min_pts {
                 prop_assert!(c.labels()[i].is_some(), "core point {i} is noise");
@@ -41,7 +41,7 @@ proptest! {
 
     #[test]
     fn dbscan_noise_points_have_no_core_neighbor_with_their_label(adj in adjacency_strategy(), min_pts in 1usize..6) {
-        let c = dbscan(&adj, min_pts);
+        let c = try_dbscan(&adj, min_pts).unwrap();
         // A noise point must not be adjacent to any core point (else it
         // would be at least a border member of that core's cluster).
         for (i, nbrs) in adj.iter().enumerate() {
@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn dbscan_clusters_are_connected_via_core_points(adj in adjacency_strategy(), min_pts in 1usize..6) {
-        let c = dbscan(&adj, min_pts);
+        let c = try_dbscan(&adj, min_pts).unwrap();
         // Every cluster contains at least one core point, and cluster
         // sizes sum with noise to n.
         let sizes = c.sizes();

@@ -1,13 +1,13 @@
 //! Analysis functions behind every table and figure of §3–§4.
 //!
 //! Each function consumes the [`PipelineOutput`] (plus the generating
-//! [`Dataset`]) and returns typed rows; the `meme-bench` repro binaries
+//! [`Dataset`]) and returns typed rows; the `meme-repro` binaries
 //! render them with [`crate::report`].
 
 use crate::pipeline::PipelineOutput;
 use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnnotation};
 use meme_annotate::kym::KymCategory;
-use meme_cluster::dbscan::{dbscan, try_dbscan, ClusterError, Clustering, DbscanParams};
+use meme_cluster::dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
 use meme_cluster::purity::cluster_false_positive_fractions;
 use meme_index::{symmetric_neighbors, HashGroups, MihIndex};
 use meme_phash::PHash;
@@ -512,13 +512,14 @@ pub struct EpsSweepRow {
 }
 
 /// Appendix A: sweep the DBSCAN distance over the fringe images.
+/// `min_pts == 0` is [`ClusterError::InvalidMinPts`].
 pub fn eps_sweep(
     dataset: &Dataset,
     output: &PipelineOutput,
     eps_values: &[u32],
     min_pts: usize,
     threads: usize,
-) -> Vec<EpsSweepRow> {
+) -> Result<Vec<EpsSweepRow>, ClusterError> {
     let hashes: Vec<PHash> = output
         .fringe_posts
         .iter()
@@ -543,17 +544,16 @@ pub fn eps_sweep(
         .iter()
         .map(|&eps| {
             let (neighbors, _) = symmetric_neighbors(&index, &groups, eps, threads);
-            // lint:allow(panic-reachable): min_pts >= 1 comes from validated sweep parameters; dbscan's contract holds
-            let clustering = dbscan(&neighbors, min_pts);
+            let clustering = try_dbscan(&neighbors, min_pts)?;
             let fp = cluster_false_positive_fractions(&clustering, &truth);
             let purity = meme_cluster::purity::majority_purity(&clustering, &truth);
-            EpsSweepRow {
+            Ok(EpsSweepRow {
                 eps,
                 clusters: clustering.n_clusters() as u64,
                 noise_pct: 100.0 * clustering.noise_fraction(),
                 fp_fractions: fp,
                 purity,
-            }
+            })
         })
         .collect()
 }
@@ -720,7 +720,7 @@ mod tests {
     #[test]
     fn eps_sweep_reproduces_appendix_a_shape() {
         let (dataset, out) = fixture();
-        let rows = eps_sweep(dataset, out, &[2, 8, 10], 5, 2);
+        let rows = eps_sweep(dataset, out, &[2, 8, 10], 5, 2).unwrap();
         assert_eq!(rows.len(), 3);
         // Noise decreases with eps (Table 8); the tail can flatten out
         // once every jittered re-post is already reachable.
@@ -729,5 +729,9 @@ mod tests {
         // Tight eps is pure; loose eps merges (purity non-increasing).
         assert!(rows[0].purity >= rows[2].purity - 1e-9);
         assert!(rows[1].purity > 0.95, "purity at eps 8: {}", rows[1].purity);
+        assert_eq!(
+            eps_sweep(dataset, out, &[8], 0, 2),
+            Err(ClusterError::InvalidMinPts)
+        );
     }
 }

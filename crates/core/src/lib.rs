@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod checkpoint;
 pub mod dendro;
 pub mod graph;
 pub mod metric;
@@ -29,9 +30,14 @@ pub mod pipeline;
 pub mod provenance;
 pub mod quarantine;
 pub mod report;
-pub mod runner;
 pub mod supervise;
 
+pub use checkpoint::{
+    crc32, dataset_fingerprint, decode_checkpoint, encode_checkpoint, fsck_bytes, fsck_file,
+    persist_checkpoint, prev_checkpoint_path, Checkpoint, CheckpointDefect, CheckpointMedium,
+    DiskMedium, FsckClass, FsckReport, MediumError, RunnerOutcome, StageId, StageState,
+    CHECKPOINT_SCHEMA_VERSION,
+};
 pub use graph::{ClusterGraph, GraphConfig};
 pub use metric::{ClusterDescriptor, ClusterDistance, MetricWeights};
 pub use pipeline::{
@@ -41,12 +47,6 @@ pub use pipeline::{
 pub use quarantine::{
     encode_jsonl, parse_jsonl, read_quarantine, summarize, write_quarantine, QuarantineEntry,
     QuarantineError, QuarantineReason,
-};
-pub use runner::{
-    crc32, dataset_fingerprint, decode_checkpoint, encode_checkpoint, fsck_bytes, fsck_file,
-    persist_checkpoint, prev_checkpoint_path, Checkpoint, CheckpointDefect, CheckpointMedium,
-    DiskMedium, FsckClass, FsckReport, MediumError, RunnerOutcome, StageId, StageState,
-    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use supervise::{
     FaultyMedium, StagePolicy, StageRetries, SupervisedRun, SupervisedRunner, SupervisionReport,

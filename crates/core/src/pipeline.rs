@@ -20,9 +20,9 @@
 //!    Hawkes influence estimator ([`PipelineOutput::cluster_events`],
 //!    [`PipelineOutput::estimate_influence`]).
 
+use crate::checkpoint::{StageId, StageState};
 use crate::metric::ClusterDescriptor;
 use crate::quarantine::{QuarantineEntry, QuarantineReason};
-use crate::runner::{StageId, StageState};
 use meme_annotate::annotator::{annotate_clusters_with_stats, ClusterAnnotation};
 use meme_annotate::kym::{KymEntry, KymSite};
 use meme_annotate::nn::TrainConfig;
@@ -1507,14 +1507,6 @@ mod tests {
             .unwrap();
         assert!(influence.per_cluster.is_empty());
         assert!(degradations.is_empty());
-        let strict = estimator
-            .estimate(
-                &out.try_all_cluster_events(&dataset).unwrap(),
-                dataset.horizon(),
-                2,
-            )
-            .unwrap();
-        assert!(strict.per_cluster.is_empty());
     }
 
     #[test]

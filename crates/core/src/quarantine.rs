@@ -11,7 +11,7 @@
 //! replay` re-processes the items against a clean pipeline to decide
 //! whether they have recovered.
 
-use crate::runner::StageId;
+use crate::checkpoint::StageId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;

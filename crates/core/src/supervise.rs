@@ -33,12 +33,12 @@
 //! run is this driver under `StagePolicy { max_attempts: 1,
 //! save_attempts: 1, .. }`: the first error comes back as is.
 
-use crate::pipeline::{Degradation, Pipeline, PipelineError, PipelineOutput, StageError};
-use crate::quarantine::write_quarantine;
-use crate::runner::{
+use crate::checkpoint::{
     load_validated, persist_checkpoint, prev_checkpoint_path, record_throughput, Checkpoint,
     CheckpointMedium, DiskMedium, MediumError, RunnerOutcome, StageId, StageState,
 };
+use crate::pipeline::{Degradation, Pipeline, PipelineError, PipelineOutput, StageError};
+use crate::quarantine::write_quarantine;
 use meme_simweb::{Dataset, ExecFaultSpec, ExecWriteFault};
 use meme_stats::child_seed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -556,8 +556,8 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::decode_checkpoint;
     use crate::pipeline::PipelineConfig;
-    use crate::runner::decode_checkpoint;
     use meme_simweb::SimConfig;
     use std::fs;
 

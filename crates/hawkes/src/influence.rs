@@ -148,7 +148,8 @@ pub struct InfluenceEstimator {
     fitter: Fitter,
 }
 
-/// Output of [`InfluenceEstimator::estimate`].
+/// Per-cluster and aggregate influence, the estimate inside
+/// [`RobustInfluence`].
 #[derive(Debug, Clone)]
 pub struct ClusterInfluence {
     /// One matrix per input cluster (empty clusters yield zero
@@ -169,7 +170,7 @@ pub struct SkippedCluster {
 
 /// Cost and quality diagnostics of one cluster's successful fit — the
 /// observability record behind per-stage pipeline metrics (EM iteration
-/// counts and final log-likelihoods in `BENCH_*.json`).
+/// counts and final log-likelihoods in a `--metrics-out` export).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterFitStats {
     /// Index into the input cluster list.
@@ -222,75 +223,11 @@ impl InfluenceEstimator {
 
     /// Fit a model per cluster, attribute root causes, and aggregate.
     /// Clusters are processed in parallel across `threads` workers
-    /// (0 = all cores); results are deterministic regardless of thread
-    /// count.
-    pub fn estimate(
-        &self,
-        clusters: &[Vec<Event>],
-        horizon: f64,
-        threads: usize,
-    ) -> Result<ClusterInfluence, HawkesError> {
-        let k = self.k;
-        let n = clusters.len();
-        // No clusters means no work: skip straight to the zero result.
-        // `chunks_mut(0)` below would otherwise abort on the
-        // `chunk_len = 0.div_ceil(threads) = 0` chunk size.
-        if n == 0 {
-            return Ok(ClusterInfluence {
-                per_cluster: Vec::new(),
-                total: InfluenceMatrix::zeros(k),
-            });
-        }
-        let mut per_cluster: Vec<InfluenceMatrix> = vec![InfluenceMatrix::zeros(k); n];
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        let threads = if threads == 0 { hw } else { threads }.clamp(1, n);
-        let chunk_len = n.div_ceil(threads);
-
-        let fitter = &self.fitter;
-        let errors: Vec<Option<HawkesError>> = crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (chunk_id, (slot_chunk, data_chunk)) in per_cluster
-                .chunks_mut(chunk_len)
-                .zip(clusters.chunks(chunk_len))
-                .enumerate()
-            {
-                handles.push(s.spawn(move |_| {
-                    for (off, (slot, events)) in slot_chunk.iter_mut().zip(data_chunk).enumerate() {
-                        let cluster_idx = chunk_id * chunk_len + off;
-                        match fit_one(fitter, events, k, horizon, cluster_idx) {
-                            Ok(m) => *slot = m,
-                            Err(e) => return Some(e),
-                        }
-                    }
-                    None
-                }));
-            }
-            handles
-                .into_iter()
-                // lint:allow(panic-in-pipeline): a worker panic is deliberately re-raised on the caller thread
-                .map(|h| h.join().expect("no panic"))
-                .collect()
-        })
-        // lint:allow(panic-in-pipeline): scope() is Err only when a worker panicked; re-raise, don't swallow
-        .expect("worker thread panicked");
-        if let Some(e) = errors.into_iter().flatten().next() {
-            return Err(e);
-        }
-
-        let mut total = InfluenceMatrix::zeros(k);
-        for m in &per_cluster {
-            total.add(m);
-        }
-        Ok(ClusterInfluence { per_cluster, total })
-    }
-
-    /// Like [`InfluenceEstimator::estimate`], but a cluster whose fit
-    /// fails — invalid events, a diverged optimizer, or a fitted model
-    /// at/past the critical branching ratio — is *skipped* (it
-    /// contributes a zero matrix) and recorded, instead of aborting the
-    /// whole estimate. Deterministic regardless of thread count.
+    /// (0 = all cores). A cluster whose fit fails — invalid events, a
+    /// diverged optimizer, or a fitted model at/past the critical
+    /// branching ratio — is *skipped* (it contributes a zero matrix)
+    /// and recorded, instead of aborting the whole estimate.
+    /// Deterministic regardless of thread count.
     pub fn estimate_robust(
         &self,
         clusters: &[Vec<Event>],
@@ -299,8 +236,8 @@ impl InfluenceEstimator {
     ) -> RobustInfluence {
         let k = self.k;
         let n = clusters.len();
-        // Same empty-input guard as `estimate`: with `n = 0` the chunk
-        // size underflows to zero and `chunks_mut(0)` aborts.
+        // No clusters means no work: with `n = 0` the chunk size
+        // `0.div_ceil(threads)` is zero and `chunks_mut(0)` aborts.
         if n == 0 {
             return RobustInfluence {
                 influence: ClusterInfluence {
@@ -409,23 +346,9 @@ fn fit_model(
     Ok(Some((model, stats)))
 }
 
-fn fit_one(
-    fitter: &Fitter,
-    events: &[Event],
-    k: usize,
-    horizon: f64,
-    cluster_idx: usize,
-) -> Result<InfluenceMatrix, HawkesError> {
-    match fit_model(fitter, events, k, horizon, cluster_idx)? {
-        None => Ok(InfluenceMatrix::zeros(k)),
-        Some((model, _)) => Ok(InfluenceMatrix::from_counts(root_cause_matrix(
-            &model, events,
-        ))),
-    }
-}
-
-/// The robust path: additionally rejects fits at or past the critical
-/// branching ratio, where root-cause attribution is meaningless.
+/// One cluster's influence matrix. Fits at or past the critical
+/// branching ratio are rejected: root-cause attribution is meaningless
+/// there.
 fn fit_one_checked(
     fitter: &Fitter,
     events: &[Event],
@@ -655,7 +578,9 @@ mod tests {
     fn estimator_recovers_ground_truth_influence() {
         let clusters = make_clusters(12, 300.0, 31);
         let est = InfluenceEstimator::new(3, 2.0);
-        let out = est.estimate(&clusters, 300.0, 2).unwrap();
+        let robust = est.estimate_robust(&clusters, 300.0, 2);
+        assert!(robust.skipped.is_empty(), "skips: {:?}", robust.skipped);
+        let out = robust.influence;
 
         // Ground truth from lineage.
         let m = truth();
@@ -689,8 +614,8 @@ mod tests {
     fn estimate_deterministic_across_threads() {
         let clusters = make_clusters(6, 150.0, 32);
         let est = InfluenceEstimator::new(3, 2.0);
-        let a = est.estimate(&clusters, 150.0, 1).unwrap();
-        let b = est.estimate(&clusters, 150.0, 4).unwrap();
+        let a = est.estimate_robust(&clusters, 150.0, 1).influence;
+        let b = est.estimate_robust(&clusters, 150.0, 4).influence;
         assert_eq!(a.total, b.total);
         assert_eq!(a.per_cluster, b.per_cluster);
     }
@@ -700,19 +625,22 @@ mod tests {
         let mut clusters = make_clusters(2, 100.0, 33);
         clusters.push(Vec::new());
         let est = InfluenceEstimator::new(3, 2.0);
-        let out = est.estimate(&clusters, 100.0, 1).unwrap();
-        assert_eq!(out.per_cluster[2], InfluenceMatrix::zeros(3));
+        let out = est.estimate_robust(&clusters, 100.0, 1);
+        assert_eq!(out.influence.per_cluster[2], InfluenceMatrix::zeros(3));
+        assert!(out.skipped.is_empty(), "an empty stream is not a skip");
     }
 
     #[test]
-    fn robust_estimate_matches_plain_on_clean_clusters() {
+    fn clean_clusters_are_all_fitted_and_keep_their_event_mass() {
         let clusters = make_clusters(6, 150.0, 36);
         let est = InfluenceEstimator::new(3, 2.0);
-        let plain = est.estimate(&clusters, 150.0, 2).unwrap();
         let robust = est.estimate_robust(&clusters, 150.0, 2);
         assert!(robust.skipped.is_empty(), "skips: {:?}", robust.skipped);
-        assert_eq!(robust.influence.total, plain.total);
-        assert_eq!(robust.influence.per_cluster, plain.per_cluster);
+        assert_eq!(robust.fit_stats.len(), clusters.len());
+        for (m, events) in robust.influence.per_cluster.iter().zip(&clusters) {
+            let mass: f64 = m.events_per_community().iter().sum();
+            assert!((mass - events.len() as f64).abs() < 1e-6);
+        }
     }
 
     #[test]
@@ -722,9 +650,7 @@ mod tests {
         clusters[1].push(Event::new(f64::NAN, 0));
         clusters[3] = vec![Event::new(1.0, 7)];
         let est = InfluenceEstimator::new(3, 2.0);
-        // The strict path refuses the whole batch…
-        assert!(est.estimate(&clusters, 150.0, 2).is_err());
-        // …the robust path completes and records the two bad clusters.
+        // The estimate completes and records the two bad clusters.
         let robust = est.estimate_robust(&clusters, 150.0, 2);
         let skipped_ids: Vec<usize> = robust.skipped.iter().map(|s| s.cluster).collect();
         assert_eq!(skipped_ids, vec![1, 3]);
@@ -803,8 +729,9 @@ mod tests {
                 99,
             ),
         );
-        let out = est.estimate(&clusters, 120.0, 2).unwrap();
-        let totals = out.total.events_per_community();
+        let out = est.estimate_robust(&clusters, 120.0, 2);
+        assert!(out.skipped.is_empty(), "skips: {:?}", out.skipped);
+        let totals = out.influence.total.events_per_community();
         let expected: f64 = clusters.iter().map(|c| c.len() as f64).sum();
         assert!((totals.iter().sum::<f64>() - expected).abs() < 1e-6);
     }
@@ -833,8 +760,8 @@ mod tests {
                 })
                 .collect()
         };
-        let a = est.estimate(&sim(&ma, 41), 200.0, 2).unwrap();
-        let b = est.estimate(&sim(&mb, 42), 200.0, 2).unwrap();
+        let a = est.estimate_robust(&sim(&ma, 41), 200.0, 2).influence;
+        let b = est.estimate_robust(&sim(&mb, 42), 200.0, 2).influence;
         let split = SplitInfluence::compare(&a.per_cluster, &b.per_cluster);
         // Cell (0 -> 1) differs strongly between groups.
         assert!(
@@ -854,7 +781,7 @@ mod tests {
     fn bootstrap_ci_brackets_point_estimate() {
         let clusters = make_clusters(20, 200.0, 55);
         let est = InfluenceEstimator::new(3, 2.0);
-        let out = est.estimate(&clusters, 200.0, 2).unwrap();
+        let out = est.estimate_robust(&clusters, 200.0, 2).influence;
         let ci = bootstrap_ci(&out.per_cluster, 200, 0.9, 7).unwrap();
         let point = out.total.percent_of_destination();
         let mut inside = 0usize;
@@ -891,24 +818,15 @@ mod tests {
 
     #[test]
     fn empty_cluster_list_yields_zero_influence_not_a_panic() {
-        // Regression: `estimate` / `estimate_robust` on zero clusters
-        // used to reach `chunks_mut(0)` and abort the process. A run
-        // with no annotated clusters is a legal (if sad) outcome and
-        // must produce the zero result.
+        // Regression: `estimate_robust` on zero clusters used to reach
+        // `chunks_mut(0)` and abort the process. A run with no
+        // annotated clusters is a legal (if sad) outcome and must
+        // produce the zero result.
         for threads in [1, 2, 8] {
             let est = InfluenceEstimator::new(3, 2.0);
-            let out = est.estimate(&[], 100.0, threads).unwrap();
-            assert!(out.per_cluster.is_empty());
-            assert_eq!(out.total.k(), 3);
-            for src in 0..3 {
-                for dst in 0..3 {
-                    assert_eq!(out.total.count(src, dst), 0.0);
-                }
-            }
-
             let robust = est.estimate_robust(&[], 100.0, threads);
             assert!(robust.influence.per_cluster.is_empty());
-            assert_eq!(robust.influence.total.k(), 3);
+            assert_eq!(robust.influence.total, InfluenceMatrix::zeros(3));
             assert!(robust.skipped.is_empty());
             assert!(robust.fit_stats.is_empty());
         }

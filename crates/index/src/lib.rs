@@ -16,9 +16,9 @@
 //!   table lookups.
 //!
 //! All engines implement [`HammingIndex`]; the DBSCAN stage and the
-//! association stage (Step 6) are generic over it. [`all_neighbors`]
-//! computes every item's radius neighbourhood in parallel — the
-//! "pairwise comparison" driver.
+//! association stage (Step 6) are generic over it.
+//! [`symmetric_neighbors`] computes every item's radius neighbourhood
+//! in parallel — the "pairwise comparison" driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,60 +103,6 @@ pub trait HammingIndex {
     }
 }
 
-/// Compute the radius neighbourhood of every indexed item, in parallel
-/// across `threads` worker threads (pass 0 to use available parallelism).
-///
-/// `result[i]` contains all `j != i` within `radius` of item `i`, the
-/// adjacency DBSCAN consumes. Deterministic regardless of thread count.
-pub fn all_neighbors<I: HammingIndex + Sync>(
-    index: &I,
-    radius: u32,
-    threads: usize,
-) -> Vec<Vec<usize>> {
-    let n = index.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = effective_threads(threads, n);
-    let mut result: Vec<Vec<usize>> = vec![Vec::new(); n];
-    {
-        let chunks: Vec<(usize, &mut [Vec<usize>])> = {
-            // Split the output into per-thread chunks carrying their
-            // starting offset.
-            let chunk_len = n.div_ceil(threads);
-            let mut rest: &mut [Vec<usize>] = &mut result;
-            let mut out = Vec::new();
-            let mut offset = 0;
-            while !rest.is_empty() {
-                let take = chunk_len.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                out.push((offset, head));
-                offset += take;
-                rest = tail;
-            }
-            out
-        };
-        crossbeam::thread::scope(|s| {
-            for (offset, chunk) in chunks {
-                s.spawn(move |_| {
-                    // One scratch per worker: the visited stamps and
-                    // candidate buffer are reused across the whole
-                    // chunk, so only the per-item output lists allocate.
-                    let mut scratch = QueryScratch::new();
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let i = offset + k;
-                        index.radius_query_into(index.hash_at(i), radius, &mut scratch, slot);
-                        slot.retain(|&j| j != i);
-                    }
-                });
-            }
-        })
-        // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-        .expect("worker thread panicked");
-    }
-    result
-}
-
 /// Work counters of one [`symmetric_neighbors`] run — the source of the
 /// `index.*` metrics family. All fields are sums over per-worker
 /// [`QueryStats`], so they are identical for every thread count.
@@ -181,8 +127,9 @@ pub struct NeighborStats {
 /// over the corpus's **unique** hashes ([`HashGroups::unique`]),
 /// querying once per unique hash and verifying each unordered pair once.
 ///
-/// Byte-identical to [`all_neighbors`] over an index of the full item
-/// list, but:
+/// `result[i]` lists all `j != i` within `radius` of item `i` in
+/// ascending order — the adjacency DBSCAN consumes, byte-identical to
+/// one radius query per item over the full item list, but:
 ///
 /// * exact duplicates collapse — `groups.len_unique()` queries instead
 ///   of `groups.len_items()`;
@@ -330,39 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn all_neighbors_excludes_self_and_matches_brute() {
-        let hashes = random_hashes(200, 1);
-        let idx = BruteForceIndex::new(hashes.clone());
-        let nbrs = all_neighbors(&idx, 30, 3);
-        assert_eq!(nbrs.len(), 200);
-        for (i, list) in nbrs.iter().enumerate() {
-            assert!(!list.contains(&i));
-            for &j in list {
-                assert!(hashes[i].distance(hashes[j]) <= 30);
-            }
-        }
-    }
-
-    #[test]
-    fn all_neighbors_deterministic_across_thread_counts() {
-        let hashes = random_hashes(150, 2);
-        let idx = BruteForceIndex::new(hashes);
-        let a = all_neighbors(&idx, 28, 1);
-        let b = all_neighbors(&idx, 28, 7);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn all_neighbors_empty_index() {
-        let idx = BruteForceIndex::new(Vec::new());
-        // Regression: must not panic for any thread request, including
-        // explicit counts larger than the (zero) work items.
-        for threads in [0, 1, 7] {
-            assert!(all_neighbors(&idx, 8, threads).is_empty());
-        }
-    }
-
-    #[test]
     fn effective_threads_never_panics_or_overshoots() {
         assert_eq!(effective_threads(5, 0), 1); // the min>max regression
         assert_eq!(effective_threads(0, 0), 1);
@@ -407,22 +321,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn symmetric_neighbors_matches_all_neighbors() {
-        for (seed, radius) in [(7u64, 8u32), (8, 0), (9, 4)] {
-            let hashes = duplicate_heavy_hashes(250, seed);
-            let expected = all_neighbors(&BruteForceIndex::new(hashes.clone()), radius, 3);
-
-            let groups = HashGroups::new(&hashes);
-            let mih = MihIndex::new(groups.unique().to_vec(), radius.max(1));
-            let (got, stats) = symmetric_neighbors(&mih, &groups, radius, 3);
-            assert_eq!(got, expected, "seed {seed} radius {radius}");
-            assert_eq!(stats.items, 250);
-            assert_eq!(stats.unique, groups.len_unique());
-            assert!(stats.unique < stats.items, "workload should collapse");
-        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! so DBSCAN's core test (`nb.len() + 1 >= min_pts`) means exactly the
 //! same thing no matter which engine a [`FallbackIndex`] degraded to.
 
+mod oracle;
+
 use meme_index::{
-    all_neighbors, BkTreeIndex, BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex,
+    BkTreeIndex, BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex,
 };
 use meme_phash::PHash;
 use meme_stats::seeded_rng;
+use oracle::all_neighbors;
 use rand::RngExt;
 
 /// The paper's clustering radius (eps) and annotation threshold (θ).
@@ -97,9 +100,9 @@ fn all_neighbors_identical_across_engines_and_self_excluded() {
     let brute = BruteForceIndex::new(hashes.clone());
     let bk = BkTreeIndex::new(hashes.clone());
     let mih = MihIndex::new(hashes.clone(), BOUNDARY);
-    let expected = all_neighbors(&brute, BOUNDARY, 2);
-    assert_eq!(all_neighbors(&bk, BOUNDARY, 2), expected, "bk");
-    assert_eq!(all_neighbors(&mih, BOUNDARY, 2), expected, "mih");
+    let expected = all_neighbors(&brute, BOUNDARY);
+    assert_eq!(all_neighbors(&bk, BOUNDARY), expected, "bk");
+    assert_eq!(all_neighbors(&mih, BOUNDARY), expected, "mih");
     for (i, list) in expected.iter().enumerate() {
         assert!(!list.contains(&i), "self not excluded for {i}");
     }
@@ -115,9 +118,9 @@ fn dbscan_core_test_is_backend_invariant() {
     let brute = BruteForceIndex::new(hashes.clone());
     let bk = BkTreeIndex::new(hashes.clone());
     let mih = MihIndex::new(hashes.clone(), BOUNDARY);
-    let nb = all_neighbors(&brute, BOUNDARY, 2);
-    let nbk = all_neighbors(&bk, BOUNDARY, 2);
-    let nmih = all_neighbors(&mih, BOUNDARY, 2);
+    let nb = all_neighbors(&brute, BOUNDARY);
+    let nbk = all_neighbors(&bk, BOUNDARY);
+    let nmih = all_neighbors(&mih, BOUNDARY);
     for min_pts in [2usize, 3, 4, 5] {
         for i in 0..hashes.len() {
             let core = nb[i].len() + 1 >= min_pts;

@@ -3,11 +3,14 @@
 
 #![allow(clippy::needless_range_loop)]
 
+mod oracle;
+
 use meme_index::{
-    all_neighbors, symmetric_neighbors, BkTreeIndex, BruteForceIndex, HammingIndex, HashGroups,
-    MihIndex, QueryScratch,
+    symmetric_neighbors, BkTreeIndex, BruteForceIndex, HammingIndex, HashGroups, MihIndex,
+    QueryScratch,
 };
 use meme_phash::PHash;
+use oracle::all_neighbors;
 use proptest::prelude::*;
 
 fn hashes_strategy() -> impl Strategy<Value = Vec<PHash>> {
@@ -101,7 +104,7 @@ fn assert_engines_agree_through_scratch(
 /// `all_neighbors` over the full item list, engine-independently, and
 /// count each in-radius unordered unique pair exactly once.
 fn assert_symmetric_matches_all_neighbors(hashes: &[PHash], radius: u32, threads: usize) {
-    let expected = all_neighbors(&BruteForceIndex::new(hashes.to_vec()), radius, threads);
+    let expected = all_neighbors(&BruteForceIndex::new(hashes.to_vec()), radius);
     let groups = HashGroups::new(hashes);
     let mih = MihIndex::new(groups.unique().to_vec(), radius);
     let (via_mih, stats) = symmetric_neighbors(&mih, &groups, radius, threads);
@@ -212,7 +215,7 @@ proptest! {
     #[test]
     fn all_neighbors_is_symmetric(hashes in clustered_strategy(), radius in 0u32..10) {
         let idx = BruteForceIndex::new(hashes);
-        let adj = all_neighbors(&idx, radius, 2);
+        let adj = all_neighbors(&idx, radius);
         for (i, nbrs) in adj.iter().enumerate() {
             for &j in nbrs {
                 prop_assert!(adj[j].contains(&i), "edge {i}->{j} not symmetric");

@@ -8,8 +8,8 @@
 //! `MEMES-CKPT` magic — so callers just hand over a path.
 
 use crate::error::ServeError;
+use meme_core::checkpoint::decode_checkpoint;
 use meme_core::pipeline::PipelineOutput;
-use meme_core::runner::decode_checkpoint;
 use std::path::Path;
 
 /// The checkpoint envelope magic (`MEMES-CKPT v2 …`); see DESIGN.md §11.
@@ -44,8 +44,8 @@ pub fn load_output(path: &Path) -> Result<PipelineOutput, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meme_core::checkpoint::Checkpoint;
     use meme_core::pipeline::{Pipeline, PipelineConfig};
-    use meme_core::runner::Checkpoint;
     use meme_core::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
 
@@ -97,7 +97,11 @@ mod tests {
         // A fresh (no stages completed) checkpoint is typed, not a panic.
         let fresh = Checkpoint::fresh(&dataset, config);
         let partial_path = dir.join("partial.ckpt");
-        std::fs::write(&partial_path, meme_core::runner::encode_checkpoint(&fresh)).unwrap();
+        std::fs::write(
+            &partial_path,
+            meme_core::checkpoint::encode_checkpoint(&fresh),
+        )
+        .unwrap();
         assert!(matches!(
             load_output(&partial_path),
             Err(ServeError::Pipeline(_))

@@ -1,7 +1,7 @@
 //! The serving layer's error taxonomy.
 
+use meme_core::checkpoint::CheckpointDefect;
 use meme_core::pipeline::PipelineError;
-use meme_core::runner::CheckpointDefect;
 use std::fmt;
 
 /// Why the serving layer could not load an artifact, answer a request,

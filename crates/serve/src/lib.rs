@@ -27,9 +27,9 @@
 //!   request lines, per-line read deadlines, typed load shedding, and a
 //!   graceful drain that joins every thread (DESIGN.md §12).
 //!
-//! The `memes serve` / `memes lookup` subcommands and the
-//! `serve-load` closed-loop benchmark (`BENCH_serve.json`) sit on top
-//! of these pieces.
+//! The `memes serve` / `memes lookup` subcommands sit on top of these
+//! pieces; the benchmark's `serve-steady` / `serve-churn` workloads
+//! measure them, and `tests/serve_chaos.rs` attacks them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

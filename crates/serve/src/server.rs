@@ -13,7 +13,10 @@
 //! (DESIGN.md §12 "Connection lifecycle and overload"):
 //!
 //! * every reader thread is registered in a [`ConnRegistry`] and
-//!   joined — never detached;
+//!   joined — never detached; every thread the server starts is named
+//!   (`memes-accept`, `memes-worker`, `memes-conn` — each fits Linux's
+//!   15-byte `comm`), so a running server's threads can be counted from
+//!   outside through `/proc/<pid>/task/*/comm`;
 //! * accepts past `max_conns` are shed with the typed
 //!   [`OVERLOADED`](crate::protocol::OVERLOADED) response
 //!   (`serve.shed`), so thread count is bounded by cap + workers;
@@ -39,7 +42,7 @@ use crate::protocol::{
     parse_request, render_error, render_hit, render_line_too_long, render_miss, render_overloaded,
     render_reloaded, render_stats, render_timeout, Request,
 };
-use crate::registry::ConnRegistry;
+use crate::registry::{ConnRegistry, ConnTicket};
 use crate::snapshot::{ServeScratch, Snapshot, DEFAULT_THETA};
 use crate::store::SnapshotStore;
 use meme_metrics::{Deadline, Metrics, Span, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US};
@@ -49,8 +52,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
+
+/// Thread names, each within Linux's 15-byte `comm`; tests count the
+/// server's threads by the shared `memes-` prefix.
+const ACCEPT_THREAD: &str = "memes-accept";
+const WORKER_THREAD: &str = "memes-worker";
+const CONN_THREAD: &str = "memes-conn";
 
 /// How a [`Server`] listens, schedules work, and bounds its clients.
 #[derive(Debug, Clone)]
@@ -180,17 +189,24 @@ impl Server {
         metrics.gauge("serve.snapshot_generation", store.generation() as f64);
         metrics.gauge("serve.connections", 0.0);
 
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
+        let mut workers = Vec::new();
+        for _ in 0..config.workers.max(1) {
+            let spawned = {
                 let queue = Arc::clone(&queue);
                 let store = Arc::clone(&store);
                 let metrics = metrics.clone();
                 let batch_max = config.batch_max.max(1);
-                std::thread::spawn(move || worker_loop(&queue, &store, &metrics, batch_max))
-            })
-            .collect();
+                Builder::new()
+                    .name(WORKER_THREAD.to_string())
+                    .spawn(move || worker_loop(&queue, &store, &metrics, batch_max))
+            };
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(e) => return Err(start_failed(&queue, workers, WORKER_THREAD, &e)),
+            }
+        }
 
-        let acceptor = {
+        let spawned = {
             let shared = ConnShared {
                 store: Arc::clone(&store),
                 queue: Arc::clone(&queue),
@@ -204,7 +220,15 @@ impl Server {
             };
             let registry = Arc::clone(&registry);
             let max_conns = config.max_conns;
-            std::thread::spawn(move || accept_loop(&listener, &shared, &registry, max_conns))
+            Builder::new()
+                .name(ACCEPT_THREAD.to_string())
+                .spawn(move || accept_loop(&listener, &shared, &registry, max_conns))
+        };
+        // A failed spawn drops the closure and the listener in it, so
+        // no dead socket stays bound.
+        let acceptor = match spawned {
+            Ok(acceptor) => acceptor,
+            Err(e) => return Err(start_failed(&queue, workers, ACCEPT_THREAD, &e)),
         };
 
         Ok(Server {
@@ -267,6 +291,24 @@ impl Server {
     }
 }
 
+/// `Server::start` could not spawn thread `name`: close the queue so
+/// the workers already running exit, join them, and report it typed.
+fn start_failed(
+    queue: &BatchQueue<Job>,
+    started: Vec<JoinHandle<()>>,
+    name: &str,
+    e: &std::io::Error,
+) -> ServeError {
+    queue.close();
+    for worker in started {
+        let _ = worker.join();
+    }
+    ServeError::Io {
+        target: format!("thread {name}"),
+        detail: e.to_string(),
+    }
+}
+
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop_threads();
@@ -293,31 +335,52 @@ fn accept_loop(
         // per-line deadline (which a trickle cannot reset) rides on top.
         let _ = stream.set_read_timeout(Some(shared.read_timeout));
         let _ = stream.set_write_timeout(Some(shared.read_timeout));
-        let Some(admission) = registry.admit(&stream, max_conns) else {
-            // At the cap: shed with the typed response and hang up.
-            // The write is bounded by the write timeout just set.
-            shared.metrics.inc("serve.shed");
-            let mut stream = stream;
-            let _ = stream.write_all(crate::protocol::OVERLOADED.as_bytes());
-            let _ = stream.write_all(b"\n");
+        let publish_connections = || {
             shared
                 .metrics
                 .gauge("serve.connections", registry.active() as f64);
+        };
+        let Some(admission) = registry.admit(&stream, max_conns) else {
+            shed(stream, &shared.metrics); // at the cap
+            publish_connections();
             continue;
         };
-        shared
-            .metrics
-            .gauge("serve.connections", registry.active() as f64);
+        publish_connections();
         let conn_shared = shared.clone_for_conn();
-        let ticket = admission.ticket;
-        let handle = std::thread::spawn(move || {
-            // The ticket's drop marks the slot reapable even if the
-            // reader exits early or panics.
-            let _ticket = ticket;
-            connection_loop(stream, &conn_shared);
+        // The reader is handed its connection once it exists: a failed
+        // spawn drops the closure, and a ticket inside it would shut
+        // the socket down before the shed line could be written.
+        let (handoff, conn) = mpsc::channel::<(TcpStream, ConnTicket)>();
+        let spawned = Builder::new().name(CONN_THREAD.to_string()).spawn(move || {
+            if let Ok((stream, ticket)) = conn.recv() {
+                // The ticket's drop marks the slot reapable even
+                // if the reader exits early or panics.
+                let _ticket = ticket;
+                connection_loop(stream, &conn_shared);
+            }
         });
-        registry.attach(admission.id, handle);
+        match spawned {
+            Ok(handle) => {
+                let _ = handoff.send((stream, admission.ticket));
+                registry.attach(admission.id, handle);
+            }
+            Err(_) => {
+                // No thread to serve it: the same answer as past the
+                // cap, then the dropped ticket frees the slot.
+                shed(stream, &shared.metrics);
+                drop(admission.ticket);
+                publish_connections();
+            }
+        }
     }
+}
+
+/// Turn a connection away with the typed `overloaded` line and hang
+/// up. The write is bounded by the socket's write timeout.
+fn shed(mut stream: TcpStream, metrics: &Metrics) {
+    metrics.inc("serve.shed");
+    let _ = stream.write_all(crate::protocol::OVERLOADED.as_bytes());
+    let _ = stream.write_all(b"\n");
 }
 
 /// How one attempt to read a request line ended.

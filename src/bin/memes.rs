@@ -3,17 +3,17 @@
 //! ```text
 //! memes simulate --scale small --seed 7 --out dataset.json
 //! memes run      --scale small --seed 7 --out run.json [--train-filter]
-//!                [--checkpoint ckpt.json] [--metrics-out BENCH_run.json]
+//!                [--checkpoint ckpt.json] [--metrics-out run-metrics.json]
 //!                [--retries N] [--quarantine q.jsonl] [--chaos PRESET]
 //! memes resume   --scale small --seed 7 --checkpoint ckpt.json [--out run.json]
-//!                [--metrics-out BENCH_run.json] [--retries N]
+//!                [--metrics-out run-metrics.json] [--retries N]
 //!                [--quarantine q.jsonl] [--chaos PRESET]
 //! memes influence --scale small --seed 7
 //! memes graph    --scale small --seed 7 --out fig7.dot
 //! memes fsck     CKPT [--scale small --seed 7 --train-filter]
 //! memes quarantine ls FILE
 //! memes quarantine replay FILE --scale small --seed 7
-//! memes validate-metrics BENCH_run.json
+//! memes validate-metrics run-metrics.json
 //! memes serve    --artifact run.json [--addr 127.0.0.1:0] [--workers N]
 //!                [--reload] [--max-conns N] [--read-timeout-ms MS]
 //!                [--max-line-bytes N] [--scale small --seed 7]
@@ -75,15 +75,15 @@
 //! pipeline run that did not complete).
 
 use meme_analysis::Exit;
+use origins_of_memes::core::checkpoint::{
+    dataset_fingerprint, fsck_file, DiskMedium, FsckClass, RunnerOutcome, StageId,
+};
 use origins_of_memes::core::graph::{ClusterGraph, GraphConfig};
 use origins_of_memes::core::metric::ClusterDistance;
 use origins_of_memes::core::pipeline::{
     Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
 };
 use origins_of_memes::core::quarantine::{read_quarantine, summarize, QuarantineError};
-use origins_of_memes::core::runner::{
-    dataset_fingerprint, fsck_file, DiskMedium, FsckClass, RunnerOutcome, StageId,
-};
 use origins_of_memes::core::supervise::{
     FaultyMedium, StagePolicy, SupervisedRunner, SupervisionReport,
 };
@@ -399,7 +399,7 @@ fn cmd_fsck(args: &Args) -> ExitCode {
             stages.join(", ")
         }
     );
-    let prev = origins_of_memes::core::runner::prev_checkpoint_path(path);
+    let prev = origins_of_memes::core::checkpoint::prev_checkpoint_path(path);
     if prev.exists() {
         match fsck_file(&DiskMedium, &prev, expect) {
             Ok(p) => println!("{}: {} — {}", prev.display(), p.class.name(), p.detail),

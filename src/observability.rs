@@ -1,10 +1,9 @@
 //! Schema validation for exported metrics JSON (DESIGN.md §7).
 //!
-//! Shared by `memes validate-metrics` (the CI smoke check) and the
-//! integration tests, so the schema the docs promise is enforced in
-//! exactly one place. Accepts both a bare [`meme_metrics::Registry`]
-//! export and the `BENCH_*.json` wrapper form, which embeds the
-//! registry under a top-level `"metrics"` key.
+//! Shared by `memes validate-metrics` and the integration tests, so
+//! the schema the docs promise is enforced in exactly one place. The
+//! document is a [`meme_metrics::Registry`] export — what
+//! `--metrics-out` writes.
 
 use serde::Value;
 use std::fmt;
@@ -52,8 +51,6 @@ impl From<&str> for MetricsSchemaError {
 ///
 /// Checks, in order:
 /// * the document parses and is an object;
-/// * a wrapper form (`"metrics"` key, no `"schema_version"`) is
-///   unwrapped first;
 /// * `schema_version` equals [`meme_metrics::SCHEMA_VERSION`];
 /// * `spans` / `counters` / `gauges` / `histograms` are objects;
 /// * every span has non-negative `calls` / `total_secs` / `min_secs` /
@@ -67,12 +64,6 @@ pub fn validate_metrics_json(text: &str) -> Result<(), MetricsSchemaError> {
     let doc: Value =
         serde_json::from_str(text).map_err(|e| MetricsSchemaError::Parse(e.to_string()))?;
     let root = doc.as_object().ok_or("top level is not an object")?;
-    let root = match (get(root, "schema_version"), get(root, "metrics")) {
-        (None, Some(inner)) => inner
-            .as_object()
-            .ok_or("wrapper `metrics` key is not an object")?,
-        _ => root,
-    };
 
     let version = get(root, "schema_version")
         .and_then(as_u64)
@@ -209,15 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn wrapped_export_validates() {
-        let wrapped = format!(
-            "{{\"bench\":\"pipeline\",\"metrics\":{}}}",
-            sample_registry_json()
-        );
-        validate_metrics_json(&wrapped).unwrap();
-    }
-
-    #[test]
     fn rejects_garbage_and_bad_schemas() {
         // The two variants separate "wrong file" from "contract drift".
         assert!(matches!(
@@ -229,6 +211,12 @@ mod tests {
             Err(MetricsSchemaError::Schema(_))
         ));
         assert!(validate_metrics_json("{}").is_err());
+        // An export nested under another key is not an export.
+        let nested = format!("{{\"metrics\":{}}}", sample_registry_json());
+        assert!(matches!(
+            validate_metrics_json(&nested),
+            Err(MetricsSchemaError::Schema(_))
+        ));
         let wrong_version = r#"{"schema_version": 999, "spans": {}, "counters": {},
                                 "gauges": {}, "histograms": {}}"#;
         assert!(validate_metrics_json(wrong_version).is_err());

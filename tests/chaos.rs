@@ -7,12 +7,12 @@
 //! graceful degradation: runs finish, fallbacks are *recorded*, and
 //! clean parts of the data stay analyzable.
 
+use origins_of_memes::core::checkpoint::StageId;
 use origins_of_memes::core::pipeline::{
     Degradation, Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
 };
-use origins_of_memes::core::runner::StageId;
 use origins_of_memes::core::supervise::SupervisedRunner;
-use origins_of_memes::hawkes::InfluenceEstimator;
+use origins_of_memes::hawkes::{HawkesError, InfluenceEstimator};
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::simweb::{Community, Dataset, FaultSpec, SimConfig};
 use std::sync::Arc;
@@ -52,10 +52,18 @@ fn chaos_nan_storm_skips_poisoned_clusters() {
             .any(|d| matches!(d, Degradation::HawkesClusterSkipped { .. })),
         "no skips recorded: {degradations:?}"
     );
-    // The strict path refuses the same data with a typed error.
+    // The estimator names each poisoned stream with a typed error.
     let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     let streams = out.try_all_cluster_events(&dataset).unwrap();
-    assert!(estimator.estimate(&streams, dataset.horizon(), 2).is_err());
+    let robust = estimator.estimate_robust(&streams, dataset.horizon(), 2);
+    assert!(
+        robust
+            .skipped
+            .iter()
+            .any(|s| matches!(s.error, HawkesError::InvalidEvents(_))),
+        "no typed skip: {:?}",
+        robust.skipped
+    );
 }
 
 #[test]

@@ -14,11 +14,11 @@
 //! * a torn final checkpoint rolls back to the previous generation on
 //!   resume and still converges to the clean output.
 
+use origins_of_memes::core::checkpoint::{prev_checkpoint_path, StageId};
 use origins_of_memes::core::pipeline::{
     Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput, StageError,
 };
 use origins_of_memes::core::quarantine::{read_quarantine, QuarantineReason};
-use origins_of_memes::core::runner::{prev_checkpoint_path, StageId};
 use origins_of_memes::core::supervise::{FaultyMedium, StagePolicy, SupervisedRunner};
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::simweb::{Dataset, ExecFaultSpec, SimConfig};

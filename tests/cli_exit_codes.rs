@@ -26,17 +26,37 @@ fn tmp_file(tag: &str, content: &str) -> PathBuf {
 
 #[test]
 fn validate_metrics_accepts_a_real_registry_export() {
-    // An empty registry is the smallest schema-valid export.
+    // An empty registry is the smallest schema-valid export; the file a
+    // real run's `--metrics-out` writes is the largest one there is.
     let registry = origins_of_memes::metrics::Registry::new();
-    let path = tmp_file("valid", &registry.to_json());
-    let out = memes(&["validate-metrics", path.to_str().unwrap()]);
-    let _ = fs::remove_file(&path);
+    let empty = tmp_file("valid", &registry.to_json());
+    let from_run = tmp_file("run-metrics", "");
+    let run = memes(&[
+        "run",
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--metrics-out",
+        from_run.to_str().unwrap(),
+    ]);
     assert_eq!(
-        exit_code(&out),
+        exit_code(&run),
         0,
         "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        String::from_utf8_lossy(&run.stderr)
     );
+    for path in [empty, from_run] {
+        let out = memes(&["validate-metrics", path.to_str().unwrap()]);
+        let _ = fs::remove_file(&path);
+        assert_eq!(
+            exit_code(&out),
+            0,
+            "{}: {}",
+            path.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
@@ -136,7 +156,7 @@ fn quarantine_ls_follows_the_convention() {
     assert_eq!(exit_code(&out), 1, "malformed file is a violation");
 
     let entry = origins_of_memes::core::quarantine::QuarantineEntry {
-        stage: origins_of_memes::core::runner::StageId::Hash,
+        stage: origins_of_memes::core::checkpoint::StageId::Hash,
         item: 3,
         reason: origins_of_memes::core::quarantine::QuarantineReason::PoisonItem {
             attempts: 2,

@@ -207,25 +207,32 @@ fn serve_sheds_connections_past_the_cap_with_a_typed_error() {
 }
 
 /// In-process twin of the spawned-server tests: `Server::shutdown` must
-/// join the acceptor, every worker, and every connection reader — the
-/// process thread count returns exactly to its pre-start baseline.
+/// join the acceptor, every worker, and every connection reader, with
+/// attackers still parked on it. The server names its threads
+/// (`memes-accept`, `memes-worker`, `memes-conn`), so they are counted
+/// by name — no baseline for libtest's own threads to race against.
 #[test]
 fn shutdown_joins_every_reader_thread() {
     use origins_of_memes::metrics::Metrics;
     use origins_of_memes::serve::{Server, ServerConfig, Snapshot, SnapshotStore, DEFAULT_THETA};
+    use std::io::Write;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
-    fn live_threads() -> Option<usize> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
+    fn server_threads() -> Option<usize> {
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+        Some(
+            tasks
+                .flatten()
+                .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+                .filter(|comm| comm.starts_with("memes-"))
+                .count(),
+        )
     }
 
-    // Build the snapshot (and warm the shared artifact) *before* taking
-    // the thread baseline, so pipeline internals cannot skew the count.
-    let _ = artifact();
+    if server_threads().is_none() {
+        return; // no procfs — nothing to assert on this platform
+    }
     let dataset = SimConfig::tiny(17).generate();
     let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
         .run(&dataset)
@@ -233,9 +240,6 @@ fn shutdown_joins_every_reader_thread() {
         .expect_complete();
     let snapshot = Snapshot::build(&output, None, DEFAULT_THETA, 0).expect("snapshot builds");
     let store = Arc::new(SnapshotStore::new(snapshot));
-    let Some(baseline) = live_threads() else {
-        return; // no procfs — nothing to assert on this platform
-    };
 
     let config = ServerConfig {
         workers: 2,
@@ -244,25 +248,35 @@ fn shutdown_joins_every_reader_thread() {
     };
     let server = Server::start(store, config, Metrics::disabled()).expect("start server");
     let addr = server.local_addr();
-    // Park idle readers, then shut down underneath them.
+    // Park attackers, then shut down underneath them: idle holders
+    // (blocking reads) and a slow loris (mid-line).
     let holders: Vec<std::net::TcpStream> = (0..3)
         .map(|_| std::net::TcpStream::connect(addr).expect("holder connects"))
         .collect();
-    while server.active_connections() < 3 {
+    let mut loris = std::net::TcpStream::connect(addr).expect("loris connects");
+    let _ = loris.write_all(b"partial");
+    while server.active_connections() < 4 {
         std::thread::yield_now();
     }
-    assert!(live_threads().unwrap_or(0) > baseline, "readers are live");
+    assert!(server_threads() > Some(0), "server threads are live");
 
     server.shutdown();
-    // Tests in this binary run in parallel, so unrelated harness
-    // threads may *exit* between the two measurements — but any leaked
-    // server thread would push the count strictly above the baseline.
-    let after = live_threads().unwrap_or(0);
-    assert!(
-        after <= baseline,
-        "shutdown must join every server thread: {after} > {baseline}"
+    // `join` returns when the kernel clears the exiting thread's tid, a
+    // moment before it unlinks the task from /proc (measured on this
+    // host: 0.6 % of shutdowns still list the last worker, gone by the
+    // next read ~60 µs later), so re-read briefly. A leaked reader
+    // would sit out its 5 s read budget, 25x this allowance.
+    let settled = Instant::now() + Duration::from_millis(200);
+    while server_threads() != Some(0) && Instant::now() < settled {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        server_threads(),
+        Some(0),
+        "shutdown must join every server thread"
     );
     drop(holders);
+    drop(loris);
 }
 
 #[test]

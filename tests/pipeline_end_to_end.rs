@@ -195,7 +195,7 @@ fn fitted_influence_tracks_ground_truth() {
 #[test]
 fn eps_sweep_shape() {
     let (dataset, output) = fixture();
-    let rows = analysis::eps_sweep(dataset, output, &[2, 8, 10], 5, 0);
+    let rows = analysis::eps_sweep(dataset, output, &[2, 8, 10], 5, 0).unwrap();
     assert!(rows[0].noise_pct > rows[1].noise_pct);
     assert!(rows[1].noise_pct >= rows[2].noise_pct);
     assert!(rows[1].purity > 0.9, "purity at 8: {}", rows[1].purity);

@@ -50,7 +50,7 @@ fn corrupt_json_is_rejected() {
 
 #[test]
 fn checkpoints_roundtrip_preserving_stage_equality() {
-    use origins_of_memes::core::runner::{
+    use origins_of_memes::core::checkpoint::{
         decode_checkpoint, encode_checkpoint, prev_checkpoint_path, RunnerOutcome, StageId,
     };
     let dataset = SimConfig::tiny(5).generate();
