@@ -10,7 +10,7 @@
 //! minimum average Hamming distance." (§2.2)
 
 use crate::kym::KymSite;
-use meme_index::{HammingIndex, MihIndex};
+use meme_index::{FallbackIndex, HammingIndex};
 use meme_phash::PHash;
 use serde::{Deserialize, Serialize};
 
@@ -96,9 +96,11 @@ pub fn annotate_clusters_with_stats(
 /// Annotate every cluster medoid against a KYM site at threshold
 /// `theta`.
 ///
-/// Implementation: one multi-index over all gallery hashes (tagged with
-/// their entry), one radius query per medoid — the same two-sided
-/// speedup the paper got from its GPU pairwise engine.
+/// Implementation: one radius index over all gallery hashes (tagged
+/// with their entry; multi-index hashing unless `theta` or the gallery
+/// is outside its envelope, see [`FallbackIndex`]), one radius query per
+/// medoid — the same two-sided speedup the paper got from its GPU
+/// pairwise engine.
 pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<ClusterAnnotation> {
     // Flatten galleries with back-pointers.
     let mut gallery_hashes: Vec<PHash> = Vec::new();
@@ -109,8 +111,7 @@ pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<C
             owner.push(entry.id);
         }
     }
-    // lint:allow(panic-reachable): theta is a hash-distance threshold bounded far below MihIndex::new's 64-band limit
-    let index = MihIndex::new(gallery_hashes, theta);
+    let index = FallbackIndex::build(gallery_hashes, theta);
 
     medoids
         .iter()
@@ -245,6 +246,22 @@ mod tests {
         assert!(exact[0].is_annotated());
         let near = annotate_clusters(&[base.with_flipped_bits(&[5])], &s, 0);
         assert!(!near[0].is_annotated());
+    }
+
+    #[test]
+    fn theta_past_the_mih_band_limit_degrades_instead_of_panicking() {
+        // Regression: `MihIndex::new(.., 64)` panics (65 bands over 64
+        // bits). At theta = 64 the brute-force answer is every image of
+        // every gallery.
+        let s = site();
+        let anns = annotate_clusters(&[PHash(0xFFFF_0000_FFFF_0000)], &s, 64);
+        let mut matched: Vec<(usize, usize)> = anns[0]
+            .matches
+            .iter()
+            .map(|m| (m.entry_id, m.matched_images))
+            .collect();
+        matched.sort_unstable();
+        assert_eq!(matched, [(0, 3), (1, 1), (2, 2)]);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! Input resolution is 32×32 grayscale (the substrate's native size)
 //! with proportionally narrower dense layers.
 
+use crate::error::AnnotateError;
 use meme_imaging::image::Image;
 use meme_imaging::resize::resize_box;
 use meme_stats::{seeded_rng, WsRng};
@@ -363,19 +364,21 @@ impl Cnn {
     }
 
     /// Train on `(input, label)` pairs (inputs from [`Cnn::prepare`],
-    /// labels 0/1). Returns the mean training loss per epoch.
-    ///
-    /// # Panics
-    /// Panics on empty data, mismatched lengths, or out-of-range labels.
+    /// labels 0/1). Returns the mean training loss per epoch, or a typed
+    /// error — before touching the network — for empty data, mismatched
+    /// lengths, or out-of-range labels.
     pub fn train(
         &mut self,
         inputs: &[Vec<f32>],
         labels: &[usize],
         config: &TrainConfig,
-    ) -> Vec<f32> {
-        assert!(!inputs.is_empty(), "training set must not be empty");
-        assert_eq!(inputs.len(), labels.len(), "inputs/labels mismatch");
-        assert!(labels.iter().all(|&l| l < CLASSES), "labels must be 0 or 1");
+    ) -> Result<Vec<f32>, AnnotateError> {
+        if inputs.is_empty() {
+            return Err(AnnotateError::EmptyCorpus);
+        }
+        if inputs.len() != labels.len() || labels.iter().any(|&l| l >= CLASSES) {
+            return Err(AnnotateError::MalformedTrainingSet);
+        }
         let mut rng = seeded_rng(config.seed);
         let mut order: Vec<usize> = (0..inputs.len()).collect();
         let mut epoch_losses = Vec::with_capacity(config.epochs);
@@ -402,7 +405,7 @@ impl Cnn {
             }
             epoch_losses.push(loss_sum / inputs.len() as f32);
         }
-        epoch_losses
+        Ok(epoch_losses)
     }
 
     /// Probability that `input` belongs to class 1 (screenshot).
@@ -489,15 +492,12 @@ mod tests {
     fn training_reduces_loss() {
         let (inputs, labels) = toy_dataset(20, 2);
         let mut net = Cnn::new(3);
-        let losses = net.train(
-            &inputs,
-            &labels,
-            &TrainConfig {
-                epochs: 5,
-                batch_size: 8,
-                ..TrainConfig::default()
-            },
-        );
+        let config = TrainConfig {
+            epochs: 5,
+            batch_size: 8,
+            ..TrainConfig::default()
+        };
+        let losses = net.train(&inputs, &labels, &config).unwrap();
         assert!(
             losses.last().unwrap() < &(losses[0] * 0.5),
             "losses {losses:?}"
@@ -508,15 +508,12 @@ mod tests {
     fn learns_separable_task() {
         let (inputs, labels) = toy_dataset(30, 4);
         let mut net = Cnn::new(5);
-        net.train(
-            &inputs,
-            &labels,
-            &TrainConfig {
-                epochs: 6,
-                batch_size: 16,
-                ..TrainConfig::default()
-            },
-        );
+        let config = TrainConfig {
+            epochs: 6,
+            batch_size: 16,
+            ..TrainConfig::default()
+        };
+        net.train(&inputs, &labels, &config).unwrap();
         let (test_in, test_lab) = toy_dataset(20, 99);
         let correct = test_in
             .iter()
@@ -550,10 +547,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_training_set_panics() {
+    fn unusable_training_sets_are_typed_errors() {
         let mut net = Cnn::new(0);
-        let _ = net.train(&[], &[], &TrainConfig::default());
+        let cfg = TrainConfig::default();
+        let x = vec![0.0f32; INPUT_SIZE * INPUT_SIZE];
+        assert_eq!(net.train(&[], &[], &cfg), Err(AnnotateError::EmptyCorpus));
+        for labels in [&[][..], &[2][..]] {
+            let err = net.train(std::slice::from_ref(&x), labels, &cfg);
+            assert_eq!(err, Err(AnnotateError::MalformedTrainingSet));
+        }
     }
 
     #[test]
@@ -564,9 +566,9 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut a = Cnn::new(7);
-        let la = a.train(&inputs, &labels, &cfg);
+        let la = a.train(&inputs, &labels, &cfg).unwrap();
         let mut b = Cnn::new(7);
-        let lb = b.train(&inputs, &labels, &cfg);
+        let lb = b.train(&inputs, &labels, &cfg).unwrap();
         assert_eq!(la, lb);
         assert_eq!(a.predict_proba(&inputs[0]), b.predict_proba(&inputs[0]));
     }

@@ -309,27 +309,14 @@ pub struct ScreenshotFilter {
 
 impl ScreenshotFilter {
     /// Train a filter on a generated corpus. Returns the filter and its
-    /// held-out test metrics (the Fig. 19 / Appendix C numbers).
-    ///
-    /// # Panics
-    /// Panics when training diverges; use
-    /// [`ScreenshotFilter::try_train`] to handle that case.
-    pub fn train(corpus: &ScreenshotCorpus, config: &TrainConfig) -> (Self, ClassifierMetrics) {
-        // lint:allow(panic-in-pipeline): documented panicking wrapper; try_train is the fallible API
-        Self::try_train(corpus, config).expect("CNN training diverged")
-    }
-
-    /// Train a filter, reporting divergence as a typed error instead of
-    /// handing back a network full of NaNs: an empty corpus or a
-    /// non-finite epoch loss (NaN learning rate, exploding gradients)
-    /// is an [`AnnotateError`].
+    /// held-out test metrics (the Fig. 19 / Appendix C numbers), or a
+    /// typed error instead of a network full of NaNs: an empty corpus
+    /// or a non-finite epoch loss (NaN learning rate, exploding
+    /// gradients) is an [`AnnotateError`].
     pub fn try_train(
         corpus: &ScreenshotCorpus,
         config: &TrainConfig,
     ) -> Result<(Self, ClassifierMetrics), AnnotateError> {
-        if corpus.is_empty() {
-            return Err(AnnotateError::EmptyCorpus);
-        }
         let (train_idx, test_idx) = corpus.split(config.seed);
         let train_in: Vec<Vec<f32>> = train_idx
             .iter()
@@ -337,7 +324,7 @@ impl ScreenshotFilter {
             .collect();
         let train_lab: Vec<usize> = train_idx.iter().map(|&i| corpus.labels[i]).collect();
         let mut cnn = Cnn::new(config.seed);
-        let losses = cnn.train(&train_in, &train_lab, config);
+        let losses = cnn.train(&train_in, &train_lab, config)?;
         if let Some(&bad) = losses.iter().find(|l| !l.is_finite()) {
             return Err(AnnotateError::TrainingDiverged {
                 loss: bad as f64,
@@ -472,7 +459,7 @@ mod tests {
             seed: 12,
             ..TrainConfig::default()
         };
-        let (filter, metrics) = ScreenshotFilter::train(&corpus, &cfg);
+        let (filter, metrics) = ScreenshotFilter::try_train(&corpus, &cfg).unwrap();
         assert!(metrics.auc >= 0.96, "AUC {}", metrics.auc);
         assert!(metrics.accuracy >= 0.9, "accuracy {}", metrics.accuracy);
 
@@ -502,15 +489,19 @@ mod tests {
 
     #[test]
     fn try_train_rejects_empty_corpus() {
-        let corpus = ScreenshotCorpus {
-            inputs: Vec::new(),
-            labels: Vec::new(),
-            platform_counts: Vec::new(),
-            other_count: 0,
-        };
-        assert_eq!(
-            ScreenshotFilter::try_train(&corpus, &TrainConfig::default()).err(),
-            Some(AnnotateError::EmptyCorpus)
-        );
+        // No image at all, and one image (whose 80 % training split is
+        // empty — this used to panic inside `Cnn::train`).
+        for images in [0, 1] {
+            let corpus = ScreenshotCorpus {
+                inputs: vec![Cnn::prepare(&TemplateGenome::new(1).render(32)); images],
+                labels: vec![0; images],
+                platform_counts: Vec::new(),
+                other_count: images,
+            };
+            assert_eq!(
+                ScreenshotFilter::try_train(&corpus, &TrainConfig::default()).err(),
+                Some(AnnotateError::EmptyCorpus)
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@ use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnn
 use meme_annotate::kym::KymCategory;
 use meme_cluster::dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
 use meme_cluster::purity::cluster_false_positive_fractions;
-use meme_index::{symmetric_neighbors, HashGroups, MihIndex};
+use meme_index::{symmetric_neighbors, FallbackIndex, HashGroups};
 use meme_phash::PHash;
 use meme_simweb::{Community, Dataset, SUBREDDITS};
 use meme_stats::timeseries::DailySeries;
@@ -147,8 +147,7 @@ pub fn cluster_community(
     // Same collapsed path as the pipeline's cluster stage: index the
     // distinct hashes only, expand through the owner table.
     let groups = HashGroups::new(&hashes);
-    // lint:allow(panic-reachable): eps is a hash-distance threshold far below MihIndex::new's 64-band limit
-    let index = MihIndex::new(groups.unique().to_vec(), params.eps);
+    let index = FallbackIndex::build(groups.unique().to_vec(), params.eps);
     let (neighbors, _) = symmetric_neighbors(&index, &groups, params.eps, threads);
     let clustering = try_dbscan(&neighbors, params.min_pts)?;
     let medoid_positions = clustering.try_medoids(&hashes)?;
@@ -538,8 +537,7 @@ pub fn eps_sweep(
     // One collapse + one index (at the sweep's largest radius) serve
     // every eps value; only the pair sweep reruns per row.
     let groups = HashGroups::new(&hashes);
-    // lint:allow(panic-reachable): max_eps is a hash-distance threshold far below MihIndex::new's 64-band limit
-    let index = MihIndex::new(groups.unique().to_vec(), max_eps);
+    let index = FallbackIndex::build(groups.unique().to_vec(), max_eps);
     eps_values
         .iter()
         .map(|&eps| {

@@ -37,7 +37,8 @@ use meme_index::{
 use meme_metrics::Metrics;
 use meme_phash::{HashScratch, ImageHasher, PHash, PerceptualHasher};
 use meme_simweb::{
-    Community, Dataset, ExecFaultSpec, ExecItemFault, ExecStageFault, RenderCache, RenderStats,
+    Community, Dataset, ExecFaultSpec, ExecItemFault, ExecStageFault, GalleryImage, LazyImage,
+    RenderCache, RenderStats, Rendered,
 };
 use meme_stats::dist::DistError;
 use serde::{Deserialize, Serialize};
@@ -542,13 +543,9 @@ impl Pipeline {
     ///
     /// Association depends only on the post's hash, so posts collapse to
     /// their distinct hashes first: one radius query per distinct hash
-    /// (parallelized with the same contiguous-chunk split as
-    /// [`Pipeline::hash_posts`], with per-worker [`QueryScratch`]
-    /// reuse), then an expansion back to posts through the owner table.
+    /// ([`Pipeline::run_items`], per-worker [`QueryScratch`] reuse), then
+    /// an expansion back to posts through the owner table.
     /// Byte-identical to querying per post, for any thread count.
-    ///
-    /// Per-item fault verdicts are collected positionally (chunked
-    /// exactly like the slots), so thread count cannot reorder them.
     /// Faulted items keep the `None` sentinel — a poison hash simply
     /// matches no cluster.
     fn stage_associate(&self, state: &mut StageState, attempt: u32) -> Result<(), PipelineError> {
@@ -573,54 +570,26 @@ impl Pipeline {
             let n_unique = groups.len_unique();
             self.metrics.add("associate.hash_queries", n_unique as u64);
             let mut unique_occ: Vec<Option<usize>> = vec![None; n_unique];
-            let mut verdicts = vec![ExecItemFault::Pass; n_unique];
-            let threads = effective_threads(self.config.threads, n_unique);
-            let chunk_len = n_unique.div_ceil(threads);
             let theta = self.config.theta;
-            let annotated = &annotated;
-            let assoc_index = &assoc_index;
-            let groups_ref = &groups;
-            let faults = &self.faults;
-            let faults_active = faults.is_active();
-            crossbeam::thread::scope(|s| {
-                for ((chunk_id, slot_chunk), verdict_chunk) in unique_occ
-                    .chunks_mut(chunk_len)
-                    .enumerate()
-                    .zip(verdicts.chunks_mut(chunk_len))
-                {
-                    s.spawn(move |_| {
-                        let mut scratch = QueryScratch::new();
-                        let mut hits = Vec::new();
-                        for (off, (slot, verdict)) in slot_chunk
-                            .iter_mut()
-                            .zip(verdict_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            let k = chunk_id * chunk_len + off;
-                            if faults_active {
-                                *verdict = faults.item_fault(StageId::Associate.name(), k, attempt);
-                            }
-                            if *verdict != ExecItemFault::Pass {
-                                continue;
-                            }
-                            let h = groups_ref.unique()[k];
-                            assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
-                            *slot = hits
-                                .iter()
-                                .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
-                                .map(|&pos| annotated[pos]);
-                        }
-                    });
-                }
-            })
-            // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-            .expect("association worker panicked");
             // Quarantine coordinates are post indices: a poisoned unique
             // hash is reported as its first owning post (owner lists are
             // ascending and never empty).
-            quarantined = collect_item_verdicts(StageId::Associate, &verdicts, attempt, |k| {
-                groups.owners(k)[0] as usize
-            })?;
+            let (_, faulted) = self.run_items(
+                StageId::Associate,
+                attempt,
+                &mut unique_occ,
+                || (QueryScratch::new(), Vec::new()),
+                |k, slot, (scratch, hits)| {
+                    let h = groups.unique()[k];
+                    assoc_index.radius_query_into(h, theta, scratch, hits);
+                    *slot = hits
+                        .iter()
+                        .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
+                        .map(|&pos| annotated[pos]);
+                },
+                |k| groups.owners(k)[0] as usize,
+            );
+            quarantined = faulted?;
             for (i, slot) in occurrences.iter_mut().enumerate() {
                 *slot = unique_occ[groups.owner_of(i)];
             }
@@ -638,85 +607,76 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Step 1 worker: hash every post's image in parallel.
-    ///
-    /// Every item's fault verdict is collected in a pre-chunked verdict
-    /// table (so thread count cannot reorder anything): transient item
-    /// faults abort the stage with a retryable [`StageError::Transient`];
-    /// poison items keep the `PHash::default()` sentinel and come back
-    /// as quarantine entries. Without an active fault schedule every
-    /// verdict is `Pass` and nothing is consulted per item.
+    /// [`chunked`] under the item-fault schedule, for the two stages that
+    /// consult it. With an active schedule each index's verdict is taken
+    /// before its item runs; a faulted slot keeps its sentinel and its
+    /// verdict goes to [`collect_item_verdicts`] (`coord` maps an index
+    /// to its post). The worker states come back either way, so a failed
+    /// attempt's work is still counted.
+    fn run_items<T: Send, S: Send>(
+        &self,
+        stage: StageId,
+        attempt: u32,
+        slots: &mut [T],
+        new_state: impl Fn() -> S,
+        item: impl Fn(usize, &mut T, &mut S) + Sync,
+        coord: impl Fn(usize) -> usize,
+    ) -> (Vec<S>, Result<Vec<QuarantineEntry>, PipelineError>) {
+        let consult = self.faults.is_active();
+        let workers = chunked(
+            self.config.threads,
+            slots,
+            || (new_state(), Vec::new()),
+            |k, slot, (state, faulted)| {
+                let verdict = if consult {
+                    self.faults.item_fault(stage.name(), k, attempt)
+                } else {
+                    ExecItemFault::Pass
+                };
+                match verdict {
+                    ExecItemFault::Pass => item(k, slot, state),
+                    _ => faulted.push((k, verdict)),
+                }
+            },
+        );
+        // Chunks are contiguous and come back in order: ascending in `k`
+        // whatever the thread count.
+        let (states, faulted): (Vec<S>, Vec<Vec<_>>) = workers.into_iter().unzip();
+        let verdicts = collect_item_verdicts(stage, &faulted.concat(), attempt, coord);
+        (states, verdicts)
+    }
+
+    /// Step 1 worker: hash every post's image in parallel. Poison items
+    /// keep the `PHash::default()` sentinel and come back as quarantine
+    /// entries.
     fn hash_posts(
         &self,
         dataset: &Dataset,
         attempt: u32,
     ) -> Result<(Vec<PHash>, Vec<QuarantineEntry>), PipelineError> {
-        let n = dataset.posts.len();
-        if n == 0 {
-            // `.clamp(1, n)` with n = 0 panics (min > max), and a zero
-            // chunk length would panic `chunks_mut`; an empty corpus
-            // simply has no hashes.
-            return Ok((Vec::new(), Vec::new()));
-        }
-        let threads = effective_threads(self.config.threads, n);
-        let chunk_len = n.div_ceil(threads);
-        self.metrics.add("hash.images", n as u64);
-        // Canonical renders are memoized once and shared read-only by
-        // every worker; per-post work is then jitter + the scratch-reuse
-        // hash kernel, which steady state allocates nothing.
-        // lint:allow(panic-reachable): the cache renders at fixed non-zero IMAGE_SIZE, so Image::filled's contract holds
-        let cache = RenderCache::build(dataset);
-        let n_chunks = n.div_ceil(chunk_len);
-        let mut worker_stats = vec![RenderStats::default(); n_chunks];
-        let mut hashes = vec![PHash::default(); n];
-        let mut verdicts = vec![ExecItemFault::Pass; n];
-        let faults = &self.faults;
-        let faults_active = faults.is_active();
-        crossbeam::thread::scope(|s| {
-            for (((chunk_id, slot_chunk), verdict_chunk), stats) in hashes
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .zip(verdicts.chunks_mut(chunk_len))
-                .zip(worker_stats.iter_mut())
-            {
-                let cache = &cache;
-                s.spawn(move |_| {
-                    // lint:allow(panic-reachable): new() uses the default hash/DCT sizes, which satisfy with_sizes' contract
-                    let hasher = PerceptualHasher::new();
-                    let mut scratch = HashScratch::new();
-                    for (off, (slot, verdict)) in slot_chunk
-                        .iter_mut()
-                        .zip(verdict_chunk.iter_mut())
-                        .enumerate()
-                    {
-                        let i = chunk_id * chunk_len + off;
-                        if faults_active {
-                            *verdict = faults.item_fault(StageId::Hash.name(), i, attempt);
-                        }
-                        if *verdict == ExecItemFault::Pass {
-                            let post = &dataset.posts[i];
-                            // lint:allow(panic-reachable): post canvases render at fixed non-zero dimensions, so Image::filled's contract holds
-                            let img = dataset.render_post_cached(post, cache, stats);
-                            *slot = hasher.hash_into(img.as_image(), &mut scratch);
-                        }
-                        // Faulted items keep the PHash::default() sentinel.
-                    }
-                });
-            }
-        })
-        // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-        .expect("hashing worker panicked");
-        self.record_render_stats(&cache, &worker_stats);
-        collect_item_verdicts(StageId::Hash, &verdicts, attempt, |i| i).map(|q| (hashes, q))
+        let posts = &dataset.posts;
+        self.metrics.add("hash.images", posts.len() as u64);
+        let hashing = ImageHashing::new(dataset, posts.iter().map(LazyImage::Post));
+        let mut hashes = vec![PHash::default(); posts.len()];
+        let (workers, quarantined) = self.run_items(
+            StageId::Hash,
+            attempt,
+            &mut hashes,
+            HashWorker::default,
+            |i, slot, w| *slot = hashing.hash(&hashing.render(LazyImage::Post(&posts[i]), w), w),
+            |i| i,
+        );
+        self.record_render_stats(&hashing.cache, &workers);
+        quarantined.map(|q| (hashes, q))
     }
 
     /// Publish the hash stage's render-cache accounting: hit/miss and
     /// per-`ImageRef`-kind counters plus cache-size gauges, merged from
     /// the per-worker [`RenderStats`] after the parallel section.
-    fn record_render_stats(&self, cache: &RenderCache, worker_stats: &[RenderStats]) {
+    fn record_render_stats(&self, cache: &RenderCache, workers: &[HashWorker]) {
         let mut stats = RenderStats::default();
-        for s in worker_stats {
-            stats.merge(s);
+        for w in workers {
+            stats.merge(&w.stats);
         }
         self.metrics.add("hash.render_cache.hits", stats.hits);
         self.metrics.add("hash.render_cache.misses", stats.misses);
@@ -738,6 +698,10 @@ impl Pipeline {
     /// times with perturbed seeds; if every attempt diverges, the stage
     /// falls back to the ground-truth oracle and records the fallback
     /// rather than failing the run.
+    ///
+    /// This stage only decides *which* gallery images to consider; they
+    /// go through the same render → pHash workers as Step 1's posts
+    /// ([`ImageHashing`]). No item fault is consulted here.
     fn build_site(
         &self,
         dataset: &Dataset,
@@ -780,43 +744,131 @@ impl Pipeline {
             ScreenshotFilterMode::Oracle => Some((None, None)),
             ScreenshotFilterMode::Off => None,
         };
-        // lint:allow(panic-reachable): new() uses the default hash/DCT sizes, which satisfy with_sizes' contract
-        let hasher = PerceptualHasher::new();
-        let mut entries = Vec::with_capacity(dataset.kym_raw.entries.len());
-        let mut meme_ids = Vec::with_capacity(dataset.kym_raw.entries.len());
-        for raw in &dataset.kym_raw.entries {
-            let mut gallery = Vec::new();
-            for g in &raw.images {
-                let keep = match &filter {
-                    None => true,                          // Off: keep everything
-                    Some((None, _)) => !g.is_screenshot(), // Oracle
-                    // lint:allow(panic-reachable): gallery canvases render at fixed non-zero dimensions with validated jitter fractions
-                    Some((Some(f), _)) => !f.is_screenshot(&dataset.render_gallery_image(g)),
-                };
-                if keep {
-                    // lint:allow(panic-reachable): gallery canvases render at fixed non-zero dimensions with validated jitter fractions
-                    gallery.push(hasher.hash(&dataset.render_gallery_image(g)));
+        // The oracle drops screenshots by ground truth, before any render;
+        // a trained filter judges the render the hash is taken from.
+        let oracle = matches!(filter, Some((None, _)));
+        let (cnn, metrics) = filter.unwrap_or_default();
+        let raw = &dataset.kym_raw.entries;
+        let images: Vec<(usize, &GalleryImage)> = raw
+            .iter()
+            .enumerate()
+            .flat_map(|(e, entry)| entry.images.iter().map(move |g| (e, g)))
+            .filter(|(_, g)| !(oracle && g.is_screenshot()))
+            .collect();
+        let hashing =
+            ImageHashing::new(dataset, images.iter().map(|&(_, g)| LazyImage::Gallery(g)));
+        let mut kept: Vec<Option<PHash>> = vec![None; images.len()];
+        chunked(
+            self.config.threads,
+            &mut kept,
+            HashWorker::default,
+            |k, slot, w| {
+                let img = hashing.render(LazyImage::Gallery(images[k].1), w);
+                if cnn
+                    .as_ref()
+                    .is_none_or(|f| !f.is_screenshot(img.as_image()))
+                {
+                    *slot = Some(hashing.hash(&img, w));
                 }
-            }
-            entries.push(KymEntry {
+            },
+        );
+        let mut entries: Vec<KymEntry> = raw
+            .iter()
+            .map(|raw| KymEntry {
                 id: 0,
                 name: raw.name.clone(),
                 category: raw.category,
                 tags: raw.tags.clone(),
                 origin: raw.origin.clone(),
-                gallery,
+                gallery: Vec::new(),
                 people: raw.people.clone(),
                 cultures: raw.cultures.clone(),
-            });
-            meme_ids.push(raw.meme_id);
+            })
+            .collect();
+        // Regroup the survivors per entry; `images` is in gallery order.
+        for (&(e, _), hash) in images.iter().zip(kept) {
+            entries[e].gallery.extend(hash);
         }
         self.metrics.add("site.entries", entries.len() as u64);
         self.metrics.add(
             "site.gallery_images_kept",
             entries.iter().map(|e| e.gallery.len() as u64).sum(),
         );
-        let metrics = filter.and_then(|(_, m)| m);
+        let meme_ids = raw.iter().map(|raw| raw.meme_id).collect();
         (KymSite::new(entries), meme_ids, metrics)
+    }
+}
+
+/// The crate's one parallel loop: `item(k, &mut slots[k], &mut state)`
+/// for every `k`, each worker owning one contiguous chunk of `slots`
+/// and one `new_state()`. Output is positional and the worker states
+/// come back in chunk order, so nothing a caller can observe depends on
+/// the thread count. No slots, no workers.
+fn chunked<T: Send, S: Send>(
+    threads: usize,
+    slots: &mut [T],
+    new_state: impl Fn() -> S,
+    item: impl Fn(usize, &mut T, &mut S) + Sync,
+) -> Vec<S> {
+    let workers = effective_threads(threads, slots.len());
+    // At least 1: `chunks_mut(0)` panics, and an empty `slots` has none.
+    let chunk_len = slots.len().div_ceil(workers).max(1);
+    let mut states: Vec<S> = slots.chunks(chunk_len).map(|_| new_state()).collect();
+    crossbeam::thread::scope(|s| {
+        let chunks = slots.chunks_mut(chunk_len).zip(&mut states).enumerate();
+        for (chunk_id, (chunk, state)) in chunks {
+            let item = &item;
+            s.spawn(move |_| {
+                for (off, slot) in chunk.iter_mut().enumerate() {
+                    item(chunk_id * chunk_len + off, slot, state);
+                }
+            });
+        }
+    })
+    // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
+    .expect("pipeline worker panicked");
+    states
+}
+
+/// Steps 1 and 4 are one operation — the pHash of an image — over two
+/// lists (posts, KYM gallery images). Canonical renders are memoized
+/// once per pass and shared read-only by every worker; per-image work is
+/// then one render through the cache plus the scratch-reuse hash kernel,
+/// which steady state allocates nothing.
+struct ImageHashing<'d> {
+    dataset: &'d Dataset,
+    cache: RenderCache,
+    hasher: PerceptualHasher,
+}
+
+/// What each worker of an [`ImageHashing`] pass owns.
+#[derive(Default)]
+struct HashWorker {
+    scratch: HashScratch,
+    stats: RenderStats,
+}
+
+impl<'d> ImageHashing<'d> {
+    /// A pass over `images`, which is also what its cache covers.
+    fn new(dataset: &'d Dataset, images: impl IntoIterator<Item = LazyImage<'d>>) -> Self {
+        Self {
+            dataset,
+            // lint:allow(panic-reachable): the cache renders at fixed non-zero IMAGE_SIZE, so Image::filled's contract holds
+            cache: RenderCache::build_over(dataset, images),
+            // lint:allow(panic-reachable): new() plans the fixed 32x32 DCT input, which satisfies Dct2d::new's non-zero contract
+            hasher: PerceptualHasher::new(),
+        }
+    }
+
+    /// The one render of `image` that everything downstream (the
+    /// trained screenshot filter, the hash) looks at.
+    fn render(&self, image: LazyImage<'_>, w: &mut HashWorker) -> Rendered<'_> {
+        // lint:allow(panic-reachable): post and gallery canvases render at fixed non-zero dimensions with validated jitter fractions
+        self.dataset.render_cached(image, &self.cache, &mut w.stats)
+    }
+
+    fn hash(&self, img: &Rendered<'_>, w: &mut HashWorker) -> PHash {
+        self.hasher.hash_into(img.as_image(), &mut w.scratch)
     }
 }
 
@@ -844,43 +896,38 @@ fn record_quarantined(state: &mut StageState, stage: StageId, entries: Vec<Quara
     state.quarantined.extend(entries);
 }
 
-/// Turn a stage's per-item fault verdicts into either a retryable
-/// [`StageError::Transient`] (any transient verdict aborts the attempt;
-/// the supervisor re-runs the whole stage deterministically) or the
-/// batch of quarantine entries for the poison verdicts. `coord` maps a
-/// verdict index to its post index (identity for the hash stage; the
-/// first owner of the unique hash for deduplicated association).
+/// Turn a stage's faulted items (`(index, verdict)`, ascending, no
+/// `Pass`) into either a retryable [`StageError::Transient`] (any
+/// transient verdict aborts the attempt; the supervisor re-runs the
+/// whole stage deterministically) or the batch of quarantine entries
+/// for the poison verdicts. `coord` maps a verdict index to its post
+/// index (identity for the hash stage; the first owner of the unique
+/// hash for deduplicated association).
 fn collect_item_verdicts(
     stage: StageId,
-    verdicts: &[ExecItemFault],
+    faulted: &[(usize, ExecItemFault)],
     attempt: u32,
     coord: impl Fn(usize) -> usize,
 ) -> Result<Vec<QuarantineEntry>, PipelineError> {
-    let transient = verdicts
+    let mut transient = faulted
         .iter()
-        .filter(|v| **v == ExecItemFault::Transient)
-        .count();
-    if transient > 0 {
-        let first = verdicts
-            .iter()
-            .position(|v| *v == ExecItemFault::Transient)
-            .unwrap_or(0);
+        .filter(|(_, v)| *v == ExecItemFault::Transient);
+    if let Some(&(first, _)) = transient.next() {
         return Err(PipelineError::Stage {
             stage,
             cluster: None,
             source: StageError::Transient {
                 detail: format!(
-                    "{transient} item(s) failed transiently (first: post {})",
+                    "{} item(s) failed transiently (first: post {})",
+                    1 + transient.count(),
                     coord(first)
                 ),
             },
         });
     }
-    Ok(verdicts
+    Ok(faulted
         .iter()
-        .enumerate()
-        .filter(|(_, v)| **v == ExecItemFault::Poison)
-        .map(|(k, _)| QuarantineEntry {
+        .map(|&(k, _)| QuarantineEntry {
             stage,
             item: coord(k),
             reason: QuarantineReason::PoisonItem {
@@ -1313,21 +1360,22 @@ mod tests {
     }
 
     #[test]
-    fn hash_posts_handles_empty_dataset_without_panicking() {
-        // Regression: `.clamp(1, 0)` panics with min > max; the hash
-        // stage must instead return an empty vector (the runner's typed
-        // EmptyDataset error guards the public entry points, but the
-        // worker itself must stay total).
-        let mut dataset = SimConfig::tiny(18).generate();
-        dataset.posts.clear();
-        for threads in [0usize, 1, 8] {
-            let pipeline = Pipeline::new(PipelineConfig {
-                threads,
-                ..PipelineConfig::fast()
+    fn chunked_is_total_and_positional_for_any_thread_count() {
+        for threads in [0usize, 1, 3, 8] {
+            // Regression: no slots must mean no workers, not a
+            // `clamp(1, 0)` or `chunks_mut(0)` panic.
+            assert!(chunked(threads, &mut [0usize; 0], || (), |_, _, _| ()).is_empty());
+            let mut slots = [0usize; 5];
+            let seen = chunked(threads, &mut slots, Vec::new, |k, slot, seen| {
+                *slot = k;
+                seen.push(k);
             });
-            let (hashes, quarantined) = pipeline.hash_posts(&dataset, 0).unwrap();
-            assert!(hashes.is_empty());
-            assert!(quarantined.is_empty());
+            assert_eq!(slots, [0, 1, 2, 3, 4]);
+            assert_eq!(
+                seen.concat(),
+                slots,
+                "worker states come back in chunk order"
+            );
         }
     }
 
@@ -1431,20 +1479,41 @@ mod tests {
         use meme_metrics::Registry;
         use std::sync::Arc;
 
-        let dataset = SimConfig::tiny(32).generate();
-        let count_with = |threads: usize| {
-            let registry = Arc::new(Registry::new());
-            let pipeline = Pipeline::new(PipelineConfig {
-                threads,
-                ..PipelineConfig::fast()
-            })
-            .with_metrics(Metrics::from_registry(Arc::clone(&registry)));
-            run(pipeline, &dataset);
-            registry.snapshot().counters
+        // A small successful Train mode beside the oracle: Step 4 then
+        // classifies in the workers too.
+        let trained = ScreenshotFilterMode::Train {
+            corpus_scale: 0.01,
+            config: TrainConfig {
+                epochs: 1,
+                ..TrainConfig::default()
+            },
         };
-        let reference = count_with(1);
-        assert_eq!(reference, count_with(2));
-        assert_eq!(reference, count_with(8));
+        let dataset = SimConfig::tiny(32).generate();
+        for screenshot_filter in [ScreenshotFilterMode::Oracle, trained] {
+            let count_with = |threads: usize| {
+                let registry = Arc::new(Registry::new());
+                let pipeline = Pipeline::new(PipelineConfig {
+                    threads,
+                    screenshot_filter: screenshot_filter.clone(),
+                    ..PipelineConfig::fast()
+                })
+                .with_metrics(Metrics::from_registry(Arc::clone(&registry)));
+                let out = run(pipeline, &dataset);
+                assert!(out.degradations.is_empty(), "{:?}", out.degradations);
+                (
+                    registry.snapshot().counters,
+                    out.site,
+                    out.screenshot_metrics,
+                )
+            };
+            let reference = count_with(1);
+            assert_eq!(reference, count_with(2));
+            assert_eq!(reference, count_with(8));
+            // Step 4 shares Step 1's workers, not its accounting.
+            let rendered =
+                reference.0["hash.render_cache.hits"] + reference.0["hash.render_cache.misses"];
+            assert_eq!(rendered, dataset.posts.len() as u64);
+        }
     }
 
     #[test]

@@ -32,43 +32,27 @@ pub trait ImageHasher {
 /// The classic DCT perceptual hash used by the paper (via the Python
 /// `ImageHash` library).
 ///
-/// Algorithm: box-resize to `hash_size * highfreq_factor` square
-/// (default 32×32), 2-D DCT-II, keep the top-left
-/// `hash_size × hash_size` low-frequency block (default 8×8), and set
-/// each bit to whether its coefficient exceeds the **median** of that
-/// block (DC included, matching `ImageHash.phash`).
+/// Algorithm: box-resize to 32×32 (`HASH_SIZE * HIGHFREQ_FACTOR`
+/// square), 2-D DCT-II, keep the top-left 8×8 low-frequency block, and
+/// set each bit to whether its coefficient exceeds the **median** of
+/// that block (DC included, matching `ImageHash.phash`).
 #[derive(Debug, Clone)]
 pub struct PerceptualHasher {
-    hash_size: usize,
     plan: Dct2d,
 }
+
+/// Side of the low-frequency block: `HASH_SIZE²` bits are the 64-bit
+/// fingerprint.
+const HASH_SIZE: usize = 8;
+/// DCT input side over [`HASH_SIZE`] (ImageHash's default).
+const HIGHFREQ_FACTOR: usize = 4;
 
 impl PerceptualHasher {
     /// The 32×32 → 8×8 configuration from the paper.
     pub fn new() -> Self {
-        Self::with_sizes(8, 4)
-    }
-
-    /// Custom configuration: `hash_size²` bits must equal 64, so
-    /// `hash_size` must be 8; `highfreq_factor` scales the DCT input
-    /// (the paper's ImageHash default is 4 → 32×32 input).
-    ///
-    /// # Panics
-    /// Panics when `hash_size != 8` (the fingerprint type is 64-bit) or
-    /// `highfreq_factor == 0`.
-    pub fn with_sizes(hash_size: usize, highfreq_factor: usize) -> Self {
-        assert!(hash_size == 8, "PHash is 64-bit: hash_size must be 8");
-        assert!(highfreq_factor > 0, "highfreq_factor must be non-zero");
-        let input = hash_size * highfreq_factor;
         Self {
-            hash_size,
-            plan: Dct2d::new(input),
+            plan: Dct2d::new(HASH_SIZE * HIGHFREQ_FACTOR),
         }
-    }
-
-    /// Side length of the DCT input (e.g. 32).
-    pub fn input_size(&self) -> usize {
-        self.plan.n()
     }
 }
 
@@ -91,13 +75,13 @@ impl ImageHasher for PerceptualHasher {
     // lint:hotpath(per-image pHash kernel; the scratch buffers amortize allocation)
     fn hash_into(&self, img: &Image, scratch: &mut HashScratch) -> PHash {
         let n = self.plan.n();
-        let hs = self.hash_size;
+        let hs = HASH_SIZE;
         scratch.plane.resize(n * n, 0.0);
         scratch.tmp.resize(hs * n, 0.0);
         scratch.block.resize(hs * hs, 0.0);
 
         // Resize straight into the f64 DCT input plane, then compute only
-        // the top-left hash_size × hash_size low-frequency block. Both
+        // the top-left 8×8 low-frequency block. Both
         // steps are bit-identical to the allocating resize → full DCT →
         // crop path (and `forward_topleft_into` emits the block already
         // in the row-major `coeffs[y * n + x]` order the bits read).
@@ -392,11 +376,5 @@ mod tests {
         let img = Image::filled(64, 64, 0.5);
         let h = hasher();
         assert_eq!(h.hash(&img), h.hash(&img));
-    }
-
-    #[test]
-    #[should_panic(expected = "hash_size")]
-    fn wrong_hash_size_panics() {
-        let _ = PerceptualHasher::with_sizes(16, 4);
     }
 }

@@ -337,13 +337,14 @@ pub fn table9_fig19(seed: u64) {
 
     section("Fig 19 (Appendix C): classifier evaluation");
     let t0 = Instant::now();
-    let (_, metrics) = ScreenshotFilter::train(
+    let (_, metrics) = ScreenshotFilter::try_train(
         &corpus,
         &TrainConfig {
             seed,
             ..TrainConfig::default()
         },
-    );
+    )
+    .expect("default training converges on the generated corpus");
     println!("trained in {:.1?} on {} images", t0.elapsed(), corpus.len());
     println!("AUC:       {:.3}  [paper: 0.96]", metrics.auc);
     println!("accuracy:  {:.1}% [paper: 91.3%]", 100.0 * metrics.accuracy);

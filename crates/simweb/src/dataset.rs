@@ -554,14 +554,7 @@ impl Dataset {
                 meme,
                 variant,
                 jitter_seed,
-            } => {
-                let mut rng = seeded_rng(jitter_seed);
-                self.universe.specs[meme].variants[variant].render_jittered(
-                    IMAGE_SIZE,
-                    &JitterConfig::default(),
-                    &mut rng,
-                )
-            }
+            } => self.render_variant(meme, variant, jitter_seed),
             ImageRef::OneOff { seed } => TemplateGenome::new(seed).render(IMAGE_SIZE),
             ImageRef::Screenshot {
                 platform,
@@ -581,14 +574,7 @@ impl Dataset {
                 meme,
                 variant,
                 jitter_seed,
-            } => {
-                let mut rng = seeded_rng(jitter_seed);
-                self.universe.specs[meme].variants[variant].render_jittered(
-                    IMAGE_SIZE,
-                    &JitterConfig::default(),
-                    &mut rng,
-                )
-            }
+            } => self.render_variant(meme, variant, jitter_seed),
             GalleryImage::Foreign {
                 template_seed,
                 jitter_seed,
@@ -602,6 +588,18 @@ impl Dataset {
                 render_screenshot(platform, IMAGE_SIZE, &mut rng)
             }
         }
+    }
+
+    /// A jittered meme-variant render from scratch: what a post's
+    /// [`ImageRef::MemeVariant`] and a gallery's
+    /// [`GalleryImage::Variant`] both are.
+    fn render_variant(&self, meme: usize, variant: usize, jitter_seed: u64) -> Image {
+        let mut rng = seeded_rng(jitter_seed);
+        self.universe.specs[meme].variants[variant].render_jittered(
+            IMAGE_SIZE,
+            &JitterConfig::default(),
+            &mut rng,
+        )
     }
 
     /// Posts on one community.

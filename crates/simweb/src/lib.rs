@@ -47,5 +47,5 @@ pub use execfault::{
 };
 pub use fault::{FaultReport, FaultSpec};
 pub use kymgen::{generate_kym, GalleryImage, KymGenConfig, RawKymEntry, RawKymSite};
-pub use rendercache::{RenderCache, RenderStats, Rendered};
+pub use rendercache::{LazyImage, RenderCache, RenderStats, Rendered};
 pub use universe::{MemeGroup, MemeSpec, Universe, UniverseConfig};

@@ -1,33 +1,36 @@
-//! Memoized base renders for the hash stage.
+//! Memoized base renders for the image → pHash passes (Steps 1 and 4).
 //!
-//! `Dataset::render_post_image` re-renders a post's image from scratch
-//! on every call, even though thousands of posts share one
-//! `(meme, variant)` canonical image and screenshot posts come in
-//! *families* of identical re-posts. A [`RenderCache`] is built once per
-//! dataset and shared read-only across the hashing workers: it holds one
-//! immutable [`Arc<Image>`] per `(meme, variant)` canonical render, one
-//! per screenshot family seed, and the blank image. With the cache,
-//! per-post work for meme variants is photometric jitter only, and
-//! screenshot/blank posts borrow the cached render outright.
+//! `Dataset::render_post_image` / `render_gallery_image` re-render an
+//! image from scratch on every call, even though thousands of posts and
+//! gallery images share one `(meme, variant)` canonical image and
+//! screenshot posts come in *families* of identical re-posts. A
+//! [`RenderCache`] is built once per pass, over the images the pass
+//! will render, and shared read-only across the hashing workers: it
+//! holds one immutable [`Arc<Image>`] per `(meme, variant)` canonical
+//! render and one per screenshot family seed among those images, and
+//! the blank image. With the cache, per-image work for meme variants
+//! is photometric jitter only, and screenshot/blank posts borrow the
+//! cached render outright.
 //!
 //! The cached path is **byte-identical** to the uncached one:
-//! [`Dataset::render_post_cached`] consumes the same seeded rng stream
-//! as `render_post_image` for every [`ImageRef`] kind (see the
-//! equality tests at the bottom of this module and the golden-hash
-//! corpus in `meme-core`).
+//! [`Dataset::render_cached`] consumes the same seeded rng stream as
+//! the uncached renderers for every [`ImageRef`] and [`GalleryImage`]
+//! kind (see the equality tests at the bottom of this module and the
+//! golden-hash corpus in `meme-core`).
 
 use crate::dataset::{Dataset, ImageRef, Post, IMAGE_SIZE};
+use crate::kymgen::GalleryImage;
 use meme_imaging::image::Image;
 use meme_imaging::synth::{JitterConfig, VariantGenome};
 use meme_stats::seeded_rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Immutable, share-everywhere cache of canonical renders.
 ///
-/// Built once with [`RenderCache::build`]; afterwards it is read-only,
-/// so worker threads share it by reference (or clone it — the images
-/// are behind [`Arc`]s, so a clone is shallow).
+/// Built once with [`RenderCache::build_over`]; afterwards it is
+/// read-only, so worker threads share it by reference (or clone it — the
+/// images are behind [`Arc`]s, so a clone is shallow).
 ///
 /// One-off posts are deliberately *not* cached: their template seeds are
 /// unique per post, so caching them would hold the whole corpus's pixels
@@ -36,8 +39,8 @@ use std::sync::Arc;
 pub struct RenderCache {
     /// `variant_bases[meme][variant]` — the canonical variant render
     /// (`VariantGenome::render(IMAGE_SIZE)`), computed once from the
-    /// meme's shared template base.
-    variant_bases: Vec<Vec<Arc<Image>>>,
+    /// meme's shared template base; `None` where no image asked for it.
+    variant_bases: Vec<Vec<Option<Arc<Image>>>>,
     /// Screenshot family renders keyed by `family_seed`. BTreeMap keeps
     /// iteration deterministic for accounting.
     screenshots: BTreeMap<u64, Arc<Image>>,
@@ -46,23 +49,53 @@ pub struct RenderCache {
 }
 
 impl RenderCache {
-    /// Render every cacheable base image of `dataset` once.
+    /// Render once every base that `images` — what one pass is about to
+    /// render — share: the `(meme, variant)` canonical renders its posts
+    /// and gallery images reference, and its posts' screenshot families.
+    /// Nothing is rendered, or held, for a base no image asks for.
     ///
     /// Meme variants are rendered via the shared template base: the
     /// template is rendered once per meme and each variant's ops are
     /// applied on top (`VariantGenome::render_with_base`), which is
-    /// bit-identical to rendering the variant from scratch. Screenshot
-    /// families are discovered from the actual posts, so every family
-    /// seed that occurs is covered.
-    pub fn build(dataset: &Dataset) -> Self {
+    /// bit-identical to rendering the variant from scratch.
+    pub fn build_over<'a>(
+        dataset: &Dataset,
+        images: impl IntoIterator<Item = LazyImage<'a>>,
+    ) -> Self {
+        let mut wanted: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut screenshots: BTreeMap<u64, Arc<Image>> = BTreeMap::new();
+        for image in images {
+            match image {
+                LazyImage::Post(post) => match post.image {
+                    ImageRef::MemeVariant { meme, variant, .. } => {
+                        wanted.insert((meme, variant));
+                    }
+                    ImageRef::Screenshot { family_seed, .. } => {
+                        screenshots
+                            .entry(family_seed)
+                            .or_insert_with(|| Arc::new(dataset.render_post_image(post)));
+                    }
+                    ImageRef::OneOff { .. } | ImageRef::Blank => {}
+                },
+                LazyImage::Gallery(&GalleryImage::Variant { meme, variant, .. }) => {
+                    wanted.insert((meme, variant));
+                }
+                LazyImage::Gallery(_) => {}
+            }
+        }
+
         let mut variant_bases = Vec::with_capacity(dataset.universe.specs.len());
-        for spec in &dataset.universe.specs {
+        for (meme, spec) in dataset.universe.specs.iter().enumerate() {
             let mut bases = Vec::with_capacity(spec.variants.len());
             // All variants of a meme share the template, but key the
             // memo by template seed so an unusual universe still
             // renders correctly.
             let mut template: Option<(u64, Image)> = None;
-            for v in &spec.variants {
+            for (variant, v) in spec.variants.iter().enumerate() {
+                if !wanted.contains(&(meme, variant)) {
+                    bases.push(None);
+                    continue;
+                }
                 let seed = v.template.seed;
                 let base = match &template {
                     Some((s, img)) if *s == seed => v.render_with_base(img),
@@ -73,18 +106,9 @@ impl RenderCache {
                         out
                     }
                 };
-                bases.push(Arc::new(base));
+                bases.push(Some(Arc::new(base)));
             }
             variant_bases.push(bases);
-        }
-
-        let mut screenshots: BTreeMap<u64, Arc<Image>> = BTreeMap::new();
-        for post in &dataset.posts {
-            if let ImageRef::Screenshot { family_seed, .. } = post.image {
-                screenshots
-                    .entry(family_seed)
-                    .or_insert_with(|| Arc::new(dataset.render_post_image(post)));
-            }
         }
 
         Self {
@@ -94,10 +118,15 @@ impl RenderCache {
         }
     }
 
+    /// [`RenderCache::build_over`] the posts of `dataset`.
+    pub fn build(dataset: &Dataset) -> Self {
+        Self::build_over(dataset, dataset.posts.iter().map(LazyImage::Post))
+    }
+
     /// Number of cached images (variant bases + screenshot families +
     /// the blank).
     pub fn entries(&self) -> usize {
-        self.variant_bases.iter().map(Vec::len).sum::<usize>() + self.screenshots.len() + 1
+        self.variant_bases.iter().flatten().flatten().count() + self.screenshots.len() + 1
     }
 
     /// Resident pixel bytes across all cached images.
@@ -106,10 +135,26 @@ impl RenderCache {
         self.variant_bases
             .iter()
             .flatten()
+            .flatten()
             .map(|i| px(i))
             .sum::<usize>()
             + self.screenshots.values().map(|i| px(i)).sum::<usize>()
             + px(&self.blank)
+    }
+
+    /// A meme variant's per-image render from its cached base: jitter
+    /// only, under the rng stream `render_jittered` consumes after
+    /// rendering. `None` for a `(meme, variant)` outside the cache.
+    fn jittered_variant(
+        &self,
+        meme: usize,
+        variant: usize,
+        jitter_seed: u64,
+    ) -> Option<Rendered<'_>> {
+        let base = self.variant_bases.get(meme)?.get(variant)?.as_ref()?;
+        let mut rng = seeded_rng(jitter_seed);
+        let jittered = VariantGenome::jitter_base(base, &JitterConfig::default(), &mut rng);
+        Some(Rendered::Owned(jittered))
     }
 }
 
@@ -118,11 +163,13 @@ impl RenderCache {
 /// section, so the hot loop shares no counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenderStats {
-    /// Posts served from a cached base (jitter-only or borrowed whole).
+    /// Images served from a cached base (jitter-only or borrowed whole).
     pub hits: u64,
-    /// Posts rendered from scratch (one-offs, or refs outside the cache).
+    /// Images rendered from scratch (one-offs, foreign and screenshot
+    /// gallery images, or refs outside the cache).
     pub misses: u64,
-    /// Posts with `ImageRef::MemeVariant`.
+    /// Meme-variant images (`ImageRef::MemeVariant`,
+    /// `GalleryImage::Variant`).
     pub meme_variant: u64,
     /// Posts with `ImageRef::OneOff`.
     pub one_off: u64,
@@ -165,69 +212,91 @@ impl Rendered<'_> {
     }
 }
 
+/// An image the corpus renders on demand — a post's or a KYM
+/// gallery's — so Steps 1 and 4 share [`Dataset::render_cached`].
+#[derive(Debug, Clone, Copy)]
+pub enum LazyImage<'a> {
+    /// A post's image.
+    Post(&'a Post),
+    /// A KYM gallery image.
+    Gallery(&'a GalleryImage),
+}
+
 impl Dataset {
-    /// Render one post's image through the cache.
+    /// Render one image through the cache.
     ///
-    /// Byte-identical to [`Dataset::render_post_image`] for every
-    /// [`ImageRef`] kind: meme variants apply
-    /// [`VariantGenome::jitter_base`] to the cached canonical render
-    /// with an rng seeded exactly as the uncached path seeds it;
-    /// screenshots and blanks borrow the cached image; one-offs (and
-    /// any ref missing from the cache, e.g. a fault-injected index)
-    /// fall back to the uncached renderer.
+    /// Byte-identical to [`Dataset::render_post_image`] /
+    /// [`Dataset::render_gallery_image`] for every kind: meme variants
+    /// (a post's or a gallery's) apply [`VariantGenome::jitter_base`] to
+    /// the cached canonical render with an rng seeded exactly as the
+    /// uncached path seeds it; post screenshots and blanks borrow the
+    /// cached image; everything else — one-offs, foreign and screenshot
+    /// gallery images (unique seeds, counted only as misses), and any
+    /// ref missing from the cache, e.g. a fault-injected index — falls
+    /// back to the uncached renderer.
+    pub fn render_cached<'c>(
+        &self,
+        image: LazyImage<'_>,
+        cache: &'c RenderCache,
+        stats: &mut RenderStats,
+    ) -> Rendered<'c> {
+        let cached = match image {
+            LazyImage::Post(post) => match post.image {
+                ImageRef::MemeVariant {
+                    meme,
+                    variant,
+                    jitter_seed,
+                } => {
+                    stats.meme_variant += 1;
+                    cache.jittered_variant(meme, variant, jitter_seed)
+                }
+                ImageRef::OneOff { .. } => {
+                    stats.one_off += 1;
+                    None
+                }
+                ImageRef::Screenshot { family_seed, .. } => {
+                    stats.screenshot += 1;
+                    let family = cache.screenshots.get(&family_seed);
+                    family.map(|img| Rendered::Shared(img))
+                }
+                ImageRef::Blank => {
+                    stats.blank += 1;
+                    Some(Rendered::Shared(&cache.blank))
+                }
+            },
+            LazyImage::Gallery(&GalleryImage::Variant {
+                meme,
+                variant,
+                jitter_seed,
+            }) => {
+                stats.meme_variant += 1;
+                cache.jittered_variant(meme, variant, jitter_seed)
+            }
+            LazyImage::Gallery(_) => None,
+        };
+        match cached {
+            Some(rendered) => {
+                stats.hits += 1;
+                rendered
+            }
+            None => {
+                stats.misses += 1;
+                Rendered::Owned(match image {
+                    LazyImage::Post(post) => self.render_post_image(post),
+                    LazyImage::Gallery(g) => self.render_gallery_image(g),
+                })
+            }
+        }
+    }
+
+    /// [`Dataset::render_cached`] for a post.
     pub fn render_post_cached<'c>(
         &self,
         post: &Post,
         cache: &'c RenderCache,
         stats: &mut RenderStats,
     ) -> Rendered<'c> {
-        match post.image {
-            ImageRef::MemeVariant {
-                meme,
-                variant,
-                jitter_seed,
-            } => {
-                stats.meme_variant += 1;
-                match cache.variant_bases.get(meme).and_then(|v| v.get(variant)) {
-                    Some(base) => {
-                        stats.hits += 1;
-                        let mut rng = seeded_rng(jitter_seed);
-                        Rendered::Owned(VariantGenome::jitter_base(
-                            base,
-                            &JitterConfig::default(),
-                            &mut rng,
-                        ))
-                    }
-                    None => {
-                        stats.misses += 1;
-                        Rendered::Owned(self.render_post_image(post))
-                    }
-                }
-            }
-            ImageRef::OneOff { .. } => {
-                stats.one_off += 1;
-                stats.misses += 1;
-                Rendered::Owned(self.render_post_image(post))
-            }
-            ImageRef::Screenshot { family_seed, .. } => {
-                stats.screenshot += 1;
-                match cache.screenshots.get(&family_seed) {
-                    Some(img) => {
-                        stats.hits += 1;
-                        Rendered::Shared(img)
-                    }
-                    None => {
-                        stats.misses += 1;
-                        Rendered::Owned(self.render_post_image(post))
-                    }
-                }
-            }
-            ImageRef::Blank => {
-                stats.blank += 1;
-                stats.hits += 1;
-                Rendered::Shared(&cache.blank)
-            }
-        }
+        self.render_cached(LazyImage::Post(post), cache, stats)
     }
 }
 
@@ -266,6 +335,18 @@ mod tests {
             stats.meme_variant + stats.one_off + stats.screenshot + stats.blank,
             d.posts.len() as u64
         );
+        // Every KYM gallery image too, through a cache over the
+        // galleries; exactly the variants are hits.
+        let gallery = || d.kym_raw.entries.iter().flat_map(|e| &e.images);
+        let cache = RenderCache::build_over(&d, gallery().map(LazyImage::Gallery));
+        let mut stats = RenderStats::default();
+        for g in gallery() {
+            let cached = d.render_cached(LazyImage::Gallery(g), &cache, &mut stats);
+            let direct = d.render_gallery_image(g);
+            assert_eq!(cached.as_image().data(), direct.data(), "{g:?}");
+        }
+        assert!(stats.hits > 0 && stats.misses > 0);
+        assert_eq!(stats.hits, stats.meme_variant);
     }
 
     #[test]
@@ -314,7 +395,12 @@ mod tests {
     fn accounting_matches_dataset_shape() {
         let d = tiny_dataset();
         let cache = RenderCache::build(&d);
-        let n_variants: usize = d.universe.specs.iter().map(|s| s.variants.len()).sum();
+        let n_variants = d
+            .posts
+            .iter()
+            .filter_map(Post::true_variant)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
         let n_families = d
             .posts
             .iter()

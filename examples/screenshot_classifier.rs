@@ -28,14 +28,15 @@ fn main() {
 
     // Train: 2 conv + maxpool blocks, dense, dropout 0.5, Adam — the
     // Appendix-C architecture at 32x32.
-    let (filter, metrics) = ScreenshotFilter::train(
+    let (filter, metrics) = ScreenshotFilter::try_train(
         &corpus,
         &TrainConfig {
             epochs: 8,
             seed: 7,
             ..TrainConfig::default()
         },
-    );
+    )
+    .expect("training converges on the generated corpus");
     println!("\nheld-out evaluation (paper values in brackets):");
     println!("  AUC       {:.3}   [0.96]", metrics.auc);
     println!("  accuracy  {:.3}   [0.913]", metrics.accuracy);
