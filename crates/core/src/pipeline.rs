@@ -30,6 +30,7 @@ use meme_annotate::screenshot::{ClassifierMetrics, ScreenshotCorpus, ScreenshotF
 use meme_annotate::AnnotateError;
 use meme_cluster::dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
 use meme_hawkes::{ClusterInfluence, Event, HawkesError, InfluenceEstimator};
+use meme_imaging::image::Image;
 use meme_index::{
     effective_threads, symmetric_neighbors, FallbackIndex, HammingIndex, HashGroups, IndexEngine,
     NeighborStats, QueryScratch,
@@ -38,7 +39,7 @@ use meme_metrics::Metrics;
 use meme_phash::{HashScratch, ImageHasher, PHash, PerceptualHasher};
 use meme_simweb::{
     Community, Dataset, ExecFaultSpec, ExecItemFault, ExecStageFault, GalleryImage, LazyImage,
-    RenderCache, RenderStats, Rendered,
+    RenderCache, RenderStats,
 };
 use meme_stats::dist::DistError;
 use serde::{Deserialize, Serialize};
@@ -663,7 +664,10 @@ impl Pipeline {
             attempt,
             &mut hashes,
             HashWorker::default,
-            |i, slot, w| *slot = hashing.hash(&hashing.render(LazyImage::Post(&posts[i]), w), w),
+            |i, slot, w| {
+                let hash = hashing.hash_image(LazyImage::Post(&posts[i]), w, |_| true);
+                *slot = hash.unwrap_or_default();
+            },
             |i| i,
         );
         self.record_render_stats(&hashing.cache, &workers);
@@ -675,8 +679,8 @@ impl Pipeline {
     /// the per-worker [`RenderStats`] after the parallel section.
     fn record_render_stats(&self, cache: &RenderCache, workers: &[HashWorker]) {
         let mut stats = RenderStats::default();
-        for w in workers {
-            stats.merge(&w.stats);
+        for (_, s) in workers {
+            stats.merge(s);
         }
         self.metrics.add("hash.render_cache.hits", stats.hits);
         self.metrics.add("hash.render_cache.misses", stats.misses);
@@ -757,20 +761,13 @@ impl Pipeline {
             .collect();
         let hashing =
             ImageHashing::new(dataset, images.iter().map(|&(_, g)| LazyImage::Gallery(g)));
+        let keep = |img: &Image| cnn.as_ref().is_none_or(|f| !f.is_screenshot(img));
         let mut kept: Vec<Option<PHash>> = vec![None; images.len()];
         chunked(
             self.config.threads,
             &mut kept,
             HashWorker::default,
-            |k, slot, w| {
-                let img = hashing.render(LazyImage::Gallery(images[k].1), w);
-                if cnn
-                    .as_ref()
-                    .is_none_or(|f| !f.is_screenshot(img.as_image()))
-                {
-                    *slot = Some(hashing.hash(&img, w));
-                }
-            },
+            |k, slot, w| *slot = hashing.hash_image(LazyImage::Gallery(images[k].1), w, keep),
         );
         let mut entries: Vec<KymEntry> = raw
             .iter()
@@ -842,11 +839,7 @@ struct ImageHashing<'d> {
 }
 
 /// What each worker of an [`ImageHashing`] pass owns.
-#[derive(Default)]
-struct HashWorker {
-    scratch: HashScratch,
-    stats: RenderStats,
-}
+type HashWorker = (HashScratch, RenderStats);
 
 impl<'d> ImageHashing<'d> {
     /// A pass over `images`, which is also what its cache covers.
@@ -860,15 +853,18 @@ impl<'d> ImageHashing<'d> {
         }
     }
 
-    /// The one render of `image` that everything downstream (the
-    /// trained screenshot filter, the hash) looks at.
-    fn render(&self, image: LazyImage<'_>, w: &mut HashWorker) -> Rendered<'_> {
+    /// The pHash of `image`'s one render, unless `keep` — the trained
+    /// screenshot filter, looking at that same render — drops it.
+    fn hash_image(
+        &self,
+        image: LazyImage<'_>,
+        (scratch, stats): &mut HashWorker,
+        keep: impl Fn(&Image) -> bool,
+    ) -> Option<PHash> {
         // lint:allow(panic-reachable): post and gallery canvases render at fixed non-zero dimensions with validated jitter fractions
-        self.dataset.render_cached(image, &self.cache, &mut w.stats)
-    }
-
-    fn hash(&self, img: &Rendered<'_>, w: &mut HashWorker) -> PHash {
-        self.hasher.hash_into(img.as_image(), &mut w.scratch)
+        let rendered = self.dataset.render_cached(image, &self.cache, stats);
+        let img = rendered.as_image();
+        keep(img).then(|| self.hasher.hash_into(img, scratch))
     }
 }
 
@@ -1357,6 +1353,23 @@ mod tests {
         dataset.posts.clear();
         let err = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast())).run(&dataset);
         assert!(matches!(err, Err(PipelineError::EmptyDataset)));
+    }
+
+    #[test]
+    fn hash_posts_handles_empty_dataset_without_panicking() {
+        // The runner's typed EmptyDataset error guards the public entry
+        // points, but the worker itself must stay total: an empty cache,
+        // no workers, no verdicts.
+        let mut dataset = SimConfig::tiny(18).generate();
+        dataset.posts.clear();
+        for threads in [0usize, 1, 8] {
+            let pipeline = Pipeline::new(PipelineConfig {
+                threads,
+                ..PipelineConfig::fast()
+            });
+            let (hashes, quarantined) = pipeline.hash_posts(&dataset, 0).unwrap();
+            assert!(hashes.is_empty() && quarantined.is_empty());
+        }
     }
 
     #[test]
