@@ -1,60 +1,43 @@
 //! `memes-lint` — the workspace static-analysis gate.
 //!
 //! ```text
-//! memes-lint [--root DIR] [--baseline FILE] [--report FILE]
-//!            [--deny-new] [--fix-baseline] [--list-rules] [--timings]
-//!            [--quiet]
+//! memes-lint [--root DIR] [--report FILE] [--list-rules] [--quiet]
 //! memes-lint graph [--root DIR] [--out FILE]
 //! ```
 //!
+//! The lint run writes `lint-report.json` (gitignored; CI archives it).
 //! The `graph` subcommand dumps the pass-1 call graph (functions,
-//! resolved edges, unresolved calls) as schema-validated JSON —
-//! `callgraph.json` by convention — for CI archiving and offline
-//! inspection. `--timings` attaches per-rule `lint.rule.<id>.duration`
-//! wall-clock spans to the report; it is opt-in so the committed
-//! `lint-report.json` stays byte-stable.
+//! resolved edges, unresolved calls) as JSON — `callgraph.json` by
+//! convention — for CI archiving and offline inspection.
 //!
 //! Exit codes follow the workspace convention ([`Exit`]): `0` clean,
-//! `1` violations (new findings under `--deny-new`, or any findings
-//! without it), `2` operational failure (unreadable root, corrupt
-//! baseline, bad usage).
+//! `1` any finding (a reviewed exception is a `lint:allow` with its
+//! reason, next to the code), `2` operational failure (unreadable
+//! root, bad usage).
 
 use meme_analysis::error::Exit;
-use meme_analysis::report::RuleTiming;
-use meme_analysis::{
-    validate_callgraph, validate_lint_report, AnalysisError, Baseline, CallGraph, Engine,
-};
-use meme_metrics::Metrics;
+use meme_analysis::{AnalysisError, CallGraph, Engine};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     graph: bool,
     root: PathBuf,
-    baseline: PathBuf,
     report: PathBuf,
     out: PathBuf,
-    deny_new: bool,
-    fix_baseline: bool,
     list_rules: bool,
-    timings: bool,
     quiet: bool,
 }
 
-const USAGE: &str = "usage: memes-lint [--root DIR] [--baseline FILE] [--report FILE] \
-                     [--deny-new] [--fix-baseline] [--list-rules] [--timings] [--quiet]\n\
+const USAGE: &str = "usage: memes-lint [--root DIR] [--report FILE] [--list-rules] [--quiet]\n\
                      \x20      memes-lint graph [--root DIR] [--out FILE]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut graph = false;
     let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
     let mut report: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
-    let mut deny_new = false;
-    let mut fix_baseline = false;
     let mut list_rules = false;
-    let mut timings = false;
     let mut quiet = false;
 
     let mut it = argv.iter().peekable();
@@ -70,34 +53,21 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             ("--out", true) => {
                 out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?));
             }
-            ("--baseline", false) => {
-                baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
-            }
             ("--report", false) => {
                 report = Some(PathBuf::from(it.next().ok_or("--report needs a path")?));
             }
-            ("--deny-new", false) => deny_new = true,
-            ("--fix-baseline", false) => fix_baseline = true,
             ("--list-rules", false) => list_rules = true,
-            ("--timings", false) => timings = true,
             ("--quiet", _) | ("-q", _) => quiet = true,
             ("--help", _) | ("-h", _) => return Err(USAGE.to_string()),
             (other, _) => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    if deny_new && fix_baseline {
-        return Err("--deny-new and --fix-baseline are mutually exclusive".to_string());
-    }
     Ok(Args {
         graph,
-        baseline: baseline.unwrap_or_else(|| root.join("lint-baseline.json")),
         report: report.unwrap_or_else(|| root.join("lint-report.json")),
         out: out.unwrap_or_else(|| root.join("callgraph.json")),
         root,
-        deny_new,
-        fix_baseline,
         list_rules,
-        timings,
         quiet,
     })
 }
@@ -135,7 +105,6 @@ fn run_graph(args: &Args) -> Result<Exit, AnalysisError> {
     let model = WorkspaceModel::build(&ctxs);
     let graph = CallGraph::from_model(&model, &ctxs);
     let text = graph.to_json()?;
-    validate_callgraph(&text)?;
     std::fs::write(&args.out, &text).map_err(|e| AnalysisError::io(&args.out, e))?;
     if !args.quiet {
         eprintln!(
@@ -151,18 +120,10 @@ fn run_graph(args: &Args) -> Result<Exit, AnalysisError> {
 }
 
 fn run(args: &Args) -> Result<Exit, AnalysisError> {
-    let metrics = if args.timings {
-        Metrics::enabled()
-    } else {
-        Metrics::disabled()
-    };
-    let engine = Engine::with_metrics(metrics.clone());
+    let engine = Engine::new();
 
     if args.list_rules {
         for rule in engine.rules() {
-            println!("{:<28} {}", rule.id(), rule.summary());
-        }
-        for rule in engine.workspace_rules() {
             println!("{:<28} {}", rule.id(), rule.summary());
         }
         println!(
@@ -177,94 +138,27 @@ fn run(args: &Args) -> Result<Exit, AnalysisError> {
     }
 
     let run = engine.lint_root(&args.root)?;
-
-    if args.fix_baseline {
-        let baseline = Baseline::from_findings(&run.findings);
-        baseline.save(&args.baseline)?;
-        if !args.quiet {
-            eprintln!(
-                "memes-lint: wrote {} with {} entr{} ({} finding{})",
-                args.baseline.display(),
-                baseline.entries.len(),
-                if baseline.entries.len() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                },
-                run.findings.len(),
-                if run.findings.len() == 1 { "" } else { "s" },
-            );
-        }
-        return Ok(Exit::Clean);
-    }
-
-    let baseline = Baseline::load(&args.baseline)?;
-    let mut report = engine.build_report(&run, &baseline);
-    if args.timings {
-        report.timings = Some(collect_timings(&metrics));
-    }
-
-    // Self-validate before writing: a malformed artifact must never
-    // reach CI consumers.
-    let text = report.to_json()?;
-    validate_lint_report(&text)?;
+    let text = engine.build_report(&run).to_json()?;
     std::fs::write(&args.report, &text).map_err(|e| AnalysisError::io(&args.report, e))?;
 
-    let (fresh, known) = baseline.partition(&run.findings);
     if !args.quiet {
-        for f in &fresh {
+        for f in &run.findings {
             eprintln!(
                 "{}:{}:{}: [{}] {}",
                 f.file, f.line, f.col, f.rule, f.message
             );
         }
         eprintln!(
-            "memes-lint: {} file(s), {} finding(s): {} new, {} grandfathered \
-             (report: {})",
+            "memes-lint: {} file(s), {} finding(s) (report: {})",
             run.files_scanned,
             run.findings.len(),
-            fresh.len(),
-            known.len(),
             args.report.display(),
         );
     }
 
-    if args.deny_new {
-        // The ratchet: only findings outside the baseline fail the gate.
-        if fresh.is_empty() {
-            Ok(Exit::Clean)
-        } else {
-            eprintln!(
-                "memes-lint: {} new finding(s) not in {} — fix them or (with \
-                 review) run --fix-baseline",
-                fresh.len(),
-                args.baseline.display(),
-            );
-            Ok(Exit::Violations)
-        }
-    } else if run.findings.is_empty() {
+    if run.findings.is_empty() {
         Ok(Exit::Clean)
     } else {
         Ok(Exit::Violations)
     }
-}
-
-/// Export the engine's `lint.*` spans from the metrics registry.
-fn collect_timings(metrics: &Metrics) -> Vec<RuleTiming> {
-    let Some(registry) = metrics.registry() else {
-        return Vec::new();
-    };
-    registry
-        .snapshot()
-        .spans
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("lint."))
-        .map(|(name, s)| RuleTiming {
-            name,
-            calls: s.calls,
-            total_secs: s.total_secs,
-            min_secs: s.min_secs,
-            max_secs: s.max_secs,
-        })
-        .collect()
 }

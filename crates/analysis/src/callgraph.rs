@@ -1,17 +1,15 @@
-//! The `callgraph.json` artifact and its schema validator.
+//! The `callgraph.json` artifact.
 //!
 //! `memes-lint graph --out callgraph.json` dumps the pass-1 workspace
 //! model (see [`crate::symbols`]) so the CI archive carries the same
 //! graph the interprocedural rules ran on: every function with its
 //! qualification and annotations, every *resolved* edge with a call
-//! count, and every call the resolver declined to guess about. Like
-//! the lint report, the producer self-validates through an independent
-//! structural checker ([`validate_callgraph`]) before writing.
+//! count, and every call the resolver declined to guess about.
 
 use crate::context::FileContext;
 use crate::error::AnalysisError;
 use crate::symbols::{Unresolved, WorkspaceModel};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Schema version of `callgraph.json`; bump on incompatible change.
@@ -172,167 +170,9 @@ impl CallGraph {
         }
     }
 
-    /// Serialize (pretty, trailing newline), self-validating first.
+    /// Serialize (pretty, trailing newline).
     pub fn to_json(&self) -> Result<String, AnalysisError> {
-        let mut text =
-            serde_json::to_string_pretty(self).map_err(|e| AnalysisError::ReportInvalid {
-                detail: e.to_string(),
-            })?;
-        text.push('\n');
-        validate_callgraph(&text)?;
-        Ok(text)
-    }
-}
-
-/// Structurally validate a `callgraph.json` document, independently of
-/// the serde types that produced it.
-pub fn validate_callgraph(text: &str) -> Result<(), AnalysisError> {
-    let invalid = |detail: String| AnalysisError::ReportInvalid { detail };
-    let doc: Value = serde_json::from_str(text)
-        // lint:allow(untyped-error): invalid() wraps into AnalysisError::ReportInvalid
-        .map_err(|e| invalid(format!("not valid JSON: {e}")))?;
-    let root = doc
-        .as_object()
-        .ok_or_else(|| invalid("top level is not an object".into()))?;
-
-    let version = get(root, "schema_version")
-        .and_then(as_u64)
-        .ok_or_else(|| invalid("missing integer `schema_version`".into()))?;
-    if version != u64::from(CALLGRAPH_SCHEMA_VERSION) {
-        return Err(invalid(format!(
-            "schema_version {version} != supported {CALLGRAPH_SCHEMA_VERSION}"
-        )));
-    }
-    if get(root, "tool").and_then(Value::as_str) != Some("memes-lint") {
-        return Err(invalid("`tool` must be \"memes-lint\"".into()));
-    }
-
-    let functions = get(root, "functions")
-        .and_then(Value::as_array)
-        .ok_or_else(|| invalid("missing array `functions`".into()))?;
-    let n = functions.len() as u64;
-    for (i, f) in functions.iter().enumerate() {
-        let f = f
-            .as_object()
-            .ok_or_else(|| invalid(format!("functions[{i}] is not an object")))?;
-        match get(f, "id").and_then(as_u64) {
-            Some(id) if id == i as u64 => {}
-            other => {
-                return Err(invalid(format!(
-                    "functions[{i}]: `id` must equal the index, got {other:?}"
-                )))
-            }
-        }
-        for key in ["qualified", "file", "class"] {
-            if get(f, key).and_then(Value::as_str).is_none() {
-                return Err(invalid(format!("functions[{i}]: missing string `{key}`")));
-            }
-        }
-        for key in ["line", "col"] {
-            match get(f, key).and_then(as_u64) {
-                Some(v) if v >= 1 => {}
-                _ => return Err(invalid(format!("functions[{i}]: `{key}` must be >= 1"))),
-            }
-        }
-        for key in ["is_test", "panics_doc", "hotpath"] {
-            if !matches!(get(f, key), Some(Value::Bool(_))) {
-                return Err(invalid(format!("functions[{i}]: missing bool `{key}`")));
-            }
-        }
-    }
-
-    let edges = get(root, "edges")
-        .and_then(Value::as_array)
-        .ok_or_else(|| invalid("missing array `edges`".into()))?;
-    for (i, e) in edges.iter().enumerate() {
-        let e = e
-            .as_object()
-            .ok_or_else(|| invalid(format!("edges[{i}] is not an object")))?;
-        for key in ["caller", "callee"] {
-            match get(e, key).and_then(as_u64) {
-                Some(id) if id < n => {}
-                other => {
-                    return Err(invalid(format!(
-                        "edges[{i}]: `{key}` must be a valid node id, got {other:?}"
-                    )))
-                }
-            }
-        }
-        for key in ["line", "col", "count"] {
-            match get(e, key).and_then(as_u64) {
-                Some(v) if v >= 1 => {}
-                _ => return Err(invalid(format!("edges[{i}]: `{key}` must be >= 1"))),
-            }
-        }
-    }
-
-    let unresolved = get(root, "unresolved")
-        .and_then(Value::as_array)
-        .ok_or_else(|| invalid("missing array `unresolved`".into()))?;
-    for (i, u) in unresolved.iter().enumerate() {
-        let u = u
-            .as_object()
-            .ok_or_else(|| invalid(format!("unresolved[{i}] is not an object")))?;
-        match get(u, "caller").and_then(as_u64) {
-            Some(id) if id < n => {}
-            other => {
-                return Err(invalid(format!(
-                    "unresolved[{i}]: `caller` must be a valid node id, got {other:?}"
-                )))
-            }
-        }
-        if get(u, "name").and_then(Value::as_str).is_none() {
-            return Err(invalid(format!("unresolved[{i}]: missing string `name`")));
-        }
-        match get(u, "kind").and_then(Value::as_str) {
-            Some("bare" | "method" | "path") => {}
-            other => {
-                return Err(invalid(format!(
-                    "unresolved[{i}]: `kind` must be bare/method/path, got {other:?}"
-                )))
-            }
-        }
-        match get(u, "reason").and_then(Value::as_str) {
-            Some("ambiguous" | "unknown") => {}
-            other => {
-                return Err(invalid(format!(
-                    "unresolved[{i}]: `reason` must be ambiguous/unknown, got {other:?}"
-                )))
-            }
-        }
-        for key in ["line", "col", "count"] {
-            match get(u, key).and_then(as_u64) {
-                Some(v) if v >= 1 => {}
-                _ => return Err(invalid(format!("unresolved[{i}]: `{key}` must be >= 1"))),
-            }
-        }
-    }
-
-    let totals = get(root, "totals")
-        .and_then(Value::as_object)
-        .ok_or_else(|| invalid("missing object `totals`".into()))?;
-    let tget = |key: &str| {
-        get(totals, key)
-            .and_then(as_u64)
-            .ok_or_else(|| invalid(format!("missing integer `totals.{key}`")))
-    };
-    if tget("functions")? != n
-        || tget("edges")? != edges.len() as u64
-        || tget("unresolved")? != unresolved.len() as u64
-    {
-        return Err(invalid("totals inconsistent with arrays".into()));
-    }
-    Ok(())
-}
-
-fn get<'v>(obj: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        _ => None,
+        crate::report::to_pretty_json(self)
     }
 }
 
@@ -349,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_roundtrips_and_validates() {
+    fn dump_roundtrips() {
         let g = graph_of(&[(
             "crates/core/src/x.rs",
             "fn a() { b(); b(); c.mystery(); }\nfn b() {}\n",
@@ -358,9 +198,9 @@ mod tests {
         assert_eq!(g.edges.len(), 1);
         assert_eq!(g.edges[0].count, 2, "call sites collapse into one edge");
         let text = g.to_json().unwrap();
-        validate_callgraph(&text).unwrap();
         let back: CallGraph = serde_json::from_str(&text).unwrap();
         assert_eq!(back.totals.functions, 2);
+        assert_eq!(back.to_json().unwrap(), text);
     }
 
     #[test]
@@ -369,21 +209,5 @@ mod tests {
         let t1 = graph_of(&files).to_json().unwrap();
         let t2 = graph_of(&files).to_json().unwrap();
         assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn bad_edge_ids_fail_validation() {
-        let g = graph_of(&[("crates/core/src/x.rs", "fn a() { b(); }\nfn b() {}\n")]);
-        let text = g
-            .to_json()
-            .unwrap()
-            .replace("\"callee\": 1", "\"callee\": 99");
-        assert!(validate_callgraph(&text).is_err());
-    }
-
-    #[test]
-    fn garbage_fails() {
-        assert!(validate_callgraph("not json").is_err());
-        assert!(validate_callgraph("{}").is_err());
     }
 }

@@ -14,7 +14,7 @@ pub struct FileContext<'a> {
     pub comments: Vec<Comment>,
     /// `line_is_test[line - 1]` — whether the 1-based line sits inside
     /// a `#[cfg(test)]` module or a `#[test]` function, or the whole
-    /// file is test/bench/example code.
+    /// file is test/example/build-script code.
     pub line_is_test: Vec<bool>,
 }
 
@@ -25,7 +25,7 @@ impl<'a> FileContext<'a> {
         let n = line_count(&file.text);
         let line_is_test = if matches!(
             file.class,
-            FileClass::Test | FileClass::Bench | FileClass::Example | FileClass::Build
+            FileClass::Test | FileClass::Example | FileClass::Build
         ) {
             vec![true; n]
         } else {

@@ -1,21 +1,17 @@
-//! The lint engine: walk, lex, run rules, apply suppressions, diff
-//! against the baseline, build the report.
+//! The lint engine: walk, lex, build the pass-1 model, run the rules,
+//! apply suppressions, build the report.
 
-use crate::baseline::Baseline;
 use crate::context::FileContext;
 use crate::error::AnalysisError;
-use crate::report::{FindingStatus, Report, ReportFinding, RuleSummary, Totals};
-use crate::rules::{
-    all_rule_ids, builtin_rules, workspace_rules, Finding, Rule, Workspace, WorkspaceRule,
-};
+use crate::report::{Report, RuleSummary, Totals, REPORT_SCHEMA_VERSION};
+use crate::rules::{all_rule_ids, builtin_rules, Finding, Rule, Workspace, ENGINE_RULE_IDS};
 use crate::source::{walk_workspace, SourceFile};
 use crate::suppress::{parse_suppressions, Suppression};
 use crate::symbols::WorkspaceModel;
-use meme_metrics::Metrics;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Result of linting a set of files (before baseline diffing).
+/// Result of linting a set of files.
 pub struct LintRun {
     /// Findings that survived suppression, sorted by
     /// (file, line, col, rule).
@@ -27,8 +23,6 @@ pub struct LintRun {
 /// The engine: the rule registry plus the scan drivers.
 pub struct Engine {
     rules: Vec<Box<dyn Rule>>,
-    ws_rules: Vec<Box<dyn WorkspaceRule>>,
-    metrics: Metrics,
 }
 
 impl Default for Engine {
@@ -38,32 +32,16 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the built-in registry and metrics disabled.
+    /// An engine with the built-in registry.
     pub fn new() -> Self {
         Self {
             rules: builtin_rules(),
-            ws_rules: workspace_rules(),
-            metrics: Metrics::disabled(),
         }
     }
 
-    /// An engine that records a `lint.rule.<id>.duration` span per rule
-    /// into `metrics` (used by `memes-lint --timings`).
-    pub fn with_metrics(metrics: Metrics) -> Self {
-        Self {
-            metrics,
-            ..Self::new()
-        }
-    }
-
-    /// The registered per-file content rules.
+    /// The registered rules.
     pub fn rules(&self) -> &[Box<dyn Rule>] {
         &self.rules
-    }
-
-    /// The registered workspace (interprocedural) rules.
-    pub fn workspace_rules(&self) -> &[Box<dyn WorkspaceRule>] {
-        &self.ws_rules
     }
 
     /// Lint every workspace `.rs` file under `root`.
@@ -72,8 +50,8 @@ impl Engine {
         Ok(self.lint_files(&files))
     }
 
-    /// Lint a file set as one unit: per-file rules, then the pass-1
-    /// workspace model and the interprocedural rules, then `lint:allow`
+    /// Lint a file set as one unit: pass 1 (symbols, call graph, lock
+    /// model), every rule over the workspace, then `lint:allow`
     /// application per file, then one global deterministic sort.
     pub fn lint_files(&self, files: &[SourceFile]) -> LintRun {
         let ctxs: Vec<FileContext<'_>> = files.iter().map(FileContext::build).collect();
@@ -81,59 +59,31 @@ impl Engine {
             .iter()
             .map(|c| parse_suppressions(&c.comments))
             .collect();
-
-        // Per-file rules, rule-outer so each rule gets one timing span
-        // covering the whole file set.
-        let mut raw: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
-        for rule in &self.rules {
-            let span = self
-                .metrics
-                .span(&format!("lint.rule.{}.duration", rule.id()));
-            for (i, ctx) in ctxs.iter().enumerate() {
-                if rule.applies(ctx.file) {
-                    raw[i].extend(rule.check(ctx));
-                }
-            }
-            span.finish();
-        }
-
-        // Pass 1 (symbols, call graph, lock model), then pass 2.
-        let model = {
-            let span = self.metrics.span("lint.pass.workspace-model.duration");
-            let model = WorkspaceModel::build(&ctxs);
-            span.finish();
-            model
-        };
+        let model = WorkspaceModel::build(&ctxs);
         let ws = Workspace {
             contexts: &ctxs,
             model: &model,
             suppressions: &sups,
         };
+
         let index_of: BTreeMap<&str, usize> = files
             .iter()
             .enumerate()
             .map(|(i, f)| (f.path.as_str(), i))
             .collect();
-        for rule in &self.ws_rules {
-            let span = self
-                .metrics
-                .span(&format!("lint.rule.{}.duration", rule.id()));
+        let mut raw: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
+        for rule in &self.rules {
             for f in rule.check(&ws) {
-                // Workspace rules only ever report into scanned files.
+                // Rules only ever report into scanned files.
                 if let Some(&i) = index_of.get(f.file.as_str()) {
                     raw[i].push(f);
                 }
             }
-            span.finish();
         }
 
         let mut findings = Vec::new();
-        for (i, file) in files.iter().enumerate() {
-            findings.extend(apply_suppressions(
-                file,
-                std::mem::take(&mut raw[i]),
-                sups[i].clone(),
-            ));
+        for ((file, raw), sups) in files.iter().zip(raw).zip(sups) {
+            findings.extend(apply_suppressions(file, raw, sups));
         }
         findings.sort_by(|a, b| {
             (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
@@ -144,10 +94,39 @@ impl Engine {
         }
     }
 
-    /// Lint one file (tests, fixtures). Workspace rules run too, seeing
-    /// a one-file workspace.
+    /// Lint one file (tests, fixtures): a one-file workspace.
     pub fn lint_source(&self, file: &SourceFile) -> Vec<Finding> {
         self.lint_files(std::slice::from_ref(file)).findings
+    }
+
+    /// Build the full report for a run.
+    pub fn build_report(&self, run: &LintRun) -> Report {
+        let mut per_rule: BTreeMap<&str, u32> = BTreeMap::new();
+        for f in &run.findings {
+            *per_rule.entry(f.rule.as_str()).or_insert(0) += 1;
+        }
+        let engine_ids = ENGINE_RULE_IDS.map(|id| (id, "suppression hygiene (engine-level)"));
+        let rules = self
+            .rules
+            .iter()
+            .map(|r| (r.id(), r.summary()))
+            .chain(engine_ids)
+            .map(|(id, summary)| RuleSummary {
+                id: id.to_string(),
+                summary: summary.to_string(),
+                count: per_rule.get(id).copied().unwrap_or(0),
+            })
+            .collect();
+        Report {
+            schema_version: REPORT_SCHEMA_VERSION,
+            tool: "memes-lint".to_string(),
+            files_scanned: run.files_scanned,
+            rules,
+            findings: run.findings.clone(),
+            totals: Totals {
+                total: run.findings.len() as u32,
+            },
+        }
     }
 }
 
@@ -233,95 +212,6 @@ fn apply_suppressions(
     out
 }
 
-impl Engine {
-    /// Build the full report for a run diffed against a baseline.
-    pub fn build_report(&self, run: &LintRun, baseline: &Baseline) -> Report {
-        let (fresh, _known) = baseline.partition(&run.findings);
-        let is_fresh: Vec<bool> = {
-            // partition() clones; recover per-finding status by replaying
-            // the same budget logic over the sorted findings.
-            let mut budget: BTreeMap<(&str, &str, &str), u32> = BTreeMap::new();
-            for e in &baseline.entries {
-                *budget
-                    .entry((e.file.as_str(), e.rule.as_str(), e.key.as_str()))
-                    .or_insert(0) += e.count;
-            }
-            run.findings
-                .iter()
-                .map(|f| {
-                    match budget.get_mut(&(f.file.as_str(), f.rule.as_str(), f.key.as_str())) {
-                        Some(n) if *n > 0 => {
-                            *n -= 1;
-                            false
-                        }
-                        _ => true,
-                    }
-                })
-                .collect()
-        };
-        debug_assert_eq!(is_fresh.iter().filter(|&&b| b).count(), fresh.len());
-
-        let mut per_rule: BTreeMap<&str, u32> = BTreeMap::new();
-        for f in &run.findings {
-            *per_rule.entry(f.rule.as_str()).or_insert(0) += 1;
-        }
-        let mut rules: Vec<RuleSummary> = self
-            .rules
-            .iter()
-            .map(|r| RuleSummary {
-                id: r.id().to_string(),
-                summary: r.summary().to_string(),
-                count: per_rule.get(r.id()).copied().unwrap_or(0),
-            })
-            .collect();
-        for r in &self.ws_rules {
-            rules.push(RuleSummary {
-                id: r.id().to_string(),
-                summary: r.summary().to_string(),
-                count: per_rule.get(r.id()).copied().unwrap_or(0),
-            });
-        }
-        for id in crate::rules::ENGINE_RULE_IDS {
-            rules.push(RuleSummary {
-                id: id.to_string(),
-                summary: "suppression hygiene (engine-level)".to_string(),
-                count: per_rule.get(id).copied().unwrap_or(0),
-            });
-        }
-
-        let findings: Vec<ReportFinding> = run
-            .findings
-            .iter()
-            .zip(&is_fresh)
-            .map(|(f, &fresh)| {
-                ReportFinding::new(
-                    f,
-                    if fresh {
-                        FindingStatus::New
-                    } else {
-                        FindingStatus::Grandfathered
-                    },
-                )
-            })
-            .collect();
-        let new = is_fresh.iter().filter(|&&b| b).count() as u32;
-        let total = findings.len() as u32;
-        Report {
-            schema_version: crate::report::REPORT_SCHEMA_VERSION,
-            tool: "memes-lint".to_string(),
-            files_scanned: run.files_scanned,
-            rules,
-            findings,
-            totals: Totals {
-                total,
-                new,
-                grandfathered: total - new,
-            },
-            timings: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,7 +226,7 @@ mod tests {
         let f = lint_one(
             "crates/core/src/x.rs",
             "fn f() {\n\
-                 // lint:allow(panic-in-pipeline): documented invariant, tested above\n\
+                 // lint:allow(panic-reachable): documented invariant, tested above\n\
                  a.unwrap();\n\
              }\n",
         );
@@ -347,7 +237,7 @@ mod tests {
     fn trailing_suppression_works() {
         let f = lint_one(
             "crates/core/src/x.rs",
-            "fn f() { a.unwrap(); } // lint:allow(panic-in-pipeline): invariant\n",
+            "fn f() { a.unwrap(); } // lint:allow(panic-reachable): invariant\n",
         );
         assert!(f.is_empty(), "{f:?}");
     }
@@ -356,11 +246,11 @@ mod tests {
     fn reasonless_suppression_is_invalid_and_inert() {
         let f = lint_one(
             "crates/core/src/x.rs",
-            "fn f() {\n// lint:allow(panic-in-pipeline)\na.unwrap();\n}\n",
+            "fn f() {\n// lint:allow(panic-reachable)\na.unwrap();\n}\n",
         );
         let rules: Vec<&str> = f.iter().map(|f| f.rule.as_str()).collect();
         assert!(rules.contains(&"invalid-suppression"), "{rules:?}");
-        assert!(rules.contains(&"panic-in-pipeline"), "{rules:?}");
+        assert!(rules.contains(&"panic-reachable"), "{rules:?}");
     }
 
     #[test]
@@ -378,7 +268,7 @@ mod tests {
     fn unused_suppression_is_flagged() {
         let f = lint_one(
             "crates/core/src/x.rs",
-            "// lint:allow(panic-in-pipeline): nothing here panics\nfn f() {}\n",
+            "// lint:allow(panic-reachable): nothing here panics\nfn f() {}\n",
         );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "unused-suppression");
@@ -406,37 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn report_statuses_match_partition() {
-        let files = [SourceFile::new(
-            "crates/core/src/a.rs",
-            "fn f() { a.unwrap(); }\n",
-        )];
-        let engine = Engine::new();
-        let run = engine.lint_files(&files);
-        assert_eq!(run.findings.len(), 1);
-
-        let empty = Baseline::default();
-        let report = engine.build_report(&run, &empty);
-        assert_eq!(report.totals.new, 1);
-        assert_eq!(report.totals.grandfathered, 0);
-
-        let grandfathering = Baseline::from_findings(&run.findings);
-        let report = engine.build_report(&run, &grandfathering);
-        assert_eq!(report.totals.new, 0);
-        assert_eq!(report.totals.grandfathered, 1);
-        report.to_json().unwrap();
-    }
-
-    #[test]
-    fn report_json_is_byte_stable_across_runs() {
-        // Workspace rules iterate graph structures; any hidden
-        // iteration-order dependence would churn the committed report.
-        // Exercise panic-reachable (cross-file) plus a content rule.
+    fn report_json_is_byte_stable_and_roundtrips() {
+        // Rules iterate graph structures; any hidden iteration-order
+        // dependence would churn the archived report. Exercise a
+        // cross-file caller finding plus a site finding.
         let files = [
             SourceFile::new(
                 "crates/cluster/src/w.rs",
                 "/// # Panics\n/// Panics on empty input.\npub fn medoids(x: &[u64]) -> u64 {\n\
-                 // lint:allow(panic-in-pipeline): documented wrapper\n    x.first().unwrap() + 0\n}\n",
+                 // lint:allow(panic-reachable): documented wrapper\n    x.first().unwrap() + 0\n}\n",
             ),
             SourceFile::new(
                 "crates/core/src/a.rs",
@@ -447,16 +315,21 @@ mod tests {
         let engine = Engine::new();
         let render = || {
             let run = engine.lint_files(&files);
-            let baseline = Baseline::default();
-            engine.build_report(&run, &baseline).to_json().unwrap()
+            engine.build_report(&run).to_json().unwrap()
         };
         let first = render();
-        assert!(
-            first.contains("panic-reachable"),
-            "fixture should trip the ws rule"
-        );
         for _ in 0..3 {
             assert_eq!(first, render(), "report JSON must be byte-stable");
         }
+
+        // The one serde round-trip of the artifact: what was written
+        // reads back as the same findings and a consistent roll-up.
+        let back: Report = serde_json::from_str(&first).unwrap();
+        assert_eq!(back.findings, engine.lint_files(&files).findings);
+        assert_eq!(back.findings.len(), 2, "stage's call and run's site");
+        assert_eq!(back.totals.total, 2);
+        assert_eq!(back.rules.len(), all_rule_ids().len());
+        let counted: u32 = back.rules.iter().map(|r| r.count).sum();
+        assert_eq!(counted, back.totals.total);
     }
 }

@@ -27,18 +27,9 @@ pub enum AnalysisError {
         /// The underlying I/O error, rendered.
         detail: String,
     },
-    /// The baseline file exists but could not be decoded, or declares
-    /// an unsupported schema version.
-    BaselineCorrupt {
-        /// The baseline path.
-        path: String,
-        /// What was wrong with it.
-        detail: String,
-    },
-    /// A produced report failed its own schema validation — an internal
-    /// invariant violation, surfaced rather than silently shipped.
-    ReportInvalid {
-        /// The validator's complaint.
+    /// A report or call-graph dump could not be serialized.
+    Serialize {
+        /// The serializer's complaint.
         detail: String,
     },
 }
@@ -57,12 +48,7 @@ impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Io { path, detail } => write!(f, "cannot access {path}: {detail}"),
-            Self::BaselineCorrupt { path, detail } => {
-                write!(f, "baseline {path} is corrupt: {detail}")
-            }
-            Self::ReportInvalid { detail } => {
-                write!(f, "generated report failed schema validation: {detail}")
-            }
+            Self::Serialize { detail } => write!(f, "cannot serialize the artifact: {detail}"),
         }
     }
 }
@@ -74,7 +60,7 @@ impl std::error::Error for AnalysisError {}
 pub enum Exit {
     /// Everything ran; nothing to report.
     Clean,
-    /// The tool ran correctly and is reporting violations (new lint
+    /// The tool ran correctly and is reporting violations (lint
     /// findings, invalid metrics JSON, a failed pipeline run).
     Violations,
     /// The tool could not do its job: unreadable input, bad usage,
@@ -112,11 +98,11 @@ mod tests {
 
     #[test]
     fn errors_render_their_context() {
-        let e = AnalysisError::BaselineCorrupt {
-            path: "lint-baseline.json".into(),
-            detail: "bad version".into(),
-        };
-        assert!(e.to_string().contains("lint-baseline.json"));
-        assert!(e.to_string().contains("bad version"));
+        let e = AnalysisError::io(
+            Path::new("crates/core/src"),
+            std::io::Error::other("permission denied"),
+        );
+        assert!(e.to_string().contains("crates/core/src"));
+        assert!(e.to_string().contains("permission denied"));
     }
 }

@@ -291,6 +291,16 @@ impl Lexer {
     fn number(&mut self, line: u32, col: u32) {
         let mut text = String::new();
         let mut float = false;
+        // After a `.` the digits are a tuple field: `t.0.1` is `t` `.`
+        // `0` `.` `1`, never the float `0.1`.
+        if self.out.tokens.last().is_some_and(|t| t.is_punct(".")) {
+            while let Some(c) = self.peek(0).filter(char::is_ascii_digit) {
+                text.push(c);
+                self.bump();
+            }
+            self.push(TokenKind::Int, text, line, col);
+            return;
+        }
         // Base prefix?
         if self.peek(0) == Some('0')
             && matches!(self.peek(1), Some('x' | 'X' | 'o' | 'O' | 'b' | 'B'))
@@ -574,6 +584,14 @@ mod tests {
             .any(|(k, t)| *k == TokenKind::Punct && t == ".."));
         // `1.max` stays an int followed by a method call.
         assert!(toks.iter().any(|(_, t)| t == "max"));
+    }
+
+    #[test]
+    fn tuple_field_chain_is_not_a_float() {
+        let toks = kinds("t.0.1 == 3");
+        let texts: Vec<&str> = toks.iter().map(|(_, t)| t.as_str()).collect();
+        assert_eq!(texts, ["t", ".", "0", ".", "1", "==", "3"]);
+        assert!(toks.iter().all(|(k, _)| *k != TokenKind::Float));
     }
 
     #[test]

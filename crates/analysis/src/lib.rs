@@ -2,33 +2,29 @@
 //!
 //! `memes-lint` (this crate's binary) enforces the invariants the test
 //! suite can only sample: determinism (no hash-order leaking into
-//! output, no unseeded RNGs, no wall-clock reads in algorithm code),
-//! panic-freedom in pipeline hot paths, and the PR 1 typed-error
-//! taxonomy at public API boundaries. It is a token-level analyzer —
-//! a lexer and pattern walker, not a full parser — which keeps it
-//! dependency-free and fast enough to run on every CI push.
+//! output, no wall-clock reads in algorithm code), panic-freedom in
+//! pipeline hot paths, and the PR 1 typed-error taxonomy at public API
+//! boundaries. It is a token-level analyzer — a lexer and pattern
+//! walker, not a full parser — which keeps it dependency-free and fast
+//! enough to run on every CI push.
 //!
 //! Architecture:
 //! - [`lexer`] — Rust lexer producing tokens + comments with 1-based
 //!   line/col spans.
 //! - [`source`] — workspace walker and file classification
-//!   (lib/bin/test/bench/build).
+//!   (lib/bin/test/build/example).
 //! - [`context`] — per-file analysis context incl. `#[cfg(test)]`
 //!   region detection.
-//! - [`rules`] — the [`rules::Rule`] registry (six per-file content
-//!   rules, three interprocedural [`rules::WorkspaceRule`]s, plus
-//!   engine-level suppression hygiene).
+//! - [`rules`] — the [`rules::Rule`] registry (seven rules on one
+//!   trait, plus engine-level suppression hygiene).
 //! - [`symbols`] — pass 1: symbol table, best-effort call graph, and
 //!   lock model built from the token stream (DESIGN.md §13).
-//! - [`callgraph`] — `memes-lint graph`: the schema-validated
-//!   `callgraph.json` dump of the pass-1 model.
+//! - [`callgraph`] — `memes-lint graph`: the `callgraph.json` dump of
+//!   the pass-1 model.
 //! - [`suppress`] — `// lint:allow(<rule>): <reason>` directives.
-//! - [`baseline`] — the checked-in ratchet (`lint-baseline.json`).
-//! - [`report`] — `lint-report.json` plus its independent schema
-//!   validator (same pattern as the metrics export).
+//! - [`report`] — `lint-report.json`.
 //! - [`engine`] — ties it together.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod context;
 pub mod engine;
@@ -40,13 +36,10 @@ pub mod source;
 pub mod suppress;
 pub mod symbols;
 
-pub use baseline::{Baseline, BaselineEntry, BASELINE_SCHEMA_VERSION};
-pub use callgraph::{validate_callgraph, CallGraph, CALLGRAPH_SCHEMA_VERSION};
+pub use callgraph::{CallGraph, CALLGRAPH_SCHEMA_VERSION};
 pub use engine::{Engine, LintRun};
 pub use error::{AnalysisError, Exit};
-pub use report::{validate_lint_report, Report, REPORT_SCHEMA_VERSION};
-pub use rules::{
-    all_rule_ids, builtin_rules, workspace_rules, Finding, Rule, Workspace, WorkspaceRule,
-};
+pub use report::{Report, REPORT_SCHEMA_VERSION};
+pub use rules::{all_rule_ids, builtin_rules, Finding, Rule, Workspace};
 pub use source::{walk_workspace, FileClass, SourceFile};
 pub use symbols::WorkspaceModel;

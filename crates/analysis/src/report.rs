@@ -1,92 +1,15 @@
-//! The machine-readable lint report and its schema validator.
+//! The machine-readable lint report (`lint-report.json`).
 //!
-//! Same pattern as the PR 2 metrics export: the producer serializes a
-//! typed struct, and an *independent* structural validator
-//! ([`validate_lint_report`]) re-checks the JSON before it is written
-//! or consumed, so a schema drift fails loudly in CI instead of
-//! silently feeding malformed artifacts downstream. `memes-lint`
-//! validates its own report before writing it.
+//! CI archives it; no program reads it back, so the typed structs below
+//! are the schema and serde is the only producer.
 
 use crate::error::AnalysisError;
 use crate::rules::Finding;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
-/// Schema version of `lint-report.json`; bump on incompatible change.
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
-
-/// Disposition of one finding relative to the baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FindingStatus {
-    /// Not in the baseline — fails `--deny-new`.
-    New,
-    /// Absorbed by a baseline entry.
-    Grandfathered,
-}
-
-impl FindingStatus {
-    /// The JSON wire form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FindingStatus::New => "new",
-            FindingStatus::Grandfathered => "grandfathered",
-        }
-    }
-}
-
-impl Serialize for FindingStatus {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for FindingStatus {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_str() {
-            Some("new") => Ok(FindingStatus::New),
-            Some("grandfathered") => Ok(FindingStatus::Grandfathered),
-            _ => Err(DeError::expected(
-                "\"new\" or \"grandfathered\"",
-                "FindingStatus",
-            )),
-        }
-    }
-}
-
-/// One finding as reported: the diagnostic plus its baseline
-/// disposition. Fields mirror [`Finding`] (the vendored serde model has
-/// no `flatten`, so they are spelled out).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReportFinding {
-    /// Rule id.
-    pub rule: String,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Human-readable explanation.
-    pub message: String,
-    /// Baseline key (trimmed source line).
-    pub key: String,
-    /// New vs grandfathered.
-    pub status: FindingStatus,
-}
-
-impl ReportFinding {
-    /// Attach a status to a diagnostic.
-    pub fn new(f: &Finding, status: FindingStatus) -> Self {
-        Self {
-            rule: f.rule.clone(),
-            file: f.file.clone(),
-            line: f.line,
-            col: f.col,
-            message: f.message.clone(),
-            key: f.key.clone(),
-            status,
-        }
-    }
-}
+/// Schema version of `lint-report.json`; bump on incompatible change
+/// (2: findings carry no baseline `status`, the document no `timings`).
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
 /// Per-rule rollup.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -95,26 +18,8 @@ pub struct RuleSummary {
     pub id: String,
     /// One-line description.
     pub summary: String,
-    /// Findings attributed to this rule (new + grandfathered).
+    /// Findings attributed to this rule.
     pub count: u32,
-}
-
-/// Wall-clock timing of one `lint.rule.<id>.duration` span, exported
-/// from the meme-metrics registry when `--timings` is passed. Omitted
-/// (serialized as `null`) by default so the committed report stays
-/// byte-stable run to run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RuleTiming {
-    /// Span path, e.g. `lint.rule.panic-reachable.duration`.
-    pub name: String,
-    /// Number of times the span ran (1 per lint invocation).
-    pub calls: u64,
-    /// Total seconds across all calls.
-    pub total_secs: f64,
-    /// Fastest single call.
-    pub min_secs: f64,
-    /// Slowest single call.
-    pub max_secs: f64,
 }
 
 /// Totals across the run.
@@ -122,10 +27,6 @@ pub struct RuleTiming {
 pub struct Totals {
     /// All findings.
     pub total: u32,
-    /// Findings not covered by the baseline.
-    pub new: u32,
-    /// Findings absorbed by the baseline.
-    pub grandfathered: u32,
 }
 
 /// The full `lint-report.json` document.
@@ -141,269 +42,24 @@ pub struct Report {
     /// so the report documents coverage, not just hits).
     pub rules: Vec<RuleSummary>,
     /// All findings, sorted by (file, line, col, rule).
-    pub findings: Vec<ReportFinding>,
+    pub findings: Vec<Finding>,
     /// Rollup counts.
     pub totals: Totals,
-    /// Per-rule wall-clock timings; `None` (wire: `null`) unless the
-    /// run asked for them, keeping the default report deterministic.
-    pub timings: Option<Vec<RuleTiming>>,
 }
 
 impl Report {
-    /// Serialize (pretty, trailing newline), self-validating first so a
-    /// malformed report can never be written.
+    /// Serialize (pretty, trailing newline).
     pub fn to_json(&self) -> Result<String, AnalysisError> {
-        let mut text =
-            serde_json::to_string_pretty(self).map_err(|e| AnalysisError::ReportInvalid {
-                detail: e.to_string(),
-            })?;
-        text.push('\n');
-        validate_lint_report(&text)?;
-        Ok(text)
+        to_pretty_json(self)
     }
 }
 
-/// Structurally validate a `lint-report.json` document, independently
-/// of the serde types that produced it (mirrors
-/// `validate_metrics_json` in the root crate).
-pub fn validate_lint_report(text: &str) -> Result<(), AnalysisError> {
-    let invalid = |detail: String| AnalysisError::ReportInvalid { detail };
-    let doc: Value = serde_json::from_str(text)
-        // lint:allow(untyped-error): invalid() wraps into AnalysisError::ReportInvalid
-        .map_err(|e| invalid(format!("not valid JSON: {e}")))?;
-    let root = doc
-        .as_object()
-        .ok_or_else(|| invalid("top level is not an object".into()))?;
-
-    let version = get(root, "schema_version")
-        .and_then(as_u64)
-        .ok_or_else(|| invalid("missing integer `schema_version`".into()))?;
-    if version != u64::from(REPORT_SCHEMA_VERSION) {
-        return Err(invalid(format!(
-            "schema_version {version} != supported {REPORT_SCHEMA_VERSION}"
-        )));
-    }
-    if get(root, "tool").and_then(Value::as_str) != Some("memes-lint") {
-        return Err(invalid("`tool` must be \"memes-lint\"".into()));
-    }
-    if get(root, "files_scanned").and_then(as_u64).is_none() {
-        return Err(invalid("missing integer `files_scanned`".into()));
-    }
-
-    let rules = get(root, "rules")
-        .and_then(Value::as_array)
-        .ok_or_else(|| invalid("missing array `rules`".into()))?;
-    for (i, r) in rules.iter().enumerate() {
-        let r = r
-            .as_object()
-            .ok_or_else(|| invalid(format!("rules[{i}] is not an object")))?;
-        for key in ["id", "summary"] {
-            if get(r, key).and_then(Value::as_str).is_none() {
-                return Err(invalid(format!("rules[{i}]: missing string `{key}`")));
-            }
-        }
-        if get(r, "count").and_then(as_u64).is_none() {
-            return Err(invalid(format!("rules[{i}]: missing integer `count`")));
-        }
-    }
-
-    let findings = get(root, "findings")
-        .and_then(Value::as_array)
-        .ok_or_else(|| invalid("missing array `findings`".into()))?;
-    let mut new = 0u64;
-    let mut grandfathered = 0u64;
-    for (i, f) in findings.iter().enumerate() {
-        let f = f
-            .as_object()
-            .ok_or_else(|| invalid(format!("findings[{i}] is not an object")))?;
-        for key in ["rule", "file", "message", "key"] {
-            if get(f, key).and_then(Value::as_str).is_none() {
-                return Err(invalid(format!("findings[{i}]: missing string `{key}`")));
-            }
-        }
-        for key in ["line", "col"] {
-            match get(f, key).and_then(as_u64) {
-                Some(n) if n >= 1 => {}
-                _ => return Err(invalid(format!("findings[{i}]: `{key}` must be >= 1"))),
-            }
-        }
-        match get(f, "status").and_then(Value::as_str) {
-            Some("new") => new += 1,
-            Some("grandfathered") => grandfathered += 1,
-            other => {
-                return Err(invalid(format!(
-                    "findings[{i}]: `status` must be \"new\" or \"grandfathered\", got {other:?}"
-                )))
-            }
-        }
-    }
-
-    let totals = get(root, "totals")
-        .and_then(Value::as_object)
-        .ok_or_else(|| invalid("missing object `totals`".into()))?;
-    let tget = |key: &str| {
-        get(totals, key)
-            .and_then(as_u64)
-            .ok_or_else(|| invalid(format!("missing integer `totals.{key}`")))
-    };
-    let (t, n, g) = (tget("total")?, tget("new")?, tget("grandfathered")?);
-    if t != findings.len() as u64 || n != new || g != grandfathered || t != n + g {
-        return Err(invalid(format!(
-            "totals inconsistent with findings: total={t} new={n} grandfathered={g}, \
-             counted {} / {new} / {grandfathered}",
-            findings.len()
-        )));
-    }
-
-    // `timings` is optional: absent or null when the run did not ask
-    // for them, else an array of span rollups.
-    match get(root, "timings") {
-        None | Some(Value::Null) => {}
-        Some(Value::Array(spans)) => {
-            for (i, s) in spans.iter().enumerate() {
-                let s = s
-                    .as_object()
-                    .ok_or_else(|| invalid(format!("timings[{i}] is not an object")))?;
-                match get(s, "name").and_then(Value::as_str) {
-                    Some(name) if name.starts_with("lint.") => {}
-                    _ => {
-                        return Err(invalid(format!(
-                            "timings[{i}]: `name` must be a string starting with \"lint.\""
-                        )))
-                    }
-                }
-                match get(s, "calls").and_then(as_u64) {
-                    Some(c) if c >= 1 => {}
-                    _ => return Err(invalid(format!("timings[{i}]: `calls` must be >= 1"))),
-                }
-                for key in ["total_secs", "min_secs", "max_secs"] {
-                    match get(s, key).and_then(as_f64) {
-                        Some(v) if v >= 0.0 => {}
-                        _ => {
-                            return Err(invalid(format!(
-                                "timings[{i}]: `{key}` must be a non-negative number"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-        Some(_) => return Err(invalid("`timings` must be null or an array".into())),
-    }
-    Ok(())
-}
-
-/// Look up an object field (the vendored value model keeps objects as
-/// ordered pair lists).
-fn get<'v>(obj: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(x) => Some(*x),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Report {
-        Report {
-            schema_version: REPORT_SCHEMA_VERSION,
-            tool: "memes-lint".into(),
-            files_scanned: 2,
-            rules: vec![RuleSummary {
-                id: "float-eq".into(),
-                summary: "floats".into(),
-                count: 1,
-            }],
-            findings: vec![ReportFinding {
-                rule: "float-eq".into(),
-                file: "crates/stats/src/ecdf.rs".into(),
-                line: 55,
-                col: 12,
-                message: "== on a float".into(),
-                key: "if q == 0.0 {".into(),
-                status: FindingStatus::Grandfathered,
-            }],
-            totals: Totals {
-                total: 1,
-                new: 0,
-                grandfathered: 1,
-            },
-            timings: None,
-        }
-    }
-
-    #[test]
-    fn timings_serialize_as_null_by_default_and_validate_when_present() {
-        let text = sample().to_json().unwrap();
-        assert!(text.contains("\"timings\": null"), "{text}");
-
-        let mut r = sample();
-        r.timings = Some(vec![RuleTiming {
-            name: "lint.rule.float-eq.duration".into(),
-            calls: 1,
-            total_secs: 0.0021,
-            min_secs: 0.0021,
-            max_secs: 0.0021,
-        }]);
-        r.to_json().unwrap();
-
-        let bad = text.replace("\"timings\": null", "\"timings\": 7");
-        assert!(validate_lint_report(&bad).is_err());
-    }
-
-    #[test]
-    fn well_formed_report_roundtrips_and_validates() {
-        let text = sample().to_json().unwrap();
-        validate_lint_report(&text).unwrap();
-        let back: Report = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.totals.total, 1);
-        assert_eq!(back.findings[0].status, FindingStatus::Grandfathered);
-    }
-
-    #[test]
-    fn inconsistent_totals_fail() {
-        let mut r = sample();
-        r.totals.new = 5;
-        assert!(r.to_json().is_err());
-    }
-
-    #[test]
-    fn wrong_version_fails() {
-        let text = sample()
-            .to_json()
-            .unwrap()
-            .replace("\"schema_version\": 1", "\"schema_version\": 42");
-        assert!(validate_lint_report(&text).is_err());
-    }
-
-    #[test]
-    fn garbage_fails() {
-        assert!(validate_lint_report("not json").is_err());
-        assert!(validate_lint_report("[]").is_err());
-        assert!(validate_lint_report("{}").is_err());
-    }
-
-    #[test]
-    fn bad_status_fails() {
-        let text = sample()
-            .to_json()
-            .unwrap()
-            .replace("\"grandfathered\"", "\"vintage\"");
-        assert!(validate_lint_report(&text).is_err());
-    }
+/// Pretty JSON with a trailing newline — the form both artifacts
+/// (`lint-report.json`, `callgraph.json`) are written in.
+pub(crate) fn to_pretty_json<T: Serialize>(doc: &T) -> Result<String, AnalysisError> {
+    let mut text = serde_json::to_string_pretty(doc).map_err(|e| AnalysisError::Serialize {
+        detail: e.to_string(),
+    })?;
+    text.push('\n');
+    Ok(text)
 }

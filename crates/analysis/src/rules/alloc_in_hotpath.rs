@@ -16,7 +16,7 @@
 //! A `lint:hotpath` with no reason is itself a finding — the reason is
 //! the budget statement reviewers hold the path to.
 
-use super::{Finding, Workspace, WorkspaceRule};
+use super::{Finding, Rule, Workspace};
 use crate::symbols::CallKind;
 
 pub struct AllocInHotpath;
@@ -34,7 +34,7 @@ const CONTAINER_TYPES: [&str; 10] = [
 /// refcount.
 const CTOR_NAMES: [&str; 4] = ["new", "with_capacity", "from", "from_iter"];
 
-impl WorkspaceRule for AllocInHotpath {
+impl Rule for AllocInHotpath {
     fn id(&self) -> &'static str {
         "alloc-in-hotpath"
     }

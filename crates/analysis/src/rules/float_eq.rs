@@ -10,7 +10,7 @@
 //! sentinel comparisons *are* exact by construction, and earn a
 //! `lint:allow` with the proof in the reason.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Workspace};
 use crate::context::FileContext;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{FileClass, SourceFile};
@@ -30,11 +30,17 @@ impl Rule for FloatEq {
         "direct ==/!= on floating-point values in stats/phash/hawkes"
     }
 
-    fn applies(&self, file: &SourceFile) -> bool {
+    fn check(&self, ws: &Workspace<'_>) -> Vec<Finding> {
+        ws.per_file(|f| self.in_scope(f), |ctx| self.check_file(ctx))
+    }
+}
+
+impl FloatEq {
+    fn in_scope(&self, file: &SourceFile) -> bool {
         file.class == FileClass::Lib && SCOPED_CRATES.contains(&file.crate_name.as_str())
     }
 
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
+    fn check_file(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
         let toks = &ctx.tokens;
         let floats = float_idents(toks);
         let mut out = Vec::new();
@@ -100,7 +106,7 @@ mod tests {
     fn check(src: &str) -> Vec<Finding> {
         let file = SourceFile::new("crates/stats/src/x.rs", src);
         let ctx = FileContext::build(&file);
-        FloatEq.check(&ctx)
+        FloatEq.check_file(&ctx)
     }
 
     #[test]
@@ -127,6 +133,6 @@ mod tests {
     #[test]
     fn out_of_scope_crates_skip() {
         let file = SourceFile::new("crates/core/src/x.rs", "");
-        assert!(!FloatEq.applies(&file));
+        assert!(!FloatEq.in_scope(&file));
     }
 }

@@ -19,7 +19,7 @@
 //! `Mutex` fields on different instances of the same type share an id,
 //! which is the conservative direction for ordering analysis.
 
-use super::{Finding, Workspace, WorkspaceRule};
+use super::{Finding, Rule, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub struct LockOrder;
@@ -33,7 +33,7 @@ const PRIO_INVERSION: u8 = 2;
 const PRIO_BLOCKING: u8 = 3;
 const PRIO_BLOCKING_VIA: u8 = 4;
 
-impl WorkspaceRule for LockOrder {
+impl Rule for LockOrder {
     fn id(&self) -> &'static str {
         "lock-order"
     }

@@ -2,17 +2,17 @@
 //!
 //! Each rule is a token-pattern check scoped to the crates where its
 //! invariant is load-bearing (DESIGN.md §8 has the catalog and the
-//! rationale per rule). Rules see a [`FileContext`] — tokens, comments,
-//! test mask — and return [`Finding`]s; the engine applies suppressions
-//! and the baseline afterwards.
+//! rationale per rule). Every rule sees the whole [`Workspace`] — each
+//! file's tokens, comments and test mask, plus the pass-1 call graph
+//! and lock model — and returns [`Finding`]s; the engine applies
+//! suppressions afterwards. A rule that needs no cross-file state
+//! implements [`Rule::check`] with [`Workspace::per_file`].
 
 mod alloc_in_hotpath;
 mod float_eq;
 mod lock_order;
 mod nondeterministic_iteration;
-mod panic_in_pipeline;
 mod panic_reachable;
-mod unseeded_rng;
 mod untyped_error;
 mod wallclock;
 
@@ -36,14 +36,13 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable explanation with the fix direction.
     pub message: String,
-    /// Baseline key: the trimmed source line. Stable under unrelated
-    /// edits elsewhere in the file (line numbers are not part of the
-    /// key), so the baseline does not churn.
+    /// The trimmed source line the finding sits on, so the report
+    /// reads without the tree at hand.
     pub key: String,
 }
 
 impl Finding {
-    /// Build a finding, deriving the baseline key from the source line.
+    /// Build a finding, quoting the source line.
     pub fn new(
         rule: &'static str,
         file: &SourceFile,
@@ -66,45 +65,19 @@ impl Finding {
 
 /// A workspace lint rule.
 pub trait Rule: Sync + Send {
-    /// Stable kebab-case id (used in `lint:allow(...)` and the baseline).
+    /// Stable kebab-case id (used in `lint:allow(...)` and the report).
     fn id(&self) -> &'static str;
     /// One-line description for `--list-rules` and the report.
     fn summary(&self) -> &'static str;
-    /// Whether the rule scans this file at all.
-    fn applies(&self, file: &SourceFile) -> bool;
-    /// Scan one file.
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Finding>;
-}
-
-/// All six content rules, in catalog order.
-pub fn builtin_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(nondeterministic_iteration::NondeterministicIteration),
-        Box::new(panic_in_pipeline::PanicInPipeline),
-        Box::new(untyped_error::UntypedError),
-        Box::new(wallclock::WallclockOutsideMetrics),
-        Box::new(unseeded_rng::UnseededRng),
-        Box::new(float_eq::FloatEq),
-    ]
-}
-
-/// A workspace-scoped (interprocedural) rule: sees the whole pass-1
-/// model — every file's tokens plus the call graph and lock model —
-/// instead of one file at a time. Findings still land in concrete
-/// files, so suppression and the baseline apply unchanged.
-pub trait WorkspaceRule: Sync + Send {
-    /// Stable kebab-case id (used in `lint:allow(...)` and the baseline).
-    fn id(&self) -> &'static str;
-    /// One-line description for `--list-rules` and the report.
-    fn summary(&self) -> &'static str;
-    /// Scan the whole workspace.
+    /// Scan the workspace. Findings land in concrete scanned files, so
+    /// suppression applies to every rule alike.
     fn check(&self, ws: &Workspace<'_>) -> Vec<Finding>;
 }
 
-/// Pass-2 view handed to [`WorkspaceRule`]s: the per-file contexts,
-/// the pass-1 [`WorkspaceModel`], and each file's parsed suppressions
-/// (so rules that model suppression semantics — `panic-reachable`'s
-/// edge cutting — see exactly what the engine will honor).
+/// What a rule gets to look at: the per-file contexts, the pass-1
+/// [`WorkspaceModel`], and each file's parsed suppressions (so rules
+/// that model suppression semantics — `panic-reachable`'s edge cutting
+/// — see exactly what the engine will honor).
 pub struct Workspace<'a> {
     /// One context per scanned file, in workspace walk order.
     pub contexts: &'a [FileContext<'a>],
@@ -123,11 +96,29 @@ impl Workspace<'_> {
             .iter()
             .any(|s| s.reason.is_some() && s.covers(rule, line))
     }
+
+    /// The findings of a one-file-at-a-time `check` over every file
+    /// `in_scope` admits.
+    pub(crate) fn per_file(
+        &self,
+        in_scope: impl Fn(&SourceFile) -> bool,
+        check: impl Fn(&FileContext<'_>) -> Vec<Finding>,
+    ) -> Vec<Finding> {
+        self.contexts
+            .iter()
+            .filter(|ctx| in_scope(ctx.file))
+            .flat_map(check)
+            .collect()
+    }
 }
 
-/// The three interprocedural rules, in catalog order.
-pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
+/// All seven rules, in catalog order.
+pub fn builtin_rules() -> Vec<Box<dyn Rule>> {
     vec![
+        Box::new(nondeterministic_iteration::NondeterministicIteration),
+        Box::new(untyped_error::UntypedError),
+        Box::new(wallclock::WallclockOutsideMetrics),
+        Box::new(float_eq::FloatEq),
         Box::new(panic_reachable::PanicReachable),
         Box::new(lock_order::LockOrder),
         Box::new(alloc_in_hotpath::AllocInHotpath),
@@ -135,13 +126,12 @@ pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
 }
 
 /// Engine-level rule ids (suppression hygiene); valid in `lint:allow`
-/// checks even though they are not content rules.
+/// checks even though no [`Rule`] produces them.
 pub const ENGINE_RULE_IDS: [&str; 2] = ["invalid-suppression", "unused-suppression"];
 
-/// Every valid rule id (content + workspace + engine).
+/// Every valid rule id (the seven rules + engine).
 pub fn all_rule_ids() -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = builtin_rules().iter().map(|r| r.id()).collect();
-    ids.extend(workspace_rules().iter().map(|r| r.id()));
     ids.extend(ENGINE_RULE_IDS);
     ids
 }

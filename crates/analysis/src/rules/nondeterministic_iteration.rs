@@ -14,7 +14,9 @@
 //! is fine, as is order-insensitive consumption (for-loop
 //! accumulation, `.sum()`, `.len()`).
 
-use super::{is_method_call, let_binding_name, statement_end, statement_start, Finding, Rule};
+use super::{
+    is_method_call, let_binding_name, statement_end, statement_start, Finding, Rule, Workspace,
+};
 use crate::context::FileContext;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{FileClass, SourceFile};
@@ -41,11 +43,17 @@ impl Rule for NondeterministicIteration {
         "HashMap/HashSet iteration collected into ordered output without a sort"
     }
 
-    fn applies(&self, file: &SourceFile) -> bool {
+    fn check(&self, ws: &Workspace<'_>) -> Vec<Finding> {
+        ws.per_file(|f| self.in_scope(f), |ctx| self.check_file(ctx))
+    }
+}
+
+impl NondeterministicIteration {
+    fn in_scope(&self, file: &SourceFile) -> bool {
         file.class == FileClass::Lib && SCOPED_CRATES.contains(&file.crate_name.as_str())
     }
 
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
+    fn check_file(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
         let toks = &ctx.tokens;
         let hashed = hashed_idents(toks);
         let mut out = Vec::new();
@@ -203,7 +211,7 @@ mod tests {
     fn check(src: &str) -> Vec<Finding> {
         let file = SourceFile::new("crates/core/src/x.rs", src);
         let ctx = FileContext::build(&file);
-        NondeterministicIteration.check(&ctx)
+        NondeterministicIteration.check_file(&ctx)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! wrapping it in a taxonomy type. Lib code in all crates; binaries
 //! (CLI arg parsing) and tests are exempt.
 
-use super::{Finding, Rule};
+use super::{Finding, Rule, Workspace};
 use crate::context::FileContext;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{FileClass, SourceFile};
@@ -27,11 +27,17 @@ impl Rule for UntypedError {
         "Result<_, String> / Box<dyn Error> escaping a public API instead of the typed taxonomy"
     }
 
-    fn applies(&self, file: &SourceFile) -> bool {
+    fn check(&self, ws: &Workspace<'_>) -> Vec<Finding> {
+        ws.per_file(|f| self.in_scope(f), |ctx| self.check_file(ctx))
+    }
+}
+
+impl UntypedError {
+    fn in_scope(&self, file: &SourceFile) -> bool {
         file.class == FileClass::Lib
     }
 
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
+    fn check_file(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
         let toks = &ctx.tokens;
         let mut out = Vec::new();
         let mut i = 0;
@@ -157,7 +163,7 @@ mod tests {
     fn check(src: &str) -> Vec<Finding> {
         let file = SourceFile::new("crates/core/src/x.rs", src);
         let ctx = FileContext::build(&file);
-        UntypedError.check(&ctx)
+        UntypedError.check_file(&ctx)
     }
 
     #[test]

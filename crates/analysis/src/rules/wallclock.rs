@@ -7,11 +7,9 @@
 //! `Instant::now()` in an algorithm crate is either dead weight or —
 //! worse — a timestamp about to end up inside supposedly deterministic
 //! output. Flags `Instant::now()` / `SystemTime::now()` everywhere
-//! except `crates/metrics` and `crates/repro`; benches and tests are
-//! exempt by class.
+//! except `crates/metrics` and `crates/repro`; tests are exempt by class.
 
-use super::Finding;
-use super::Rule;
+use super::{Finding, Rule, Workspace};
 use crate::context::FileContext;
 use crate::source::{FileClass, SourceFile};
 
@@ -30,12 +28,18 @@ impl Rule for WallclockOutsideMetrics {
         "Instant::now/SystemTime::now outside crates/metrics and crates/repro"
     }
 
-    fn applies(&self, file: &SourceFile) -> bool {
+    fn check(&self, ws: &Workspace<'_>) -> Vec<Finding> {
+        ws.per_file(|f| self.in_scope(f), |ctx| self.check_file(ctx))
+    }
+}
+
+impl WallclockOutsideMetrics {
+    fn in_scope(&self, file: &SourceFile) -> bool {
         matches!(file.class, FileClass::Lib | FileClass::Bin)
             && !EXEMPT_CRATES.contains(&file.crate_name.as_str())
     }
 
-    fn check(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
+    fn check_file(&self, ctx: &FileContext<'_>) -> Vec<Finding> {
         let toks = &ctx.tokens;
         let mut out = Vec::new();
         for i in 0..toks.len() {
@@ -75,7 +79,7 @@ mod tests {
     fn check(path: &str, src: &str) -> Vec<Finding> {
         let file = SourceFile::new(path, src);
         let ctx = FileContext::build(&file);
-        WallclockOutsideMetrics.check(&ctx)
+        WallclockOutsideMetrics.check_file(&ctx)
     }
 
     #[test]
@@ -92,11 +96,11 @@ mod tests {
     #[test]
     fn metrics_and_repro_are_exempt() {
         let file = SourceFile::new("crates/metrics/src/span.rs", "");
-        assert!(!WallclockOutsideMetrics.applies(&file));
+        assert!(!WallclockOutsideMetrics.in_scope(&file));
         let file = SourceFile::new("crates/repro/src/lib.rs", "");
-        assert!(!WallclockOutsideMetrics.applies(&file));
-        let file = SourceFile::new("crates/core/benches/b.rs", "");
-        assert!(!WallclockOutsideMetrics.applies(&file));
+        assert!(!WallclockOutsideMetrics.in_scope(&file));
+        let file = SourceFile::new("crates/core/tests/t.rs", "");
+        assert!(!WallclockOutsideMetrics.in_scope(&file));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Where in the workspace a file lives — rules scope themselves by
-/// class (e.g. `panic-in-pipeline` exempts test code outright).
+/// class (e.g. `panic-reachable` exempts test code outright).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// Library code under a crate's `src/` (the default).
@@ -22,8 +22,6 @@ pub enum FileClass {
     Bin,
     /// An integration-test file (any `tests/` directory).
     Test,
-    /// A benchmark (`benches/`).
-    Bench,
     /// A build script (`build.rs`).
     Build,
     /// An example (`examples/`).
@@ -37,7 +35,6 @@ impl FileClass {
             FileClass::Lib => "lib",
             FileClass::Bin => "bin",
             FileClass::Test => "test",
-            FileClass::Bench => "bench",
             FileClass::Build => "build",
             FileClass::Example => "example",
         }
@@ -47,7 +44,7 @@ impl FileClass {
 /// One source file, located within the workspace.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Workspace-relative path with `/` separators (diagnostic + baseline key).
+    /// Workspace-relative path with `/` separators (as diagnostics print it).
     pub path: String,
     /// Owning crate: `crates/<name>/…` → `<name>`; root package → `root`.
     pub crate_name: String,
@@ -74,8 +71,8 @@ impl SourceFile {
         }
     }
 
-    /// The trimmed text of a 1-based line (baseline keys), empty when
-    /// out of range.
+    /// The trimmed text of a 1-based line (quoted in findings), empty
+    /// when out of range.
     pub fn line_text(&self, line: u32) -> &str {
         self.text
             .lines()
@@ -92,8 +89,6 @@ fn classify(path: &str) -> FileClass {
         FileClass::Bin
     } else if path.starts_with("tests/") || path.contains("/tests/") {
         FileClass::Test
-    } else if path.starts_with("benches/") || path.contains("/benches/") {
-        FileClass::Bench
     } else if path.starts_with("examples/") || path.contains("/examples/") {
         FileClass::Example
     } else {
@@ -169,9 +164,6 @@ mod tests {
         let f = SourceFile::new("tests/chaos.rs", "");
         assert_eq!(f.crate_name, "root");
         assert_eq!(f.class, FileClass::Test);
-
-        let f = SourceFile::new("crates/core/benches/annotate.rs", "");
-        assert_eq!(f.class, FileClass::Bench);
 
         let f = SourceFile::new("build.rs", "");
         assert_eq!(f.class, FileClass::Build);

@@ -94,20 +94,20 @@ mod tests {
 
     #[test]
     fn well_formed_suppression() {
-        let s = parse("// lint:allow(panic-in-pipeline): crossbeam scope re-raises\nx.unwrap();");
+        let s = parse("// lint:allow(panic-reachable): crossbeam scope re-raises\nx.unwrap();");
         assert_eq!(s.len(), 1);
-        assert_eq!(s[0].rules, ["panic-in-pipeline"]);
+        assert_eq!(s[0].rules, ["panic-reachable"]);
         assert_eq!(s[0].reason.as_deref(), Some("crossbeam scope re-raises"));
-        assert!(s[0].covers("panic-in-pipeline", 2));
-        assert!(s[0].covers("panic-in-pipeline", 1)); // trailing form
-        assert!(!s[0].covers("panic-in-pipeline", 3));
+        assert!(s[0].covers("panic-reachable", 2));
+        assert!(s[0].covers("panic-reachable", 1)); // trailing form
+        assert!(!s[0].covers("panic-reachable", 3));
         assert!(!s[0].covers("float-eq", 2));
     }
 
     #[test]
     fn multiple_rules_one_directive() {
-        let s = parse("// lint:allow(float-eq, unseeded-rng): test harness\n");
-        assert_eq!(s[0].rules, ["float-eq", "unseeded-rng"]);
+        let s = parse("// lint:allow(float-eq, untyped-error): test harness\n");
+        assert_eq!(s[0].rules, ["float-eq", "untyped-error"]);
     }
 
     #[test]

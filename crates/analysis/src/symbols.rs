@@ -266,7 +266,7 @@ const HOF_COMBINATORS: [&str; 20] = [
 /// be a `HashMap`/`Vec`/`str` than the workspace type. Calls through
 /// `self.name(...)` or an explicit `Type::name(...)` path still
 /// resolve — there the receiver type is known.
-const STD_METHOD_NAMES: [&str; 44] = [
+const STD_METHOD_NAMES: [&str; 45] = [
     "entry",
     "get",
     "get_mut",
@@ -311,6 +311,9 @@ const STD_METHOD_NAMES: [&str; 44] = [
     "wait",
     "count",
     "sum",
+    // `AtomicBool::load` and friends: a workspace `load` method must
+    // not capture every atomic read.
+    "load",
 ];
 
 // ------------------------------------------------- function extraction

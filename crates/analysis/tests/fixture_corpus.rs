@@ -1,51 +1,55 @@
 //! Drives the fixture corpus under `tests/fixtures/`.
 //!
-//! Each rule directory holds `ok.rs` (known-good idioms — must lint
-//! clean) and `bad.rs` (known violations). Expected findings in
-//! `bad.rs` are declared inline with `//~ <rule>` markers on the
-//! offending line; `//~ <rule> @ <col>` additionally pins the exact
+//! Every fixture is a *file set* linted as one unit through
+//! `Engine::lint_files` (a single-file fixture is a set of one), so
+//! cross-file resolution, edge-cutting suppressions and transitive
+//! closures are exercised by the same driver as the per-file idioms.
+//! Expected findings are declared inline with `//~ <rule>` markers on
+//! the offending line; `//~ <rule> @ <col>` additionally pins the exact
 //! 1-based column, so diagnostic spans are locked down, not just
-//! counts. Fixtures are lexed-only data files — the workspace walker
+//! counts. A set with no markers (`ok.rs`: known-good idioms) must lint
+//! clean. Fixtures are lexed-only data files — the workspace walker
 //! skips `fixtures` directories, and cargo never compiles them.
 
 use meme_analysis::{Engine, SourceFile};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// (fixture directory, synthetic workspace path) — the path places the
-/// fixture inside a crate the rule under test is scoped to.
-const FIXTURES: [(&str, &str); 7] = [
-    ("nondeterministic-iteration", "crates/core/src/fixture.rs"),
-    ("panic-in-pipeline", "crates/core/src/fixture.rs"),
-    ("untyped-error", "crates/core/src/fixture.rs"),
-    ("wallclock-outside-metrics", "crates/core/src/fixture.rs"),
-    ("unseeded-rng", "crates/simweb/src/fixture.rs"),
-    ("float-eq", "crates/stats/src/fixture.rs"),
-    ("suppressions", "crates/core/src/fixture.rs"),
-];
+const CORE: &str = "crates/core/src/fixture.rs";
+const STATS: &str = "crates/stats/src/fixture.rs";
 
-/// Multi-file fixture sets under `tests/fixtures/workspace/<rule>/`:
-/// (rule directory, [(file name, synthetic workspace path)]). The set
-/// is linted as ONE unit through `Engine::lint_files`, so cross-file
-/// resolution, edge-cutting suppressions, and transitive closures are
-/// all exercised; markers are matched exactly per file.
-const MULTI_FIXTURES: [(&str, &[(&str, &str)]); 3] = [
+/// (fixture directory, [(file name, synthetic workspace path)]) — the
+/// path places each file inside a crate the rule under test is scoped
+/// to.
+const FIXTURES: [(&str, &[(&str, &str)]); 15] = [
+    ("nondeterministic-iteration", &[("ok.rs", CORE)]),
+    ("nondeterministic-iteration", &[("bad.rs", CORE)]),
+    ("untyped-error", &[("ok.rs", CORE)]),
+    ("untyped-error", &[("bad.rs", CORE)]),
+    ("wallclock-outside-metrics", &[("ok.rs", CORE)]),
+    ("wallclock-outside-metrics", &[("bad.rs", CORE)]),
+    ("float-eq", &[("ok.rs", STATS)]),
+    ("float-eq", &[("bad.rs", STATS)]),
+    ("panic-reachable", &[("ok.rs", CORE)]),
+    ("panic-reachable", &[("bad.rs", CORE)]),
+    ("suppressions", &[("ok.rs", CORE)]),
+    ("suppressions", &[("bad.rs", CORE)]),
     (
-        "panic-reachable",
+        "workspace/panic-reachable",
         &[
             ("cluster.rs", "crates/cluster/src/fixture_cluster.rs"),
             ("pipeline.rs", "crates/core/src/fixture_pipeline.rs"),
         ],
     ),
     (
-        "lock-order",
+        "workspace/lock-order",
         &[
             ("queue.rs", "crates/serve/src/fixture_queue.rs"),
             ("store.rs", "crates/serve/src/fixture_store.rs"),
         ],
     ),
     (
-        "alloc-in-hotpath",
+        "workspace/alloc-in-hotpath",
         &[
             ("index.rs", "crates/index/src/fixture_index.rs"),
             ("serve.rs", "crates/serve/src/fixture_serve.rs"),
@@ -53,19 +57,11 @@ const MULTI_FIXTURES: [(&str, &[(&str, &str)]); 3] = [
     ),
 ];
 
-fn fixture_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
+/// One expected or reported finding: (synthetic file, line, rule) and,
+/// when pinned, the column.
+type Mark = ((String, u32, String), Option<u32>);
 
-/// One `//~` marker: the expected rule, line, and (optionally) column.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Expected {
-    line: u32,
-    rule: String,
-    col: Option<u32>,
-}
-
-fn parse_markers(text: &str) -> Vec<Expected> {
+fn parse_markers(synthetic: &str, text: &str) -> Vec<Mark> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let Some(pos) = line.find("//~") else {
@@ -74,120 +70,44 @@ fn parse_markers(text: &str) -> Vec<Expected> {
         let spec = line[pos + 3..].trim();
         let (rule, col) = match spec.split_once('@') {
             Some((r, c)) => (
-                r.trim().to_string(),
+                r.trim(),
                 Some(c.trim().parse::<u32>().expect("column in marker")),
             ),
-            None => (spec.to_string(), None),
+            None => (spec, None),
         };
-        out.push(Expected {
-            line: i as u32 + 1,
-            rule,
-            col,
-        });
+        out.push(((synthetic.to_string(), i as u32 + 1, rule.to_string()), col));
     }
     out
 }
 
-fn lint_fixture(dir: &str, synthetic_path: &str, which: &str) -> (Vec<Expected>, String) {
-    let path = fixture_root().join(dir).join(which);
-    let text = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    let file = SourceFile::new(synthetic_path, text);
-    let findings = Engine::new().lint_source(&file);
-    let got: Vec<Expected> = findings
+fn load(dir: &str, files: &[(&str, &str)]) -> Vec<SourceFile> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    files
         .iter()
-        .map(|f| Expected {
-            line: f.line,
-            rule: f.rule.clone(),
-            col: Some(f.col),
+        .map(|(name, synthetic)| {
+            let path = root.join(dir).join(name);
+            let text = fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
+            SourceFile::new(*synthetic, text)
         })
-        .collect();
-    let rendered = findings
-        .iter()
-        .map(|f| {
-            format!(
-                "{}:{}:{}: [{}] {}",
-                f.file, f.line, f.col, f.rule, f.message
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    (got, rendered)
+        .collect()
 }
 
 #[test]
-fn ok_fixtures_lint_clean() {
-    for (dir, synthetic) in FIXTURES {
-        let (got, rendered) = lint_fixture(dir, synthetic, "ok.rs");
-        assert!(
-            got.is_empty(),
-            "{dir}/ok.rs should lint clean, got:\n{rendered}"
-        );
-    }
-}
-
-#[test]
-fn bad_fixtures_match_their_markers_exactly() {
-    for (dir, synthetic) in FIXTURES {
-        let path = fixture_root().join(dir).join("bad.rs");
-        let text = fs::read_to_string(&path).expect("bad.rs exists for every rule");
-        let mut expected = parse_markers(&text);
-        assert!(!expected.is_empty(), "{dir}/bad.rs declares no markers");
-        let (mut got, rendered) = lint_fixture(dir, synthetic, "bad.rs");
-
-        // Compare (line, rule) sets exactly: every marker fires, and
-        // nothing unmarked fires.
-        let mut got_pairs: Vec<(u32, String)> =
-            got.iter().map(|e| (e.line, e.rule.clone())).collect();
-        let mut want_pairs: Vec<(u32, String)> =
-            expected.iter().map(|e| (e.line, e.rule.clone())).collect();
-        got_pairs.sort();
-        want_pairs.sort();
-        assert_eq!(
-            want_pairs, got_pairs,
-            "{dir}/bad.rs marker mismatch; linter said:\n{rendered}"
-        );
-
-        // Where a marker pins a column, the diagnostic span must match
-        // it exactly.
-        expected.sort();
-        got.sort();
-        for want in expected.iter().filter(|e| e.col.is_some()) {
-            assert!(
-                got.iter()
-                    .any(|g| g.line == want.line && g.rule == want.rule && g.col == want.col),
-                "{dir}/bad.rs line {}: expected [{}] at column {:?}, linter said:\n{rendered}",
-                want.line,
-                want.rule,
-                want.col,
-            );
-        }
-    }
-}
-
-#[test]
-fn multi_file_fixtures_match_their_markers_exactly() {
-    let root = fixture_root().join("workspace");
-    for (dir, files) in MULTI_FIXTURES {
-        let sources: Vec<SourceFile> = files
+fn fixtures_match_their_markers_exactly() {
+    for (dir, files) in FIXTURES {
+        let names: Vec<&str> = files.iter().map(|(name, _)| *name).collect();
+        let set = format!("{dir}/{{{}}}", names.join(","));
+        let sources = load(dir, files);
+        let mut want: Vec<Mark> = sources
             .iter()
-            .map(|(name, synthetic)| {
-                let path = root.join(dir).join(name);
-                let text = fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-                SourceFile::new(*synthetic, text)
-            })
+            .flat_map(|src| parse_markers(&src.path, &src.text))
             .collect();
-
-        // Expected (synthetic file, line, rule, col?) from the markers
-        // of every file in the set.
-        let mut want: Vec<(String, u32, String, Option<u32>)> = Vec::new();
-        for ((_, synthetic), src) in files.iter().zip(&sources) {
-            for m in parse_markers(&src.text) {
-                want.push((synthetic.to_string(), m.line, m.rule, m.col));
-            }
-        }
-        assert!(!want.is_empty(), "workspace/{dir} declares no markers");
+        assert_eq!(
+            want.is_empty(),
+            names == ["ok.rs"],
+            "{set}: only an ok.rs declares no markers"
+        );
 
         let run = Engine::new().lint_files(&sources);
         let rendered = run
@@ -201,69 +121,46 @@ fn multi_file_fixtures_match_their_markers_exactly() {
             })
             .collect::<Vec<_>>()
             .join("\n");
-
-        let mut got_pairs: Vec<(String, u32, String)> = run
+        let mut got: Vec<Mark> = run
             .findings
             .iter()
-            .map(|f| (f.file.clone(), f.line, f.rule.clone()))
+            .map(|f| ((f.file.clone(), f.line, f.rule.clone()), Some(f.col)))
             .collect();
-        let mut want_pairs: Vec<(String, u32, String)> = want
-            .iter()
-            .map(|(file, line, rule, _)| (file.clone(), *line, rule.clone()))
-            .collect();
-        got_pairs.sort();
-        want_pairs.sort();
+
+        // Compare (file, line, rule) exactly: every marker fires, and
+        // nothing unmarked fires.
+        want.sort();
+        got.sort();
+        let keys = |marks: &[Mark]| marks.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
         assert_eq!(
-            want_pairs, got_pairs,
-            "workspace/{dir} marker mismatch; linter said:\n{rendered}"
+            keys(&want),
+            keys(&got),
+            "{set} marker mismatch; linter said:\n{rendered}"
         );
 
-        for (file, line, rule, col) in want.iter().filter(|(_, _, _, c)| c.is_some()) {
+        // Where a marker pins a column, the diagnostic span must match
+        // it exactly.
+        for pinned in want.iter().filter(|(_, col)| col.is_some()) {
             assert!(
-                run.findings.iter().any(|f| f.file == *file
-                    && f.line == *line
-                    && f.rule == *rule
-                    && Some(f.col) == *col),
-                "workspace/{dir} {file}:{line}: expected [{rule}] at column {col:?}, \
-                 linter said:\n{rendered}",
+                got.contains(pinned),
+                "{set}: expected {pinned:?}, linter said:\n{rendered}"
             );
         }
     }
 }
 
 #[test]
-fn every_workspace_rule_has_a_multi_file_fixture() {
-    for rule in meme_analysis::workspace_rules() {
+fn every_rule_fires_in_some_fixture() {
+    let marked: Vec<String> = FIXTURES
+        .iter()
+        .flat_map(|(dir, files)| load(dir, files))
+        .flat_map(|src| parse_markers(&src.path, &src.text))
+        .map(|((_, _, rule), _)| rule)
+        .collect();
+    for id in meme_analysis::all_rule_ids() {
         assert!(
-            MULTI_FIXTURES.iter().any(|(dir, _)| *dir == rule.id()),
-            "workspace rule `{}` is missing its multi-file fixture set",
-            rule.id()
-        );
-    }
-    let root = fixture_root().join("workspace");
-    for (dir, files) in MULTI_FIXTURES {
-        assert!(
-            files.len() >= 2,
-            "workspace/{dir} should span several files"
-        );
-        for (name, _) in files {
-            assert!(
-                root.join(dir).join(name).is_file(),
-                "workspace/{dir}/{name} is missing"
-            );
-        }
-    }
-}
-
-#[test]
-fn every_content_rule_has_a_fixture_pair() {
-    let root = fixture_root();
-    for rule in meme_analysis::builtin_rules() {
-        let dir = root.join(rule.id());
-        assert!(
-            dir.join("ok.rs").is_file() && dir.join("bad.rs").is_file(),
-            "rule `{}` is missing its ok.rs/bad.rs fixture pair",
-            rule.id()
+            marked.iter().any(|rule| rule == id),
+            "rule `{id}` has no `//~ {id}` marker in any fixture"
         );
     }
 }

@@ -17,6 +17,8 @@ pub fn sentinel_via_option(x: Option<f64>) -> bool {
     x.is_none()
 }
 
+pub fn tuple_field_chain(t: &((u64, u64), u64)) -> bool { t.0.1 == 3 }
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -2,8 +2,8 @@
 // `crates/core/src/fixture.rs`.
 
 pub fn reasonless(x: Option<u64>) -> u64 {
-    // lint:allow(panic-in-pipeline) //~ invalid-suppression @ 5
-    x.unwrap() //~ panic-in-pipeline
+    // lint:allow(panic-reachable) //~ invalid-suppression @ 5
+    x.unwrap() //~ panic-reachable
 }
 
 pub fn unknown_rule(y: Option<u64>) -> u64 {

@@ -15,9 +15,9 @@ pub struct Queue {
 impl Queue {
     /// Takes `mu` then `aux`: one half of the inversion pair.
     pub fn push_counted(&self, v: u64) {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let mut g = self.mu.lock().unwrap();
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let mut c = self.aux.lock().unwrap(); //~ lock-order
         g.push(v);
         *c += 1;
@@ -26,9 +26,9 @@ impl Queue {
     /// Takes `aux` then `mu`: the opposite order — both sides of the
     /// inverted pair are flagged, each citing the other.
     pub fn drain_counted(&self) -> u64 {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let mut c = self.aux.lock().unwrap();
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let mut g = self.mu.lock().unwrap(); //~ lock-order
         let n = g.len() as u64;
         g.clear();
@@ -39,16 +39,16 @@ impl Queue {
     /// Re-acquires the lock its own guard still holds: guaranteed
     /// self-deadlock with std mutexes.
     pub fn double_lock(&self) -> usize {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let a = self.mu.lock().unwrap();
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let b = self.mu.lock().unwrap(); //~ lock-order
         a.len() + b.len()
     }
 
     /// Blocks on a channel while holding the guard.
     pub fn drain_blocking(&self, rx: &Receiver<u64>) -> u64 {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let g = self.mu.lock().unwrap();
         let v = rx.recv().unwrap_or(0); //~ lock-order
         v + g.len() as u64
@@ -57,7 +57,7 @@ impl Queue {
     /// Calls a function that takes another lock while `mu` is held —
     /// the callee lives in `store.rs`.
     pub fn reload_under_lock(&self, store: &Store) -> u64 {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let g = self.mu.lock().unwrap();
         let v = store.load_snapshot(); //~ lock-order
         drop(g);
@@ -66,10 +66,10 @@ impl Queue {
 
     /// `Condvar::wait(guard)` atomically releases its own guard: clean.
     pub fn wait_for_item(&self) -> u64 {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         let mut g = self.mu.lock().unwrap();
         while g.is_empty() {
-            // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+            // lint:allow(panic-reachable): fixture mutex is never poisoned
             g = self.cv.wait(g).unwrap();
         }
         g.first().copied().unwrap_or(0)

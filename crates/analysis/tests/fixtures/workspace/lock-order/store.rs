@@ -12,7 +12,7 @@ pub struct Store {
 impl Store {
     /// Acquires `Store::inner` for the duration of the read.
     pub fn load_snapshot(&self) -> u64 {
-        // lint:allow(panic-in-pipeline): fixture mutex is never poisoned
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
         *self.inner.lock().unwrap()
     }
 }

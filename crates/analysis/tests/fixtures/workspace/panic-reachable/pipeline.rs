@@ -1,5 +1,6 @@
 //! Multi-file fixture, caller side: functions reaching the panicking
-//! wrappers in `cluster.rs` across the crate boundary.
+//! wrappers in `cluster.rs` across the crate boundary, plus direct
+//! panic sites — live and reviewed — and their callers.
 
 /// Direct caller of a documented panicking wrapper: flagged.
 pub fn cluster_stage(neighbors: &[Vec<usize>]) -> Vec<isize> {
@@ -30,14 +31,31 @@ pub fn mystery_stage(labels: &[usize]) -> usize {
     helper_from_elsewhere(labels)
 }
 
-/// An unsuppressed unwrap makes this function a panic *source*:
-/// `panic-in-pipeline` owns the site itself, `panic-reachable` flags
-/// only the callers.
+/// A direct panic site: flagged at the token, and the unsuppressed
+/// unwrap makes this function a panic *source* for its callers.
 pub fn shaky_parse(raw: &str) -> usize {
-    raw.parse().unwrap() //~ panic-in-pipeline @ 17
+    raw.parse().unwrap() //~ panic-reachable @ 17
 }
 
 /// Caller of an undocumented source: flagged.
 pub fn shaky_entry(raw: &str) -> usize {
     shaky_parse(raw) //~ panic-reachable @ 5
+}
+
+/// Two hops above the live site: flagged too, chain rendered through
+/// `shaky_entry`.
+pub fn shaky_run(raw: &str) -> usize {
+    shaky_entry(raw) + 1 //~ panic-reachable @ 5
+}
+
+/// A reviewed site: the lint:allow is the statement that this unwrap
+/// cannot fire, so the function is *not* a source…
+pub fn reviewed_parse(digits: &str) -> usize {
+    // lint:allow(panic-reachable): callers pass a string already matched against [0-9]{1,9}
+    digits.parse().unwrap()
+}
+
+/// …and its caller stays clean.
+pub fn reviewed_entry(digits: &str) -> usize {
+    reviewed_parse(digits)
 }

@@ -61,7 +61,7 @@ pub fn simulate_panel(
             };
             votes[usize::from(observed)] += 1;
         }
-        // lint:allow(panic-in-pipeline): votes is [usize; 2], indices 0/1 in range by construction
+        // lint:allow(panic-reachable): votes is [usize; 2], indices 0/1 in range by construction
         let majority_says_correct = votes[1] > votes[0];
         if majority_says_correct == t {
             majority_correct += 1;

@@ -410,7 +410,7 @@ impl Cnn {
 
     /// Probability that `input` belongs to class 1 (screenshot).
     pub fn predict_proba(&self, input: &[f32]) -> f32 {
-        // lint:allow(panic-in-pipeline): probs always has CLASSES = 2 softmax outputs
+        // lint:allow(panic-reachable): probs always has CLASSES = 2 softmax outputs
         self.forward(input, None).probs[1]
     }
 

@@ -190,7 +190,7 @@ impl Checkpoint {
     /// Serialize the payload to JSON (no integrity envelope — see
     /// [`encode_checkpoint`] for the on-disk format).
     pub fn to_json(&self) -> String {
-        // lint:allow(panic-in-pipeline): vendored serde serialization of plain structs is infallible
+        // lint:allow(panic-reachable): vendored serde serialization of plain structs is infallible
         serde_json::to_string(self).expect("checkpoint serializes")
     }
 

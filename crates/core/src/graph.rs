@@ -184,7 +184,7 @@ impl ClusterGraph {
     /// JSON export for the interactive-visualization use case the paper
     /// published at memespaper.github.io.
     pub fn to_json(&self) -> String {
-        // lint:allow(panic-in-pipeline): vendored serde serialization of plain structs is infallible
+        // lint:allow(panic-reachable): vendored serde serialization of plain structs is infallible
         serde_json::to_string_pretty(self).expect("graph serializes")
     }
 }

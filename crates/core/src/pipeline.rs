@@ -398,7 +398,7 @@ impl Pipeline {
         match self.faults.stage_fault(stage.name(), attempt) {
             ExecStageFault::Pass => {}
             ExecStageFault::Panic => {
-                // lint:allow(panic-in-pipeline): deliberate injected fault — the supervisor's catch_unwind must contain it
+                // lint:allow(panic-reachable): deliberate injected fault — the supervisor's catch_unwind must contain it
                 panic!("injected fault: stage `{stage}` panicked on attempt {attempt}")
             }
             ExecStageFault::Transient => {
@@ -822,7 +822,7 @@ fn chunked<T: Send, S: Send>(
             });
         }
     })
-    // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
+    // lint:allow(panic-reachable): crossbeam scope re-raises a worker panic; nothing to recover
     .expect("pipeline worker panicked");
     states
 }
@@ -1168,7 +1168,7 @@ impl PipelineOutput {
 
     /// Serialize a completed run to JSON.
     pub fn to_json(&self) -> String {
-        // lint:allow(panic-in-pipeline): vendored serde serialization of plain structs is infallible
+        // lint:allow(panic-reachable): vendored serde serialization of plain structs is infallible
         serde_json::to_string(self).expect("pipeline output serializes")
     }
 

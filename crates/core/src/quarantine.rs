@@ -87,7 +87,7 @@ impl std::error::Error for QuarantineError {}
 pub fn encode_jsonl(entries: &[QuarantineEntry]) -> String {
     let mut out = String::new();
     for e in entries {
-        // lint:allow(panic-in-pipeline): vendored serde serialization of plain structs is infallible
+        // lint:allow(panic-reachable): vendored serde serialization of plain structs is infallible
         out.push_str(&serde_json::to_string(e).expect("quarantine entry serializes"));
         out.push('\n');
     }

@@ -205,7 +205,7 @@ impl SupervisedRun {
         match self.outcome {
             RunnerOutcome::Complete(out) => *out,
             RunnerOutcome::Halted { after } => {
-                // lint:allow(panic-in-pipeline): documented panicking accessor, mirrors Option::expect
+                // lint:allow(panic-reachable): documented panicking accessor, mirrors Option::expect
                 panic!("pipeline halted after stage `{after}`, no output")
             }
         }

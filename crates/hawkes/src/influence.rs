@@ -287,14 +287,14 @@ impl InfluenceEstimator {
                 let mut skipped = Vec::new();
                 let mut fit_stats = Vec::new();
                 for h in handles {
-                    // lint:allow(panic-in-pipeline): a worker panic is deliberately re-raised on the caller thread
+                    // lint:allow(panic-reachable): a worker panic is deliberately re-raised on the caller thread
                     let (sk, st) = h.join().expect("no panic");
                     skipped.extend(sk);
                     fit_stats.extend(st);
                 }
                 (skipped, fit_stats)
             })
-            // lint:allow(panic-in-pipeline): scope() is Err only when a worker panicked; re-raise, don't swallow
+            // lint:allow(panic-reachable): scope() is Err only when a worker panicked; re-raise, don't swallow
             .expect("worker thread panicked");
 
         let mut total = InfluenceMatrix::zeros(k);

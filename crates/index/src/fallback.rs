@@ -1,8 +1,8 @@
-//! Engine fallback: MIH → BK-tree → brute force.
+//! Engine fallback: MIH → brute force.
 //!
-//! The banded and tree-structured engines are fast *on the workloads
-//! they were designed for*. Outside those envelopes they silently
-//! degenerate to worse-than-brute-force behaviour:
+//! The banded engine is fast *on the workloads it was designed for*.
+//! Outside that envelope it silently degenerates to
+//! worse-than-brute-force behaviour:
 //!
 //! * **MIH** needs bands of a few bits each — at radius `r` it builds
 //!   `r + 1` bands over 64 bits, so large radii produce 1–2-bit bands
@@ -10,18 +10,17 @@
 //!   It also collapses when one identical hash dominates the corpus
 //!   (e.g. a corrupted feed emitting the same image): the dominant
 //!   bucket turns every query quadratic.
-//! * **BK-trees** prune by the triangle inequality; once the radius
-//!   approaches half the hash width there is nothing to prune. Massive
-//!   duplication degenerates the tree into a linked list of distance-0
-//!   children.
 //! * **Brute force** is O(n) per query regardless of the data — slower
 //!   on friendly workloads, but immune to hostile ones.
 //!
-//! [`FallbackIndex::build`] tries the engines in that order, records
-//! why each rejected the workload, and always returns a working index —
-//! graceful degradation instead of a quadratic stall or a panic.
+//! [`FallbackIndex::build`] tries MIH first, records why it rejected
+//! the workload, and always returns a working index — graceful
+//! degradation instead of a quadratic stall or a panic. The paper fixes
+//! `eps = θ = 8` and every radius in this repository is ≤ 10, so MIH's
+//! envelope (radius ≤ 15) covers every caller; brute force is the one
+//! fallback and the reference the tests compare against.
 
-use crate::{BkTreeIndex, BruteForceIndex, HammingIndex, MihIndex, QueryScratch};
+use crate::{BruteForceIndex, HammingIndex, MihIndex, QueryScratch};
 use meme_phash::PHash;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -32,8 +31,6 @@ use std::fmt;
 pub enum IndexEngine {
     /// Multi-index hashing (the preferred engine).
     Mih,
-    /// BK-tree over the Hamming metric.
-    BkTree,
     /// Parallel linear scan (the last resort; never rejects).
     BruteForce,
 }
@@ -43,7 +40,6 @@ impl IndexEngine {
     pub fn name(self) -> &'static str {
         match self {
             Self::Mih => "multi-index hashing",
-            Self::BkTree => "BK-tree",
             Self::BruteForce => "brute force",
         }
     }
@@ -52,7 +48,6 @@ impl IndexEngine {
     pub fn slug(self) -> &'static str {
         match self {
             Self::Mih => "mih",
-            Self::BkTree => "bk_tree",
             Self::BruteForce => "brute_force",
         }
     }
@@ -116,16 +111,12 @@ impl std::error::Error for IndexError {}
 /// (`64 / (radius + 1) < 4`) and bucket selectivity vanishes.
 const MIH_MAX_RADIUS: u32 = 15;
 
-/// Largest radius the BK-tree accepts: at half the hash width the
-/// triangle inequality prunes nothing.
-const BK_MAX_RADIUS: u32 = 31;
-
 /// Minimum corpus size before duplicate domination matters; tiny
 /// workloads are cheap under any engine.
 const DUP_CHECK_MIN: usize = 16;
 
 /// A radius-query index that always builds: MIH when the workload fits
-/// its envelope, else a BK-tree, else brute force.
+/// its envelope, else brute force.
 #[derive(Debug, Clone)]
 pub struct FallbackIndex {
     backend: Backend,
@@ -135,7 +126,6 @@ pub struct FallbackIndex {
 #[derive(Debug, Clone)]
 enum Backend {
     Mih(MihIndex),
-    Bk(BkTreeIndex),
     Brute(BruteForceIndex),
 }
 
@@ -146,50 +136,30 @@ impl FallbackIndex {
     /// the engine) can plan first, then call [`FallbackIndex::build`].
     pub fn plan(hashes: &[PHash], radius: u32) -> (IndexEngine, Vec<IndexError>) {
         let dominant = dominant_fraction(hashes);
-        let degenerate = hashes.len() >= DUP_CHECK_MIN && dominant > 0.5;
-        let mut rejections = Vec::new();
-
-        if radius > MIH_MAX_RADIUS {
-            rejections.push(IndexError::RadiusTooLarge {
+        let rejection = if radius > MIH_MAX_RADIUS {
+            IndexError::RadiusTooLarge {
                 engine: IndexEngine::Mih,
                 radius,
                 limit: MIH_MAX_RADIUS,
-            });
-        } else if degenerate {
-            rejections.push(IndexError::DegenerateWorkload {
+            }
+        } else if hashes.len() >= DUP_CHECK_MIN && dominant > 0.5 {
+            IndexError::DegenerateWorkload {
                 engine: IndexEngine::Mih,
                 dominant_fraction: dominant,
-            });
+            }
         } else {
-            return (IndexEngine::Mih, rejections);
-        }
-
-        if radius > BK_MAX_RADIUS {
-            rejections.push(IndexError::RadiusTooLarge {
-                engine: IndexEngine::BkTree,
-                radius,
-                limit: BK_MAX_RADIUS,
-            });
-        } else if degenerate {
-            rejections.push(IndexError::DegenerateWorkload {
-                engine: IndexEngine::BkTree,
-                dominant_fraction: dominant,
-            });
-        } else {
-            return (IndexEngine::BkTree, rejections);
-        }
-
-        (IndexEngine::BruteForce, rejections)
+            return (IndexEngine::Mih, Vec::new());
+        };
+        (IndexEngine::BruteForce, vec![rejection])
     }
 
     /// Build an index for radius-`radius` queries over `hashes`,
-    /// falling back MIH → BK-tree → brute force as engines decline.
+    /// falling back to brute force when MIH declines.
     pub fn build(hashes: Vec<PHash>, radius: u32) -> Self {
         let (engine, rejections) = Self::plan(&hashes, radius);
         let backend = match engine {
             // lint:allow(panic-reachable): plan() selects MIH only for radius < 64 and in-u32 gallery sizes, so new()'s contract holds
             IndexEngine::Mih => Backend::Mih(MihIndex::new(hashes, radius)),
-            IndexEngine::BkTree => Backend::Bk(BkTreeIndex::new(hashes)),
             IndexEngine::BruteForce => Backend::Brute(BruteForceIndex::new(hashes)),
         };
         Self {
@@ -202,13 +172,11 @@ impl FallbackIndex {
     pub fn engine(&self) -> IndexEngine {
         match self.backend {
             Backend::Mih(_) => IndexEngine::Mih,
-            Backend::Bk(_) => IndexEngine::BkTree,
             Backend::Brute(_) => IndexEngine::BruteForce,
         }
     }
 
-    /// Why the preferred engines declined, in fallback order (empty
-    /// when MIH took the workload).
+    /// Why MIH declined (empty when it took the workload).
     pub fn rejections(&self) -> &[IndexError] {
         &self.rejections
     }
@@ -218,7 +186,6 @@ impl HammingIndex for FallbackIndex {
     fn len(&self) -> usize {
         match &self.backend {
             Backend::Mih(i) => i.len(),
-            Backend::Bk(i) => i.len(),
             Backend::Brute(i) => i.len(),
         }
     }
@@ -226,7 +193,6 @@ impl HammingIndex for FallbackIndex {
     fn hash_at(&self, i: usize) -> PHash {
         match &self.backend {
             Backend::Mih(x) => x.hash_at(i),
-            Backend::Bk(x) => x.hash_at(i),
             Backend::Brute(x) => x.hash_at(i),
         }
     }
@@ -234,7 +200,6 @@ impl HammingIndex for FallbackIndex {
     fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize> {
         match &self.backend {
             Backend::Mih(x) => x.radius_query(query, radius),
-            Backend::Bk(x) => x.radius_query(query, radius),
             Backend::Brute(x) => x.radius_query(query, radius),
         }
     }
@@ -249,7 +214,6 @@ impl HammingIndex for FallbackIndex {
     ) {
         match &self.backend {
             Backend::Mih(x) => x.radius_query_into(query, radius, scratch, out),
-            Backend::Bk(x) => x.radius_query_into(query, radius, scratch, out),
             Backend::Brute(x) => x.radius_query_into(query, radius, scratch, out),
         }
     }
@@ -264,7 +228,6 @@ impl HammingIndex for FallbackIndex {
     ) {
         match &self.backend {
             Backend::Mih(x) => x.radius_query_from(query, radius, start, scratch, out),
-            Backend::Bk(x) => x.radius_query_from(query, radius, start, scratch, out),
             Backend::Brute(x) => x.radius_query_from(query, radius, start, scratch, out),
         }
     }
@@ -272,7 +235,6 @@ impl HammingIndex for FallbackIndex {
     fn memory_bytes(&self) -> usize {
         match &self.backend {
             Backend::Mih(x) => x.memory_bytes(),
-            Backend::Bk(x) => x.memory_bytes(),
             Backend::Brute(x) => x.memory_bytes(),
         }
     }
@@ -311,14 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn large_radius_falls_to_bk_then_brute() {
-        let idx = FallbackIndex::build(distinct_hashes(100), 20);
-        assert_eq!(idx.engine(), IndexEngine::BkTree);
-        assert_eq!(idx.rejections().len(), 1);
-
-        let idx = FallbackIndex::build(distinct_hashes(100), 40);
-        assert_eq!(idx.engine(), IndexEngine::BruteForce);
-        assert_eq!(idx.rejections().len(), 2);
+    fn large_radius_falls_to_brute() {
+        for radius in [20, 40] {
+            let idx = FallbackIndex::build(distinct_hashes(100), radius);
+            assert_eq!(idx.engine(), IndexEngine::BruteForce);
+            assert_eq!(idx.rejections().len(), 1);
+        }
     }
 
     #[test]
@@ -327,7 +287,7 @@ mod tests {
         hashes.extend(std::iter::repeat_n(PHash(0xDEAD_BEEF), 70));
         let idx = FallbackIndex::build(hashes, 8);
         assert_eq!(idx.engine(), IndexEngine::BruteForce);
-        assert_eq!(idx.rejections().len(), 2);
+        assert_eq!(idx.rejections().len(), 1);
         assert!(matches!(
             idx.rejections()[0],
             IndexError::DegenerateWorkload { .. }

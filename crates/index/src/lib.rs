@@ -9,13 +9,12 @@
 //!
 //! * [`BruteForceIndex`] — linear scan; simple, the correctness oracle,
 //!   and parallelized across queries with crossbeam scoped threads;
-//! * [`BkTreeIndex`] — a BK-tree over the Hamming metric;
 //! * [`MihIndex`] — multi-index hashing: split each 64-bit hash into
 //!   `r + 1` bands; by pigeonhole, any hash within distance `r` matches
 //!   at least one band exactly, so candidates come from `r + 1` exact
 //!   table lookups.
 //!
-//! All engines implement [`HammingIndex`]; the DBSCAN stage and the
+//! Both engines implement [`HammingIndex`]; the DBSCAN stage and the
 //! association stage (Step 6) are generic over it.
 //! [`symmetric_neighbors`] computes every item's radius neighbourhood
 //! in parallel — the "pairwise comparison" driver.
@@ -23,14 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bktree;
 pub mod brute;
 pub mod dedup;
 pub mod fallback;
 pub mod mih;
 pub mod scratch;
 
-pub use bktree::BkTreeIndex;
 pub use brute::BruteForceIndex;
 pub use dedup::HashGroups;
 pub use fallback::{FallbackIndex, IndexEngine, IndexError};
@@ -188,7 +185,7 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
             });
         }
     })
-    // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
+    // lint:allow(panic-reachable): crossbeam scope re-raises a worker panic; nothing to recover
     .expect("pair sweep worker panicked");
 
     // ---- Pass 2: mirror the half-pairs into unique-level adjacency.
@@ -243,7 +240,7 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
                 });
             }
         })
-        // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
+        // lint:allow(panic-reachable): crossbeam scope re-raises a worker panic; nothing to recover
         .expect("expansion worker panicked");
     }
     (result, stats)
@@ -289,7 +286,6 @@ mod tests {
     fn engines_agree_on_random_workload() {
         let hashes = random_hashes(300, 3);
         let brute = BruteForceIndex::new(hashes.clone());
-        let bk = BkTreeIndex::new(hashes.clone());
         let mih = MihIndex::new(hashes.clone(), 8);
         let mut rng = seeded_rng(4);
         for _ in 0..50 {
@@ -301,7 +297,6 @@ mod tests {
             };
             for r in [0u32, 2, 5, 8] {
                 let expected = brute.radius_query(q, r);
-                assert_eq!(bk.radius_query(q, r), expected, "bk radius {r}");
                 assert_eq!(mih.radius_query(q, r), expected, "mih radius {r}");
             }
         }
@@ -376,11 +371,9 @@ mod tests {
             }
         }
         let brute = BruteForceIndex::new(hashes.clone());
-        let bk = BkTreeIndex::new(hashes.clone());
         let mih = MihIndex::new(hashes.clone(), 8);
         for &q in &hashes {
             let expected = brute.radius_query(q, 8);
-            assert_eq!(bk.radius_query(q, 8), expected);
             assert_eq!(mih.radius_query(q, 8), expected);
         }
     }

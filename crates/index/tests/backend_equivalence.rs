@@ -1,4 +1,4 @@
-//! Cross-backend equivalence: MIH, BK-tree, and brute force must return
+//! Cross-backend equivalence: MIH and brute force must return
 //! *identical* neighbor sets — especially at the `eps`/`theta` decision
 //! boundary (the paper's eps = θ = 8), and including the self-match —
 //! so DBSCAN's core test (`nb.len() + 1 >= min_pts`) means exactly the
@@ -6,9 +6,7 @@
 
 mod oracle;
 
-use meme_index::{
-    BkTreeIndex, BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex,
-};
+use meme_index::{BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex};
 use meme_phash::PHash;
 use meme_stats::seeded_rng;
 use oracle::all_neighbors;
@@ -46,7 +44,6 @@ fn boundary_corpus(seed: u64) -> Vec<PHash> {
 fn engines(hashes: &[PHash]) -> Vec<(&'static str, Box<dyn HammingIndex>)> {
     vec![
         ("brute", Box::new(BruteForceIndex::new(hashes.to_vec()))),
-        ("bk", Box::new(BkTreeIndex::new(hashes.to_vec()))),
         ("mih", Box::new(MihIndex::new(hashes.to_vec(), BOUNDARY))),
     ]
 }
@@ -98,10 +95,8 @@ fn engines_agree_on_self_inclusion() {
 fn all_neighbors_identical_across_engines_and_self_excluded() {
     let hashes = boundary_corpus(103);
     let brute = BruteForceIndex::new(hashes.clone());
-    let bk = BkTreeIndex::new(hashes.clone());
     let mih = MihIndex::new(hashes.clone(), BOUNDARY);
     let expected = all_neighbors(&brute, BOUNDARY);
-    assert_eq!(all_neighbors(&bk, BOUNDARY), expected, "bk");
     assert_eq!(all_neighbors(&mih, BOUNDARY), expected, "mih");
     for (i, list) in expected.iter().enumerate() {
         assert!(!list.contains(&i), "self not excluded for {i}");
@@ -116,15 +111,12 @@ fn dbscan_core_test_is_backend_invariant() {
     // boundary neighbor would flip the verdict.
     let hashes = boundary_corpus(104);
     let brute = BruteForceIndex::new(hashes.clone());
-    let bk = BkTreeIndex::new(hashes.clone());
     let mih = MihIndex::new(hashes.clone(), BOUNDARY);
     let nb = all_neighbors(&brute, BOUNDARY);
-    let nbk = all_neighbors(&bk, BOUNDARY);
     let nmih = all_neighbors(&mih, BOUNDARY);
     for min_pts in [2usize, 3, 4, 5] {
         for i in 0..hashes.len() {
             let core = nb[i].len() + 1 >= min_pts;
-            assert_eq!(nbk[i].len() + 1 >= min_pts, core, "bk, min_pts {min_pts}");
             assert_eq!(nmih[i].len() + 1 >= min_pts, core, "mih, min_pts {min_pts}");
         }
     }
@@ -139,11 +131,11 @@ fn every_fallback_degradation_level_matches_brute_force() {
     let mih = FallbackIndex::build(hashes.clone(), BOUNDARY);
     assert_eq!(mih.engine(), IndexEngine::Mih);
 
-    // Level 1: radius beyond MIH's envelope — BK-tree takes it.
-    let bk = FallbackIndex::build(hashes.clone(), 20);
-    assert_eq!(bk.engine(), IndexEngine::BkTree);
+    // Level 1: radius beyond MIH's envelope — brute force takes it.
+    let wide = FallbackIndex::build(hashes.clone(), 20);
+    assert_eq!(wide.engine(), IndexEngine::BruteForce);
 
-    // Level 2: duplicate-dominated workload — brute force takes it.
+    // Level 1 again: duplicate-dominated workload — brute force takes it.
     let mut dominated = hashes.clone();
     dominated.extend(std::iter::repeat_n(PHash(0xFEED_FACE), 2 * hashes.len()));
     let brute = FallbackIndex::build(dominated.clone(), BOUNDARY);
@@ -157,14 +149,14 @@ fn every_fallback_degradation_level_matches_brute_force() {
             "fallback level mih"
         );
         assert_eq!(
-            bk.radius_query(q, BOUNDARY),
+            wide.radius_query(q, BOUNDARY),
             reference.radius_query(q, BOUNDARY),
-            "fallback level bk"
+            "fallback level brute (radius)"
         );
         assert_eq!(
             brute.radius_query(q, BOUNDARY),
             dominated_ref.radius_query(q, BOUNDARY),
-            "fallback level brute"
+            "fallback level brute (duplicates)"
         );
     }
 }

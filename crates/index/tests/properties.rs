@@ -6,8 +6,7 @@
 mod oracle;
 
 use meme_index::{
-    symmetric_neighbors, BkTreeIndex, BruteForceIndex, HammingIndex, HashGroups, MihIndex,
-    QueryScratch,
+    symmetric_neighbors, BruteForceIndex, HammingIndex, HashGroups, MihIndex, QueryScratch,
 };
 use meme_phash::PHash;
 use oracle::all_neighbors;
@@ -44,7 +43,7 @@ fn clustered_strategy() -> impl Strategy<Value = Vec<PHash>> {
 
 /// Adversarial duplicate-heavy workloads: a handful of distinct values
 /// (some adjacent within a few bits), each repeated many times —
-/// the regime that degenerates band buckets and BK-trees.
+/// the regime that degenerates band buckets.
 fn duplicate_heavy_strategy() -> impl Strategy<Value = Vec<PHash>> {
     (
         prop::collection::vec((any::<u64>(), 1usize..40), 1..6),
@@ -75,26 +74,20 @@ fn assert_engines_agree_through_scratch(
     radii: impl Iterator<Item = u32> + Clone,
 ) {
     let brute = BruteForceIndex::new(hashes.to_vec());
-    let bk = BkTreeIndex::new(hashes.to_vec());
     let mih = MihIndex::new(hashes.to_vec(), radii.clone().max().unwrap_or(0));
     let mut scratch = QueryScratch::new();
     let mut out = Vec::new();
     for radius in radii {
         let expected = brute.radius_query(q, radius);
-        prop_assert_eq!(&bk.radius_query(q, radius), &expected, "bk r={}", radius);
         prop_assert_eq!(&mih.radius_query(q, radius), &expected, "mih r={}", radius);
         brute.radius_query_into(q, radius, &mut scratch, &mut out);
         prop_assert_eq!(&out, &expected, "brute scratch r={}", radius);
-        bk.radius_query_into(q, radius, &mut scratch, &mut out);
-        prop_assert_eq!(&out, &expected, "bk scratch r={}", radius);
         mih.radius_query_into(q, radius, &mut scratch, &mut out);
         prop_assert_eq!(&out, &expected, "mih scratch r={}", radius);
         let start = hashes.len() / 2;
         let tail: Vec<usize> = expected.iter().copied().filter(|&i| i >= start).collect();
         mih.radius_query_from(q, radius, start, &mut scratch, &mut out);
         prop_assert_eq!(&out, &tail, "mih from r={}", radius);
-        bk.radius_query_from(q, radius, start, &mut scratch, &mut out);
-        prop_assert_eq!(&out, &tail, "bk from r={}", radius);
         brute.radius_query_from(q, radius, start, &mut scratch, &mut out);
         prop_assert_eq!(&out, &tail, "brute from r={}", radius);
     }
@@ -109,9 +102,9 @@ fn assert_symmetric_matches_all_neighbors(hashes: &[PHash], radius: u32, threads
     let mih = MihIndex::new(groups.unique().to_vec(), radius);
     let (via_mih, stats) = symmetric_neighbors(&mih, &groups, radius, threads);
     prop_assert_eq!(&via_mih, &expected);
-    let bk = BkTreeIndex::new(groups.unique().to_vec());
-    let (via_bk, _) = symmetric_neighbors(&bk, &groups, radius, threads);
-    prop_assert_eq!(&via_bk, &expected);
+    let brute = BruteForceIndex::new(groups.unique().to_vec());
+    let (via_brute, _) = symmetric_neighbors(&brute, &groups, radius, threads);
+    prop_assert_eq!(&via_brute, &expected);
     let in_radius_pairs: Vec<(usize, usize)> = (0..groups.len_unique())
         .flat_map(|u| (u + 1..groups.len_unique()).map(move |v| (u, v)))
         .filter(|&(u, v)| groups.unique()[u].distance(groups.unique()[v]) <= radius)
@@ -137,21 +130,17 @@ proptest! {
     fn engines_agree_uniform(hashes in hashes_strategy(), query: u64, radius in 0u32..12) {
         let q = PHash(query);
         let brute = BruteForceIndex::new(hashes.clone());
-        let bk = BkTreeIndex::new(hashes.clone());
         let mih = MihIndex::new(hashes.clone(), 12);
         let expected = brute.radius_query(q, radius);
-        prop_assert_eq!(bk.radius_query(q, radius), expected.clone());
         prop_assert_eq!(mih.radius_query(q, radius), expected);
     }
 
     #[test]
     fn engines_agree_clustered(hashes in clustered_strategy(), radius in 0u32..10) {
         let brute = BruteForceIndex::new(hashes.clone());
-        let bk = BkTreeIndex::new(hashes.clone());
         let mih = MihIndex::new(hashes.clone(), 10);
         for &q in hashes.iter().take(20) {
             let expected = brute.radius_query(q, radius);
-            prop_assert_eq!(bk.radius_query(q, radius), expected.clone());
             prop_assert_eq!(mih.radius_query(q, radius), expected);
         }
     }

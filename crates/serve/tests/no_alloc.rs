@@ -61,8 +61,8 @@ fn steady_state_lookups_do_not_allocate() {
     {
         let snap = store.load();
         assert!(!snap.is_empty(), "tiny run produced no annotated clusters");
-        // θ = 8 keeps the fallback on MIH; the BK-tree backend's
-        // recursive descent is not part of the zero-alloc contract.
+        // θ = 8 keeps the fallback on MIH, the engine the zero-alloc
+        // contract is stated for.
         assert_eq!(snap.engine(), IndexEngine::Mih);
     }
 
