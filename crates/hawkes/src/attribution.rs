@@ -12,7 +12,8 @@
 //! communities. This is the paper's improvement over the one-hop
 //! estimate of their earlier work (\[86\]).
 
-use crate::model::{Event, HawkesModel};
+use crate::branching::parent_dist_into;
+use crate::model::{validate_stream, Event, HawkesError, HawkesModel};
 
 /// Parent probabilities for one event.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,82 +21,53 @@ pub struct ParentDist {
     /// Probability the event came from the background rate.
     pub background: f64,
     /// `(parent event index, probability)` pairs for earlier events with
-    /// non-negligible impulse at this event's time.
+    /// non-negligible impulse at this event's time, newest first.
     pub parents: Vec<(usize, f64)>,
 }
 
 /// Compute each event's parent distribution under `model`.
 ///
-/// Candidate parents farther in the past than `30 / beta` are skipped
-/// (their impulse is below 1e-13 of its peak).
-///
-/// # Panics
-/// Panics when an event's process id is out of range or events are
-/// unsorted (programmer error at this layer — the pipeline validates
-/// earlier).
-pub fn parent_probabilities(model: &HawkesModel, events: &[Event]) -> Vec<ParentDist> {
-    let beta = model.beta;
-    let max_lag = 30.0 / beta;
-    let mut out = Vec::with_capacity(events.len());
-    for (i, ei) in events.iter().enumerate() {
-        assert!(ei.process < model.k(), "process id out of range");
-        if i > 0 {
-            assert!(events[i - 1].t <= ei.t, "events must be sorted");
-        }
-        let mut parents = Vec::new();
-        let mut total = model.mu[ei.process];
-        for j in (0..i).rev() {
-            let dt = ei.t - events[j].t;
-            if dt > max_lag {
-                break;
+/// Errors with [`HawkesError::InvalidEvents`] when events are unsorted
+/// (a NaN time counts as unsorted) or a process id is out of range.
+pub fn parent_probabilities(
+    model: &HawkesModel,
+    events: &[Event],
+) -> Result<Vec<ParentDist>, HawkesError> {
+    validate_stream(events, model.k(), None)?;
+    let mut parents = Vec::new();
+    Ok((0..events.len())
+        .map(|i| {
+            let background = parent_dist_into(model, events, i, &mut parents);
+            ParentDist {
+                background,
+                parents: parents.clone(),
             }
-            let a = model.w[events[j].process][ei.process] * beta * (-beta * dt).exp();
-            if a > 0.0 {
-                parents.push((j, a));
-                total += a;
-            }
-        }
-        if total <= 0.0 {
-            // No background and no parents: degenerate; treat as pure
-            // background so probabilities still sum to one.
-            out.push(ParentDist {
-                background: 1.0,
-                parents: Vec::new(),
-            });
-            continue;
-        }
-        for (_, a) in &mut parents {
-            *a /= total;
-        }
-        out.push(ParentDist {
-            background: model.mu[ei.process] / total,
-            parents,
-        });
-    }
-    out
+        })
+        .collect())
 }
 
 /// Root-cause distributions: `result[i][c]` is the probability that the
 /// root cause of event `i` is community `c`. Each row sums to 1.
 ///
 /// Computed forward in time: a background event is its own root; an
-/// event caused by parent `j` inherits `j`'s root distribution.
-pub fn root_causes(model: &HawkesModel, events: &[Event]) -> Vec<Vec<f64>> {
+/// event caused by parent `j` inherits `j`'s root distribution. Errors
+/// as [`parent_probabilities`] does.
+pub fn root_causes(model: &HawkesModel, events: &[Event]) -> Result<Vec<Vec<f64>>, HawkesError> {
     let k = model.k();
-    // lint:allow(panic-reachable): inherits parent_probabilities' contract (sorted events, in-range process ids); every caller feeds pipeline-validated streams
-    let dists = parent_probabilities(model, events);
+    validate_stream(events, k, None)?;
+    let mut parents = Vec::new();
     let mut roots: Vec<Vec<f64>> = Vec::with_capacity(events.len());
-    for (i, pd) in dists.iter().enumerate() {
+    for (i, ei) in events.iter().enumerate() {
         let mut r = vec![0.0f64; k];
-        r[events[i].process] += pd.background;
-        for &(j, p) in &pd.parents {
+        r[ei.process] += parent_dist_into(model, events, i, &mut parents);
+        for &(j, p) in &parents {
             for c in 0..k {
                 r[c] += p * roots[j][c];
             }
         }
         roots.push(r);
     }
-    roots
+    Ok(roots)
 }
 
 /// Aggregate root causes into an influence count matrix:
@@ -103,17 +75,21 @@ pub fn root_causes(model: &HawkesModel, events: &[Event]) -> Vec<Vec<f64>> {
 ///
 /// Row/column semantics match Figs. 11–16: `src` is the causing
 /// community, `dst` the community the event happened on. Column sums
-/// equal the per-community event counts.
-pub fn root_cause_matrix(model: &HawkesModel, events: &[Event]) -> Vec<Vec<f64>> {
+/// equal the per-community event counts. Errors as
+/// [`parent_probabilities`] does.
+pub fn root_cause_matrix(
+    model: &HawkesModel,
+    events: &[Event],
+) -> Result<Vec<Vec<f64>>, HawkesError> {
     let k = model.k();
-    let roots = root_causes(model, events);
+    let roots = root_causes(model, events)?;
     let mut counts = vec![vec![0.0f64; k]; k];
     for (e, r) in events.iter().zip(&roots) {
         for src in 0..k {
             counts[src][e.process] += r[src];
         }
     }
-    counts
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -130,7 +106,7 @@ mod tests {
     fn first_event_is_pure_background() {
         let m = toy();
         let events = vec![Event::new(1.0, 0), Event::new(1.1, 1)];
-        let dists = parent_probabilities(&m, &events);
+        let dists = parent_probabilities(&m, &events).unwrap();
         assert_eq!(dists[0].background, 1.0);
         assert!(dists[0].parents.is_empty());
         // Second event splits between background and event 0.
@@ -144,7 +120,7 @@ mod tests {
     fn closer_parents_get_more_mass() {
         let m = toy();
         let events = vec![Event::new(0.0, 0), Event::new(2.0, 0), Event::new(2.1, 1)];
-        let dists = parent_probabilities(&m, &events);
+        let dists = parent_probabilities(&m, &events).unwrap();
         let p_recent = dists[2]
             .parents
             .iter()
@@ -165,7 +141,7 @@ mod tests {
         let m = toy();
         let mut rng = seeded_rng(11);
         let events = strip_lineage(&simulate_branching(&m, 300.0, &mut rng));
-        let roots = root_causes(&m, &events);
+        let roots = root_causes(&m, &events).unwrap();
         for r in &roots {
             let s: f64 = r.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "row sum {s}");
@@ -177,7 +153,7 @@ mod tests {
         let m = toy();
         let mut rng = seeded_rng(12);
         let events = strip_lineage(&simulate_branching(&m, 300.0, &mut rng));
-        let counts = root_cause_matrix(&m, &events);
+        let counts = root_cause_matrix(&m, &events).unwrap();
         let mut per_dst = [0usize; 2];
         for e in &events {
             per_dst[e.process] += 1;
@@ -201,7 +177,7 @@ mod tests {
         let mut rng = seeded_rng(13);
         let sim = simulate_branching(&m, 2000.0, &mut rng);
         let events = strip_lineage(&sim);
-        let counts = root_cause_matrix(&m, &events);
+        let counts = root_cause_matrix(&m, &events).unwrap();
         let mut true_counts = vec![vec![0.0f64; 2]; 2];
         for i in 0..sim.len() {
             let root = true_root_community(&sim, i);
@@ -224,7 +200,7 @@ mod tests {
     fn pure_background_model_attributes_everything_to_self() {
         let m = HawkesModel::new(vec![1.0, 1.0], vec![vec![0.0; 2]; 2], 1.0).unwrap();
         let events = vec![Event::new(0.5, 0), Event::new(0.6, 1), Event::new(0.7, 0)];
-        let counts = root_cause_matrix(&m, &events);
+        let counts = root_cause_matrix(&m, &events).unwrap();
         assert_eq!(counts[0][0], 2.0);
         assert_eq!(counts[1][1], 1.0);
         assert_eq!(counts[0][1], 0.0);
@@ -232,9 +208,35 @@ mod tests {
     }
 
     #[test]
+    fn malformed_streams_are_typed_errors() {
+        let m = toy();
+        let unsorted = [Event::new(2.0, 0), Event::new(1.0, 1)];
+        let out_of_range = [Event::new(1.0, 0), Event::new(2.0, 2)];
+        let not_finite = [Event::new(1.0, 0), Event::new(f64::NAN, 1)];
+        for events in [&unsorted[..], &out_of_range[..], &not_finite[..]] {
+            assert!(matches!(
+                parent_probabilities(&m, events),
+                Err(HawkesError::InvalidEvents(_))
+            ));
+            assert!(matches!(
+                root_causes(&m, events),
+                Err(HawkesError::InvalidEvents(_))
+            ));
+            assert!(matches!(
+                root_cause_matrix(&m, events),
+                Err(HawkesError::InvalidEvents(_))
+            ));
+            assert!(matches!(
+                crate::em::impulse_histogram(&m, events, 4, 1.0),
+                Err(HawkesError::InvalidEvents(_))
+            ));
+        }
+    }
+
+    #[test]
     fn empty_stream_gives_zero_matrix() {
         let m = toy();
-        let counts = root_cause_matrix(&m, &[]);
+        let counts = root_cause_matrix(&m, &[]).unwrap();
         assert!(counts.iter().flatten().all(|&x| x == 0.0));
     }
 }

@@ -9,7 +9,8 @@
 //! two fitters are cross-validated against each other in the tests and
 //! the `repro` ablations.
 
-use crate::model::{Event, HawkesError, HawkesModel};
+use crate::branching::parent_dist_into;
+use crate::model::{validate_fit_inputs, validate_stream, Event, HawkesError, HawkesModel};
 use serde::{Deserialize, Serialize};
 
 /// EM configuration.
@@ -24,11 +25,6 @@ pub struct EmConfig {
     pub max_iters: usize,
     /// Stop when the log-likelihood improves by less than this.
     pub tol: f64,
-    /// Ignore candidate parents farther than this many kernel
-    /// time-constants (`1/beta`) in the past; `exp(-30) ≈ 1e-13` makes 30
-    /// lossless in double precision while keeping the E-step near-linear
-    /// on long streams.
-    pub max_lag_time_constants: f64,
 }
 
 impl Default for EmConfig {
@@ -38,7 +34,6 @@ impl Default for EmConfig {
             estimate_beta: false,
             max_iters: 100,
             tol: 1e-6,
-            max_lag_time_constants: 30.0,
         }
     }
 }
@@ -67,36 +62,12 @@ pub fn fit_em(
     horizon: f64,
     config: &EmConfig,
 ) -> Result<EmFit, HawkesError> {
-    if k == 0 {
-        return Err(HawkesError::InvalidParameter(
-            "need at least one process".into(),
-        ));
-    }
-    if events.is_empty() {
-        return Err(HawkesError::EmptyEvents);
-    }
-    if !(horizon.is_finite() && horizon > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "horizon must be finite and positive".into(),
-        ));
-    }
-    if !(config.beta.is_finite() && config.beta > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "beta must be finite and positive".into(),
-        ));
-    }
+    validate_fit_inputs(events, k, horizon, config.beta)?;
 
     // Initialization: attribute half the empirical rate to background,
     // start with small uniform weights.
-    let n = events.len();
     let mut counts = vec![0usize; k];
     for e in events {
-        if e.process >= k {
-            return Err(HawkesError::InvalidEvents(format!(
-                "process id {} out of range",
-                e.process
-            )));
-        }
         counts[e.process] += 1;
     }
     let mut model = HawkesModel::new(
@@ -107,47 +78,24 @@ pub fn fit_em(
         vec![vec![0.1; k]; k],
         config.beta,
     )?;
-    model.validate_events(events, horizon)?;
 
     let mut prev_ll = f64::NEG_INFINITY;
     let mut converged = false;
     let mut iterations = 0;
 
-    // Scratch: expected offspring counts and background counts.
+    let mut parents: Vec<(usize, f64)> = Vec::new();
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         let beta = model.beta;
-        let max_lag = config.max_lag_time_constants / beta;
 
         let mut bg_resp = vec![0.0f64; k]; // Σ p_i,bg per process
         let mut pair_resp = vec![vec![0.0f64; k]; k]; // Σ p_ij by (c_j, c_i)
         let mut lag_sum = 0.0f64; // Σ p_ij (t_i - t_j), for beta update
         let mut pair_total = 0.0f64;
 
-        for i in 0..n {
-            let ei = events[i];
-            let mut weights: Vec<(usize, f64)> = Vec::new();
-            let mut total = model.mu[ei.process];
-            // Walk candidate parents backward until beyond max_lag.
-            for j in (0..i).rev() {
-                let dt = ei.t - events[j].t;
-                if dt > max_lag {
-                    break;
-                }
-                let a = model.w[events[j].process][ei.process] * beta * (-beta * dt).exp();
-                if a > 0.0 {
-                    weights.push((j, a));
-                    total += a;
-                }
-            }
-            if total <= 0.0 {
-                // Degenerate (mu hit zero and no parents): tiny floor.
-                bg_resp[ei.process] += 1.0;
-                continue;
-            }
-            bg_resp[ei.process] += model.mu[ei.process] / total;
-            for (j, a) in weights {
-                let p = a / total;
+        for (i, ei) in events.iter().enumerate() {
+            bg_resp[ei.process] += parent_dist_into(&model, events, i, &mut parents);
+            for &(j, p) in &parents {
                 pair_resp[events[j].process][ei.process] += p;
                 lag_sum += p * (ei.t - events[j].t);
                 pair_total += p;
@@ -237,25 +185,14 @@ pub fn impulse_histogram(
             "max_lag must be finite and positive".into(),
         ));
     }
-    // Re-check the parent-probability contract so a malformed stream
-    // surfaces as a typed error rather than the assert inside
-    // `parent_probabilities`.
-    let sorted = events
-        .iter()
-        .zip(events.iter().skip(1))
-        .all(|(a, b)| a.t <= b.t);
-    if !sorted || events.iter().any(|e| e.process >= model.k()) {
-        return Err(HawkesError::InvalidParameter(
-            "events must be sorted by time with in-range process ids".into(),
-        ));
-    }
-    // lint:allow(panic-reachable): the contract asserts cannot fire — sortedness and process range are validated just above
-    let dists = crate::attribution::parent_probabilities(model, events);
+    validate_stream(events, model.k(), None)?;
     let width = max_lag / bins as f64;
     let mut hist = vec![0.0f64; bins];
     let mut total = 0.0f64;
-    for (i, pd) in dists.iter().enumerate() {
-        for &(j, p) in &pd.parents {
+    let mut parents: Vec<(usize, f64)> = Vec::new();
+    for i in 0..events.len() {
+        parent_dist_into(model, events, i, &mut parents);
+        for &(j, p) in &parents {
             let lag = events[i].t - events[j].t;
             if lag < max_lag {
                 hist[(lag / width) as usize] += p;
@@ -294,6 +231,20 @@ mod tests {
         assert!(fit_em(&[Event::new(1.0, 0)], 1, 0.0, &cfg).is_err());
         assert!(fit_em(&[Event::new(1.0, 3)], 2, 10.0, &cfg).is_err());
         assert!(fit_em(&[Event::new(2.0, 0), Event::new(1.0, 0)], 1, 10.0, &cfg).is_err());
+        // The variants `fit_gibbs` is held equal to (its own
+        // `rejects_invalid_input` compares the two fitters case by case;
+        // `empty_stream_is_typed_error` below pins `EmptyEvents`).
+        let one = [Event::new(1.0, 0)];
+        for (k, horizon, beta) in [(0, 10.0, 1.0), (1, 0.0, 1.0), (1, 10.0, f64::NAN)] {
+            assert!(matches!(
+                fit_em(&one, k, horizon, &EmConfig { beta, ..cfg }),
+                Err(HawkesError::InvalidParameter(_))
+            ));
+        }
+        assert!(matches!(
+            fit_em(&[Event::new(1.0, 3)], 2, 10.0, &cfg),
+            Err(HawkesError::InvalidEvents(_))
+        ));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! The kernel decay `β` is held fixed, as in the paper (the impulse
 //! family is chosen a priori there as well).
 
-use crate::model::{Event, HawkesError, HawkesModel};
+use crate::branching::excitation_into;
+use crate::model::{validate_fit_inputs, Event, HawkesError, HawkesModel};
 use meme_stats::dist::{Categorical, Gamma};
 use rand::distr::Distribution;
 use rand::Rng;
@@ -78,26 +79,7 @@ pub fn fit_gibbs<R: Rng + ?Sized>(
     config: &GibbsConfig,
     rng: &mut R,
 ) -> Result<GibbsFit, HawkesError> {
-    if k == 0 {
-        return Err(HawkesError::InvalidParameter(
-            "need at least one process".into(),
-        ));
-    }
-    if events.is_empty() {
-        return Err(HawkesError::InvalidEvents(
-            "cannot fit an empty event stream".into(),
-        ));
-    }
-    if !(horizon.is_finite() && horizon > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "horizon must be finite and positive".into(),
-        ));
-    }
-    if !(config.beta.is_finite() && config.beta > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "beta must be finite and positive".into(),
-        ));
-    }
+    validate_fit_inputs(events, k, horizon, config.beta)?;
     if config.samples == 0 {
         return Err(HawkesError::InvalidParameter(
             "need at least one posterior sample".into(),
@@ -106,11 +88,6 @@ pub fn fit_gibbs<R: Rng + ?Sized>(
 
     let n = events.len();
     let beta = config.beta;
-    let max_lag = 30.0 / beta;
-
-    // Validate events once with a placeholder model.
-    let probe = HawkesModel::new(vec![1.0; k], vec![vec![0.0; k]; k], beta)?;
-    probe.validate_events(events, horizon)?;
 
     // Exposure per source community: Σ_{j on c} (1 - e^{-β(T - t_j)}).
     let mut exposure = vec![0.0f64; k];
@@ -135,26 +112,21 @@ pub fn fit_gibbs<R: Rng + ?Sized>(
     let mut sum_w = vec![vec![0.0f64; k]; k];
     let mut sum_w2 = vec![vec![0.0f64; k]; k];
     let mut collected = 0usize;
+    let mut parents: Vec<(usize, f64)> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
 
     for sweep in 0..total_sweeps {
         // --- Sample parents.
         for i in 0..n {
-            let ei = events[i];
-            let mut cand_idx: Vec<usize> = vec![usize::MAX];
-            let mut weights: Vec<f64> = vec![mu[ei.process]];
-            for j in (0..i).rev() {
-                let dt = ei.t - events[j].t;
-                if dt > max_lag {
-                    break;
-                }
-                let a = w[events[j].process][ei.process] * beta * (-beta * dt).exp();
-                if a > 0.0 {
-                    cand_idx.push(j);
-                    weights.push(a);
-                }
-            }
+            excitation_into(&mu, &w, beta, events, i, &mut parents);
+            weights.clear();
+            weights.push(mu[events[i].process]);
+            weights.extend(parents.iter().map(|&(_, a)| a));
             z[i] = match Categorical::new(&weights) {
-                Ok(cat) if weights.len() > 1 => cand_idx[cat.sample(rng)],
+                Ok(cat) if weights.len() > 1 => match cat.sample(rng) {
+                    0 => usize::MAX,
+                    pick => parents[pick - 1].0,
+                },
                 // A single candidate (background only) or degenerate
                 // weights (all zero, or overflowed to non-finite): fall
                 // back to a background attribution for this event
@@ -269,6 +241,31 @@ mod tests {
             ..GibbsConfig::default()
         };
         assert!(fit_gibbs(&[Event::new(1.0, 0)], 1, 10.0, &zero_samples, &mut rng).is_err());
+        // Same typed error as `fit_em` for the same bad input.
+        assert_eq!(
+            fit_gibbs(&[], 2, 10.0, &cfg, &mut rng).unwrap_err(),
+            HawkesError::EmptyEvents
+        );
+        use crate::em::{fit_em, EmConfig};
+        for (events, k, horizon, beta) in [
+            (vec![], 2, 10.0, 1.0),
+            (vec![Event::new(1.0, 0)], 0, 10.0, 1.0),
+            (vec![Event::new(1.0, 0)], 1, -1.0, 1.0),
+            (vec![Event::new(1.0, 0)], 1, 10.0, f64::NAN),
+            (vec![Event::new(1.0, 3)], 2, 10.0, 1.0),
+            (vec![Event::new(2.0, 0), Event::new(1.0, 0)], 1, 10.0, 1.0),
+            (vec![Event::new(11.0, 0)], 1, 10.0, 1.0),
+        ] {
+            let em_cfg = EmConfig {
+                beta,
+                ..EmConfig::default()
+            };
+            assert_eq!(
+                fit_gibbs(&events, k, horizon, &GibbsConfig { beta, ..cfg }, &mut rng).unwrap_err(),
+                fit_em(&events, k, horizon, &em_cfg).unwrap_err(),
+                "k={k} horizon={horizon} beta={beta}"
+            );
+        }
     }
 
     #[test]

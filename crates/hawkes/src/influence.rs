@@ -365,7 +365,7 @@ fn fit_one_checked(
                     spectral_radius: rho,
                 });
             }
-            let matrix = InfluenceMatrix::from_counts(root_cause_matrix(&model, events));
+            let matrix = InfluenceMatrix::from_counts(root_cause_matrix(&model, events)?);
             Ok((matrix, Some(stats)))
         }
     }

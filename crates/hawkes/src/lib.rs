@@ -17,6 +17,8 @@
 //! * [`simulate`] — exact branching simulation (with ground-truth parent
 //!   bookkeeping, which the ecosystem simulator relies on) and Ogata
 //!   thinning as an independent cross-check;
+//! * `branching` (private) — the one candidate-parent walk behind both
+//!   fitters and attribution, cut at [`PARENT_WINDOW_TIME_CONSTANTS`];
 //! * [`em`] — maximum-likelihood fitting via expectation–maximization;
 //! * [`gibbs`] — Bayesian fitting via a latent-parent Gibbs sampler with
 //!   conjugate Gamma updates, the approach of Linderman & Adams that the
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
+mod branching;
 pub mod em;
 pub mod gibbs;
 pub mod influence;
@@ -41,6 +44,7 @@ pub mod residual;
 pub mod simulate;
 
 pub use attribution::{parent_probabilities, root_cause_matrix, root_causes};
+pub use branching::PARENT_WINDOW_TIME_CONSTANTS;
 pub use em::{fit_em, impulse_histogram, EmConfig, EmFit};
 pub use gibbs::{fit_gibbs, GibbsConfig, GibbsFit};
 pub use influence::{

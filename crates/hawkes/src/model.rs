@@ -176,29 +176,7 @@ impl HawkesModel {
     /// Validate an event stream against this model: sorted by time,
     /// process ids in range, times finite and within `[0, horizon]`.
     pub fn validate_events(&self, events: &[Event], horizon: f64) -> Result<(), HawkesError> {
-        let mut prev = f64::NEG_INFINITY;
-        for e in events {
-            if !e.t.is_finite() || e.t < 0.0 || e.t > horizon {
-                return Err(HawkesError::InvalidEvents(format!(
-                    "event time {} outside [0, {horizon}]",
-                    e.t
-                )));
-            }
-            if e.t < prev {
-                return Err(HawkesError::InvalidEvents(
-                    "events must be sorted by time".into(),
-                ));
-            }
-            if e.process >= self.k() {
-                return Err(HawkesError::InvalidEvents(format!(
-                    "process id {} out of range (K = {})",
-                    e.process,
-                    self.k()
-                )));
-            }
-            prev = e.t;
-        }
-        Ok(())
+        validate_stream(events, self.k(), Some(horizon))
     }
 
     /// Log-likelihood of a sorted event stream observed on `[0, horizon]`.
@@ -265,6 +243,67 @@ impl HawkesModel {
         }
         Some(rate)
     }
+}
+
+/// Check a stream: sorted by time (a NaN time is unordered and fails),
+/// process ids below `k` — the kernel's walk and indexing rely on both —
+/// and, given an observation window, times within `[0, horizon]`.
+pub(crate) fn validate_stream(
+    events: &[Event],
+    k: usize,
+    horizon: Option<f64>,
+) -> Result<(), HawkesError> {
+    let mut prev = f64::NEG_INFINITY;
+    for e in events {
+        if e.t.is_nan() || e.t < prev {
+            return Err(HawkesError::InvalidEvents(
+                "events must be sorted by time".into(),
+            ));
+        }
+        if e.process >= k {
+            return Err(HawkesError::InvalidEvents(format!(
+                "process id {} out of range (K = {k})",
+                e.process
+            )));
+        }
+        if let Some(h) = horizon.filter(|&h| e.t < 0.0 || e.t > h) {
+            return Err(HawkesError::InvalidEvents(format!(
+                "event time {} outside [0, {h}]",
+                e.t
+            )));
+        }
+        prev = e.t;
+    }
+    Ok(())
+}
+
+/// The argument checks both fitters share, so the same bad input is the
+/// same error whichever fitter sees it.
+pub(crate) fn validate_fit_inputs(
+    events: &[Event],
+    k: usize,
+    horizon: f64,
+    beta: f64,
+) -> Result<(), HawkesError> {
+    if k == 0 {
+        return Err(HawkesError::InvalidParameter(
+            "need at least one process".into(),
+        ));
+    }
+    if events.is_empty() {
+        return Err(HawkesError::EmptyEvents);
+    }
+    if !(horizon.is_finite() && horizon > 0.0) {
+        return Err(HawkesError::InvalidParameter(
+            "horizon must be finite and positive".into(),
+        ));
+    }
+    if !(beta.is_finite() && beta > 0.0) {
+        return Err(HawkesError::InvalidParameter(
+            "beta must be finite and positive".into(),
+        ));
+    }
+    validate_stream(events, k, Some(horizon))
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ proptest! {
     fn parent_probabilities_sum_to_one(m in stable_model_strategy(), seed: u64) {
         let mut rng = seeded_rng(seed);
         let events = strip_lineage(&simulate_branching(&m, 30.0, &mut rng));
-        for pd in parent_probabilities(&m, &events) {
+        for pd in parent_probabilities(&m, &events).unwrap() {
             let total: f64 = pd.background + pd.parents.iter().map(|(_, p)| p).sum::<f64>();
             prop_assert!((total - 1.0).abs() < 1e-9);
             prop_assert!(pd.background >= 0.0);
@@ -78,15 +78,30 @@ proptest! {
     }
 
     #[test]
+    fn parent_window_is_lossless(m in stable_model_strategy(), seed: u64) {
+        // The windowed walk against the unwindowed O(n²) intensity. Ties
+        // are excluded: `intensity` counts events strictly before `t`,
+        // the walk counts every earlier index.
+        let mut rng = seeded_rng(seed);
+        let events = strip_lineage(&simulate_branching(&m, 60.0, &mut rng));
+        prop_assume!(events.windows(2).all(|w| w[0].t < w[1].t));
+        let dists = parent_probabilities(&m, &events).unwrap();
+        for (e, pd) in events.iter().zip(&dists) {
+            let reference = m.mu[e.process] / m.intensity(&events, e.process, e.t);
+            prop_assert!((pd.background - reference).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn root_cause_mass_is_conserved(m in stable_model_strategy(), seed: u64) {
         let mut rng = seeded_rng(seed);
         let events = strip_lineage(&simulate_branching(&m, 30.0, &mut rng));
-        let roots = root_causes(&m, &events);
+        let roots = root_causes(&m, &events).unwrap();
         for r in &roots {
             prop_assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
         // Matrix totals equal event count.
-        let matrix = root_cause_matrix(&m, &events);
+        let matrix = root_cause_matrix(&m, &events).unwrap();
         let total: f64 = matrix.iter().flatten().sum();
         prop_assert!((total - events.len() as f64).abs() < 1e-6);
     }
@@ -165,6 +180,7 @@ proptest! {
         prop_assert!(m.validate_events(&events, 10.0).is_ok());
         prop_assert!(m.log_likelihood(&events, 10.0).unwrap().is_finite());
         prop_assert!(root_cause_matrix(&m, &events)
+            .unwrap()
             .iter()
             .flatten()
             .all(|x| *x == 0.0));

@@ -656,8 +656,8 @@ pub fn fig10(seed: u64) {
     let events = strip_lineage(&sim);
     let names = ["A", "B", "C"];
     println!("simulated {} events on processes A, B, C", events.len());
-    let parents = parent_probabilities(&model, &events);
-    let roots = root_causes(&model, &events);
+    let parents = parent_probabilities(&model, &events).expect("simulated stream is valid");
+    let roots = root_causes(&model, &events).expect("simulated stream is valid");
     let show = events.len().min(8);
     for i in 0..show {
         let bg = parents[i].background;
