@@ -6,26 +6,25 @@
 //! is attributed both to communities B and C, event 3 is partly
 //! attributed to community B through both event 1 and event 2."
 //!
-//! Concretely: for each event compute parent probabilities (background
-//! vs each earlier event), then propagate *recursively* so that every
-//! event carries a full probability distribution over root-cause
-//! communities. This is the paper's improvement over the one-hop
-//! estimate of their earlier work (\[86\]).
+//! Concretely: for each event weigh the background against every earlier
+//! event's impulse, then propagate *recursively* so that every event
+//! carries a full probability distribution over root-cause communities.
+//! This is the paper's improvement over the one-hop estimate of their
+//! earlier work (\[86\]). The recursion runs forward through a decayed
+//! sum of earlier roots per source process (`Q_s` in `DecayState`), so
+//! it is O(nK²) and [`root_cause_matrix`] allocates nothing per event.
 
-use crate::branching::parent_dist_into;
-use crate::model::{validate_stream, Event, HawkesError, HawkesModel};
+use crate::model::{validate_stream, DecayState, Event, HawkesError, HawkesModel};
 
 /// Parent probabilities for one event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParentDist {
     /// Probability the event came from the background rate.
     pub background: f64,
-    /// `(parent event index, probability)` pairs for earlier events with
-    /// non-negligible impulse at this event's time, newest first.
-    pub parents: Vec<(usize, f64)>,
 }
 
-/// Compute each event's parent distribution under `model`.
+/// Compute each event's parent distribution under `model`. An event
+/// with neither background nor excitation is pure background.
 ///
 /// Errors with [`HawkesError::InvalidEvents`] when events are unsorted
 /// (a NaN time counts as unsorted) or a process id is out of range.
@@ -33,17 +32,11 @@ pub fn parent_probabilities(
     model: &HawkesModel,
     events: &[Event],
 ) -> Result<Vec<ParentDist>, HawkesError> {
-    validate_stream(events, model.k(), None)?;
-    let mut parents = Vec::new();
-    Ok((0..events.len())
-        .map(|i| {
-            let background = parent_dist_into(model, events, i, &mut parents);
-            ParentDist {
-                background,
-                parents: parents.clone(),
-            }
-        })
-        .collect())
+    let mut dists = Vec::with_capacity(events.len());
+    for_each_root(model, events, |_, background, _| {
+        dists.push(ParentDist { background })
+    })?;
+    Ok(dists)
 }
 
 /// Root-cause distributions: `result[i][c]` is the probability that the
@@ -53,20 +46,8 @@ pub fn parent_probabilities(
 /// event caused by parent `j` inherits `j`'s root distribution. Errors
 /// as [`parent_probabilities`] does.
 pub fn root_causes(model: &HawkesModel, events: &[Event]) -> Result<Vec<Vec<f64>>, HawkesError> {
-    let k = model.k();
-    validate_stream(events, k, None)?;
-    let mut parents = Vec::new();
-    let mut roots: Vec<Vec<f64>> = Vec::with_capacity(events.len());
-    for (i, ei) in events.iter().enumerate() {
-        let mut r = vec![0.0f64; k];
-        r[ei.process] += parent_dist_into(model, events, i, &mut parents);
-        for &(j, p) in &parents {
-            for c in 0..k {
-                r[c] += p * roots[j][c];
-            }
-        }
-        roots.push(r);
-    }
+    let mut roots = Vec::with_capacity(events.len());
+    for_each_root(model, events, |_, _, root| roots.push(root.to_vec()))?;
     Ok(roots)
 }
 
@@ -82,14 +63,61 @@ pub fn root_cause_matrix(
     events: &[Event],
 ) -> Result<Vec<Vec<f64>>, HawkesError> {
     let k = model.k();
-    let roots = root_causes(model, events)?;
     let mut counts = vec![vec![0.0f64; k]; k];
-    for (e, r) in events.iter().zip(&roots) {
-        for src in 0..k {
-            counts[src][e.process] += r[src];
+    for_each_root(model, events, |dst, _, root| {
+        for (row, r) in counts.iter_mut().zip(root) {
+            row[dst] += r;
+        }
+    })?;
+    Ok(counts)
+}
+
+/// Hand `visit` each event's process, background probability and
+/// root-cause distribution, in stream order.
+fn for_each_root(
+    model: &HawkesModel,
+    events: &[Event],
+    mut visit: impl FnMut(usize, f64, &[f64]),
+) -> Result<(), HawkesError> {
+    let k = model.k();
+    validate_stream(events, k, None)?;
+    let mut state = DecayState::new(k, model.beta).with_roots();
+    let mut root = vec![0.0f64; k];
+    for e in events {
+        let background = root_step(model, &mut state, *e, &mut root);
+        visit(e.process, background, &root);
+    }
+    Ok(())
+}
+
+/// Event `e`'s root-cause distribution into `root`, after which `e`
+/// joins `state`; returns its background probability. The parent on
+/// `s` is event `i` with probability `W[s][c] β e^{−β(t − t_i)} / λ`, so
+/// what `e` inherits through `s` is `(W[s][c] β / λ) Q_s`.
+// lint:hotpath(per-event root propagation: K² multiply-adds into the caller's scratch)
+fn root_step(model: &HawkesModel, state: &mut DecayState, e: Event, root: &mut [f64]) -> f64 {
+    let c = e.process;
+    state.advance_to(e.t);
+    let lambda = state.intensity(&model.mu, &model.w, c);
+    root.fill(0.0);
+    // With neither background nor excitation the event is its own root.
+    let background = if lambda > 0.0 {
+        model.mu[c] / lambda
+    } else {
+        1.0
+    };
+    root[c] = background;
+    if lambda > 0.0 {
+        for (row, q) in model.w.iter().zip(state.q.chunks_exact(root.len())) {
+            let share = row[c] * model.beta / lambda;
+            for (r, q) in root.iter_mut().zip(q) {
+                *r += share * q;
+            }
         }
     }
-    Ok(counts)
+    state.push(c);
+    state.push_root(c, root);
+    background
 }
 
 #[cfg(test)]
@@ -108,32 +136,24 @@ mod tests {
         let events = vec![Event::new(1.0, 0), Event::new(1.1, 1)];
         let dists = parent_probabilities(&m, &events).unwrap();
         assert_eq!(dists[0].background, 1.0);
-        assert!(dists[0].parents.is_empty());
         // Second event splits between background and event 0.
-        assert!(dists[1].background < 1.0);
-        assert_eq!(dists[1].parents.len(), 1);
-        let total: f64 = dists[1].background + dists[1].parents.iter().map(|(_, p)| p).sum::<f64>();
-        assert!((total - 1.0).abs() < 1e-12);
+        let excitation = m.w[0][1] * m.beta * (-m.beta * 0.1f64).exp();
+        let expected = m.mu[1] / (m.mu[1] + excitation);
+        assert!((dists[1].background - expected).abs() < 1e-12);
     }
 
     #[test]
-    fn closer_parents_get_more_mass() {
+    fn closer_parents_excite_more() {
         let m = toy();
-        let events = vec![Event::new(0.0, 0), Event::new(2.0, 0), Event::new(2.1, 1)];
-        let dists = parent_probabilities(&m, &events).unwrap();
-        let p_recent = dists[2]
-            .parents
-            .iter()
-            .find(|(j, _)| *j == 1)
-            .map(|(_, p)| *p)
-            .unwrap();
-        let p_old = dists[2]
-            .parents
-            .iter()
-            .find(|(j, _)| *j == 0)
-            .map(|(_, p)| *p)
-            .unwrap();
-        assert!(p_recent > p_old);
+        let near = [Event::new(0.0, 0), Event::new(0.1, 1)];
+        let far = [Event::new(0.0, 0), Event::new(2.0, 1)];
+        let p_near = parent_probabilities(&m, &near).unwrap()[1].background;
+        let p_far = parent_probabilities(&m, &far).unwrap()[1].background;
+        assert!(p_near < p_far, "near {p_near} vs far {p_far}");
+        // Root mass follows: the near child owes more to process 0.
+        let r_near = root_causes(&m, &near).unwrap()[1][0];
+        let r_far = root_causes(&m, &far).unwrap()[1][0];
+        assert!(r_near > r_far, "near {r_near} vs far {r_far}");
     }
 
     #[test]
@@ -224,10 +244,6 @@ mod tests {
             ));
             assert!(matches!(
                 root_cause_matrix(&m, events),
-                Err(HawkesError::InvalidEvents(_))
-            ));
-            assert!(matches!(
-                crate::em::impulse_histogram(&m, events, 4, 1.0),
                 Err(HawkesError::InvalidEvents(_))
             ));
         }

@@ -1,16 +1,20 @@
 //! Maximum-likelihood fitting via expectation–maximization.
 //!
 //! The E-step computes, for every event, the probability that it was
-//! caused by the background or by each earlier event (the latent
-//! branching structure); the M-step re-estimates background rates and
-//! the weight matrix in closed form. This is the classic EM for
+//! caused by the background or by an earlier event on each process (the
+//! latent branching structure, summed per source through the decayed
+//! state, so a pass is O(nK)); the same pass scores the current model's
+//! log-likelihood. The M-step re-estimates background rates and the
+//! weight matrix in closed form. This is the classic EM for
 //! exponential-kernel Hawkes processes (Lewis & Mohler 2011), and the
 //! deterministic, fast counterpart to the paper's Gibbs sampler — the
 //! two fitters are cross-validated against each other in the tests and
 //! the `repro` ablations.
 
-use crate::branching::parent_dist_into;
-use crate::model::{validate_fit_inputs, validate_stream, Event, HawkesError, HawkesModel};
+use crate::model::{
+    branching_pass, compensator, horizon_fractions, validate_fit_inputs, DecayState, Event,
+    HawkesError, HawkesModel,
+};
 use serde::{Deserialize, Serialize};
 
 /// EM configuration.
@@ -64,74 +68,54 @@ pub fn fit_em(
 ) -> Result<EmFit, HawkesError> {
     validate_fit_inputs(events, k, horizon, config.beta)?;
 
-    // Initialization: attribute half the empirical rate to background,
-    // start with small uniform weights.
-    let mut counts = vec![0usize; k];
-    for e in events {
-        counts[e.process] += 1;
-    }
-    let mut model = HawkesModel::new(
-        counts
-            .iter()
-            .map(|&c| (0.5 * c as f64 / horizon).max(1e-6))
-            .collect(),
-        vec![vec![0.1; k]; k],
-        config.beta,
-    )?;
-
+    let mut model = HawkesModel::initial_guess(events, k, horizon, config.beta)?;
+    let mut bg = vec![0.0f64; k];
+    let mut pair = vec![vec![0.0f64; k]; k];
+    // Shared by the M-step denominator and the compensator; they change
+    // only when `β` does.
+    let mut fractions = horizon_fractions(events, k, model.beta, horizon);
     let mut prev_ll = f64::NEG_INFINITY;
     let mut converged = false;
     let mut iterations = 0;
-
-    let mut parents: Vec<(usize, f64)> = Vec::new();
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        let beta = model.beta;
-
-        let mut bg_resp = vec![0.0f64; k]; // Σ p_i,bg per process
-        let mut pair_resp = vec![vec![0.0f64; k]; k]; // Σ p_ij by (c_j, c_i)
-        let mut lag_sum = 0.0f64; // Σ p_ij (t_i - t_j), for beta update
-        let mut pair_total = 0.0f64;
-
-        for (i, ei) in events.iter().enumerate() {
-            bg_resp[ei.process] += parent_dist_into(&model, events, i, &mut parents);
-            for &(j, p) in &parents {
-                pair_resp[events[j].process][ei.process] += p;
-                lag_sum += p * (ei.t - events[j].t);
-                pair_total += p;
+    loop {
+        let mut state = DecayState::new(k, model.beta);
+        if config.estimate_beta {
+            state = state.with_lags();
+        }
+        let (log_lambda, lag_sum) = branching_pass(&model, events, &mut state, &mut bg, &mut pair);
+        // The pass also scores the model the last M-step produced (the
+        // initial guess is not scored).
+        if iterations > 0 {
+            let ll = log_lambda - compensator(&model, horizon, &fractions);
+            converged = (ll - prev_ll).abs() < config.tol;
+            prev_ll = ll;
+            if converged {
+                break;
             }
         }
+        if iterations == config.max_iters {
+            break;
+        }
+        iterations += 1;
 
         // M-step.
         for dst in 0..k {
-            model.mu[dst] = (bg_resp[dst] / horizon).max(1e-12);
-        }
-        // Denominator: Σ_{j on src} (1 - exp(-beta (T - t_j))) — the
-        // expected fraction of each parent's offspring window observed.
-        let mut denom = vec![0.0f64; k];
-        for e in events {
-            denom[e.process] += 1.0 - (-beta * (horizon - e.t)).exp();
+            model.mu[dst] = (bg[dst] / horizon).max(1e-12);
         }
         for src in 0..k {
             for dst in 0..k {
-                model.w[src][dst] = if denom[src] > 0.0 {
-                    pair_resp[src][dst] / denom[src]
+                model.w[src][dst] = if fractions[src] > 0.0 {
+                    pair[src][dst] / fractions[src]
                 } else {
                     0.0
                 };
             }
         }
         if config.estimate_beta && lag_sum > 0.0 {
+            let pair_total: f64 = pair.iter().flatten().sum();
             model.beta = (pair_total / lag_sum).clamp(1e-6, 1e6);
+            fractions = horizon_fractions(events, k, model.beta, horizon);
         }
-
-        let ll = model.log_likelihood(events, horizon)?;
-        if (ll - prev_ll).abs() < config.tol {
-            prev_ll = ll;
-            converged = true;
-            break;
-        }
-        prev_ll = ll;
     }
 
     // A NaN likelihood or non-finite parameters mean an update step blew
@@ -154,58 +138,6 @@ pub fn fit_em(
         iterations,
         converged,
     })
-}
-
-/// Nonparametric impulse-response estimate.
-///
-/// The paper (and our fitters) assume a parametric impulse shape; this
-/// diagnostic checks that assumption the way Linderman & Adams motivate
-/// their basis functions: compute each event's parent responsibilities
-/// under `model`, bin the parent→child lags weighted by responsibility,
-/// and normalize to a density over `[0, max_lag)`. If the exponential
-/// kernel is right, the histogram tracks `β e^{−β t}`.
-///
-/// Returns `bins` density values (integrating to ~1 when enough mass
-/// falls inside the window); all-zero when the stream has no plausible
-/// parent-child pairs. Errors on `bins == 0` or a non-positive /
-/// non-finite `max_lag`.
-pub fn impulse_histogram(
-    model: &HawkesModel,
-    events: &[Event],
-    bins: usize,
-    max_lag: f64,
-) -> Result<Vec<f64>, HawkesError> {
-    if bins == 0 {
-        return Err(HawkesError::InvalidParameter(
-            "need at least one bin".into(),
-        ));
-    }
-    if !(max_lag.is_finite() && max_lag > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "max_lag must be finite and positive".into(),
-        ));
-    }
-    validate_stream(events, model.k(), None)?;
-    let width = max_lag / bins as f64;
-    let mut hist = vec![0.0f64; bins];
-    let mut total = 0.0f64;
-    let mut parents: Vec<(usize, f64)> = Vec::new();
-    for i in 0..events.len() {
-        parent_dist_into(model, events, i, &mut parents);
-        for &(j, p) in &parents {
-            let lag = events[i].t - events[j].t;
-            if lag < max_lag {
-                hist[(lag / width) as usize] += p;
-            }
-            total += p;
-        }
-    }
-    if total > 0.0 {
-        for h in &mut hist {
-            *h /= total * width;
-        }
-    }
-    Ok(hist)
 }
 
 #[cfg(test)]
@@ -358,43 +290,6 @@ mod tests {
         // background absorbs the event.
         assert!(fit.model.mu[0] <= 0.2);
         assert!(fit.model.w[0][0] < 0.05);
-    }
-
-    #[test]
-    fn impulse_histogram_recovers_exponential_shape() {
-        let truth = ground_truth(); // beta = 2.0
-        let mut rng = seeded_rng(77);
-        let events = strip_lineage(&simulate_branching(&truth, 2500.0, &mut rng));
-        let hist = impulse_histogram(&truth, &events, 10, 2.0).unwrap();
-        // Density at the origin approaches beta = 2 and decays
-        // monotonically (allowing small sampling wiggle).
-        assert!(hist[0] > 1.4, "origin density {}", hist[0]);
-        assert!(hist[0] > 2.0 * hist[5], "no decay: {hist:?}");
-        for w in hist.windows(2) {
-            assert!(w[1] <= w[0] * 1.25 + 0.05, "non-monotone: {hist:?}");
-        }
-        // Roughly integrates to the in-window mass of Exp(2):
-        // 1 - e^{-4} ~ 0.98.
-        let integral: f64 = hist.iter().sum::<f64>() * 0.2;
-        assert!((integral - 1.0).abs() < 0.1, "integral {integral}");
-    }
-
-    #[test]
-    fn impulse_histogram_empty_without_parents() {
-        let m = HawkesModel::new(vec![1.0], vec![vec![0.0]], 1.0).unwrap();
-        let hist = impulse_histogram(&m, &[Event::new(1.0, 0)], 5, 1.0).unwrap();
-        assert!(hist.iter().all(|&h| h == 0.0));
-    }
-
-    #[test]
-    fn impulse_histogram_rejects_degenerate_binning() {
-        let m = HawkesModel::new(vec![1.0], vec![vec![0.1]], 1.0).unwrap();
-        let events = [Event::new(1.0, 0)];
-        assert!(impulse_histogram(&m, &events, 0, 1.0).is_err());
-        assert!(impulse_histogram(&m, &events, 5, 0.0).is_err());
-        assert!(impulse_histogram(&m, &events, 5, -1.0).is_err());
-        assert!(impulse_histogram(&m, &events, 5, f64::NAN).is_err());
-        assert!(impulse_histogram(&m, &events, 5, f64::INFINITY).is_err());
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! The kernel decay `β` is held fixed, as in the paper (the impulse
 //! family is chosen a priori there as well).
 
-use crate::branching::excitation_into;
-use crate::model::{validate_fit_inputs, Event, HawkesError, HawkesModel};
-use meme_stats::dist::{Categorical, Gamma};
+use crate::model::{
+    horizon_fractions, validate_fit_inputs, DecayState, Event, HawkesError, HawkesModel,
+};
+use meme_stats::dist::Gamma;
 use rand::distr::Distribution;
-use rand::Rng;
+use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 
 /// Gibbs sampler configuration.
@@ -86,64 +87,42 @@ pub fn fit_gibbs<R: Rng + ?Sized>(
         ));
     }
 
-    let n = events.len();
     let beta = config.beta;
 
     // Exposure per source community: Σ_{j on c} (1 - e^{-β(T - t_j)}).
-    let mut exposure = vec![0.0f64; k];
-    let mut n_per = vec![0usize; k];
-    for e in events {
-        exposure[e.process] += 1.0 - (-beta * (horizon - e.t)).exp();
-        n_per[e.process] += 1;
-    }
+    let exposure = horizon_fractions(events, k, beta, horizon);
+    let HawkesModel { mut mu, mut w, .. } = HawkesModel::initial_guess(events, k, horizon, beta)?;
+    // Σx and Σx² over the collected sweeps, μ first, then W row by row.
+    let mut moments = vec![(0.0f64, 0.0f64); k + k * k];
+    let mut bg_count = vec![0usize; k];
+    let mut off_count = vec![vec![0usize; k]; k];
 
-    // State.
-    let mut mu: Vec<f64> = n_per
-        .iter()
-        .map(|&c| (0.5 * c as f64 / horizon).max(1e-6))
-        .collect();
-    let mut w = vec![vec![0.1f64; k]; k];
-    // Parent assignment: usize::MAX = background.
-    let mut z = vec![usize::MAX; n];
-
-    let total_sweeps = config.burn_in + config.samples;
-    let mut sum_mu = vec![0.0f64; k];
-    let mut sum_mu2 = vec![0.0f64; k];
-    let mut sum_w = vec![vec![0.0f64; k]; k];
-    let mut sum_w2 = vec![vec![0.0f64; k]; k];
-    let mut collected = 0usize;
-    let mut parents: Vec<(usize, f64)> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-
-    for sweep in 0..total_sweeps {
-        // --- Sample parents.
-        for i in 0..n {
-            excitation_into(&mu, &w, beta, events, i, &mut parents);
-            weights.clear();
-            weights.push(mu[events[i].process]);
-            weights.extend(parents.iter().map(|&(_, a)| a));
-            z[i] = match Categorical::new(&weights) {
-                Ok(cat) if weights.len() > 1 => match cat.sample(rng) {
-                    0 => usize::MAX,
-                    pick => parents[pick - 1].0,
-                },
-                // A single candidate (background only) or degenerate
-                // weights (all zero, or overflowed to non-finite): fall
-                // back to a background attribution for this event
-                // rather than aborting the whole sweep.
-                _ => usize::MAX,
-            };
+    for sweep in 0..config.burn_in + config.samples {
+        // --- Sample each event's parent. Only the parent's process
+        // enters the updates below, so the draw is over the background
+        // and the K per-process impulse sums; degenerate weights (a
+        // non-finite total, or rounding past the end) fall back to the
+        // background instead of aborting the sweep.
+        bg_count.fill(0);
+        for row in &mut off_count {
+            row.fill(0);
         }
-
-        // --- Count branching statistics.
-        let mut bg_count = vec![0usize; k];
-        let mut off_count = vec![vec![0usize; k]; k];
-        for i in 0..n {
-            if z[i] == usize::MAX {
-                bg_count[events[i].process] += 1;
-            } else {
-                off_count[events[z[i]].process][events[i].process] += 1;
+        let mut state = DecayState::new(k, beta);
+        for e in events {
+            let c = e.process;
+            state.advance_to(e.t);
+            let mut u = rng.random::<f64>() * state.intensity(&mu, &w, c);
+            let pick = std::iter::once(&mu[c])
+                .chain(&state.by_source)
+                .position(|a| {
+                    u -= a;
+                    u < 0.0
+                });
+            match pick {
+                Some(src @ 1..) => off_count[src - 1][c] += 1,
+                _ => bg_count[c] += 1,
             }
+            state.push(c);
         }
 
         // --- Conjugate updates.
@@ -168,49 +147,28 @@ pub fn fit_gibbs<R: Rng + ?Sized>(
             }
         }
 
-        // --- Collect.
         if sweep >= config.burn_in {
-            collected += 1;
-            for dst in 0..k {
-                sum_mu[dst] += mu[dst];
-                sum_mu2[dst] += mu[dst] * mu[dst];
-            }
-            for src in 0..k {
-                for dst in 0..k {
-                    sum_w[src][dst] += w[src][dst];
-                    sum_w2[src][dst] += w[src][dst] * w[src][dst];
-                }
+            for ((sum, sum2), x) in moments.iter_mut().zip(mu.iter().chain(w.iter().flatten())) {
+                *sum += x;
+                *sum2 += x * x;
             }
         }
     }
 
-    let c = collected as f64;
-    let mean_mu: Vec<f64> = sum_mu.iter().map(|s| s / c).collect();
-    let mu_std: Vec<f64> = sum_mu2
+    let c = config.samples as f64;
+    let (mean, std): (Vec<f64>, Vec<f64>) = moments
         .iter()
-        .zip(&mean_mu)
-        .map(|(s2, m)| (s2 / c - m * m).max(0.0).sqrt())
-        .collect();
-    let mean_w: Vec<Vec<f64>> = sum_w
-        .iter()
-        .map(|row| row.iter().map(|s| s / c).collect())
-        .collect();
-    let w_std: Vec<Vec<f64>> = sum_w2
-        .iter()
-        .zip(&mean_w)
-        .map(|(row2, rowm)| {
-            row2.iter()
-                .zip(rowm)
-                .map(|(s2, m)| (s2 / c - m * m).max(0.0).sqrt())
-                .collect()
+        .map(|(sum, sum2)| {
+            let m = sum / c;
+            (m, (sum2 / c - m * m).max(0.0).sqrt())
         })
-        .collect();
-
+        .unzip();
+    let rows = |v: &[f64]| -> Vec<Vec<f64>> { v.chunks(k).map(<[f64]>::to_vec).collect() };
     Ok(GibbsFit {
-        model: HawkesModel::new(mean_mu, mean_w, beta)?,
-        mu_std,
-        w_std,
-        samples: collected,
+        model: HawkesModel::new(mean[..k].to_vec(), rows(&mean[k..]), beta)?,
+        mu_std: std[..k].to_vec(),
+        w_std: rows(&std[k..]),
+        samples: config.samples,
     })
 }
 

@@ -17,10 +17,11 @@
 use crate::attribution::root_cause_matrix;
 use crate::em::{fit_em, EmConfig};
 use crate::gibbs::{fit_gibbs, GibbsConfig};
-use crate::model::{Event, HawkesError, HawkesModel};
+use crate::model::{Event, HawkesError};
 use meme_stats::ks::ks_two_sample;
 use meme_stats::{child_seed, seeded_rng};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An influence count matrix: `counts[src][dst]` is the expected number
 /// of events on `dst` whose root cause lies on `src`.
@@ -228,6 +229,12 @@ impl InfluenceEstimator {
     /// branching ratio — is *skipped* (it contributes a zero matrix)
     /// and recorded, instead of aborting the whole estimate.
     /// Deterministic regardless of thread count.
+    ///
+    /// Cluster sizes are heavy-tailed and a fit costs about its stream
+    /// length, so workers take clusters one at a time, longest first,
+    /// from a shared counter: the largest fit starts immediately instead
+    /// of queueing behind its chunk. Each result goes back to its
+    /// cluster's slot, so the output never depends on who fitted what.
     pub fn estimate_robust(
         &self,
         clusters: &[Vec<Event>],
@@ -236,67 +243,58 @@ impl InfluenceEstimator {
     ) -> RobustInfluence {
         let k = self.k;
         let n = clusters.len();
-        // No clusters means no work: with `n = 0` the chunk size
-        // `0.div_ceil(threads)` is zero and `chunks_mut(0)` aborts.
-        if n == 0 {
-            return RobustInfluence {
-                influence: ClusterInfluence {
-                    per_cluster: Vec::new(),
-                    total: InfluenceMatrix::zeros(k),
-                },
-                skipped: Vec::new(),
-                fit_stats: Vec::new(),
-            };
-        }
-        let mut per_cluster: Vec<InfluenceMatrix> = vec![InfluenceMatrix::zeros(k); n];
         let hw = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(4);
-        let threads = if threads == 0 { hw } else { threads }.clamp(1, n);
-        let chunk_len = n.div_ceil(threads);
+        let threads = if threads == 0 { hw } else { threads }.min(n).max(1);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&c| std::cmp::Reverse(clusters[c].len()));
+        let next = AtomicUsize::new(0);
 
         let fitter = &self.fitter;
-        let (skipped, fit_stats): (Vec<SkippedCluster>, Vec<ClusterFitStats>) =
-            crossbeam::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (chunk_id, (slot_chunk, data_chunk)) in per_cluster
-                    .chunks_mut(chunk_len)
-                    .zip(clusters.chunks(chunk_len))
-                    .enumerate()
-                {
-                    handles.push(s.spawn(move |_| {
-                        let mut skips = Vec::new();
-                        let mut stats = Vec::new();
-                        for (off, (slot, events)) in
-                            slot_chunk.iter_mut().zip(data_chunk).enumerate()
-                        {
-                            let cluster = chunk_id * chunk_len + off;
-                            match fit_one_checked(fitter, events, k, horizon, cluster) {
-                                Ok((m, st)) => {
-                                    *slot = m;
-                                    stats.extend(st);
-                                }
-                                Err(error) => skips.push(SkippedCluster { cluster, error }),
-                            }
+        // Every index is handed out exactly once, so every slot is
+        // overwritten; the placeholder is an empty cluster's result.
+        let mut outcomes: Vec<ClusterOutcome> = vec![Ok((InfluenceMatrix::zeros(k), None)); n];
+        crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|_| {
+                        let mut done = Vec::new();
+                        while let Some(&cluster) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let outcome =
+                                fit_one_checked(fitter, &clusters[cluster], k, horizon, cluster);
+                            done.push((cluster, outcome));
                         }
-                        (skips, stats)
-                    }));
+                        done
+                    })
+                })
+                .collect();
+            for h in handles {
+                // lint:allow(panic-reachable): a worker panic is deliberately re-raised on the caller thread
+                for (cluster, outcome) in h.join().expect("no panic") {
+                    outcomes[cluster] = outcome;
                 }
-                // Chunks are in cluster order, so concatenating the
-                // per-chunk lists keeps both outputs sorted by cluster.
-                let mut skipped = Vec::new();
-                let mut fit_stats = Vec::new();
-                for h in handles {
-                    // lint:allow(panic-reachable): a worker panic is deliberately re-raised on the caller thread
-                    let (sk, st) = h.join().expect("no panic");
-                    skipped.extend(sk);
-                    fit_stats.extend(st);
-                }
-                (skipped, fit_stats)
-            })
-            // lint:allow(panic-reachable): scope() is Err only when a worker panicked; re-raise, don't swallow
-            .expect("worker thread panicked");
+            }
+        })
+        // lint:allow(panic-reachable): scope() is Err only when a worker panicked; re-raise, don't swallow
+        .expect("worker thread panicked");
 
+        // Slots are in cluster order, so both lists come out sorted.
+        let mut per_cluster = Vec::with_capacity(n);
+        let mut skipped = Vec::new();
+        let mut fit_stats = Vec::new();
+        for (cluster, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Ok((m, stats)) => {
+                    per_cluster.push(m);
+                    fit_stats.extend(stats);
+                }
+                Err(error) => {
+                    per_cluster.push(InfluenceMatrix::zeros(k));
+                    skipped.push(SkippedCluster { cluster, error });
+                }
+            }
+        }
         let mut total = InfluenceMatrix::zeros(k);
         for m in &per_cluster {
             total.add(m);
@@ -309,17 +307,23 @@ impl InfluenceEstimator {
     }
 }
 
-/// Fit one cluster's model; `Ok(None)` for an empty stream (no events,
-/// nothing to attribute).
-fn fit_model(
+/// One cluster's result: its matrix and fit diagnostics, or why it was
+/// skipped.
+type ClusterOutcome = Result<(InfluenceMatrix, Option<ClusterFitStats>), HawkesError>;
+
+/// One cluster's influence matrix and fit diagnostics; an empty stream
+/// has nothing to fit and yields a zero matrix without diagnostics. Fits
+/// at or past the critical branching ratio are rejected: root-cause
+/// attribution is meaningless there.
+fn fit_one_checked(
     fitter: &Fitter,
     events: &[Event],
     k: usize,
     horizon: f64,
     cluster_idx: usize,
-) -> Result<Option<(HawkesModel, ClusterFitStats)>, HawkesError> {
+) -> ClusterOutcome {
     if events.is_empty() {
-        return Ok(None);
+        return Ok((InfluenceMatrix::zeros(k), None));
     }
     let (model, iterations, log_likelihood, converged) = match fitter {
         Fitter::Em(cfg) => {
@@ -336,6 +340,13 @@ fn fit_model(
             (fit.model, fit.samples, ll, true)
         }
     };
+    let rho = model.spectral_radius();
+    if rho >= 1.0 {
+        return Err(HawkesError::NonStationary {
+            spectral_radius: rho,
+        });
+    }
+    let matrix = InfluenceMatrix::from_counts(root_cause_matrix(&model, events)?);
     let stats = ClusterFitStats {
         cluster: cluster_idx,
         events: events.len(),
@@ -343,32 +354,7 @@ fn fit_model(
         log_likelihood,
         converged,
     };
-    Ok(Some((model, stats)))
-}
-
-/// One cluster's influence matrix. Fits at or past the critical
-/// branching ratio are rejected: root-cause attribution is meaningless
-/// there.
-fn fit_one_checked(
-    fitter: &Fitter,
-    events: &[Event],
-    k: usize,
-    horizon: f64,
-    cluster_idx: usize,
-) -> Result<(InfluenceMatrix, Option<ClusterFitStats>), HawkesError> {
-    match fit_model(fitter, events, k, horizon, cluster_idx)? {
-        None => Ok((InfluenceMatrix::zeros(k), None)),
-        Some((model, stats)) => {
-            let rho = model.spectral_radius();
-            if rho >= 1.0 {
-                return Err(HawkesError::NonStationary {
-                    spectral_radius: rho,
-                });
-            }
-            let matrix = InfluenceMatrix::from_counts(root_cause_matrix(&model, events)?);
-            Ok((matrix, Some(stats)))
-        }
-    }
+    Ok((matrix, Some(stats)))
 }
 
 /// Cluster-bootstrap confidence intervals for an influence matrix.
@@ -672,6 +658,32 @@ mod tests {
         assert_eq!(a.influence.total, b.influence.total);
         assert_eq!(a.skipped, b.skipped);
         assert_eq!(a.fit_stats, b.fit_stats);
+    }
+
+    #[test]
+    fn largest_first_scheduling_is_deterministic_across_threads() {
+        // Heavy-tailed: a cluster ten times the others in the middle of
+        // the list (it is fitted first), plus an empty and a poisoned one.
+        let mut clusters = make_clusters(7, 60.0, 43);
+        clusters[3] = make_clusters(1, 600.0, 44).remove(0);
+        clusters[1] = Vec::new();
+        clusters[5].push(Event::new(f64::NAN, 0));
+        assert!(clusters[3].len() >= 5 * clusters[0].len().max(clusters[6].len()));
+        let est = InfluenceEstimator::new(3, 2.0);
+        let runs: Vec<RobustInfluence> = [1, 2, 8]
+            .iter()
+            .map(|&t| est.estimate_robust(&clusters, 600.0, t))
+            .collect();
+        let skipped: Vec<usize> = runs[0].skipped.iter().map(|s| s.cluster).collect();
+        assert_eq!(skipped, vec![5]);
+        let fitted: Vec<usize> = runs[0].fit_stats.iter().map(|s| s.cluster).collect();
+        assert_eq!(fitted, vec![0, 2, 3, 4, 6]);
+        for other in &runs[1..] {
+            assert_eq!(other.influence.per_cluster, runs[0].influence.per_cluster);
+            assert_eq!(other.influence.total, runs[0].influence.total);
+            assert_eq!(other.skipped, runs[0].skipped);
+            assert_eq!(other.fit_stats, runs[0].fit_stats);
+        }
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!
 //! * [`model`] — the K-variate linear Hawkes model with exponential
 //!   impulse kernels, intensities, log-likelihood, and stationarity
-//!   checks;
+//!   checks, plus the crate-private `DecayState`: the kernel's past as
+//!   O(K) decayed sums, advanced once per event, which every fitter,
+//!   attribution, the residuals and thinning read (no parent window);
 //! * [`simulate`] — exact branching simulation (with ground-truth parent
 //!   bookkeeping, which the ecosystem simulator relies on) and Ogata
 //!   thinning as an independent cross-check;
-//! * `branching` (private) — the one candidate-parent walk behind both
-//!   fitters and attribution, cut at [`PARENT_WINDOW_TIME_CONSTANTS`];
 //! * [`em`] — maximum-likelihood fitting via expectation–maximization;
 //! * [`gibbs`] — Bayesian fitting via a latent-parent Gibbs sampler with
 //!   conjugate Gamma updates, the approach of Linderman & Adams that the
@@ -27,7 +27,8 @@
 //!   propagation (the paper's §5.1 "improved method" over its earlier
 //!   one-hop estimate);
 //! * [`influence`] — aggregation into the influence matrices of
-//!   Figs. 11–16, including per-category splits with KS significance;
+//!   Figs. 11–16 (one fit per cluster, largest clusters scheduled
+//!   first), including per-category splits with KS significance;
 //! * [`residual`] — time-rescaling goodness-of-fit diagnostics.
 
 #![forbid(unsafe_code)]
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod attribution;
-mod branching;
 pub mod em;
 pub mod gibbs;
 pub mod influence;
@@ -44,8 +44,7 @@ pub mod residual;
 pub mod simulate;
 
 pub use attribution::{parent_probabilities, root_cause_matrix, root_causes};
-pub use branching::PARENT_WINDOW_TIME_CONSTANTS;
-pub use em::{fit_em, impulse_histogram, EmConfig, EmFit};
+pub use em::{fit_em, EmConfig, EmFit};
 pub use gibbs::{fit_gibbs, GibbsConfig, GibbsFit};
 pub use influence::{
     bootstrap_ci, BootstrapCi, ClusterFitStats, ClusterInfluence, Fitter, InfluenceEstimator,

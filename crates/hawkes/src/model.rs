@@ -120,6 +120,22 @@ impl HawkesModel {
         Ok(Self { mu, w, beta })
     }
 
+    /// Both fitters' starting point: half of each process's empirical
+    /// rate on `[0, horizon]` as background, small uniform weights.
+    pub(crate) fn initial_guess(
+        events: &[Event],
+        k: usize,
+        horizon: f64,
+        beta: f64,
+    ) -> Result<Self, HawkesError> {
+        let mut counts = vec![0usize; k];
+        for e in events {
+            counts[e.process] += 1;
+        }
+        let mu = counts.iter().map(|&c| (0.5 * c as f64 / horizon).max(1e-6));
+        Self::new(mu.collect(), vec![vec![0.1; k]; k], beta)
+    }
+
     /// Number of processes.
     pub fn k(&self) -> usize {
         self.mu.len()
@@ -182,41 +198,21 @@ impl HawkesModel {
     /// Log-likelihood of a sorted event stream observed on `[0, horizon]`.
     ///
     /// `LL = Σ_i log λ_{c_i}(t_i) − Σ_k ∫_0^T λ_k(s) ds`, computed in
-    /// O(nK) with the standard exponential-kernel recursion.
+    /// O(nK) by the same pass that runs EM's E-step.
     pub fn log_likelihood(&self, events: &[Event], horizon: f64) -> Result<f64, HawkesError> {
         self.validate_events(events, horizon)?;
         let k = self.k();
-        // r[c] = Σ_{j : t_j < t, c_j = c} exp(-beta (t - t_j)),
-        // maintained at the current event time.
-        let mut r = vec![0.0f64; k];
-        let mut last_t = 0.0f64;
-        let mut ll = 0.0f64;
-        for e in events {
-            let decay = (-self.beta * (e.t - last_t)).exp();
-            for rc in &mut r {
-                *rc *= decay;
-            }
-            let mut lambda = self.mu[e.process];
-            for c in 0..k {
-                lambda += self.w[c][e.process] * self.beta * r[c];
-            }
-            if lambda <= 0.0 {
-                return Err(HawkesError::InvalidParameter(
-                    "zero intensity at an observed event".into(),
-                ));
-            }
-            ll += lambda.ln();
-            r[e.process] += 1.0;
-            last_t = e.t;
+        let (mut bg, mut pair) = (vec![0.0; k], vec![vec![0.0; k]; k]);
+        let mut state = DecayState::new(k, self.beta);
+        let (log_lambda, _) = branching_pass(self, events, &mut state, &mut bg, &mut pair);
+        // `ln 0 = −∞`: some event has zero intensity.
+        if log_lambda < f64::MIN {
+            return Err(HawkesError::InvalidParameter(
+                "zero intensity at an observed event".into(),
+            ));
         }
-        // Compensator: Σ_k μ_k T + Σ_i Σ_k W[c_i][k] (1 - e^{-β(T - t_i)}).
-        let mut integral: f64 = self.mu.iter().sum::<f64>() * horizon;
-        for e in events {
-            let frac = 1.0 - (-self.beta * (horizon - e.t)).exp();
-            let out: f64 = self.w[e.process].iter().sum();
-            integral += out * frac;
-        }
-        Ok(ll - integral)
+        let fractions = horizon_fractions(events, k, self.beta, horizon);
+        Ok(log_lambda - compensator(self, horizon, &fractions))
     }
 
     /// Expected total event rate per process at stationarity:
@@ -245,8 +241,182 @@ impl HawkesModel {
     }
 }
 
+/// `e^{−30}`: a source whose decayed mass `R_s` falls below this has every
+/// event more than 30 kernel time-constants back, each under `1e-13` of
+/// a fresh impulse, and [`DecayState`] forgets it. Kept, that mass would
+/// only decay on into dust like `e^{−600}`, which reaches root-cause cells
+/// that are otherwise exactly zero and prints as hundreds of digits in a
+/// serve reply.
+const FORGET_BELOW: f64 = 9.357_622_968_840_175e-14;
+
+/// The exponential kernel's memory of a stream, advanced once per event.
+/// At the current time `t` it holds, per source process `s`,
+///
+/// ```text
+/// R_s(t) = Σ_{i on s, t_i ≤ t} e^{−β(t − t_i)}
+/// S_s(t) = Σ_{i on s, t_i ≤ t} (t − t_i) e^{−β(t − t_i)}      (with_lags)
+/// Q_s(t) = Σ_{i on s, t_i ≤ t} e^{−β(t − t_i)} root(i) ∈ ℝ^K  (with_roots)
+/// ```
+///
+/// so intensities, E-step responsibilities, the lag moment behind `β`'s
+/// update and root-cause mass cost O(K) per event (O(K²) for roots),
+/// with no parent window. From `t` to `t' ≥ t` all three decay by
+/// `d = e^{−β(t' − t)}`, and `S` also gains `(t' − t) d R`; a source
+/// whose `R_s` drops below [`FORGET_BELOW`] is reset to zero.
+#[derive(Debug)]
+pub(crate) struct DecayState {
+    beta: f64,
+    t: f64,
+    pub(crate) r: Vec<f64>,
+    /// Empty unless built `with_lags`.
+    pub(crate) s: Vec<f64>,
+    /// Row `s` at `[s·K, (s+1)·K)`; empty unless built `with_roots`.
+    pub(crate) q: Vec<f64>,
+    /// `W[s][dst] β R_s(t)` of the last [`DecayState::intensity`] call.
+    pub(crate) by_source: Vec<f64>,
+}
+
+impl DecayState {
+    /// An empty past over `k` processes with kernel decay `beta`.
+    pub(crate) fn new(k: usize, beta: f64) -> Self {
+        Self {
+            beta,
+            t: 0.0,
+            r: vec![0.0; k],
+            s: Vec::new(),
+            q: Vec::new(),
+            by_source: vec![0.0; k],
+        }
+    }
+
+    pub(crate) fn with_lags(mut self) -> Self {
+        self.s = vec![0.0; self.r.len()];
+        self
+    }
+
+    pub(crate) fn with_roots(mut self) -> Self {
+        self.q = vec![0.0; self.r.len() * self.r.len()];
+        self
+    }
+
+    /// Decay the past to time `t`. Streams are sorted, so `t` only goes
+    /// back from the empty initial state (a stream may start before 0),
+    /// and a tie leaves the state as it is.
+    // lint:hotpath(per-event decay of the K, 2K or K+K² state floats; no allocation)
+    pub(crate) fn advance_to(&mut self, t: f64) {
+        let dt = t - self.t;
+        self.t = t;
+        if dt <= 0.0 {
+            return;
+        }
+        let d = (-self.beta * dt).exp();
+        for (s, r) in self.s.iter_mut().zip(&self.r) {
+            *s = d * *s + (d * dt) * r;
+        }
+        for q in &mut self.q {
+            *q *= d;
+        }
+        let k = self.r.len();
+        for (src, r) in self.r.iter_mut().enumerate() {
+            *r *= d;
+            if *r > 0.0 && *r < FORGET_BELOW {
+                *r = 0.0;
+                if let Some(s) = self.s.get_mut(src) {
+                    *s = 0.0;
+                }
+                if let Some(q) = self.q.get_mut(src * k..(src + 1) * k) {
+                    q.fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// `dst`'s intensity now, `μ_dst + Σ_s W[s][dst] β R_s`, keeping the
+    /// terms in `by_source`.
+    // lint:hotpath(per-event intensity over K sources; no allocation)
+    pub(crate) fn intensity(&mut self, mu: &[f64], w: &[Vec<f64>], dst: usize) -> f64 {
+        let mut lambda = mu[dst];
+        for ((a, r), row) in self.by_source.iter_mut().zip(&self.r).zip(w) {
+            *a = row[dst] * self.beta * r;
+            lambda += *a;
+        }
+        lambda
+    }
+
+    /// Add an event on `process` at the current time.
+    pub(crate) fn push(&mut self, process: usize) {
+        self.r[process] += 1.0;
+    }
+
+    /// Add the root-cause distribution of an event on `process` to `Q`.
+    pub(crate) fn push_root(&mut self, process: usize, root: &[f64]) {
+        let k = root.len();
+        for (q, x) in self.q[process * k..(process + 1) * k].iter_mut().zip(root) {
+            *q += x;
+        }
+    }
+}
+
+/// One pass over `events` under `model` — EM's E-step and the
+/// likelihood's event term. Event `j` gives the background
+/// `μ_{c_j} / λ_j` (summed into `bg`) and source `s` the parent mass
+/// `W[s][c_j] β R_s(t_j) / λ_j` (into `pair[s][c_j]`). Returns
+/// `Σ_j ln λ_j` and the lag moment `Σ_j Σ_s W[s][c_j] β S_s(t_j) / λ_j`
+/// (zero unless `state`, which must be empty, tracks lags).
+// lint:hotpath(one pass: K multiply-adds per event into the caller's buffers)
+pub(crate) fn branching_pass(
+    model: &HawkesModel,
+    events: &[Event],
+    state: &mut DecayState,
+    bg: &mut [f64],
+    pair: &mut [Vec<f64>],
+) -> (f64, f64) {
+    bg.fill(0.0);
+    for row in pair.iter_mut() {
+        row.fill(0.0);
+    }
+    let (mut log_lambda, mut lag_sum) = (0.0, 0.0);
+    for e in events {
+        let c = e.process;
+        state.advance_to(e.t);
+        let lambda = state.intensity(&model.mu, &model.w, c);
+        log_lambda += lambda.ln();
+        bg[c] += model.mu[c] / lambda;
+        for (row, a) in pair.iter_mut().zip(&state.by_source) {
+            row[c] += a / lambda;
+        }
+        for (row, lag) in model.w.iter().zip(&state.s) {
+            lag_sum += row[c] * model.beta * lag / lambda;
+        }
+        state.push(c);
+    }
+    (log_lambda, lag_sum)
+}
+
+/// Per source process, `Σ_{i on s} (1 − e^{−β(T − t_i)})`: how much of
+/// its events' offspring windows `[0, T]` observes. EM's M-step divides
+/// by it, Gibbs calls it exposure, and the compensator weighs `W` by it.
+pub(crate) fn horizon_fractions(events: &[Event], k: usize, beta: f64, horizon: f64) -> Vec<f64> {
+    let mut fractions = vec![0.0; k];
+    for e in events {
+        fractions[e.process] += 1.0 - (-beta * (horizon - e.t)).exp();
+    }
+    fractions
+}
+
+/// `∫_0^T Σ_k λ_k = T Σ_k μ_k + Σ_s fractions[s] Σ_k W[s][k]`.
+pub(crate) fn compensator(model: &HawkesModel, horizon: f64, fractions: &[f64]) -> f64 {
+    let offspring: f64 = model
+        .w
+        .iter()
+        .zip(fractions)
+        .map(|(row, f)| f * row.iter().sum::<f64>())
+        .sum();
+    model.mu.iter().sum::<f64>() * horizon + offspring
+}
+
 /// Check a stream: sorted by time (a NaN time is unordered and fails),
-/// process ids below `k` — the kernel's walk and indexing rely on both —
+/// process ids below `k` — the decayed state and indexing rely on both —
 /// and, given an observation window, times within `[0, horizon]`.
 pub(crate) fn validate_stream(
     events: &[Event],
@@ -417,6 +587,47 @@ mod tests {
         }
         slow -= integral;
         assert!((fast - slow).abs() < 1e-9, "fast {fast} slow {slow}");
+    }
+
+    #[test]
+    fn decayed_state_matches_direct_sums() {
+        // R and S against their O(n) definitions at every event, on a
+        // stream with ties that starts before 0.
+        let beta = 1.7;
+        let events = [
+            Event::new(-1.0, 0),
+            Event::new(0.2, 1),
+            Event::new(0.2, 0),
+            Event::new(0.9, 0),
+            Event::new(2.5, 1),
+            Event::new(2.5, 1),
+        ];
+        let mut state = DecayState::new(2, beta).with_lags();
+        for (i, e) in events.iter().enumerate() {
+            state.advance_to(e.t);
+            for s in 0..2 {
+                let (mut r, mut lag) = (0.0, 0.0);
+                for p in events[..i].iter().filter(|p| p.process == s) {
+                    let d = (-beta * (e.t - p.t)).exp();
+                    r += d;
+                    lag += (e.t - p.t) * d;
+                }
+                assert!((state.r[s] - r).abs() < 1e-12, "R_{s} at {i}");
+                assert!((state.s[s] - lag).abs() < 1e-12, "S_{s} at {i}");
+            }
+            state.push(e.process);
+        }
+    }
+
+    #[test]
+    fn a_source_quiet_for_thirty_time_constants_is_forgotten() {
+        let mut state = DecayState::new(2, 2.0).with_lags().with_roots();
+        state.push(0);
+        state.push_root(0, &[1.0, 0.0]);
+        state.advance_to(14.9); // 29.8 time-constants back: still there
+        assert!(state.r[0] > 0.0 && state.s[0] > 0.0 && state.q[0] > 0.0);
+        state.advance_to(15.1);
+        assert_eq!((state.r[0], state.s[0], state.q[0]), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! paper does not report this check; we add it because a reproduction
 //! should demonstrate that the per-cluster fits are actually adequate.
 
-use crate::model::{Event, HawkesError, HawkesModel};
+use crate::model::{DecayState, Event, HawkesError, HawkesModel};
 use meme_stats::ks::kolmogorov_q;
 use serde::{Deserialize, Serialize};
 
@@ -41,31 +41,26 @@ pub fn residual_analysis(
     let k = model.k();
     // Compensator at each event time, incremental O(nK):
     // Λ_k(t) = μ_k t + Σ_{t_j < t} W[c_j][k] (1 − e^{−β (t − t_j)}).
-    // Maintain s[c] = Σ_{j on c, t_j < t} e^{−β (t − t_j)} and
-    // n_seen[c] = count, so Σ (1 − e^..) = n_seen[c] − s[c].
-    let mut s = vec![0.0f64; k];
+    // With the decayed state's R_c and n_seen[c] = count,
+    // Σ (1 − e^..) = n_seen[c] − R_c.
+    let mut state = DecayState::new(k, model.beta);
     let mut n_seen = vec![0.0f64; k];
-    let mut last_t = 0.0f64;
     let mut last_compensator: Vec<Option<f64>> = vec![None; k];
     let mut residuals: Vec<Vec<f64>> = vec![Vec::new(); k];
 
     for e in events {
-        let decay = (-model.beta * (e.t - last_t)).exp();
-        for sc in &mut s {
-            *sc *= decay;
-        }
-        last_t = e.t;
+        state.advance_to(e.t);
         // Compensator of the event's own process at this time.
         let dst = e.process;
         let mut comp = model.mu[dst] * e.t;
         for c in 0..k {
-            comp += model.w[c][dst] * (n_seen[c] - s[c]);
+            comp += model.w[c][dst] * (n_seen[c] - state.r[c]);
         }
         if let Some(prev) = last_compensator[dst] {
             residuals[dst].push(comp - prev);
         }
         last_compensator[dst] = Some(comp);
-        s[dst] += 1.0;
+        state.push(dst);
         n_seen[dst] += 1.0;
     }
 

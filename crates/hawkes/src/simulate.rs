@@ -12,7 +12,7 @@
 //!   by the test suite as an algorithmically independent cross-check of
 //!   event rates.
 
-use crate::model::{Event, HawkesModel};
+use crate::model::{DecayState, Event, HawkesModel};
 use meme_stats::dist::{Exponential, Poisson};
 use rand::distr::Distribution;
 use rand::{Rng, RngExt};
@@ -167,21 +167,15 @@ pub fn simulate_thinning<R: Rng + ?Sized>(
     assert!(horizon > 0.0, "horizon must be positive");
     let k = model.k();
     let mut events: Vec<Event> = Vec::new();
-    // r[c] tracks Σ exp(-beta (t - t_j)) for events on process c, at the
-    // current time `t`.
-    let mut r = vec![0.0f64; k];
+    let mut state = DecayState::new(k, model.beta);
+    let mut lambdas = vec![0.0f64; k];
     let mut t = 0.0f64;
     loop {
         // Upper bound on total intensity from now on: current value
         // (intensities only decay between events).
-        let mut bound: f64 = 0.0;
-        for dst in 0..k {
-            let mut lam = model.mu[dst];
-            for c in 0..k {
-                lam += model.w[c][dst] * model.beta * r[c];
-            }
-            bound += lam;
-        }
+        let bound: f64 = (0..k)
+            .map(|dst| state.intensity(&model.mu, &model.w, dst))
+            .sum();
         if bound <= 0.0 {
             break;
         }
@@ -190,26 +184,15 @@ pub fn simulate_thinning<R: Rng + ?Sized>(
         let Ok(wait) = Exponential::new(bound) else {
             break;
         };
-        let dt = wait.sample(rng);
-        let t_new = t + dt;
-        if t_new >= horizon {
+        t += wait.sample(rng);
+        if t >= horizon {
             break;
         }
         // Decay state to the candidate time and compute true intensities.
-        let decay = (-model.beta * dt).exp();
-        for rc in &mut r {
-            *rc *= decay;
+        state.advance_to(t);
+        for (dst, lam) in lambdas.iter_mut().enumerate() {
+            *lam = state.intensity(&model.mu, &model.w, dst);
         }
-        t = t_new;
-        let lambdas: Vec<f64> = (0..k)
-            .map(|dst| {
-                let mut lam = model.mu[dst];
-                for c in 0..k {
-                    lam += model.w[c][dst] * model.beta * r[c];
-                }
-                lam
-            })
-            .collect();
         let total: f64 = lambdas.iter().sum();
         if rng.random::<f64>() * bound <= total {
             // Accept; choose the process proportionally.
@@ -223,7 +206,7 @@ pub fn simulate_thinning<R: Rng + ?Sized>(
                 u -= lam;
             }
             events.push(Event::new(t, proc));
-            r[proc] += 1.0;
+            state.push(proc);
         }
     }
     events

@@ -1,18 +1,19 @@
-//! Allocation audit for the EM fitter's E-step.
+//! Allocation audit for Step 7's per-event paths.
 //!
-//! `fit_em` weighs every event's candidate parents once per iteration.
-//! The per-event kernel fills a scratch vector the fitter owns for the
-//! whole fit, so heap traffic is a per-iteration constant (the
-//! responsibility accumulators, the likelihood recursion's state) plus
-//! the scratch's few growth steps — not one `Vec` per event per
-//! iteration. A counting global allocator makes that a test: with the
+//! `fit_em` runs one pass over the stream per iteration, and
+//! `root_cause_matrix` one pass in all; both read the past through a
+//! decayed state and scratch buffers allocated once per call, so heap
+//! traffic is a per-call constant — not one `Vec` per event (per
+//! iteration). A counting global allocator makes that a test: with the
 //! iteration count pinned, a stream ten times longer may cost only a
 //! handful more allocations.
 //!
 //! The whole file is one `#[test]` so the counter is never shared with
 //! a concurrently running test.
 
-use meme_hawkes::{fit_em, simulate_branching, strip_lineage, EmConfig, Event, HawkesModel};
+use meme_hawkes::{
+    fit_em, root_cause_matrix, simulate_branching, strip_lineage, EmConfig, Event, HawkesModel,
+};
 use meme_stats::seeded_rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,8 +62,17 @@ fn fit_allocations(events: &[Event], horizon: f64) -> u64 {
     after - before
 }
 
+/// Allocations `root_cause_matrix` performs on `events`.
+fn attribution_allocations(model: &HawkesModel, events: &[Event]) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let counts = root_cause_matrix(model, events).expect("seeded stream attributes");
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(counts.len(), model.k());
+    after - before
+}
+
 #[test]
-fn em_allocations_do_not_scale_with_stream_length() {
+fn allocations_do_not_scale_with_stream_length() {
     let truth = HawkesModel::new(
         vec![0.5, 0.15],
         vec![vec![0.35, 0.25], vec![0.05, 0.3]],
@@ -81,5 +91,13 @@ fn em_allocations_do_not_scale_with_stream_length() {
         long_allocs <= short_allocs + 8,
         "fit_em allocated {long_allocs} times on 2 000 events vs {short_allocs} on 200: \
          heap traffic must not grow with the stream"
+    );
+
+    let short_allocs = attribution_allocations(&truth, short);
+    let long_allocs = attribution_allocations(&truth, long);
+    assert!(
+        long_allocs <= short_allocs + 8,
+        "root_cause_matrix allocated {long_allocs} times on 2 000 events vs {short_allocs} on \
+         200: heap traffic must not grow with the stream"
     );
 }

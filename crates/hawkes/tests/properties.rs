@@ -1,6 +1,9 @@
 //! Property-based tests for the Hawkes machinery: simulation laws,
-//! attribution conservation, and fitting stability over random stable
-//! models.
+//! attribution conservation, fitting stability over random stable
+//! models, and agreement of the O(nK) fit and attribution with the
+//! windowed parent walk they replaced (`windowed`, the oracle).
+
+mod windowed;
 
 use meme_hawkes::{
     fit_em, parent_probabilities, root_cause_matrix, root_causes, simulate_branching,
@@ -8,6 +11,57 @@ use meme_hawkes::{
 };
 use meme_stats::seeded_rng;
 use proptest::prelude::*;
+
+/// How a simulated stream is reshaped before it is fitted.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// As simulated.
+    Plain,
+    /// Times snapped to a 0.25 grid: many events share a timestamp.
+    Ties,
+    /// Times compressed 50×: every event inside every later event's
+    /// `30/β` window, the shape of a viral cluster.
+    Burst,
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (0u8..3).prop_map(|i| match i {
+        0 => Shape::Plain,
+        1 => Shape::Ties,
+        _ => Shape::Burst,
+    })
+}
+
+/// `events` on `[0, horizon]` reshaped by `shape`, with the new horizon.
+fn reshape(events: Vec<Event>, horizon: f64, shape: Shape) -> (Vec<Event>, f64) {
+    match shape {
+        Shape::Plain => (events, horizon),
+        Shape::Ties => (
+            events
+                .into_iter()
+                .map(|e| Event::new((e.t * 4.0).floor() / 4.0, e.process))
+                .collect(),
+            horizon,
+        ),
+        Shape::Burst => (
+            events
+                .into_iter()
+                .map(|e| Event::new(e.t * 0.02, e.process))
+                .collect(),
+            horizon * 0.02,
+        ),
+    }
+}
+
+/// `a` and `b` agree to 1e-9, relative to the larger of the two or to
+/// `floor`, whichever is largest. The window's cut is absolute (about
+/// `e^{−30}` of an impulse per dropped parent), so a value near zero
+/// is compared at its quantity's scale: root-cause cells count events
+/// (floor 1), and EM shrinks an unsupported weight geometrically toward
+/// underflow, compounding the cut along with it (floor 1e-12).
+fn close(a: f64, b: f64, floor: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(floor)
+}
 
 /// Random stationary models (spectral radius forced < 1 by row scaling).
 fn stable_model_strategy() -> impl Strategy<Value = HawkesModel> {
@@ -66,22 +120,19 @@ proptest! {
     }
 
     #[test]
-    fn parent_probabilities_sum_to_one(m in stable_model_strategy(), seed: u64) {
+    fn background_probabilities_are_probabilities(m in stable_model_strategy(), seed: u64) {
         let mut rng = seeded_rng(seed);
         let events = strip_lineage(&simulate_branching(&m, 30.0, &mut rng));
         for pd in parent_probabilities(&m, &events).unwrap() {
-            let total: f64 = pd.background + pd.parents.iter().map(|(_, p)| p).sum::<f64>();
-            prop_assert!((total - 1.0).abs() < 1e-9);
-            prop_assert!(pd.background >= 0.0);
-            prop_assert!(pd.parents.iter().all(|(_, p)| *p >= 0.0));
+            prop_assert!((0.0..=1.0).contains(&pd.background), "{}", pd.background);
         }
     }
 
     #[test]
     fn parent_window_is_lossless(m in stable_model_strategy(), seed: u64) {
-        // The windowed walk against the unwindowed O(n²) intensity. Ties
+        // The decayed state against the unwindowed O(n²) intensity. Ties
         // are excluded: `intensity` counts events strictly before `t`,
-        // the walk counts every earlier index.
+        // the state counts every earlier index.
         let mut rng = seeded_rng(seed);
         let events = strip_lineage(&simulate_branching(&m, 60.0, &mut rng));
         prop_assume!(events.windows(2).all(|w| w[0].t < w[1].t));
@@ -104,6 +155,48 @@ proptest! {
         let matrix = root_cause_matrix(&m, &events).unwrap();
         let total: f64 = matrix.iter().flatten().sum();
         prop_assert!((total - events.len() as f64).abs() < 1e-6);
+    }
+
+    #[test]
+    fn em_and_attribution_match_the_windowed_walk(
+        m in stable_model_strategy(),
+        seed: u64,
+        shape in shape_strategy(),
+    ) {
+        let mut rng = seeded_rng(seed);
+        let (events, horizon) =
+            reshape(strip_lineage(&simulate_branching(&m, 40.0, &mut rng)), 40.0, shape);
+        prop_assume!(!events.is_empty());
+        // β is held fixed, as Step 7 holds it. An estimated β is not a
+        // rounding question: when every parent pair lies beyond the
+        // window, the walk sees no lag and keeps β while the recursion
+        // moves it to the reciprocal mean lag.
+        let cfg = EmConfig {
+            beta: m.beta,
+            max_iters: 40,
+            ..EmConfig::default()
+        };
+        let fit = fit_em(&events, m.k(), horizon, &cfg).unwrap();
+        let oracle = windowed::fit_em(&events, m.k(), horizon, &cfg);
+        prop_assert_eq!(fit.iterations, oracle.iterations);
+        prop_assert!(
+            close(fit.log_likelihood, oracle.log_likelihood, 1e-12),
+            "LL {} vs {}", fit.log_likelihood, oracle.log_likelihood
+        );
+        for (a, b) in fit.model.mu.iter().zip(&oracle.model.mu) {
+            prop_assert!(close(*a, *b, 1e-12), "mu {} vs {}", a, b);
+        }
+        for (a, b) in fit.model.w.iter().flatten().zip(oracle.model.w.iter().flatten()) {
+            prop_assert!(close(*a, *b, 1e-12), "w {} vs {}", a, b);
+        }
+        // Attribution under the generating model and under the fit.
+        for model in [&m, &fit.model] {
+            let fast = root_cause_matrix(model, &events).unwrap();
+            let slow = windowed::root_cause_matrix(model, &events);
+            for (a, b) in fast.iter().flatten().zip(slow.iter().flatten()) {
+                prop_assert!(close(*a, *b, 1.0), "roots {} vs {}", a, b);
+            }
+        }
     }
 
     #[test]

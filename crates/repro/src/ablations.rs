@@ -10,6 +10,7 @@ use meme_core::graph::{ClusterGraph, GraphConfig};
 use meme_core::metric::{ClusterDistance, MetricWeights};
 use meme_core::provenance::{caption_analysis, infer_origins, virality};
 use meme_core::report::{ascii_table, pct};
+use meme_hawkes::{Event, HawkesError, HawkesModel};
 use meme_index::{symmetric_neighbors, BruteForceIndex, HashGroups, MihIndex};
 use meme_phash::{AverageHasher, DifferenceHasher, ImageHasher, PHash, PerceptualHasher};
 use meme_simweb::Community;
@@ -207,8 +208,7 @@ pub fn ablation_beta(r: &Repro) {
             .expect("fit succeeds");
             let bins = 8;
             let max_lag = 2.0;
-            let hist = meme_hawkes::impulse_histogram(&fit.model, stream, bins, max_lag)
-                .expect("valid binning");
+            let hist = impulse_histogram(&fit.model, stream, bins, max_lag).expect("valid binning");
             let width = max_lag / bins as f64;
             let mut cells = Vec::new();
             for (b, h) in hist.iter().enumerate() {
@@ -226,6 +226,69 @@ pub fn ablation_beta(r: &Repro) {
             );
         }
     }
+}
+
+/// Nonparametric impulse-response estimate.
+///
+/// The paper (and our fitters) assume a parametric impulse shape; this
+/// diagnostic checks that assumption the way Linderman & Adams motivate
+/// their basis functions: compute each event's parent responsibilities
+/// under `model`, bin the parent→child lags weighted by responsibility,
+/// and normalize to a density over `[0, max_lag)`. If the exponential
+/// kernel is right, the histogram tracks `β e^{−β t}`.
+///
+/// It is the one consumer of individual parent→child lags, so it walks
+/// every earlier event itself, O(n²); the fitters never need to.
+/// Returns `bins` density values (integrating to ~1 when enough mass
+/// falls inside the window); all-zero when the stream has no plausible
+/// parent-child pairs. Errors on `bins == 0`, a non-positive /
+/// non-finite `max_lag`, or an unsorted / out-of-range stream.
+fn impulse_histogram(
+    model: &HawkesModel,
+    events: &[Event],
+    bins: usize,
+    max_lag: f64,
+) -> Result<Vec<f64>, HawkesError> {
+    if bins == 0 {
+        return Err(HawkesError::InvalidParameter(
+            "need at least one bin".into(),
+        ));
+    }
+    if !(max_lag.is_finite() && max_lag > 0.0) {
+        return Err(HawkesError::InvalidParameter(
+            "max_lag must be finite and positive".into(),
+        ));
+    }
+    model.validate_events(events, f64::INFINITY)?;
+    let width = max_lag / bins as f64;
+    let mut hist = vec![0.0f64; bins];
+    let mut total = 0.0f64;
+    let mut parents: Vec<(f64, f64)> = Vec::new();
+    for (i, ei) in events.iter().enumerate() {
+        parents.clear();
+        parents.extend(events[..i].iter().map(|ej| {
+            let lag = ei.t - ej.t;
+            let a = model.w[ej.process][ei.process] * model.beta * (-model.beta * lag).exp();
+            (lag, a)
+        }));
+        let lambda = model.mu[ei.process] + parents.iter().map(|(_, a)| a).sum::<f64>();
+        if lambda <= 0.0 {
+            continue;
+        }
+        for &(lag, a) in &parents {
+            let p = a / lambda;
+            if lag < max_lag {
+                hist[(lag / width) as usize] += p;
+            }
+            total += p;
+        }
+    }
+    if total > 0.0 {
+        for h in &mut hist {
+            *h /= total * width;
+        }
+    }
+    Ok(hist)
 }
 
 /// §7 future work: origin inference and virality profiles.
@@ -330,5 +393,63 @@ pub fn provenance(r: &Repro) {
             plain.clusters,
             100.0 * plain.external_share
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use meme_hawkes::{simulate_branching, strip_lineage};
+    use meme_stats::seeded_rng;
+
+    #[test]
+    fn impulse_histogram_recovers_exponential_shape() {
+        let truth = HawkesModel::new(
+            vec![0.5, 0.15],
+            vec![vec![0.35, 0.25], vec![0.05, 0.3]],
+            2.0,
+        )
+        .unwrap();
+        let mut rng = seeded_rng(77);
+        let events = strip_lineage(&simulate_branching(&truth, 2500.0, &mut rng));
+        let hist = impulse_histogram(&truth, &events, 10, 2.0).unwrap();
+        // Density at the origin approaches beta = 2 and decays
+        // monotonically (allowing small sampling wiggle).
+        assert!(hist[0] > 1.4, "origin density {}", hist[0]);
+        assert!(hist[0] > 2.0 * hist[5], "no decay: {hist:?}");
+        for w in hist.windows(2) {
+            assert!(w[1] <= w[0] * 1.25 + 0.05, "non-monotone: {hist:?}");
+        }
+        // Roughly integrates to the in-window mass of Exp(2):
+        // 1 - e^{-4} ~ 0.98.
+        let integral: f64 = hist.iter().sum::<f64>() * 0.2;
+        assert!((integral - 1.0).abs() < 0.1, "integral {integral}");
+    }
+
+    #[test]
+    fn impulse_histogram_empty_without_parents() {
+        let m = HawkesModel::new(vec![1.0], vec![vec![0.0]], 1.0).unwrap();
+        let hist = impulse_histogram(&m, &[Event::new(1.0, 0)], 5, 1.0).unwrap();
+        assert!(hist.iter().all(|&h| h == 0.0));
+    }
+
+    #[test]
+    fn impulse_histogram_rejects_degenerate_input() {
+        let m = HawkesModel::new(vec![1.0], vec![vec![0.1]], 1.0).unwrap();
+        let events = [Event::new(1.0, 0)];
+        assert!(impulse_histogram(&m, &events, 0, 1.0).is_err());
+        assert!(impulse_histogram(&m, &events, 5, 0.0).is_err());
+        assert!(impulse_histogram(&m, &events, 5, -1.0).is_err());
+        assert!(impulse_histogram(&m, &events, 5, f64::NAN).is_err());
+        assert!(impulse_histogram(&m, &events, 5, f64::INFINITY).is_err());
+        let unsorted = [Event::new(2.0, 0), Event::new(1.0, 0)];
+        let out_of_range = [Event::new(1.0, 0), Event::new(2.0, 1)];
+        let not_finite = [Event::new(1.0, 0), Event::new(f64::NAN, 0)];
+        for events in [&unsorted[..], &out_of_range[..], &not_finite[..]] {
+            assert!(matches!(
+                impulse_histogram(&m, events, 4, 1.0),
+                Err(HawkesError::InvalidEvents(_))
+            ));
+        }
     }
 }

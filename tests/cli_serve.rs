@@ -178,6 +178,37 @@ fn serve_rejects_oversized_request_lines() {
 }
 
 #[test]
+fn serve_answers_a_nesting_bomb_typed_and_keeps_the_connection() {
+    // 60 000 `[` fit under the default 64 KiB line cap. An unbounded
+    // recursive parser overflows the connection thread's stack, which
+    // aborts the whole server (a stack overflow is not a panic); the
+    // server runs as a child process here, so that shows up as a closed
+    // connection rather than taking the test binary down.
+    let (_, medoid) = artifact();
+    let (mut server, addr) = spawn_serve(&[]);
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    use std::io::Write;
+    let mut bomb = vec![b'['; 60_000];
+    bomb.push(b'\n');
+    stream.write_all(&bomb).expect("send nesting bomb");
+    let response = read_response(&stream);
+    assert!(
+        response.starts_with("{\"error\"") && response.contains("recursion limit"),
+        "typed rejection of the bomb: {response:?}"
+    );
+    stream
+        .write_all(format!("{{\"hash\": \"{medoid}\"}}\n").as_bytes())
+        .expect("send lookup");
+    let response = read_response(&stream);
+    assert!(
+        response.starts_with("{\"found\":true"),
+        "same connection still answers: {response:?}"
+    );
+    server.kill().expect("kill memes serve");
+    let _ = server.wait();
+}
+
+#[test]
 fn serve_sheds_connections_past_the_cap_with_a_typed_error() {
     let (_, medoid) = artifact();
     let (mut server, addr) = spawn_serve(&["--max-conns", "2"]);
