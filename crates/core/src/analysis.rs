@@ -1,8 +1,8 @@
 //! Analysis functions behind every table and figure of §3–§4.
 //!
 //! Each function consumes the [`PipelineOutput`] (plus the generating
-//! [`Dataset`]) and returns typed rows; the `meme-repro` binaries
-//! render them with [`crate::report`].
+//! [`Dataset`]) and returns typed rows; `memes repro` (crate
+//! `meme-repro`) renders them with [`crate::report`].
 
 use crate::pipeline::PipelineOutput;
 use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnnotation};

@@ -47,7 +47,7 @@ impl Phylogeny {
     }
 
     /// Group leaf labels by family at a threshold, largest family
-    /// first — the textual rendering of Fig. 6 used by `repro-fig6`.
+    /// first — the textual rendering of Fig. 6 used by `memes repro fig6`.
     pub fn family_listing(&self, threshold: f64) -> Vec<Vec<&str>> {
         let (fams, count) = self.families(threshold);
         let mut out: Vec<Vec<&str>> = vec![Vec::new(); count];

@@ -1123,8 +1123,8 @@ impl PipelineOutput {
 
     /// Custom-metric descriptors plus representative-entry names for
     /// every annotated cluster (in [`PipelineOutput::annotated_clusters`]
-    /// order) — the shared input of the Fig. 6 dendrograms, the Fig. 7
-    /// graph, and the `memes graph` CLI. Annotations
+    /// order) — the input of the cluster graphs `memes repro ablations`
+    /// builds to compare custom-metric weights. Annotations
     /// whose cluster id falls outside the medoid table, or whose matched
     /// entry ids fall outside the KYM site — shapes the pipeline never
     /// emits, but a corrupt or stale-schema checkpoint can — surface as

@@ -1,6 +1,6 @@
-//! Plain-text table rendering for the repro binaries.
+//! Plain-text table rendering for `memes repro`.
 //!
-//! Every table/figure binary prints its rows through [`ascii_table`] so
+//! Every `memes repro` section prints its rows through [`ascii_table`] so
 //! the regenerated output reads like the paper's tables.
 
 /// Render an ASCII table with a header row.

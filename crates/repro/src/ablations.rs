@@ -1,8 +1,8 @@
 //! Ablations of the paper's design choices (DESIGN.md §6) plus the §7
 //! future-work extensions (origin inference, virality).
 
-use crate::harness::{section, Repro};
 use crate::sections::{fit_influence, FIT_BETA};
+use crate::{section, Repro};
 use meme_cluster::dbscan::{try_dbscan, try_dbscan_with_index, DbscanParams};
 use meme_cluster::purity::{identity_recall, majority_purity};
 use meme_core::analysis;
@@ -42,12 +42,9 @@ pub fn ablation_hashers(r: &Repro) {
             .iter()
             .map(|&i| hasher.hash(&r.dataset.render_post_image(&r.dataset.posts[i])))
             .collect();
-        let clustering = try_dbscan_with_index(
-            &BruteForceIndex::new(hashes),
-            DbscanParams::default(),
-            r.opts.threads,
-        )
-        .expect("default DBSCAN parameters are valid");
+        let clustering =
+            try_dbscan_with_index(&BruteForceIndex::new(hashes), DbscanParams::default(), 0)
+                .expect("default DBSCAN parameters are valid");
         let purity = majority_purity(&clustering, &truth);
         let recall = identity_recall(&clustering, &truth);
         cells.push(vec![
@@ -140,7 +137,7 @@ pub fn ablation_min_pts(r: &Repro) {
         .collect();
     let groups = HashGroups::new(&hashes);
     let index = MihIndex::new(groups.unique().to_vec(), 8);
-    let (neighbors, _) = symmetric_neighbors(&index, &groups, 8, r.opts.threads);
+    let (neighbors, _) = symmetric_neighbors(&index, &groups, 8, 0);
     let mut cells = Vec::new();
     for min_pts in [2usize, 3, 5, 10, 20] {
         let clustering =

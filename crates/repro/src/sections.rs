@@ -1,14 +1,14 @@
-//! Per-experiment regeneration, shared by the `repro-*` binaries.
+//! Per-experiment regeneration behind `memes repro`.
 //!
 //! Every function prints a paper-style table (or series) to stdout.
 //! DESIGN.md §4 maps each function to the paper table/figure it
 //! regenerates; EXPERIMENTS.md records paper-vs-measured.
 
-use crate::harness::{section, Repro};
+use crate::{section, Export, Repro};
 use meme_annotate::agreement::simulate_panel;
 use meme_annotate::kym::KymCategory;
 use meme_annotate::nn::TrainConfig;
-use meme_annotate::screenshot::{ScreenshotCorpus, ScreenshotFilter, SourcePlatform};
+use meme_annotate::screenshot::{ScreenshotCorpus, ScreenshotFilter};
 use meme_cluster::dbscan::DbscanParams;
 use meme_core::analysis::{self, CommunityClustering, MemeFilter};
 use meme_core::dendro::Phylogeny;
@@ -64,29 +64,23 @@ pub fn table1(r: &Repro) {
 
 // ------------------------------------------------------------- Table 2
 
-/// Per-community Steps 2–5 runs (shared by Tables 2 and 3).
-pub fn community_runs(r: &Repro) -> Vec<CommunityClustering> {
+/// Per-community Steps 2–5 runs (the input of Tables 2 and 3).
+fn community_runs(r: &Repro) -> Vec<CommunityClustering> {
     Community::FRINGE
         .iter()
         .map(|&c| {
-            analysis::cluster_community(
-                &r.dataset,
-                &r.output,
-                c,
-                DbscanParams::default(),
-                8,
-                r.opts.threads,
-            )
-            .expect("default DBSCAN parameters are valid")
+            analysis::cluster_community(&r.dataset, &r.output, c, DbscanParams::default(), 8, 0)
+                .expect("default DBSCAN parameters are valid")
         })
         .collect()
 }
 
 /// Table 2: clustering statistics, plus the Appendix-B annotation
 /// panel.
-pub fn table2(r: &Repro, runs: &[CommunityClustering]) {
+pub fn table2(r: &Repro) {
     section("Table 2: clustering statistics per fringe community");
-    let rows = analysis::table2(runs);
+    let runs = community_runs(r);
+    let rows = analysis::table2(&runs);
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
@@ -117,7 +111,7 @@ pub fn table2(r: &Repro, runs: &[CommunityClustering]) {
     // ground truth (representative entry == true meme of the medoid).
     section("Appendix B: annotation-quality panel (3 simulated annotators)");
     let mut truth: Vec<bool> = Vec::new();
-    for run in runs {
+    for run in &runs {
         for ann in run.annotations.iter().filter(|a| a.is_annotated()) {
             let medoid_post = run.medoid_posts[ann.cluster];
             let true_meme = r.dataset.posts[medoid_post].true_variant().map(|(m, _)| m);
@@ -137,7 +131,7 @@ pub fn table2(r: &Repro, runs: &[CommunityClustering]) {
         "(synthetic galleries are cleaner than KYM's, so accuracy runs higher \
          than the paper's human-judged 89%)"
     );
-    let mut rng = meme_stats::seeded_rng(r.opts.seed ^ 0xBA99);
+    let mut rng = meme_stats::seeded_rng(r.seed ^ 0xBA99);
     match simulate_panel(&truth, 3, 0.05, &mut rng) {
         Some(report) => println!(
             "panel on measured truth: Fleiss kappa {:.2} ({})",
@@ -162,9 +156,9 @@ pub fn table2(r: &Repro, runs: &[CommunityClustering]) {
 // --------------------------------------------------------- Tables 3-5
 
 /// Table 3: top KYM entries by clusters, per fringe community.
-pub fn table3(r: &Repro, runs: &[CommunityClustering]) {
+pub fn table3(r: &Repro) {
     section("Table 3: top KYM entries by #clusters (per fringe community)");
-    for run in runs {
+    for run in &community_runs(r) {
         let rows = analysis::top_entries_by_clusters(run, &r.output, 20);
         println!("--- {} ---", run.community.name());
         let cells: Vec<Vec<String>> = rows
@@ -271,7 +265,7 @@ pub fn table7(r: &Repro) {
 /// (Fig. 17).
 pub fn table8_fig17(r: &Repro) {
     section("Table 8 (Appendix A): DBSCAN distance sweep");
-    let rows = analysis::eps_sweep(&r.dataset, &r.output, &[2, 4, 6, 8, 10], 5, r.opts.threads)
+    let rows = analysis::eps_sweep(&r.dataset, &r.output, &[2, 4, 6, 8, 10], 5, 0)
         .expect("minPts = 5 is valid");
     let cells: Vec<Vec<String>> = rows
         .iter()
@@ -345,7 +339,7 @@ pub fn table9_fig19(seed: u64) {
         },
     )
     .expect("default training converges on the generated corpus");
-    println!("trained in {:.1?} on {} images", t0.elapsed(), corpus.len());
+    eprintln!("trained in {:.1?} on {} images", t0.elapsed(), corpus.len());
     println!("AUC:       {:.3}  [paper: 0.96]", metrics.auc);
     println!("accuracy:  {:.1}% [paper: 91.3%]", 100.0 * metrics.accuracy);
     println!(
@@ -527,8 +521,8 @@ pub fn fig6(r: &Repro) {
 
 // --------------------------------------------------------------- Fig 7
 
-/// Fig. 7: the κ = 0.45 cluster graph.
-pub fn fig7(r: &Repro) {
+/// Fig. 7: the κ = 0.45 cluster graph, exported as DOT and JSON.
+pub fn fig7(r: &Repro) -> Vec<Export> {
     section("Fig 7: cluster graph at kappa = 0.45");
     let (descriptors, labels) = descriptors_for(r, |_| true);
     let config = GraphConfig {
@@ -549,17 +543,7 @@ pub fn fig7(r: &Repro) {
         "component annotation purity: {:.3} [paper: components are 'primarily one color']",
         graph.component_purity()
     );
-    let dir = std::path::Path::new("repro-out");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let dot = dir.join("fig7.dot");
-        let json = dir.join("fig7.json");
-        if std::fs::write(&dot, graph.to_dot()).is_ok() {
-            println!("wrote {}", dot.display());
-        }
-        if std::fs::write(&json, graph.to_json()).is_ok() {
-            println!("wrote {}", json.display());
-        }
-    }
+    vec![("fig7.dot", graph.to_dot()), ("fig7.json", graph.to_json())]
 }
 
 // --------------------------------------------------------------- Fig 8
@@ -678,14 +662,14 @@ pub fn fig10(seed: u64) {
 
 // ------------------------------------------------------- Figs 11 & 12
 
-/// Step 7 over `streams` at kernel decay `beta`, as `memes influence`
-/// runs it. A cluster whose fit failed or landed non-stationary
+/// Step 7 over `streams` at kernel decay `beta`, as `memes run
+/// --metrics-out` runs it. A cluster whose fit failed or landed non-stationary
 /// contributes a zero matrix; how many did is reported on stderr.
 pub(crate) fn fit_influence(r: &Repro, streams: &[Vec<Event>], beta: f64) -> ClusterInfluence {
     let fitted = InfluenceEstimator::new(Community::COUNT, beta).estimate_robust(
         streams,
         r.dataset.horizon(),
-        r.opts.threads,
+        0,
     );
     if !fitted.skipped.is_empty() {
         eprintln!(
@@ -775,7 +759,7 @@ pub fn fig11_12(r: &Repro) {
 
     // Cluster-bootstrap 90% CIs on the Fig. 11 cells (uncertainty the
     // paper does not report).
-    if let Some(ci) = meme_hawkes::bootstrap_ci(&full.per_cluster, 300, 0.9, r.opts.seed) {
+    if let Some(ci) = meme_hawkes::bootstrap_ci(&full.per_cluster, 300, 0.9, r.seed) {
         section("Fig 11 supplement: 90% cluster-bootstrap CIs (percent of destination)");
         let mut cells = Vec::new();
         for src in 0..Community::COUNT {
@@ -901,15 +885,13 @@ pub fn perf(r: &Repro) {
     let brute_time = t1.elapsed();
     assert_eq!(matches, matches_b, "engines must agree");
     let rate = |d: std::time::Duration| r.output.post_hashes.len() as f64 / d.as_secs_f64();
-    println!(
+    eprintln!(
         "multi-index hashing: {:.0} images/sec ({mih_time:.1?} total)",
         rate(mih_time)
     );
-    println!(
+    eprintln!(
         "brute force:         {:.0} images/sec ({brute_time:.1?} total)",
         rate(brute_time)
     );
     println!("[paper: 73 images/sec on two Titan Xp GPUs vs 12K medoids]");
-    let _ = SourcePlatform::ALL; // keep the import referenced at all scales
-    let _ = Event::new(0.0, 0);
 }

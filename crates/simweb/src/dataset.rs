@@ -122,7 +122,7 @@ pub enum SimScale {
     Tiny,
     /// Example scale: tens of thousands of images, < 1 minute.
     Small,
-    /// Evaluation scale for the repro binaries: order 10⁵ images.
+    /// Evaluation scale for `memes repro`: order 10⁵ images.
     Default,
 }
 

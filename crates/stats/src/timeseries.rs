@@ -76,7 +76,7 @@ impl DailySeries {
     }
 
     /// Downsample per-day percentages into `weeks`-day means, which is how
-    /// the repro binaries print Fig. 8 compactly.
+    /// `memes repro fig8` prints Fig. 8 compactly.
     pub fn smooth(values: &[f64], window: usize) -> Vec<f64> {
         if window == 0 || values.is_empty() {
             return values.to_vec();

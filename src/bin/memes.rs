@@ -8,8 +8,7 @@
 //! memes resume   --scale small --seed 7 --checkpoint ckpt.json [--out run.json]
 //!                [--metrics-out run-metrics.json] [--retries N]
 //!                [--quarantine q.jsonl] [--chaos PRESET]
-//! memes influence --scale small --seed 7
-//! memes graph    --scale small --seed 7 --out fig7.dot
+//! memes repro    SECTION --scale small --seed 7 [--train-filter] [--out DIR]
 //! memes fsck     CKPT [--scale small --seed 7 --train-filter]
 //! memes quarantine ls FILE
 //! memes quarantine replay FILE --scale small --seed 7
@@ -22,7 +21,16 @@
 //!
 //! Every subcommand regenerates the (deterministic) dataset from its
 //! seed, so no intermediate file is ever required; `--out` writes the
-//! artifact for external tooling. `run --checkpoint` snapshots progress
+//! artifact for external tooling. Each subcommand takes a fixed number
+//! of positional arguments; any other count is bad usage.
+//!
+//! `memes repro SECTION` prints one of the paper's tables or figures
+//! (the usage text lists them), or `all` of them over one shared run,
+//! to stdout. Its Steps 1–6 run is the one `memes run` makes; with
+//! `--out DIR`, Fig. 7 is also written as `DIR/fig7.dot` and
+//! `DIR/fig7.json`.
+//!
+//! `run --checkpoint` snapshots progress
 //! after every stage, and `resume` picks a killed run up from the last
 //! completed stage (the checkpoint is validated against the dataset and
 //! configuration before being honoured; a torn or stale current
@@ -78,8 +86,6 @@ use meme_analysis::Exit;
 use origins_of_memes::core::checkpoint::{
     dataset_fingerprint, fsck_file, DiskMedium, FsckClass, RunnerOutcome, StageId,
 };
-use origins_of_memes::core::graph::{ClusterGraph, GraphConfig};
-use origins_of_memes::core::metric::ClusterDistance;
 use origins_of_memes::core::pipeline::{
     Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
 };
@@ -91,12 +97,16 @@ use origins_of_memes::hawkes::{ClusterInfluence, InfluenceEstimator};
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
 use origins_of_memes::phash::{ImageHasher, PHash, PerceptualHasher};
+use origins_of_memes::repro::sections::FIT_BETA;
+use origins_of_memes::repro::{select, Body, Repro, SECTIONS};
 use origins_of_memes::serve::{
     load_output, protocol, ServeScratch, Server, ServerConfig, Snapshot, SnapshotStore,
     DEFAULT_THETA,
 };
 use origins_of_memes::simweb::{Community, Dataset, ExecFaultSpec, SimConfig, SimScale};
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -127,6 +137,16 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let argv: Vec<String> = std::env::args().collect();
     let command = argv.get(1).cloned().ok_or_else(usage)?;
+    // The positional arguments each command takes, in order.
+    let operands: &[&str] = match command.as_str() {
+        "simulate" | "run" | "resume" | "serve" => &[],
+        "fsck" => &["CHECKPOINT"],
+        "lookup" => &["HASH"],
+        "repro" => &["SECTION"],
+        "validate-metrics" => &["FILE"],
+        "quarantine" => &["ls|replay", "FILE"],
+        other => return Err(format!("unknown command {other}")),
+    };
     let mut args = Args {
         command,
         positionals: Vec::new(),
@@ -148,16 +168,6 @@ fn parse_args() -> Result<Args, String> {
         read_timeout_ms: ServerConfig::default().read_timeout_ms,
         max_line_bytes: ServerConfig::default().max_line_bytes,
     };
-    if args.command == "validate-metrics" {
-        // Takes one positional FILE argument instead of flags; it is
-        // stashed in `out` for `main` to pick up.
-        args.out = Some(
-            argv.get(2)
-                .cloned()
-                .ok_or("validate-metrics needs a FILE argument")?,
-        );
-        return Ok(args);
-    }
     let mut i = 2;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -252,25 +262,28 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
+    if args.positionals.len() != operands.len() {
+        return Err(format!(
+            "{} takes {} positional argument(s) [{}], got {}",
+            args.command,
+            operands.len(),
+            operands.join(" "),
+            args.positionals.len()
+        ));
+    }
     if args.command == "resume" && args.checkpoint.is_none() {
         return Err("resume needs --checkpoint PATH".to_string());
     }
-    if args.command == "fsck" && args.positionals.is_empty() {
-        return Err("fsck needs a CHECKPOINT argument".to_string());
+    if args.command == "quarantine" && !matches!(args.positionals[0].as_str(), "ls" | "replay") {
+        return Err("quarantine needs `ls FILE` or `replay FILE`".to_string());
     }
-    if args.command == "quarantine" {
-        match args.positionals.first().map(String::as_str) {
-            Some("ls") | Some("replay") if args.positionals.len() == 2 => {}
-            _ => return Err("quarantine needs `ls FILE` or `replay FILE`".to_string()),
-        }
+    if args.command == "repro" && select(&args.positionals[0]).is_none() {
+        return Err(format!("unknown section {}", args.positionals[0]));
     }
     if args.command == "serve" && args.artifact.is_none() {
         return Err("serve needs --artifact PATH".to_string());
     }
     if args.command == "lookup" {
-        if args.positionals.len() != 1 {
-            return Err("lookup needs a HASH argument".to_string());
-        }
         match (&args.artifact, &args.addr) {
             (Some(_), None) | (None, Some(_)) => {}
             _ => {
@@ -284,18 +297,38 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: memes <simulate|run|resume|influence|graph> \
-     [--scale tiny|small|default] [--seed N] [--out PATH] \
-     [--checkpoint PATH] [--metrics-out PATH] [--train-filter] \
-     [--retries N] [--quarantine PATH] [--chaos PRESET]\n\
-     \u{20}      memes fsck CHECKPOINT [--scale S --seed N --train-filter]\n\
-     \u{20}      memes quarantine <ls|replay> FILE [--scale S --seed N]\n\
-     \u{20}      memes validate-metrics FILE\n\
-     \u{20}      memes serve --artifact PATH [--addr HOST:PORT] [--workers N] \
-     [--reload] [--max-conns N] [--read-timeout-ms MS] [--max-line-bytes N] \
-     [--scale S --seed N]\n\
-     \u{20}      memes lookup HASH (--artifact PATH | --addr HOST:PORT)"
-        .to_string()
+    let sections: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+    format!(
+        "usage: memes <simulate|run|resume> \
+         [--scale tiny|small|default] [--seed N] [--out PATH] \
+         [--checkpoint PATH] [--metrics-out PATH] [--train-filter] \
+         [--retries N] [--quarantine PATH] [--chaos PRESET]\n\
+         \u{20}      memes repro <{}|all> [--scale S --seed N --train-filter] [--out DIR]\n\
+         \u{20}      memes fsck CHECKPOINT [--scale S --seed N --train-filter]\n\
+         \u{20}      memes quarantine <ls|replay> FILE [--scale S --seed N]\n\
+         \u{20}      memes validate-metrics FILE\n\
+         \u{20}      memes serve --artifact PATH [--addr HOST:PORT] [--workers N] \
+         [--reload] [--max-conns N] [--read-timeout-ms MS] [--max-line-bytes N] \
+         [--scale S --seed N]\n\
+         \u{20}      memes lookup HASH (--artifact PATH | --addr HOST:PORT)",
+        sections.join("|")
+    )
+}
+
+/// Report an operational failure on stderr; the caller exits with the
+/// returned code.
+fn operational(message: impl Display) -> ExitCode {
+    eprintln!("{message}");
+    Exit::Operational.into()
+}
+
+/// Write `contents` to `path`, narrating on stderr.
+fn write_file(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    let path = path.as_ref();
+    std::fs::write(path, contents)
+        .map_err(|e| operational(format_args!("cannot write {}: {e}", path.display())))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Resolve a `--chaos` preset name to an execution-fault schedule.
@@ -329,8 +362,10 @@ fn pipeline_config(args: &Args) -> PipelineConfig {
     }
 }
 
-fn generate_dataset(args: &Args) -> Dataset {
-    let dataset = SimConfig::new(args.scale, args.seed).generate();
+fn generate_dataset(args: &Args) -> Result<Dataset, ExitCode> {
+    let dataset = SimConfig::new(args.scale, args.seed)
+        .try_generate()
+        .map_err(|e| operational(format_args!("cannot generate the dataset: {e}")))?;
     eprintln!(
         "dataset: {} image posts, {} memes (scale {:?}, seed {})",
         dataset.posts.len(),
@@ -338,7 +373,150 @@ fn generate_dataset(args: &Args) -> Dataset {
         args.scale,
         args.seed
     );
-    dataset
+    Ok(dataset)
+}
+
+/// Steps 1–6 over `dataset` under supervision, set up from the command
+/// line: retries, checkpoint (resumed from for `resume`), quarantine
+/// file and chaos preset. A failed or halted run is reported and
+/// becomes the operational exit code.
+fn run_pipeline(
+    args: &Args,
+    dataset: &Dataset,
+    metrics: &Metrics,
+) -> Result<PipelineOutput, ExitCode> {
+    let policy = StagePolicy {
+        max_attempts: args.retries + 1,
+        save_attempts: args.retries + 1,
+        seed: args.seed,
+        ..StagePolicy::default()
+    };
+    let mut runner = SupervisedRunner::new(Pipeline::new(pipeline_config(args)))
+        .with_metrics(metrics.clone())
+        .with_policy(policy);
+    if let Some(path) = &args.checkpoint {
+        runner = runner.with_checkpoint(path);
+    }
+    if let Some(path) = &args.quarantine {
+        runner = runner.with_quarantine(path);
+    }
+    if let Some(preset) = &args.chaos {
+        let spec = chaos_spec(preset, args.seed).map_err(operational)?;
+        eprintln!("chaos: injecting preset `{preset}` (seed {})", args.seed);
+        runner = runner
+            .with_medium(Arc::new(FaultyMedium::new(spec.clone())))
+            .with_exec_faults(spec);
+    }
+    let result = if args.command == "resume" {
+        runner.resume(dataset)
+    } else {
+        runner.run(dataset)
+    };
+    let run = result.map_err(|e| operational(format_args!("pipeline failed: {e}")))?;
+    print_supervision(&run.report);
+    let output = match run.outcome {
+        RunnerOutcome::Complete(o) => *o,
+        RunnerOutcome::Halted { after } => {
+            return Err(operational(format_args!(
+                "pipeline halted after stage `{after}`"
+            )))
+        }
+    };
+    eprintln!(
+        "pipeline: {} clusters ({} annotated), {} matched posts",
+        output.clustering.n_clusters(),
+        output.annotated_clusters().len(),
+        output.occurrences.iter().flatten().count()
+    );
+    for (kind, count) in output.degradation_summary() {
+        eprintln!("degraded: {kind} x{count}");
+    }
+    Ok(output)
+}
+
+/// `memes simulate` — generate the dataset and save it with `--out`.
+fn cmd_simulate(args: &Args) -> Result<(), ExitCode> {
+    let dataset = generate_dataset(args)?;
+    match &args.out {
+        Some(path) => write_file(
+            path,
+            serde_json::to_string(&dataset).expect("dataset serializes"),
+        ),
+        None => {
+            eprintln!("(pass --out to save the dataset as JSON)");
+            Ok(())
+        }
+    }
+}
+
+/// `memes run` / `memes resume` — Steps 1–6, then the `--out` artifact
+/// and the `--metrics-out` registry (which also records Step 7).
+fn cmd_run(args: &Args) -> Result<(), ExitCode> {
+    let dataset = generate_dataset(args)?;
+    let registry = args.metrics_out.as_ref().map(|_| Arc::new(Registry::new()));
+    let metrics = match &registry {
+        Some(r) => Metrics::from_registry(Arc::clone(r)),
+        None => Metrics::disabled(),
+    };
+    let output = run_pipeline(args, &dataset, &metrics)?;
+    if let Some(path) = &args.out {
+        write_file(path, output.to_json())?;
+    }
+    if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
+        // Step 7 under the same registry, so the export carries the
+        // Hawkes EM iteration counts too.
+        estimate_influence(&output, &dataset, &metrics)?;
+        write_file(path, registry.to_json())?;
+    }
+    Ok(())
+}
+
+/// `memes repro SECTION` — print one paper table/figure, or `all` of
+/// them, to stdout. The dataset and its Steps 1–6 run are made at the
+/// first section that reads them, so the seed-only sections generate
+/// none. `--out DIR` receives the files a section exports.
+fn cmd_repro(args: &Args) -> Result<(), ExitCode> {
+    let sections = select(&args.positionals[0]).expect("parse_args checks the section");
+    let mut repro = None;
+    for section in sections {
+        let exports = match section.body {
+            Body::Seed(print) => {
+                print(args.seed);
+                Vec::new()
+            }
+            Body::Run(print) => {
+                print(shared_run(&mut repro, args)?);
+                Vec::new()
+            }
+            Body::Export(print) => print(shared_run(&mut repro, args)?),
+        };
+        let Some(dir) = &args.out else { continue };
+        if !exports.is_empty() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| operational(format_args!("cannot create {dir}: {e}")))?;
+        }
+        for (name, contents) in exports {
+            write_file(Path::new(dir).join(name), contents)?;
+        }
+    }
+    Ok(())
+}
+
+/// The dataset and Steps 1–6 run that every section of one `memes
+/// repro` shares, made on first use.
+fn shared_run<'a>(repro: &'a mut Option<Repro>, args: &Args) -> Result<&'a Repro, ExitCode> {
+    Ok(match repro {
+        Some(r) => r,
+        empty @ None => {
+            let dataset = generate_dataset(args)?;
+            let output = run_pipeline(args, &dataset, &Metrics::disabled())?;
+            empty.insert(Repro {
+                seed: args.seed,
+                dataset,
+                output,
+            })
+        }
+    })
 }
 
 /// Narrate what supervision had to do (silent when it did nothing).
@@ -375,10 +553,14 @@ fn cmd_fsck(args: &Args) -> ExitCode {
     let path = std::path::Path::new(&args.positionals[0]);
     // Only verify dataset/config identity when the caller described the
     // expected run; a bare `memes fsck ckpt` checks integrity alone.
-    let expectation = args.explicit_dataset.then(|| {
-        let dataset = generate_dataset(args);
-        (dataset_fingerprint(&dataset), pipeline_config(args))
-    });
+    let expectation = if args.explicit_dataset {
+        match generate_dataset(args) {
+            Ok(dataset) => Some((dataset_fingerprint(&dataset), pipeline_config(args))),
+            Err(exit) => return exit,
+        }
+    } else {
+        None
+    };
     let expect = expectation.as_ref().map(|(fp, cfg)| (*fp, cfg));
     let report = match fsck_file(&DiskMedium, path, expect) {
         Ok(report) => report,
@@ -463,7 +645,10 @@ fn cmd_quarantine_replay(args: &Args, path: &str) -> ExitCode {
         eprintln!("quarantine: {path} is empty — nothing to replay");
         return Exit::Clean.into();
     }
-    let dataset = generate_dataset(args);
+    let dataset = match generate_dataset(args) {
+        Ok(dataset) => dataset,
+        Err(exit) => return exit,
+    };
     let mut still_failing = 0usize;
     let hasher = PerceptualHasher::new();
     // The associate stage needs full pipeline context; run it once,
@@ -533,25 +718,20 @@ fn estimate_influence(
     dataset: &Dataset,
     metrics: &Metrics,
 ) -> Result<ClusterInfluence, ExitCode> {
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    match output.estimate_influence(dataset, &estimator, 0, metrics) {
-        Ok((influence, skipped)) => {
-            if !skipped.is_empty() {
-                eprintln!(
-                    "influence: {} cluster(s) skipped (failed Hawkes fits)",
-                    skipped.len()
-                );
-                for d in &skipped {
-                    eprintln!("  {d}");
-                }
-            }
-            Ok(influence)
-        }
-        Err(e) => {
-            eprintln!("influence: {e}");
-            Err(Exit::Operational.into())
+    let estimator = InfluenceEstimator::new(Community::COUNT, FIT_BETA);
+    let (influence, skipped) = output
+        .estimate_influence(dataset, &estimator, 0, metrics)
+        .map_err(|e| operational(format_args!("influence: {e}")))?;
+    if !skipped.is_empty() {
+        eprintln!(
+            "influence: {} cluster(s) skipped (failed Hawkes fits)",
+            skipped.len()
+        );
+        for d in &skipped {
+            eprintln!("  {d}");
         }
     }
+    Ok(influence)
 }
 
 /// `memes serve --artifact PATH` — load a completed run artifact and
@@ -573,8 +753,9 @@ fn cmd_serve(args: &Args) -> ExitCode {
     // artifact does not carry; compute them only when the caller
     // described the producing run with --scale/--seed.
     let influence = if args.explicit_dataset {
-        let dataset = generate_dataset(args);
-        match estimate_influence(&output, &dataset, &Metrics::disabled()) {
+        let influence = generate_dataset(args)
+            .and_then(|dataset| estimate_influence(&output, &dataset, &Metrics::disabled()));
+        match influence {
             Ok(influence) => Some(influence),
             Err(exit) => return exit,
         }
@@ -719,6 +900,28 @@ fn lookup_remote(addr: &str, hash: PHash) -> ExitCode {
     }
 }
 
+/// `memes validate-metrics FILE` — check a `--metrics-out` export
+/// against the schema. Exit 0 valid, 1 invalid, 2 unreadable.
+fn cmd_validate_metrics(path: &str) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => return operational(format_args!("cannot read {path}: {e}")),
+    };
+    match validate_metrics_json(&text) {
+        Ok(()) => {
+            eprintln!(
+                "{path}: valid metrics JSON (schema v{})",
+                origins_of_memes::metrics::SCHEMA_VERSION
+            );
+            Exit::Clean.into()
+        }
+        Err(e) => {
+            eprintln!("{path}: invalid metrics JSON: {e}");
+            Exit::Violations.into()
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -730,224 +933,22 @@ fn main() -> ExitCode {
             return Exit::Operational.into();
         }
     };
-    if args.command == "validate-metrics" {
-        let path = args.out.as_deref().expect("parse_args guarantees FILE");
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return Exit::Operational.into();
-            }
-        };
-        return match validate_metrics_json(&text) {
-            Ok(()) => {
-                eprintln!(
-                    "{path}: valid metrics JSON (schema v{})",
-                    origins_of_memes::metrics::SCHEMA_VERSION
-                );
-                Exit::Clean.into()
-            }
-            Err(e) => {
-                eprintln!("{path}: invalid metrics JSON: {e}");
-                Exit::Violations.into()
-            }
-        };
-    }
-    if args.command == "fsck" {
-        return cmd_fsck(&args);
-    }
-    if args.command == "quarantine" {
-        let file = args.positionals[1].clone();
-        return match args.positionals[0].as_str() {
-            "ls" => cmd_quarantine_ls(&file),
-            _ => cmd_quarantine_replay(&args, &file),
-        };
-    }
-    if args.command == "serve" {
-        return cmd_serve(&args);
-    }
-    if args.command == "lookup" {
-        return cmd_lookup(&args);
-    }
-    if !matches!(
-        args.command.as_str(),
-        "simulate" | "run" | "resume" | "influence" | "graph"
-    ) {
-        eprintln!("unknown command {}", args.command);
-        eprintln!("{}", usage());
-        return Exit::Operational.into();
-    }
-    let dataset = generate_dataset(&args);
-
-    match args.command.as_str() {
-        "simulate" => {
-            if let Some(path) = &args.out {
-                let json = serde_json::to_string(&dataset).expect("dataset serializes");
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("cannot write {path}: {e}");
-                    return Exit::Operational.into();
-                }
-                eprintln!("wrote {path}");
-            } else {
-                eprintln!("(pass --out to save the dataset as JSON)");
-            }
-            Exit::Clean.into()
+    let done = match args.command.as_str() {
+        "validate-metrics" => return cmd_validate_metrics(&args.positionals[0]),
+        "fsck" => return cmd_fsck(&args),
+        "quarantine" if args.positionals[0] == "ls" => {
+            return cmd_quarantine_ls(&args.positionals[1])
         }
-        cmd @ ("run" | "resume" | "influence" | "graph") => {
-            let config = pipeline_config(&args);
-            let registry = args
-                .metrics_out
-                .as_ref()
-                .map(|_| std::sync::Arc::new(Registry::new()));
-            let metrics = match &registry {
-                Some(r) => Metrics::from_registry(Arc::clone(r)),
-                None => Metrics::disabled(),
-            };
-            let policy = StagePolicy {
-                max_attempts: args.retries + 1,
-                save_attempts: args.retries + 1,
-                seed: args.seed,
-                ..StagePolicy::default()
-            };
-            let mut runner = SupervisedRunner::new(Pipeline::new(config))
-                .with_metrics(metrics.clone())
-                .with_policy(policy);
-            if let Some(path) = &args.checkpoint {
-                runner = runner.with_checkpoint(path);
-            }
-            if let Some(path) = &args.quarantine {
-                runner = runner.with_quarantine(path);
-            }
-            if let Some(preset) = &args.chaos {
-                let spec = match chaos_spec(preset, args.seed) {
-                    Ok(spec) => spec,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return Exit::Operational.into();
-                    }
-                };
-                eprintln!("chaos: injecting preset `{preset}` (seed {})", args.seed);
-                runner = runner
-                    .with_medium(Arc::new(FaultyMedium::new(spec.clone())))
-                    .with_exec_faults(spec);
-            }
-            let result = if cmd == "resume" {
-                runner.resume(&dataset)
-            } else {
-                runner.run(&dataset)
-            };
-            let output = match result {
-                Ok(run) => {
-                    print_supervision(&run.report);
-                    match run.outcome {
-                        RunnerOutcome::Complete(o) => *o,
-                        RunnerOutcome::Halted { after } => {
-                            eprintln!("pipeline halted after stage `{after}`");
-                            return Exit::Operational.into();
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("pipeline failed: {e}");
-                    return Exit::Operational.into();
-                }
-            };
-            eprintln!(
-                "pipeline: {} clusters ({} annotated), {} matched posts",
-                output.clustering.n_clusters(),
-                output.annotated_clusters().len(),
-                output.occurrences.iter().flatten().count()
-            );
-            for (kind, count) in output.degradation_summary() {
-                eprintln!("degraded: {kind} x{count}");
-            }
-            match cmd {
-                "run" | "resume" => {
-                    if let Some(path) = &args.out {
-                        if let Err(e) = std::fs::write(path, output.to_json()) {
-                            eprintln!("cannot write {path}: {e}");
-                            return Exit::Operational.into();
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                    if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
-                        // Step 7 under the same registry, so the export
-                        // carries the Hawkes EM iteration counts too.
-                        if let Err(exit) = estimate_influence(&output, &dataset, &metrics) {
-                            return exit;
-                        }
-                        if let Err(e) = std::fs::write(path, registry.to_json()) {
-                            eprintln!("cannot write {path}: {e}");
-                            return Exit::Operational.into();
-                        }
-                        eprintln!("wrote {path}");
-                    }
-                }
-                "influence" => {
-                    let influence =
-                        match estimate_influence(&output, &dataset, &Metrics::disabled()) {
-                            Ok(influence) => influence,
-                            Err(exit) => return exit,
-                        };
-                    let pct = influence.total.percent_of_destination();
-                    println!("percent of destination events caused by source:");
-                    print!("{:>9}", "src\\dst");
-                    for c in Community::ALL {
-                        print!("{:>9}", c.name());
-                    }
-                    println!();
-                    for (src, row) in pct.iter().enumerate() {
-                        print!("{:>9}", Community::ALL[src].name());
-                        for v in row {
-                            print!("{v:>8.1}%");
-                        }
-                        println!();
-                    }
-                    let ext = influence.total.total_external_normalized();
-                    println!("external efficiency per source:");
-                    for c in Community::ALL {
-                        println!("  {:<8} {:>7.2}%", c.name(), ext[c.index()]);
-                    }
-                }
-                "graph" => {
-                    let (descriptors, labels) = match output.try_annotated_descriptors() {
-                        Ok(pair) => pair,
-                        Err(e) => {
-                            eprintln!("graph: {e}");
-                            return Exit::Operational.into();
-                        }
-                    };
-                    let graph = ClusterGraph::build(
-                        &descriptors,
-                        &labels,
-                        &ClusterDistance::default(),
-                        &GraphConfig {
-                            kappa: 0.45,
-                            min_degree: 1,
-                        },
-                    );
-                    eprintln!(
-                        "graph: {} nodes, {} edges, {} components, purity {:.2}",
-                        graph.node_count(),
-                        graph.edge_count(),
-                        graph.n_components,
-                        graph.component_purity()
-                    );
-                    match &args.out {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(path, graph.to_dot()) {
-                                eprintln!("cannot write {path}: {e}");
-                                return Exit::Operational.into();
-                            }
-                            eprintln!("wrote {path}");
-                        }
-                        None => println!("{}", graph.to_dot()),
-                    }
-                }
-                _ => unreachable!(),
-            }
-            Exit::Clean.into()
-        }
-        _ => unreachable!("command validated before dataset generation"),
+        "quarantine" => return cmd_quarantine_replay(&args, &args.positionals[1]),
+        "serve" => return cmd_serve(&args),
+        "lookup" => return cmd_lookup(&args),
+        "simulate" => cmd_simulate(&args),
+        "run" | "resume" => cmd_run(&args),
+        "repro" => cmd_repro(&args),
+        _ => unreachable!("parse_args rejects unknown commands"),
+    };
+    match done {
+        Ok(()) => Exit::Clean.into(),
+        Err(exit) => exit,
     }
 }

@@ -33,6 +33,7 @@ pub use meme_imaging as imaging;
 pub use meme_index as index;
 pub use meme_metrics as metrics;
 pub use meme_phash as phash;
+pub use meme_repro as repro;
 pub use meme_serve as serve;
 pub use meme_simweb as simweb;
 pub use meme_stats as stats;

@@ -112,6 +112,36 @@ fn bad_usage_exits_two() {
         2,
         "unknown chaos preset"
     );
+    // Every command takes a fixed number of positional arguments; a
+    // stray one is bad usage, reported before any dataset is generated.
+    // So is a subcommand `memes repro` replaced.
+    let bad: [&[&str]; 11] = [
+        &["run", "--scale", "tiny", "7"],
+        &["simulate", "--scale", "tiny", "extra"],
+        &[
+            "resume",
+            "--scale",
+            "tiny",
+            "--checkpoint",
+            "c.ckpt",
+            "extra",
+        ],
+        &["serve", "--artifact", "a.json", "extra"],
+        &["fsck", "a.ckpt", "b.ckpt"],
+        &["lookup", "0", "1", "--addr", "127.0.0.1:1"],
+        &["repro", "table1", "extra", "--scale", "tiny"],
+        &["quarantine", "ls", "q.jsonl", "extra"],
+        &["validate-metrics", "a.json", "b.json"],
+        &["influence", "--scale", "tiny"],
+        &["graph", "--scale", "tiny"],
+    ];
+    for args in bad {
+        let out = memes(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+        assert!(!stderr.contains("dataset:"), "{args:?} generated a dataset");
+    }
 }
 
 #[test]
