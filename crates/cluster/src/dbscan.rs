@@ -5,9 +5,14 @@
 //! label-propagation half. Separating the two lets the pipeline reuse one
 //! adjacency computation across parameter sweeps (Appendix A, Table 8)
 //! and keeps this code independent of the index engine.
+//!
+//! One flood fill serves two inputs: [`try_dbscan`] over one list per
+//! item, and [`try_dbscan_distinct`] over one list per distinct hash of
+//! a duplicate-collapsed corpus, each hash weighted by its copies — the
+//! pipeline's path, which never builds the per-post adjacency.
 
 use crate::medoid::medoid_of_hashes;
-use meme_index::{symmetric_neighbors, FallbackIndex, HammingIndex, HashGroups};
+use meme_index::{distinct_neighbors, FallbackIndex, HammingIndex, HashGroups};
 use meme_phash::PHash;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -20,12 +25,21 @@ pub enum ClusterError {
     InvalidMinPts,
     /// An adjacency list referenced an item outside the point set.
     InvalidNeighbor {
-        /// The item whose list is broken.
+        /// The item (for [`try_dbscan_distinct`], the distinct-hash
+        /// slot) whose list is broken.
         item: usize,
         /// The out-of-range neighbour index.
         neighbor: usize,
-        /// Number of items in the point set.
+        /// Number of items (distinct hashes) in the point set.
         len: usize,
+    },
+    /// A distinct-hash adjacency does not hold one list per distinct
+    /// hash of its [`HashGroups`].
+    AdjacencyLength {
+        /// Number of lists passed.
+        lists: usize,
+        /// Number of distinct hashes in the groups.
+        expected: usize,
     },
     /// A cluster id has no members — impossible for a [`Clustering`]
     /// produced by [`try_dbscan`], but reachable through deserialized
@@ -57,6 +71,10 @@ impl fmt::Display for ClusterError {
             } => write!(
                 f,
                 "item {item} lists neighbour {neighbor}, but there are only {len} items"
+            ),
+            Self::AdjacencyLength { lists, expected } => write!(
+                f,
+                "adjacency has {lists} lists, but there are {expected} distinct hashes"
             ),
             Self::EmptyCluster { cluster } => {
                 write!(f, "cluster {cluster} has no members")
@@ -169,7 +187,8 @@ impl Clustering {
     /// Medoid item index of each cluster, given the item hashes
     /// (Step 5's cluster representative): one checked bucketing pass over
     /// the labels (no per-cluster rescans, no [`Clustering::all_members`]
-    /// indexing), then one medoid per cluster. Label vectors [`try_dbscan`]
+    /// indexing), then one medoid per cluster, scored over the cluster's
+    /// distinct hashes by [`medoid_of_hashes`]. Label vectors [`try_dbscan`]
     /// never emits but a corrupt checkpoint can contain — out-of-range
     /// labels, memberless cluster ids — surface as typed
     /// [`ClusterError`]s instead of a panic.
@@ -209,7 +228,65 @@ impl Clustering {
 /// `min_pts` and the adjacency lists are validated before labels are
 /// propagated, so malformed input surfaces as a [`ClusterError`] rather
 /// than a panic mid-flood-fill.
+///
+/// This is the item-level reference: the pipeline runs
+/// [`try_dbscan_distinct`] over one list per distinct hash instead.
 pub fn try_dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Result<Clustering, ClusterError> {
+    check_adjacency(neighbors, min_pts)?;
+    let (labels, n_clusters) = flood_fill(neighbors, |_| 1, min_pts, 0..neighbors.len());
+    Ok(Clustering { labels, n_clusters })
+}
+
+/// Run DBSCAN over a duplicate-collapsed corpus: `adjacency[u]` is the
+/// (self-exclusive, ascending) neighbourhood of distinct hash `u` of
+/// `groups`, as [`distinct_neighbors`] computes it.
+///
+/// Returns the same per-item labels, cluster numbering and cluster
+/// count as [`try_dbscan`] over the expanded item adjacency
+/// ([`meme_index::symmetric_neighbors`]), without building it. Every
+/// owner of a hash has the same neighbours, hence the same core status
+/// and label, so the flood fill runs once per distinct hash with two
+/// adjustments:
+///
+/// * a hash counts with its **owner count**: `u` is core when
+///   `|owners(u)| + Σ_{v ∈ adjacency[u]} |owners(v)| ≥ min_pts`;
+/// * hashes are visited in ascending **first-owner** order (the order
+///   [`try_dbscan`] meets their first items), not in
+///   [`HashGroups::unique`]'s hash order — which keeps the cluster
+///   numbering identical.
+///
+/// A list count other than `groups.len_unique()`, an out-of-range slot
+/// or `min_pts == 0` is a [`ClusterError`].
+pub fn try_dbscan_distinct(
+    groups: &HashGroups,
+    adjacency: &[Vec<usize>],
+    min_pts: usize,
+) -> Result<Clustering, ClusterError> {
+    if adjacency.len() != groups.len_unique() {
+        return Err(ClusterError::AdjacencyLength {
+            lists: adjacency.len(),
+            expected: groups.len_unique(),
+        });
+    }
+    check_adjacency(adjacency, min_pts)?;
+    let first_owner_order = (0..groups.len_items()).filter_map(|i| {
+        let u = groups.owner_of(i);
+        (groups.owners(u).first() == Some(&(i as u32))).then_some(u)
+    });
+    let (group_labels, n_clusters) = flood_fill(
+        adjacency,
+        |u| groups.owners(u).len(),
+        min_pts,
+        first_owner_order,
+    );
+    let labels = (0..groups.len_items())
+        .map(|i| group_labels[groups.owner_of(i)])
+        .collect();
+    Ok(Clustering { labels, n_clusters })
+}
+
+/// Reject `min_pts == 0` and any neighbour index outside the adjacency.
+fn check_adjacency(neighbors: &[Vec<usize>], min_pts: usize) -> Result<(), ClusterError> {
     if min_pts == 0 {
         return Err(ClusterError::InvalidMinPts);
     }
@@ -223,16 +300,36 @@ pub fn try_dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Result<Clustering
             });
         }
     }
-    // +1: the neighbourhood includes the point itself in DBSCAN's
-    // definition; our adjacency lists exclude it.
-    let is_core: Vec<bool> = neighbors.iter().map(|nb| nb.len() + 1 >= min_pts).collect();
+    Ok(())
+}
+
+/// The one DBSCAN flood fill, over validated adjacency. A node stands
+/// for `weight(node)` points (1 for an item, the owner count for a
+/// distinct hash) and is core when its own weight plus its neighbours'
+/// reaches `min_pts` — the neighbourhood includes the point itself in
+/// DBSCAN's definition, the adjacency lists exclude it. Clusters are
+/// seeded from unvisited core nodes in `order` and numbered as they
+/// are seeded; a border node keeps the first cluster that reaches it.
+/// Returns the per-node labels and the cluster count.
+fn flood_fill(
+    neighbors: &[Vec<usize>],
+    weight: impl Fn(usize) -> usize,
+    min_pts: usize,
+    order: impl Iterator<Item = usize>,
+) -> (Vec<Option<usize>>, usize) {
+    let n = neighbors.len();
+    let is_core: Vec<bool> = neighbors
+        .iter()
+        .enumerate()
+        .map(|(p, nb)| weight(p) + nb.iter().map(|&q| weight(q)).sum::<usize>() >= min_pts)
+        .collect();
 
     let mut labels: Vec<Option<usize>> = vec![None; n];
     let mut visited = vec![false; n];
     let mut n_clusters = 0usize;
     let mut queue = VecDeque::new();
 
-    for start in 0..n {
+    for start in order {
         if visited[start] || !is_core[start] {
             continue;
         }
@@ -253,18 +350,18 @@ pub fn try_dbscan(neighbors: &[Vec<usize>], min_pts: usize) -> Result<Clustering
             }
         }
     }
-    Ok(Clustering { labels, n_clusters })
+    (labels, n_clusters)
 }
 
 /// Compute neighbourhoods from a Hamming index and run DBSCAN in one
 /// call, parallelizing the pairwise stage over `threads` workers (0 =
-/// all cores), routed through the duplicate-collapsed pair sweep: the
-/// item hashes are collapsed with [`HashGroups`], a fresh
-/// index is built over the distinct hashes only, and the item adjacency is
-/// recovered through the owner lists by [`symmetric_neighbors`] — the same
-/// path the pipeline's cluster stage takes. Labels are byte-identical to
-/// one radius query per item for every thread count; malformed
-/// parameters surface as a [`ClusterError`] instead of a panic.
+/// all cores) — the same path the pipeline's cluster stage takes: the
+/// item hashes are collapsed with [`HashGroups`], a fresh index is
+/// built over the distinct hashes only, [`distinct_neighbors`] sweeps
+/// their pairs and [`try_dbscan_distinct`] clusters them. Labels are
+/// byte-identical to one radius query per item for every thread count;
+/// malformed parameters surface as a [`ClusterError`] instead of a
+/// panic.
 pub fn try_dbscan_with_index<I: HammingIndex + Sync>(
     index: &I,
     params: DbscanParams,
@@ -276,8 +373,8 @@ pub fn try_dbscan_with_index<I: HammingIndex + Sync>(
     let hashes: Vec<PHash> = (0..index.len()).map(|i| index.hash_at(i)).collect();
     let groups = HashGroups::new(&hashes);
     let collapsed = FallbackIndex::build(groups.unique().to_vec(), params.eps);
-    let (neighbors, _) = symmetric_neighbors(&collapsed, &groups, params.eps, threads);
-    try_dbscan(&neighbors, params.min_pts)
+    let (adjacency, _) = distinct_neighbors(&collapsed, &groups, params.eps, threads);
+    try_dbscan_distinct(&groups, &adjacency, params.min_pts)
 }
 
 #[cfg(test)]
@@ -490,6 +587,85 @@ mod tests {
             try_dbscan_with_index(&idx, DbscanParams { eps: 8, min_pts: 0 }, 1),
             Err(ClusterError::InvalidMinPts)
         );
+    }
+
+    #[test]
+    fn distinct_clusters_are_numbered_by_first_owner_not_by_hash() {
+        // The ordering trap: the lowest hash (slot 0 of `unique()`) is
+        // not the first core post. Items 0..3 share hash 900, items
+        // 3..6 hash 7: post-level DBSCAN seeds cluster 0 at item 0.
+        let hashes = [
+            PHash(900),
+            PHash(900),
+            PHash(900),
+            PHash(7),
+            PHash(7),
+            PHash(7),
+        ];
+        let groups = HashGroups::new(&hashes);
+        assert_eq!(groups.unique(), &[PHash(7), PHash(900)]);
+        let index = BruteForceIndex::new(groups.unique().to_vec());
+        let (items, _) = meme_index::symmetric_neighbors(&index, &groups, 0, 1);
+        let (adjacency, _) = distinct_neighbors(&index, &groups, 0, 1);
+        let c = try_dbscan_distinct(&groups, &adjacency, 3).unwrap();
+        assert_eq!(c, try_dbscan(&items, 3).unwrap());
+        assert_eq!(
+            c.labels(),
+            &[Some(0), Some(0), Some(0), Some(1), Some(1), Some(1)]
+        );
+    }
+
+    #[test]
+    fn distinct_core_status_counts_owners() {
+        // Hash 7 (three copies) and its 1-bit neighbour (one copy):
+        // four points within eps 1, so both are core at min_pts 4 even
+        // though each distinct hash has a single neighbour.
+        let hashes = [PHash(7), PHash(6), PHash(7), PHash(7), PHash(1 << 40)];
+        let groups = HashGroups::new(&hashes);
+        let index = BruteForceIndex::new(groups.unique().to_vec());
+        let (adjacency, _) = distinct_neighbors(&index, &groups, 1, 1);
+        let c = try_dbscan_distinct(&groups, &adjacency, 4).unwrap();
+        assert_eq!(c.labels(), &[Some(0), Some(0), Some(0), Some(0), None]);
+        assert_eq!(
+            try_dbscan_distinct(&groups, &adjacency, 5)
+                .unwrap()
+                .n_clusters(),
+            0
+        );
+    }
+
+    #[test]
+    fn try_dbscan_distinct_reports_malformed_adjacency() {
+        let groups = HashGroups::new(&[PHash(1), PHash(2), PHash(1)]);
+        assert_eq!(groups.len_unique(), 2);
+        assert_eq!(
+            try_dbscan_distinct(&groups, &[vec![1]], 1),
+            Err(ClusterError::AdjacencyLength {
+                lists: 1,
+                expected: 2
+            })
+        );
+        assert_eq!(
+            try_dbscan_distinct(&groups, &[vec![1], vec![0], vec![]], 1),
+            Err(ClusterError::AdjacencyLength {
+                lists: 3,
+                expected: 2
+            })
+        );
+        assert_eq!(
+            try_dbscan_distinct(&groups, &[vec![1], vec![2]], 1),
+            Err(ClusterError::InvalidNeighbor {
+                item: 1,
+                neighbor: 2,
+                len: 2
+            })
+        );
+        assert_eq!(
+            try_dbscan_distinct(&groups, &[vec![1], vec![0]], 0),
+            Err(ClusterError::InvalidMinPts)
+        );
+        let empty = HashGroups::new(&[]);
+        assert_eq!(try_dbscan_distinct(&empty, &[], 5).unwrap().len(), 0);
     }
 
     #[test]

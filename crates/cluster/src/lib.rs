@@ -9,8 +9,12 @@
 //! the cluster".
 //!
 //! * [`mod@dbscan`] — DBSCAN over precomputed radius neighbourhoods (from
-//!   `meme-index`), deterministic in input order;
-//! * [`medoid`] — medoid selection over Hamming distances;
+//!   `meme-index`), deterministic in input order; the pipeline clusters
+//!   the distinct hashes of a duplicate-collapsed corpus
+//!   ([`try_dbscan_distinct`]), weighting each by its copies, and gets
+//!   the same per-post labels as post-level [`try_dbscan`];
+//! * [`medoid`] — medoid selection over Hamming distances, scored over a
+//!   cluster's distinct hashes;
 //! * [`hier`] — agglomerative average-linkage clustering producing the
 //!   dendrograms of Fig. 6 and the threshold cuts used by the custom
 //!   distance-metric analysis;
@@ -26,7 +30,7 @@ pub mod hier;
 pub mod medoid;
 pub mod purity;
 
-pub use dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
+pub use dbscan::{try_dbscan, try_dbscan_distinct, ClusterError, Clustering, DbscanParams};
 pub use hier::{Dendrogram, Linkage};
 pub use medoid::{medoid_of, medoid_of_hashes};
 pub use purity::{cluster_false_positive_fractions, majority_purity};

@@ -38,9 +38,43 @@ pub fn medoid_of<F: Fn(usize, usize) -> f64>(members: &[usize], distance: F) -> 
 }
 
 /// Medoid of a cluster of perceptual hashes: `members` are indices into
-/// `hashes`.
+/// `hashes`. The same member [`medoid_of`] picks under Hamming
+/// distance, computed over the cluster's *distinct* hashes: members are
+/// sorted by `(hash, item)`, and each distinct hash `h` — which all its
+/// copies share, cost included — scores `Σ count(h') · d(h, h')²` in
+/// integer arithmetic (exact, as `medoid_of`'s float sums of integer
+/// squares are). Ties break toward the lower item index, and each run's
+/// first item is its lowest. Re-post-heavy clusters cost
+/// O(distinct²) distances instead of O(members²).
 pub fn medoid_of_hashes(hashes: &[PHash], members: &[usize]) -> Option<usize> {
-    medoid_of(members, |i, j| hashes[i].distance(hashes[j]) as f64)
+    let mut sorted: Vec<(PHash, usize)> = members.iter().map(|&i| (hashes[i], i)).collect();
+    sorted.sort_unstable();
+    // (hash, copies, lowest item) per distinct hash.
+    let mut distinct: Vec<(PHash, u64, usize)> = Vec::new();
+    for &(h, i) in &sorted {
+        match distinct.last_mut() {
+            Some((last, copies, _)) if *last == h => *copies += 1,
+            _ => distinct.push((h, 1, i)),
+        }
+    }
+    let mut best: Option<(usize, u64)> = None;
+    for &(h, _, item) in &distinct {
+        let cost: u64 = distinct
+            .iter()
+            .map(|&(other, copies, _)| {
+                let d = u64::from(h.distance(other));
+                copies * d * d
+            })
+            .sum();
+        let better = match best {
+            None => true,
+            Some((bi, bc)) => cost < bc || (cost == bc && item < bi),
+        };
+        if better {
+            best = Some((item, cost));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]

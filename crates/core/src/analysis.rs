@@ -7,9 +7,9 @@
 use crate::pipeline::PipelineOutput;
 use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnnotation};
 use meme_annotate::kym::KymCategory;
-use meme_cluster::dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
+use meme_cluster::dbscan::{try_dbscan_distinct, ClusterError, Clustering, DbscanParams};
 use meme_cluster::purity::cluster_false_positive_fractions;
-use meme_index::{symmetric_neighbors, FallbackIndex, HashGroups};
+use meme_index::{distinct_neighbors, FallbackIndex, HashGroups};
 use meme_phash::PHash;
 use meme_simweb::{Community, Dataset, SUBREDDITS};
 use meme_stats::timeseries::DailySeries;
@@ -144,12 +144,12 @@ pub fn cluster_community(
         .iter()
         .map(|&i| output.post_hashes[i])
         .collect();
-    // Same collapsed path as the pipeline's cluster stage: index the
-    // distinct hashes only, expand through the owner table.
+    // Same collapsed path as the pipeline's cluster stage: index and
+    // cluster the distinct hashes only.
     let groups = HashGroups::new(&hashes);
     let index = FallbackIndex::build(groups.unique().to_vec(), params.eps);
-    let (neighbors, _) = symmetric_neighbors(&index, &groups, params.eps, threads);
-    let clustering = try_dbscan(&neighbors, params.min_pts)?;
+    let (adjacency, _) = distinct_neighbors(&index, &groups, params.eps, threads);
+    let clustering = try_dbscan_distinct(&groups, &adjacency, params.min_pts)?;
     let medoid_positions = clustering.try_medoids(&hashes)?;
     let medoid_hashes: Vec<PHash> = medoid_positions.iter().map(|&p| hashes[p]).collect();
     let medoid_posts: Vec<usize> = medoid_positions.iter().map(|&p| post_indices[p]).collect();
@@ -541,8 +541,8 @@ pub fn eps_sweep(
     eps_values
         .iter()
         .map(|&eps| {
-            let (neighbors, _) = symmetric_neighbors(&index, &groups, eps, threads);
-            let clustering = try_dbscan(&neighbors, min_pts)?;
+            let (adjacency, _) = distinct_neighbors(&index, &groups, eps, threads);
+            let clustering = try_dbscan_distinct(&groups, &adjacency, min_pts)?;
             let fp = cluster_false_positive_fractions(&clustering, &truth);
             let purity = meme_cluster::purity::majority_purity(&clustering, &truth);
             Ok(EpsSweepRow {

@@ -61,7 +61,6 @@ impl Phylogeny {
     /// Newick serialization of the tree (heights as branch lengths),
     /// for external dendrogram renderers.
     pub fn to_newick(&self) -> String {
-        let n = self.dendrogram.n_leaves();
         let merges = self.dendrogram.merges();
         // node id -> newick string and height at which it was created.
         let mut repr: Vec<(String, f64)> = self
@@ -70,16 +69,17 @@ impl Phylogeny {
             .map(|l| (l.replace([',', '(', ')', ':', ';'], "_"), 0.0))
             .collect();
         for m in merges {
-            let (sa, ha) = repr[m.a].clone();
-            let (sb, hb) = repr[m.b].clone();
+            // Each node is merged exactly once, so its string moves into
+            // its parent: copies would cost a chain-shaped tree O(n²) bytes.
+            let (sa, ha) = std::mem::take(&mut repr[m.a]);
+            let (sb, hb) = std::mem::take(&mut repr[m.b]);
             let branch_a = (m.height - ha).max(0.0);
             let branch_b = (m.height - hb).max(0.0);
             repr.push((format!("({sa}:{branch_a:.4},{sb}:{branch_b:.4})"), m.height));
         }
         // An empty dendrogram (no labels, no merges) renders as the
         // empty tree `;` instead of panicking.
-        let root = repr.last().map(|(s, _)| s.clone()).unwrap_or_default();
-        let _ = n;
+        let root = repr.pop().map(|(s, _)| s).unwrap_or_default();
         format!("{root};")
     }
 }
@@ -158,6 +158,54 @@ mod tests {
         assert_eq!(nw.matches('(').count(), nw.matches(')').count());
         assert_eq!(nw.matches('(').count(), 5); // n-1 internal nodes
         assert!(nw.contains("4@smug-frog-0"));
+    }
+
+    /// The clone-per-merge builder `to_newick` replaced.
+    fn newick_by_cloning(p: &Phylogeny) -> String {
+        let mut repr: Vec<(String, f64)> = p
+            .labels
+            .iter()
+            .map(|l| (l.replace([',', '(', ')', ':', ';'], "_"), 0.0))
+            .collect();
+        for m in p.dendrogram.merges() {
+            let (sa, ha) = repr[m.a].clone();
+            let (sb, hb) = repr[m.b].clone();
+            let branch_a = (m.height - ha).max(0.0);
+            let branch_b = (m.height - hb).max(0.0);
+            repr.push((format!("({sa}:{branch_a:.4},{sb}:{branch_b:.4})"), m.height));
+        }
+        let root = repr.last().map(|(s, _)| s.clone()).unwrap_or_default();
+        format!("{root};")
+    }
+
+    #[test]
+    fn newick_moves_equal_the_cloning_builder() {
+        let (ds, labels) = frog_fixture();
+        let p = Phylogeny::build(&ds, labels, &ClusterDistance::default()).unwrap();
+        assert_eq!(p.to_newick(), newick_by_cloning(&p));
+
+        // A chain: leaves on a line with growing gaps, so single linkage
+        // adds one leaf per merge and the tree is n - 1 levels deep —
+        // the shape where copying child strings is quadratic.
+        let n = 300;
+        let pos = |i: usize| (i * (i + 1) / 2) as f64;
+        let mut condensed = vec![0.0; n * (n - 1) / 2];
+        for i in 0..n {
+            for j in i + 1..n {
+                condensed[meme_cluster::hier::condensed_index(n, i, j)] = pos(j) - pos(i);
+            }
+        }
+        let dendrogram = Dendrogram::build(n, &condensed, Linkage::Single).unwrap();
+        assert!(dendrogram
+            .merges()
+            .iter()
+            .enumerate()
+            .all(|(k, m)| m.size == k + 2));
+        let chain = Phylogeny {
+            labels: (0..n).map(|i| format!("leaf:{i}")).collect(),
+            dendrogram,
+        };
+        assert_eq!(chain.to_newick(), newick_by_cloning(&chain));
     }
 
     #[test]

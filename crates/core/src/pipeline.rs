@@ -28,11 +28,11 @@ use meme_annotate::kym::{KymEntry, KymSite};
 use meme_annotate::nn::TrainConfig;
 use meme_annotate::screenshot::{ClassifierMetrics, ScreenshotCorpus, ScreenshotFilter};
 use meme_annotate::AnnotateError;
-use meme_cluster::dbscan::{try_dbscan, ClusterError, Clustering, DbscanParams};
+use meme_cluster::dbscan::{try_dbscan_distinct, ClusterError, Clustering, DbscanParams};
 use meme_hawkes::{ClusterInfluence, Event, HawkesError, InfluenceEstimator};
 use meme_imaging::image::Image;
 use meme_index::{
-    effective_threads, symmetric_neighbors, FallbackIndex, HammingIndex, HashGroups, IndexEngine,
+    distinct_neighbors, effective_threads, FallbackIndex, HammingIndex, HashGroups, IndexEngine,
     NeighborStats, QueryScratch,
 };
 use meme_metrics::Metrics;
@@ -467,8 +467,8 @@ impl Pipeline {
         let fringe_hashes: Vec<PHash> = fringe_posts.iter().map(|&i| post_hashes[i]).collect();
         // Collapse exact re-posts before indexing: the index holds one
         // entry per distinct hash, queries run once per distinct hash,
-        // and the (engine-independent) item adjacency is recovered
-        // through the owner lists.
+        // and DBSCAN runs on the distinct-hash adjacency; per-post
+        // labels come from one expansion through the owner table.
         let groups = HashGroups::new(&fringe_hashes);
         self.metrics
             .gauge("cluster.dedup_collapse_ratio", groups.collapse_ratio());
@@ -478,16 +478,15 @@ impl Pipeline {
             .add("cluster.fringe_posts", fringe_posts.len() as u64);
         self.metrics
             .add("cluster.neighbor_queries", groups.len_unique() as u64);
-        let (neighbors, nstats) =
-            symmetric_neighbors(&index, &groups, self.config.dbscan.eps, self.config.threads);
+        let (adjacency, nstats) =
+            distinct_neighbors(&index, &groups, self.config.dbscan.eps, self.config.threads);
         self.record_neighbor_stats(&nstats);
-        let clustering = try_dbscan(&neighbors, self.config.dbscan.min_pts).map_err(|e| {
-            PipelineError::Stage {
+        let clustering = try_dbscan_distinct(&groups, &adjacency, self.config.dbscan.min_pts)
+            .map_err(|e| PipelineError::Stage {
                 stage: StageId::Cluster,
                 cluster: None,
                 source: StageError::Cluster(e),
-            }
-        })?;
+            })?;
         self.metrics
             .add("cluster.clusters", clustering.n_clusters() as u64);
         self.metrics

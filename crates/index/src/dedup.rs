@@ -9,15 +9,19 @@
 //!
 //! 1. build the index over `unique()` only (smaller tables, no
 //!    duplicate-degenerate buckets),
-//! 2. query once per unique hash, and
-//! 3. expand unique-level answers back to item ids via `owners()`.
+//! 2. query once per unique hash ([`crate::distinct_neighbors`]), and
+//! 3. keep working on unique hashes — DBSCAN and medoids in
+//!    `meme-cluster` weigh each hash by its owner count — and map only
+//!    the final per-hash answer back to items through `owner_of()`.
 //!
-//! Invariants (relied on by [`crate::symmetric_neighbors`]):
+//! Invariants (relied on by [`crate::distinct_neighbors`],
+//! [`crate::symmetric_neighbors`] and `meme_cluster::try_dbscan_distinct`):
 //!
 //! * `unique()` is strictly ascending by hash value (deterministic,
-//!   input-order independent);
+//!   input-order independent) — which is *not* the order in which the
+//!   hashes first occur among the items;
 //! * `owners(u)` is ascending by item id, and the owner lists partition
-//!   `0..len_items()`;
+//!   `0..len_items()`, so `owners(u)[0]` is the group's first item;
 //! * `owner_of(i)` is the unique slot whose hash equals the item's hash.
 
 use meme_phash::PHash;

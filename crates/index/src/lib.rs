@@ -16,8 +16,9 @@
 //!
 //! Both engines implement [`HammingIndex`]; the DBSCAN stage and the
 //! association stage (Step 6) are generic over it.
-//! [`symmetric_neighbors`] computes every item's radius neighbourhood
-//! in parallel — the "pairwise comparison" driver.
+//! [`distinct_neighbors`] computes every distinct hash's radius
+//! neighbourhood in parallel — the "pairwise comparison" driver;
+//! [`symmetric_neighbors`] expands it to one list per item.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,7 +101,7 @@ pub trait HammingIndex {
     }
 }
 
-/// Work counters of one [`symmetric_neighbors`] run — the source of the
+/// Work counters of one [`distinct_neighbors`] run — the source of the
 /// `index.*` metrics family. All fields are sums over per-worker
 /// [`QueryStats`], so they are identical for every thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,32 +121,33 @@ pub struct NeighborStats {
     pub unique_pairs: u64,
 }
 
-/// Compute the radius neighbourhood of every *item* from an index built
-/// over the corpus's **unique** hashes ([`HashGroups::unique`]),
-/// querying once per unique hash and verifying each unordered pair once.
+/// Compute the radius neighbourhood of every **distinct hash** of
+/// `groups` from an index built over exactly [`HashGroups::unique`],
+/// querying once per distinct hash and verifying each unordered pair
+/// once.
 ///
-/// `result[i]` lists all `j != i` within `radius` of item `i` in
-/// ascending order — the adjacency DBSCAN consumes, byte-identical to
-/// one radius query per item over the full item list, but:
+/// `result[u]` lists all distinct-hash slots `v != u` with
+/// `distance(unique[u], unique[v]) <= radius`, ascending. This is the
+/// adjacency the cluster stage runs DBSCAN on
+/// (`meme_cluster::try_dbscan_distinct`): every owner of `u` has the
+/// same neighbours, so nothing is lost by not expanding it to items.
 ///
 /// * exact duplicates collapse — `groups.len_unique()` queries instead
 ///   of `groups.len_items()`;
-/// * symmetry is exploited — unique hash `u` only verifies candidates
+/// * symmetry is exploited — distinct hash `u` only verifies candidates
 ///   `v > u` ([`HammingIndex::radius_query_from`]); the `v → u` edge is
 ///   mirrored from the pair list;
 /// * workers reuse [`QueryScratch`] buffers, so the pair sweep performs
 ///   no steady-state allocations beyond the pair lists themselves.
 ///
-/// `index` **must** be built over exactly `groups.unique()`; the item
-/// adjacency is expanded through the groups' owner lists. Deterministic
-/// for every `threads` value (pass 0 for available parallelism).
-pub fn symmetric_neighbors<I: HammingIndex + Sync>(
+/// Deterministic for every `threads` value (pass 0 for available
+/// parallelism).
+pub fn distinct_neighbors<I: HammingIndex + Sync>(
     index: &I,
     groups: &HashGroups,
     radius: u32,
     threads: usize,
 ) -> (Vec<Vec<usize>>, NeighborStats) {
-    let n_items = groups.len_items();
     let n_unique = groups.len_unique();
     debug_assert_eq!(
         index.len(),
@@ -153,11 +155,11 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
         "index not built over groups.unique()"
     );
     let mut stats = NeighborStats {
-        items: n_items,
+        items: groups.len_items(),
         unique: n_unique,
         ..NeighborStats::default()
     };
-    if n_items == 0 {
+    if n_unique == 0 {
         return (Vec::new(), stats);
     }
 
@@ -192,7 +194,7 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
     // Scanning pairs in (u, v) order appends to every list in ascending
     // order: w's mirrored entries (u' < w) all precede its forward
     // entries (v > w), and both runs arrive sorted.
-    let mut uadj: Vec<Vec<u32>> = vec![Vec::new(); n_unique];
+    let mut uadj: Vec<Vec<usize>> = vec![Vec::new(); n_unique];
     for (pairs, worker_stats) in &worker_out {
         let mut merged = QueryStats::default();
         merged.merge(*worker_stats);
@@ -201,9 +203,39 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
         stats.verified += merged.verified;
         stats.unique_pairs += pairs.len() as u64;
         for &(u, v) in pairs {
-            uadj[u as usize].push(v);
-            uadj[v as usize].push(u);
+            uadj[u as usize].push(v as usize);
+            uadj[v as usize].push(u as usize);
         }
+    }
+    (uadj, stats)
+}
+
+/// Compute the radius neighbourhood of every *item* from an index built
+/// over the corpus's **unique** hashes ([`HashGroups::unique`]):
+/// [`distinct_neighbors`], expanded to items through the owner lists.
+///
+/// `result[i]` lists all `j != i` within `radius` of item `i` in
+/// ascending order — byte-identical to one radius query per item over
+/// the full item list. The item adjacency holds one entry per pair of
+/// *posts* — on a duplicate-heavy corpus many times the distinct
+/// adjacency (2.1M entries against 113k for 22k fringe posts carrying 7k
+/// distinct hashes) — so the pipeline clusters the distinct adjacency
+/// instead, and this function is the item-level reference it is tested
+/// against.
+///
+/// `index` **must** be built over exactly `groups.unique()`.
+/// Deterministic for every `threads` value (pass 0 for available
+/// parallelism).
+pub fn symmetric_neighbors<I: HammingIndex + Sync>(
+    index: &I,
+    groups: &HashGroups,
+    radius: u32,
+    threads: usize,
+) -> (Vec<Vec<usize>>, NeighborStats) {
+    let n_items = groups.len_items();
+    let (uadj, stats) = distinct_neighbors(index, groups, radius, threads);
+    if n_items == 0 {
+        return (Vec::new(), stats);
     }
 
     // ---- Pass 3: expand to item-level adjacency through owner lists.
@@ -225,12 +257,12 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
                         let total = co_owners.len() - 1
                             + uadj[u]
                                 .iter()
-                                .map(|&v| groups.owners(v as usize).len())
+                                .map(|&v| groups.owners(v).len())
                                 .sum::<usize>();
                         slot.reserve_exact(total);
                         slot.extend(co_owners.iter().filter(|&&j| j != i).map(|&j| j as usize));
                         for &v in &uadj[u] {
-                            slot.extend(groups.owners(v as usize).iter().map(|&j| j as usize));
+                            slot.extend(groups.owners(v).iter().map(|&j| j as usize));
                         }
                         // Sorted runs from different unique groups
                         // interleave arbitrarily; one in-place sort

@@ -3,7 +3,7 @@
 
 use crate::sections::{fit_influence, FIT_BETA};
 use crate::{section, Repro};
-use meme_cluster::dbscan::{try_dbscan, try_dbscan_with_index, DbscanParams};
+use meme_cluster::dbscan::{try_dbscan_distinct, try_dbscan_with_index, DbscanParams};
 use meme_cluster::purity::{identity_recall, majority_purity};
 use meme_core::analysis;
 use meme_core::graph::{ClusterGraph, GraphConfig};
@@ -11,7 +11,7 @@ use meme_core::metric::{ClusterDistance, MetricWeights};
 use meme_core::provenance::{caption_analysis, infer_origins, virality};
 use meme_core::report::{ascii_table, pct};
 use meme_hawkes::{Event, HawkesError, HawkesModel};
-use meme_index::{symmetric_neighbors, BruteForceIndex, HashGroups, MihIndex};
+use meme_index::{distinct_neighbors, BruteForceIndex, HashGroups, MihIndex};
 use meme_phash::{AverageHasher, DifferenceHasher, ImageHasher, PHash, PerceptualHasher};
 use meme_simweb::Community;
 
@@ -137,11 +137,11 @@ pub fn ablation_min_pts(r: &Repro) {
         .collect();
     let groups = HashGroups::new(&hashes);
     let index = MihIndex::new(groups.unique().to_vec(), 8);
-    let (neighbors, _) = symmetric_neighbors(&index, &groups, 8, 0);
+    let (adjacency, _) = distinct_neighbors(&index, &groups, 8, 0);
     let mut cells = Vec::new();
     for min_pts in [2usize, 3, 5, 10, 20] {
-        let clustering =
-            try_dbscan(&neighbors, min_pts).expect("minPts >= 1 over in-range adjacency");
+        let clustering = try_dbscan_distinct(&groups, &adjacency, min_pts)
+            .expect("minPts >= 1 over the groups' own adjacency");
         cells.push(vec![
             min_pts.to_string(),
             clustering.n_clusters().to_string(),

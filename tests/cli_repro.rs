@@ -2,7 +2,8 @@
 //! A command line it cannot run is bad usage (exit 2, a reason on
 //! stderr, nothing on stdout) reported before any dataset is
 //! generated. What it prints is a function of `--scale` and `--seed`
-//! alone, and it writes files only under `--out DIR`. Every case runs
+//! alone — `repro all` at tiny scale, seed 1, is pinned byte for byte
+//! in `tests/golden/` — and it writes files only under `--out DIR`. Every case runs
 //! in an empty working directory of its own, which must stay empty.
 
 use origins_of_memes::repro::{select, SECTIONS};
@@ -232,6 +233,24 @@ fn all_prints_every_section_in_order_and_writes_nothing() {
     assert_eq!(expected.len(), 42);
     assert_eq!(headers, expected);
     assert!(entries(&cwd).is_empty(), "`all` without --out wrote files");
+
+    // The tables themselves are pinned byte for byte.
+    let golden = include_str!("golden/repro_all_tiny_seed1.txt");
+    if stdout != golden {
+        let got: Vec<&str> = stdout.lines().collect();
+        let want: Vec<&str> = golden.lines().collect();
+        // Past both ends only a trailing newline can differ.
+        let line = (0..got.len().max(want.len()))
+            .find(|&i| got.get(i) != want.get(i))
+            .unwrap_or(got.len());
+        panic!(
+            "`repro all --scale tiny --seed 1` differs from tests/golden/repro_all_tiny_seed1.txt \
+             at line {}:\n  got:  {:?}\n  want: {:?}",
+            line + 1,
+            got.get(line),
+            want.get(line)
+        );
+    }
     let _ = std::fs::remove_dir_all(&cwd);
 }
 
