@@ -160,7 +160,6 @@ impl Cnn {
         let small = if img.width() == INPUT_SIZE && img.height() == INPUT_SIZE {
             img.clone()
         } else {
-            // lint:allow(panic-reachable): INPUT_SIZE is a non-zero constant, so the resize cannot hit Image::filled's zero-dim panic
             resize_box(img, INPUT_SIZE, INPUT_SIZE)
         };
         small.data().iter().map(|p| p - 0.5).collect()

@@ -44,6 +44,8 @@ use meme_simweb::{
 use meme_stats::dist::DistError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// How many times Step 4 retries CNN training (reseeding each attempt)
 /// before falling back to the ground-truth oracle filter.
@@ -639,10 +641,12 @@ impl Pipeline {
                 }
             },
         );
-        // Chunks are contiguous and come back in order: ascending in `k`
-        // whatever the thread count.
+        // Which worker saw which item depends on the thread count and the
+        // schedule; sorted by `k`, the verdicts do not.
         let (states, faulted): (Vec<S>, Vec<Vec<_>>) = workers.into_iter().unzip();
-        let verdicts = collect_item_verdicts(stage, &faulted.concat(), attempt, coord);
+        let mut faulted = faulted.concat();
+        faulted.sort_unstable_by_key(|&(k, _)| k);
+        let verdicts = collect_item_verdicts(stage, &faulted, attempt, coord);
         (states, verdicts)
     }
 
@@ -795,28 +799,48 @@ impl Pipeline {
     }
 }
 
+/// Slots a [`chunked`] worker claims at a time: enough that a claim
+/// costs nothing next to the items in it, few enough that a worker that
+/// drew the expensive items leaves no long tail for the others to idle
+/// through.
+const BLOCK: usize = 64;
+
 /// The crate's one parallel loop: `item(k, &mut slots[k], &mut state)`
-/// for every `k`, each worker owning one contiguous chunk of `slots`
-/// and one `new_state()`. Output is positional and the worker states
-/// come back in chunk order, so nothing a caller can observe depends on
-/// the thread count. No slots, no workers.
+/// for every `k`. Each worker owns one `new_state()` and claims blocks
+/// of [`BLOCK`] consecutive slots from a shared counter until none are
+/// left. Output is positional, so no slot depends on the thread count;
+/// which worker ran which block does, so callers fold the worker states
+/// only with order-free merges (sums, sorted lists). No slots, no
+/// workers.
 fn chunked<T: Send, S: Send>(
     threads: usize,
     slots: &mut [T],
     new_state: impl Fn() -> S,
     item: impl Fn(usize, &mut T, &mut S) + Sync,
 ) -> Vec<S> {
-    let workers = effective_threads(threads, slots.len());
-    // At least 1: `chunks_mut(0)` panics, and an empty `slots` has none.
-    let chunk_len = slots.len().div_ceil(workers).max(1);
-    let mut states: Vec<S> = slots.chunks(chunk_len).map(|_| new_state()).collect();
+    let blocks: Vec<Mutex<&mut [T]>> = slots.chunks_mut(BLOCK).map(Mutex::new).collect();
+    if blocks.is_empty() {
+        return Vec::new();
+    }
+    let next = AtomicUsize::new(0);
+    let mut states: Vec<S> = (0..effective_threads(threads, blocks.len()))
+        .map(|_| new_state())
+        .collect();
     crossbeam::thread::scope(|s| {
-        let chunks = slots.chunks_mut(chunk_len).zip(&mut states).enumerate();
-        for (chunk_id, (chunk, state)) in chunks {
-            let item = &item;
-            s.spawn(move |_| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    item(chunk_id * chunk_len + off, slot, state);
+        for state in &mut states {
+            let (item, blocks, next) = (&item, &blocks, &next);
+            s.spawn(move |_| loop {
+                // Relaxed: the counter only hands out indices; the
+                // block's mutex is what publishes its slots.
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                // Each block is claimed once, so its lock is never
+                // contended; it is poisoned only if a worker panicked,
+                // which the scope re-raises.
+                let Some(Ok(mut block)) = blocks.get(b).map(Mutex::lock) else {
+                    return;
+                };
+                for (off, slot) in block.iter_mut().enumerate() {
+                    item(b * BLOCK + off, slot, state);
                 }
             });
         }
@@ -1373,21 +1397,74 @@ mod tests {
 
     #[test]
     fn chunked_is_total_and_positional_for_any_thread_count() {
-        for threads in [0usize, 1, 3, 8] {
+        for threads in [0usize, 1, 2, 3, 8] {
             // Regression: no slots must mean no workers, not a
             // `clamp(1, 0)` or `chunks_mut(0)` panic.
             assert!(chunked(threads, &mut [0usize; 0], || (), |_, _, _| ()).is_empty());
-            let mut slots = [0usize; 5];
-            let seen = chunked(threads, &mut slots, Vec::new, |k, slot, seen| {
-                *slot = k;
-                seen.push(k);
+            // Partial last block, one block, several blocks.
+            for n in [5usize, BLOCK, 3 * BLOCK + 7] {
+                let mut slots = vec![usize::MAX; n];
+                let seen = chunked(threads, &mut slots, Vec::new, |k, slot, seen| {
+                    *slot = k;
+                    seen.push(k);
+                });
+                assert!(slots.iter().enumerate().all(|(k, &v)| v == k));
+                assert!(seen.len() <= n.div_ceil(BLOCK), "no idle worker states");
+                let mut all = seen.concat();
+                all.sort_unstable();
+                assert_eq!(all, slots, "every slot runs exactly once");
+            }
+        }
+    }
+
+    #[test]
+    fn hash_workers_merge_to_the_same_hashes_and_stats_at_any_thread_count() {
+        let dataset = SimConfig::tiny(23).generate();
+        let posts = &dataset.posts;
+        let hashing = ImageHashing::new(&dataset, posts.iter().map(LazyImage::Post));
+        let with_threads = |threads: usize| {
+            let mut hashes = vec![PHash::default(); posts.len()];
+            let workers = chunked(threads, &mut hashes, HashWorker::default, |i, slot, w| {
+                *slot = hashing
+                    .hash_image(LazyImage::Post(&posts[i]), w, |_| true)
+                    .unwrap_or_default();
             });
-            assert_eq!(slots, [0, 1, 2, 3, 4]);
+            let mut stats = RenderStats::default();
+            for (_, s) in &workers {
+                stats.merge(s);
+            }
+            (hashes, stats)
+        };
+        let (hashes, stats) = with_threads(1);
+        assert_eq!(stats.hits + stats.misses, posts.len() as u64);
+        for threads in [0usize, 2, 3, 8] {
+            let (h, st) = with_threads(threads);
+            assert_eq!(h, hashes, "{threads} threads moved a hash");
             assert_eq!(
-                seen.concat(),
-                slots,
-                "worker states come back in chunk order"
+                st, stats,
+                "{threads} threads changed the merged RenderStats"
             );
+        }
+    }
+
+    #[test]
+    fn item_fault_quarantine_is_ascending_at_any_thread_count() {
+        let dataset = SimConfig::tiny(29).generate();
+        let faults = ExecFaultSpec::poison_items(5, StageId::Hash.name(), 0.2);
+        let quarantined = |threads: usize| {
+            let pipeline = Pipeline::new(PipelineConfig {
+                threads,
+                ..PipelineConfig::fast()
+            })
+            .with_exec_faults(faults.clone());
+            let (_, q) = pipeline.hash_posts(&dataset, 0).unwrap();
+            q.iter().map(|e| e.item).collect::<Vec<_>>()
+        };
+        let reference = quarantined(1);
+        assert!(reference.len() > BLOCK, "poison spans several blocks");
+        assert!(reference.windows(2).all(|w| w[0] < w[1]));
+        for threads in [2usize, 8] {
+            assert_eq!(quarantined(threads), reference, "{threads} threads");
         }
     }
 

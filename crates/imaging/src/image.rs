@@ -119,24 +119,37 @@ impl Image {
 
     /// Blend a soft-edged ellipse into the image: pixels inside the
     /// ellipse move toward `tone` with weight falling off towards the rim.
+    ///
+    /// `dx²` depends only on the column and `dy²` only on the row, so
+    /// each is computed once per column / row; the per-pixel
+    /// `d2 = dx * dx + dy * dy` keeps its operand order.
     pub fn blend_ellipse(&mut self, cx: f64, cy: f64, rx: f64, ry: f64, tone: f32, opacity: f32) {
         if rx <= 0.0 || ry <= 0.0 {
             return;
         }
         let x_lo = ((cx - rx).floor().max(0.0)) as usize;
-        let x_hi = ((cx + rx).ceil() as usize).min(self.width.saturating_sub(1));
+        let x_hi = ((cx + rx).ceil() as usize).min(self.width - 1);
         let y_lo = ((cy - ry).floor().max(0.0)) as usize;
-        let y_hi = ((cy + ry).ceil() as usize).min(self.height.saturating_sub(1));
-        for y in y_lo..=y_hi.min(self.height - 1) {
-            for x in x_lo..=x_hi.min(self.width - 1) {
+        let y_hi = ((cy + ry).ceil() as usize).min(self.height - 1);
+        if x_lo > x_hi {
+            return;
+        }
+        let dx2: Vec<f64> = (x_lo..=x_hi)
+            .map(|x| {
                 let dx = (x as f64 + 0.5 - cx) / rx;
-                let dy = (y as f64 + 0.5 - cy) / ry;
-                let d2 = dx * dx + dy * dy;
+                dx * dx
+            })
+            .collect();
+        for y in y_lo..=y_hi {
+            let dy = (y as f64 + 0.5 - cy) / ry;
+            let dy2 = dy * dy;
+            let row = &mut self.data[y * self.width + x_lo..=y * self.width + x_hi];
+            for (p, &dx2) in row.iter_mut().zip(&dx2) {
+                let d2 = dx2 + dy2;
                 if d2 < 1.0 {
                     // Smooth falloff: 1 at center, 0 at rim.
                     let w = ((1.0 - d2) as f32) * opacity;
-                    let p = self.get(x, y);
-                    self.set(x, y, p + (tone - p) * w.clamp(0.0, 1.0));
+                    *p += (tone - *p) * w.clamp(0.0, 1.0);
                 }
             }
         }

@@ -5,6 +5,11 @@
 //! for large shrink factors because it integrates over the source area
 //! instead of point-sampling (which would alias and destroy hash
 //! stability). Upscaling and mild rescaling use **bilinear** sampling.
+//!
+//! Both filters derive their geometry once per axis (box windows per
+//! destination column and row, bilinear taps likewise) instead of per
+//! pixel; every destination pixel is still computed from the same
+//! source pixels by the same expression in the same order.
 
 use crate::image::Image;
 
@@ -13,26 +18,14 @@ use crate::image::Image;
 /// rectangle it covers.
 pub fn resize_box(src: &Image, dst_w: usize, dst_h: usize) -> Image {
     assert!(dst_w > 0 && dst_h > 0, "target dimensions must be non-zero");
-    let (sw, sh) = (src.width(), src.height());
     let mut out = Image::new(dst_w, dst_h);
-    let x_ratio = sw as f64 / dst_w as f64;
-    let y_ratio = sh as f64 / dst_h as f64;
-    for dy in 0..dst_h {
-        let y0 = (dy as f64 * y_ratio).floor() as usize;
-        let y1 = (((dy + 1) as f64 * y_ratio).ceil() as usize).clamp(y0 + 1, sh);
-        for dx in 0..dst_w {
-            let x0 = (dx as f64 * x_ratio).floor() as usize;
-            let x1 = (((dx + 1) as f64 * x_ratio).ceil() as usize).clamp(x0 + 1, sw);
-            let mut acc = 0.0f64;
-            for sy in y0..y1 {
-                for sx in x0..x1 {
-                    acc += src.get(sx, sy) as f64;
-                }
-            }
-            let count = ((x1 - x0) * (y1 - y0)) as f64;
-            out.set(dx, dy, (acc / count) as f32);
-        }
-    }
+    box_filter(
+        src,
+        &mut BoxResizeScratch::new(),
+        out.data_mut(),
+        dst_w,
+        dst_h,
+    );
     out
 }
 
@@ -53,6 +46,8 @@ pub struct BoxResizeScratch {
     x_windows: Vec<(usize, usize)>,
     /// Half-open source-row window `[y0, y1)` per destination row.
     y_windows: Vec<(usize, usize)>,
+    /// One running sum per destination column of the current row.
+    row_acc: Vec<f64>,
 }
 
 impl BoxResizeScratch {
@@ -82,8 +77,51 @@ impl BoxResizeScratch {
             let y1 = (((dy + 1) as f64 * y_ratio).ceil() as usize).clamp(y0 + 1, src_h);
             self.y_windows.push((y0, y1));
         }
+        self.row_acc.resize(dst_w, 0.0);
         (self.src_w, self.src_h) = (src_w, src_h);
         (self.dst_w, self.dst_h) = (dst_w, dst_h);
+    }
+}
+
+/// The box filter both entry points share: each destination value
+/// accumulates its source rectangle row-major in `f64`, divides by the
+/// pixel count and rounds to `f32`; `T::from` then widens (or keeps) it.
+///
+/// One destination row is summed at a time, source row by source row,
+/// with one accumulator per destination column: every accumulator still
+/// receives its rectangle's pixels in row-major order, but the columns'
+/// addition chains are independent and overlap in the pipeline. The
+/// rectangle sum is not split into a horizontal and a vertical pass:
+/// that would change the summation order, and with it the bits.
+pub(crate) fn box_filter<T: From<f32>>(
+    src: &Image,
+    scratch: &mut BoxResizeScratch,
+    out: &mut [T],
+    dst_w: usize,
+    dst_h: usize,
+) {
+    let (sw, sh) = (src.width(), src.height());
+    scratch.ensure(sw, sh, dst_w, dst_h);
+    let BoxResizeScratch {
+        x_windows,
+        y_windows,
+        row_acc,
+        ..
+    } = scratch;
+    let data = src.data();
+    for (row, &(y0, y1)) in out.chunks_exact_mut(dst_w).zip(y_windows.iter()) {
+        row_acc.fill(0.0);
+        for src_row in data[y0 * sw..y1 * sw].chunks_exact(sw) {
+            for (acc, &(x0, x1)) in row_acc.iter_mut().zip(x_windows.iter()) {
+                for &p in &src_row[x0..x1] {
+                    *acc += p as f64;
+                }
+            }
+        }
+        for ((o, &acc), &(x0, x1)) in row.iter_mut().zip(row_acc.iter()).zip(x_windows.iter()) {
+            let count = ((x1 - x0) * (y1 - y0)) as f64;
+            *o = T::from((acc / count) as f32);
+        }
     }
 }
 
@@ -91,13 +129,9 @@ impl BoxResizeScratch {
 /// the allocation-free fast path of the pHash kernel.
 ///
 /// Produces exactly `resize_box(src, dst_w, dst_h)` followed by an
-/// `as f64` widening of every pixel: each destination value accumulates
-/// its source rectangle in the identical row-major order and is rounded
-/// through `f32` before widening, so the plane is bit-identical to the
-/// allocating two-step path. The differences are mechanical only —
+/// `as f64` widening of every pixel: both run the same filter, whose
 /// window bounds come from the scratch instead of being re-derived per
-/// pixel, and rows are read as slices of the raw slab with no per-pixel
-/// `get()` index arithmetic.
+/// image.
 ///
 /// # Panics
 /// Panics when a target dimension is zero or
@@ -111,53 +145,69 @@ pub fn resize_box_into_f64(
 ) {
     assert!(dst_w > 0 && dst_h > 0, "target dimensions must be non-zero");
     assert_eq!(out.len(), dst_w * dst_h, "output plane must be dst_w*dst_h");
-    let (sw, sh) = (src.width(), src.height());
-    scratch.ensure(sw, sh, dst_w, dst_h);
-    let data = src.data();
-    for dy in 0..dst_h {
-        let (y0, y1) = scratch.y_windows[dy];
-        for dx in 0..dst_w {
-            let (x0, x1) = scratch.x_windows[dx];
-            let mut acc = 0.0f64;
-            for sy in y0..y1 {
-                for &p in &data[sy * sw + x0..sy * sw + x1] {
-                    acc += p as f64;
-                }
-            }
-            let count = ((x1 - x0) * (y1 - y0)) as f64;
-            out[dy * dst_w + dx] = (acc / count) as f32 as f64;
-        }
-    }
+    box_filter(src, scratch, out, dst_w, dst_h);
 }
 
 /// Resize with bilinear interpolation; the right filter for upscaling and
 /// small adjustments (used by the scale-jitter perturbation).
 pub fn resize_bilinear(src: &Image, dst_w: usize, dst_h: usize) -> Image {
     assert!(dst_w > 0 && dst_h > 0, "target dimensions must be non-zero");
-    let (sw, sh) = (src.width(), src.height());
     let mut out = Image::new(dst_w, dst_h);
+    bilinear_into(
+        src.data(),
+        src.width(),
+        src.height(),
+        out.data_mut(),
+        dst_w,
+        dst_h,
+    );
+    out
+}
+
+/// Bilinear taps along one axis: for each destination index, the two
+/// source indices it blends (clamped to the border, as sampling past
+/// the edge repeats the edge) and the weight of the second.
+fn bilinear_taps(src_len: usize, dst_len: usize) -> Vec<(usize, usize, f32)> {
     // Align pixel centers.
-    let x_ratio = sw as f64 / dst_w as f64;
-    let y_ratio = sh as f64 / dst_h as f64;
-    for dy in 0..dst_h {
-        let fy = (dy as f64 + 0.5) * y_ratio - 0.5;
-        let y0 = fy.floor();
-        let ty = (fy - y0) as f32;
-        for dx in 0..dst_w {
-            let fx = (dx as f64 + 0.5) * x_ratio - 0.5;
-            let x0 = fx.floor();
-            let tx = (fx - x0) as f32;
-            let (xi, yi) = (x0 as isize, y0 as isize);
-            let p00 = src.get_clamped(xi, yi);
-            let p10 = src.get_clamped(xi + 1, yi);
-            let p01 = src.get_clamped(xi, yi + 1);
-            let p11 = src.get_clamped(xi + 1, yi + 1);
+    let ratio = src_len as f64 / dst_len as f64;
+    let last = src_len as isize - 1;
+    (0..dst_len)
+        .map(|d| {
+            let f = (d as f64 + 0.5) * ratio - 0.5;
+            let f0 = f.floor();
+            let i = f0 as isize;
+            (
+                i.clamp(0, last) as usize,
+                (i + 1).clamp(0, last) as usize,
+                (f - f0) as f32,
+            )
+        })
+        .collect()
+}
+
+/// Bilinear-resample the row-major `sw × sh` raster `src` into the
+/// `dst_w × dst_h` raster `out`. Callers guarantee non-zero dimensions
+/// and matching lengths.
+pub(crate) fn bilinear_into(
+    src: &[f32],
+    sw: usize,
+    sh: usize,
+    out: &mut [f32],
+    dst_w: usize,
+    dst_h: usize,
+) {
+    let x_taps = bilinear_taps(sw, dst_w);
+    let y_taps = bilinear_taps(sh, dst_h);
+    for (row, &(y0, y1, ty)) in out.chunks_exact_mut(dst_w).zip(&y_taps) {
+        let r0 = &src[y0 * sw..(y0 + 1) * sw];
+        let r1 = &src[y1 * sw..(y1 + 1) * sw];
+        for (o, &(x0, x1, tx)) in row.iter_mut().zip(&x_taps) {
+            let (p00, p10, p01, p11) = (r0[x0], r0[x1], r1[x0], r1[x1]);
             let top = p00 + (p10 - p00) * tx;
             let bot = p01 + (p11 - p01) * tx;
-            out.set(dx, dy, top + (bot - top) * ty);
+            *o = top + (bot - top) * ty;
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -9,24 +9,42 @@
 
 use crate::dct::Dct2d;
 use crate::image::Image;
-use crate::resize::{resize_bilinear, resize_box};
-use meme_stats::dist::normal_sample;
+use crate::resize::{bilinear_into, box_filter, BoxResizeScratch};
+use meme_stats::dist::normal_fill;
 use rand::Rng;
+
+/// Brightness's per-pixel step: shift, then clamp.
+#[inline]
+fn shift(p: f32, delta: f32) -> f32 {
+    (p + delta).clamp(0.0, 1.0)
+}
+
+/// Contrast's per-pixel step: scale around mid-gray, then clamp.
+#[inline]
+fn stretch(p: f32, factor: f32) -> f32 {
+    (0.5 + (p - 0.5) * factor).clamp(0.0, 1.0)
+}
 
 /// Add a constant to every pixel (brightness shift), then clamp.
 pub fn brightness(img: &Image, delta: f32) -> Image {
     let mut out = img.clone();
-    out.map_in_place(|p| p + delta);
-    out.clamp();
+    out.map_in_place(|p| shift(p, delta));
     out
 }
 
 /// Scale contrast around mid-gray by `factor`, then clamp.
 pub fn contrast(img: &Image, factor: f32) -> Image {
     let mut out = img.clone();
-    out.map_in_place(|p| 0.5 + (p - 0.5) * factor);
-    out.clamp();
+    out.map_in_place(|p| stretch(p, factor));
     out
+}
+
+/// [`brightness`] then [`contrast`], in place and in one pass: each
+/// pixel goes through both steps before the next is read.
+pub(crate) fn brightness_contrast_in_place(px: &mut [f32], delta: f32, factor: f32) {
+    for p in px {
+        *p = stretch(shift(*p, delta), factor);
+    }
 }
 
 /// Gamma-correct (`p^gamma` on clamped pixels).
@@ -43,11 +61,22 @@ pub fn gamma(img: &Image, gamma: f32) -> Image {
 /// Add i.i.d. Gaussian pixel noise with standard deviation `sigma`.
 pub fn gaussian_noise<R: Rng + ?Sized>(img: &Image, sigma: f32, rng: &mut R) -> Image {
     let mut out = img.clone();
-    for p in out.data_mut() {
-        *p += sigma * normal_sample(rng) as f32;
-    }
-    out.clamp();
+    add_gaussian_noise(out.data_mut(), sigma, rng);
     out
+}
+
+/// [`gaussian_noise`] in place: pixel `i` gets the `i`-th normal draw
+/// (`meme_stats::dist::normal_fill`, in blocks of 256), scaled by
+/// `sigma`, then is clamped.
+pub(crate) fn add_gaussian_noise<R: Rng + ?Sized>(px: &mut [f32], sigma: f32, rng: &mut R) {
+    let mut z = [0.0f64; 256];
+    for block in px.chunks_mut(z.len()) {
+        let z = &mut z[..block.len()];
+        normal_fill(z, rng);
+        for (p, &z) in block.iter_mut().zip(z.iter()) {
+            *p = (*p + sigma * z as f32).clamp(0.0, 1.0);
+        }
+    }
 }
 
 /// Horizontal mirror.
@@ -68,6 +97,14 @@ pub fn flip_horizontal(img: &Image) -> Image {
 /// # Panics
 /// Panics unless `0 <= frac < 0.5`.
 pub fn border_crop(img: &Image, frac: f32) -> Image {
+    let mut out = img.clone();
+    border_crop_in_place(&mut out, frac, &mut Vec::new());
+    out
+}
+
+/// [`border_crop`] in place; the cropped window is copied into `spare`
+/// and resampled from there back into `img`.
+pub(crate) fn border_crop_in_place(img: &mut Image, frac: f32, spare: &mut Vec<f32>) {
     assert!(
         (0.0..0.5).contains(&frac),
         "crop fraction must be in [0, 0.5)"
@@ -77,13 +114,11 @@ pub fn border_crop(img: &Image, frac: f32) -> Image {
     let dy = ((h as f32) * frac) as usize;
     let cw = (w - 2 * dx).max(1);
     let ch = (h - 2 * dy).max(1);
-    let mut cropped = Image::new(cw, ch);
-    for y in 0..ch {
-        for x in 0..cw {
-            cropped.set(x, y, img.get(x + dx, y + dy));
-        }
+    spare.clear();
+    for row in img.data().chunks_exact(w).skip(dy).take(ch) {
+        spare.extend_from_slice(&row[dx..dx + cw]);
     }
-    resize_bilinear(&cropped, w, h)
+    bilinear_into(spare, cw, ch, img.data_mut(), w, h);
 }
 
 /// Rescale by `factor` (via box filter when shrinking, bilinear when
@@ -93,16 +128,25 @@ pub fn border_crop(img: &Image, frac: f32) -> Image {
 /// # Panics
 /// Panics when `factor <= 0`.
 pub fn rescale_cycle(img: &Image, factor: f32) -> Image {
+    let mut out = img.clone();
+    rescale_cycle_in_place(&mut out, factor, &mut Vec::new());
+    out
+}
+
+/// [`rescale_cycle`] in place; the intermediate size lives in `spare`.
+pub(crate) fn rescale_cycle_in_place(img: &mut Image, factor: f32, spare: &mut Vec<f32>) {
     assert!(factor > 0.0, "scale factor must be positive");
     let (w, h) = (img.width(), img.height());
     let nw = ((w as f32 * factor).round() as usize).max(1);
     let nh = ((h as f32 * factor).round() as usize).max(1);
-    let mid = if factor < 1.0 {
-        resize_box(img, nw, nh)
+    spare.clear();
+    spare.resize(nw * nh, 0.0);
+    if factor < 1.0 {
+        box_filter(img, &mut BoxResizeScratch::new(), spare, nw, nh);
     } else {
-        resize_bilinear(img, nw, nh)
-    };
-    resize_bilinear(&mid, w, h)
+        bilinear_into(img.data(), w, h, spare, nw, nh);
+    }
+    bilinear_into(spare, nw, nh, img.data_mut(), w, h);
 }
 
 /// Paint a caption band (top or bottom) with pseudo-text texture — the

@@ -2,7 +2,7 @@
 //! future-work extensions (origin inference, virality).
 
 use crate::sections::{fit_influence, FIT_BETA};
-use crate::{section, Repro};
+use crate::{section, Printed, Repro};
 use meme_cluster::dbscan::{try_dbscan_distinct, try_dbscan_with_index, DbscanParams};
 use meme_cluster::purity::{identity_recall, majority_purity};
 use meme_core::analysis;
@@ -17,7 +17,7 @@ use meme_simweb::Community;
 
 /// Ablation: cluster the fringe images with pHash vs the aHash/dHash
 /// baselines — why the paper picked pHash.
-pub fn ablation_hashers(r: &Repro) {
+pub fn ablation_hashers(r: &Repro) -> Printed {
     section("Ablation: hashing algorithm (pHash vs aHash vs dHash)");
     let fringe: Vec<usize> = r
         .dataset
@@ -43,8 +43,7 @@ pub fn ablation_hashers(r: &Repro) {
             .map(|&i| hasher.hash(&r.dataset.render_post_image(&r.dataset.posts[i])))
             .collect();
         let clustering =
-            try_dbscan_with_index(&BruteForceIndex::new(hashes), DbscanParams::default(), 0)
-                .expect("default DBSCAN parameters are valid");
+            try_dbscan_with_index(&BruteForceIndex::new(hashes), DbscanParams::default(), 0)?;
         let purity = majority_purity(&clustering, &truth);
         let recall = identity_recall(&clustering, &truth);
         cells.push(vec![
@@ -63,17 +62,15 @@ pub fn ablation_hashers(r: &Repro) {
         )
     );
     println!("(the paper's choice wins when purity stays high at comparable recall)");
+    Ok(())
 }
 
 /// Ablation: the custom metric's weight split (Eq. 1). Compares the
 /// paper's 0.4/0.4/0.1/0.1 against perceptual-only and annotation-only
 /// weightings via Fig. 7 component purity.
-pub fn ablation_metric_weights(r: &Repro) {
+pub fn ablation_metric_weights(r: &Repro) -> Printed {
     section("Ablation: custom-metric weights (Fig. 7 component purity)");
-    let (descriptors, labels) = r
-        .output
-        .try_annotated_descriptors()
-        .expect("a pipeline-produced output keeps cluster and entry ids in range");
+    let (descriptors, labels) = r.output.try_annotated_descriptors()?;
     let variants: [(&str, MetricWeights); 3] = [
         ("paper (0.4/0.4/0.1/0.1)", MetricWeights::FULL),
         ("perceptual only", MetricWeights::PARTIAL),
@@ -118,10 +115,11 @@ pub fn ablation_metric_weights(r: &Repro) {
             &cells
         )
     );
+    Ok(())
 }
 
 /// Ablation: DBSCAN `minPts` sweep at the production eps = 8.
-pub fn ablation_min_pts(r: &Repro) {
+pub fn ablation_min_pts(r: &Repro) -> Printed {
     section("Ablation: DBSCAN minPts at eps = 8");
     let hashes: Vec<PHash> = r
         .output
@@ -140,8 +138,7 @@ pub fn ablation_min_pts(r: &Repro) {
     let (adjacency, _) = distinct_neighbors(&index, &groups, 8, 0);
     let mut cells = Vec::new();
     for min_pts in [2usize, 3, 5, 10, 20] {
-        let clustering = try_dbscan_distinct(&groups, &adjacency, min_pts)
-            .expect("minPts >= 1 over the groups' own adjacency");
+        let clustering = try_dbscan_distinct(&groups, &adjacency, min_pts)?;
         cells.push(vec![
             min_pts.to_string(),
             clustering.n_clusters().to_string(),
@@ -153,15 +150,16 @@ pub fn ablation_min_pts(r: &Repro) {
         "{}",
         ascii_table(&["minPts", "#Clusters", "Noise", "Purity"], &cells)
     );
+    Ok(())
 }
 
 /// Ablation: kernel-decay sensitivity. The paper fixes the impulse
 /// family a priori; this checks that the influence *conclusions*
 /// survive kernel misspecification, and prints the nonparametric
 /// impulse estimate against the assumed exponential.
-pub fn ablation_beta(r: &Repro) {
+pub fn ablation_beta(r: &Repro) -> Printed {
     section("Ablation: Hawkes kernel decay (beta sensitivity)");
-    let streams = r.cluster_events();
+    let streams = r.cluster_events()?;
     let mut cells = Vec::new();
     for beta in [1.0f64, FIT_BETA, 10.0] {
         let influence = fit_influence(r, &streams, beta);
@@ -201,11 +199,10 @@ pub fn ablation_beta(r: &Repro) {
                     max_iters: 100,
                     ..meme_hawkes::EmConfig::default()
                 },
-            )
-            .expect("fit succeeds");
+            )?;
             let bins = 8;
             let max_lag = 2.0;
-            let hist = impulse_histogram(&fit.model, stream, bins, max_lag).expect("valid binning");
+            let hist = impulse_histogram(&fit.model, stream, bins, max_lag)?;
             let width = max_lag / bins as f64;
             let mut cells = Vec::new();
             for (b, h) in hist.iter().enumerate() {
@@ -223,6 +220,7 @@ pub fn ablation_beta(r: &Repro) {
             );
         }
     }
+    Ok(())
 }
 
 /// Nonparametric impulse-response estimate.
@@ -289,7 +287,7 @@ fn impulse_histogram(
 }
 
 /// §7 future work: origin inference and virality profiles.
-pub fn provenance(r: &Repro) {
+pub fn provenance(r: &Repro) -> Printed {
     section("Extension (§7 future work): where are memes first created?");
     let (estimates, accuracy) = infer_origins(&r.dataset, &r.output);
     println!(
@@ -310,7 +308,7 @@ pub fn provenance(r: &Repro) {
     println!("{}", ascii_table(&["Estimated origin", "Clusters"], &cells));
 
     section("Extension (§7 future work): which memes disseminate?");
-    let streams = r.cluster_events();
+    let streams = r.cluster_events()?;
     let influence = fit_influence(r, &streams, FIT_BETA);
     let annotated = r.output.annotated_clusters();
     let mut cells = Vec::new();
@@ -391,6 +389,7 @@ pub fn provenance(r: &Repro) {
             100.0 * plain.external_share
         );
     }
+    Ok(())
 }
 
 #[cfg(test)]

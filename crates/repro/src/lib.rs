@@ -18,9 +18,66 @@
 pub mod ablations;
 pub mod sections;
 
-use meme_core::pipeline::PipelineOutput;
-use meme_hawkes::Event;
+use meme_annotate::AnnotateError;
+use meme_cluster::dbscan::ClusterError;
+use meme_core::pipeline::{PipelineError, PipelineOutput};
+use meme_hawkes::{Event, HawkesError};
 use meme_simweb::Dataset;
+use std::fmt;
+
+/// Why a section could not print: the typed error of the stage it
+/// called. `memes repro` reports it and exits 2.
+#[derive(Debug)]
+pub enum SectionError {
+    /// Reading Steps 1–6 output back (cluster events, descriptors).
+    Pipeline(PipelineError),
+    /// A DBSCAN run (per community, the eps sweep, the ablations).
+    Cluster(ClusterError),
+    /// A Hawkes model, fit or attribution.
+    Hawkes(HawkesError),
+    /// Training the Appendix-C screenshot classifier.
+    Annotate(AnnotateError),
+}
+
+impl fmt::Display for SectionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SectionError::Pipeline(e) => e.fmt(f),
+            SectionError::Cluster(e) => e.fmt(f),
+            SectionError::Hawkes(e) => e.fmt(f),
+            SectionError::Annotate(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SectionError {}
+
+impl From<PipelineError> for SectionError {
+    fn from(e: PipelineError) -> Self {
+        SectionError::Pipeline(e)
+    }
+}
+
+impl From<ClusterError> for SectionError {
+    fn from(e: ClusterError) -> Self {
+        SectionError::Cluster(e)
+    }
+}
+
+impl From<HawkesError> for SectionError {
+    fn from(e: HawkesError) -> Self {
+        SectionError::Hawkes(e)
+    }
+}
+
+impl From<AnnotateError> for SectionError {
+    fn from(e: AnnotateError) -> Self {
+        SectionError::Annotate(e)
+    }
+}
+
+/// What a section returns: `T` once it has printed, or why it could not.
+pub type Printed<T = ()> = Result<T, SectionError>;
 
 /// A generated dataset plus its completed Steps 1–6 run.
 pub struct Repro {
@@ -34,10 +91,8 @@ pub struct Repro {
 
 impl Repro {
     /// Step-7 input: one event stream per annotated cluster.
-    pub fn cluster_events(&self) -> Vec<Vec<Event>> {
-        self.output
-            .try_all_cluster_events(&self.dataset)
-            .expect("a pipeline-produced output keeps cluster ids in range")
+    pub fn cluster_events(&self) -> Result<Vec<Vec<Event>>, PipelineError> {
+        self.output.try_all_cluster_events(&self.dataset)
     }
 }
 
@@ -53,11 +108,11 @@ pub type Export = (&'static str, String);
 /// What a section prints from.
 pub enum Body {
     /// The seed alone: no dataset is generated for it.
-    Seed(fn(u64)),
+    Seed(fn(u64) -> Printed),
     /// The dataset and its Steps 1–6 run.
-    Run(fn(&Repro)),
+    Run(fn(&Repro) -> Printed),
     /// The same, plus files for `--out DIR`.
-    Export(fn(&Repro) -> Vec<Export>),
+    Export(fn(&Repro) -> Printed<Vec<Export>>),
 }
 
 /// One `memes repro` section.
@@ -70,7 +125,7 @@ pub struct Section {
     in_all: bool,
 }
 
-const fn seed(name: &'static str, print: fn(u64)) -> Section {
+const fn seed(name: &'static str, print: fn(u64) -> Printed) -> Section {
     Section {
         name,
         body: Body::Seed(print),
@@ -78,7 +133,7 @@ const fn seed(name: &'static str, print: fn(u64)) -> Section {
     }
 }
 
-const fn run(name: &'static str, print: fn(&Repro)) -> Section {
+const fn run(name: &'static str, print: fn(&Repro) -> Printed) -> Section {
     Section {
         name,
         body: Body::Run(print),
@@ -112,18 +167,18 @@ pub static SECTIONS: [Section; 22] = [
         ..run("table7", sections::table7)
     },
     run("fig11-12", |r| {
-        sections::table7(r);
-        sections::fig11_12(r);
+        sections::table7(r)?;
+        sections::fig11_12(r)
     }),
     run("fig13-16", sections::fig13_16),
     run("table8", sections::table8_fig17),
     seed("table9", sections::table9_fig19),
     run("perf", sections::perf),
     run("ablations", |r| {
-        ablations::ablation_hashers(r);
-        ablations::ablation_metric_weights(r);
-        ablations::ablation_min_pts(r);
-        ablations::ablation_beta(r);
+        ablations::ablation_hashers(r)?;
+        ablations::ablation_metric_weights(r)?;
+        ablations::ablation_min_pts(r)?;
+        ablations::ablation_beta(r)
     }),
     run("provenance", ablations::provenance),
 ];

@@ -4,12 +4,12 @@
 //! DESIGN.md §4 maps each function to the paper table/figure it
 //! regenerates; EXPERIMENTS.md records paper-vs-measured.
 
-use crate::{section, Export, Repro};
+use crate::{section, Export, Printed, Repro};
 use meme_annotate::agreement::simulate_panel;
 use meme_annotate::kym::KymCategory;
 use meme_annotate::nn::TrainConfig;
 use meme_annotate::screenshot::{ScreenshotCorpus, ScreenshotFilter};
-use meme_cluster::dbscan::DbscanParams;
+use meme_cluster::dbscan::{ClusterError, DbscanParams};
 use meme_core::analysis::{self, CommunityClustering, MemeFilter};
 use meme_core::dendro::Phylogeny;
 use meme_core::graph::{ClusterGraph, GraphConfig};
@@ -32,7 +32,7 @@ pub const FIT_BETA: f64 = 3.0;
 // ------------------------------------------------------------- Table 1
 
 /// Table 1: dataset overview.
-pub fn table1(r: &Repro) {
+pub fn table1(r: &Repro) -> Printed {
     section("Table 1: dataset overview");
     let rows = analysis::table1(&r.dataset, &r.output);
     let cells: Vec<Vec<String>> = rows
@@ -60,26 +60,26 @@ pub fn table1(r: &Repro) {
             &cells
         )
     );
+    Ok(())
 }
 
 // ------------------------------------------------------------- Table 2
 
 /// Per-community Steps 2–5 runs (the input of Tables 2 and 3).
-fn community_runs(r: &Repro) -> Vec<CommunityClustering> {
+fn community_runs(r: &Repro) -> Result<Vec<CommunityClustering>, ClusterError> {
     Community::FRINGE
         .iter()
         .map(|&c| {
             analysis::cluster_community(&r.dataset, &r.output, c, DbscanParams::default(), 8, 0)
-                .expect("default DBSCAN parameters are valid")
         })
         .collect()
 }
 
 /// Table 2: clustering statistics, plus the Appendix-B annotation
 /// panel.
-pub fn table2(r: &Repro) {
+pub fn table2(r: &Repro) -> Printed {
     section("Table 2: clustering statistics per fringe community");
-    let runs = community_runs(r);
+    let runs = community_runs(r)?;
     let rows = analysis::table2(&runs);
     let cells: Vec<Vec<String>> = rows
         .iter()
@@ -151,14 +151,15 @@ pub fn table2(r: &Repro) {
             100.0 * report.majority_positive_rate
         );
     }
+    Ok(())
 }
 
 // --------------------------------------------------------- Tables 3-5
 
 /// Table 3: top KYM entries by clusters, per fringe community.
-pub fn table3(r: &Repro) {
+pub fn table3(r: &Repro) -> Printed {
     section("Table 3: top KYM entries by #clusters (per fringe community)");
-    for run in &community_runs(r) {
+    for run in &community_runs(r)? {
         let rows = analysis::top_entries_by_clusters(run, &r.output, 20);
         println!("--- {} ---", run.community.name());
         let cells: Vec<Vec<String>> = rows
@@ -176,6 +177,7 @@ pub fn table3(r: &Repro) {
             ascii_table(&["Entry", "Category", "Clusters (%)"], &cells)
         );
     }
+    Ok(())
 }
 
 fn print_top_posts(r: &Repro, category: Option<KymCategory>, n: usize) {
@@ -210,21 +212,23 @@ fn print_top_posts(r: &Repro, category: Option<KymCategory>, n: usize) {
 }
 
 /// Table 4: top meme entries by posts per community.
-pub fn table4(r: &Repro) {
+pub fn table4(r: &Repro) -> Printed {
     section("Table 4: top meme entries by #posts (per community)");
     print_top_posts(r, Some(KymCategory::Meme), 20);
+    Ok(())
 }
 
 /// Table 5: top people entries by posts per community.
-pub fn table5(r: &Repro) {
+pub fn table5(r: &Repro) -> Printed {
     section("Table 5: top 'people' entries by #posts (per community)");
     print_top_posts(r, Some(KymCategory::Person), 15);
+    Ok(())
 }
 
 // ------------------------------------------------------------- Table 6
 
 /// Table 6: top subreddits for all/racist/political memes.
-pub fn table6(r: &Repro) {
+pub fn table6(r: &Repro) -> Printed {
     section("Table 6: top subreddits (all / racist / political memes)");
     for (label, filter) in [
         ("All memes", MemeFilter::All),
@@ -244,12 +248,13 @@ pub fn table6(r: &Repro) {
             .collect();
         println!("{}", ascii_table(&["Subreddit", "Posts (%)"], &cells));
     }
+    Ok(())
 }
 
 // ------------------------------------------------------------- Table 7
 
 /// Table 7: meme events per community.
-pub fn table7(r: &Repro) {
+pub fn table7(r: &Repro) -> Printed {
     section("Table 7: meme events per community (Step-6 association)");
     let rows = analysis::table7(&r.dataset, &r.output);
     let cells: Vec<Vec<String>> = rows
@@ -257,16 +262,16 @@ pub fn table7(r: &Repro) {
         .map(|(name, count)| vec![name.clone(), thousands(*count)])
         .collect();
     println!("{}", ascii_table(&["Community", "Events"], &cells));
+    Ok(())
 }
 
 // ------------------------------------------------- Table 8 + Fig 17
 
 /// Appendix A: eps sweep (Table 8) and per-cluster false-positive CDFs
 /// (Fig. 17).
-pub fn table8_fig17(r: &Repro) {
+pub fn table8_fig17(r: &Repro) -> Printed {
     section("Table 8 (Appendix A): DBSCAN distance sweep");
-    let rows = analysis::eps_sweep(&r.dataset, &r.output, &[2, 4, 6, 8, 10], 5, 0)
-        .expect("minPts = 5 is valid");
+    let rows = analysis::eps_sweep(&r.dataset, &r.output, &[2, 4, 6, 8, 10], 5, 0)?;
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
@@ -299,13 +304,14 @@ pub fn table8_fig17(r: &Repro) {
     headers.extend(grid.iter().map(|g| format!("F({g})")));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     println!("{}", ascii_table(&header_refs, &cells));
+    Ok(())
 }
 
 // ------------------------------------------------- Table 9 + Fig 19
 
 /// Appendix C: screenshot-classifier corpus (Table 9) and evaluation
 /// (Fig. 19). Standalone — trains the CNN regardless of harness mode.
-pub fn table9_fig19(seed: u64) {
+pub fn table9_fig19(seed: u64) -> Printed {
     section("Table 9 (Appendix C): screenshot training corpus");
     let corpus = ScreenshotCorpus::generate(0.02, seed);
     let mut cells: Vec<Vec<String>> = corpus
@@ -337,8 +343,7 @@ pub fn table9_fig19(seed: u64) {
             seed,
             ..TrainConfig::default()
         },
-    )
-    .expect("default training converges on the generated corpus");
+    )?;
     eprintln!("trained in {:.1?} on {} images", t0.elapsed(), corpus.len());
     println!("AUC:       {:.3}  [paper: 0.96]", metrics.auc);
     println!("accuracy:  {:.1}% [paper: 91.3%]", 100.0 * metrics.accuracy);
@@ -353,12 +358,13 @@ pub fn table9_fig19(seed: u64) {
     for (fpr, tpr) in metrics.roc.iter().step_by(step) {
         println!("  {fpr:.3}  {tpr:.3}");
     }
+    Ok(())
 }
 
 // --------------------------------------------------------------- Fig 3
 
 /// Fig. 3: r_perceptual for τ ∈ {1, 25, 64}.
-pub fn fig3() {
+pub fn fig3() -> Printed {
     section("Fig 3: r_perceptual(d) for tau in {1, 25, 64}");
     let taus = [1.0, 25.0, 64.0];
     let metrics: Vec<ClusterDistance> =
@@ -375,12 +381,13 @@ pub fn fig3() {
         "{}",
         ascii_table(&["d", "tau=1", "tau=25", "tau=64"], &cells)
     );
+    Ok(())
 }
 
 // --------------------------------------------------------------- Fig 4
 
 /// Fig. 4: KYM site statistics.
-pub fn fig4(r: &Repro) {
+pub fn fig4(r: &Repro) -> Printed {
     let site = &r.output.site;
     section("Fig 4a: KYM entries per category");
     let cells: Vec<Vec<String>> = site
@@ -416,12 +423,13 @@ pub fn fig4(r: &Repro) {
         .map(|(origin, share)| vec![origin.clone(), pct(*share)])
         .collect();
     println!("{}", ascii_table(&["Origin", "% of entries"], &cells));
+    Ok(())
 }
 
 // --------------------------------------------------------------- Fig 5
 
 /// Fig. 5: entries-per-cluster and clusters-per-entry CDFs.
-pub fn fig5(r: &Repro) {
+pub fn fig5(r: &Repro) -> Printed {
     let (epc, cpe) = analysis::fig5_samples(&r.output);
     section("Fig 5a: KYM entries per annotated cluster");
     if let Some(ecdf) = Ecdf::from_counts(epc.clone()) {
@@ -447,6 +455,7 @@ pub fn fig5(r: &Repro) {
             println!("  F({x:>4}) = {:.3}", ecdf.eval(x));
         }
     }
+    Ok(())
 }
 
 // --------------------------------------------------------------- Fig 6
@@ -459,8 +468,10 @@ fn descriptors_for(
 ) -> (Vec<ClusterDescriptor>, Vec<String>) {
     let mut descriptors = Vec::new();
     let mut labels = Vec::new();
-    for ann in r.output.annotations.iter().filter(|a| a.is_annotated()) {
-        let rep = r.output.site.entry(ann.representative.expect("annotated"));
+    // Annotated clusters, with the KYM entry each was annotated with.
+    let annotated = r.output.annotations.iter();
+    for (ann, rep) in annotated.filter_map(|a| Some((a, a.representative?))) {
+        let rep = r.output.site.entry(rep);
         if !predicate(&rep.name) {
             continue;
         }
@@ -487,7 +498,7 @@ fn descriptors_for(
 }
 
 /// Fig. 6: the frog-family dendrogram.
-pub fn fig6(r: &Repro) {
+pub fn fig6(r: &Repro) -> Printed {
     section("Fig 6: frog-meme phylogeny (custom metric, average linkage)");
     let frog = |name: &str| {
         let n = name.to_lowercase();
@@ -497,7 +508,7 @@ pub fn fig6(r: &Repro) {
     println!("frog clusters: {}", descriptors.len());
     let Some(phylo) = Phylogeny::build(&descriptors, labels, &ClusterDistance::default()) else {
         println!("(not enough frog clusters at this scale)");
-        return;
+        return Ok(());
     };
     let families = phylo.family_listing(0.45);
     println!(
@@ -517,12 +528,13 @@ pub fn fig6(r: &Repro) {
         "newick (truncated): {}...",
         &newick[..newick.len().min(160)]
     );
+    Ok(())
 }
 
 // --------------------------------------------------------------- Fig 7
 
 /// Fig. 7: the κ = 0.45 cluster graph, exported as DOT and JSON.
-pub fn fig7(r: &Repro) -> Vec<Export> {
+pub fn fig7(r: &Repro) -> Printed<Vec<Export>> {
     section("Fig 7: cluster graph at kappa = 0.45");
     let (descriptors, labels) = descriptors_for(r, |_| true);
     let config = GraphConfig {
@@ -543,13 +555,16 @@ pub fn fig7(r: &Repro) -> Vec<Export> {
         "component annotation purity: {:.3} [paper: components are 'primarily one color']",
         graph.component_purity()
     );
-    vec![("fig7.dot", graph.to_dot()), ("fig7.json", graph.to_json())]
+    Ok(vec![
+        ("fig7.dot", graph.to_dot()),
+        ("fig7.json", graph.to_json()),
+    ])
 }
 
 // --------------------------------------------------------------- Fig 8
 
 /// Fig. 8: percentage of posts per day with memes.
-pub fn fig8(r: &Repro) {
+pub fn fig8(r: &Repro) -> Printed {
     for (label, filter) in [
         ("all memes", MemeFilter::All),
         ("racist", MemeFilter::Racist),
@@ -575,12 +590,13 @@ pub fn fig8(r: &Repro) {
         let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         println!("{}", ascii_table(&refs, &cells));
     }
+    Ok(())
 }
 
 // --------------------------------------------------------------- Fig 9
 
 /// Fig. 9: CDFs of scores on Reddit and Gab.
-pub fn fig9(r: &Repro) {
+pub fn fig9(r: &Repro) -> Printed {
     for platform in [Community::Reddit, Community::Gab] {
         section(&format!(
             "Fig 9: score distributions on {}",
@@ -617,13 +633,14 @@ pub fn fig9(r: &Repro) {
             ascii_table(&["Group", "n", "mean", "median", "p90"], &cells)
         );
     }
+    Ok(())
 }
 
 // -------------------------------------------------------------- Fig 10
 
 /// Fig. 10: a narrated three-process Hawkes example with root-cause
 /// attribution.
-pub fn fig10(seed: u64) {
+pub fn fig10(seed: u64) -> Printed {
     section("Fig 10: Hawkes mechanics on a 3-process toy model");
     let model = HawkesModel::new(
         vec![0.20, 0.30, 0.25],
@@ -633,15 +650,14 @@ pub fn fig10(seed: u64) {
             vec![0.2, 0.1, 0.2],
         ],
         1.0,
-    )
-    .expect("valid toy model");
+    )?;
     let mut rng = meme_stats::seeded_rng(seed);
     let sim = simulate_branching(&model, 12.0, &mut rng);
     let events = strip_lineage(&sim);
     let names = ["A", "B", "C"];
     println!("simulated {} events on processes A, B, C", events.len());
-    let parents = parent_probabilities(&model, &events).expect("simulated stream is valid");
-    let roots = root_causes(&model, &events).expect("simulated stream is valid");
+    let parents = parent_probabilities(&model, &events)?;
+    let roots = root_causes(&model, &events)?;
     let show = events.len().min(8);
     for i in 0..show {
         let bg = parents[i].background;
@@ -658,6 +674,7 @@ pub fn fig10(seed: u64) {
             root_str.join(", ")
         );
     }
+    Ok(())
 }
 
 // ------------------------------------------------------- Figs 11 & 12
@@ -683,9 +700,9 @@ pub(crate) fn fit_influence(r: &Repro, streams: &[Vec<Event>], beta: f64) -> Clu
 /// Fit influence over the annotated clusters and also compute the
 /// ground-truth matrix from the simulator's lineage. Returns the full
 /// per-cluster fit so callers never have to estimate twice.
-pub fn influence(r: &Repro) -> (ClusterInfluence, InfluenceMatrix) {
+pub fn influence(r: &Repro) -> Printed<(ClusterInfluence, InfluenceMatrix)> {
     let t0 = Instant::now();
-    let fitted = fit_influence(r, &r.cluster_events(), FIT_BETA);
+    let fitted = fit_influence(r, &r.cluster_events()?, FIT_BETA);
     eprintln!(
         "[repro] fitted {} per-cluster Hawkes models in {:.1?}",
         fitted.per_cluster.len(),
@@ -701,7 +718,7 @@ pub fn influence(r: &Repro) -> (ClusterInfluence, InfluenceMatrix) {
             truth[root.index()][post.community.index()] += 1.0;
         }
     }
-    (fitted, InfluenceMatrix::from_counts(truth))
+    Ok((fitted, InfluenceMatrix::from_counts(truth)))
 }
 
 fn print_matrix(title: &str, m: &[Vec<f64>]) {
@@ -720,8 +737,8 @@ fn print_matrix(title: &str, m: &[Vec<f64>]) {
 
 /// Figs. 11 and 12: raw and normalized influence, fitted vs ground
 /// truth, with cluster-bootstrap confidence intervals.
-pub fn fig11_12(r: &Repro) {
-    let (full, truth) = influence(r);
+pub fn fig11_12(r: &Repro) -> Printed {
+    let (full, truth) = influence(r)?;
     let fitted = &full.total;
     section("Fig 11: % of destination events caused by source");
     print_matrix(
@@ -774,14 +791,15 @@ pub fn fig11_12(r: &Repro) {
         let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         println!("{}", ascii_table(&refs, &cells));
     }
+    Ok(())
 }
 
 // ------------------------------------------------------- Figs 13-16
 
 /// Figs. 13–16: influence split by racist and political meme groups
 /// with KS significance stars.
-pub fn fig13_16(r: &Repro) {
-    let fitted = fit_influence(r, &r.cluster_events(), FIT_BETA);
+pub fn fig13_16(r: &Repro) -> Printed {
+    let fitted = fit_influence(r, &r.cluster_events()?, FIT_BETA);
     let annotated = r.output.annotated_clusters();
 
     let split_by = |pred: &dyn Fn(usize) -> bool| -> (Vec<InfluenceMatrix>, Vec<InfluenceMatrix>) {
@@ -851,13 +869,14 @@ pub fn fig13_16(r: &Repro) {
         section(title_norm);
         render(&split.a_normalized, &split.b_normalized);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------- Perf
 
 /// §7 performance: association throughput (images/sec against the
 /// annotated medoids), MIH vs brute force.
-pub fn perf(r: &Repro) {
+pub fn perf(r: &Repro) -> Printed {
     section("Performance (§7): association throughput");
     let annotated = r.output.annotated_clusters();
     let medoids: Vec<PHash> = annotated
@@ -894,4 +913,5 @@ pub fn perf(r: &Repro) {
         rate(brute_time)
     );
     println!("[paper: 73 images/sec on two Titan Xp GPUs vs 12K medoids]");
+    Ok(())
 }

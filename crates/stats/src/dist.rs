@@ -466,6 +466,30 @@ pub fn normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Fill `out` with the values `out.len()` calls of [`normal_sample`]
+/// return, in order, leaving `rng` in the same state.
+///
+/// The rejection loop draws candidates branch-free (a rejected
+/// candidate is overwritten by the next one), and the `ln`/`sqrt`
+/// transform then runs as a second pass over the accepted `(u, s)`
+/// pairs with the same expression.
+pub fn normal_fill<R: Rng + ?Sized>(out: &mut [f64], rng: &mut R) {
+    let mut s = [0.0f64; 256];
+    for block in out.chunks_mut(s.len()) {
+        let mut k = 0;
+        while k < block.len() {
+            let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
+            let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
+            block[k] = u;
+            s[k] = u * u + v * v;
+            k += ((s[k] > 0.0) & (s[k] < 1.0)) as usize;
+        }
+        for (z, &s) in block.iter_mut().zip(&s) {
+            *z *= (-2.0 * s.ln() / s).sqrt();
+        }
+    }
+}
+
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
 ///
 /// Accurate to ~1e-13 for positive arguments; used by the Poisson PTRS
@@ -700,5 +724,31 @@ mod tests {
         let (m, v) = mean_var(&xs);
         assert!(m.abs() < 0.02, "mean {m}");
         assert!((v - 1.0).abs() < 0.02, "var {v}");
+    }
+
+    #[test]
+    fn normal_fill_matches_repeated_normal_sample() {
+        // Lengths below, at and across the 256-value block.
+        for (seed, n) in [
+            (1u64, 0usize),
+            (2, 1),
+            (3, 255),
+            (4, 256),
+            (5, 257),
+            (6, 4096),
+        ] {
+            let mut a = seeded_rng(seed);
+            let mut b = seeded_rng(seed);
+            let mut got = vec![0.0; n];
+            normal_fill(&mut got, &mut a);
+            for (i, z) in got.iter().enumerate() {
+                assert_eq!(
+                    z.to_bits(),
+                    normal_sample(&mut b).to_bits(),
+                    "seed {seed} draw {i}"
+                );
+            }
+            assert_eq!(a, b, "seed {seed}: rng state after {n} draws");
+        }
     }
 }

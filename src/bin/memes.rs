@@ -98,7 +98,7 @@ use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
 use origins_of_memes::phash::{ImageHasher, PHash, PerceptualHasher};
 use origins_of_memes::repro::sections::FIT_BETA;
-use origins_of_memes::repro::{select, Body, Repro, SECTIONS};
+use origins_of_memes::repro::{select, Body, Export, Repro, SECTIONS};
 use origins_of_memes::serve::{
     load_output, protocol, ServeScratch, Server, ServerConfig, Snapshot, SnapshotStore,
     DEFAULT_THETA,
@@ -479,17 +479,9 @@ fn cmd_repro(args: &Args) -> Result<(), ExitCode> {
     let sections = select(&args.positionals[0]).expect("parse_args checks the section");
     let mut repro = None;
     for section in sections {
-        let exports = match section.body {
-            Body::Seed(print) => {
-                print(args.seed);
-                Vec::new()
-            }
-            Body::Run(print) => {
-                print(shared_run(&mut repro, args)?);
-                Vec::new()
-            }
-            Body::Export(print) => print(shared_run(&mut repro, args)?),
-        };
+        let exports = print_section(section.name, &section.body, args.seed, || {
+            shared_run(&mut repro, args)
+        })?;
         let Some(dir) = &args.out else { continue };
         if !exports.is_empty() {
             std::fs::create_dir_all(dir)
@@ -500,6 +492,24 @@ fn cmd_repro(args: &Args) -> Result<(), ExitCode> {
         }
     }
     Ok(())
+}
+
+/// Print one section and return the files it exports. `run` makes (or
+/// reuses) the dataset and Steps 1–6 run, and is called only by the
+/// sections that read them. A section that fails reports why on stderr
+/// and exits 2.
+fn print_section<'a>(
+    name: &str,
+    body: &Body,
+    seed: u64,
+    run: impl FnOnce() -> Result<&'a Repro, ExitCode>,
+) -> Result<Vec<Export>, ExitCode> {
+    let printed = match body {
+        Body::Seed(print) => print(seed).map(|()| Vec::new()),
+        Body::Run(print) => print(run()?).map(|()| Vec::new()),
+        Body::Export(print) => print(run()?),
+    };
+    printed.map_err(|e| operational(format_args!("repro {name}: {e}")))
 }
 
 /// The dataset and Steps 1–6 run that every section of one `memes
@@ -950,5 +960,25 @@ fn main() -> ExitCode {
     match done {
         Ok(()) => Exit::Clean.into(),
         Err(exit) => exit,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use origins_of_memes::hawkes::HawkesModel;
+
+    /// A section whose stage returns a typed error (here the Hawkes
+    /// model Fig. 10 builds, made invalid) exits 2 with the error on
+    /// stderr instead of panicking, and never makes the dataset.
+    #[test]
+    fn a_failing_section_exits_operational() {
+        let body = Body::Seed(|_| {
+            HawkesModel::new(vec![-1.0], vec![vec![0.0]], 1.0)?;
+            Ok(())
+        });
+        let run = || -> Result<&Repro, ExitCode> { panic!("a seed section made the dataset") };
+        let exit = print_section("fig10", &body, 1, run).unwrap_err();
+        assert_eq!(exit, ExitCode::from(Exit::Operational));
     }
 }
