@@ -2,13 +2,9 @@
 //!
 //! ```text
 //! memes-lint [--root DIR] [--report FILE] [--list-rules] [--quiet]
-//! memes-lint graph [--root DIR] [--out FILE]
 //! ```
 //!
 //! The lint run writes `lint-report.json` (gitignored; CI archives it).
-//! The `graph` subcommand dumps the pass-1 call graph (functions,
-//! resolved edges, unresolved calls) as JSON — `callgraph.json` by
-//! convention — for CI archiving and offline inspection.
 //!
 //! Exit codes follow the workspace convention ([`Exit`]): `0` clean,
 //! `1` any finding (a reviewed exception is a `lint:allow` with its
@@ -16,56 +12,42 @@
 //! root, bad usage).
 
 use meme_analysis::error::Exit;
-use meme_analysis::{AnalysisError, CallGraph, Engine};
+use meme_analysis::{AnalysisError, Engine};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
-    graph: bool,
     root: PathBuf,
     report: PathBuf,
-    out: PathBuf,
     list_rules: bool,
     quiet: bool,
 }
 
-const USAGE: &str = "usage: memes-lint [--root DIR] [--report FILE] [--list-rules] [--quiet]\n\
-                     \x20      memes-lint graph [--root DIR] [--out FILE]";
+const USAGE: &str = "usage: memes-lint [--root DIR] [--report FILE] [--list-rules] [--quiet]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut graph = false;
     let mut root = PathBuf::from(".");
     let mut report: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
     let mut list_rules = false;
     let mut quiet = false;
 
-    let mut it = argv.iter().peekable();
-    if it.peek().map(|a| a.as_str()) == Some("graph") {
-        graph = true;
-        it.next();
-    }
+    let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        match (arg.as_str(), graph) {
-            ("--root", _) => {
+        match arg.as_str() {
+            "--root" => {
                 root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
-            ("--out", true) => {
-                out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?));
-            }
-            ("--report", false) => {
+            "--report" => {
                 report = Some(PathBuf::from(it.next().ok_or("--report needs a path")?));
             }
-            ("--list-rules", false) => list_rules = true,
-            ("--quiet", _) | ("-q", _) => quiet = true,
-            ("--help", _) | ("-h", _) => return Err(USAGE.to_string()),
-            (other, _) => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--list-rules" => list_rules = true,
+            "--quiet" | "-q" => quiet = true,
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
     Ok(Args {
-        graph,
         report: report.unwrap_or_else(|| root.join("lint-report.json")),
-        out: out.unwrap_or_else(|| root.join("callgraph.json")),
         root,
         list_rules,
         quiet,
@@ -81,42 +63,13 @@ fn main() -> ExitCode {
             return Exit::Operational.into();
         }
     };
-    let result = if args.graph {
-        run_graph(&args)
-    } else {
-        run(&args)
-    };
-    match result {
+    match run(&args) {
         Ok(exit) => exit.into(),
         Err(e) => {
             eprintln!("memes-lint: {e}");
             Exit::Operational.into()
         }
     }
-}
-
-/// `memes-lint graph`: dump the pass-1 call graph.
-fn run_graph(args: &Args) -> Result<Exit, AnalysisError> {
-    use meme_analysis::context::FileContext;
-    use meme_analysis::symbols::WorkspaceModel;
-
-    let files = meme_analysis::walk_workspace(&args.root)?;
-    let ctxs: Vec<FileContext<'_>> = files.iter().map(FileContext::build).collect();
-    let model = WorkspaceModel::build(&ctxs);
-    let graph = CallGraph::from_model(&model, &ctxs);
-    let text = graph.to_json()?;
-    std::fs::write(&args.out, &text).map_err(|e| AnalysisError::io(&args.out, e))?;
-    if !args.quiet {
-        eprintln!(
-            "memes-lint: call graph: {} function(s), {} edge(s), {} unresolved \
-             (wrote {})",
-            graph.totals.functions,
-            graph.totals.edges,
-            graph.totals.unresolved,
-            args.out.display(),
-        );
-    }
-    Ok(Exit::Clean)
 }
 
 fn run(args: &Args) -> Result<Exit, AnalysisError> {

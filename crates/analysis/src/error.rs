@@ -27,7 +27,7 @@ pub enum AnalysisError {
         /// The underlying I/O error, rendered.
         detail: String,
     },
-    /// A report or call-graph dump could not be serialized.
+    /// The report could not be serialized.
     Serialize {
         /// The serializer's complaint.
         detail: String,
@@ -48,7 +48,7 @@ impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Io { path, detail } => write!(f, "cannot access {path}: {detail}"),
-            Self::Serialize { detail } => write!(f, "cannot serialize the artifact: {detail}"),
+            Self::Serialize { detail } => write!(f, "cannot serialize the report: {detail}"),
         }
     }
 }

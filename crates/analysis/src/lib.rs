@@ -19,13 +19,10 @@
 //!   trait, plus engine-level suppression hygiene).
 //! - [`symbols`] — pass 1: symbol table, best-effort call graph, and
 //!   lock model built from the token stream (DESIGN.md §13).
-//! - [`callgraph`] — `memes-lint graph`: the `callgraph.json` dump of
-//!   the pass-1 model.
 //! - [`suppress`] — `// lint:allow(<rule>): <reason>` directives.
 //! - [`report`] — `lint-report.json`.
 //! - [`engine`] — ties it together.
 
-pub mod callgraph;
 pub mod context;
 pub mod engine;
 pub mod error;
@@ -36,7 +33,6 @@ pub mod source;
 pub mod suppress;
 pub mod symbols;
 
-pub use callgraph::{CallGraph, CALLGRAPH_SCHEMA_VERSION};
 pub use engine::{Engine, LintRun};
 pub use error::{AnalysisError, Exit};
 pub use report::{Report, REPORT_SCHEMA_VERSION};

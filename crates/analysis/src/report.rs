@@ -50,16 +50,11 @@ pub struct Report {
 impl Report {
     /// Serialize (pretty, trailing newline).
     pub fn to_json(&self) -> Result<String, AnalysisError> {
-        to_pretty_json(self)
+        let mut text =
+            serde_json::to_string_pretty(self).map_err(|e| AnalysisError::Serialize {
+                detail: e.to_string(),
+            })?;
+        text.push('\n');
+        Ok(text)
     }
-}
-
-/// Pretty JSON with a trailing newline — the form both artifacts
-/// (`lint-report.json`, `callgraph.json`) are written in.
-pub(crate) fn to_pretty_json<T: Serialize>(doc: &T) -> Result<String, AnalysisError> {
-    let mut text = serde_json::to_string_pretty(doc).map_err(|e| AnalysisError::Serialize {
-        detail: e.to_string(),
-    })?;
-    text.push('\n');
-    Ok(text)
 }

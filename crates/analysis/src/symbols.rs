@@ -73,26 +73,6 @@ pub enum CallKind {
     Path(String),
 }
 
-impl CallKind {
-    /// Wire label for the call-graph dump.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CallKind::Bare => "bare",
-            CallKind::Method => "method",
-            CallKind::Path(_) => "path",
-        }
-    }
-}
-
-/// Why a call site did not resolve to a workspace definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unresolved {
-    /// More than one workspace definition matched.
-    Ambiguous,
-    /// No workspace definition matched (std / vendored callee).
-    Unknown,
-}
-
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
@@ -106,15 +86,9 @@ pub struct CallSite {
     pub line: u32,
     /// 1-based column of the callee name.
     pub col: u32,
-    /// Resolved callee (index into [`WorkspaceModel::functions`]).
+    /// Resolved callee (index into [`WorkspaceModel::functions`]);
+    /// `None` when no workspace definition or more than one matched.
     pub resolved: Option<usize>,
-    /// Set when unresolved; `None` while `resolved` is `Some`.
-    pub why_unresolved: Option<Unresolved>,
-    /// True for function-*reference* arguments (`.map(double)`) rather
-    /// than direct calls. These create edges only when they resolve
-    /// unambiguously to a workspace free function; otherwise they are
-    /// dropped silently (the name is usually a plain variable).
-    pub implicit: bool,
 }
 
 /// A `.lock()`/`.read()`/`.write()` guard acquisition.
@@ -156,25 +130,6 @@ pub struct BlockingCall {
     pub releases: Option<String>,
 }
 
-/// An unresolved call, deduplicated for the call-graph dump.
-#[derive(Debug, Clone)]
-pub struct UnresolvedCall {
-    /// Calling function (index into [`WorkspaceModel::functions`]).
-    pub caller: usize,
-    /// Callee name as written.
-    pub name: String,
-    /// Bare / method / path label.
-    pub kind: String,
-    /// Ambiguous vs unknown.
-    pub why: Unresolved,
-    /// First occurrence.
-    pub line: u32,
-    /// First occurrence column.
-    pub col: u32,
-    /// Number of call sites collapsed into this entry.
-    pub count: u32,
-}
-
 /// The workspace symbol table and call model (pass 1 output).
 #[derive(Debug, Default)]
 pub struct WorkspaceModel {
@@ -189,10 +144,6 @@ pub struct WorkspaceModel {
     /// Alloc-capable macro uses (`format!`, `vec!`) per function, as
     /// (macro name, token, line, col).
     pub alloc_macros: Vec<Vec<(String, usize, u32, u32)>>,
-    /// Unresolved calls worth reporting (ambiguous, or unknown bare /
-    /// path calls — unknown *method* calls are std/vendor noise and
-    /// are out of the model by design).
-    pub unresolved: Vec<UnresolvedCall>,
 }
 
 impl WorkspaceModel {
@@ -616,8 +567,8 @@ fn extract_bodies(fi: usize, ctx: &FileContext<'_>, model: &mut WorkspaceModel) 
         if !toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
             // Function-reference argument: `.map(double)` — a lone
             // lowercase ident as the sole argument of a known
-            // higher-order combinator. Only recorded as an *implicit*
-            // candidate — resolution keeps it solely when exactly one
+            // higher-order combinator. Recorded as a bare call site —
+            // resolution gives it an edge solely when exactly one
             // workspace free fn matches, since the token is otherwise
             // just a variable. The combinator allowlist keeps struct
             // literal shorthand (`Profile { events, .. }`) and macro
@@ -643,8 +594,6 @@ fn extract_bodies(fi: usize, ctx: &FileContext<'_>, model: &mut WorkspaceModel) 
                     line: t.line,
                     col: t.col,
                     resolved: None,
-                    why_unresolved: None,
-                    implicit: true,
                 });
             }
             continue;
@@ -709,8 +658,6 @@ fn extract_bodies(fi: usize, ctx: &FileContext<'_>, model: &mut WorkspaceModel) 
                 line: t.line,
                 col: t.col,
                 resolved: None,
-                why_unresolved: None,
-                implicit: false,
             });
         } else if is_path {
             let qualifier = path_qualifier(toks, i);
@@ -732,8 +679,6 @@ fn extract_bodies(fi: usize, ctx: &FileContext<'_>, model: &mut WorkspaceModel) 
                 line: t.line,
                 col: t.col,
                 resolved: None,
-                why_unresolved: None,
-                implicit: false,
             });
         } else {
             // Bare call. Keywords, CamelCase tuple-struct / enum
@@ -754,8 +699,6 @@ fn extract_bodies(fi: usize, ctx: &FileContext<'_>, model: &mut WorkspaceModel) 
                 line: t.line,
                 col: t.col,
                 resolved: None,
-                why_unresolved: None,
-                implicit: false,
             });
         }
     }
@@ -836,9 +779,6 @@ fn guard_block_end(toks: &[Token], i: usize, guard: Option<&str>) -> usize {
 
 // ---------------------------------------------------------- resolution
 
-/// Per-call-site resolution: (site index, resolved callee, why not).
-type SiteResolution = (usize, Option<usize>, Option<Unresolved>);
-
 fn resolve_calls(ctxs: &[FileContext<'_>], model: &mut WorkspaceModel) {
     // Name maps over definitions. BTreeMap for deterministic iteration.
     let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -858,12 +798,12 @@ fn resolve_calls(ctxs: &[FileContext<'_>], model: &mut WorkspaceModel) {
             .unwrap_or("")
     };
 
-    let mut resolutions: Vec<Vec<SiteResolution>> = vec![Vec::new(); model.functions.len()];
-    for (caller, sites) in model.calls.iter().enumerate() {
+    let mut calls = std::mem::take(&mut model.calls);
+    for (caller, sites) in calls.iter_mut().enumerate() {
         let caller_file = model.functions[caller].file;
         let caller_crate = ctxs[caller_file].file.crate_name.as_str();
-        for (si, call) in sites.iter().enumerate() {
-            let (resolved, why) = match &call.kind {
+        for call in sites {
+            call.resolved = match &call.kind {
                 CallKind::Bare => {
                     let empty: Vec<usize> = Vec::new();
                     let cands = free.get(call.name.as_str()).unwrap_or(&empty);
@@ -906,7 +846,7 @@ fn resolve_calls(ctxs: &[FileContext<'_>], model: &mut WorkspaceModel) {
                         // Receiver unknown and the name collides with
                         // std: `map.entry(k)` must not resolve to a
                         // workspace `entry` method.
-                        (None, Some(Unresolved::Unknown))
+                        None
                     } else {
                         pick(&[cands])
                     }
@@ -947,60 +887,23 @@ fn resolve_calls(ctxs: &[FileContext<'_>], model: &mut WorkspaceModel) {
                     pick(&[&cands])
                 }
             };
-            resolutions[caller].push((si, resolved, why));
         }
     }
-
-    // Write back, and collect the deduplicated unresolved list.
-    let mut unresolved: BTreeMap<(usize, String, &'static str), UnresolvedCall> = BTreeMap::new();
-    for (caller, res) in resolutions.into_iter().enumerate() {
-        for (si, resolved, why) in res {
-            let call = &mut model.calls[caller][si];
-            call.resolved = resolved;
-            call.why_unresolved = why;
-            let Some(why) = why else { continue };
-            // Unknown method calls are std/vendor noise, and implicit
-            // fn-reference candidates that did not resolve are almost
-            // always plain variables; everything else is honest
-            // uncertainty and gets recorded.
-            if call.implicit || (why == Unresolved::Unknown && call.kind == CallKind::Method) {
-                continue;
-            }
-            let key = (caller, call.name.clone(), call.kind.label());
-            match unresolved.get_mut(&key) {
-                Some(u) => u.count += 1,
-                None => {
-                    unresolved.insert(
-                        key,
-                        UnresolvedCall {
-                            caller,
-                            name: call.name.clone(),
-                            kind: call.kind.label().to_string(),
-                            why,
-                            line: call.line,
-                            col: call.col,
-                            count: 1,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    model.unresolved = unresolved.into_values().collect();
+    model.calls = calls;
 }
 
 /// Resolve against candidate lists from narrowest to widest scope: the
 /// first non-empty list decides — a single entry resolves, more than
-/// one is ambiguous. All lists empty is unknown.
-fn pick(scopes: &[&Vec<usize>]) -> (Option<usize>, Option<Unresolved>) {
+/// one is ambiguous (unresolved). All lists empty is unresolved too.
+fn pick(scopes: &[&Vec<usize>]) -> Option<usize> {
     for cands in scopes {
         match cands.len() {
             0 => continue,
-            1 => return (Some(cands[0]), None),
-            _ => return (None, Some(Unresolved::Ambiguous)),
+            1 => return Some(cands[0]),
+            _ => return None,
         }
     }
-    (None, Some(Unresolved::Unknown))
+    None
 }
 
 #[cfg(test)]
@@ -1079,9 +982,15 @@ mod tests {
         )]);
         let (caller, _) = find(&m, "caller");
         assert_eq!(m.resolved_calls(caller).count(), 0);
-        assert_eq!(m.unresolved.len(), 1);
-        assert_eq!(m.unresolved[0].name, "go");
-        assert_eq!(m.unresolved[0].why, Unresolved::Ambiguous);
+        let sites: Vec<(&str, Option<usize>)> = m.calls[caller]
+            .iter()
+            .map(|c| (c.name.as_str(), c.resolved))
+            .collect();
+        assert_eq!(
+            sites,
+            [("go", None)],
+            "the ambiguous call site stays unresolved"
+        );
     }
 
     #[test]

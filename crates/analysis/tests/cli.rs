@@ -99,9 +99,15 @@ fn unreadable_root_is_operational_failure() {
 fn bad_usage_is_operational_failure() {
     let ws = Scratch::new("bad-usage", CLEAN_LIB);
     assert_eq!(exit_code(&ws.lint(&["--no-such-flag"])), 2);
-    // The ratchet and the timing export are gone, not hidden: each of
-    // their flags is an unknown argument.
-    for flag in ["--baseline", "--deny-new", "--fix-baseline", "--timings"] {
+    // The ratchet, the timing export and the call-graph dump are gone,
+    // not hidden: each of their flags is an unknown argument.
+    for flag in [
+        "--baseline",
+        "--deny-new",
+        "--fix-baseline",
+        "--timings",
+        "graph",
+    ] {
         let out = ws.lint(&[flag]);
         assert_eq!(exit_code(&out), 2, "{flag}: {}", stderr(&out));
         assert!(

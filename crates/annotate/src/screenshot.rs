@@ -351,11 +351,6 @@ impl ScreenshotFilter {
         Ok((Self { cnn }, metrics))
     }
 
-    /// Wrap an already-trained network.
-    pub fn from_cnn(cnn: Cnn) -> Self {
-        Self { cnn }
-    }
-
     /// Whether an image looks like a social-network screenshot.
     pub fn is_screenshot(&self, img: &Image) -> bool {
         self.cnn.predict(&Cnn::prepare(img)) == 1

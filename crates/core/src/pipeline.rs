@@ -16,9 +16,9 @@
 //!    representative-entry selection;
 //! 6. **association** — every post (all five communities) matched
 //!    against annotated-cluster medoids at `θ`;
-//! 7. **analysis & influence** — per-cluster event streams feeding the
-//!    Hawkes influence estimator ([`PipelineOutput::cluster_events`],
-//!    [`PipelineOutput::estimate_influence`]).
+//! 7. **analysis & influence** — per-cluster event streams
+//!    ([`PipelineOutput::try_all_cluster_events`]) feeding the Hawkes
+//!    influence estimator ([`PipelineOutput::estimate_influence`]).
 
 use crate::checkpoint::{StageId, StageState};
 use crate::metric::ClusterDescriptor;
@@ -1004,27 +1004,11 @@ impl PipelineOutput {
             .is_some_and(|e| e.is_racist())
     }
 
-    /// Step-7 input: the time-sorted event stream of one annotated
+    /// Step-7 input: the time-sorted event stream of every annotated
     /// cluster across the five communities, from the Step-6
-    /// association.
-    pub fn cluster_events(&self, dataset: &Dataset, cluster: usize) -> Vec<Event> {
-        let mut events: Vec<Event> = dataset
-            .posts
-            .iter()
-            .zip(&self.occurrences)
-            .filter(|(_, occ)| **occ == Some(cluster))
-            .map(|(p, _)| Event::new(p.t, p.community.index()))
-            .collect();
-        // total_cmp: NaN times (fault-injected data) must not panic the
-        // sort — the Hawkes layer rejects them with a typed error later.
-        events.sort_by(|a, b| a.t.total_cmp(&b.t));
-        events
-    }
-
-    /// Event streams for all annotated clusters, in
-    /// [`PipelineOutput::annotated_clusters`] order. Cluster ids that
-    /// point outside the medoid table — impossible for a
-    /// pipeline-produced output, but reachable through an artifact or
+    /// association, in [`PipelineOutput::annotated_clusters`] order.
+    /// Cluster ids that point outside the medoid table — impossible for
+    /// a pipeline-produced output, but reachable through an artifact or
     /// checkpoint loaded from disk — surface as
     /// [`PipelineError::CheckpointCorrupt`] instead of an index panic.
     pub fn try_all_cluster_events(
@@ -1059,6 +1043,8 @@ impl PipelineOutput {
                 }
             }
         }
+        // total_cmp: NaN times (fault-injected data) must not panic the
+        // sort — the Hawkes layer rejects them with a typed error later.
         for s in &mut streams {
             s.sort_by(|a, b| a.t.total_cmp(&b.t));
         }
@@ -1351,9 +1337,18 @@ mod tests {
                 assert!(w[0].t <= w[1].t);
             }
         }
-        // Spot-check one stream against the per-cluster accessor.
+        // Spot-check one stream against an inline filter of the
+        // association.
         if let Some(&c) = annotated.first() {
-            assert_eq!(streams[0], out.cluster_events(&dataset, c));
+            let mut expected: Vec<Event> = dataset
+                .posts
+                .iter()
+                .zip(&out.occurrences)
+                .filter(|(_, occ)| **occ == Some(c))
+                .map(|(p, _)| Event::new(p.t, p.community.index()))
+                .collect();
+            expected.sort_by(|a, b| a.t.total_cmp(&b.t));
+            assert_eq!(streams[0], expected);
         }
     }
 

@@ -80,16 +80,6 @@ pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 
-/// Render a compact sparkline-ish series for figure binaries: pairs of
-/// `(x, y)` printed as aligned columns.
-pub fn series_table(x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|(x, y)| vec![format!("{x:.2}"), format!("{y:.4}")])
-        .collect();
-    ascii_table(&[x_label, y_label], &rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,11 +127,5 @@ mod tests {
     fn empty_rows_ok() {
         let out = ascii_table(&["A"], &[]);
         assert!(out.contains("| A |"));
-    }
-
-    #[test]
-    fn series_renders() {
-        let out = series_table("d", "r", &[(0.0, 1.0), (8.0, 0.7261)]);
-        assert!(out.contains("0.7261"));
     }
 }

@@ -4,13 +4,12 @@
 //! [`Pipeline`] through [`StageId::ALL`] with the survival machinery a
 //! production batch run needs:
 //!
-//! * **Bounded, deterministic retry/backoff** — each stage attempt runs
-//!   under a [`StagePolicy`]; retryable failures (transient stage and
-//!   item faults, I/O errors, contained panics) are retried up to
-//!   `max_attempts`, with exponential backoff measured in **logical
-//!   ticks** derived from the policy seed (never wall-clock: backoff is
-//!   accounting, not sleeping, so runs stay deterministic and the
-//!   `wallclock-outside-metrics` lint stays green).
+//! * **Bounded, deterministic retry** — each stage attempt runs under
+//!   a [`StagePolicy`]; retryable failures (transient stage and item
+//!   faults, I/O errors, contained panics) are retried at once, up to
+//!   `max_attempts`. Nothing sleeps between attempts, so runs stay
+//!   deterministic and the `wallclock-outside-metrics` lint stays
+//!   green.
 //! * **Panic containment** — every attempt runs under `catch_unwind`;
 //!   a panicking stage becomes a typed
 //!   [`PipelineError::StagePanicked`], never an abort. A failed attempt
@@ -31,7 +30,7 @@
 //! run produces output byte-identical to an uninterrupted clean run
 //! (the chaos suite in `tests/chaos_exec.rs` holds this line). The bare
 //! run is this driver under `StagePolicy { max_attempts: 1,
-//! save_attempts: 1, .. }`: the first error comes back as is.
+//! save_attempts: 1 }`: the first error comes back as is.
 
 use crate::checkpoint::{
     load_validated, persist_checkpoint, prev_checkpoint_path, record_throughput, Checkpoint,
@@ -40,7 +39,6 @@ use crate::checkpoint::{
 use crate::pipeline::{Degradation, Pipeline, PipelineError, PipelineOutput, StageError};
 use crate::quarantine::write_quarantine;
 use meme_simweb::{Dataset, ExecFaultSpec, ExecWriteFault};
-use meme_stats::child_seed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,20 +103,14 @@ impl CheckpointMedium for FaultyMedium {
     }
 }
 
-/// Per-stage retry/backoff policy. All schedule decisions are pure
-/// functions of `(seed, stage, attempt)` — deterministic, wall-clock
-/// free.
+/// Per-stage retry policy: attempt budgets only, so every decision is
+/// deterministic and wall-clock free.
 #[derive(Debug, Clone)]
 pub struct StagePolicy {
     /// Attempts per stage before the last error is returned (≥ 1).
     pub max_attempts: u32,
     /// Attempts per checkpoint write before giving up (≥ 1).
     pub save_attempts: u32,
-    /// Base backoff in logical ticks; attempt *a* backs off
-    /// `base << a` ticks plus seeded jitter in `[0, base << a)`.
-    pub base_backoff_ticks: u64,
-    /// Seed for the jitter draws.
-    pub seed: u64,
 }
 
 impl Default for StagePolicy {
@@ -126,42 +118,17 @@ impl Default for StagePolicy {
         Self {
             max_attempts: 3,
             save_attempts: 3,
-            base_backoff_ticks: 2,
-            seed: 0x5EED,
         }
     }
 }
 
-impl StagePolicy {
-    /// The logical backoff before retrying `stage` after failed attempt
-    /// `attempt` (0-based): truncated exponential plus deterministic
-    /// jitter. Ticks are accounting units recorded in metrics and the
-    /// supervision report — nothing sleeps.
-    pub fn backoff_ticks(&self, stage: StageId, attempt: u32) -> u64 {
-        let scale = self
-            .base_backoff_ticks
-            .saturating_mul(1u64 << attempt.min(20));
-        if scale == 0 {
-            return 0;
-        }
-        let stage_tag = StageId::ALL
-            .iter()
-            .position(|s| *s == stage)
-            .unwrap_or(StageId::ALL.len()) as u64;
-        let jitter = child_seed(child_seed(self.seed, stage_tag), u64::from(attempt)) % scale;
-        scale + jitter
-    }
-}
-
-/// Retry/backoff bookkeeping for one stage that needed retries.
+/// Retry bookkeeping for one stage that needed retries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageRetries {
     /// The stage.
     pub stage: StageId,
     /// Retries performed (attempts beyond the first).
     pub retries: u32,
-    /// Logical backoff ticks accumulated before its retries.
-    pub backoff_ticks: u64,
 }
 
 /// What the supervisor did to keep a run alive.
@@ -171,8 +138,6 @@ pub struct SupervisionReport {
     pub retries: Vec<StageRetries>,
     /// Panics contained by `catch_unwind` across all attempts.
     pub panics_contained: u32,
-    /// Total logical backoff ticks across all retries.
-    pub total_backoff_ticks: u64,
     /// Items sitting in quarantine at the end of the run.
     pub quarantined_items: usize,
     /// Whether resume rolled back to the previous checkpoint generation.
@@ -213,7 +178,7 @@ impl SupervisedRun {
 }
 
 /// Drives a [`Pipeline`] stage by stage under a [`StagePolicy`]: retry
-/// with deterministic backoff, contain panics, quarantine poison items,
+/// within a bounded budget, contain panics, quarantine poison items,
 /// persist checkpoints through a (possibly fault-injected) medium, and
 /// roll back to the previous checkpoint generation when the current one
 /// is damaged.
@@ -260,7 +225,7 @@ impl SupervisedRunner {
         self
     }
 
-    /// Override the retry/backoff policy.
+    /// Override the retry policy.
     pub fn with_policy(mut self, policy: StagePolicy) -> Self {
         self.policy = policy;
         self
@@ -353,7 +318,7 @@ impl SupervisedRunner {
     }
 
     /// Run the stages the checkpoint has not yet completed, each under
-    /// the retry/backoff/containment policy.
+    /// the retry/containment policy.
     fn drive(
         &self,
         dataset: &Dataset,
@@ -367,9 +332,9 @@ impl SupervisedRunner {
             if ckpt.completed.contains(&stage) {
                 continue;
             }
+            // Attempts are 0-based, so after the loop `attempt` is also
+            // the number of retries the stage needed.
             let mut attempt: u32 = 0;
-            let mut stage_retries: u32 = 0;
-            let mut stage_ticks: u64 = 0;
             loop {
                 let span = run_span.child(stage.name());
                 let degradations_before = ckpt.state.degradations.len();
@@ -409,20 +374,14 @@ impl SupervisedRunner {
                 if !retryable(&error) || attempt + 1 >= self.policy.max_attempts {
                     return Err(error);
                 }
-                let ticks = self.policy.backoff_ticks(stage, attempt);
                 metrics.inc("supervise.retries");
                 metrics.inc(&format!("supervise.retries.{stage}"));
-                metrics.add("supervise.backoff_ticks", ticks);
-                stage_retries += 1;
-                stage_ticks += ticks;
                 attempt += 1;
             }
-            if stage_retries > 0 {
-                report.total_backoff_ticks += stage_ticks;
+            if attempt > 0 {
                 report.retries.push(StageRetries {
                     stage,
-                    retries: stage_retries,
-                    backoff_ticks: stage_ticks,
+                    retries: attempt,
                 });
             }
             ckpt.completed.push(stage);
@@ -490,11 +449,6 @@ impl SupervisedRunner {
                     }
                     metrics.inc("checkpoint.write_retries");
                     report.checkpoint_write_retries += 1;
-                    let ticks = self
-                        .policy
-                        .backoff_ticks(ckpt.next_stage().unwrap_or(StageId::Associate), attempt);
-                    metrics.add("supervise.backoff_ticks", ticks);
-                    report.total_backoff_ticks += ticks;
                     attempt += 1;
                 }
             }
@@ -568,40 +522,6 @@ mod tests {
             std::process::id()
         ));
         p
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponentially_bounded() {
-        let policy = StagePolicy::default();
-        for stage in StageId::ALL {
-            for attempt in 0..6 {
-                let a = policy.backoff_ticks(stage, attempt);
-                let b = policy.backoff_ticks(stage, attempt);
-                assert_eq!(a, b, "backoff must be deterministic");
-                let scale = policy.base_backoff_ticks * (1 << attempt);
-                assert!(
-                    (scale..2 * scale).contains(&a),
-                    "attempt {attempt}: {a} outside [{scale}, {})",
-                    2 * scale
-                );
-            }
-        }
-        // Different stages see different jitter (the draws are keyed).
-        let hash0 = policy.backoff_ticks(StageId::Hash, 3);
-        let any_differs = StageId::ALL[1..]
-            .iter()
-            .any(|&s| policy.backoff_ticks(s, 3) != hash0);
-        assert!(any_differs, "jitter must be stage-keyed");
-    }
-
-    #[test]
-    fn zero_base_backoff_is_zero_ticks() {
-        let policy = StagePolicy {
-            base_backoff_ticks: 0,
-            ..StagePolicy::default()
-        };
-        assert_eq!(policy.backoff_ticks(StageId::Hash, 0), 0);
-        assert_eq!(policy.backoff_ticks(StageId::Hash, 5), 0);
     }
 
     #[test]

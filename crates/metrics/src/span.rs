@@ -38,11 +38,6 @@ impl Span {
         Span::start(self.registry.clone(), format!("{}/{}", self.path, name))
     }
 
-    /// Seconds elapsed so far, without finishing the span.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Stop the span, record it, and return the elapsed seconds.
     /// Elapsed time is returned even when the handle is disabled.
     pub fn finish(mut self) -> f64 {

@@ -159,7 +159,7 @@ pub fn ablation_min_pts(r: &Repro) -> Printed {
 /// impulse estimate against the assumed exponential.
 pub fn ablation_beta(r: &Repro) -> Printed {
     section("Ablation: Hawkes kernel decay (beta sensitivity)");
-    let streams = r.cluster_events()?;
+    let streams = r.output.try_all_cluster_events(&r.dataset)?;
     let mut cells = Vec::new();
     for beta in [1.0f64, FIT_BETA, 10.0] {
         let influence = fit_influence(r, &streams, beta);
@@ -308,7 +308,7 @@ pub fn provenance(r: &Repro) -> Printed {
     println!("{}", ascii_table(&["Estimated origin", "Clusters"], &cells));
 
     section("Extension (§7 future work): which memes disseminate?");
-    let streams = r.cluster_events()?;
+    let streams = r.output.try_all_cluster_events(&r.dataset)?;
     let influence = fit_influence(r, &streams, FIT_BETA);
     let annotated = r.output.annotated_clusters();
     let mut cells = Vec::new();

@@ -21,7 +21,7 @@ pub mod sections;
 use meme_annotate::AnnotateError;
 use meme_cluster::dbscan::ClusterError;
 use meme_core::pipeline::{PipelineError, PipelineOutput};
-use meme_hawkes::{Event, HawkesError};
+use meme_hawkes::HawkesError;
 use meme_simweb::Dataset;
 use std::fmt;
 
@@ -87,13 +87,6 @@ pub struct Repro {
     pub dataset: Dataset,
     /// Steps 1–6 output.
     pub output: PipelineOutput,
-}
-
-impl Repro {
-    /// Step-7 input: one event stream per annotated cluster.
-    pub fn cluster_events(&self) -> Result<Vec<Vec<Event>>, PipelineError> {
-        self.output.try_all_cluster_events(&self.dataset)
-    }
 }
 
 /// Print a section header matching the paper's table/figure numbering.

@@ -702,7 +702,7 @@ pub(crate) fn fit_influence(r: &Repro, streams: &[Vec<Event>], beta: f64) -> Clu
 /// per-cluster fit so callers never have to estimate twice.
 pub fn influence(r: &Repro) -> Printed<(ClusterInfluence, InfluenceMatrix)> {
     let t0 = Instant::now();
-    let fitted = fit_influence(r, &r.cluster_events()?, FIT_BETA);
+    let fitted = fit_influence(r, &r.output.try_all_cluster_events(&r.dataset)?, FIT_BETA);
     eprintln!(
         "[repro] fitted {} per-cluster Hawkes models in {:.1?}",
         fitted.per_cluster.len(),
@@ -799,7 +799,7 @@ pub fn fig11_12(r: &Repro) -> Printed {
 /// Figs. 13–16: influence split by racist and political meme groups
 /// with KS significance stars.
 pub fn fig13_16(r: &Repro) -> Printed {
-    let fitted = fit_influence(r, &r.cluster_events()?, FIT_BETA);
+    let fitted = fit_influence(r, &r.output.try_all_cluster_events(&r.dataset)?, FIT_BETA);
     let annotated = r.output.annotated_clusters();
 
     let split_by = |pred: &dyn Fn(usize) -> bool| -> (Vec<InfluenceMatrix>, Vec<InfluenceMatrix>) {

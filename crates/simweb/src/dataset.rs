@@ -184,7 +184,7 @@ impl SimScale {
 /// Why a [`SimConfig`] cannot generate a dataset.
 ///
 /// Historically an invalid horizon was only caught deep inside
-/// `Dataset::generate` — `horizon <= 0` underflowed `horizon_days - 1`
+/// dataset generation — `horizon <= 0` underflowed `horizon_days - 1`
 /// (a panic) and a NaN horizon silently truncated to `horizon_days = 0`
 /// via `as usize`. Validation now rejects both up front with a typed
 /// error.
@@ -258,11 +258,6 @@ impl SimConfig {
         Self::new(SimScale::Small, seed)
     }
 
-    /// Evaluation-scale shortcut.
-    pub fn default_scale(seed: u64) -> Self {
-        Self::new(SimScale::Default, seed)
-    }
-
     /// Check the configuration without generating anything.
     pub fn validate(&self) -> Result<(), SimConfigError> {
         let horizon = self.cascade.horizon;
@@ -280,53 +275,8 @@ impl SimConfig {
     /// Generate the dataset, rejecting an invalid configuration with a
     /// typed error instead of panicking mid-generation.
     pub fn try_generate(&self) -> Result<Dataset, SimConfigError> {
-        Dataset::try_generate(self.clone())
-    }
-
-    /// Generate the dataset.
-    ///
-    /// # Panics
-    /// Panics when [`validate`](Self::validate) rejects the
-    /// configuration; use [`try_generate`](Self::try_generate) for a
-    /// typed error.
-    pub fn generate(&self) -> Dataset {
-        Dataset::generate(self.clone())
-    }
-}
-
-/// The assembled synthetic corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Dataset {
-    /// The generating configuration.
-    pub config: SimConfig,
-    /// Observation horizon in whole days.
-    pub horizon_days: usize,
-    /// Ground-truth meme universe.
-    pub universe: Universe,
-    /// All image posts, sorted by time.
-    pub posts: Vec<Post>,
-    /// Total posts (text + image) per community per day:
-    /// `daily_totals[community_index][day]`.
-    pub daily_totals: Vec<Vec<u64>>,
-    /// The raw (unfiltered) synthetic KYM site.
-    pub kym_raw: RawKymSite,
-}
-
-impl Dataset {
-    /// Generate a dataset from a configuration.
-    ///
-    /// # Panics
-    /// Panics when [`SimConfig::validate`] rejects the configuration;
-    /// use [`try_generate`](Self::try_generate) for a typed error.
-    pub fn generate(config: SimConfig) -> Dataset {
-        Self::try_generate(config).expect("invalid SimConfig")
-    }
-
-    /// Generate a dataset, returning a typed error for an invalid
-    /// configuration (non-finite or non-positive horizon, missing
-    /// community profile) instead of panicking mid-generation.
-    pub fn try_generate(config: SimConfig) -> Result<Dataset, SimConfigError> {
-        config.validate()?;
+        self.validate()?;
+        let config = self.clone();
         let seed = config.seed;
         let universe = Universe::generate(&config.universe, child_seed(seed, 1));
         let kym_raw = generate_kym(&universe, &config.kym, child_seed(seed, 2));
@@ -547,6 +497,36 @@ impl Dataset {
         })
     }
 
+    /// Generate the dataset.
+    ///
+    /// # Panics
+    /// Panics when [`validate`](Self::validate) rejects the
+    /// configuration; use [`try_generate`](Self::try_generate) for a
+    /// typed error.
+    pub fn generate(&self) -> Dataset {
+        self.try_generate().expect("invalid SimConfig")
+    }
+}
+
+/// The assembled synthetic corpus.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Dataset {
+    /// The generating configuration.
+    pub config: SimConfig,
+    /// Observation horizon in whole days.
+    pub horizon_days: usize,
+    /// Ground-truth meme universe.
+    pub universe: Universe,
+    /// All image posts, sorted by time.
+    pub posts: Vec<Post>,
+    /// Total posts (text + image) per community per day:
+    /// `daily_totals[community_index][day]`.
+    pub daily_totals: Vec<Vec<u64>>,
+    /// The raw (unfiltered) synthetic KYM site.
+    pub kym_raw: RawKymSite,
+}
+
+impl Dataset {
     /// Render one post's image.
     pub fn render_post_image(&self, post: &Post) -> Image {
         match post.image {

@@ -236,11 +236,6 @@ impl RawKymSite {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Total gallery images (pre-filtering).
-    pub fn total_images(&self) -> usize {
-        self.entries.iter().map(|e| e.images.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +271,7 @@ mod tests {
             .flat_map(|e| &e.images)
             .filter(|g| g.is_screenshot())
             .count();
-        let total = s.total_images();
+        let total: usize = s.entries.iter().map(|e| e.images.len()).sum();
         let frac = shots as f64 / total as f64;
         assert!(
             (0.03..0.3).contains(&frac),

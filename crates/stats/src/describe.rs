@@ -53,12 +53,6 @@ impl Summary {
             max,
         })
     }
-
-    /// Summarize integer counts.
-    pub fn of_counts(counts: &[u64]) -> Option<Self> {
-        let xs: Vec<f64> = counts.iter().map(|c| *c as f64).collect();
-        Self::of(&xs)
-    }
 }
 
 #[cfg(test)]
@@ -100,11 +94,5 @@ mod tests {
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.median, 42.0);
         assert_eq!(s.variance, 0.0);
-    }
-
-    #[test]
-    fn counts_variant() {
-        let s = Summary::of_counts(&[1, 2, 3]).unwrap();
-        assert_eq!(s.mean, 2.0);
     }
 }

@@ -79,11 +79,6 @@ impl Ecdf {
         self.sorted.last().copied().unwrap_or(f64::NAN)
     }
 
-    /// The sorted underlying sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Evaluate the ECDF on a fixed grid; used by the table binaries to
     /// print plottable (x, F(x)) series for the paper's CDF figures.
     pub fn series(&self, grid: &[f64]) -> Vec<(f64, f64)> {

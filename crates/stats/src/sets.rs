@@ -21,14 +21,6 @@ pub fn jaccard<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Jaccard index over string slices, the common case for KYM tag lists.
-/// Duplicates in the input are collapsed.
-pub fn jaccard_str(a: &[impl AsRef<str>], b: &[impl AsRef<str>]) -> f64 {
-    let sa: HashSet<&str> = a.iter().map(|s| s.as_ref()).collect();
-    let sb: HashSet<&str> = b.iter().map(|s| s.as_ref()).collect();
-    jaccard(&sa, &sb)
-}
-
 /// Overlap coefficient `|A ∩ B| / min(|A|, |B|)`; a secondary similarity
 /// used in cluster-graph diagnostics.
 pub fn overlap<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
@@ -72,13 +64,6 @@ mod tests {
         let a = set(&["x"]);
         assert_eq!(jaccard(&e, &e), 1.0);
         assert_eq!(jaccard(&e, &a), 0.0);
-    }
-
-    #[test]
-    fn jaccard_str_collapses_duplicates() {
-        let a = ["pepe", "pepe", "frog"];
-        let b = ["frog", "pepe"];
-        assert_eq!(jaccard_str(&a, &b), 1.0);
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //! generation automatically falls back to the previous one when it is
 //! intact).
 //!
-//! All runs execute under supervision (DESIGN.md §11): stages are
-//! retried with deterministic backoff (`--retries N`, default 2 retries
-//! after the first attempt), panics are contained into typed errors,
-//! and poison items are diverted to the `--quarantine` dead-letter file
-//! instead of sinking the run. `--chaos PRESET` injects execution
+//! All runs execute under supervision (DESIGN.md §11): a failed stage
+//! is retried at once within a bounded budget (`--retries N`, default 2
+//! retries after the first attempt), panics are contained into typed
+//! errors, and poison items are diverted to the `--quarantine`
+//! dead-letter file instead of sinking the run. `--chaos PRESET` injects execution
 //! faults for testing: `panic-once`, `stage-flake`, `flaky-items`,
 //! `poison-items`, `write-blackout`, or `torn-final`.
 //!
@@ -388,8 +388,6 @@ fn run_pipeline(
     let policy = StagePolicy {
         max_attempts: args.retries + 1,
         save_attempts: args.retries + 1,
-        seed: args.seed,
-        ..StagePolicy::default()
     };
     let mut runner = SupervisedRunner::new(Pipeline::new(pipeline_config(args)))
         .with_metrics(metrics.clone())
@@ -532,10 +530,7 @@ fn shared_run<'a>(repro: &'a mut Option<Repro>, args: &Args) -> Result<&'a Repro
 /// Narrate what supervision had to do (silent when it did nothing).
 fn print_supervision(report: &SupervisionReport) {
     for r in &report.retries {
-        eprintln!(
-            "supervised: stage `{}` retried {}x ({} backoff ticks)",
-            r.stage, r.retries, r.backoff_ticks
-        );
+        eprintln!("supervised: stage `{}` retried {}x", r.stage, r.retries);
     }
     if report.panics_contained > 0 {
         eprintln!("supervised: {} panic(s) contained", report.panics_contained);

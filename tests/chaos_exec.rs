@@ -13,6 +13,8 @@
 //!   never an abort, never silent corruption;
 //! * a torn final checkpoint rolls back to the previous generation on
 //!   resume and still converges to the clean output.
+//!
+//! The last test holds the first line through the `memes` binary.
 
 use origins_of_memes::core::checkpoint::{prev_checkpoint_path, StageId};
 use origins_of_memes::core::pipeline::{
@@ -74,10 +76,6 @@ fn transient_stage_faults_retry_to_byte_identical_output() {
         .expect("two transient failures fit a 3-attempt budget");
     assert_eq!(run.report.total_retries(), 2 * StageId::ALL.len() as u32);
     assert_eq!(run.report.panics_contained, 0);
-    assert!(
-        run.report.total_backoff_ticks > 0,
-        "retries must account logical backoff"
-    );
     let out = run.expect_complete();
     assert_eq!(
         out.to_json(),
@@ -393,7 +391,6 @@ fn one_attempt_policy_returns_the_first_transient_error_unretried() {
         .with_policy(StagePolicy {
             max_attempts: 1,
             save_attempts: 1,
-            ..StagePolicy::default()
         })
         .run(&data)
         .expect_err("one attempt cannot absorb one failure");
@@ -411,4 +408,38 @@ fn one_attempt_policy_returns_the_first_transient_error_unretried() {
     let snap = registry.snapshot();
     assert!(!snap.counters.contains_key("supervise.retries"));
     assert_eq!(snap.spans["pipeline/cluster"].calls, 1);
+}
+
+#[test]
+fn cli_stage_flake_retries_each_stage_once_to_byte_identical_output() {
+    // The same contract through the `memes` binary: `--chaos stage-flake`
+    // fails every stage once, `print_supervision` names each retry on
+    // stderr, and the artifact equals a fault-free run's byte for byte.
+    let memes = |out: &PathBuf, chaos: &[&str]| {
+        let mut args = vec!["run", "--scale", "tiny", "--seed", "7", "--out"];
+        args.push(out.to_str().expect("utf-8 temp path"));
+        args.extend_from_slice(chaos);
+        std::process::Command::new(env!("CARGO_BIN_EXE_memes"))
+            .args(&args)
+            .output()
+            .expect("spawn memes")
+    };
+    let (flaky_path, clean_path) = (tmp_path("cli-flake.json"), tmp_path("cli-clean.json"));
+    let flaky = memes(&flaky_path, &["--chaos", "stage-flake"]);
+    let clean = memes(&clean_path, &[]);
+    let stderr = String::from_utf8_lossy(&flaky.stderr);
+    assert_eq!(flaky.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(clean.status.code(), Some(0));
+    for stage in StageId::ALL {
+        let line = format!("supervised: stage `{stage}` retried 1x");
+        let hits = stderr.lines().filter(|l| *l == line).count();
+        assert_eq!(hits, 1, "`{line}` in stderr: {stderr}");
+    }
+    let (a, b) = (std::fs::read(&flaky_path), std::fs::read(&clean_path));
+    let _ = std::fs::remove_file(&flaky_path);
+    let _ = std::fs::remove_file(&clean_path);
+    assert!(
+        a.expect("flaky artifact") == b.expect("clean artifact"),
+        "retried artifact differs from the clean run's"
+    );
 }
