@@ -97,8 +97,8 @@ pub fn annotate_clusters_with_stats(
 /// `theta`.
 ///
 /// Implementation: one radius index over all gallery hashes (tagged
-/// with their entry; multi-index hashing unless `theta` or the gallery
-/// is outside its envelope, see [`FallbackIndex`]), one radius query per
+/// with their entry; [`FallbackIndex`] picks the engine from the
+/// gallery size and `theta`), one radius query per
 /// medoid — the same two-sided speedup the paper got from its GPU
 /// pairwise engine.
 pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<ClusterAnnotation> {

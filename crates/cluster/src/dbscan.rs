@@ -12,7 +12,7 @@
 //! pipeline's path, which never builds the per-post adjacency.
 
 use crate::medoid::medoid_of_hashes;
-use meme_index::{distinct_neighbors, FallbackIndex, HammingIndex, HashGroups};
+use meme_index::{distinct_neighbors, FallbackIndex, HashGroups};
 use meme_phash::PHash;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -353,25 +353,23 @@ fn flood_fill(
     (labels, n_clusters)
 }
 
-/// Compute neighbourhoods from a Hamming index and run DBSCAN in one
-/// call, parallelizing the pairwise stage over `threads` workers (0 =
-/// all cores) — the same path the pipeline's cluster stage takes: the
-/// item hashes are collapsed with [`HashGroups`], a fresh index is
-/// built over the distinct hashes only, [`distinct_neighbors`] sweeps
-/// their pairs and [`try_dbscan_distinct`] clusters them. Labels are
-/// byte-identical to one radius query per item for every thread count;
-/// malformed parameters surface as a [`ClusterError`] instead of a
-/// panic.
-pub fn try_dbscan_with_index<I: HammingIndex + Sync>(
-    index: &I,
+/// Cluster `hashes` with DBSCAN in one call, parallelizing the pairwise
+/// stage over `threads` workers (0 = all cores) — the same path the
+/// pipeline's cluster stage takes: the hashes are collapsed with
+/// [`HashGroups`], an index is built over the distinct hashes only,
+/// [`distinct_neighbors`] sweeps their pairs and [`try_dbscan_distinct`]
+/// clusters them. Labels are byte-identical to one radius query per
+/// item for every thread count; malformed parameters surface as a
+/// [`ClusterError`] instead of a panic.
+pub fn try_dbscan_hashes(
+    hashes: &[PHash],
     params: DbscanParams,
     threads: usize,
 ) -> Result<Clustering, ClusterError> {
     if params.min_pts == 0 {
         return Err(ClusterError::InvalidMinPts);
     }
-    let hashes: Vec<PHash> = (0..index.len()).map(|i| index.hash_at(i)).collect();
-    let groups = HashGroups::new(&hashes);
+    let groups = HashGroups::new(hashes);
     let collapsed = FallbackIndex::build(groups.unique().to_vec(), params.eps);
     let (adjacency, _) = distinct_neighbors(&collapsed, &groups, params.eps, threads);
     try_dbscan_distinct(&groups, &adjacency, params.min_pts)
@@ -380,7 +378,7 @@ pub fn try_dbscan_with_index<I: HammingIndex + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meme_index::BruteForceIndex;
+    use meme_index::{BruteForceIndex, HammingIndex};
     use meme_stats::seeded_rng;
     use rand::RngExt;
 
@@ -473,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn with_index_end_to_end() {
+    fn hashes_end_to_end() {
         // Two tight hash families + isolated noise.
         let mut rng = seeded_rng(8);
         let mut hashes = Vec::new();
@@ -484,8 +482,7 @@ mod tests {
             }
         }
         hashes.push(PHash(rng.random()));
-        let idx = BruteForceIndex::new(hashes.clone());
-        let c = try_dbscan_with_index(&idx, DbscanParams::default(), 1).unwrap();
+        let c = try_dbscan_hashes(&hashes, DbscanParams::default(), 1).unwrap();
         assert_eq!(c.n_clusters(), 2);
         assert_eq!(c.noise_count(), 1);
         let medoids = c.try_medoids(&hashes).unwrap();
@@ -500,9 +497,8 @@ mod tests {
         let hashes: Vec<PHash> = (0..100)
             .map(|_| PHash(rng.random::<u64>() & 0xFFFF))
             .collect();
-        let idx = BruteForceIndex::new(hashes);
-        let a = try_dbscan_with_index(&idx, DbscanParams { eps: 6, min_pts: 3 }, 1).unwrap();
-        let b = try_dbscan_with_index(&idx, DbscanParams { eps: 6, min_pts: 3 }, 4).unwrap();
+        let a = try_dbscan_hashes(&hashes, DbscanParams { eps: 6, min_pts: 3 }, 1).unwrap();
+        let b = try_dbscan_hashes(&hashes, DbscanParams { eps: 6, min_pts: 3 }, 4).unwrap();
         assert_eq!(a, b);
     }
 
@@ -570,7 +566,7 @@ mod tests {
         for params in [DbscanParams::default(), DbscanParams { eps: 4, min_pts: 3 }] {
             let per_item = try_dbscan(&all_neighbors(&idx, params.eps), params.min_pts).unwrap();
             for threads in [1, 2, 8] {
-                let collapsed = try_dbscan_with_index(&idx, params, threads).unwrap();
+                let collapsed = try_dbscan_hashes(&hashes, params, threads).unwrap();
                 assert_eq!(
                     per_item, collapsed,
                     "eps {} min_pts {} threads {threads}",
@@ -581,10 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn try_dbscan_with_index_reports_typed_errors() {
-        let idx = BruteForceIndex::new(vec![PHash(1), PHash(2)]);
+    fn try_dbscan_hashes_reports_typed_errors() {
         assert_eq!(
-            try_dbscan_with_index(&idx, DbscanParams { eps: 8, min_pts: 0 }, 1),
+            try_dbscan_hashes(
+                &[PHash(1), PHash(2)],
+                DbscanParams { eps: 8, min_pts: 0 },
+                1
+            ),
             Err(ClusterError::InvalidMinPts)
         );
     }

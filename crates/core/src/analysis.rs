@@ -7,7 +7,9 @@
 use crate::pipeline::PipelineOutput;
 use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnnotation};
 use meme_annotate::kym::KymCategory;
-use meme_cluster::dbscan::{try_dbscan_distinct, ClusterError, Clustering, DbscanParams};
+use meme_cluster::dbscan::{
+    try_dbscan_distinct, try_dbscan_hashes, ClusterError, Clustering, DbscanParams,
+};
 use meme_cluster::purity::cluster_false_positive_fractions;
 use meme_index::{distinct_neighbors, FallbackIndex, HashGroups};
 use meme_phash::PHash;
@@ -144,12 +146,7 @@ pub fn cluster_community(
         .iter()
         .map(|&i| output.post_hashes[i])
         .collect();
-    // Same collapsed path as the pipeline's cluster stage: index and
-    // cluster the distinct hashes only.
-    let groups = HashGroups::new(&hashes);
-    let index = FallbackIndex::build(groups.unique().to_vec(), params.eps);
-    let (adjacency, _) = distinct_neighbors(&index, &groups, params.eps, threads);
-    let clustering = try_dbscan_distinct(&groups, &adjacency, params.min_pts)?;
+    let clustering = try_dbscan_hashes(&hashes, params, threads)?;
     let medoid_positions = clustering.try_medoids(&hashes)?;
     let medoid_hashes: Vec<PHash> = medoid_positions.iter().map(|&p| hashes[p]).collect();
     let medoid_posts: Vec<usize> = medoid_positions.iter().map(|&p| post_indices[p]).collect();

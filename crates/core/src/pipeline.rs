@@ -32,8 +32,8 @@ use meme_cluster::dbscan::{try_dbscan_distinct, ClusterError, Clustering, Dbscan
 use meme_hawkes::{ClusterInfluence, Event, HawkesError, InfluenceEstimator};
 use meme_imaging::image::Image;
 use meme_index::{
-    distinct_neighbors, effective_threads, FallbackIndex, HammingIndex, HashGroups, IndexEngine,
-    NeighborStats, QueryScratch,
+    distinct_neighbors, effective_threads, FallbackIndex, HammingIndex, HashGroups, NeighborStats,
+    QueryScratch,
 };
 use meme_metrics::Metrics;
 use meme_phash::{HashScratch, ImageHasher, PHash, PerceptualHasher};
@@ -232,15 +232,6 @@ pub enum Degradation {
         /// The last training error.
         reason: String,
     },
-    /// A Hamming index degraded from MIH to a slower engine.
-    IndexFellBack {
-        /// The stage whose index degraded.
-        stage: StageId,
-        /// The engine actually used.
-        engine: IndexEngine,
-        /// Why the faster engines were rejected.
-        reason: String,
-    },
     /// A stage diverted poison items to the quarantine dead-letter file
     /// instead of failing; the run continued without them.
     ItemsQuarantined {
@@ -263,7 +254,6 @@ impl Degradation {
         match self {
             Self::HawkesClusterSkipped { .. } => "hawkes cluster skipped",
             Self::ScreenshotFilterFellBack { .. } => "screenshot filter fell back to oracle",
-            Self::IndexFellBack { .. } => "hamming index fell back",
             Self::ItemsQuarantined { .. } => "poison items quarantined",
             Self::CheckpointRolledBack { .. } => "checkpoint rolled back",
         }
@@ -274,7 +264,6 @@ impl Degradation {
         match self {
             Self::HawkesClusterSkipped { .. } => "hawkes_cluster_skipped",
             Self::ScreenshotFilterFellBack { .. } => "screenshot_filter_fell_back",
-            Self::IndexFellBack { .. } => "index_fell_back",
             Self::ItemsQuarantined { .. } => "items_quarantined",
             Self::CheckpointRolledBack { .. } => "checkpoint_rolled_back",
         }
@@ -294,11 +283,6 @@ impl fmt::Display for Degradation {
                 f,
                 "screenshot filter fell back to oracle after {attempts} attempts: {reason}"
             ),
-            Self::IndexFellBack {
-                stage,
-                engine,
-                reason,
-            } => write!(f, "stage `{stage}` index fell back to {engine}: {reason}"),
             Self::ItemsQuarantined { stage, items } => {
                 write!(f, "stage `{stage}` quarantined {items} poison item(s)")
             }
@@ -453,7 +437,7 @@ impl Pipeline {
     }
 
     /// Steps 2–3: pairwise distances + DBSCAN + medoids over fringe
-    /// images, with the index fallback chain.
+    /// images.
     fn stage_cluster(
         &self,
         dataset: &Dataset,
@@ -475,7 +459,6 @@ impl Pipeline {
         self.metrics
             .gauge("cluster.dedup_collapse_ratio", groups.collapse_ratio());
         let index = self.build_index(groups.unique().to_vec(), self.config.dbscan.eps, "cluster");
-        let fallback = degraded_engine(&index, StageId::Cluster);
         self.metrics
             .add("cluster.fringe_posts", fringe_posts.len() as u64);
         self.metrics
@@ -505,23 +488,21 @@ impl Pipeline {
         state.medoid_posts = Some(medoid_positions.iter().map(|&p| fringe_posts[p]).collect());
         state.fringe_posts = Some(fringe_posts);
         state.clustering = Some(clustering);
-        state.degradations.extend(fallback);
         Ok(())
     }
 
-    /// Build the fallback index for `radius` queries under a per-engine
+    /// Build the index for `radius` queries under a per-engine
     /// build-time span (`index/build/{slug}`, so `--metrics-out` shows
     /// which engine was built and how long it took), then record the
     /// `index.memory_bytes` gauges (global = most recent build; the
     /// stage-scoped variant keeps the cluster and associate indexes
     /// distinguishable) and the engine-choice counter.
     fn build_index(&self, hashes: Vec<PHash>, radius: u32, stage: &str) -> FallbackIndex {
-        let (engine, _) = FallbackIndex::plan(&hashes, radius);
+        let engine = FallbackIndex::engine_for(hashes.len(), radius);
         let span = self.metrics.span(&format!("index/build/{}", engine.slug()));
         let index = FallbackIndex::build(hashes, radius);
         span.finish();
-        self.metrics
-            .inc(&format!("index.engine.{}", index.engine().slug()));
+        self.metrics.inc(&format!("index.engine.{}", engine.slug()));
         let bytes = index.memory_bytes() as f64;
         self.metrics.gauge("index.memory_bytes", bytes);
         self.metrics
@@ -561,7 +542,6 @@ impl Pipeline {
             .collect();
         let annotated_hashes: Vec<PHash> = annotated.iter().map(|&c| medoid_hashes[c]).collect();
         let assoc_index = self.build_index(annotated_hashes, self.config.theta, "associate");
-        let fallback = degraded_engine(&assoc_index, StageId::Associate);
         let n = post_hashes.len();
         let mut occurrences: Vec<Option<usize>> = vec![None; n];
         let mut quarantined: Vec<QuarantineEntry> = Vec::new();
@@ -583,11 +563,9 @@ impl Pipeline {
                 || (QueryScratch::new(), Vec::new()),
                 |k, slot, (scratch, hits)| {
                     let h = groups.unique()[k];
-                    assoc_index.radius_query_into(h, theta, scratch, hits);
-                    *slot = hits
-                        .iter()
-                        .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
-                        .map(|&pos| annotated[pos]);
+                    *slot = assoc_index
+                        .nearest_into(h, theta, scratch, hits)
+                        .map(|(pos, _)| annotated[pos]);
                 },
                 |k| groups.owners(k)[0] as usize,
             );
@@ -604,7 +582,6 @@ impl Pipeline {
         self.metrics
             .add("associate.annotated_medoids", annotated.len() as u64);
         state.occurrences = Some(occurrences);
-        state.degradations.extend(fallback);
         record_quarantined(state, StageId::Associate, quarantined);
         Ok(())
     }
@@ -955,24 +932,6 @@ fn collect_item_verdicts(
             },
         })
         .collect())
-}
-
-/// The degradation record for an index that fell back, if it did.
-fn degraded_engine(index: &FallbackIndex, stage: StageId) -> Option<Degradation> {
-    if index.engine() == IndexEngine::Mih {
-        return None;
-    }
-    let reason = index
-        .rejections()
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join("; ");
-    Some(Degradation::IndexFellBack {
-        stage,
-        engine: index.engine(),
-        reason,
-    })
 }
 
 impl PipelineOutput {

@@ -3,10 +3,10 @@
 use crate::{HammingIndex, QueryScratch};
 use meme_phash::{swar_distance, PHash};
 
-/// Brute-force radius queries: one popcount per indexed hash. With
-/// 64-bit XOR + POPCNT this scans tens of millions of hashes per second
-/// per core, so it is the pragmatic choice below ~10⁴ items and the
-/// ground truth the other engines are tested against.
+/// Brute-force radius queries: one XOR + popcount per indexed hash and
+/// no per-query setup, so it beats MIH below a few hundred items
+/// ([`crate::MIH_MIN_LEN`]) and is the ground truth the other engines
+/// are tested against.
 #[derive(Debug, Clone)]
 pub struct BruteForceIndex {
     hashes: Vec<PHash>,
@@ -33,26 +33,7 @@ impl HammingIndex for BruteForceIndex {
         self.hashes[i]
     }
 
-    fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize> {
-        self.hashes
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| query.distance(**h) <= radius)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     // lint:hotpath(per-query linear scan; must not allocate per call)
-    fn radius_query_into(
-        &self,
-        query: PHash,
-        radius: u32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<usize>,
-    ) {
-        self.radius_query_from(query, radius, 0, scratch, out);
-    }
-
     fn radius_query_from(
         &self,
         query: PHash,

@@ -1,49 +1,56 @@
-//! Engine fallback: MIH → brute force.
+//! Engine choice: brute force for small indexes and wide radii, MIH
+//! otherwise.
 //!
-//! The banded engine is fast *on the workloads it was designed for*.
-//! Outside that envelope it silently degenerates to
-//! worse-than-brute-force behaviour:
+//! Both engines answer every query exactly and identically (ascending
+//! positions), so the choice changes speed only, and two properties of
+//! the input decide the speed:
 //!
-//! * **MIH** needs bands of a few bits each — at radius `r` it builds
-//!   `r + 1` bands over 64 bits, so large radii produce 1–2-bit bands
-//!   whose buckets hold most of the corpus, and every probe rescans it.
-//!   It also collapses when one identical hash dominates the corpus
-//!   (e.g. a corrupted feed emitting the same image): the dominant
-//!   bucket turns every query quadratic.
-//! * **Brute force** is O(n) per query regardless of the data — slower
-//!   on friendly workloads, but immune to hostile ones.
+//! * **Size.** Brute force pays one XOR + popcount per indexed hash and
+//!   nothing else; MIH pays `radius + 1` band probes plus candidate
+//!   stamping and a sort before it saves any scan. Below
+//!   [`MIH_MIN_LEN`] hashes the scan is cheaper. The Step-6 and
+//!   `memes serve` medoid indexes (20–104 annotated medoids) sit below
+//!   it; Step 5's KYM gallery (556–1 876 hashes at small scale) and
+//!   Step 2's distinct fringe hashes (7k–29k) sit above it.
+//! * **Radius.** MIH builds `radius + 1` bands over 64 bits; past
+//!   radius 15 they shrink under 4 bits, every bucket holds a large
+//!   share of the corpus and the probes stop pruning.
 //!
-//! [`FallbackIndex::build`] tries MIH first, records why it rejected
-//! the workload, and always returns a working index — graceful
-//! degradation instead of a quadratic stall or a panic. The paper fixes
-//! `eps = θ = 8` and every radius in this repository is ≤ 10, so MIH's
-//! envelope (radius ≤ 15) covers every caller; brute force is the one
-//! fallback and the reference the tests compare against.
+//! Duplicates need no rule of their own. A query stamps each candidate
+//! once ([`QueryScratch`]), so even when one hash dominates the corpus
+//! a query costs at most about `bands × n` stamps plus `n` verifies —
+//! the brute-force bound times the band count, not a quadratic stall.
+//! Steps 2 and 6 and the serve snapshot hold at most a few copies of a
+//! hash anyway; only Step 5's gallery is not deduplicated.
 
 use crate::{BruteForceIndex, HammingIndex, MihIndex, QueryScratch};
 use meme_phash::PHash;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
 
-/// The engine a [`FallbackIndex`] settled on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Index size from which MIH answers faster than brute force.
+///
+/// Measured with `radius_query_into` at radius 8 on a release build (2
+/// vCPU, best of 7): the 90k distinct post hashes of `--scale small
+/// --seed 1` queried against the first `n` cluster medoids and against
+/// `n` gallery hashes taken at a stride. Brute force was faster at every
+/// `n <= 256` in both families (e.g. 392 vs 411 ns at 256), the two were
+/// within noise at 320 (419–466 vs 421–459 ns), and MIH was faster from
+/// 384 on (470–517 vs 529–570 ns).
+pub const MIH_MIN_LEN: usize = 320;
+
+/// Largest radius MIH takes: beyond it, bands shrink under 4 bits
+/// (`64 / (radius + 1) < 4`) and bucket selectivity vanishes.
+const MIH_MAX_RADIUS: u32 = 15;
+
+/// The engine a [`FallbackIndex`] runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexEngine {
-    /// Multi-index hashing (the preferred engine).
+    /// Multi-index hashing.
     Mih,
-    /// Parallel linear scan (the last resort; never rejects).
+    /// Linear scan.
     BruteForce,
 }
 
 impl IndexEngine {
-    /// Human-readable engine name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Mih => "multi-index hashing",
-            Self::BruteForce => "brute force",
-        }
-    }
-
     /// Stable machine-readable identifier (metric names, JSON keys).
     pub fn slug(self) -> &'static str {
         match self {
@@ -53,74 +60,11 @@ impl IndexEngine {
     }
 }
 
-impl fmt::Display for IndexEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Why an engine declined a workload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexError {
-    /// The query radius exceeds what the engine can prune effectively.
-    RadiusTooLarge {
-        /// The engine that declined.
-        engine: IndexEngine,
-        /// Requested radius.
-        radius: u32,
-        /// Largest radius the engine accepts.
-        limit: u32,
-    },
-    /// A single hash value dominates the corpus, degenerating the
-    /// engine's data structure.
-    DegenerateWorkload {
-        /// The engine that declined.
-        engine: IndexEngine,
-        /// Fraction of the corpus held by the most common hash.
-        dominant_fraction: f64,
-    },
-}
-
-impl fmt::Display for IndexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::RadiusTooLarge {
-                engine,
-                radius,
-                limit,
-            } => write!(
-                f,
-                "{engine} rejects radius {radius} (accepts up to {limit})"
-            ),
-            Self::DegenerateWorkload {
-                engine,
-                dominant_fraction,
-            } => write!(
-                f,
-                "{engine} rejects duplicate-dominated workload \
-                 ({:.0}% of hashes identical)",
-                100.0 * dominant_fraction
-            ),
-        }
-    }
-}
-
-impl std::error::Error for IndexError {}
-
-/// Largest radius MIH accepts: beyond it, bands shrink under 4 bits
-/// (`64 / (radius + 1) < 4`) and bucket selectivity vanishes.
-const MIH_MAX_RADIUS: u32 = 15;
-
-/// Minimum corpus size before duplicate domination matters; tiny
-/// workloads are cheap under any engine.
-const DUP_CHECK_MIN: usize = 16;
-
-/// A radius-query index that always builds: MIH when the workload fits
-/// its envelope, else brute force.
+/// A radius-query index on the engine [`FallbackIndex::engine_for`]
+/// picks for its size and radius.
 #[derive(Debug, Clone)]
 pub struct FallbackIndex {
     backend: Backend,
-    rejections: Vec<IndexError>,
 }
 
 #[derive(Debug, Clone)]
@@ -130,55 +74,33 @@ enum Backend {
 }
 
 impl FallbackIndex {
-    /// Decide which engine would take `hashes` at `radius` — without
-    /// building anything. Cheap (one duplicate count), so callers that
-    /// want to time or label the build (e.g. a metrics span named after
-    /// the engine) can plan first, then call [`FallbackIndex::build`].
-    pub fn plan(hashes: &[PHash], radius: u32) -> (IndexEngine, Vec<IndexError>) {
-        let dominant = dominant_fraction(hashes);
-        let rejection = if radius > MIH_MAX_RADIUS {
-            IndexError::RadiusTooLarge {
-                engine: IndexEngine::Mih,
-                radius,
-                limit: MIH_MAX_RADIUS,
-            }
-        } else if hashes.len() >= DUP_CHECK_MIN && dominant > 0.5 {
-            IndexError::DegenerateWorkload {
-                engine: IndexEngine::Mih,
-                dominant_fraction: dominant,
-            }
+    /// The engine for `len` hashes queried at `radius`: brute force
+    /// below [`MIH_MIN_LEN`] hashes or past radius 15, MIH otherwise.
+    pub fn engine_for(len: usize, radius: u32) -> IndexEngine {
+        if len < MIH_MIN_LEN || radius > MIH_MAX_RADIUS {
+            IndexEngine::BruteForce
         } else {
-            return (IndexEngine::Mih, Vec::new());
-        };
-        (IndexEngine::BruteForce, vec![rejection])
-    }
-
-    /// Build an index for radius-`radius` queries over `hashes`,
-    /// falling back to brute force when MIH declines.
-    pub fn build(hashes: Vec<PHash>, radius: u32) -> Self {
-        let (engine, rejections) = Self::plan(&hashes, radius);
-        let backend = match engine {
-            // lint:allow(panic-reachable): plan() selects MIH only for radius < 64 and in-u32 gallery sizes, so new()'s contract holds
-            IndexEngine::Mih => Backend::Mih(MihIndex::new(hashes, radius)),
-            IndexEngine::BruteForce => Backend::Brute(BruteForceIndex::new(hashes)),
-        };
-        Self {
-            backend,
-            rejections,
+            IndexEngine::Mih
         }
     }
 
-    /// The engine that accepted the workload.
+    /// Build an index for radius-`radius` queries over `hashes` on
+    /// [`FallbackIndex::engine_for`]'s engine.
+    pub fn build(hashes: Vec<PHash>, radius: u32) -> Self {
+        let backend = match Self::engine_for(hashes.len(), radius) {
+            // lint:allow(panic-reachable): engine_for picks MIH only at radius <= 15 < 64; 2^32 hashes (32 GiB) is beyond any corpus here
+            IndexEngine::Mih => Backend::Mih(MihIndex::new(hashes, radius)),
+            IndexEngine::BruteForce => Backend::Brute(BruteForceIndex::new(hashes)),
+        };
+        Self { backend }
+    }
+
+    /// The engine this index runs on.
     pub fn engine(&self) -> IndexEngine {
         match self.backend {
             Backend::Mih(_) => IndexEngine::Mih,
             Backend::Brute(_) => IndexEngine::BruteForce,
         }
-    }
-
-    /// Why MIH declined (empty when it took the workload).
-    pub fn rejections(&self) -> &[IndexError] {
-        &self.rejections
     }
 }
 
@@ -197,27 +119,7 @@ impl HammingIndex for FallbackIndex {
         }
     }
 
-    fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize> {
-        match &self.backend {
-            Backend::Mih(x) => x.radius_query(query, radius),
-            Backend::Brute(x) => x.radius_query(query, radius),
-        }
-    }
-
     // lint:hotpath(per-query radius lookup; dispatch must stay allocation-free)
-    fn radius_query_into(
-        &self,
-        query: PHash,
-        radius: u32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<usize>,
-    ) {
-        match &self.backend {
-            Backend::Mih(x) => x.radius_query_into(query, radius, scratch, out),
-            Backend::Brute(x) => x.radius_query_into(query, radius, scratch, out),
-        }
-    }
-
     fn radius_query_from(
         &self,
         query: PHash,
@@ -240,20 +142,6 @@ impl HammingIndex for FallbackIndex {
     }
 }
 
-/// Share of the corpus held by the most common hash value (0 for an
-/// empty corpus).
-fn dominant_fraction(hashes: &[PHash]) -> f64 {
-    if hashes.is_empty() {
-        return 0.0;
-    }
-    let mut counts: HashMap<u64, usize> = HashMap::new();
-    for h in hashes {
-        *counts.entry(h.0).or_insert(0) += 1;
-    }
-    let max = counts.values().copied().max().unwrap_or(0);
-    max as f64 / hashes.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,64 +154,54 @@ mod tests {
     }
 
     #[test]
-    fn clean_small_radius_uses_mih() {
-        let idx = FallbackIndex::build(distinct_hashes(100), 8);
-        assert_eq!(idx.engine(), IndexEngine::Mih);
-        assert!(idx.rejections().is_empty());
+    fn engine_for_empty_input_is_brute_force() {
+        assert_eq!(FallbackIndex::engine_for(0, 8), IndexEngine::BruteForce);
     }
 
     #[test]
-    fn large_radius_falls_to_brute() {
-        for radius in [20, 40] {
-            let idx = FallbackIndex::build(distinct_hashes(100), radius);
-            assert_eq!(idx.engine(), IndexEngine::BruteForce);
-            assert_eq!(idx.rejections().len(), 1);
+    fn engine_for_switches_to_mih_exactly_at_the_crossover() {
+        assert_eq!(
+            FallbackIndex::engine_for(MIH_MIN_LEN - 1, 8),
+            IndexEngine::BruteForce
+        );
+        assert_eq!(FallbackIndex::engine_for(MIH_MIN_LEN, 8), IndexEngine::Mih);
+    }
+
+    #[test]
+    fn engine_for_sends_radius_past_15_to_brute_force() {
+        assert_eq!(FallbackIndex::engine_for(MIH_MIN_LEN, 15), IndexEngine::Mih);
+        assert_eq!(
+            FallbackIndex::engine_for(MIH_MIN_LEN, 16),
+            IndexEngine::BruteForce
+        );
+    }
+
+    #[test]
+    fn build_runs_on_the_engine_engine_for_picks() {
+        for (n, radius) in [(0, 8), (100, 8), (MIH_MIN_LEN, 8), (MIH_MIN_LEN, 20)] {
+            let idx = FallbackIndex::build(distinct_hashes(n), radius);
+            assert_eq!(idx.engine(), FallbackIndex::engine_for(n, radius));
+            assert_eq!(idx.len(), n);
         }
     }
 
     #[test]
-    fn duplicate_dominated_workload_falls_to_brute() {
-        let mut hashes = distinct_hashes(30);
-        hashes.extend(std::iter::repeat_n(PHash(0xDEAD_BEEF), 70));
-        let idx = FallbackIndex::build(hashes, 8);
-        assert_eq!(idx.engine(), IndexEngine::BruteForce);
-        assert_eq!(idx.rejections().len(), 1);
-        assert!(matches!(
-            idx.rejections()[0],
-            IndexError::DegenerateWorkload { .. }
-        ));
-    }
-
-    #[test]
-    fn tiny_duplicate_workloads_stay_on_mih() {
-        let hashes = vec![PHash(7); DUP_CHECK_MIN - 1];
-        let idx = FallbackIndex::build(hashes, 8);
-        assert_eq!(idx.engine(), IndexEngine::Mih);
-    }
-
-    #[test]
-    fn fallback_answers_match_brute_force() {
-        let mut hashes = distinct_hashes(50);
+    fn answers_match_brute_force_on_both_engines() {
+        let mut hashes = distinct_hashes(2 * MIH_MIN_LEN);
         hashes.extend(std::iter::repeat_n(PHash(42), 150));
-        let brute = BruteForceIndex::new(hashes.clone());
-        for radius in [0u32, 8, 20, 40] {
-            let idx = FallbackIndex::build(hashes.clone(), radius);
-            for &q in hashes.iter().take(20) {
-                assert_eq!(
-                    idx.radius_query(q, radius),
-                    brute.radius_query(q, radius),
-                    "engine {:?} radius {radius}",
-                    idx.engine()
-                );
+        for n in [50, hashes.len()] {
+            let brute = BruteForceIndex::new(hashes[..n].to_vec());
+            for radius in [0u32, 8, 20, 40] {
+                let idx = FallbackIndex::build(hashes[..n].to_vec(), radius);
+                for &q in hashes.iter().take(20) {
+                    assert_eq!(
+                        idx.radius_query(q, radius),
+                        brute.radius_query(q, radius),
+                        "engine {:?} radius {radius}",
+                        idx.engine()
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn empty_corpus_builds() {
-        let idx = FallbackIndex::build(Vec::new(), 8);
-        assert_eq!(idx.engine(), IndexEngine::Mih);
-        assert!(idx.is_empty());
-        assert!(idx.radius_query(PHash(1), 8).is_empty());
     }
 }

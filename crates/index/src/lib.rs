@@ -14,8 +14,9 @@
 //!   at least one band exactly, so candidates come from `r + 1` exact
 //!   table lookups.
 //!
-//! Both engines implement [`HammingIndex`]; the DBSCAN stage and the
-//! association stage (Step 6) are generic over it.
+//! Both engines implement [`HammingIndex`]'s one query,
+//! [`HammingIndex::radius_query_from`]; [`FallbackIndex`] picks one of
+//! them from the index size and radius alone.
 //! [`distinct_neighbors`] computes every distinct hash's radius
 //! neighbourhood in parallel — the "pairwise comparison" driver;
 //! [`symmetric_neighbors`] expands it to one list per item.
@@ -31,7 +32,7 @@ pub mod scratch;
 
 pub use brute::BruteForceIndex;
 pub use dedup::HashGroups;
-pub use fallback::{FallbackIndex, IndexEngine, IndexError};
+pub use fallback::{FallbackIndex, IndexEngine, MIH_MIN_LEN};
 pub use mih::MihIndex;
 pub use scratch::{QueryScratch, QueryStats};
 
@@ -55,32 +56,13 @@ pub trait HammingIndex {
     /// The hash stored at position `i`.
     fn hash_at(&self, i: usize) -> PHash;
 
-    /// All indices `i` with `distance(query, hash_at(i)) <= radius`,
-    /// in ascending index order.
-    fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize>;
-
-    /// [`HammingIndex::radius_query`] through reusable working memory:
-    /// results land in `out` (cleared first), intermediate state lives
-    /// in `scratch`. Engines override this so steady-state queries
-    /// allocate nothing; the default delegates to `radius_query`.
-    fn radius_query_into(
-        &self,
-        query: PHash,
-        radius: u32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<usize>,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.radius_query(query, radius));
-    }
-
-    /// Like [`HammingIndex::radius_query_into`], restricted to indices
-    /// `i >= start` — the half-open tail of the index. The symmetric
-    /// pairwise driver uses this so each unordered pair is verified
-    /// exactly once and mirrored, instead of twice. Engines override it
-    /// to skip the excluded prefix *before* distance verification (the
-    /// brute engine does not even scan it).
+    /// All indices `i >= start` with `distance(query, hash_at(i)) <=
+    /// radius`, ascending, written to `out` (cleared first) — the one
+    /// query each engine implements. Intermediate state lives in
+    /// `scratch`, so steady-state calls allocate nothing. `start` skips
+    /// the prefix before distance verification; the symmetric pairwise
+    /// driver passes `u + 1` so each unordered pair is verified once
+    /// and mirrored.
     fn radius_query_from(
         &self,
         query: PHash,
@@ -88,9 +70,45 @@ pub trait HammingIndex {
         start: usize,
         scratch: &mut QueryScratch,
         out: &mut Vec<usize>,
+    );
+
+    /// [`HammingIndex::radius_query_from`] over the whole index.
+    // lint:hotpath(per-query radius lookup through the caller's scratch)
+    fn radius_query_into(
+        &self,
+        query: PHash,
+        radius: u32,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<usize>,
     ) {
-        self.radius_query_into(query, radius, scratch, out);
-        out.retain(|&i| i >= start);
+        self.radius_query_from(query, radius, 0, scratch, out);
+    }
+
+    /// All indices `i` with `distance(query, hash_at(i)) <= radius`,
+    /// in ascending index order, through fresh working memory.
+    fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.radius_query_into(query, radius, &mut QueryScratch::new(), &mut out);
+        out
+    }
+
+    /// The nearest indexed hash within `radius` as `(position,
+    /// distance)`: the smallest `(distance, position)`, so a tie goes to
+    /// the smallest position. `hits` receives the radius matches.
+    /// `None` when nothing is within `radius`.
+    // lint:hotpath(per-query nearest lookup of Step 6 and `memes serve`)
+    fn nearest_into(
+        &self,
+        query: PHash,
+        radius: u32,
+        scratch: &mut QueryScratch,
+        hits: &mut Vec<usize>,
+    ) -> Option<(usize, u32)> {
+        self.radius_query_into(query, radius, scratch, hits);
+        hits.iter()
+            .map(|&pos| (query.distance(self.hash_at(pos)), pos))
+            .min()
+            .map(|(distance, pos)| (pos, distance))
     }
 
     /// Approximate bytes held by the engine's data structures (hash

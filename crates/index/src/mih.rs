@@ -27,7 +27,7 @@
 //! wider than [`COUNTING_SORT_MAX_WIDTH`] bits), not
 //! `entry().or_default().push()`.
 //!
-//! **Querying.** [`MihIndex::radius_query_into`] gathers candidates
+//! **Querying.** [`MihIndex`]'s `radius_query_from` gathers candidates
 //! through an epoch-stamped [`QueryScratch`] (no per-query `sort +
 //! dedup`), verifies distances with an unrolled SWAR batch kernel, and
 //! writes into a caller-owned buffer — steady-state queries allocate
@@ -234,46 +234,6 @@ impl MihIndex {
     pub fn max_radius(&self) -> u32 {
         self.max_radius
     }
-
-    /// Shared body of the scratch-based queries: gather candidates with
-    /// id `>= start` through the visited stamps, batch-verify, sort.
-    fn query_impl(
-        &self,
-        query: PHash,
-        radius: u32,
-        start: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<usize>,
-    ) {
-        assert!(
-            radius <= self.max_radius,
-            "query radius {radius} exceeds index max_radius {}",
-            self.max_radius
-        );
-        out.clear();
-        scratch.begin(self.hashes.len());
-        let start = start.min(u32::MAX as usize) as u32;
-        let mut gathered = 0u64;
-        for (band, table) in self.bands.iter().zip(&self.tables) {
-            let bucket = table.bucket(band.extract(query));
-            gathered += bucket.len() as u64;
-            for &id in bucket {
-                // The symmetric driver only wants ids >= start; cheap
-                // integer compare ahead of the stamp + verify.
-                if id >= start && scratch.mark(id) {
-                    scratch.candidates.push(id);
-                }
-            }
-        }
-        scratch.stats.probes += self.bands.len() as u64;
-        scratch.stats.candidates += gathered;
-        scratch.stats.verified += scratch.candidates.len() as u64;
-        verify_batch(&self.hashes, query, radius, &scratch.candidates, out);
-        // Candidates arrive in probe order; the contract is ascending
-        // item order. In-place sort of the (small) verified set — no
-        // per-query sort+dedup over the raw candidate union.
-        out.sort_unstable();
-    }
 }
 
 /// Verify candidate distances four at a time with the SWAR popcount
@@ -324,27 +284,13 @@ impl HammingIndex for MihIndex {
         self.hashes[i]
     }
 
+    /// Gathers candidates with id `>= start` through the visited stamps,
+    /// batch-verifies them and sorts the survivors.
+    ///
     /// # Panics
     /// Panics when `radius > max_radius`; the banding only guarantees
     /// exactness up to the radius the index was built for.
-    fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        self.query_impl(query, radius, 0, &mut scratch, &mut out);
-        out
-    }
-
     // lint:hotpath(per-query banded candidate scan; the scratch buffers amortize allocation)
-    fn radius_query_into(
-        &self,
-        query: PHash,
-        radius: u32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<usize>,
-    ) {
-        self.query_impl(query, radius, 0, scratch, out);
-    }
-
     fn radius_query_from(
         &self,
         query: PHash,
@@ -353,7 +299,34 @@ impl HammingIndex for MihIndex {
         scratch: &mut QueryScratch,
         out: &mut Vec<usize>,
     ) {
-        self.query_impl(query, radius, start, scratch, out);
+        assert!(
+            radius <= self.max_radius,
+            "query radius {radius} exceeds index max_radius {}",
+            self.max_radius
+        );
+        out.clear();
+        scratch.begin(self.hashes.len());
+        let start = start.min(u32::MAX as usize) as u32;
+        let mut gathered = 0u64;
+        for (band, table) in self.bands.iter().zip(&self.tables) {
+            let bucket = table.bucket(band.extract(query));
+            gathered += bucket.len() as u64;
+            for &id in bucket {
+                // The symmetric driver only wants ids >= start; cheap
+                // integer compare ahead of the stamp + verify.
+                if id >= start && scratch.mark(id) {
+                    scratch.candidates.push(id);
+                }
+            }
+        }
+        scratch.stats.probes += self.bands.len() as u64;
+        scratch.stats.candidates += gathered;
+        scratch.stats.verified += scratch.candidates.len() as u64;
+        verify_batch(&self.hashes, query, radius, &scratch.candidates, out);
+        // Candidates arrive in probe order; the contract is ascending
+        // item order. In-place sort of the (small) verified set — no
+        // per-query sort+dedup over the raw candidate union.
+        out.sort_unstable();
     }
 
     fn memory_bytes(&self) -> usize {

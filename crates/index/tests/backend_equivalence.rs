@@ -2,14 +2,17 @@
 //! *identical* neighbor sets — especially at the `eps`/`theta` decision
 //! boundary (the paper's eps = θ = 8), and including the self-match —
 //! so DBSCAN's core test (`nb.len() + 1 >= min_pts`) means exactly the
-//! same thing no matter which engine a [`FallbackIndex`] degraded to.
+//! same thing no matter which engine a [`FallbackIndex`] picked.
 
 mod oracle;
 
-use meme_index::{BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex};
+use meme_index::{
+    BruteForceIndex, FallbackIndex, HammingIndex, MihIndex, QueryScratch, MIH_MIN_LEN,
+};
 use meme_phash::PHash;
 use meme_stats::seeded_rng;
 use oracle::all_neighbors;
+use proptest::prelude::*;
 use rand::RngExt;
 
 /// The paper's clustering radius (eps) and annotation threshold (θ).
@@ -122,41 +125,67 @@ fn dbscan_core_test_is_backend_invariant() {
     }
 }
 
-#[test]
-fn every_fallback_degradation_level_matches_brute_force() {
-    let hashes = boundary_corpus(105);
-    let reference = BruteForceIndex::new(hashes.clone());
+/// Index sizes on both sides of the crossover (and the empty index).
+const SIZES: [usize; 5] = [0, 1, MIH_MIN_LEN - 1, MIH_MIN_LEN, MIH_MIN_LEN + 40];
 
-    // Level 0: clean workload at the boundary radius — MIH accepts.
-    let mih = FallbackIndex::build(hashes.clone(), BOUNDARY);
-    assert_eq!(mih.engine(), IndexEngine::Mih);
+/// A corpus of `SIZES[size]` hashes: families of near-duplicates around
+/// a few centers (flips of up to 12 bits, so hits straddle every radius
+/// drawn below), with every fifth hash an exact copy of its center.
+fn family_corpus(size: usize, centers: &[u64], seed: u64) -> Vec<PHash> {
+    let mut rng = seeded_rng(seed);
+    (0..SIZES[size])
+        .map(|i| {
+            let center = PHash(centers[i % centers.len()]);
+            if i % 5 == 0 {
+                return center;
+            }
+            let flips: Vec<u8> = (0..rng.random_range(0..=12usize))
+                .map(|_| rng.random_range(0..64u8))
+                .collect();
+            center.with_flipped_bits(&flips)
+        })
+        .collect()
+}
 
-    // Level 1: radius beyond MIH's envelope — brute force takes it.
-    let wide = FallbackIndex::build(hashes.clone(), 20);
-    assert_eq!(wide.engine(), IndexEngine::BruteForce);
-
-    // Level 1 again: duplicate-dominated workload — brute force takes it.
-    let mut dominated = hashes.clone();
-    dominated.extend(std::iter::repeat_n(PHash(0xFEED_FACE), 2 * hashes.len()));
-    let brute = FallbackIndex::build(dominated.clone(), BOUNDARY);
-    assert_eq!(brute.engine(), IndexEngine::BruteForce);
-    let dominated_ref = BruteForceIndex::new(dominated.clone());
-
-    for &q in hashes.iter().take(40) {
-        assert_eq!(
-            mih.radius_query(q, BOUNDARY),
-            reference.radius_query(q, BOUNDARY),
-            "fallback level mih"
-        );
-        assert_eq!(
-            wide.radius_query(q, BOUNDARY),
-            reference.radius_query(q, BOUNDARY),
-            "fallback level brute (radius)"
-        );
-        assert_eq!(
-            brute.radius_query(q, BOUNDARY),
-            dominated_ref.radius_query(q, BOUNDARY),
-            "fallback level brute (duplicates)"
-        );
+proptest! {
+    #[test]
+    fn fallback_index_answers_as_brute_force_on_both_sides_of_the_crossover(
+        (size, radius, seed) in (0usize..SIZES.len(), 0u32..=20, any::<u64>()),
+        centers in prop::collection::vec(any::<u64>(), 1..6),
+        probes in prop::collection::vec((any::<u64>(), 0u8..64), 8),
+    ) {
+        let hashes = family_corpus(size, &centers, seed);
+        let index = FallbackIndex::build(hashes.clone(), radius);
+        let brute = BruteForceIndex::new(hashes.clone());
+        let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
+        // Random probes, a bit away from the centers, and indexed hashes.
+        let queries = probes.iter().flat_map(|&(bits, flip)| {
+            let near = PHash(centers[bits as usize % centers.len()]).with_flipped_bits(&[flip]);
+            let indexed = hashes.get(bits as usize % hashes.len().max(1)).copied();
+            [PHash(bits), near].into_iter().chain(indexed)
+        });
+        for q in queries {
+            let ctx = format!("engine {:?} n {} r {radius} q {q}", index.engine(), hashes.len());
+            let expected = brute.radius_query(q, radius);
+            prop_assert_eq!(index.radius_query(q, radius), expected.clone(), "{}", ctx);
+            index.radius_query_into(q, radius, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &expected, "into {}", ctx);
+            let start = hashes.len() / 3;
+            index.radius_query_from(q, radius, start, &mut scratch, &mut out);
+            let tail: Vec<usize> = expected.iter().copied().filter(|&i| i >= start).collect();
+            prop_assert_eq!(&out, &tail, "from {}", ctx);
+            let naive = (0..hashes.len())
+                .map(|i| (q.distance(hashes[i]), i))
+                .filter(|&(d, _)| d <= radius)
+                .min()
+                .map(|(d, i)| (i, d));
+            prop_assert_eq!(
+                index.nearest_into(q, radius, &mut scratch, &mut out),
+                naive,
+                "nearest {}",
+                ctx
+            );
+        }
     }
 }

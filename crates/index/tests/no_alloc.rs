@@ -2,7 +2,8 @@
 //!
 //! The CSR engine's contract is that once a worker's buffers have grown
 //! to the workload's high-water mark, `radius_query_into` /
-//! `radius_query_from` perform **zero heap allocations**: probing is
+//! `radius_query_from` / `nearest_into` perform **zero heap
+//! allocations**: probing is
 //! binary search over flat arrays, dedup is the epoch stamp, results
 //! reuse the caller's output vector, and the final ordering is an
 //! in-place sort. A counting global allocator makes that claim a test
@@ -83,6 +84,7 @@ fn steady_state_queries_do_not_allocate() {
         mih.radius_query_from(q, 8, i / 2, &mut scratch, &mut out);
         brute.radius_query_into(q, 8, &mut scratch, &mut out);
     }
+    let mut nearest = 0usize;
 
     let before = allocations();
     for (i, &q) in hashes.iter().enumerate() {
@@ -90,8 +92,15 @@ fn steady_state_queries_do_not_allocate() {
         mih.radius_query_from(q, 8, i / 2, &mut scratch, &mut out);
         brute.radius_query_into(q, 8, &mut scratch, &mut out);
         brute.radius_query_from(q, 8, i / 2, &mut scratch, &mut out);
+        nearest += usize::from(mih.nearest_into(q, 8, &mut scratch, &mut out).is_some());
+        nearest += usize::from(brute.nearest_into(q, 8, &mut scratch, &mut out).is_some());
     }
     let after = allocations();
+    assert_eq!(
+        nearest,
+        2 * hashes.len(),
+        "every indexed query is its own match"
+    );
     assert_eq!(
         after - before,
         0,

@@ -3,7 +3,7 @@
 
 use crate::sections::{fit_influence, FIT_BETA};
 use crate::{section, Printed, Repro};
-use meme_cluster::dbscan::{try_dbscan_distinct, try_dbscan_with_index, DbscanParams};
+use meme_cluster::dbscan::{try_dbscan_distinct, try_dbscan_hashes, DbscanParams};
 use meme_cluster::purity::{identity_recall, majority_purity};
 use meme_core::analysis;
 use meme_core::graph::{ClusterGraph, GraphConfig};
@@ -11,7 +11,7 @@ use meme_core::metric::{ClusterDistance, MetricWeights};
 use meme_core::provenance::{caption_analysis, infer_origins, virality};
 use meme_core::report::{ascii_table, pct};
 use meme_hawkes::{Event, HawkesError, HawkesModel};
-use meme_index::{distinct_neighbors, BruteForceIndex, HashGroups, MihIndex};
+use meme_index::{distinct_neighbors, HashGroups, MihIndex};
 use meme_phash::{AverageHasher, DifferenceHasher, ImageHasher, PHash, PerceptualHasher};
 use meme_simweb::Community;
 
@@ -42,8 +42,7 @@ pub fn ablation_hashers(r: &Repro) -> Printed {
             .iter()
             .map(|&i| hasher.hash(&r.dataset.render_post_image(&r.dataset.posts[i])))
             .collect();
-        let clustering =
-            try_dbscan_with_index(&BruteForceIndex::new(hashes), DbscanParams::default(), 0)?;
+        let clustering = try_dbscan_hashes(&hashes, DbscanParams::default(), 0)?;
         let purity = majority_purity(&clustering, &truth);
         let recall = identity_recall(&clustering, &truth);
         cells.push(vec![

@@ -19,7 +19,7 @@ use meme_hawkes::{
     parent_probabilities, root_causes, simulate_branching, strip_lineage, ClusterInfluence, Event,
     HawkesModel, InfluenceEstimator, InfluenceMatrix, SplitInfluence,
 };
-use meme_index::{BruteForceIndex, HammingIndex, MihIndex};
+use meme_index::{BruteForceIndex, FallbackIndex, HammingIndex, MihIndex, QueryScratch};
 use meme_phash::PHash;
 use meme_simweb::Community;
 use meme_stats::Ecdf;
@@ -888,20 +888,14 @@ pub fn perf(r: &Repro) -> Printed {
         r.output.post_hashes.len(),
         medoids.len()
     );
-    let mih = MihIndex::new(medoids.clone(), 8);
-    let t0 = Instant::now();
-    let mut matches = 0usize;
-    for &h in &r.output.post_hashes {
-        matches += mih.radius_query(h, 8).len();
-    }
-    let mih_time = t0.elapsed();
-    let brute = BruteForceIndex::new(medoids);
-    let t1 = Instant::now();
-    let mut matches_b = 0usize;
-    for &h in &r.output.post_hashes {
-        matches_b += brute.radius_query(h, 8).len();
-    }
-    let brute_time = t1.elapsed();
+    eprintln!(
+        "engine for {} medoids at radius 8: {}",
+        medoids.len(),
+        FallbackIndex::engine_for(medoids.len(), 8).slug()
+    );
+    let queries = &r.output.post_hashes;
+    let (matches, mih_time) = time_queries(&MihIndex::new(medoids.clone(), 8), queries);
+    let (matches_b, brute_time) = time_queries(&BruteForceIndex::new(medoids), queries);
     assert_eq!(matches, matches_b, "engines must agree");
     let rate = |d: std::time::Duration| r.output.post_hashes.len() as f64 / d.as_secs_f64();
     eprintln!(
@@ -914,4 +908,18 @@ pub fn perf(r: &Repro) -> Printed {
     );
     println!("[paper: 73 images/sec on two Titan Xp GPUs vs 12K medoids]");
     Ok(())
+}
+
+/// Step 6's query path over `index`: one reused scratch, every query at
+/// radius 8. Returns the total match count and the wall time.
+fn time_queries<I: HammingIndex>(index: &I, queries: &[PHash]) -> (usize, std::time::Duration) {
+    let mut scratch = QueryScratch::new();
+    let mut hits = Vec::new();
+    let mut matches = 0usize;
+    let t = Instant::now();
+    for &h in queries {
+        index.radius_query_into(h, 8, &mut scratch, &mut hits);
+        matches += hits.len();
+    }
+    (matches, t.elapsed())
 }

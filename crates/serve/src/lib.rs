@@ -13,7 +13,7 @@
 //! - [`artifact`]: load a completed run from disk — `PipelineOutput`
 //!   JSON or a v2 checkpoint envelope, sniffed by magic.
 //! - [`Snapshot`]: the artifact recast as an immutable read-optimized
-//!   index (duplicate-collapsed medoids behind the workspace's
+//!   index (the annotated medoids behind the workspace's
 //!   [`FallbackIndex`](meme_index::FallbackIndex), denormalized
 //!   [`MemeRecord`] table, optional influence rows). In-process lookups
 //!   are allocation-free in steady state given a per-thread

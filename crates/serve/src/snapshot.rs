@@ -2,9 +2,9 @@
 //! read-optimized index.
 //!
 //! A [`Snapshot`] holds exactly what the lookup path needs and nothing
-//! the pipeline needed to produce it: the annotated clusters' medoid
-//! hashes collapsed through [`HashGroups`] and indexed by a
-//! [`FallbackIndex`] (MIH at the production θ = 8), a per-cluster
+//! the pipeline needed to produce it: a [`FallbackIndex`] over the
+//! annotated clusters' medoid hashes in record order (brute force for
+//! the tens to low hundreds of medoids a run annotates), a per-cluster
 //! [`MemeRecord`] table naming the representative KYM entry, and —
 //! when the loader supplied one — the per-cluster influence profile
 //! from Step 7. Snapshots are built once, never mutated, and shared
@@ -21,7 +21,7 @@
 use crate::error::ServeError;
 use meme_core::pipeline::{PipelineError, PipelineOutput};
 use meme_hawkes::{ClusterInfluence, InfluenceMatrix};
-use meme_index::{FallbackIndex, HammingIndex, HashGroups, IndexEngine, QueryScratch};
+use meme_index::{FallbackIndex, HammingIndex, QueryScratch};
 use meme_phash::PHash;
 
 /// The paper's Step-6 association threshold: a query image belongs to a
@@ -52,7 +52,7 @@ pub struct MemeRecord {
 pub struct ServeScratch {
     /// The index engine's probe/verify scratch.
     pub query: QueryScratch,
-    /// Matched unique-hash slots (reused output buffer).
+    /// Matched record slots (reused output buffer).
     pub matches: Vec<usize>,
 }
 
@@ -89,11 +89,7 @@ pub struct Snapshot {
     theta: u32,
     /// Annotated clusters, in ascending cluster order.
     records: Vec<MemeRecord>,
-    /// Duplicate-collapsed medoid hashes: identical medoids (distinct
-    /// clusters can share one) are indexed once and expanded through
-    /// the owner lists.
-    groups: HashGroups,
-    /// Radius-query engine over `groups.unique()`.
+    /// Radius-query engine over `records[].medoid`: position = slot.
     index: FallbackIndex,
     /// Per-record influence profile (Step 7), when the loader computed
     /// one. `influence[slot]` pairs with `records[slot]`.
@@ -158,13 +154,11 @@ impl Snapshot {
             None => None,
         };
         let medoids: Vec<PHash> = records.iter().map(|r| r.medoid).collect();
-        let groups = HashGroups::new(&medoids);
-        let index = FallbackIndex::build(groups.unique().to_vec(), theta);
+        let index = FallbackIndex::build(medoids, theta);
         Ok(Snapshot {
             generation,
             theta,
             records,
-            groups,
             index,
             influence,
         })
@@ -196,11 +190,6 @@ impl Snapshot {
         self.records.is_empty()
     }
 
-    /// The engine the medoid index settled on (MIH at production θ).
-    pub fn engine(&self) -> IndexEngine {
-        self.index.engine()
-    }
-
     /// All records, in ascending cluster order.
     pub fn records(&self) -> &[MemeRecord] {
         &self.records
@@ -220,32 +209,16 @@ impl Snapshot {
     /// Match `query` against the annotated medoids at the snapshot's θ.
     ///
     /// Returns the nearest annotated cluster within θ, or `None` when
-    /// no medoid is close enough. Deterministic tie-break: smallest
-    /// distance first, then smallest cluster id — independent of engine
-    /// and thread count. Steady-state calls allocate nothing.
+    /// no medoid is close enough. Deterministic tie-break
+    /// ([`HammingIndex::nearest_into`]): smallest distance first, then
+    /// smallest slot (= smallest cluster id, so identical medoids resolve
+    /// to the first cluster) — independent of engine and thread count.
+    /// Steady-state calls allocate nothing.
     // lint:hotpath(steady-state per-query lookup; allocation belongs in the caller-provided scratch)
     pub fn lookup(&self, query: PHash, scratch: &mut ServeScratch) -> Option<LookupHit> {
-        self.index
-            .radius_query_into(query, self.theta, &mut scratch.query, &mut scratch.matches);
-        let mut best: Option<(u32, usize)> = None; // (distance, slot)
-        for &u in &scratch.matches {
-            let d = query.distance(self.index.hash_at(u));
-            // Owner lists are ascending, so the first owner is the
-            // smallest record slot (= smallest cluster id) sharing this
-            // medoid hash — the deterministic tie-break within a hash.
-            let Some(&slot) = self.groups.owners(u).first() else {
-                continue; // unreachable: every unique hash has an owner
-            };
-            let slot = slot as usize;
-            let better = match best {
-                None => true,
-                Some((bd, bs)) => (d, slot) < (bd, bs),
-            };
-            if better {
-                best = Some((d, slot));
-            }
-        }
-        let (distance, slot) = best?;
+        let (slot, distance) =
+            self.index
+                .nearest_into(query, self.theta, &mut scratch.query, &mut scratch.matches)?;
         let rec = self.records.get(slot)?;
         Some(LookupHit {
             slot,

@@ -11,7 +11,6 @@
 
 use meme_core::pipeline::{Pipeline, PipelineConfig};
 use meme_core::supervise::SupervisedRunner;
-use meme_index::IndexEngine;
 use meme_phash::PHash;
 use meme_serve::{ServeScratch, Snapshot, SnapshotStore, DEFAULT_THETA};
 use meme_simweb::SimConfig;
@@ -58,13 +57,11 @@ fn steady_state_lookups_do_not_allocate() {
         .unwrap()
         .expect_complete();
     let store = SnapshotStore::new(Snapshot::build(&output, None, DEFAULT_THETA, 0).unwrap());
-    {
-        let snap = store.load();
-        assert!(!snap.is_empty(), "tiny run produced no annotated clusters");
-        // θ = 8 keeps the fallback on MIH, the engine the zero-alloc
-        // contract is stated for.
-        assert_eq!(snap.engine(), IndexEngine::Mih);
-    }
+    // The contract holds on whichever engine the snapshot's size picks.
+    assert!(
+        !store.load().is_empty(),
+        "tiny run produced no annotated clusters"
+    );
 
     // Query mix: exact medoids (hits at distance 0), near-misses one
     // bit away, and far probes (mostly misses) — enough variety to

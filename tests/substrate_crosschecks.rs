@@ -4,7 +4,7 @@
 
 use origins_of_memes::annotate::annotator::annotate_clusters;
 use origins_of_memes::annotate::kym::{KymCategory, KymEntry, KymSite};
-use origins_of_memes::cluster::dbscan::{try_dbscan_with_index, DbscanParams};
+use origins_of_memes::cluster::dbscan::{try_dbscan_hashes, DbscanParams};
 use origins_of_memes::core::metric::{ClusterDescriptor, ClusterDistance};
 use origins_of_memes::hawkes::{
     fit_em, residual_analysis, simulate_branching, strip_lineage, EmConfig, HawkesModel,
@@ -48,8 +48,7 @@ fn corpus(n_memes: u64, posts_per_variant: usize, seed: u64) -> (Vec<PHash>, Vec
 #[test]
 fn image_to_cluster_roundtrip_recovers_memes() {
     let (hashes, truth) = corpus(8, 8, 1);
-    let index = MihIndex::new(hashes.clone(), 8);
-    let clustering = try_dbscan_with_index(&index, DbscanParams::default(), 0).unwrap();
+    let clustering = try_dbscan_hashes(&hashes, DbscanParams::default(), 0).unwrap();
     // Every meme should yield at least one cluster; noise should be
     // mostly the one-off images.
     assert!(
