@@ -64,11 +64,6 @@ pub const LATENCY_BUCKETS_US: [f64; 12] = [
     10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 50_000.0, 250_000.0,
 ];
 
-/// Bucket upper bounds for admission-queue micro-batch sizes: size 1
-/// means the server is keeping up (no batching needed); growth toward
-/// the right edge shows queueing under load.
-pub const BATCH_SIZE_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
 /// A cheaply cloneable handle to an optional [`Registry`].
 ///
 /// Disabled handles make every operation a no-op (spans still measure

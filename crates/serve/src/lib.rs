@@ -19,13 +19,17 @@
 //!   are allocation-free in steady state given a per-thread
 //!   [`ServeScratch`].
 //! - [`SnapshotStore`]: epoch-swapped publication — reload a new
-//!   artifact under live traffic; readers pin a generation per batch
+//!   artifact under live traffic; readers pin a generation per lookup
 //!   and never pause.
-//! - [`BatchQueue`] + [`ConnRegistry`] + [`Server`]: the micro-batching
-//!   TCP front end speaking a line-delimited JSON [`protocol`], with a
-//!   production-hardened connection lifecycle — admission caps, bounded
-//!   request lines, per-line read deadlines, typed load shedding, and a
-//!   graceful drain that joins every thread (DESIGN.md §12).
+//! - [`ConnRegistry`] + [`Server`]: the TCP front end speaking a
+//!   line-delimited JSON [`protocol`], where each connection's reader
+//!   thread answers its own lookups, with a production-hardened
+//!   connection lifecycle — admission caps, bounded request lines,
+//!   per-line read deadlines, typed load shedding, and a graceful drain
+//!   that joins every thread (DESIGN.md §12).
+//! - [`BatchQueue`]: a bounded MPMC micro-batch queue that no server
+//!   path uses; the benchmark's `serve.queue_handoff_ns` probe still
+//!   drives it, and it goes once that probe measures elsewhere.
 //!
 //! The `memes serve` / `memes lookup` subcommands sit on top of these
 //! pieces; the benchmark's `serve-steady` / `serve-churn` workloads

@@ -18,8 +18,8 @@
 //! lines get `{"error": …}` and the connection stays open — one bad
 //! request must not sink a pipelined batch.
 //!
-//! Responses are rendered into a caller-owned `String`, so workers
-//! reuse one buffer across a whole micro-batch.
+//! Responses are rendered into a caller-owned `String`, so each
+//! connection reader reuses one buffer for every reply it writes.
 
 use crate::error::ServeError;
 use crate::snapshot::{LookupHit, Snapshot};
@@ -191,20 +191,14 @@ pub fn render_error(buf: &mut String, detail: &str) {
 }
 
 /// The load-shedding rejection, byte-for-byte: sent at accept time when
-/// the connection cap is reached and at admission time when the batch
-/// queue is full. Clients key on the exact string.
+/// the connection cap is reached (or a reader thread cannot be
+/// spawned), just before the close. Clients key on the exact string.
 pub const OVERLOADED: &str = "{\"error\":\"overloaded\"}";
 
 /// The idle/slow-read rejection, byte-for-byte: sent when a connection
 /// produces no complete request line within its read budget (an idle
 /// holder or a slow-loris trickle), after which the connection closes.
 pub const READ_TIMEOUT: &str = "{\"error\":\"read timeout\"}";
-
-/// Render the typed shed response into `buf` (cleared first).
-pub fn render_overloaded(buf: &mut String) {
-    buf.clear();
-    buf.push_str(OVERLOADED);
-}
 
 /// Render the typed read-timeout response into `buf` (cleared first).
 pub fn render_timeout(buf: &mut String) {
@@ -286,10 +280,8 @@ mod tests {
 
     #[test]
     fn lifecycle_rejections_are_valid_json_and_stable() {
+        assert!(serde_json::from_str::<Value>(OVERLOADED).is_ok());
         let mut buf = String::new();
-        render_overloaded(&mut buf);
-        assert_eq!(buf, OVERLOADED);
-        assert!(serde_json::from_str::<Value>(&buf).is_ok(), "{buf}");
         render_timeout(&mut buf);
         assert_eq!(buf, READ_TIMEOUT);
         assert!(serde_json::from_str::<Value>(&buf).is_ok(), "{buf}");

@@ -1,51 +1,48 @@
 //! The TCP query server.
 //!
 //! Dependency-free networking on `std::net`: an acceptor thread hands
-//! each connection to its own reader thread; readers parse request
-//! lines and push lookup jobs onto the shared [`BatchQueue`]; a fixed
-//! pool of worker threads drains the queue in micro-batches, resolves
-//! each job against **one** [`SnapshotStore::load`] per batch, and
-//! replies through the job's channel. Control requests (`stats`,
-//! `reload`) are rare and run inline on the reader thread, so the hot
-//! path stays a pure hash-in/record-out pipeline.
+//! each connection to its own reader thread, and the reader answers
+//! every request on that connection itself. A lookup is one
+//! [`SnapshotStore::load`] (which pins the generation for that reply),
+//! one [`Snapshot::lookup`] with the connection's [`ServeScratch`], and
+//! a render into the connection's reused `String` — no queue, no second
+//! thread and no reply copy on the hot path. Control requests (`stats`,
+//! `reload`) run on the same reader.
 //!
 //! The connection lifecycle is hardened against hostile traffic
 //! (DESIGN.md §12 "Connection lifecycle and overload"):
 //!
 //! * every reader thread is registered in a [`ConnRegistry`] and
 //!   joined — never detached; every thread the server starts is named
-//!   (`memes-accept`, `memes-worker`, `memes-conn` — each fits Linux's
-//!   15-byte `comm`), so a running server's threads can be counted from
-//!   outside through `/proc/<pid>/task/*/comm`;
+//!   (`memes-accept`, `memes-conn` — each fits Linux's 15-byte `comm`),
+//!   so a running server's threads can be counted from outside through
+//!   `/proc/<pid>/task/*/comm`;
 //! * accepts past `max_conns` are shed with the typed
 //!   [`OVERLOADED`](crate::protocol::OVERLOADED) response
-//!   (`serve.shed`), so thread count is bounded by cap + workers;
+//!   (`serve.shed`), so thread count is bounded by acceptor + cap, and
+//!   lookups in flight by the cap;
 //! * a request line must complete within `read_timeout_ms` measured
 //!   from the moment the reader starts waiting for it — a socket read
 //!   timeout alone only bounds the gap between bytes, which a
 //!   slow-loris trickle resets forever — and may not exceed
-//!   `max_line_bytes`, so reader memory is bounded too;
-//! * the admission queue is bounded (`queue_max`); arrivals past
-//!   capacity are shed typed rather than queued unboundedly.
+//!   `max_line_bytes`, so reader memory is bounded too.
 //!
 //! Shutdown is cooperative, panic-free, and complete:
 //! [`Server::shutdown`] raises the stop flag, unblocks the acceptor
-//! with a loopback connection and joins it, drains the registry
+//! with a loopback connection and joins it, then drains the registry
 //! (socket shutdown unblocks parked readers instantly; every reader is
-//! joined), closes the queue (workers drain what is left, then exit),
-//! and joins the workers. No detached threads remain.
+//! joined). No detached threads remain.
 
 use crate::artifact::load_output;
-use crate::batch::{BatchQueue, Push};
 use crate::error::ServeError;
 use crate::protocol::{
-    parse_request, render_error, render_hit, render_line_too_long, render_miss, render_overloaded,
-    render_reloaded, render_stats, render_timeout, Request,
+    parse_request, render_error, render_hit, render_line_too_long, render_miss, render_reloaded,
+    render_stats, render_timeout, Request,
 };
 use crate::registry::{ConnRegistry, ConnTicket};
 use crate::snapshot::{ServeScratch, Snapshot, DEFAULT_THETA};
 use crate::store::SnapshotStore;
-use meme_metrics::{Deadline, Metrics, Span, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US};
+use meme_metrics::{Deadline, Metrics, LATENCY_BUCKETS_US};
 use meme_phash::PHash;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -58,18 +55,18 @@ use std::time::Duration;
 /// Thread names, each within Linux's 15-byte `comm`; tests count the
 /// server's threads by the shared `memes-` prefix.
 const ACCEPT_THREAD: &str = "memes-accept";
-const WORKER_THREAD: &str = "memes-worker";
 const CONN_THREAD: &str = "memes-conn";
 
-/// How a [`Server`] listens, schedules work, and bounds its clients.
+/// How a [`Server`] listens and bounds its clients.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (read it back via
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Lookup worker threads draining the admission queue.
-    pub workers: usize,
-    /// Largest micro-batch a worker takes in one drain.
+    /// Largest drain a [`BatchQueue`](crate::BatchQueue) probe takes.
+    /// No server path reads it: readers answer their own lookups. It
+    /// goes with the queue once the benchmark's `serve.queue_handoff_ns`
+    /// probe stops driving `BatchQueue` directly.
     pub batch_max: usize,
     /// Whether clients may `reload` artifacts into the store.
     pub allow_reload: bool,
@@ -87,8 +84,8 @@ pub struct ServerConfig {
     /// (typed) and disconnected once it exceeds this, so one client can
     /// never grow a reader buffer without bound.
     pub max_line_bytes: usize,
-    /// Admission-queue capacity; arrivals past it are shed typed
-    /// (backpressure) instead of queueing unboundedly.
+    /// Capacity of a [`BatchQueue`](crate::BatchQueue) probe. No server
+    /// path reads it, and it goes with the queue, as `batch_max` does.
     pub queue_max: usize,
 }
 
@@ -96,7 +93,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            workers: 2,
             batch_max: 32,
             allow_reload: false,
             theta: DEFAULT_THETA,
@@ -108,19 +104,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted lookup: the query, its latency span (started at
-/// admission, finished when the reply is rendered), and the channel
-/// back to the connection that asked.
-struct Job {
-    hash: PHash,
-    span: Span,
-    reply: mpsc::Sender<String>,
-}
-
 /// Everything a connection reader needs, bundled for the spawn.
 struct ConnShared {
     store: Arc<SnapshotStore>,
-    queue: Arc<BatchQueue<Job>>,
     metrics: Metrics,
     queries: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
@@ -134,7 +120,6 @@ impl ConnShared {
     fn clone_for_conn(&self) -> ConnShared {
         ConnShared {
             store: Arc::clone(&self.store),
-            queue: Arc::clone(&self.queue),
             metrics: self.metrics.clone(),
             queries: Arc::clone(&self.queries),
             stop: Arc::clone(&self.stop),
@@ -151,24 +136,16 @@ impl ConnShared {
 pub struct Server {
     local_addr: SocketAddr,
     store: Arc<SnapshotStore>,
-    queue: Arc<BatchQueue<Job>>,
     registry: Arc<ConnRegistry>,
     stop: Arc<AtomicBool>,
     queries: Arc<AtomicU64>,
     metrics: Metrics,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job").field("hash", &self.hash).finish()
-    }
 }
 
 impl Server {
-    /// Bind, spawn the worker pool and acceptor, and start serving
-    /// `store`'s current snapshot.
+    /// Bind, spawn the acceptor, and start serving `store`'s current
+    /// snapshot.
     pub fn start(
         store: Arc<SnapshotStore>,
         config: ServerConfig,
@@ -182,65 +159,42 @@ impl Server {
             target: config.addr.clone(),
             detail: e.to_string(),
         })?;
-        let queue: Arc<BatchQueue<Job>> = Arc::new(BatchQueue::bounded(config.queue_max));
         let registry = Arc::new(ConnRegistry::new());
         let stop = Arc::new(AtomicBool::new(false));
         let queries = Arc::new(AtomicU64::new(0));
         metrics.gauge("serve.snapshot_generation", store.generation() as f64);
         metrics.gauge("serve.connections", 0.0);
 
-        let mut workers = Vec::new();
-        for _ in 0..config.workers.max(1) {
-            let spawned = {
-                let queue = Arc::clone(&queue);
-                let store = Arc::clone(&store);
-                let metrics = metrics.clone();
-                let batch_max = config.batch_max.max(1);
-                Builder::new()
-                    .name(WORKER_THREAD.to_string())
-                    .spawn(move || worker_loop(&queue, &store, &metrics, batch_max))
-            };
-            match spawned {
-                Ok(worker) => workers.push(worker),
-                Err(e) => return Err(start_failed(&queue, workers, WORKER_THREAD, &e)),
-            }
-        }
-
-        let spawned = {
-            let shared = ConnShared {
-                store: Arc::clone(&store),
-                queue: Arc::clone(&queue),
-                metrics: metrics.clone(),
-                queries: Arc::clone(&queries),
-                stop: Arc::clone(&stop),
-                allow_reload: config.allow_reload,
-                theta: config.theta,
-                read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
-                max_line_bytes: config.max_line_bytes.max(1),
-            };
-            let registry = Arc::clone(&registry);
-            let max_conns = config.max_conns;
-            Builder::new()
-                .name(ACCEPT_THREAD.to_string())
-                .spawn(move || accept_loop(&listener, &shared, &registry, max_conns))
+        let shared = ConnShared {
+            store: Arc::clone(&store),
+            metrics: metrics.clone(),
+            queries: Arc::clone(&queries),
+            stop: Arc::clone(&stop),
+            allow_reload: config.allow_reload,
+            theta: config.theta,
+            read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
+            max_line_bytes: config.max_line_bytes.max(1),
         };
+        let accept_registry = Arc::clone(&registry);
+        let max_conns = config.max_conns;
         // A failed spawn drops the closure and the listener in it, so
         // no dead socket stays bound.
-        let acceptor = match spawned {
-            Ok(acceptor) => acceptor,
-            Err(e) => return Err(start_failed(&queue, workers, ACCEPT_THREAD, &e)),
-        };
+        let acceptor = Builder::new()
+            .name(ACCEPT_THREAD.to_string())
+            .spawn(move || accept_loop(&listener, &shared, &accept_registry, max_conns))
+            .map_err(|e| ServeError::Io {
+                target: format!("thread {ACCEPT_THREAD}"),
+                detail: e.to_string(),
+            })?;
 
         Ok(Server {
             local_addr,
             store,
-            queue,
             registry,
             stop,
             queries,
             metrics,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -254,7 +208,7 @@ impl Server {
         &self.store
     }
 
-    /// Lookup requests admitted so far.
+    /// Lookup requests answered or in flight so far.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
@@ -264,8 +218,8 @@ impl Server {
         self.registry.active()
     }
 
-    /// Stop accepting, drain in-flight work, and join **every** thread
-    /// the server spawned — acceptor, connection readers, and workers.
+    /// Stop accepting, then join **every** thread the server spawned —
+    /// the acceptor and each connection reader.
     pub fn shutdown(mut self) {
         self.stop_threads();
     }
@@ -280,32 +234,10 @@ impl Server {
         let _ = TcpStream::connect(self.local_addr);
         let _ = acceptor.join();
         // Socket shutdown unblocks readers parked in read/write right
-        // now; every reader thread is joined before the queue closes,
-        // so replies for already-admitted jobs still flow.
+        // now, and a reader mid-lookup exits at its next write; every
+        // reader is joined.
         self.registry.drain_all();
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         self.metrics.gauge("serve.connections", 0.0);
-    }
-}
-
-/// `Server::start` could not spawn thread `name`: close the queue so
-/// the workers already running exit, join them, and report it typed.
-fn start_failed(
-    queue: &BatchQueue<Job>,
-    started: Vec<JoinHandle<()>>,
-    name: &str,
-    e: &std::io::Error,
-) -> ServeError {
-    queue.close();
-    for worker in started {
-        let _ = worker.join();
-    }
-    ServeError::Io {
-        target: format!("thread {name}"),
-        detail: e.to_string(),
     }
 }
 
@@ -452,7 +384,7 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
+    let mut scratch = ServeScratch::new();
     let mut raw: Vec<u8> = Vec::new();
     let mut buf = String::new();
     loop {
@@ -493,35 +425,8 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
         if line.trim().is_empty() {
             continue;
         }
-        let response_ready = match parse_request(line.trim_end()) {
-            Ok(Request::Lookup { hash }) => {
-                let job = Job {
-                    hash,
-                    span: shared.metrics.span("serve/query"),
-                    reply: reply_tx.clone(),
-                };
-                match shared.queue.try_push(job) {
-                    Push::Accepted => {
-                        shared.queries.fetch_add(1, Ordering::Relaxed);
-                        shared.metrics.inc("serve.queries");
-                        match reply_rx.recv() {
-                            Ok(resp) => {
-                                buf = resp;
-                                true
-                            }
-                            Err(_) => return, // workers gone mid-request
-                        }
-                    }
-                    Push::Full => {
-                        // Backpressure: shed this request typed, keep
-                        // the connection — the client may retry later.
-                        shared.metrics.inc("serve.shed");
-                        render_overloaded(&mut buf);
-                        true
-                    }
-                    Push::Closed => return, // shutting down
-                }
-            }
+        match parse_request(line.trim_end()) {
+            Ok(Request::Lookup { hash }) => answer_lookup(&mut buf, &mut scratch, shared, hash),
             Ok(Request::Stats) => {
                 let snap = shared.store.load();
                 render_stats(
@@ -530,24 +435,40 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
                     snap.len(),
                     shared.queries.load(Ordering::Relaxed),
                 );
-                true
             }
-            Ok(Request::Reload { artifact }) => {
-                handle_reload(&mut buf, shared, &artifact);
-                true
-            }
-            Err(e) => {
-                render_error(&mut buf, &e.to_string());
-                true
-            }
-        };
-        if response_ready {
-            buf.push('\n');
-            if writer.write_all(buf.as_bytes()).is_err() || writer.flush().is_err() {
-                return;
-            }
+            Ok(Request::Reload { artifact }) => handle_reload(&mut buf, shared, &artifact),
+            Err(e) => render_error(&mut buf, &e.to_string()),
+        }
+        buf.push('\n');
+        if writer.write_all(buf.as_bytes()).is_err() || writer.flush().is_err() {
+            return;
         }
     }
+}
+
+/// Answer one lookup into `buf` on the calling reader. One store load
+/// pins the generation for this reply; `scratch` and `buf` are the
+/// connection's own, so once they are warm the load, lookup and render
+/// allocate nothing (`tests/no_alloc.rs`).
+fn answer_lookup(buf: &mut String, scratch: &mut ServeScratch, shared: &ConnShared, hash: PHash) {
+    let span = shared.metrics.span("serve/query");
+    shared.queries.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.inc("serve.queries");
+    let snap = shared.store.load();
+    match snap.lookup(hash, scratch) {
+        Some(hit) => {
+            shared.metrics.inc("serve.hits");
+            render_hit(buf, hash, &hit, &snap);
+        }
+        None => {
+            shared.metrics.inc("serve.misses");
+            render_miss(buf, hash, snap.generation());
+        }
+    }
+    let secs = span.finish();
+    shared
+        .metrics
+        .observe("serve.latency_us", &LATENCY_BUCKETS_US, secs * 1e6);
 }
 
 /// Load `artifact`, build a snapshot at the server's θ, and swap it in.
@@ -574,46 +495,6 @@ fn handle_reload(buf: &mut String, shared: &ConnShared, artifact: &str) {
             render_reloaded(buf, snap.generation(), snap.len());
         }
         Err(e) => render_error(buf, &e.to_string()),
-    }
-}
-
-fn worker_loop(
-    queue: &BatchQueue<Job>,
-    store: &SnapshotStore,
-    metrics: &Metrics,
-    batch_max: usize,
-) {
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut scratch = ServeScratch::new();
-    let mut buf = String::new();
-    loop {
-        let n = queue.drain_into(batch_max, &mut jobs);
-        if n == 0 {
-            return; // queue closed and drained
-        }
-        // One store load pins one generation for the whole micro-batch:
-        // that is both the amortization and the consistency guarantee
-        // (a batch never straddles a swap).
-        let snap = store.load();
-        metrics.observe("serve.batch_size", &BATCH_SIZE_BUCKETS, n as f64);
-        metrics.gauge("serve.snapshot_generation", snap.generation() as f64);
-        for job in jobs.drain(..) {
-            match snap.lookup(job.hash, &mut scratch) {
-                Some(hit) => {
-                    metrics.inc("serve.hits");
-                    render_hit(&mut buf, job.hash, &hit, &snap);
-                }
-                None => {
-                    metrics.inc("serve.misses");
-                    render_miss(&mut buf, job.hash, snap.generation());
-                }
-            }
-            let secs = job.span.finish();
-            metrics.observe("serve.latency_us", &LATENCY_BUCKETS_US, secs * 1e6);
-            // A dead receiver means the client hung up before the
-            // answer; nothing to do but move on.
-            let _ = job.reply.send(buf.clone());
-        }
     }
 }
 

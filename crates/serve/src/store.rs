@@ -1,13 +1,14 @@
 //! Epoch-swapped snapshot publication.
 //!
-//! Readers call [`SnapshotStore::load`] once per request (or once per
-//! micro-batch) and get an `Arc<Snapshot>` pinning one consistent
-//! generation for as long as they hold it; a reload calls
+//! Readers call [`SnapshotStore::load`] once per lookup and get an
+//! `Arc<Snapshot>` pinning one consistent generation for as long as
+//! they hold it; a reload calls
 //! [`SnapshotStore::swap`], which installs the new snapshot for all
 //! *future* loads without pausing in-flight readers — traffic never
 //! stops, and a reader never observes a half-swapped state. The
 //! generation counter is the epoch: every installed snapshot gets the
-//! next one, and the `serve.snapshot_generation` gauge exposes it.
+//! next one, and the server's `serve.snapshot_generation` gauge reports
+//! it at start and after each protocol `reload`.
 //!
 //! The store is a `RwLock<Arc<Snapshot>>` rather than a bare atomic
 //! pointer: the lock is held only for the `Arc` clone (load) or the

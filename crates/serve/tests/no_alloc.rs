@@ -1,17 +1,20 @@
-//! Steady-state allocation audit for the in-process lookup path.
+//! Steady-state allocation audit for a connection reader's answer.
 //!
 //! The serving-layer contract extends the index crate's: once a
-//! worker's [`ServeScratch`] has warmed up, [`Snapshot::lookup`] plus a
-//! [`SnapshotStore::load`] per micro-batch perform **zero heap
-//! allocations** — the snapshot is immutable, the hit is `Copy`, the
-//! store load is one `Arc` clone, and record resolution is a slice
-//! index. Same counting-allocator audit as
+//! connection's [`ServeScratch`] and reply buffer have warmed up, the
+//! whole answer to a lookup — one [`SnapshotStore::load`], one
+//! [`Snapshot::lookup`], and a `render_hit` / `render_miss` into the
+//! reused `String` — performs **zero heap allocations**: the snapshot
+//! is immutable, the hit is `Copy`, the store load is one `Arc` clone,
+//! record resolution is a slice index, and the render writes into
+//! capacity the buffer already has. Same counting-allocator audit as
 //! `crates/index/tests/no_alloc.rs`, and the same single-test rule (a
 //! concurrent test's allocations would pollute the counting window).
 
 use meme_core::pipeline::{Pipeline, PipelineConfig};
 use meme_core::supervise::SupervisedRunner;
 use meme_phash::PHash;
+use meme_serve::protocol::{render_hit, render_miss};
 use meme_serve::{ServeScratch, Snapshot, SnapshotStore, DEFAULT_THETA};
 use meme_simweb::SimConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,31 +84,44 @@ fn steady_state_lookups_do_not_allocate() {
             .collect()
     };
 
+    // What a connection reader does per lookup: load, look up, render
+    // into its one reply buffer. Returns whether the query hit.
+    let answer = |q: PHash, scratch: &mut ServeScratch, line: &mut String| {
+        let snap = store.load();
+        match snap.lookup(q, scratch) {
+            Some(hit) => {
+                render_hit(line, q, &hit, &snap);
+                true
+            }
+            None => {
+                render_miss(line, q, snap.generation());
+                false
+            }
+        }
+    };
+
     let mut scratch = ServeScratch::new();
+    let mut line = String::new();
     let mut hits = 0u64;
     for &q in &queries {
-        let snap = store.load();
-        if snap.lookup(q, &mut scratch).is_some() {
+        if answer(q, &mut scratch, &mut line) {
             hits += 1;
         }
     }
     assert!(hits > 0, "warmup found no hits; the workload is broken");
 
     let before = allocations();
+    let mut bytes = 0usize;
     for &q in &queries {
-        // One store load per query is the worst case; workers batch it.
-        let snap = store.load();
-        let hit = snap.lookup(q, &mut scratch);
-        if let Some(h) = hit {
-            // Resolving the record and influence row is also free.
-            assert!(snap.record(h.slot).is_some());
-            let _ = snap.influence_row(h.slot);
-        }
+        // One store load per query, as every reader does.
+        answer(q, &mut scratch, &mut line);
+        bytes += line.len();
     }
     let after = allocations();
+    assert!(bytes > 0, "no reply was rendered");
     assert_eq!(
         after - before,
         0,
-        "steady-state serve lookups must not touch the heap"
+        "a warm reader's load + lookup + render must not touch the heap"
     );
 }

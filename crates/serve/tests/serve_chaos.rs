@@ -8,7 +8,7 @@
 //! * the **well-behaved cohort answers byte-identically** to an
 //!   attack-free run while the full adversary wave and an accept flood
 //!   are live;
-//! * the server's **threads stay bounded** by cap + workers under
+//! * the server's **threads stay bounded** by acceptor + cap under
 //!   attack (that `Server::shutdown` joins every one of them with
 //!   attackers still connected is tier-1's
 //!   `tests/cli_serve.rs::shutdown_joins_every_reader_thread`);
@@ -70,7 +70,6 @@ const REQUESTS: usize = 150;
 
 fn chaos_config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
         max_conns: COHORT + Adversary::ALL.len(),
         read_timeout_ms: 300,
         max_line_bytes: 8 * 1024,
@@ -218,9 +217,9 @@ fn cohort_is_byte_identical_under_full_adversary_wave_and_flood() {
         "serve.shed counts every typed shed: {shed:?} vs {flood:?}"
     );
 
-    // The server's threads stay bounded: acceptor + workers + cap.
+    // The server's threads stay bounded: acceptor + cap.
     if let Some(during) = threads_during {
-        let bound = 1 + chaos_config().workers + max_conns;
+        let bound = 1 + max_conns;
         assert!(
             during <= bound,
             "server threads unbounded under attack: {during} > {bound}"

@@ -243,7 +243,7 @@ pub fn run_adversary(
             }
         }
         Adversary::DisconnectMidBatch => {
-            // A valid lookup the worker will answer into a dead socket.
+            // A valid lookup the reader will answer into a dead socket.
             writer
                 .write_all(b"{\"hash\":\"0000000000000000\"}\n")
                 .expect("send request");
@@ -291,8 +291,8 @@ pub fn flood_accepts(addr: SocketAddr, n: usize) -> FloodReport {
 }
 
 /// Threads of this process the server started — the ones whose
-/// `/proc/self/task/*/comm` carries the `memes-` prefix (`memes-accept`,
-/// `memes-worker`, `memes-conn`). Counting by name needs no baseline,
+/// `/proc/self/task/*/comm` carries the `memes-` prefix (`memes-accept`
+/// and one `memes-conn` per connection). Counting by name needs no baseline,
 /// so libtest's own threads coming and going cannot skew it. `None`
 /// where procfs is unavailable; callers skip the bound assertion
 /// rather than guessing.

@@ -121,8 +121,8 @@ fn lookups_are_byte_identical_across_a_hot_swap() {
                 let mut rounds = 0u64;
                 let mut generations_seen = std::collections::BTreeSet::new();
                 while !stop.load(Ordering::Relaxed) {
-                    // Pin one generation per round, as workers do per
-                    // micro-batch.
+                    // Pin one generation per round, as a connection
+                    // reader does per lookup.
                     let snap = store.load();
                     generations_seen.insert(snap.generation());
                     for (i, &q) in qs.iter().enumerate() {

@@ -13,9 +13,9 @@
 //! memes quarantine ls FILE
 //! memes quarantine replay FILE --scale small --seed 7
 //! memes validate-metrics run-metrics.json
-//! memes serve    --artifact run.json [--addr 127.0.0.1:0] [--workers N]
-//!                [--reload] [--max-conns N] [--read-timeout-ms MS]
-//!                [--max-line-bytes N] [--scale small --seed 7]
+//! memes serve    --artifact run.json [--addr 127.0.0.1:0] [--reload]
+//!                [--max-conns N] [--read-timeout-ms MS] [--max-line-bytes N]
+//!                [--scale small --seed 7]
 //! memes lookup   HASH (--artifact run.json | --addr HOST:PORT)
 //! ```
 //!
@@ -127,7 +127,6 @@ struct Args {
     chaos: Option<String>,
     artifact: Option<String>,
     addr: Option<String>,
-    workers: usize,
     reload: bool,
     max_conns: usize,
     read_timeout_ms: u64,
@@ -162,7 +161,6 @@ fn parse_args() -> Result<Args, String> {
         chaos: None,
         artifact: None,
         addr: None,
-        workers: 2,
         reload: false,
         max_conns: ServerConfig::default().max_conns,
         read_timeout_ms: ServerConfig::default().read_timeout_ms,
@@ -223,13 +221,6 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => {
                 i += 1;
                 args.addr = Some(argv.get(i).cloned().ok_or("--addr needs HOST:PORT")?);
-            }
-            "--workers" => {
-                i += 1;
-                args.workers = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--workers needs an integer")?;
             }
             "--max-conns" => {
                 i += 1;
@@ -307,7 +298,7 @@ fn usage() -> String {
          \u{20}      memes fsck CHECKPOINT [--scale S --seed N --train-filter]\n\
          \u{20}      memes quarantine <ls|replay> FILE [--scale S --seed N]\n\
          \u{20}      memes validate-metrics FILE\n\
-         \u{20}      memes serve --artifact PATH [--addr HOST:PORT] [--workers N] \
+         \u{20}      memes serve --artifact PATH [--addr HOST:PORT] \
          [--reload] [--max-conns N] [--read-timeout-ms MS] [--max-line-bytes N] \
          [--scale S --seed N]\n\
          \u{20}      memes lookup HASH (--artifact PATH | --addr HOST:PORT)",
@@ -780,7 +771,6 @@ fn cmd_serve(args: &Args) -> ExitCode {
             .addr
             .clone()
             .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        workers: args.workers,
         allow_reload: args.reload,
         max_conns: args.max_conns,
         read_timeout_ms: args.read_timeout_ms,

@@ -96,6 +96,12 @@ fn bad_usage_exits_two() {
         2,
         "unknown flag"
     );
+    // Readers answer their own lookups; there is no worker pool to size.
+    assert_eq!(
+        exit_code(&memes(&["serve", "--artifact", "a.json", "--workers", "2"])),
+        2,
+        "unknown flag"
+    );
     assert_eq!(exit_code(&memes(&["fsck"])), 2, "fsck without CKPT");
     assert_eq!(
         exit_code(&memes(&["quarantine"])),

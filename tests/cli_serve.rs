@@ -238,9 +238,9 @@ fn serve_sheds_connections_past_the_cap_with_a_typed_error() {
 }
 
 /// In-process twin of the spawned-server tests: `Server::shutdown` must
-/// join the acceptor, every worker, and every connection reader, with
-/// attackers still parked on it. The server names its threads
-/// (`memes-accept`, `memes-worker`, `memes-conn`), so they are counted
+/// join the acceptor and every connection reader, with attackers still
+/// parked on it. The server names its threads (`memes-accept` and one
+/// `memes-conn` per connection), so they are counted
 /// by name — no baseline for libtest's own threads to race against.
 #[test]
 fn shutdown_joins_every_reader_thread() {
@@ -273,7 +273,6 @@ fn shutdown_joins_every_reader_thread() {
     let store = Arc::new(SnapshotStore::new(snapshot));
 
     let config = ServerConfig {
-        workers: 2,
         read_timeout_ms: 5_000,
         ..ServerConfig::default()
     };
@@ -294,7 +293,7 @@ fn shutdown_joins_every_reader_thread() {
     server.shutdown();
     // `join` returns when the kernel clears the exiting thread's tid, a
     // moment before it unlinks the task from /proc (measured on this
-    // host: 0.6 % of shutdowns still list the last worker, gone by the
+    // host: 0.6 % of shutdowns still list the last thread, gone by the
     // next read ~60 µs later), so re-read briefly. A leaked reader
     // would sit out its 5 s read budget, 25x this allowance.
     let settled = Instant::now() + Duration::from_millis(200);

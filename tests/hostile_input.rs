@@ -1,16 +1,21 @@
 //! Hostile input: a parser given arbitrary, truncated or bit-damaged
 //! input returns `Ok` or its typed error — never a panic.
 //!
-//! One property per parser, one assertion each, at the default case
-//! count. Covered so far: the checkpoint envelope
-//! (`decode_checkpoint`: header, CRC and JSON body) and
-//! `PHash::from_str`.
+//! One property per kind of input, one assertion each, at the default
+//! case count (`PROPTEST_CASES` raises it; CI runs this file at
+//! 10 000). Covered so far: the checkpoint envelope
+//! (`decode_checkpoint`: header, CRC and JSON body), `PHash::from_str`,
+//! and the serve wire protocol's `parse_request` (arbitrary bytes,
+//! truncated requests and nesting bombs), which runs on the thread that
+//! answers the lookup.
 
 use origins_of_memes::core::checkpoint::{
     crc32, decode_checkpoint, encode_checkpoint, Checkpoint, StageId, StageState,
 };
 use origins_of_memes::core::pipeline::{Degradation, PipelineConfig};
 use origins_of_memes::phash::PHash;
+use origins_of_memes::serve::protocol::{parse_request, Request};
+use origins_of_memes::serve::ServeError;
 use proptest::prelude::*;
 
 /// A valid envelope around a small checkpoint: two completed stages,
@@ -131,5 +136,104 @@ proptest! {
             },
             "{s:?} parsed to {parsed:?}"
         );
+    }
+}
+
+/// Whether `parse_request` kept its contract on `line`: a request, or
+/// the typed protocol error (a panic fails the test by itself).
+fn parses_or_types(line: &str) -> bool {
+    matches!(
+        parse_request(line),
+        Ok(_) | Err(ServeError::Protocol { .. })
+    )
+}
+
+/// The bytes a request line is made of, for the half of the byte
+/// strings that should get past the JSON tokenizer's first character.
+const JSON_POOL: &[u8] = b"{}[]\":,0123456789abcdef-+.eEtrunlsfhop \\\t\n\xff";
+
+/// Arbitrary bytes, or bytes drawn from JSON's punctuation and the
+/// request keys' letters.
+fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(any::<u8>(), 0..128),
+        prop::collection::vec(0usize..JSON_POOL.len(), 0..128),
+        any::<bool>(),
+    )
+        .prop_map(|(raw, picks, pooled)| {
+            if pooled {
+                picks.iter().map(|&i| JSON_POOL[i]).collect()
+            } else {
+                raw
+            }
+        })
+}
+
+/// Every valid request form, with what it parses to.
+fn request_forms() -> [(&'static str, Request); 5] {
+    let hash: PHash = "55352b0b8d8b5b53".parse().expect("valid hash");
+    [
+        ("{\"hash\": \"55352b0b8d8b5b53\"}", Request::Lookup { hash }),
+        ("{\"hash\": 6139860995608894291}", Request::Lookup { hash }),
+        (
+            "{\"op\": \"lookup\", \"hash\": \"55352b0b8d8b5b53\"}",
+            Request::Lookup { hash },
+        ),
+        ("{\"op\": \"stats\"}", Request::Stats),
+        (
+            "{\"op\": \"reload\", \"artifact\": \"run.json\"}",
+            Request::Reload {
+                artifact: "run.json".to_string(),
+            },
+        ),
+    ]
+}
+
+/// A `[` or `{"a":` nesting bomb `depth` deep, closed or left open.
+fn nesting_bomb(depth: usize, object: bool, closed: bool) -> String {
+    let (open, close) = if object { ("{\"a\":", "}") } else { ("[", "]") };
+    let mut line = open.repeat(depth);
+    if closed {
+        line.push('1');
+        line.push_str(&close.repeat(depth));
+    }
+    line
+}
+
+proptest! {
+    #[test]
+    fn parse_request_types_every_byte_sequence(bytes in request_bytes()) {
+        let line = String::from_utf8_lossy(&bytes);
+        prop_assert!(parses_or_types(&line), "{line:?}");
+    }
+
+    #[test]
+    fn parse_request_types_every_truncation(form in 0usize..5, cut in 0usize..64) {
+        let (line, expected) = &request_forms()[form];
+        let cut = cut % (line.len() + 1);
+        // A JSON object needs its closing brace: every strict prefix is
+        // a protocol error, and only the whole line is the request.
+        let parsed = parse_request(&line[..cut]);
+        prop_assert!(
+            if cut == line.len() {
+                matches!(&parsed, Ok(request) if request == expected)
+            } else {
+                matches!(parsed, Err(ServeError::Protocol { .. }))
+            },
+            "{:?} parsed to {parsed:?}",
+            &line[..cut]
+        );
+    }
+
+    #[test]
+    fn parse_request_types_nesting_bombs(
+        depth in 1usize..=10_000,
+        object in any::<bool>(),
+        closed in any::<bool>(),
+    ) {
+        // No bomb is a request: too deep, not an object, or an object
+        // without a `hash`.
+        let line = nesting_bomb(depth, object, closed);
+        prop_assert!(matches!(parse_request(&line), Err(ServeError::Protocol { .. })));
     }
 }
