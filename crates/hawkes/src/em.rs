@@ -5,14 +5,13 @@
 //! latent branching structure, summed per source through the decayed
 //! state, so a pass is O(nK)); the same pass scores the current model's
 //! log-likelihood. The M-step re-estimates background rates and the
-//! weight matrix in closed form. This is the classic EM for
-//! exponential-kernel Hawkes processes (Lewis & Mohler 2011), and the
-//! deterministic, fast counterpart to the paper's Gibbs sampler — the
-//! two fitters are cross-validated against each other in the tests and
-//! the `repro` ablations.
+//! weight matrix in closed form; the kernel decay `β` stays fixed. This
+//! is the classic EM for exponential-kernel Hawkes processes (Lewis &
+//! Mohler 2011), used in place of the paper's Gibbs sampler (DESIGN.md
+//! §2 records why).
 
 use crate::model::{
-    branching_pass, compensator, horizon_fractions, validate_fit_inputs, DecayState, Event,
+    branching_pass, compensator, horizon_fractions, validate_stream, DecayState, Event,
     HawkesError, HawkesModel,
 };
 use serde::{Deserialize, Serialize};
@@ -20,11 +19,9 @@ use serde::{Deserialize, Serialize};
 /// EM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EmConfig {
-    /// Kernel decay rate. When `estimate_beta` is false this value is
-    /// held fixed (the paper fixes the impulse shape family too).
+    /// Kernel decay rate, held fixed (the paper fixes the impulse shape
+    /// family too).
     pub beta: f64,
-    /// Whether to re-estimate `beta` in each M-step.
-    pub estimate_beta: bool,
     /// Maximum EM iterations.
     pub max_iters: usize,
     /// Stop when the log-likelihood improves by less than this.
@@ -35,7 +32,6 @@ impl Default for EmConfig {
     fn default() -> Self {
         Self {
             beta: 1.0,
-            estimate_beta: false,
             max_iters: 100,
             tol: 1e-6,
         }
@@ -66,23 +62,26 @@ pub fn fit_em(
     horizon: f64,
     config: &EmConfig,
 ) -> Result<EmFit, HawkesError> {
-    validate_fit_inputs(events, k, horizon, config.beta)?;
+    validate_inputs(events, k, horizon, config.beta)?;
 
-    let mut model = HawkesModel::initial_guess(events, k, horizon, config.beta)?;
+    // Start from half of each process's empirical rate on `[0, horizon]`
+    // as background and small uniform weights.
+    let mut counts = vec![0usize; k];
+    for e in events {
+        counts[e.process] += 1;
+    }
+    let mu = counts.iter().map(|&c| (0.5 * c as f64 / horizon).max(1e-6));
+    let mut model = HawkesModel::new(mu.collect(), vec![vec![0.1; k]; k], config.beta)?;
     let mut bg = vec![0.0f64; k];
     let mut pair = vec![vec![0.0f64; k]; k];
-    // Shared by the M-step denominator and the compensator; they change
-    // only when `β` does.
-    let mut fractions = horizon_fractions(events, k, model.beta, horizon);
+    // Shared by the M-step denominator and the compensator.
+    let fractions = horizon_fractions(events, k, model.beta, horizon);
     let mut prev_ll = f64::NEG_INFINITY;
     let mut converged = false;
     let mut iterations = 0;
     loop {
         let mut state = DecayState::new(k, model.beta);
-        if config.estimate_beta {
-            state = state.with_lags();
-        }
-        let (log_lambda, lag_sum) = branching_pass(&model, events, &mut state, &mut bg, &mut pair);
+        let log_lambda = branching_pass(&model, events, &mut state, &mut bg, &mut pair);
         // The pass also scores the model the last M-step produced (the
         // initial guess is not scored).
         if iterations > 0 {
@@ -111,11 +110,6 @@ pub fn fit_em(
                 };
             }
         }
-        if config.estimate_beta && lag_sum > 0.0 {
-            let pair_total: f64 = pair.iter().flatten().sum();
-            model.beta = (pair_total / lag_sum).clamp(1e-6, 1e6);
-            fractions = horizon_fractions(events, k, model.beta, horizon);
-        }
     }
 
     // A NaN likelihood or non-finite parameters mean an update step blew
@@ -125,7 +119,6 @@ pub fn fit_em(
     if !prev_ll.is_finite()
         || model.mu.iter().any(|m| !m.is_finite())
         || model.w.iter().flatten().any(|x| !x.is_finite())
-        || !model.beta.is_finite()
     {
         return Err(HawkesError::Diverged(format!(
             "non-finite fit after {iterations} iterations (log-likelihood {prev_ll})"
@@ -138,6 +131,29 @@ pub fn fit_em(
         iterations,
         converged,
     })
+}
+
+/// `fit_em`'s input checks: the arguments, then the stream itself.
+fn validate_inputs(events: &[Event], k: usize, horizon: f64, beta: f64) -> Result<(), HawkesError> {
+    if k == 0 {
+        return Err(HawkesError::InvalidParameter(
+            "need at least one process".into(),
+        ));
+    }
+    if events.is_empty() {
+        return Err(HawkesError::EmptyEvents);
+    }
+    if !(horizon.is_finite() && horizon > 0.0) {
+        return Err(HawkesError::InvalidParameter(
+            "horizon must be finite and positive".into(),
+        ));
+    }
+    if !(beta.is_finite() && beta > 0.0) {
+        return Err(HawkesError::InvalidParameter(
+            "beta must be finite and positive".into(),
+        ));
+    }
+    validate_stream(events, k, Some(horizon))
 }
 
 #[cfg(test)]
@@ -163,9 +179,8 @@ mod tests {
         assert!(fit_em(&[Event::new(1.0, 0)], 1, 0.0, &cfg).is_err());
         assert!(fit_em(&[Event::new(1.0, 3)], 2, 10.0, &cfg).is_err());
         assert!(fit_em(&[Event::new(2.0, 0), Event::new(1.0, 0)], 1, 10.0, &cfg).is_err());
-        // The variants `fit_gibbs` is held equal to (its own
-        // `rejects_invalid_input` compares the two fitters case by case;
-        // `empty_stream_is_typed_error` below pins `EmptyEvents`).
+        // Each bad input is its typed variant
+        // (`empty_stream_is_typed_error` below pins `EmptyEvents`).
         let one = [Event::new(1.0, 0)];
         for (k, horizon, beta) in [(0, 10.0, 1.0), (1, 0.0, 1.0), (1, 10.0, f64::NAN)] {
             assert!(matches!(
@@ -190,7 +205,6 @@ mod tests {
                 beta: 2.0,
                 max_iters: iters,
                 tol: 0.0,
-                ..EmConfig::default()
             };
             let fit = fit_em(&events, 2, 400.0, &cfg).unwrap();
             lls.push(fit.log_likelihood);
@@ -236,25 +250,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn beta_estimation_moves_toward_truth() {
-        let truth = ground_truth(); // beta = 2.0
-        let mut rng = seeded_rng(8);
-        let events = strip_lineage(&simulate_branching(&truth, 3000.0, &mut rng));
-        let cfg = EmConfig {
-            beta: 0.5, // deliberately wrong start
-            estimate_beta: true,
-            max_iters: 300,
-            ..EmConfig::default()
-        };
-        let fit = fit_em(&events, 2, 3000.0, &cfg).unwrap();
-        assert!(
-            (fit.model.beta - 2.0).abs() < 0.5,
-            "beta fitted {} vs true 2.0",
-            fit.model.beta
-        );
     }
 
     #[test]
@@ -309,7 +304,6 @@ mod tests {
             beta: 2.0,
             max_iters: 500,
             tol: 1e-8,
-            ..EmConfig::default()
         };
         let fit = fit_em(&events, 2, 500.0, &cfg).unwrap();
         assert!(

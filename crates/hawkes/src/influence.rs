@@ -16,10 +16,9 @@
 
 use crate::attribution::root_cause_matrix;
 use crate::em::{fit_em, EmConfig};
-use crate::gibbs::{fit_gibbs, GibbsConfig};
 use crate::model::{Event, HawkesError};
 use meme_stats::ks::ks_two_sample;
-use meme_stats::{child_seed, seeded_rng};
+use meme_stats::seeded_rng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -132,21 +131,11 @@ impl InfluenceMatrix {
     }
 }
 
-/// Which fitter backs the estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Fitter {
-    /// Expectation–maximization (deterministic; the default).
-    Em(EmConfig),
-    /// Latent-parent Gibbs sampling (the paper's method); the seed keys
-    /// per-cluster RNG substreams.
-    Gibbs(GibbsConfig, u64),
-}
-
-/// Per-cluster fit + attribution + aggregation.
+/// Per-cluster EM fit + attribution + aggregation.
 #[derive(Debug, Clone)]
 pub struct InfluenceEstimator {
     k: usize,
-    fitter: Fitter,
+    config: EmConfig,
 }
 
 /// Per-cluster and aggregate influence, the estimate inside
@@ -178,13 +167,11 @@ pub struct ClusterFitStats {
     pub cluster: usize,
     /// Events in the cluster's stream.
     pub events: usize,
-    /// Optimizer sweeps: EM iterations, or collected samples for the
-    /// Gibbs fitter.
+    /// EM iterations.
     pub iterations: usize,
     /// Final log-likelihood of the fitted model on the stream.
     pub log_likelihood: f64,
-    /// Whether the fitter reported convergence within budget (always
-    /// `true` for Gibbs, which runs a fixed sampling schedule).
+    /// Whether EM reached its tolerance within the iteration budget.
     pub converged: bool,
 }
 
@@ -210,16 +197,11 @@ impl InfluenceEstimator {
     pub fn new(k: usize, beta: f64) -> Self {
         Self {
             k,
-            fitter: Fitter::Em(EmConfig {
+            config: EmConfig {
                 beta,
                 ..EmConfig::default()
-            }),
+            },
         }
-    }
-
-    /// Use a specific fitter.
-    pub fn with_fitter(k: usize, fitter: Fitter) -> Self {
-        Self { k, fitter }
     }
 
     /// Fit a model per cluster, attribute root causes, and aggregate.
@@ -251,7 +233,7 @@ impl InfluenceEstimator {
         order.sort_by_key(|&c| std::cmp::Reverse(clusters[c].len()));
         let next = AtomicUsize::new(0);
 
-        let fitter = &self.fitter;
+        let config = &self.config;
         // Every index is handed out exactly once, so every slot is
         // overwritten; the placeholder is an empty cluster's result.
         let mut outcomes: Vec<ClusterOutcome> = vec![Ok((InfluenceMatrix::zeros(k), None)); n];
@@ -262,7 +244,7 @@ impl InfluenceEstimator {
                         let mut done = Vec::new();
                         while let Some(&cluster) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                             let outcome =
-                                fit_one_checked(fitter, &clusters[cluster], k, horizon, cluster);
+                                fit_one_checked(config, &clusters[cluster], k, horizon, cluster);
                             done.push((cluster, outcome));
                         }
                         done
@@ -316,7 +298,7 @@ type ClusterOutcome = Result<(InfluenceMatrix, Option<ClusterFitStats>), HawkesE
 /// at or past the critical branching ratio are rejected: root-cause
 /// attribution is meaningless there.
 fn fit_one_checked(
-    fitter: &Fitter,
+    config: &EmConfig,
     events: &[Event],
     k: usize,
     horizon: f64,
@@ -325,34 +307,20 @@ fn fit_one_checked(
     if events.is_empty() {
         return Ok((InfluenceMatrix::zeros(k), None));
     }
-    let (model, iterations, log_likelihood, converged) = match fitter {
-        Fitter::Em(cfg) => {
-            let fit = fit_em(events, k, horizon, cfg)?;
-            (fit.model, fit.iterations, fit.log_likelihood, fit.converged)
-        }
-        Fitter::Gibbs(cfg, seed) => {
-            let mut rng = seeded_rng(child_seed(*seed, cluster_idx as u64));
-            let fit = fit_gibbs(events, k, horizon, cfg, &mut rng)?;
-            let ll = fit
-                .model
-                .log_likelihood(events, horizon)
-                .unwrap_or(f64::NAN);
-            (fit.model, fit.samples, ll, true)
-        }
-    };
-    let rho = model.spectral_radius();
+    let fit = fit_em(events, k, horizon, config)?;
+    let rho = fit.model.spectral_radius();
     if rho >= 1.0 {
         return Err(HawkesError::NonStationary {
             spectral_radius: rho,
         });
     }
-    let matrix = InfluenceMatrix::from_counts(root_cause_matrix(&model, events)?);
+    let matrix = InfluenceMatrix::from_counts(root_cause_matrix(&fit.model, events)?);
     let stats = ClusterFitStats {
         cluster: cluster_idx,
         events: events.len(),
-        iterations,
-        log_likelihood,
-        converged,
+        iterations: fit.iterations,
+        log_likelihood: fit.log_likelihood,
+        converged: fit.converged,
     };
     Ok((matrix, Some(stats)))
 }
@@ -502,6 +470,7 @@ mod tests {
     use super::*;
     use crate::model::HawkesModel;
     use crate::simulate::{simulate_branching, strip_lineage, true_root_community};
+    use meme_stats::child_seed;
 
     /// 3 communities; community 0 is a prolific instigator.
     fn truth() -> HawkesModel {
@@ -706,46 +675,6 @@ mod tests {
             );
             assert_eq!(st.events, clusters[st.cluster].len());
         }
-    }
-
-    #[test]
-    fn gibbs_fit_stats_report_sample_budget() {
-        let clusters = make_clusters(2, 120.0, 40);
-        let cfg = GibbsConfig {
-            beta: 2.0,
-            samples: 30,
-            burn_in: 10,
-            ..GibbsConfig::default()
-        };
-        let est = InfluenceEstimator::with_fitter(3, Fitter::Gibbs(cfg, 5));
-        let out = est.estimate_robust(&clusters, 120.0, 1);
-        assert_eq!(out.fit_stats.len(), 2);
-        for st in &out.fit_stats {
-            assert_eq!(st.iterations, 30);
-            assert!(st.converged);
-        }
-    }
-
-    #[test]
-    fn gibbs_fitter_runs() {
-        let clusters = make_clusters(3, 120.0, 34);
-        let est = InfluenceEstimator::with_fitter(
-            3,
-            Fitter::Gibbs(
-                GibbsConfig {
-                    beta: 2.0,
-                    samples: 40,
-                    burn_in: 20,
-                    ..GibbsConfig::default()
-                },
-                99,
-            ),
-        );
-        let out = est.estimate_robust(&clusters, 120.0, 2);
-        assert!(out.skipped.is_empty(), "skips: {:?}", out.skipped);
-        let totals = out.influence.total.events_per_community();
-        let expected: f64 = clusters.iter().map(|c| c.len() as f64).sum();
-        assert!((totals.iter().sum::<f64>() - expected).abs() < 1e-6);
     }
 
     #[test]

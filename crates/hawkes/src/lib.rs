@@ -14,15 +14,13 @@
 //! * [`model`] — the K-variate linear Hawkes model with exponential
 //!   impulse kernels, intensities, log-likelihood, and stationarity
 //!   checks, plus the crate-private `DecayState`: the kernel's past as
-//!   O(K) decayed sums, advanced once per event, which every fitter,
-//!   attribution, the residuals and thinning read (no parent window);
+//!   O(K) decayed sums, advanced once per event, which EM, attribution,
+//!   the residuals and thinning read (no parent window);
 //! * [`simulate`] — exact branching simulation (with ground-truth parent
 //!   bookkeeping, which the ecosystem simulator relies on) and Ogata
 //!   thinning as an independent cross-check;
-//! * [`em`] — maximum-likelihood fitting via expectation–maximization;
-//! * [`gibbs`] — Bayesian fitting via a latent-parent Gibbs sampler with
-//!   conjugate Gamma updates, the approach of Linderman & Adams that the
-//!   paper uses;
+//! * [`em`] — maximum-likelihood fitting via expectation–maximization
+//!   at a fixed kernel decay `β`, the one estimator;
 //! * [`attribution`] — parent probabilities and recursive root-cause
 //!   propagation (the paper's §5.1 "improved method" over its earlier
 //!   one-hop estimate);
@@ -37,7 +35,6 @@
 
 pub mod attribution;
 pub mod em;
-pub mod gibbs;
 pub mod influence;
 pub mod model;
 pub mod residual;
@@ -45,9 +42,8 @@ pub mod simulate;
 
 pub use attribution::{parent_probabilities, root_cause_matrix, root_causes};
 pub use em::{fit_em, EmConfig, EmFit};
-pub use gibbs::{fit_gibbs, GibbsConfig, GibbsFit};
 pub use influence::{
-    bootstrap_ci, BootstrapCi, ClusterFitStats, ClusterInfluence, Fitter, InfluenceEstimator,
+    bootstrap_ci, BootstrapCi, ClusterFitStats, ClusterInfluence, InfluenceEstimator,
     InfluenceMatrix, RobustInfluence, SkippedCluster, SplitInfluence,
 };
 pub use model::{Event, HawkesError, HawkesModel};

@@ -120,22 +120,6 @@ impl HawkesModel {
         Ok(Self { mu, w, beta })
     }
 
-    /// Both fitters' starting point: half of each process's empirical
-    /// rate on `[0, horizon]` as background, small uniform weights.
-    pub(crate) fn initial_guess(
-        events: &[Event],
-        k: usize,
-        horizon: f64,
-        beta: f64,
-    ) -> Result<Self, HawkesError> {
-        let mut counts = vec![0usize; k];
-        for e in events {
-            counts[e.process] += 1;
-        }
-        let mu = counts.iter().map(|&c| (0.5 * c as f64 / horizon).max(1e-6));
-        Self::new(mu.collect(), vec![vec![0.1; k]; k], beta)
-    }
-
     /// Number of processes.
     pub fn k(&self) -> usize {
         self.mu.len()
@@ -204,7 +188,7 @@ impl HawkesModel {
         let k = self.k();
         let (mut bg, mut pair) = (vec![0.0; k], vec![vec![0.0; k]; k]);
         let mut state = DecayState::new(k, self.beta);
-        let (log_lambda, _) = branching_pass(self, events, &mut state, &mut bg, &mut pair);
+        let log_lambda = branching_pass(self, events, &mut state, &mut bg, &mut pair);
         // `ln 0 = −∞`: some event has zero intensity.
         if log_lambda < f64::MIN {
             return Err(HawkesError::InvalidParameter(
@@ -254,22 +238,18 @@ const FORGET_BELOW: f64 = 9.357_622_968_840_175e-14;
 ///
 /// ```text
 /// R_s(t) = Σ_{i on s, t_i ≤ t} e^{−β(t − t_i)}
-/// S_s(t) = Σ_{i on s, t_i ≤ t} (t − t_i) e^{−β(t − t_i)}      (with_lags)
 /// Q_s(t) = Σ_{i on s, t_i ≤ t} e^{−β(t − t_i)} root(i) ∈ ℝ^K  (with_roots)
 /// ```
 ///
-/// so intensities, E-step responsibilities, the lag moment behind `β`'s
-/// update and root-cause mass cost O(K) per event (O(K²) for roots),
-/// with no parent window. From `t` to `t' ≥ t` all three decay by
-/// `d = e^{−β(t' − t)}`, and `S` also gains `(t' − t) d R`; a source
-/// whose `R_s` drops below [`FORGET_BELOW`] is reset to zero.
+/// so intensities and E-step responsibilities cost O(K) per event and
+/// root-cause mass O(K²), with no parent window. From `t` to `t' ≥ t`
+/// both decay by `d = e^{−β(t' − t)}`; a source whose `R_s` drops below
+/// [`FORGET_BELOW`] is reset to zero.
 #[derive(Debug)]
 pub(crate) struct DecayState {
     beta: f64,
     t: f64,
     pub(crate) r: Vec<f64>,
-    /// Empty unless built `with_lags`.
-    pub(crate) s: Vec<f64>,
     /// Row `s` at `[s·K, (s+1)·K)`; empty unless built `with_roots`.
     pub(crate) q: Vec<f64>,
     /// `W[s][dst] β R_s(t)` of the last [`DecayState::intensity`] call.
@@ -283,15 +263,9 @@ impl DecayState {
             beta,
             t: 0.0,
             r: vec![0.0; k],
-            s: Vec::new(),
             q: Vec::new(),
             by_source: vec![0.0; k],
         }
-    }
-
-    pub(crate) fn with_lags(mut self) -> Self {
-        self.s = vec![0.0; self.r.len()];
-        self
     }
 
     pub(crate) fn with_roots(mut self) -> Self {
@@ -302,7 +276,7 @@ impl DecayState {
     /// Decay the past to time `t`. Streams are sorted, so `t` only goes
     /// back from the empty initial state (a stream may start before 0),
     /// and a tie leaves the state as it is.
-    // lint:hotpath(per-event decay of the K, 2K or K+K² state floats; no allocation)
+    // lint:hotpath(per-event decay of the K or K+K² state floats; no allocation)
     pub(crate) fn advance_to(&mut self, t: f64) {
         let dt = t - self.t;
         self.t = t;
@@ -310,9 +284,6 @@ impl DecayState {
             return;
         }
         let d = (-self.beta * dt).exp();
-        for (s, r) in self.s.iter_mut().zip(&self.r) {
-            *s = d * *s + (d * dt) * r;
-        }
         for q in &mut self.q {
             *q *= d;
         }
@@ -321,9 +292,6 @@ impl DecayState {
             *r *= d;
             if *r > 0.0 && *r < FORGET_BELOW {
                 *r = 0.0;
-                if let Some(s) = self.s.get_mut(src) {
-                    *s = 0.0;
-                }
                 if let Some(q) = self.q.get_mut(src * k..(src + 1) * k) {
                     q.fill(0.0);
                 }
@@ -361,8 +329,7 @@ impl DecayState {
 /// likelihood's event term. Event `j` gives the background
 /// `μ_{c_j} / λ_j` (summed into `bg`) and source `s` the parent mass
 /// `W[s][c_j] β R_s(t_j) / λ_j` (into `pair[s][c_j]`). Returns
-/// `Σ_j ln λ_j` and the lag moment `Σ_j Σ_s W[s][c_j] β S_s(t_j) / λ_j`
-/// (zero unless `state`, which must be empty, tracks lags).
+/// `Σ_j ln λ_j`; `state` must be empty.
 // lint:hotpath(one pass: K multiply-adds per event into the caller's buffers)
 pub(crate) fn branching_pass(
     model: &HawkesModel,
@@ -370,12 +337,12 @@ pub(crate) fn branching_pass(
     state: &mut DecayState,
     bg: &mut [f64],
     pair: &mut [Vec<f64>],
-) -> (f64, f64) {
+) -> f64 {
     bg.fill(0.0);
     for row in pair.iter_mut() {
         row.fill(0.0);
     }
-    let (mut log_lambda, mut lag_sum) = (0.0, 0.0);
+    let mut log_lambda = 0.0;
     for e in events {
         let c = e.process;
         state.advance_to(e.t);
@@ -385,17 +352,14 @@ pub(crate) fn branching_pass(
         for (row, a) in pair.iter_mut().zip(&state.by_source) {
             row[c] += a / lambda;
         }
-        for (row, lag) in model.w.iter().zip(&state.s) {
-            lag_sum += row[c] * model.beta * lag / lambda;
-        }
         state.push(c);
     }
-    (log_lambda, lag_sum)
+    log_lambda
 }
 
 /// Per source process, `Σ_{i on s} (1 − e^{−β(T − t_i)})`: how much of
 /// its events' offspring windows `[0, T]` observes. EM's M-step divides
-/// by it, Gibbs calls it exposure, and the compensator weighs `W` by it.
+/// by it and the compensator weighs `W` by it.
 pub(crate) fn horizon_fractions(events: &[Event], k: usize, beta: f64, horizon: f64) -> Vec<f64> {
     let mut fractions = vec![0.0; k];
     for e in events {
@@ -445,35 +409,6 @@ pub(crate) fn validate_stream(
         prev = e.t;
     }
     Ok(())
-}
-
-/// The argument checks both fitters share, so the same bad input is the
-/// same error whichever fitter sees it.
-pub(crate) fn validate_fit_inputs(
-    events: &[Event],
-    k: usize,
-    horizon: f64,
-    beta: f64,
-) -> Result<(), HawkesError> {
-    if k == 0 {
-        return Err(HawkesError::InvalidParameter(
-            "need at least one process".into(),
-        ));
-    }
-    if events.is_empty() {
-        return Err(HawkesError::EmptyEvents);
-    }
-    if !(horizon.is_finite() && horizon > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "horizon must be finite and positive".into(),
-        ));
-    }
-    if !(beta.is_finite() && beta > 0.0) {
-        return Err(HawkesError::InvalidParameter(
-            "beta must be finite and positive".into(),
-        ));
-    }
-    validate_stream(events, k, Some(horizon))
 }
 
 #[cfg(test)]
@@ -591,8 +526,8 @@ mod tests {
 
     #[test]
     fn decayed_state_matches_direct_sums() {
-        // R and S against their O(n) definitions at every event, on a
-        // stream with ties that starts before 0.
+        // R against its O(n) definition at every event, on a stream
+        // with ties that starts before 0.
         let beta = 1.7;
         let events = [
             Event::new(-1.0, 0),
@@ -602,18 +537,16 @@ mod tests {
             Event::new(2.5, 1),
             Event::new(2.5, 1),
         ];
-        let mut state = DecayState::new(2, beta).with_lags();
+        let mut state = DecayState::new(2, beta);
         for (i, e) in events.iter().enumerate() {
             state.advance_to(e.t);
             for s in 0..2 {
-                let (mut r, mut lag) = (0.0, 0.0);
-                for p in events[..i].iter().filter(|p| p.process == s) {
-                    let d = (-beta * (e.t - p.t)).exp();
-                    r += d;
-                    lag += (e.t - p.t) * d;
-                }
+                let r: f64 = events[..i]
+                    .iter()
+                    .filter(|p| p.process == s)
+                    .map(|p| (-beta * (e.t - p.t)).exp())
+                    .sum();
                 assert!((state.r[s] - r).abs() < 1e-12, "R_{s} at {i}");
-                assert!((state.s[s] - lag).abs() < 1e-12, "S_{s} at {i}");
             }
             state.push(e.process);
         }
@@ -621,13 +554,13 @@ mod tests {
 
     #[test]
     fn a_source_quiet_for_thirty_time_constants_is_forgotten() {
-        let mut state = DecayState::new(2, 2.0).with_lags().with_roots();
+        let mut state = DecayState::new(2, 2.0).with_roots();
         state.push(0);
         state.push_root(0, &[1.0, 0.0]);
         state.advance_to(14.9); // 29.8 time-constants back: still there
-        assert!(state.r[0] > 0.0 && state.s[0] > 0.0 && state.q[0] > 0.0);
+        assert!(state.r[0] > 0.0 && state.q[0] > 0.0);
         state.advance_to(15.1);
-        assert_eq!((state.r[0], state.s[0], state.q[0]), (0.0, 0.0, 0.0));
+        assert_eq!((state.r[0], state.q[0]), (0.0, 0.0));
     }
 
     #[test]

@@ -53,7 +53,6 @@ fn fit_allocations(events: &[Event], horizon: f64) -> u64 {
         beta: 2.0,
         max_iters: ITERS,
         tol: 0.0, // never met: every fit runs all ITERS iterations
-        ..EmConfig::default()
     };
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let fit = fit_em(events, 2, horizon, &cfg).expect("seeded stream fits");

@@ -88,11 +88,10 @@ pub struct Fit {
 }
 
 /// EM with the windowed E-step: same initial guess, M-step, stopping
-/// test and returned model as `meme_hawkes::fit_em` at fixed `β`, but
+/// test and returned model as `meme_hawkes::fit_em`, but
 /// the E-step weighs every parent event and the likelihood is a
 /// separate pass per iteration. Inputs must be valid.
 pub fn fit_em(events: &[Event], k: usize, horizon: f64, config: &EmConfig) -> Fit {
-    assert!(!config.estimate_beta, "the oracle holds β fixed");
     let mut counts = vec![0usize; k];
     for e in events {
         counts[e.process] += 1;

@@ -132,10 +132,10 @@ impl Metrics {
     }
 
     /// Start a span at `path`. Time is measured even when disabled (the
-    /// returned guard's `finish` reports elapsed seconds); recording
-    /// happens only when enabled.
+    /// returned guard's `finish` reports elapsed seconds); recording, and
+    /// the copy of `path` it needs, happen only when enabled.
     pub fn span(&self, path: &str) -> Span {
-        Span::start(self.0.clone(), path.to_string())
+        Span::start(self.0.as_ref().map(|r| (Arc::clone(r), path.to_string())))
     }
 
     /// Export the registry as JSON; `None` when disabled.

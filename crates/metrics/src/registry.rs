@@ -111,10 +111,16 @@ impl Registry {
         Self::default()
     }
 
-    /// Add `delta` to a counter, creating it at zero first.
+    /// Add `delta` to a counter, creating it at zero first. Only a
+    /// name's first write allocates its key.
     pub fn add_counter(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        match inner.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                inner.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Current counter value (0 if never written).
@@ -126,18 +132,26 @@ impl Registry {
     /// Set a gauge (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.gauges.insert(name.to_string(), value);
+        match inner.gauges.get_mut(name) {
+            Some(g) => *g = value,
+            None => {
+                inner.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Record one observation into a fixed-bucket histogram. The bounds
     /// are fixed on first use; later `bounds` arguments are ignored.
     pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSnapshot::new(bounds))
-            .observe(value);
+        match inner.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = HistogramSnapshot::new(bounds);
+                h.observe(value);
+                inner.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Record one completed span invocation.

@@ -12,30 +12,34 @@ use std::time::Instant;
 /// spans can cross thread boundaries without thread-local state.
 #[derive(Debug)]
 pub struct Span {
-    registry: Option<Arc<Registry>>,
-    path: String,
+    /// The registry and this span's path; `None` on a disabled handle,
+    /// whose spans neither record nor allocate.
+    recorder: Option<(Arc<Registry>, String)>,
     start: Instant,
     done: bool,
 }
 
 impl Span {
-    pub(crate) fn start(registry: Option<Arc<Registry>>, path: String) -> Self {
+    pub(crate) fn start(recorder: Option<(Arc<Registry>, String)>) -> Self {
         Self {
-            registry,
-            path,
+            recorder,
             start: Instant::now(),
             done: false,
         }
     }
 
-    /// This span's full `/`-separated path.
+    /// This span's full `/`-separated path (empty on a disabled handle).
     pub fn path(&self) -> &str {
-        &self.path
+        self.recorder.as_ref().map_or("", |(_, path)| path)
     }
 
     /// Start a child span named `path/name`.
     pub fn child(&self, name: &str) -> Span {
-        Span::start(self.registry.clone(), format!("{}/{}", self.path, name))
+        Span::start(
+            self.recorder
+                .as_ref()
+                .map(|(r, path)| (Arc::clone(r), format!("{path}/{name}"))),
+        )
     }
 
     /// Stop the span, record it, and return the elapsed seconds.
@@ -48,8 +52,8 @@ impl Span {
         let secs = self.start.elapsed().as_secs_f64();
         if !self.done {
             self.done = true;
-            if let Some(r) = &self.registry {
-                r.record_span(&self.path, secs);
+            if let Some((r, path)) = &self.recorder {
+                r.record_span(path, secs);
             }
         }
         secs
@@ -69,7 +73,7 @@ mod tests {
     #[test]
     fn finish_records_once() {
         let r = Arc::new(Registry::new());
-        let span = Span::start(Some(Arc::clone(&r)), "t".into());
+        let span = Span::start(Some((Arc::clone(&r), "t".into())));
         let secs = span.finish();
         assert!(secs >= 0.0);
         assert_eq!(r.snapshot().spans["t"].calls, 1);
@@ -79,7 +83,7 @@ mod tests {
     fn drop_records_unfinished_span() {
         let r = Arc::new(Registry::new());
         {
-            let _span = Span::start(Some(Arc::clone(&r)), "dropped".into());
+            let _span = Span::start(Some((Arc::clone(&r), "dropped".into())));
         }
         assert_eq!(r.snapshot().spans["dropped"].calls, 1);
     }
@@ -87,7 +91,7 @@ mod tests {
     #[test]
     fn child_paths_compose() {
         let r = Arc::new(Registry::new());
-        let parent = Span::start(Some(Arc::clone(&r)), "a".into());
+        let parent = Span::start(Some((Arc::clone(&r), "a".into())));
         let child = parent.child("b");
         let grandchild = child.child("c");
         assert_eq!(grandchild.path(), "a/b/c");
@@ -100,7 +104,10 @@ mod tests {
 
     #[test]
     fn disabled_span_still_measures() {
-        let span = Span::start(None, "x".into());
+        let span = Span::start(None);
+        let child = span.child("y");
+        assert_eq!((span.path(), child.path()), ("", ""));
+        assert!(child.finish() >= 0.0);
         assert!(span.finish() >= 0.0);
     }
 }

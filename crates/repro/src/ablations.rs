@@ -224,7 +224,7 @@ pub fn ablation_beta(r: &Repro) -> Printed {
 
 /// Nonparametric impulse-response estimate.
 ///
-/// The paper (and our fitters) assume a parametric impulse shape; this
+/// The paper (and our EM fitter) assume a parametric impulse shape; this
 /// diagnostic checks that assumption the way Linderman & Adams motivate
 /// their basis functions: compute each event's parent responsibilities
 /// under `model`, bin the parent→child lags weighted by responsibility,
@@ -232,7 +232,7 @@ pub fn ablation_beta(r: &Repro) -> Printed {
 /// kernel is right, the histogram tracks `β e^{−β t}`.
 ///
 /// It is the one consumer of individual parent→child lags, so it walks
-/// every earlier event itself, O(n²); the fitters never need to.
+/// every earlier event itself, O(n²); EM never needs to.
 /// Returns `bins` density values (integrating to ~1 when enough mass
 /// falls inside the window); all-zero when the stream has no plausible
 /// parent-child pairs. Errors on `bins == 0`, a non-positive /

@@ -2,17 +2,21 @@
 //!
 //! The serving-layer contract extends the index crate's: once a
 //! connection's [`ServeScratch`] and reply buffer have warmed up, the
-//! whole answer to a lookup — one [`SnapshotStore::load`], one
-//! [`Snapshot::lookup`], and a `render_hit` / `render_miss` into the
-//! reused `String` — performs **zero heap allocations**: the snapshot
-//! is immutable, the hit is `Copy`, the store load is one `Arc` clone,
-//! record resolution is a slice index, and the render writes into
-//! capacity the buffer already has. Same counting-allocator audit as
-//! `crates/index/tests/no_alloc.rs`, and the same single-test rule (a
-//! concurrent test's allocations would pollute the counting window).
+//! whole answer to a lookup — the `serve/query` span, counters and
+//! latency histogram on the disabled [`Metrics`] handle `memes serve`
+//! runs with, one [`SnapshotStore::load`], one [`Snapshot::lookup`], and
+//! a `render_hit` / `render_miss` into the reused `String` — performs
+//! **zero heap allocations**: a disabled span carries no path, the
+//! snapshot is immutable, the hit is `Copy`, the store load is one
+//! `Arc` clone, record resolution is a slice index, and the render
+//! writes into capacity the buffer already has. Same counting-allocator
+//! audit as `crates/index/tests/no_alloc.rs`, and the same single-test
+//! rule (a concurrent test's allocations would pollute the counting
+//! window).
 
 use meme_core::pipeline::{Pipeline, PipelineConfig};
 use meme_core::supervise::SupervisedRunner;
+use meme_metrics::{Metrics, LATENCY_BUCKETS_US};
 use meme_phash::PHash;
 use meme_serve::protocol::{render_hit, render_miss};
 use meme_serve::{ServeScratch, Snapshot, SnapshotStore, DEFAULT_THETA};
@@ -84,20 +88,30 @@ fn steady_state_lookups_do_not_allocate() {
             .collect()
     };
 
-    // What a connection reader does per lookup: load, look up, render
-    // into its one reply buffer. Returns whether the query hit.
+    // What a connection reader does per lookup (`answer_lookup`): open
+    // the query span, count, load, look up, render into its one reply
+    // buffer, then close the span into the latency histogram. Returns
+    // whether the query hit.
+    let metrics = Metrics::disabled();
     let answer = |q: PHash, scratch: &mut ServeScratch, line: &mut String| {
+        let span = metrics.span("serve/query");
+        metrics.inc("serve.queries");
         let snap = store.load();
-        match snap.lookup(q, scratch) {
+        let hit = match snap.lookup(q, scratch) {
             Some(hit) => {
+                metrics.inc("serve.hits");
                 render_hit(line, q, &hit, &snap);
                 true
             }
             None => {
+                metrics.inc("serve.misses");
                 render_miss(line, q, snap.generation());
                 false
             }
-        }
+        };
+        let secs = span.finish();
+        metrics.observe("serve.latency_us", &LATENCY_BUCKETS_US, secs * 1e6);
+        hit
     };
 
     let mut scratch = ServeScratch::new();
@@ -122,6 +136,6 @@ fn steady_state_lookups_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "a warm reader's load + lookup + render must not touch the heap"
+        "a warm reader's metrics + load + lookup + render must not touch the heap"
     );
 }

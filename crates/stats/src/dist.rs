@@ -2,8 +2,7 @@
 //!
 //! `rand` ships only uniform, Bernoulli and weighted-index distributions;
 //! the ecosystem simulator (Zipf post popularity, Poisson image counts,
-//! log-normal vote scores) and the Gibbs sampler for the network Hawkes
-//! model (Gamma/Beta/Dirichlet conjugate updates) need more. All samplers
+//! log-normal vote scores, Dirichlet variant mixes) needs more. All samplers
 //! implement [`rand::distr::Distribution`] so they compose with the rest of
 //! the `rand` ecosystem.
 //!
@@ -206,8 +205,8 @@ impl Distribution<usize> for Zipf {
 /// Gamma distribution with shape `k` and scale `theta`.
 ///
 /// Uses the Marsaglia–Tsang squeeze method (2000), with the standard
-/// boost `U^(1/k)` for shapes below one. Conjugate updates in the Hawkes
-/// Gibbs sampler draw from this.
+/// boost `U^(1/k)` for shapes below one. [`Dirichlet`] draws its
+/// components from this.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gamma {
     shape: f64,
@@ -269,45 +268,10 @@ impl Distribution<f64> for Gamma {
     }
 }
 
-/// Beta distribution with parameters `alpha`, `beta`.
-///
-/// Sampled as `X / (X + Y)` with `X ~ Gamma(alpha)`, `Y ~ Gamma(beta)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Beta {
-    a: Gamma,
-    b: Gamma,
-}
-
-impl Beta {
-    /// Create a Beta sampler; both parameters must be finite and positive.
-    pub fn new(alpha: f64, beta: f64) -> Result<Self, DistError> {
-        Ok(Self {
-            a: Gamma::new(alpha, 1.0)?,
-            b: Gamma::new(beta, 1.0)?,
-        })
-    }
-}
-
-impl Distribution<f64> for Beta {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let x = self.a.sample(rng);
-        let y = self.b.sample(rng);
-        // Gamma samples are non-negative, so the degenerate case is
-        // exactly "both zero"; an ordering compare tests it without
-        // float equality.
-        if x + y <= 0.0 {
-            0.5
-        } else {
-            x / (x + y)
-        }
-    }
-}
-
 /// Dirichlet distribution over the probability simplex.
 ///
 /// Sampled as normalized independent Gammas. Used to draw mixing
-/// proportions for meme-variant clusters and (in the Gibbs sampler) for
-/// discretized impulse-response shapes.
+/// proportions for meme-variant clusters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dirichlet {
     components: Vec<Gamma>,
@@ -632,16 +596,6 @@ mod tests {
         let (m, _) = mean_var(&xs);
         assert!((m - 0.4).abs() < 0.02, "mean {m}");
         assert!(xs.iter().all(|x| *x >= 0.0));
-    }
-
-    #[test]
-    fn beta_moments() {
-        let mut rng = seeded_rng(8);
-        let d = Beta::new(2.0, 5.0).unwrap();
-        let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
-        let (m, _) = mean_var(&xs);
-        assert!((m - 2.0 / 7.0).abs() < 0.01, "mean {m}");
-        assert!(xs.iter().all(|x| (0.0..=1.0).contains(x)));
     }
 
     #[test]

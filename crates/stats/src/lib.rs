@@ -4,10 +4,9 @@
 //! Communities"* (IMC 2018) needs a number of statistical tools that the
 //! allowed dependency set does not provide:
 //!
-//! * heavy-tailed and conjugate-prior **samplers** (Zipf, Poisson, Gamma,
-//!   Beta, Dirichlet, log-normal, categorical) used by the Web-ecosystem
-//!   simulator and by the Gibbs sampler for the network Hawkes model
-//!   ([`dist`]);
+//! * heavy-tailed and mixing-proportion **samplers** (Zipf, Poisson,
+//!   Gamma, Dirichlet, log-normal, categorical) used by the Web-ecosystem
+//!   simulator ([`dist`]);
 //! * **empirical CDFs** for every CDF figure in the paper (Figs. 4, 5, 9,
 //!   17) ([`ecdf`]);
 //! * the **two-sample Kolmogorov–Smirnov test** used to mark significant
@@ -38,7 +37,7 @@ pub mod timeseries;
 
 pub use agreement::{cohens_kappa, fleiss_kappa};
 pub use describe::Summary;
-pub use dist::{Beta, Categorical, Dirichlet, Exponential, Gamma, LogNormal, Poisson, Zipf};
+pub use dist::{Categorical, Dirichlet, Exponential, Gamma, LogNormal, Poisson, Zipf};
 pub use ecdf::Ecdf;
 pub use ks::{ks_two_sample, KsResult};
 pub use sets::jaccard;

@@ -1,9 +1,7 @@
 //! Property-based tests for the statistical substrate.
 
 use meme_stats::agreement::{cohens_kappa, fleiss_kappa};
-use meme_stats::dist::{
-    Beta, Categorical, Dirichlet, Exponential, Gamma, LogNormal, Poisson, Zipf,
-};
+use meme_stats::dist::{Categorical, Dirichlet, Exponential, Gamma, LogNormal, Poisson, Zipf};
 use meme_stats::ks::{kolmogorov_q, ks_two_sample};
 use meme_stats::{seeded_rng, Ecdf};
 use proptest::prelude::*;
@@ -164,7 +162,6 @@ proptest! {
         let _ = Poisson::new(a);
         let _ = Zipf::new(n, a);
         let _ = Gamma::new(a, b);
-        let _ = Beta::new(a, b);
         let _ = LogNormal::new(a, b);
         let _ = Dirichlet::symmetric(n, a);
         let _ = Dirichlet::new(&[a, b]);
@@ -181,8 +178,6 @@ proptest! {
         prop_assert!(Zipf::new(10, bad).is_err());
         prop_assert!(Gamma::new(bad, 1.0).is_err());
         prop_assert!(Gamma::new(1.0, bad).is_err());
-        prop_assert!(Beta::new(bad, 1.0).is_err());
-        prop_assert!(Beta::new(1.0, bad).is_err());
         prop_assert!(LogNormal::new(bad, 1.0).is_err());
         prop_assert!(LogNormal::new(0.0, bad).is_err());
         prop_assert!(Dirichlet::symmetric(3, bad).is_err());

@@ -5,18 +5,27 @@
 //! case count (`PROPTEST_CASES` raises it; CI runs this file at
 //! 10 000). Covered so far: the checkpoint envelope
 //! (`decode_checkpoint`: header, CRC and JSON body), `PHash::from_str`,
-//! and the serve wire protocol's `parse_request` (arbitrary bytes,
-//! truncated requests and nesting bombs), which runs on the thread that
-//! answers the lookup.
+//! the serve wire protocol's `parse_request`, which runs on the thread
+//! that answers the lookup, the quarantine file's `parse_jsonl`, and
+//! `PipelineOutput::from_json`, which `memes serve` runs on a JSON
+//! artifact. The last three each get arbitrary bytes, truncations of a
+//! real encoding and nesting bombs.
 
 use origins_of_memes::core::checkpoint::{
     crc32, decode_checkpoint, encode_checkpoint, Checkpoint, StageId, StageState,
 };
-use origins_of_memes::core::pipeline::{Degradation, PipelineConfig};
+use origins_of_memes::core::pipeline::{Degradation, Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::quarantine::{
+    encode_jsonl, parse_jsonl, QuarantineEntry, QuarantineError, QuarantineReason,
+};
+use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::phash::PHash;
 use origins_of_memes::serve::protocol::{parse_request, Request};
 use origins_of_memes::serve::ServeError;
+use origins_of_memes::simweb::SimConfig;
 use proptest::prelude::*;
+use serde::Value;
+use std::sync::OnceLock;
 
 /// A valid envelope around a small checkpoint: two completed stages,
 /// a few post hashes and one degradation.
@@ -235,5 +244,129 @@ proptest! {
         // without a `hash`.
         let line = nesting_bomb(depth, object, closed);
         prop_assert!(matches!(parse_request(&line), Err(ServeError::Protocol { .. })));
+    }
+}
+
+/// Three quarantine entries, one with a multi-byte detail, and their
+/// JSON Lines encoding.
+fn quarantine_file() -> (Vec<QuarantineEntry>, String) {
+    let entry = |stage, item, detail: &str| QuarantineEntry {
+        stage,
+        item,
+        reason: QuarantineReason::PoisonItem {
+            attempts: 3,
+            detail: detail.to_string(),
+        },
+    };
+    let entries = vec![
+        entry(StageId::Hash, 7, "decode failed"),
+        entry(StageId::Hash, 1_024, "héllo € 😀"),
+        entry(StageId::Associate, 0, ""),
+    ];
+    let text = encode_jsonl(&entries);
+    (entries, text)
+}
+
+/// Whether `parse_jsonl` kept its contract on `text`: entries, or the
+/// typed `Malformed` error.
+fn jsonl_parses_or_types(text: &str) -> bool {
+    matches!(
+        parse_jsonl(text),
+        Ok(_) | Err(QuarantineError::Malformed { .. })
+    )
+}
+
+/// Cut every array in `v` to its first two elements.
+fn shrink(v: &mut Value) {
+    match v {
+        Value::Array(items) => {
+            items.truncate(2);
+            items.iter_mut().for_each(shrink);
+        }
+        Value::Object(fields) => fields.iter_mut().for_each(|(_, x)| shrink(x)),
+        _ => {}
+    }
+}
+
+/// A real tiny run's artifact with every array cut to two elements:
+/// every field and nesting level of `PipelineOutput`, small enough to
+/// truncate at 10 000 cut points.
+fn small_artifact() -> &'static str {
+    static ARTIFACT: OnceLock<String> = OnceLock::new();
+    ARTIFACT.get_or_init(|| {
+        let dataset = SimConfig::tiny(5).generate();
+        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+            .run(&dataset)
+            .expect("pipeline runs")
+            .expect_complete();
+        let mut value: Value = serde_json::from_str(&output.to_json()).expect("artifact parses");
+        shrink(&mut value);
+        let json = serde_json::to_string(&value).expect("value serializes");
+        PipelineOutput::from_json(&json).expect("the cut artifact still decodes");
+        json
+    })
+}
+
+proptest! {
+    #[test]
+    fn parse_jsonl_types_every_byte_sequence(bytes in request_bytes()) {
+        let text = String::from_utf8_lossy(&bytes);
+        prop_assert!(jsonl_parses_or_types(&text), "{text:?}");
+    }
+
+    #[test]
+    fn parse_jsonl_types_every_truncation(cut in 0usize..4096) {
+        let (entries, text) = quarantine_file();
+        let cut = cut % (text.len() + 1);
+        let prefix = String::from_utf8_lossy(&text.as_bytes()[..cut]);
+        // A cut inside a line is malformed; a cut at a line end keeps
+        // the entries before it.
+        let parsed = parse_jsonl(&prefix);
+        prop_assert!(
+            match &parsed {
+                Ok(got) => entries.starts_with(got),
+                Err(e) => matches!(e, QuarantineError::Malformed { .. }),
+            },
+            "{prefix:?} parsed to {parsed:?}"
+        );
+    }
+
+    #[test]
+    fn parse_jsonl_types_nesting_bombs(
+        depth in 1usize..=10_000,
+        object in any::<bool>(),
+        closed in any::<bool>(),
+    ) {
+        let text = nesting_bomb(depth, object, closed);
+        prop_assert!(matches!(
+            parse_jsonl(&text),
+            Err(QuarantineError::Malformed { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn artifact_from_json_types_every_byte_sequence(bytes in request_bytes()) {
+        // Every field name of a run does not fit in 128 bytes, so none
+        // of these may decode.
+        let text = String::from_utf8_lossy(&bytes);
+        prop_assert!(PipelineOutput::from_json(&text).is_err(), "{text:?}");
+    }
+
+    #[test]
+    fn artifact_from_json_types_every_truncation(cut in 0usize..1 << 20) {
+        let json = small_artifact();
+        let cut = cut % (json.len() + 1);
+        let parsed = PipelineOutput::from_json(&String::from_utf8_lossy(&json.as_bytes()[..cut]));
+        // The artifact is one object: only the whole text decodes.
+        prop_assert_eq!(parsed.is_ok(), cut == json.len(), "cut at {}", cut);
+    }
+
+    #[test]
+    fn artifact_from_json_types_nesting_bombs(
+        depth in 1usize..=10_000,
+        object in any::<bool>(),
+        closed in any::<bool>(),
+    ) {
+        prop_assert!(PipelineOutput::from_json(&nesting_bomb(depth, object, closed)).is_err());
     }
 }
