@@ -803,10 +803,11 @@ fn chunked<T: Send, S: Send>(
     let mut states: Vec<S> = (0..effective_threads(threads, blocks.len()))
         .map(|_| new_state())
         .collect();
-    crossbeam::thread::scope(|s| {
+    // The scope joins every worker and re-raises a worker's panic here.
+    std::thread::scope(|s| {
         for state in &mut states {
             let (item, blocks, next) = (&item, &blocks, &next);
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 // Relaxed: the counter only hands out indices; the
                 // block's mutex is what publishes its slots.
                 let b = next.fetch_add(1, Ordering::Relaxed);
@@ -821,9 +822,7 @@ fn chunked<T: Send, S: Send>(
                 }
             });
         }
-    })
-    // lint:allow(panic-reachable): crossbeam scope re-raises a worker panic; nothing to recover
-    .expect("pipeline worker panicked");
+    });
     states
 }
 
@@ -1369,6 +1368,15 @@ mod tests {
                 assert_eq!(all, slots, "every slot runs exactly once");
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_chunked_item_panics_on_the_caller() {
+        let mut slots = vec![0u8; 3 * BLOCK];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            chunked(2, &mut slots, || (), |k, _, _| assert_ne!(k, BLOCK + 6))
+        }));
+        assert!(caught.is_err(), "the worker's panic reaches the caller");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * **Bounded, deterministic retry** — each stage attempt runs under
 //!   a [`StagePolicy`]; retryable failures (transient stage and item
-//!   faults, I/O errors, contained panics) are retried at once, up to
-//!   `max_attempts`. Nothing sleeps between attempts, so runs stay
+//!   faults, I/O errors, contained panics) are retried at once until
+//!   its `attempts` run out. Nothing sleeps between attempts, so runs stay
 //!   deterministic and the `wallclock-outside-metrics` lint stays
 //!   green.
 //! * **Panic containment** — every attempt runs under `catch_unwind`;
@@ -29,8 +29,8 @@
 //! Every decision is deterministic: a retried, resumed, or rolled-back
 //! run produces output byte-identical to an uninterrupted clean run
 //! (the chaos suite in `tests/chaos_exec.rs` holds this line). The bare
-//! run is this driver under `StagePolicy { max_attempts: 1,
-//! save_attempts: 1 }`: the first error comes back as is.
+//! run is this driver under `StagePolicy { attempts: 1 }`: the first
+//! error comes back as is.
 
 use crate::checkpoint::{
     load_validated, persist_checkpoint, prev_checkpoint_path, record_throughput, Checkpoint,
@@ -103,22 +103,18 @@ impl CheckpointMedium for FaultyMedium {
     }
 }
 
-/// Per-stage retry policy: attempt budgets only, so every decision is
-/// deterministic and wall-clock free.
+/// Per-stage retry policy: an attempt budget only, so every decision
+/// is deterministic and wall-clock free.
 #[derive(Debug, Clone)]
 pub struct StagePolicy {
-    /// Attempts per stage before the last error is returned (≥ 1).
-    pub max_attempts: u32,
-    /// Attempts per checkpoint write before giving up (≥ 1).
-    pub save_attempts: u32,
+    /// Attempts per stage, and per checkpoint write, before the last
+    /// error is returned (≥ 1).
+    pub attempts: u32,
 }
 
 impl Default for StagePolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            save_attempts: 3,
-        }
+        Self { attempts: 3 }
     }
 }
 
@@ -371,7 +367,7 @@ impl SupervisedRunner {
                     degradations_before,
                     quarantined_before,
                 );
-                if !retryable(&error) || attempt + 1 >= self.policy.max_attempts {
+                if !retryable(&error) || attempt + 1 >= self.policy.attempts {
                     return Err(error);
                 }
                 metrics.inc("supervise.retries");
@@ -444,7 +440,7 @@ impl SupervisedRunner {
                     return Ok(());
                 }
                 Err(e) => {
-                    if attempt + 1 >= self.policy.save_attempts {
+                    if attempt + 1 >= self.policy.attempts {
                         return Err(e);
                     }
                     metrics.inc("checkpoint.write_retries");

@@ -234,32 +234,27 @@ impl InfluenceEstimator {
         let next = AtomicUsize::new(0);
 
         let config = &self.config;
-        // Every index is handed out exactly once, so every slot is
+        // Each worker fills its own slot with what it fitted; the scope
+        // joins them all and re-raises a worker's panic here.
+        let mut done: Vec<Vec<(usize, ClusterOutcome)>> = vec![Vec::new(); threads];
+        std::thread::scope(|s| {
+            for slot in &mut done {
+                let (order, next) = (&order, &next);
+                s.spawn(move || {
+                    while let Some(&cluster) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let outcome =
+                            fit_one_checked(config, &clusters[cluster], k, horizon, cluster);
+                        slot.push((cluster, outcome));
+                    }
+                });
+            }
+        });
+        // Every index was handed out exactly once, so every slot is
         // overwritten; the placeholder is an empty cluster's result.
         let mut outcomes: Vec<ClusterOutcome> = vec![Ok((InfluenceMatrix::zeros(k), None)); n];
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|_| {
-                        let mut done = Vec::new();
-                        while let Some(&cluster) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let outcome =
-                                fit_one_checked(config, &clusters[cluster], k, horizon, cluster);
-                            done.push((cluster, outcome));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                // lint:allow(panic-reachable): a worker panic is deliberately re-raised on the caller thread
-                for (cluster, outcome) in h.join().expect("no panic") {
-                    outcomes[cluster] = outcome;
-                }
-            }
-        })
-        // lint:allow(panic-reachable): scope() is Err only when a worker panicked; re-raise, don't swallow
-        .expect("worker thread panicked");
+        for (cluster, outcome) in done.into_iter().flatten() {
+            outcomes[cluster] = outcome;
+        }
 
         // Slots are in cluster order, so both lists come out sorted.
         let mut per_cluster = Vec::with_capacity(n);

@@ -7,8 +7,8 @@
 //! *algorithmic* speedups with the same contract — return **all** items
 //! within a Hamming radius of a query, exactly:
 //!
-//! * [`BruteForceIndex`] — linear scan; simple, the correctness oracle,
-//!   and parallelized across queries with crossbeam scoped threads;
+//! * [`BruteForceIndex`] — linear scan; simple, and the correctness
+//!   oracle;
 //! * [`MihIndex`] — multi-index hashing: split each 64-bit hash into
 //!   `r + 1` bands; by pigeonhole, any hash within distance `r` matches
 //!   at least one band exactly, so candidates come from `r + 1` exact
@@ -18,7 +18,8 @@
 //! [`HammingIndex::radius_query_from`]; [`FallbackIndex`] picks one of
 //! them from the index size and radius alone.
 //! [`distinct_neighbors`] computes every distinct hash's radius
-//! neighbourhood in parallel — the "pairwise comparison" driver;
+//! neighbourhood on `std::thread::scope` workers — the "pairwise
+//! comparison" driver;
 //! [`symmetric_neighbors`] expands it to one list per item.
 
 #![forbid(unsafe_code)]
@@ -188,10 +189,10 @@ pub fn distinct_neighbors<I: HammingIndex + Sync>(
     let chunk_len = n_unique.div_ceil(threads);
     let mut worker_out: Vec<(Vec<(u32, u32)>, QueryStats)> = Vec::new();
     worker_out.resize_with(threads, Default::default);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (chunk_id, slot) in worker_out.iter_mut().enumerate() {
             let unique = groups.unique();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let lo = chunk_id * chunk_len;
                 let hi = (lo + chunk_len).min(n_unique);
                 let mut scratch = QueryScratch::new();
@@ -204,9 +205,7 @@ pub fn distinct_neighbors<I: HammingIndex + Sync>(
                 *slot = (pairs, scratch.take_stats());
             });
         }
-    })
-    // lint:allow(panic-reachable): crossbeam scope re-raises a worker panic; nothing to recover
-    .expect("pair sweep worker panicked");
+    });
 
     // ---- Pass 2: mirror the half-pairs into unique-level adjacency.
     // Scanning pairs in (u, v) order appends to every list in ascending
@@ -265,9 +264,9 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
         let threads = effective_threads(threads, n_items);
         let chunk_len = n_items.div_ceil(threads);
         let uadj = &uadj;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (chunk_id, chunk) in result.chunks_mut(chunk_len).enumerate() {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (k, slot) in chunk.iter_mut().enumerate() {
                         let i = (chunk_id * chunk_len + k) as u32;
                         let u = groups.owner_of(i as usize);
@@ -289,9 +288,7 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
                     }
                 });
             }
-        })
-        // lint:allow(panic-reachable): crossbeam scope re-raises a worker panic; nothing to recover
-        .expect("expansion worker panicked");
+        });
     }
     (result, stats)
 }

@@ -21,12 +21,14 @@
 //! - [`SnapshotStore`]: epoch-swapped publication — reload a new
 //!   artifact under live traffic; readers pin a generation per lookup
 //!   and never pause.
-//! - [`ConnRegistry`] + [`Server`]: the TCP front end speaking a
-//!   line-delimited JSON [`protocol`], where each connection's reader
-//!   thread answers its own lookups, with a production-hardened
-//!   connection lifecycle — admission caps, bounded request lines,
-//!   per-line read deadlines, typed load shedding, and a graceful drain
-//!   that joins every thread (DESIGN.md §12).
+//! - [`Server`] + [`ConnRegistry`]: the TCP front end speaking a
+//!   line-delimited JSON [`protocol`]. Each connection's reader is a
+//!   scoped thread of the acceptor and answers its own lookups; the
+//!   registry is the table of live sockets behind the admission cap
+//!   and the drain. The lifecycle is hardened for production: bounded
+//!   request lines, per-line read deadlines, typed load shedding, and a
+//!   drain that wakes every reader so the acceptor's scope joins them
+//!   (DESIGN.md §12).
 //! - [`BatchQueue`]: a bounded MPMC micro-batch queue that no server
 //!   path uses; the benchmark's `serve.queue_handoff_ns` probe still
 //!   drives it, and it goes once that probe measures elsewhere.

@@ -1,198 +1,126 @@
-//! The connection registry: every reader thread is tracked and joined.
+//! The live-socket table: one stream clone per admitted connection.
 //!
-//! PR 7's server detached its connection readers — fine for
-//! well-behaved benchmark clients, fatal for production traffic: an
-//! idle or slow client pinned a thread forever, nothing bounded the
-//! number of live threads, and `Server::shutdown` left readers behind.
-//! The registry closes all three holes:
-//!
-//! * **Admission cap.** [`ConnRegistry::admit`] reaps finished
-//!   connections, then either registers the new one or refuses it when
-//!   `max_conns` readers are already live — the acceptor turns a
-//!   refusal into a typed `{"error":"overloaded"}` shed.
-//! * **Tracked handles.** Every reader's `JoinHandle` *and* a clone of
-//!   its `TcpStream` live in the registry until the connection is
-//!   reaped or drained, so live threads are countable and joinable.
-//! * **Prompt drain.** [`ConnRegistry::drain_all`] shuts the sockets down
-//!   (`Shutdown::Both` unblocks a reader parked in `read` immediately —
-//!   no waiting out a timeout) and joins every reader. After it
-//!   returns, no reader thread exists.
-//!
-//! Readers mark themselves finished through a [`ConnTicket`] drop
-//! guard, so even a panicking reader is reaped (and its handle joined)
-//! rather than leaking a registry slot.
+//! Readers are scoped threads of the acceptor, whose scope joins them;
+//! the table only knows which sockets are live (DESIGN.md §12
+//! "Connection lifecycle and overload"). [`ConnRegistry::admit`]
+//! refuses a connection once `max_conns` are live, and the acceptor
+//! sheds it typed. A reader's [`ConnGuard`] frees its slot on exit,
+//! also while unwinding. [`ConnRegistry::shutdown_all`] wakes every
+//! parked reader for drain. Every change republishes the
+//! `serve.connections` gauge; sockets are shut down and the gauge set
+//! only outside the table lock.
 
+use meme_metrics::Metrics;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 
-/// One tracked connection: the reader's handle, a stream clone for
-/// shutdown, and the done flag its ticket raises on exit.
+/// The live connections, each by id with a clone of its stream.
 #[derive(Debug)]
-struct ConnSlot {
-    id: u64,
-    stream: TcpStream,
-    done: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Held by the reader for its whole life; dropping it ends the
-/// connection. The drop shuts the socket down — the registry slot keeps
-/// its own `TcpStream` clone alive until reap, so without an explicit
-/// shutdown the peer would never see EOF — and raises the done flag so
-/// the slot is reaped (joined and removed) on the next admission or
-/// drain.
-#[derive(Debug)]
-pub struct ConnTicket {
-    stream: TcpStream,
-    done: Arc<AtomicBool>,
-}
-
-impl Drop for ConnTicket {
-    fn drop(&mut self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.done.store(true, Ordering::Release);
-    }
-}
-
-/// Registry of live connection reader threads.
-#[derive(Debug, Default)]
 pub struct ConnRegistry {
-    inner: Mutex<RegistryState>,
+    table: Mutex<Table>,
+    metrics: Metrics,
 }
 
 #[derive(Debug, Default)]
-struct RegistryState {
-    slots: Vec<ConnSlot>,
+struct Table {
+    live: Vec<(u64, TcpStream)>,
     next_id: u64,
 }
 
-/// A successful admission: the ticket to hand the reader thread, and
-/// the slot id to attach its `JoinHandle` to once spawned.
+/// A reader's hold on its slot. Dropping it frees the slot and shuts
+/// the socket down: the table's clone would otherwise keep it open,
+/// and the peer would never see EOF.
 #[derive(Debug)]
-pub struct Admission {
-    /// Slot id for [`ConnRegistry::attach`].
-    pub id: u64,
-    /// Drop guard the reader owns for its lifetime.
-    pub ticket: ConnTicket,
+pub struct ConnGuard<'r> {
+    registry: &'r ConnRegistry,
+    id: u64,
+}
+
+impl Drop for ConnGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(stream) = self.registry.take(self.id) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 impl ConnRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reap finished connections, then admit `stream` if fewer than
-    /// `max_conns` are live. `None` means the connection must be shed.
-    ///
-    /// The registered clone is used only for
-    /// [`drain_all`](Self::drain_all)'s socket shutdown; the caller
-    /// keeps the original for I/O.
-    pub fn admit(&self, stream: &TcpStream, max_conns: usize) -> Option<Admission> {
-        // One clone for the slot (drain_all's shutdown), one for the
-        // ticket (close-on-exit). A stream we cannot clone is a stream
-        // we could never unblock at drain time; refuse it.
-        let (Ok(slot_clone), Ok(ticket_clone)) = (stream.try_clone(), stream.try_clone()) else {
-            return None;
-        };
-        let (admission, finished) = {
-            let mut state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            let finished = take_finished(&mut state);
-            if state.slots.len() >= max_conns.max(1) {
-                (None, finished)
-            } else {
-                state.next_id += 1;
-                let id = state.next_id;
-                let done = Arc::new(AtomicBool::new(false));
-                state.slots.push(ConnSlot {
-                    id,
-                    stream: slot_clone,
-                    done: Arc::clone(&done),
-                    handle: None,
-                });
-                (
-                    Some(Admission {
-                        id,
-                        ticket: ConnTicket {
-                            stream: ticket_clone,
-                            done,
-                        },
-                    }),
-                    finished,
-                )
-            }
-        };
-        join_finished(finished);
-        admission
-    }
-
-    /// Attach the reader's `JoinHandle` to its slot. A slot already
-    /// reaped (the reader finished before the acceptor got here) just
-    /// drops the handle — the thread is already done.
-    pub fn attach(&self, id: u64, handle: JoinHandle<()>) {
-        let mut state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = state.slots.iter_mut().find(|s| s.id == id) {
-            slot.handle = Some(handle);
+    /// An empty table publishing `serve.connections` to `metrics`.
+    pub fn new(metrics: Metrics) -> Self {
+        Self {
+            table: Mutex::default(),
+            metrics,
         }
     }
 
-    /// Live (not yet finished) connections, after reaping.
+    /// Admit `stream` if fewer than `max_conns` are live, keeping one
+    /// clone of it for [`shutdown_all`](Self::shutdown_all). `None`
+    /// means the connection must be shed; so does a stream that cannot
+    /// be cloned, which drain could never wake.
+    pub fn admit(&self, stream: &TcpStream, max_conns: usize) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let id = {
+            let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+            if table.live.len() >= max_conns.max(1) {
+                return None;
+            }
+            table.next_id += 1;
+            let id = table.next_id;
+            table.live.push((id, clone));
+            id
+        };
+        self.publish();
+        Some(id)
+    }
+
+    /// The guard a reader takes first thing for slot `id`.
+    pub fn guard(&self, id: u64) -> ConnGuard<'_> {
+        ConnGuard { registry: self, id }
+    }
+
+    /// Take slot `id`'s stream clone out of the table, freeing the
+    /// slot: a reader's guard on exit, or the acceptor when no reader
+    /// could be spawned for it.
+    pub fn take(&self, id: u64) -> Option<TcpStream> {
+        let taken = {
+            let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+            let at = table.live.iter().position(|(live, _)| *live == id);
+            at.map(|at| table.live.swap_remove(at).1)
+        };
+        self.publish();
+        taken
+    }
+
+    /// Connections currently live.
     pub fn active(&self) -> usize {
-        let (live, finished) = {
-            let mut state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            let finished = take_finished(&mut state);
-            (state.slots.len(), finished)
-        };
-        join_finished(finished);
-        live
+        let table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        table.live.len()
     }
 
-    /// Shut every registered socket down and join every reader thread.
-    /// After this returns no reader thread spawned through the registry
-    /// is alive. Idempotent; new admissions remain possible (callers
-    /// stop the acceptor first).
-    pub fn drain_all(&self) {
-        // Take the slots out under the lock, join outside it: a reader
-        // exiting concurrently only touches its ticket's AtomicBool.
-        let slots = {
-            let mut state = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut state.slots)
+    /// Empty the table and shut every socket in it down:
+    /// `Shutdown::Both` wakes a reader parked in `read` or `write` at
+    /// once, with no waiting out a timeout.
+    pub fn shutdown_all(&self) {
+        let live = {
+            let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+            std::mem::take(&mut table.live)
         };
-        for slot in slots {
-            // Unblocks a reader parked in read()/write() right now.
-            let _ = slot.stream.shutdown(Shutdown::Both);
-            if let Some(handle) = slot.handle {
-                let _ = handle.join();
+        for (_, stream) in live {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.publish();
+    }
+
+    /// Set `serve.connections` to the live count. Two readers leaving
+    /// at once can write their counts out of order, so each re-reads
+    /// after writing and writes again if the count moved.
+    fn publish(&self) {
+        loop {
+            let live = self.active();
+            self.metrics.gauge("serve.connections", live as f64);
+            if self.active() == live {
+                return;
             }
-        }
-    }
-}
-
-/// Remove every slot whose reader has finished, returning the removed
-/// slots so the caller can join them *outside* the registry lock (even
-/// a done thread's join does unwind bookkeeping; nothing blocking ever
-/// runs under the lock).
-fn take_finished(state: &mut RegistryState) -> Vec<ConnSlot> {
-    let mut finished = Vec::new();
-    let mut i = 0;
-    while i < state.slots.len() {
-        if state.slots[i].done.load(Ordering::Acquire) {
-            finished.push(state.slots.swap_remove(i));
-        } else {
-            i += 1;
-        }
-    }
-    finished
-}
-
-/// Join reaped readers; their tickets are already dropped, so every
-/// join returns immediately.
-fn join_finished(finished: Vec<ConnSlot>) {
-    for slot in finished {
-        if let Some(handle) = slot.handle {
-            let _ = handle.join();
         }
     }
 }
@@ -200,10 +128,10 @@ fn join_finished(finished: Vec<ConnSlot>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
-    /// A loopback socket pair for registry bookkeeping tests.
+    /// A loopback socket pair for table tests.
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -212,8 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn admission_cap_refuses_and_reaping_frees_slots() {
-        let reg = ConnRegistry::new();
+    fn admission_cap_refuses_and_a_dropped_guard_frees_the_slot() {
+        let reg = ConnRegistry::new(Metrics::disabled());
         let (_c1, s1) = pair();
         let (_c2, s2) = pair();
 
@@ -221,67 +149,55 @@ mod tests {
         assert_eq!(reg.active(), 1);
         assert!(reg.admit(&s2, 1).is_none(), "cap of 1 refuses the second");
 
-        // The reader finishing (ticket drop) frees the slot.
-        drop(first.ticket);
+        drop(reg.guard(first));
         assert_eq!(reg.active(), 0);
-        let second = reg.admit(&s2, 1).expect("slot freed after reap");
-        drop(second.ticket);
+        let second = reg.admit(&s2, 1).expect("slot freed by the guard");
+        assert!(reg.take(second).is_some());
+        assert!(reg.take(second).is_none(), "a slot is freed once");
     }
 
     #[test]
-    fn drain_unblocks_and_joins_a_parked_reader() {
-        let reg = Arc::new(ConnRegistry::new());
-        let (mut client, server_side) = pair();
-        let admission = reg.admit(&server_side, 8).expect("admit");
-        let handle = std::thread::spawn(move || {
-            let _ticket = admission.ticket;
-            // Park in a blocking read with no timeout; only the
-            // registry's socket shutdown can unblock this.
-            let mut buf = [0u8; 16];
-            use std::io::Read;
-            let mut stream = server_side;
-            while let Ok(n) = stream.read(&mut buf) {
-                if n == 0 {
-                    return;
-                }
-            }
+    fn shutdown_all_wakes_a_parked_reader() {
+        let reg = ConnRegistry::new(Metrics::disabled());
+        let (mut client, mut server_side) = pair();
+        reg.admit(&server_side, 8).expect("admit");
+        std::thread::scope(|s| {
+            // A blocking read with no timeout: only the table's socket
+            // shutdown can end it.
+            s.spawn(move || while server_side.read(&mut [0u8; 16]).is_ok_and(|n| n > 0) {});
+            reg.shutdown_all();
         });
-        reg.attach(admission.id, handle);
-        assert_eq!(reg.active(), 1);
-
-        reg.drain_all();
-        assert_eq!(reg.active(), 0, "drain joins every reader");
-        // The peer observes the shutdown as EOF/reset rather than a
-        // silent hang.
+        assert_eq!(reg.active(), 0);
+        // The peer sees the shutdown as EOF or reset, not a hang.
         let _ = client.write_all(b"x");
     }
 
     #[test]
-    fn ticket_drop_sends_eof_despite_the_slot_clone() {
-        use std::io::Read;
-        let reg = ConnRegistry::new();
+    fn guard_drop_sends_eof_despite_the_table_clone() {
+        let reg = ConnRegistry::new(Metrics::disabled());
         let (mut client, server_side) = pair();
-        let admission = reg.admit(&server_side, 4).expect("admit");
-        // The slot still holds a live clone; only the ticket's shutdown
-        // can make the peer see the connection end.
+        let id = reg.admit(&server_side, 4).expect("admit");
+        // The table still holds a live clone; only the guard's
+        // shutdown can make the peer see the connection end.
         drop(server_side);
-        drop(admission.ticket);
+        drop(reg.guard(id));
         let mut buf = [0u8; 8];
         assert_eq!(client.read(&mut buf).unwrap_or(0), 0, "peer sees EOF");
     }
 
     #[test]
-    fn attach_after_finish_is_harmless() {
-        let reg = ConnRegistry::new();
-        let (_c, s) = pair();
-        let admission = reg.admit(&s, 4).expect("admit");
-        let id = admission.id;
-        let handle = std::thread::spawn(move || drop(admission.ticket));
-        // Let the reader finish (and possibly get reaped) first.
-        while reg.active() != 0 {
-            std::thread::yield_now();
-        }
-        reg.attach(id, handle); // slot may be gone; must not panic
-        reg.drain_all();
+    fn every_change_publishes_the_live_count() {
+        let metrics = Metrics::enabled();
+        let reg = ConnRegistry::new(metrics.clone());
+        let gauge = || metrics.registry().unwrap().snapshot().gauges["serve.connections"];
+        let (_c1, s1) = pair();
+        let (_c2, s2) = pair();
+        let first = reg.admit(&s1, 4).unwrap();
+        reg.admit(&s2, 4).unwrap();
+        assert_eq!(gauge(), 2.0);
+        drop(reg.guard(first));
+        assert_eq!(gauge(), 1.0);
+        reg.shutdown_all();
+        assert_eq!(gauge(), 0.0);
     }
 }

@@ -12,26 +12,26 @@
 //! The connection lifecycle is hardened against hostile traffic
 //! (DESIGN.md §12 "Connection lifecycle and overload"):
 //!
-//! * every reader thread is registered in a [`ConnRegistry`] and
-//!   joined — never detached; every thread the server starts is named
-//!   (`memes-accept`, `memes-conn` — each fits Linux's 15-byte `comm`),
-//!   so a running server's threads can be counted from outside through
+//! * every reader is a scoped thread of the acceptor, whose scope joins
+//!   it; every thread the server starts is named (`memes-accept`,
+//!   `memes-conn` — each fits Linux's 15-byte `comm`), so a running
+//!   server's threads can be counted from outside through
 //!   `/proc/<pid>/task/*/comm`;
-//! * accepts past `max_conns` are shed with the typed
-//!   [`OVERLOADED`](crate::protocol::OVERLOADED) response
-//!   (`serve.shed`), so thread count is bounded by acceptor + cap, and
-//!   lookups in flight by the cap;
+//! * accepts past `max_conns` live sockets in the [`ConnRegistry`] are
+//!   shed with the typed [`OVERLOADED`](crate::protocol::OVERLOADED)
+//!   response (`serve.shed`), so thread count is bounded by acceptor +
+//!   cap, and lookups in flight by the cap;
 //! * a request line must complete within `read_timeout_ms` measured
 //!   from the moment the reader starts waiting for it — a socket read
 //!   timeout alone only bounds the gap between bytes, which a
 //!   slow-loris trickle resets forever — and may not exceed
 //!   `max_line_bytes`, so reader memory is bounded too.
 //!
-//! Shutdown is cooperative, panic-free, and complete:
-//! [`Server::shutdown`] raises the stop flag, unblocks the acceptor
-//! with a loopback connection and joins it, then drains the registry
-//! (socket shutdown unblocks parked readers instantly; every reader is
-//! joined). No detached threads remain.
+//! Shutdown is cooperative and complete: [`Server::shutdown`] raises
+//! the stop flag, unblocks the acceptor with a loopback connection and
+//! joins it. The acceptor shuts every live socket down, which wakes
+//! parked readers at once, and its scope joins them before it returns.
+//! No thread of the server outlives `shutdown`.
 
 use crate::artifact::load_output;
 use crate::error::ServeError;
@@ -39,7 +39,7 @@ use crate::protocol::{
     parse_request, render_error, render_hit, render_line_too_long, render_miss, render_reloaded,
     render_stats, render_timeout, Request,
 };
-use crate::registry::{ConnRegistry, ConnTicket};
+use crate::registry::ConnRegistry;
 use crate::snapshot::{ServeScratch, Snapshot, DEFAULT_THETA};
 use crate::store::SnapshotStore;
 use meme_metrics::{Deadline, Metrics, LATENCY_BUCKETS_US};
@@ -48,7 +48,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
 
@@ -104,31 +104,18 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything a connection reader needs, bundled for the spawn.
+/// What the acceptor owns and its readers borrow.
 struct ConnShared {
     store: Arc<SnapshotStore>,
+    registry: Arc<ConnRegistry>,
     metrics: Metrics,
     queries: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     allow_reload: bool,
     theta: u32,
+    max_conns: usize,
     read_timeout: Duration,
     max_line_bytes: usize,
-}
-
-impl ConnShared {
-    fn clone_for_conn(&self) -> ConnShared {
-        ConnShared {
-            store: Arc::clone(&self.store),
-            metrics: self.metrics.clone(),
-            queries: Arc::clone(&self.queries),
-            stop: Arc::clone(&self.stop),
-            allow_reload: self.allow_reload,
-            theta: self.theta,
-            read_timeout: self.read_timeout,
-            max_line_bytes: self.max_line_bytes,
-        }
-    }
 }
 
 /// A running query server. Dropping it shuts it down.
@@ -139,7 +126,6 @@ pub struct Server {
     registry: Arc<ConnRegistry>,
     stop: Arc<AtomicBool>,
     queries: Arc<AtomicU64>,
-    metrics: Metrics,
     acceptor: Option<JoinHandle<()>>,
 }
 
@@ -159,7 +145,7 @@ impl Server {
             target: config.addr.clone(),
             detail: e.to_string(),
         })?;
-        let registry = Arc::new(ConnRegistry::new());
+        let registry = Arc::new(ConnRegistry::new(metrics.clone()));
         let stop = Arc::new(AtomicBool::new(false));
         let queries = Arc::new(AtomicU64::new(0));
         metrics.gauge("serve.snapshot_generation", store.generation() as f64);
@@ -167,21 +153,21 @@ impl Server {
 
         let shared = ConnShared {
             store: Arc::clone(&store),
-            metrics: metrics.clone(),
+            registry: Arc::clone(&registry),
+            metrics,
             queries: Arc::clone(&queries),
             stop: Arc::clone(&stop),
             allow_reload: config.allow_reload,
             theta: config.theta,
+            max_conns: config.max_conns,
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             max_line_bytes: config.max_line_bytes.max(1),
         };
-        let accept_registry = Arc::clone(&registry);
-        let max_conns = config.max_conns;
         // A failed spawn drops the closure and the listener in it, so
         // no dead socket stays bound.
         let acceptor = Builder::new()
             .name(ACCEPT_THREAD.to_string())
-            .spawn(move || accept_loop(&listener, &shared, &accept_registry, max_conns))
+            .spawn(move || accept_loop(&listener, &shared))
             .map_err(|e| ServeError::Io {
                 target: format!("thread {ACCEPT_THREAD}"),
                 detail: e.to_string(),
@@ -193,7 +179,6 @@ impl Server {
             registry,
             stop,
             queries,
-            metrics,
             acceptor: Some(acceptor),
         })
     }
@@ -213,7 +198,7 @@ impl Server {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// Connections currently live (after reaping finished readers).
+    /// Connections currently live.
     pub fn active_connections(&self) -> usize {
         self.registry.active()
     }
@@ -232,12 +217,10 @@ impl Server {
         // Unblock `accept` with a throwaway loopback connection; if the
         // listener is somehow unreachable the acceptor is already dead.
         let _ = TcpStream::connect(self.local_addr);
+        // The acceptor returns once its scope has joined every reader.
+        // A reader's panic re-raises in the acceptor there, and the
+        // join's `Err` carries it; shutdown goes on regardless.
         let _ = acceptor.join();
-        // Socket shutdown unblocks readers parked in read/write right
-        // now, and a reader mid-lookup exits at its next write; every
-        // reader is joined.
-        self.registry.drain_all();
-        self.metrics.gauge("serve.connections", 0.0);
     }
 }
 
@@ -247,64 +230,45 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &ConnShared,
-    registry: &Arc<ConnRegistry>,
-    max_conns: usize,
-) {
-    for conn in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else {
-            continue; // transient accept failure; keep serving
-        };
-        // One-line requests and responses are far below the MSS; Nagle
-        // plus delayed ACKs would stall every round trip ~40ms.
-        let _ = stream.set_nodelay(true);
-        // Socket timeouts make every blocking read/write finite; the
-        // per-line deadline (which a trickle cannot reset) rides on top.
-        let _ = stream.set_read_timeout(Some(shared.read_timeout));
-        let _ = stream.set_write_timeout(Some(shared.read_timeout));
-        let publish_connections = || {
-            shared
-                .metrics
-                .gauge("serve.connections", registry.active() as f64);
-        };
-        let Some(admission) = registry.admit(&stream, max_conns) else {
-            shed(stream, &shared.metrics); // at the cap
-            publish_connections();
-            continue;
-        };
-        publish_connections();
-        let conn_shared = shared.clone_for_conn();
-        // The reader is handed its connection once it exists: a failed
-        // spawn drops the closure, and a ticket inside it would shut
-        // the socket down before the shed line could be written.
-        let (handoff, conn) = mpsc::channel::<(TcpStream, ConnTicket)>();
-        let spawned = Builder::new().name(CONN_THREAD.to_string()).spawn(move || {
-            if let Ok((stream, ticket)) = conn.recv() {
-                // The ticket's drop marks the slot reapable even
-                // if the reader exits early or panics.
-                let _ticket = ticket;
-                connection_loop(stream, &conn_shared);
+/// Accept until the stop flag, serving each admitted connection on a
+/// reader scoped to this thread. At stop, every live socket is shut
+/// down, so the scope's join of the readers returns at once.
+fn accept_loop(listener: &TcpListener, shared: &ConnShared) {
+    std::thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if shared.stop.load(Ordering::SeqCst) {
+                break;
             }
-        });
-        match spawned {
-            Ok(handle) => {
-                let _ = handoff.send((stream, admission.ticket));
-                registry.attach(admission.id, handle);
-            }
-            Err(_) => {
-                // No thread to serve it: the same answer as past the
-                // cap, then the dropped ticket frees the slot.
-                shed(stream, &shared.metrics);
-                drop(admission.ticket);
-                publish_connections();
+            let Ok(stream) = conn else {
+                continue; // transient accept failure; keep serving
+            };
+            // One-line requests and responses are far below the MSS;
+            // Nagle plus delayed ACKs would stall every round trip ~40ms.
+            let _ = stream.set_nodelay(true);
+            // Socket timeouts make every blocking read/write finite;
+            // the per-line deadline, which a trickle cannot reset, is
+            // `read_request_line`'s.
+            let _ = stream.set_read_timeout(Some(shared.read_timeout));
+            let _ = stream.set_write_timeout(Some(shared.read_timeout));
+            let Some(id) = shared.registry.admit(&stream, shared.max_conns) else {
+                shed(stream, &shared.metrics); // at the cap
+                continue;
+            };
+            let reader = move || {
+                let _guard = shared.registry.guard(id);
+                connection_loop(stream, shared);
+            };
+            let builder = Builder::new().name(CONN_THREAD.to_string());
+            if builder.spawn_scoped(scope, reader).is_err() {
+                // The dropped closure closed `stream`; the table's clone
+                // still reaches the peer, with the answer past the cap.
+                if let Some(stream) = shared.registry.take(id) {
+                    shed(stream, &shared.metrics);
+                }
             }
         }
-    }
+        shared.registry.shutdown_all();
+    });
 }
 
 /// Turn a connection away with the typed `overloaded` line and hang
@@ -716,6 +680,37 @@ mod tests {
             &format!("{{\"hash\":\"{m}\"}}"),
         );
         assert_eq!(field(&doc, "found"), &Value::Bool(true));
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_gauge_returns_to_zero_when_clients_leave() {
+        let (store, medoids) = tiny_store();
+        let metrics = Metrics::enabled();
+        let server = Server::start(store, ServerConfig::default(), metrics.clone()).unwrap();
+        let gauge = || metrics.registry().unwrap().snapshot().gauges["serve.connections"];
+        let lookup = format!("{{\"hash\":\"{}\"}}", medoids[0]);
+        let clients: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                // An answer proves the connection was admitted.
+                roundtrip(&mut stream, &mut reader, &lookup);
+                stream
+            })
+            .collect();
+        assert_eq!(gauge(), 2.0);
+
+        drop(clients);
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while gauge() != 0.0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            gauge(),
+            0.0,
+            "serve.connections still counts departed clients"
+        );
         server.shutdown();
     }
 

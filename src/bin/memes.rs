@@ -377,8 +377,7 @@ fn run_pipeline(
     metrics: &Metrics,
 ) -> Result<PipelineOutput, ExitCode> {
     let policy = StagePolicy {
-        max_attempts: args.retries + 1,
-        save_attempts: args.retries + 1,
+        attempts: args.retries + 1,
     };
     let mut runner = SupervisedRunner::new(Pipeline::new(pipeline_config(args)))
         .with_metrics(metrics.clone())

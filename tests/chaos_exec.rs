@@ -125,10 +125,7 @@ fn persistent_panic_is_a_typed_error_never_an_abort() {
 fn exhausted_transient_stage_is_a_typed_error() {
     let data = dataset();
     let err = supervised(ExecFaultSpec::transient_stage(SEED, "hash", 99))
-        .with_policy(StagePolicy {
-            max_attempts: 2,
-            ..StagePolicy::default()
-        })
+        .with_policy(StagePolicy { attempts: 2 })
         .run(&data)
         .expect_err("99 failures cannot fit a 2-attempt budget");
     assert!(
@@ -382,16 +379,13 @@ fn item_faults_are_identical_across_thread_counts() {
 
 #[test]
 fn one_attempt_policy_returns_the_first_transient_error_unretried() {
-    // `max_attempts: 1` is the bare run: a fault that a single retry
+    // `attempts: 1` is the bare run: a fault that a single retry
     // would absorb comes straight back, and nothing is retried.
     let data = dataset();
     let registry = Arc::new(Registry::new());
     let err = supervised(ExecFaultSpec::transient_stage(SEED, "cluster", 1))
         .with_metrics(Metrics::from_registry(Arc::clone(&registry)))
-        .with_policy(StagePolicy {
-            max_attempts: 1,
-            save_attempts: 1,
-        })
+        .with_policy(StagePolicy { attempts: 1 })
         .run(&data)
         .expect_err("one attempt cannot absorb one failure");
     match err {

@@ -290,7 +290,15 @@ fn shutdown_joins_every_reader_thread() {
     }
     assert!(server_threads() > Some(0), "server threads are live");
 
+    // Drain shuts the parked sockets down instead of waiting out their
+    // 5 s read budget.
+    let started = Instant::now();
     server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
     // `join` returns when the kernel clears the exiting thread's tid, a
     // moment before it unlinks the task from /proc (measured on this
     // host: 0.6 % of shutdowns still list the last thread, gone by the

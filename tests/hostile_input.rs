@@ -9,7 +9,9 @@
 //! that answers the lookup, the quarantine file's `parse_jsonl`, and
 //! `PipelineOutput::from_json`, which `memes serve` runs on a JSON
 //! artifact. The last three each get arbitrary bytes, truncations of a
-//! real encoding and nesting bombs.
+//! real encoding and nesting bombs. Last, a TCP client sends arbitrary
+//! bytes to a live in-process server: it gets typed reply lines and a
+//! close, never a hang, and the server's threads stay bounded.
 
 use origins_of_memes::core::checkpoint::{
     crc32, decode_checkpoint, encode_checkpoint, Checkpoint, StageId, StageState,
@@ -19,13 +21,24 @@ use origins_of_memes::core::quarantine::{
     encode_jsonl, parse_jsonl, QuarantineEntry, QuarantineError, QuarantineReason,
 };
 use origins_of_memes::core::supervise::SupervisedRunner;
+use origins_of_memes::metrics::Metrics;
 use origins_of_memes::phash::PHash;
 use origins_of_memes::serve::protocol::{parse_request, Request};
-use origins_of_memes::serve::ServeError;
+use origins_of_memes::serve::{
+    ServeError, Server, ServerConfig, Snapshot, SnapshotStore, DEFAULT_THETA,
+};
 use origins_of_memes::simweb::SimConfig;
 use proptest::prelude::*;
 use serde::Value;
-use std::sync::OnceLock;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+/// The serve chaos suite's support module, for its thread count.
+#[allow(dead_code)]
+#[path = "../crates/serve/tests/serveload/mod.rs"]
+mod serveload;
 
 /// A valid envelope around a small checkpoint: two completed stages,
 /// a few post hashes and one degradation.
@@ -288,18 +301,26 @@ fn shrink(v: &mut Value) {
     }
 }
 
-/// A real tiny run's artifact with every array cut to two elements:
+/// A real tiny run, shared by the artifact and server properties.
+fn tiny_run() -> &'static PipelineOutput {
+    static RUN: OnceLock<PipelineOutput> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let dataset = SimConfig::tiny(5).generate();
+        SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+            .run(&dataset)
+            .expect("pipeline runs")
+            .expect_complete()
+    })
+}
+
+/// [`tiny_run`]'s artifact with every array cut to two elements:
 /// every field and nesting level of `PipelineOutput`, small enough to
 /// truncate at 10 000 cut points.
 fn small_artifact() -> &'static str {
     static ARTIFACT: OnceLock<String> = OnceLock::new();
     ARTIFACT.get_or_init(|| {
-        let dataset = SimConfig::tiny(5).generate();
-        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
-            .run(&dataset)
-            .expect("pipeline runs")
-            .expect_complete();
-        let mut value: Value = serde_json::from_str(&output.to_json()).expect("artifact parses");
+        let mut value: Value =
+            serde_json::from_str(&tiny_run().to_json()).expect("artifact parses");
         shrink(&mut value);
         let json = serde_json::to_string(&value).expect("value serializes");
         PipelineOutput::from_json(&json).expect("the cut artifact still decodes");
@@ -369,4 +390,121 @@ proptest! {
     ) {
         prop_assert!(PipelineOutput::from_json(&nesting_bomb(depth, object, closed)).is_err());
     }
+}
+
+/// The fuzzed server's line cap.
+const WIRE_CAP: usize = 256;
+
+/// What a fuzzed client sends: request-shaped bytes, or a newline-free
+/// run that ends below the line cap or goes past it.
+fn wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        request_bytes(),
+        prop::collection::vec(any::<u8>(), 1..4 * WIRE_CAP),
+        any::<bool>(),
+    )
+        .prop_map(|(request, run, raw)| {
+            if raw {
+                return request;
+            }
+            run.into_iter()
+                .map(|b| if b == b'\n' { b' ' } else { b })
+                .collect()
+        })
+}
+
+/// Whether `line` is a reply the server may send: a JSON object whose
+/// first key is `found` (lookup), `error`, `generation` (stats) or
+/// `reloaded`.
+fn is_typed_reply(line: &[u8]) -> bool {
+    let text = std::str::from_utf8(line).unwrap_or_default();
+    let Ok(Value::Object(fields)) = serde_json::from_str::<Value>(text) else {
+        return false;
+    };
+    fields.first().is_some_and(|(key, _)| {
+        ["found", "error", "generation", "reloaded"].contains(&key.as_str())
+    })
+}
+
+/// Send `bytes`, half-close, and read to the end. Every reply line
+/// must be typed, and the server must close (EOF or reset) within the
+/// client's 2 s timeout — far past its own 200 ms read budget.
+fn typed_replies_then_close(addr: std::net::SocketAddr, bytes: &[u8]) -> Result<(), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    // A server that already hung up on an over-long line makes the
+    // rest of the write fail; what it answered is still readable.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut replies = Vec::new();
+    let end = stream.read_to_end(&mut replies);
+    if let Err(e) = &end {
+        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            return Err("no close within 2 s".to_string());
+        }
+    }
+    let mut lines: Vec<&[u8]> = replies.split(|&b| b == b'\n').collect();
+    // The text after the last newline is empty, unless a reset cut a
+    // reply short.
+    let tail = lines.pop().unwrap_or_default();
+    if !tail.is_empty() && end.is_ok() {
+        return Err(format!(
+            "unterminated reply {:?}",
+            String::from_utf8_lossy(tail)
+        ));
+    }
+    match lines.into_iter().find(|line| !is_typed_reply(line)) {
+        Some(line) => Err(format!("untyped reply {:?}", String::from_utf8_lossy(line))),
+        None => Ok(()),
+    }
+}
+
+#[test]
+fn serve_answers_every_byte_stream_typed_then_closes() {
+    let snapshot = Snapshot::build(tiny_run(), None, DEFAULT_THETA, 0).expect("snapshot builds");
+    let config = ServerConfig {
+        allow_reload: false,
+        max_line_bytes: WIRE_CAP,
+        read_timeout_ms: 200,
+        ..ServerConfig::default()
+    };
+    let cap = config.max_conns;
+    let server = Server::start(
+        Arc::new(SnapshotStore::new(snapshot)),
+        config,
+        Metrics::disabled(),
+    )
+    .expect("server starts");
+    let strategy = wire_bytes();
+    let test_name = concat!(
+        module_path!(),
+        "::serve_answers_every_byte_stream_typed_then_closes"
+    );
+    for case in 0..ProptestConfig::default().cases {
+        let bytes = strategy.generate(&mut TestRng::for_case(test_name, u64::from(case)));
+        if let Err(why) = typed_replies_then_close(server.local_addr(), &bytes) {
+            panic!(
+                "case {case}: {why}; sent {:?}",
+                String::from_utf8_lossy(&bytes)
+            );
+        }
+    }
+
+    // Every reader frees its slot once its client is gone.
+    let settled = Instant::now() + Duration::from_secs(2);
+    while server.active_connections() != 0 && Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        server.active_connections(),
+        0,
+        "readers outlived their clients"
+    );
+    if let Some(threads) = serveload::server_threads() {
+        assert!(
+            threads <= 1 + cap,
+            "{threads} server threads for a cap of {cap}"
+        );
+    }
+    server.shutdown();
 }
