@@ -10,6 +10,13 @@
 //! expensive phases (hashing 160M images, pairwise distances) are
 //! exactly the ones worth never redoing.
 //!
+//! Stages run in [`StageId::ALL`] order, which is not Fig. 2's step
+//! numbering: both pixel stages (Step 4's `site`, then Step 1's `hash`)
+//! come first, so the post-hash checkpoint carries every pHash and a
+//! parameter sweep resumed from it renders no image. A checkpoint lists
+//! its completed stages by name, and resuming runs every stage it does
+//! not list, whatever order wrote it.
+//!
 //! On-disk integrity (DESIGN.md §11): checkpoints are wrapped in a
 //! checksummed, schema-versioned **envelope** — a one-line ASCII header
 //! carrying a CRC-32 and byte length of the JSON payload — and written
@@ -43,17 +50,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The named pipeline stages, in execution order.
 ///
+/// The order is not Fig. 2's step numbering: the two pixel stages run
+/// first. Step 4's `site` renders and hashes the KYM galleries, and
+/// depends only on the dataset and the screenshot filter, so it runs
+/// before Step 1's `hash`; the checkpoint that
+/// [`crate::supervise::SupervisedRunner::halt_after`]`(StageId::Hash)`
+/// leaves then holds every pHash the analysis needs, and a resume from
+/// it renders nothing. Steps 2–3, 5 and 6 follow in step order.
+///
 /// Step 7 (Hawkes influence) is deliberately not a stage: it is computed
 /// on demand from a completed [`PipelineOutput`] (see
 /// [`PipelineOutput::estimate_influence`]).
+///
+/// A checkpoint records a stage by its variant name (`"Hash"`), never
+/// by position, and [`Checkpoint::next_stage`] /
+/// [`Checkpoint::is_complete`] test membership, so a checkpoint written
+/// under the older `hash`-first order resumes by running what it lacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StageId {
+    /// Step 4 — KYM site build with screenshot filtering.
+    Site,
     /// Step 1 — pHash extraction over every post image.
     Hash,
     /// Steps 2–3 — pairwise distances, DBSCAN, medoid selection.
     Cluster,
-    /// Step 4 — KYM site build with screenshot filtering.
-    Site,
     /// Step 5 — cluster annotation against the KYM site.
     Annotate,
     /// Step 6 — association of all communities' posts to clusters.
@@ -61,11 +81,12 @@ pub enum StageId {
 }
 
 impl StageId {
-    /// All stages in execution order.
+    /// All stages in execution order: the pixel stages (`site`, `hash`)
+    /// first, then the analysis over their hashes.
     pub const ALL: [StageId; 5] = [
+        StageId::Site,
         StageId::Hash,
         StageId::Cluster,
-        StageId::Site,
         StageId::Annotate,
         StageId::Associate,
     ];
@@ -73,9 +94,9 @@ impl StageId {
     /// Stable human-readable name (used by checkpoints and the CLI).
     pub fn name(self) -> &'static str {
         match self {
+            StageId::Site => "site",
             StageId::Hash => "hash",
             StageId::Cluster => "cluster",
-            StageId::Site => "site",
             StageId::Annotate => "annotate",
             StageId::Associate => "associate",
         }
@@ -158,7 +179,7 @@ pub struct Checkpoint {
     pub dataset_fingerprint: u64,
     /// The configuration the run was started under.
     pub config: PipelineConfig,
-    /// Stages completed so far, in execution order.
+    /// Stages completed so far, in the order they ran.
     pub completed: Vec<StageId>,
     /// Their accumulated outputs.
     pub state: StageState,
@@ -756,7 +777,7 @@ mod tests {
     #[test]
     fn stage_order_is_stable() {
         let names: Vec<&str> = StageId::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["hash", "cluster", "site", "annotate", "associate"]);
+        assert_eq!(names, ["site", "hash", "cluster", "annotate", "associate"]);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! 7. **analysis & influence** — per-cluster event streams
 //!    ([`PipelineOutput::try_all_cluster_events`]) feeding the Hawkes
 //!    influence estimator ([`PipelineOutput::estimate_influence`]).
+//!
+//! The numbers are Fig. 2's, not the execution order: the runner runs
+//! Step 4 (stage `site`) before Step 1 (stage `hash`), so that both
+//! image passes are behind the post-hash checkpoint ([`StageId::ALL`]).
 
 use crate::checkpoint::{StageId, StageState};
 use crate::metric::ClusterDescriptor;

@@ -506,7 +506,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::decode_checkpoint;
+    use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
     use crate::pipeline::PipelineConfig;
     use meme_simweb::SimConfig;
     use std::fs;
@@ -735,9 +735,10 @@ mod tests {
 
     #[test]
     fn truncated_checkpoint_resume_is_torn_corrupt_never_a_fresh_run() {
-        // Satellite regression: resume on a torn checkpoint must return
+        // Regression: resume on a torn checkpoint must return
         // CheckpointCorrupt with the torn classification — not a serde
-        // panic, and *not* a silent fresh run.
+        // panic, and *not* a silent fresh run. Halting after the first
+        // stage leaves a single generation, so no `.prev` can rescue it.
         let dataset = SimConfig::tiny(24).generate();
         let pipeline = Pipeline::new(PipelineConfig::fast());
         let path = tmp_path("torn-resume");
@@ -745,10 +746,11 @@ mod tests {
         let _ = fs::remove_file(prev_checkpoint_path(&path));
         let outcome = SupervisedRunner::new(pipeline.clone())
             .with_checkpoint(&path)
-            .halt_after(StageId::Hash)
+            .halt_after(StageId::ALL[0])
             .run(&dataset)
             .unwrap();
         assert!(matches!(outcome.outcome, RunnerOutcome::Halted { .. }));
+        assert!(!prev_checkpoint_path(&path).exists());
         let bytes = fs::read(&path).unwrap();
         let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
         for cut in [1, header_len - 2, header_len + 1, bytes.len() - 1] {
@@ -767,5 +769,100 @@ mod tests {
         }
         let _ = fs::remove_file(&path);
         let _ = fs::remove_file(prev_checkpoint_path(&path));
+    }
+
+    /// Run until `stage` completes, leaving its checkpoint at `path`.
+    fn halt_at(pipeline: &Pipeline, dataset: &Dataset, stage: StageId, path: &Path) {
+        let _ = fs::remove_file(path);
+        let _ = fs::remove_file(prev_checkpoint_path(path));
+        let halted = SupervisedRunner::new(pipeline.clone())
+            .with_checkpoint(path)
+            .halt_after(stage)
+            .run(dataset)
+            .unwrap();
+        assert!(matches!(halted.outcome, RunnerOutcome::Halted { after } if after == stage));
+    }
+
+    #[test]
+    fn a_post_hash_resume_renders_nothing() {
+        // The post-hash checkpoint holds every pHash the analysis needs,
+        // so resuming it runs neither pixel stage: no gallery image and
+        // no post image is rendered or hashed again.
+        use meme_metrics::{Metrics, Registry};
+
+        let dataset = SimConfig::tiny(24).generate();
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let whole = SupervisedRunner::new(pipeline.clone())
+            .run(&dataset)
+            .unwrap()
+            .expect_complete();
+        let path = tmp_path("post-hash-resume");
+        halt_at(&pipeline, &dataset, StageId::Hash, &path);
+        let registry = Arc::new(Registry::new());
+        let metrics = Metrics::from_registry(Arc::clone(&registry));
+        let resumed = SupervisedRunner::new(pipeline.with_metrics(metrics.clone()))
+            .with_checkpoint(&path)
+            .resume(&dataset)
+            .unwrap()
+            .expect_complete();
+        let spans = registry.snapshot().spans;
+        assert!(spans.contains_key("pipeline/cluster"), "{spans:?}");
+        for span in ["pipeline/site", "pipeline/hash"] {
+            assert!(!spans.contains_key(span), "resume ran `{span}`");
+        }
+        assert_eq!(metrics.counter("site.gallery_images_kept"), 0);
+        assert_eq!(metrics.counter("hash.images"), 0);
+        assert_eq!(whole.to_json(), resumed.to_json());
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(prev_checkpoint_path(&path));
+    }
+
+    #[test]
+    fn checkpoints_in_the_hash_first_layout_still_resume() {
+        // Before `site` ran first, the stage order was hash, cluster,
+        // site, annotate, associate: a checkpoint from then lists `hash`
+        // (and maybe `cluster`) as done and carries no site. Resuming
+        // one must run `site` and reproduce a fresh run byte for byte.
+        // The envelope is v2 either way, and stages are encoded by name,
+        // so the variant order of `StageId` plays no part.
+        use meme_metrics::{Metrics, Registry};
+
+        let dataset = SimConfig::tiny(24).generate();
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let fresh = SupervisedRunner::new(pipeline.clone())
+            .run(&dataset)
+            .unwrap()
+            .expect_complete();
+        for (halt, completed) in [
+            (StageId::Hash, vec![StageId::Hash]),
+            (StageId::Cluster, vec![StageId::Hash, StageId::Cluster]),
+        ] {
+            let path = tmp_path(&format!("hash-first-{halt}"));
+            halt_at(&pipeline, &dataset, halt, &path);
+            let _ = fs::remove_file(prev_checkpoint_path(&path));
+            let mut old = decode_checkpoint(&fs::read(&path).unwrap()).unwrap();
+            old.completed = completed.clone();
+            old.state.site = None;
+            old.state.entry_meme_ids = None;
+            old.state.screenshot_metrics = None;
+            fs::write(&path, encode_checkpoint(&old)).unwrap();
+            let registry = Arc::new(Registry::new());
+            let metrics = Metrics::from_registry(Arc::clone(&registry));
+            let resumed = SupervisedRunner::new(pipeline.clone().with_metrics(metrics.clone()))
+                .with_checkpoint(&path)
+                .resume(&dataset)
+                .unwrap()
+                .expect_complete();
+            let spans = registry.snapshot().spans;
+            assert!(
+                spans.contains_key("pipeline/site"),
+                "{completed:?}: {spans:?}"
+            );
+            assert!(!spans.contains_key("pipeline/hash"), "{completed:?}");
+            assert!(metrics.counter("site.gallery_images_kept") > 0);
+            assert_eq!(fresh.to_json(), resumed.to_json(), "{completed:?}");
+            let _ = fs::remove_file(&path);
+            let _ = fs::remove_file(prev_checkpoint_path(&path));
+        }
     }
 }

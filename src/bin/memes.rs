@@ -35,7 +35,10 @@
 //! completed stage (the checkpoint is validated against the dataset and
 //! configuration before being honoured; a torn or stale current
 //! generation automatically falls back to the previous one when it is
-//! intact).
+//! intact). The stages run `site`, `hash`, `cluster`, `annotate`,
+//! `associate`: both stages that render and pHash images (the KYM
+//! galleries of Step 4, the posts of Step 1) come first, so once `hash`
+//! is checkpointed a `resume` renders no image.
 //!
 //! All runs execute under supervision (DESIGN.md §11): a failed stage
 //! is retried at once within a bounded budget (`--retries N`, default 2

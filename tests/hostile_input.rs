@@ -9,7 +9,9 @@
 //! that answers the lookup, the quarantine file's `parse_jsonl`, and
 //! `PipelineOutput::from_json`, which `memes serve` runs on a JSON
 //! artifact. The last three each get arbitrary bytes, truncations of a
-//! real encoding and nesting bombs. Last, a TCP client sends arbitrary
+//! real encoding and nesting bombs. The JSON writer, which recurses
+//! without a depth check, writes back every value parsed at
+//! `RECURSION_LIMIT`. Last, a TCP client sends arbitrary
 //! bytes to a live in-process server: it gets typed reply lines and a
 //! close, never a hang, and the server's threads stay bounded.
 
@@ -389,6 +391,64 @@ proptest! {
         closed in any::<bool>(),
     ) {
         prop_assert!(PipelineOutput::from_json(&nesting_bomb(depth, object, closed)).is_err());
+    }
+}
+
+/// One scalar of each JSON kind the value model has, picked by `kind`,
+/// as `to_string` writes it.
+fn leaf(kind: usize, n: u64, s: &str) -> String {
+    let v = match kind % 6 {
+        0 => Value::Null,
+        1 => Value::Bool(n.is_multiple_of(2)),
+        2 => Value::U64(n),
+        3 => Value::I64(-((n >> 1) as i64) - 1),
+        4 => Value::F64(n as f64 / 7.0),
+        _ => Value::String(s.to_string()),
+    };
+    serde_json::to_string(&v).expect("a scalar serializes")
+}
+
+/// JSON text nested exactly `RECURSION_LIMIT` deep: level `d` is an
+/// object when `objects[d]` (the next level under a `POOL` key) and an
+/// array otherwise, and holds the scalar `leaf` beside the next level
+/// when `siblings[d]`.
+fn nested_to_the_limit(objects: &[bool], siblings: &[bool], key: &str, leaf: &str) -> String {
+    let key = serde_json::to_string(key).expect("a key serializes");
+    let mut text = leaf.to_string();
+    for d in (0..serde_json::RECURSION_LIMIT).rev() {
+        text = match (objects[d], siblings[d]) {
+            (true, true) => format!("{{\"leaf\":{leaf},{key}:{text}}}"),
+            (true, false) => format!("{{{key}:{text}}}"),
+            (false, true) => format!("[{text},{leaf}]"),
+            (false, false) => format!("[{text}]"),
+        };
+    }
+    text
+}
+
+proptest! {
+    #[test]
+    fn values_parsed_at_the_recursion_limit_round_trip_through_to_string(
+        objects in prop::collection::vec(any::<bool>(), serde_json::RECURSION_LIMIT),
+        siblings in prop::collection::vec(any::<bool>(), serde_json::RECURSION_LIMIT),
+        key in prop::collection::vec(0usize..POOL.len(), 0..8),
+        kind in 0usize..6,
+        n in any::<u64>(),
+    ) {
+        // The writer recurses without a depth check of its own: what it
+        // is given is either a `Serialize` type's value, as deep as the
+        // type, or a parsed one, at most `RECURSION_LIMIT` deep. The
+        // deepest parse must write back, compact and pretty, to text
+        // that parses to the same value, and compact writing is a fixed
+        // point.
+        let key: String = key.iter().map(|&i| POOL[i]).collect();
+        let text = nested_to_the_limit(&objects, &siblings, &key, &leaf(kind, n, &key));
+        let parsed: Value = serde_json::from_str(&text).expect("the limit itself parses");
+        let compact = serde_json::to_string(&parsed).expect("a value serializes");
+        let pretty = serde_json::to_string_pretty(&parsed).expect("a value serializes");
+        prop_assert_eq!(&serde_json::from_str::<Value>(&compact).expect("compact parses"), &parsed);
+        prop_assert_eq!(&serde_json::from_str::<Value>(&pretty).expect("pretty parses"), &parsed);
+        prop_assert_eq!(&compact, &text);
     }
 }
 

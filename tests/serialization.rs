@@ -78,8 +78,11 @@ fn checkpoints_roundtrip_preserving_stage_equality() {
     // decode_checkpoint verifies it before handing back the payload.
     let saved = std::fs::read(&path).expect("checkpoint written");
     let ckpt = decode_checkpoint(&saved).expect("checkpoint decodes");
-    assert_eq!(ckpt.completed, vec![StageId::Hash, StageId::Cluster]);
-    assert_eq!(ckpt.next_stage(), Some(StageId::Site));
+    assert_eq!(
+        ckpt.completed,
+        vec![StageId::Site, StageId::Hash, StageId::Cluster]
+    );
+    assert_eq!(ckpt.next_stage(), Some(StageId::Annotate));
     assert!(!ckpt.is_complete());
 
     // Re-encoding is a fixed point: envelope and payload identical.
@@ -88,10 +91,12 @@ fn checkpoints_roundtrip_preserving_stage_equality() {
     assert_eq!(back.dataset_fingerprint, ckpt.dataset_fingerprint);
     assert_eq!(encode_checkpoint(&back), encode_checkpoint(&ckpt));
 
-    // The partial state already carries the cluster stage's outputs.
+    // The partial state already carries the pixel stages' and the
+    // cluster stage's outputs, and nothing later.
+    assert!(ckpt.state.site.is_some());
     assert!(ckpt.state.post_hashes.is_some());
     assert!(ckpt.state.clustering.is_some());
-    assert!(ckpt.state.site.is_none());
+    assert!(ckpt.state.annotations.is_none());
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_checkpoint_path(&path));
 }
