@@ -1,6 +1,6 @@
 //! Multi-file fixture: deadlock-shaped locking. Covers the inversion
-//! pair, same-lock re-acquisition, blocking primitives under a guard,
-//! a lock-taking callee invoked while locked (cross-file, see
+//! pair, same-lock re-acquisition, blocking primitives and a blocking
+//! `std::fs` path call under a guard, a lock-taking callee invoked while locked (cross-file, see
 //! `store.rs`), and the condvar-wait exemption.
 
 use std::sync::mpsc::Receiver;
@@ -52,6 +52,15 @@ impl Queue {
         let g = self.mu.lock().unwrap();
         let v = rx.recv().unwrap_or(0); //~ lock-order
         v + g.len() as u64
+    }
+
+    /// Reads a file while holding the guard: `fs::read_to_string` is a
+    /// blocking path call, not a method.
+    pub fn reload_from_disk(&self) -> usize {
+        // lint:allow(panic-reachable): fixture mutex is never poisoned
+        let g = self.mu.lock().unwrap();
+        let text = std::fs::read_to_string("queue.txt").unwrap_or_default(); //~ lock-order
+        text.len() + g.len()
     }
 
     /// Calls a function that takes another lock while `mu` is held —

@@ -102,13 +102,13 @@ pub fn annotate_clusters_with_stats(
 /// medoid — the same two-sided speedup the paper got from its GPU
 /// pairwise engine.
 pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<ClusterAnnotation> {
-    // Flatten galleries with back-pointers.
+    // Flatten galleries with back-pointers: (entry id, gallery size).
     let mut gallery_hashes: Vec<PHash> = Vec::new();
-    let mut owner: Vec<usize> = Vec::new();
+    let mut owner: Vec<(usize, usize)> = Vec::new();
     for entry in &site.entries {
         for &h in &entry.gallery {
             gallery_hashes.push(h);
-            owner.push(entry.id);
+            owner.push((entry.id, entry.gallery.len()));
         }
     }
     let index = FallbackIndex::build(gallery_hashes, theta);
@@ -120,7 +120,7 @@ pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<C
             let hits = index.radius_query(medoid, theta);
             // Group hits by entry.
             use std::collections::HashMap;
-            let mut per_entry: HashMap<usize, (usize, f64)> = HashMap::new();
+            let mut per_entry: HashMap<(usize, usize), (usize, f64)> = HashMap::new();
             for hit in hits {
                 let d = medoid.distance(index.hash_at(hit)) as f64;
                 let e = per_entry.entry(owner[hit]).or_insert((0, 0.0));
@@ -129,10 +129,10 @@ pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<C
             }
             let mut matches: Vec<EntryMatch> = per_entry
                 .into_iter()
-                .map(|(entry_id, (count, dist_sum))| EntryMatch {
+                .map(|((entry_id, gallery_size), (count, dist_sum))| EntryMatch {
                     entry_id,
                     matched_images: count,
-                    gallery_size: site.entry(entry_id).gallery.len(),
+                    gallery_size,
                     avg_distance: dist_sum / count as f64,
                 })
                 .collect();

@@ -132,15 +132,6 @@ impl KymSite {
         self.entries.is_empty()
     }
 
-    /// Entry by id.
-    ///
-    /// # Panics
-    /// Panics when `id` is out of range; [`KymSite::get`] returns
-    /// `None` instead.
-    pub fn entry(&self, id: usize) -> &KymEntry {
-        &self.entries[id]
-    }
-
     /// Entry by id, or `None` when `id` is out of range — entry ids a
     /// crawl never produces but a corrupt checkpoint can carry.
     pub fn get(&self, id: usize) -> Option<&KymEntry> {
@@ -225,8 +216,9 @@ mod tests {
             entry("a", KymCategory::Meme, &[]),
             entry("b", KymCategory::Person, &[]),
         ]);
-        assert_eq!(site.entry(0).name, "a");
-        assert_eq!(site.entry(1).id, 1);
+        assert_eq!(site.get(0).map(|e| e.name.as_str()), Some("a"));
+        assert_eq!(site.get(1).map(|e| e.id), Some(1));
+        assert!(site.get(2).is_none());
         assert_eq!(site.len(), 2);
         assert_eq!(site.total_gallery_images(), 4);
     }

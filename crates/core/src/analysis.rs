@@ -6,7 +6,7 @@
 
 use crate::pipeline::PipelineOutput;
 use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnnotation};
-use meme_annotate::kym::KymCategory;
+use meme_annotate::kym::{KymCategory, KymEntry};
 use meme_cluster::dbscan::{
     try_dbscan_distinct, try_dbscan_hashes, ClusterError, Clustering, DbscanParams,
 };
@@ -16,6 +16,7 @@ use meme_phash::PHash;
 use meme_simweb::{Community, Dataset, SUBREDDITS};
 use meme_stats::timeseries::DailySeries;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Meme-group filter used across Figs. 8–16 and Table 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -225,7 +226,6 @@ pub fn top_entries_by_clusters(
     output: &PipelineOutput,
     n: usize,
 ) -> Vec<TopEntryRow> {
-    use std::collections::HashMap;
     let total_clusters = run.clustering.n_clusters().max(1) as f64;
     let mut counts: HashMap<usize, u64> = HashMap::new();
     for ann in &run.annotations {
@@ -233,21 +233,7 @@ pub fn top_entries_by_clusters(
             *counts.entry(rep).or_insert(0) += 1;
         }
     }
-    let mut rows: Vec<TopEntryRow> = counts
-        .into_iter()
-        .map(|(entry_id, count)| {
-            let e = output.site.entry(entry_id);
-            TopEntryRow {
-                entry: e.name.clone(),
-                category: e.category.name().to_string(),
-                count,
-                pct: 100.0 * count as f64 / total_clusters,
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.entry.cmp(&b.entry)));
-    rows.truncate(n);
-    rows
+    top_rows(output, counts, total_clusters, |_| true, n)
 }
 
 /// Tables 4/5: top entries by number of matched posts in one community
@@ -260,7 +246,6 @@ pub fn top_entries_by_posts(
     category: Option<KymCategory>,
     n: usize,
 ) -> Vec<TopEntryRow> {
-    use std::collections::HashMap;
     let mut counts: HashMap<usize, u64> = HashMap::new();
     let mut total = 0u64;
     for (post, occ) in dataset.posts.iter().zip(&output.occurrences) {
@@ -275,17 +260,29 @@ pub fn top_entries_by_posts(
         *counts.entry(rep).or_insert(0) += 1;
     }
     let total = total.max(1) as f64;
+    let keep = |e: &KymEntry| category.is_none_or(|c| e.category == c);
+    top_rows(output, counts, total, keep, n)
+}
+
+/// The `n` largest of `counts` (KYM entry id → count) as rows, `pct`
+/// over `total`: only entries `keep` accepts, and no id past the site.
+fn top_rows(
+    output: &PipelineOutput,
+    counts: HashMap<usize, u64>,
+    total: f64,
+    keep: impl Fn(&KymEntry) -> bool,
+    n: usize,
+) -> Vec<TopEntryRow> {
     let mut rows: Vec<TopEntryRow> = counts
         .into_iter()
-        .filter(|(entry_id, _)| category.is_none_or(|c| output.site.entry(*entry_id).category == c))
-        .map(|(entry_id, count)| {
-            let e = output.site.entry(entry_id);
-            TopEntryRow {
+        .filter_map(|(entry_id, count)| {
+            let e = output.site.get(entry_id).filter(|e| keep(e))?;
+            Some(TopEntryRow {
                 entry: e.name.clone(),
                 category: e.category.name().to_string(),
                 count,
                 pct: 100.0 * count as f64 / total,
-            }
+            })
         })
         .collect();
     rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.entry.cmp(&b.entry)));

@@ -59,8 +59,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// it renders nothing. Steps 2–3, 5 and 6 follow in step order.
 ///
 /// Step 7 (Hawkes influence) is deliberately not a stage: it is computed
-/// on demand from a completed [`PipelineOutput`] (see
-/// [`PipelineOutput::estimate_influence`]).
+/// on demand from a completed [`PipelineOutput`] by its one entry point,
+/// [`PipelineOutput::estimate_influence`]`(dataset, beta, metrics)`.
 ///
 /// A checkpoint records a stage by its variant name (`"Hash"`), never
 /// by position, and [`Checkpoint::next_stage`] /

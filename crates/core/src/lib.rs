@@ -39,6 +39,7 @@ pub use checkpoint::{
     CHECKPOINT_SCHEMA_VERSION,
 };
 pub use graph::{ClusterGraph, GraphConfig};
+pub use meme_metrics::Metrics; // what `PipelineOutput::estimate_influence` records into
 pub use metric::{ClusterDescriptor, ClusterDistance, MetricWeights};
 pub use pipeline::{
     Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput, ScreenshotFilterMode,

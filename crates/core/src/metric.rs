@@ -99,7 +99,9 @@ impl ClusterDescriptor {
         let mut people = HashSet::new();
         let mut cultures = HashSet::new();
         for m in &annotation.matches {
-            let entry = site.entry(m.entry_id);
+            let Some(entry) = site.get(m.entry_id) else {
+                continue;
+            };
             match entry.category {
                 KymCategory::Meme | KymCategory::Subculture => {
                     memes.insert(entry.name.clone());

@@ -18,7 +18,8 @@
 //!    against annotated-cluster medoids at `θ`;
 //! 7. **analysis & influence** — per-cluster event streams
 //!    ([`PipelineOutput::try_all_cluster_events`]) feeding the Hawkes
-//!    influence estimator ([`PipelineOutput::estimate_influence`]).
+//!    influence fit ([`PipelineOutput::estimate_influence`], at
+//!    [`FIT_BETA`] for the paper's figures).
 //!
 //! The numbers are Fig. 2's, not the execution order: the runner runs
 //! Step 4 (stage `site`) before Step 1 (stage `hash`), so that both
@@ -54,6 +55,11 @@ use std::sync::Mutex;
 /// How many times Step 4 retries CNN training (reseeding each attempt)
 /// before falling back to the ground-truth oracle filter.
 pub const MAX_TRAIN_ATTEMPTS: usize = 2;
+
+/// Kernel decay of the paper's Step-7 fit, per day
+/// ([`PipelineOutput::estimate_influence`]): events cluster within hours
+/// of each other, and 3/day matches the generator.
+pub const FIT_BETA: f64 = 3.0;
 
 /// How Step 4 decides what a screenshot is.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -951,7 +957,7 @@ impl PipelineOutput {
     pub fn representative_entry(&self, cluster: usize) -> Option<&KymEntry> {
         self.annotations[cluster]
             .representative
-            .map(|id| self.site.entry(id))
+            .and_then(|id| self.site.get(id))
     }
 
     /// Whether the cluster's representative entry is politics-related.
@@ -1013,9 +1019,11 @@ impl PipelineOutput {
         Ok(streams)
     }
 
-    /// Step 7: fit a Hawkes model per annotated cluster and aggregate
-    /// influence (per-cluster and total matrices, in
-    /// [`PipelineOutput::annotated_clusters`] order).
+    /// Step 7: fit a Hawkes model per annotated cluster at kernel decay
+    /// `beta` (the paper's fit is [`FIT_BETA`]) on every core, and
+    /// aggregate influence (per-cluster and total matrices, in
+    /// [`PipelineOutput::annotated_clusters`] order). The fit is the
+    /// same at any thread count.
     ///
     /// Clusters whose fit fails (NaN times, foreign community ids,
     /// non-stationary or diverged EM) are skipped — contributing zero
@@ -1031,13 +1039,13 @@ impl PipelineOutput {
     pub fn estimate_influence(
         &self,
         dataset: &Dataset,
-        estimator: &InfluenceEstimator,
-        threads: usize,
+        beta: f64,
         metrics: &Metrics,
     ) -> Result<(ClusterInfluence, Vec<Degradation>), PipelineError> {
         let span = metrics.span("pipeline/influence");
         let streams = self.try_all_cluster_events(dataset)?;
-        let robust = estimator.estimate_robust(&streams, dataset.horizon(), threads);
+        let estimator = InfluenceEstimator::new(Community::COUNT, beta);
+        let robust = estimator.estimate_robust(&streams, dataset.horizon(), 0);
         let elapsed = span.finish();
         let annotated = self.annotated_clusters();
         metrics.add("hawkes.clusters_total", streams.len() as u64);
@@ -1317,9 +1325,8 @@ mod tests {
     #[test]
     fn influence_estimation_runs_end_to_end() {
         let (dataset, out) = run_tiny();
-        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
         let (inf, skipped) = out
-            .estimate_influence(&dataset, &estimator, 2, &Metrics::disabled())
+            .estimate_influence(&dataset, FIT_BETA, &Metrics::disabled())
             .unwrap();
         assert!(skipped.is_empty(), "{skipped:?}");
         let events: f64 = inf.total.events_per_community().iter().sum();
@@ -1491,8 +1498,7 @@ mod tests {
         let metrics = Metrics::from_registry(Arc::clone(&registry));
         let pipeline = Pipeline::new(PipelineConfig::fast()).with_metrics(metrics.clone());
         let out = run(pipeline, &dataset);
-        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-        out.estimate_influence(&dataset, &estimator, 2, &metrics)
+        out.estimate_influence(&dataset, FIT_BETA, &metrics)
             .unwrap();
 
         let snap = registry.snapshot();
@@ -1625,9 +1631,8 @@ mod tests {
             ann.representative = None;
         }
         assert!(out.annotated_clusters().is_empty());
-        let estimator = InfluenceEstimator::new(Community::COUNT, 2.0);
         let (influence, degradations) = out
-            .estimate_influence(&dataset, &estimator, 2, &Metrics::disabled())
+            .estimate_influence(&dataset, 2.0, &Metrics::disabled())
             .unwrap();
         assert!(influence.per_cluster.is_empty());
         assert!(degradations.is_empty());
@@ -1673,6 +1678,9 @@ mod tests {
             bad.try_annotated_descriptors(),
             Err(PipelineError::CheckpointCorrupt(_))
         ));
+        let cluster = bad.annotations[victim].cluster;
+        assert!(bad.representative_entry(cluster).is_none());
+        assert!(!bad.cluster_is_racist(cluster));
         let mut bad = out.clone();
         if let Some(m) = bad.annotations[victim].matches.first_mut() {
             m.entry_id = bad.site.len() + 7;

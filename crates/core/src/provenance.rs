@@ -235,9 +235,9 @@ pub fn caption_analysis(dataset: &Dataset, output: &PipelineOutput) -> CaptionAn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Pipeline, PipelineConfig};
+    use crate::pipeline::{Pipeline, PipelineConfig, FIT_BETA};
     use crate::supervise::SupervisedRunner;
-    use meme_hawkes::{ClusterInfluence, InfluenceEstimator};
+    use meme_hawkes::ClusterInfluence;
     use meme_metrics::Metrics;
     use meme_simweb::SimConfig;
 
@@ -251,9 +251,8 @@ mod tests {
     }
 
     fn influence(dataset: &Dataset, output: &PipelineOutput) -> ClusterInfluence {
-        let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
         let (influence, skipped) = output
-            .estimate_influence(dataset, &estimator, 0, &Metrics::disabled())
+            .estimate_influence(dataset, FIT_BETA, &Metrics::disabled())
             .expect("cluster ids are in range");
         assert!(skipped.is_empty(), "estimation succeeds: {skipped:?}");
         influence

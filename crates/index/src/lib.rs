@@ -297,10 +297,13 @@ pub fn symmetric_neighbors<I: HammingIndex + Sync>(
 /// work: `requested` (0 = available parallelism), never more than the
 /// work items, never less than one.
 ///
-/// Shared by every parallel stage in the workspace so the zero-work
-/// edge case is handled in exactly one place: `usize::clamp` panics
-/// when `min > max`, so a bare `requested.clamp(1, work_items)` blows
-/// up on empty input — the upper bound is floored at 1 instead.
+/// Shared by the Hamming sweeps here and the pipeline's parallel stages
+/// so the zero-work edge case is handled in one place: `usize::clamp`
+/// panics when `min > max`, so a bare `requested.clamp(1, work_items)`
+/// blows up on empty input — the upper bound is floored at 1 instead.
+/// Step 7 is the exception: `meme-hawkes` does not depend on this
+/// crate, and a Cargo edge for one function is not worth it, so
+/// `InfluenceEstimator::estimate_robust` resolves its own thread count.
 pub fn effective_threads(requested: usize, work_items: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())

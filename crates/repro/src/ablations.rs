@@ -1,13 +1,13 @@
 //! Ablations of the paper's design choices (DESIGN.md §6) plus the §7
 //! future-work extensions (origin inference, virality).
 
-use crate::sections::{fit_influence, FIT_BETA};
 use crate::{section, Printed, Repro};
 use meme_cluster::dbscan::{try_dbscan_distinct, try_dbscan_hashes, DbscanParams};
 use meme_cluster::purity::{identity_recall, majority_purity};
 use meme_core::analysis;
 use meme_core::graph::{ClusterGraph, GraphConfig};
 use meme_core::metric::{ClusterDistance, MetricWeights};
+use meme_core::pipeline::FIT_BETA;
 use meme_core::provenance::{caption_analysis, infer_origins, virality};
 use meme_core::report::{ascii_table, pct};
 use meme_hawkes::{Event, HawkesError, HawkesModel};
@@ -160,8 +160,8 @@ pub fn ablation_beta(r: &Repro) -> Printed {
     section("Ablation: Hawkes kernel decay (beta sensitivity)");
     let streams = r.output.try_all_cluster_events(&r.dataset)?;
     let mut cells = Vec::new();
-    for beta in [1.0f64, FIT_BETA, 10.0] {
-        let influence = fit_influence(r, &streams, beta);
+    let (slow, fast) = (r.fit_at(1.0)?, r.fit_at(10.0)?);
+    for (beta, influence) in [(1.0, &slow), (FIT_BETA, r.fit()?), (10.0, &fast)] {
         let ext = influence.total.total_external_normalized();
         let ranked: Vec<&str> = {
             let mut order: Vec<usize> = (0..Community::COUNT).collect();
@@ -308,7 +308,7 @@ pub fn provenance(r: &Repro) -> Printed {
 
     section("Extension (§7 future work): which memes disseminate?");
     let streams = r.output.try_all_cluster_events(&r.dataset)?;
-    let influence = fit_influence(r, &streams, FIT_BETA);
+    let influence = r.fit()?;
     let annotated = r.output.annotated_clusters();
     let mut cells = Vec::new();
     for (label, filter) in [

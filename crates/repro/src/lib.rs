@@ -20,10 +20,13 @@ pub mod sections;
 
 use meme_annotate::AnnotateError;
 use meme_cluster::dbscan::ClusterError;
-use meme_core::pipeline::{PipelineError, PipelineOutput};
-use meme_hawkes::HawkesError;
+use meme_core::pipeline::{PipelineError, PipelineOutput, FIT_BETA};
+use meme_core::Metrics;
+use meme_hawkes::{ClusterInfluence, HawkesError};
 use meme_simweb::Dataset;
+use std::cell::OnceCell;
 use std::fmt;
+use std::time::Instant;
 
 /// Why a section could not print: the typed error of the stage it
 /// called. `memes repro` reports it and exits 2.
@@ -79,7 +82,8 @@ impl From<AnnotateError> for SectionError {
 /// What a section returns: `T` once it has printed, or why it could not.
 pub type Printed<T = ()> = Result<T, SectionError>;
 
-/// A generated dataset plus its completed Steps 1–6 run.
+/// A generated dataset plus its completed Steps 1–6 run, and the
+/// Step-7 fit at [`FIT_BETA`] once a section has read it.
 pub struct Repro {
     /// Master seed the dataset was generated from.
     pub seed: u64,
@@ -87,6 +91,49 @@ pub struct Repro {
     pub dataset: Dataset,
     /// Steps 1–6 output.
     pub output: PipelineOutput,
+    /// [`Repro::fit`]'s result, made by the first section that asks;
+    /// `dataset` and `output` are never changed after [`Repro::new`].
+    fit: OnceCell<ClusterInfluence>,
+}
+
+impl Repro {
+    /// A run whose Step 7 is not fitted yet.
+    pub fn new(seed: u64, dataset: Dataset, output: PipelineOutput) -> Self {
+        Self {
+            seed,
+            dataset,
+            output,
+            fit: OnceCell::new(),
+        }
+    }
+
+    /// Step 7 at [`FIT_BETA`]: fitted by the first section that asks,
+    /// and read by every later one.
+    pub fn fit(&self) -> Printed<&ClusterInfluence> {
+        if let Some(fit) = self.fit.get() {
+            return Ok(fit);
+        }
+        let fit = self.fit_at(FIT_BETA)?;
+        Ok(self.fit.get_or_init(|| fit))
+    }
+
+    /// Step 7 at kernel decay `beta`, as `memes run --metrics-out` runs
+    /// it. A cluster whose fit failed contributes a zero matrix; how many
+    /// did, and how long the fit took, go to stderr.
+    pub fn fit_at(&self, beta: f64) -> Printed<ClusterInfluence> {
+        let t0 = Instant::now();
+        let metrics = Metrics::disabled();
+        let (fitted, skipped) = self
+            .output
+            .estimate_influence(&self.dataset, beta, &metrics)?;
+        eprintln!(
+            "[repro] fitted {} clusters at β = {beta} in {:.1?} ({} skipped)",
+            fitted.per_cluster.len(),
+            t0.elapsed(),
+            skipped.len()
+        );
+        Ok(fitted)
+    }
 }
 
 /// Print a section header matching the paper's table/figure numbering.

@@ -16,18 +16,14 @@ use meme_core::graph::{ClusterGraph, GraphConfig};
 use meme_core::metric::{ClusterDescriptor, ClusterDistance};
 use meme_core::report::{ascii_table, pct, thousands};
 use meme_hawkes::{
-    parent_probabilities, root_causes, simulate_branching, strip_lineage, ClusterInfluence, Event,
-    HawkesModel, InfluenceEstimator, InfluenceMatrix, SplitInfluence,
+    parent_probabilities, root_causes, simulate_branching, strip_lineage, ClusterInfluence,
+    HawkesModel, InfluenceMatrix, SplitInfluence,
 };
 use meme_index::{BruteForceIndex, FallbackIndex, HammingIndex, MihIndex, QueryScratch};
 use meme_phash::PHash;
 use meme_simweb::Community;
 use meme_stats::Ecdf;
 use std::time::Instant;
-
-/// Kernel decay used for all influence fits (events cluster within
-/// hours of each other; 3/day matches the generator).
-pub const FIT_BETA: f64 = 3.0;
 
 // ------------------------------------------------------------- Table 1
 
@@ -470,17 +466,13 @@ fn descriptors_for(
     let mut labels = Vec::new();
     // Annotated clusters, with the KYM entry each was annotated with.
     let annotated = r.output.annotations.iter();
-    for (ann, rep) in annotated.filter_map(|a| Some((a, a.representative?))) {
-        let rep = r.output.site.entry(rep);
+    let site = &r.output.site;
+    for (ann, rep) in annotated.filter_map(|a| Some((a, site.get(a.representative?)?))) {
         if !predicate(&rep.name) {
             continue;
         }
         let medoid = r.output.medoid_hashes[ann.cluster];
-        descriptors.push(ClusterDescriptor::from_annotation(
-            medoid,
-            ann,
-            &r.output.site,
-        ));
+        descriptors.push(ClusterDescriptor::from_annotation(medoid, ann, site));
         // The paper labels leaves community@meme.
         let medoid_post = r.output.medoid_posts[ann.cluster];
         let prefix = match r.dataset.posts[medoid_post].community {
@@ -679,35 +671,10 @@ pub fn fig10(seed: u64) -> Printed {
 
 // ------------------------------------------------------- Figs 11 & 12
 
-/// Step 7 over `streams` at kernel decay `beta`, as `memes run
-/// --metrics-out` runs it. A cluster whose fit failed or landed non-stationary
-/// contributes a zero matrix; how many did is reported on stderr.
-pub(crate) fn fit_influence(r: &Repro, streams: &[Vec<Event>], beta: f64) -> ClusterInfluence {
-    let fitted = InfluenceEstimator::new(Community::COUNT, beta).estimate_robust(
-        streams,
-        r.dataset.horizon(),
-        0,
-    );
-    if !fitted.skipped.is_empty() {
-        eprintln!(
-            "[repro] {} clusters skipped by the influence estimator",
-            fitted.skipped.len()
-        );
-    }
-    fitted.influence
-}
-
-/// Fit influence over the annotated clusters and also compute the
-/// ground-truth matrix from the simulator's lineage. Returns the full
-/// per-cluster fit so callers never have to estimate twice.
-pub fn influence(r: &Repro) -> Printed<(ClusterInfluence, InfluenceMatrix)> {
-    let t0 = Instant::now();
-    let fitted = fit_influence(r, &r.output.try_all_cluster_events(&r.dataset)?, FIT_BETA);
-    eprintln!(
-        "[repro] fitted {} per-cluster Hawkes models in {:.1?}",
-        fitted.per_cluster.len(),
-        t0.elapsed()
-    );
+/// The run's shared Step-7 fit ([`Repro::fit`]) beside the
+/// ground-truth matrix from the simulator's lineage.
+pub fn influence(r: &Repro) -> Printed<(&ClusterInfluence, InfluenceMatrix)> {
+    let fitted = r.fit()?;
     // Ground truth from post lineage over the same matched posts.
     let mut truth = vec![vec![0.0f64; Community::COUNT]; Community::COUNT];
     for (post, occ) in r.dataset.posts.iter().zip(&r.output.occurrences) {
@@ -799,39 +766,33 @@ pub fn fig11_12(r: &Repro) -> Printed {
 /// Figs. 13–16: influence split by racist and political meme groups
 /// with KS significance stars.
 pub fn fig13_16(r: &Repro) -> Printed {
-    let fitted = fit_influence(r, &r.output.try_all_cluster_events(&r.dataset)?, FIT_BETA);
+    let fitted = r.fit()?;
     let annotated = r.output.annotated_clusters();
-
-    let split_by = |pred: &dyn Fn(usize) -> bool| -> (Vec<InfluenceMatrix>, Vec<InfluenceMatrix>) {
-        let mut yes = Vec::new();
-        let mut no = Vec::new();
-        for (slot, &cluster) in annotated.iter().enumerate() {
-            if pred(cluster) {
-                yes.push(fitted.per_cluster[slot].clone());
-            } else {
-                no.push(fitted.per_cluster[slot].clone());
-            }
-        }
-        (yes, no)
-    };
-
-    for (title_raw, title_norm, a_label, b_label, pred) in [
+    for (title_raw, title_norm, a_label, b_label, filter) in [
         (
             "Fig 13: % of destination events, racist (R) vs non-racist (NR)",
             "Fig 15: normalized influence, racist vs non-racist",
             "R",
             "NR",
-            Box::new(|c: usize| r.output.cluster_is_racist(c)) as Box<dyn Fn(usize) -> bool>,
+            MemeFilter::Racist,
         ),
         (
             "Fig 14: % of destination events, political (P) vs non-political (NP)",
             "Fig 16: normalized influence, political vs non-political",
             "P",
             "NP",
-            Box::new(|c: usize| r.output.cluster_is_political(c)),
+            MemeFilter::Political,
         ),
     ] {
-        let (group_a, group_b) = split_by(&pred);
+        let (mut group_a, mut group_b) = (Vec::new(), Vec::new());
+        for (slot, &cluster) in annotated.iter().enumerate() {
+            let group = if filter.accepts(&r.output, cluster) {
+                &mut group_a
+            } else {
+                &mut group_b
+            };
+            group.push(fitted.per_cluster[slot].clone());
+        }
         section(title_raw);
         println!(
             "clusters: {} {a_label}, {} {b_label}; '*' marks KS p < 0.01",

@@ -1,22 +1,12 @@
-//! The micro-batching admission queue.
+//! A bounded micro-batching queue that no server path uses.
 //!
-//! Connection readers push accepted requests here; worker threads drain
-//! them in *micro-batches* of up to `batch_max` items. Batching is what
-//! amortizes the per-request constant costs — one [`SnapshotStore`]
-//! load, one metrics flush — over every request that arrived while the
-//! worker was busy, without adding artificial latency: a worker never
-//! waits for a batch to fill, it takes whatever is queued (at least
-//! one) the moment it becomes free. Under light load batches are size
-//! 1 and latency is unaffected; under heavy load batches grow toward
-//! `batch_max` and throughput rises. The observed batch-size histogram
-//! (`serve.batch_size`) makes the regime visible.
-//!
-//! The queue is **bounded**: when arrivals outpace the worker pool the
-//! depth stops at `capacity` and [`BatchQueue::try_push`] reports
-//! [`Push::Full`] instead of queueing unboundedly. The caller turns
-//! that into backpressure — the server answers `{"error":"overloaded"}`
-//! and counts `serve.shed` — so overload degrades into typed rejections
-//! with bounded memory, never into an ever-growing latency cliff.
+//! `memes serve`'s connection readers answer their own lookups (one
+//! [`SnapshotStore`] load per request, DESIGN.md §12), so nothing in
+//! the server pushes to or drains this queue, and
+//! `ServerConfig::{queue_max, batch_max}` configure nothing. Its one
+//! driver is the benchmark's `serve.queue_handoff_ns` probe, which
+//! times a [`BatchQueue::try_push`] / [`BatchQueue::drain_into`] hop;
+//! the queue is deleted together with that probe (ROADMAP item 8(b)).
 //!
 //! [`SnapshotStore`]: crate::SnapshotStore
 
@@ -26,10 +16,9 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// Outcome of a [`BatchQueue::try_push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Push {
-    /// The item was enqueued and a worker will answer it.
+    /// The item was enqueued.
     Accepted,
-    /// The queue is at capacity; the item was rejected (backpressure —
-    /// the caller sheds the request with a typed response).
+    /// The queue is at capacity; the item was rejected.
     Full,
     /// The queue has been closed for shutdown; the item was rejected.
     Closed,

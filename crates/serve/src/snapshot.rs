@@ -100,8 +100,9 @@ impl Snapshot {
     /// Build a snapshot from a completed run.
     ///
     /// `influence`, when given, must come from
-    /// [`PipelineOutput::estimate_influence`] on
-    /// the same artifact, so its per-cluster matrices line up with
+    /// [`PipelineOutput::estimate_influence`] on the same artifact
+    /// (`memes serve` fits at [`meme_core::pipeline::FIT_BETA`]), so its
+    /// per-cluster matrices line up with
     /// [`PipelineOutput::annotated_clusters`] order.
     ///
     /// Shapes a pipeline run never produces — annotations pointing past

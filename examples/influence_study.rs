@@ -6,9 +6,9 @@
 //! cargo run --release --example influence_study
 //! ```
 
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, FIT_BETA};
 use origins_of_memes::core::supervise::SupervisedRunner;
-use origins_of_memes::hawkes::{InfluenceEstimator, InfluenceMatrix};
+use origins_of_memes::hawkes::InfluenceMatrix;
 use origins_of_memes::metrics::Metrics;
 use origins_of_memes::simweb::{Community, SimConfig};
 
@@ -47,11 +47,10 @@ fn main() {
     }
     let truth = InfluenceMatrix::from_counts(truth);
 
-    // EM at the generator's kernel decay β = 3, then root-cause
+    // EM at FIT_BETA, the generator's kernel decay, then root-cause
     // attribution per cluster.
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     let (fit, _) = output
-        .estimate_influence(&dataset, &estimator, 0, &Metrics::disabled())
+        .estimate_influence(&dataset, FIT_BETA, &Metrics::disabled())
         .expect("a fresh run keeps cluster ids in range");
 
     println!("percent of destination events caused by each source (Fig. 11 view):\n");

@@ -25,8 +25,10 @@ fn main() {
     // KYM annotations (meme names, people, cultures).
     let mut descriptors = Vec::new();
     let mut labels = Vec::new();
-    for ann in output.annotations.iter().filter(|a| a.is_annotated()) {
-        let rep = output.site.entry(ann.representative.expect("annotated"));
+    for ann in &output.annotations {
+        let Some(rep) = ann.representative.and_then(|id| output.site.get(id)) else {
+            continue;
+        };
         descriptors.push(ClusterDescriptor::from_annotation(
             output.medoid_hashes[ann.cluster],
             ann,

@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, FIT_BETA};
 use origins_of_memes::core::supervise::SupervisedRunner;
-use origins_of_memes::hawkes::InfluenceEstimator;
 use origins_of_memes::metrics::Metrics;
 use origins_of_memes::simweb::{Community, SimConfig};
 
@@ -56,10 +55,9 @@ fn main() {
 
     // 3. Step 7: fit a Hawkes model per annotated cluster and estimate
     //    which community drives the meme ecosystem.
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     //    Clusters whose fit fails are skipped and named in `skipped`.
     let (influence, skipped) = output
-        .estimate_influence(&dataset, &estimator, 0, &Metrics::disabled())
+        .estimate_influence(&dataset, FIT_BETA, &Metrics::disabled())
         .expect("a fresh run keeps cluster ids in range");
     for s in &skipped {
         println!("  {s}");

@@ -90,23 +90,22 @@ use origins_of_memes::core::checkpoint::{
     dataset_fingerprint, fsck_file, DiskMedium, FsckClass, RunnerOutcome, StageId,
 };
 use origins_of_memes::core::pipeline::{
-    Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
+    Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode, FIT_BETA,
 };
 use origins_of_memes::core::quarantine::{read_quarantine, summarize, QuarantineError};
 use origins_of_memes::core::supervise::{
     FaultyMedium, StagePolicy, SupervisedRunner, SupervisionReport,
 };
-use origins_of_memes::hawkes::{ClusterInfluence, InfluenceEstimator};
+use origins_of_memes::hawkes::ClusterInfluence;
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
 use origins_of_memes::phash::{ImageHasher, PHash, PerceptualHasher};
-use origins_of_memes::repro::sections::FIT_BETA;
 use origins_of_memes::repro::{select, Body, Export, Repro, SECTIONS};
 use origins_of_memes::serve::{
     load_output, protocol, ServeScratch, Server, ServerConfig, Snapshot, SnapshotStore,
     DEFAULT_THETA,
 };
-use origins_of_memes::simweb::{Community, Dataset, ExecFaultSpec, SimConfig, SimScale};
+use origins_of_memes::simweb::{Dataset, ExecFaultSpec, SimConfig, SimScale};
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -511,11 +510,7 @@ fn shared_run<'a>(repro: &'a mut Option<Repro>, args: &Args) -> Result<&'a Repro
         empty @ None => {
             let dataset = generate_dataset(args)?;
             let output = run_pipeline(args, &dataset, &Metrics::disabled())?;
-            empty.insert(Repro {
-                seed: args.seed,
-                dataset,
-                output,
-            })
+            empty.insert(Repro::new(args.seed, dataset, output))
         }
     })
 }
@@ -716,9 +711,8 @@ fn estimate_influence(
     dataset: &Dataset,
     metrics: &Metrics,
 ) -> Result<ClusterInfluence, ExitCode> {
-    let estimator = InfluenceEstimator::new(Community::COUNT, FIT_BETA);
     let (influence, skipped) = output
-        .estimate_influence(dataset, &estimator, 0, metrics)
+        .estimate_influence(dataset, FIT_BETA, metrics)
         .map_err(|e| operational(format_args!("influence: {e}")))?;
     if !skipped.is_empty() {
         eprintln!(

@@ -8,12 +8,12 @@
 //! clean parts of the data stay analyzable.
 
 use origins_of_memes::core::pipeline::{
-    Degradation, Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode,
+    Degradation, Pipeline, PipelineConfig, PipelineOutput, ScreenshotFilterMode, FIT_BETA,
 };
 use origins_of_memes::core::supervise::SupervisedRunner;
-use origins_of_memes::hawkes::{HawkesError, InfluenceEstimator};
+use origins_of_memes::hawkes::HawkesError;
 use origins_of_memes::metrics::{Metrics, Registry};
-use origins_of_memes::simweb::{Community, Dataset, FaultSpec, SimConfig};
+use origins_of_memes::simweb::{Dataset, FaultSpec, SimConfig};
 use std::sync::Arc;
 
 /// Generate, corrupt, run. Panics (failing the test) if the pipeline
@@ -30,9 +30,8 @@ fn run_corrupted(spec: FaultSpec) -> (Dataset, PipelineOutput) {
 }
 
 fn robust_influence(dataset: &Dataset, out: &PipelineOutput) -> Vec<Degradation> {
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     let (_, degradations) = out
-        .estimate_influence(dataset, &estimator, 2, &Metrics::disabled())
+        .estimate_influence(dataset, FIT_BETA, &Metrics::disabled())
         .expect("pipeline-produced cluster ids are in range");
     degradations
 }
@@ -52,16 +51,13 @@ fn chaos_nan_storm_skips_poisoned_clusters() {
         "no skips recorded: {degradations:?}"
     );
     // The estimator names each poisoned stream with a typed error.
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
-    let streams = out.try_all_cluster_events(&dataset).unwrap();
-    let robust = estimator.estimate_robust(&streams, dataset.horizon(), 2);
+    let invalid = HawkesError::InvalidEvents(String::new()).to_string();
     assert!(
-        robust
-            .skipped
-            .iter()
-            .any(|s| matches!(s.error, HawkesError::InvalidEvents(_))),
-        "no typed skip: {:?}",
-        robust.skipped
+        degradations.iter().any(|d| matches!(
+            d,
+            Degradation::HawkesClusterSkipped { reason, .. } if reason.starts_with(&invalid)
+        )),
+        "no typed skip: {degradations:?}"
     );
 }
 

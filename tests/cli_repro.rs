@@ -234,6 +234,16 @@ fn all_prints_every_section_in_order_and_writes_nothing() {
     assert_eq!(headers, expected);
     assert!(entries(&cwd).is_empty(), "`all` without --out wrote files");
 
+    // Step 7 at β = 3 is fitted once and shared by fig11-12, fig13-16,
+    // the β ablation and provenance; the ablation adds β = 1 and 10.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let fitted_betas: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("[repro] fitted "))
+        .filter_map(|l| l.split("β = ").nth(1)?.split(' ').next())
+        .collect();
+    assert_eq!(fitted_betas, ["3", "1", "10"], "{stderr}");
+
     // The tables themselves are pinned byte for byte.
     let golden = include_str!("golden/repro_all_tiny_seed1.txt");
     if stdout != golden {

@@ -3,12 +3,11 @@
 //! (b) carries the per-stage spans, throughput gauges, Hawkes EM
 //! counters, and degradation counters the acceptance criteria promise.
 
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig};
+use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, FIT_BETA};
 use origins_of_memes::core::supervise::SupervisedRunner;
-use origins_of_memes::hawkes::InfluenceEstimator;
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
-use origins_of_memes::simweb::{Community, SimConfig};
+use origins_of_memes::simweb::SimConfig;
 use std::sync::Arc;
 
 #[test]
@@ -21,9 +20,8 @@ fn metrics_export_passes_schema_validation_and_covers_the_run() {
         .run(&dataset)
         .unwrap()
         .expect_complete();
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     output
-        .estimate_influence(&dataset, &estimator, 0, &metrics)
+        .estimate_influence(&dataset, FIT_BETA, &metrics)
         .unwrap();
 
     let json = registry.to_json();

@@ -4,9 +4,8 @@
 
 use origins_of_memes::cluster::dbscan::DbscanParams;
 use origins_of_memes::core::analysis::{self, MemeFilter};
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput, FIT_BETA};
 use origins_of_memes::core::supervise::SupervisedRunner;
-use origins_of_memes::hawkes::InfluenceEstimator;
 use origins_of_memes::metrics::Metrics;
 use origins_of_memes::simweb::{Community, Dataset, SimConfig};
 use std::sync::OnceLock;
@@ -139,9 +138,8 @@ fn influence_shape_matches_paper_headline() {
     // The_Donald is the most efficient external spreader. Verified on
     // the *fitted* model, end to end through the pipeline.
     let (dataset, output) = fixture();
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     let (influence, skipped) = output
-        .estimate_influence(dataset, &estimator, 0, &Metrics::disabled())
+        .estimate_influence(dataset, FIT_BETA, &Metrics::disabled())
         .expect("cluster ids are in range");
     assert!(skipped.is_empty(), "estimation succeeds: {skipped:?}");
     let ext = influence.total.total_external_normalized();
@@ -161,9 +159,8 @@ fn influence_shape_matches_paper_headline() {
 #[test]
 fn fitted_influence_tracks_ground_truth() {
     let (dataset, output) = fixture();
-    let estimator = InfluenceEstimator::new(Community::COUNT, 3.0);
     let (influence, skipped) = output
-        .estimate_influence(dataset, &estimator, 0, &Metrics::disabled())
+        .estimate_influence(dataset, FIT_BETA, &Metrics::disabled())
         .expect("cluster ids are in range");
     assert!(skipped.is_empty(), "estimation succeeds: {skipped:?}");
     let fitted = influence.total.percent_of_destination();
