@@ -6,7 +6,7 @@
 //! file's tokens, comments and test mask, plus the pass-1 call graph
 //! and lock model — and returns [`Finding`]s; the engine applies
 //! suppressions afterwards. A rule that needs no cross-file state
-//! implements [`Rule::check`] with [`Workspace::per_file`].
+//! implements [`Rule::check`] with `Workspace::per_file`.
 
 mod alloc_in_hotpath;
 mod float_eq;

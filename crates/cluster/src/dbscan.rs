@@ -121,6 +121,48 @@ pub struct Clustering {
 }
 
 impl Clustering {
+    /// A clustering from stored labels (`None` = noise), validated as
+    /// [`try_dbscan`] would have produced it: every label lies in
+    /// `0..n_clusters` ([`ClusterError::InvalidLabel`]) and every cluster
+    /// id has a member ([`ClusterError::EmptyCluster`]). Checkpoint
+    /// decoders build their clustering through it.
+    pub fn try_new(labels: Vec<Option<usize>>, n_clusters: usize) -> Result<Self, ClusterError> {
+        let clustering = Self { labels, n_clusters };
+        clustering.validate()?;
+        Ok(clustering)
+    }
+
+    /// Check the invariants [`Clustering::try_new`] establishes, for a
+    /// clustering that arrived some other way (a deserialized one).
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        // More clusters than items leaves one memberless; checked before
+        // sizing the table by a count that may come from hostile bytes.
+        if self.n_clusters > self.labels.len() {
+            return Err(ClusterError::EmptyCluster {
+                cluster: self.labels.len(),
+            });
+        }
+        let mut seen = vec![false; self.n_clusters];
+        for (item, l) in self.labels.iter().enumerate() {
+            if let Some(label) = *l {
+                match seen.get_mut(label) {
+                    Some(s) => *s = true,
+                    None => {
+                        return Err(ClusterError::InvalidLabel {
+                            item,
+                            label,
+                            n_clusters: self.n_clusters,
+                        })
+                    }
+                }
+            }
+        }
+        match seen.iter().position(|s| !s) {
+            Some(cluster) => Err(ClusterError::EmptyCluster { cluster }),
+            None => Ok(()),
+        }
+    }
+
     /// Per-item labels; `None` marks noise.
     pub fn labels(&self) -> &[Option<usize>] {
         &self.labels
@@ -390,6 +432,32 @@ mod tests {
             adj[b].push(a);
         }
         adj
+    }
+
+    #[test]
+    fn try_new_accepts_what_dbscan_emits_and_types_the_rest() {
+        let made = try_dbscan(&adjacency(4, &[(0, 1), (2, 3)]), 2).unwrap();
+        let rebuilt = Clustering::try_new(made.labels().to_vec(), made.n_clusters()).unwrap();
+        assert_eq!(rebuilt, made);
+        assert_eq!(
+            Clustering::try_new(vec![Some(0), None, Some(2)], 2),
+            Err(ClusterError::InvalidLabel {
+                item: 2,
+                label: 2,
+                n_clusters: 2
+            })
+        );
+        assert_eq!(
+            Clustering::try_new(vec![Some(1), Some(1)], 2),
+            Err(ClusterError::EmptyCluster { cluster: 0 })
+        );
+        // A count no label vector can fill is refused before any table
+        // is sized by it.
+        assert_eq!(
+            Clustering::try_new(vec![None], usize::MAX),
+            Err(ClusterError::EmptyCluster { cluster: 1 })
+        );
+        assert!(Clustering::try_new(Vec::new(), 0).is_ok());
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //!   current checkpoint automatically falls back to the previous
 //!   generation (`<path>.prev`), recording a
 //!   [`Degradation::CheckpointRolledBack`] — never a silent fresh run.
+//! * **Section reuse** — the runner keeps the encoded section of every
+//!   stage it decoded or persisted, so each persist encodes only the
+//!   stage that just finished and copies the rest verbatim (spans
+//!   `pipeline/checkpoint_load` and `pipeline/persist`, counter
+//!   `checkpoint.bytes_written`).
 //!
 //! Every decision is deterministic: a retried, resumed, or rolled-back
 //! run produces output byte-identical to an uninterrupted clean run
@@ -34,7 +39,7 @@
 
 use crate::checkpoint::{
     load_validated, persist_checkpoint, prev_checkpoint_path, record_throughput, Checkpoint,
-    CheckpointMedium, DiskMedium, MediumError, RunnerOutcome, StageId, StageState,
+    CheckpointMedium, DiskMedium, MediumError, RunnerOutcome, Sections, StageId, StageState,
 };
 use crate::pipeline::{Degradation, Pipeline, PipelineError, PipelineOutput, StageError};
 use crate::quarantine::write_quarantine;
@@ -252,7 +257,12 @@ impl SupervisedRunner {
             return Err(PipelineError::EmptyDataset);
         }
         let ckpt = Checkpoint::fresh(dataset, self.pipeline.config().clone());
-        self.drive(dataset, ckpt, SupervisionReport::default())
+        self.drive(
+            dataset,
+            ckpt,
+            Sections::default(),
+            SupervisionReport::default(),
+        )
     }
 
     /// Continue from the checkpoint on disk. A torn or stale current
@@ -265,19 +275,23 @@ impl SupervisedRunner {
             return Err(PipelineError::EmptyDataset);
         }
         let mut report = SupervisionReport::default();
-        let ckpt = match &self.checkpoint_path {
+        let (ckpt, sections) = match &self.checkpoint_path {
             Some(path) if self.medium.exists(path) => {
+                let _load = self.pipeline.metrics().span("pipeline/checkpoint_load");
                 match load_validated(&*self.medium, path, dataset, self.pipeline.config()) {
-                    Ok(ckpt) => ckpt,
+                    Ok(loaded) => loaded,
                     Err(PipelineError::CheckpointCorrupt(detail)) => {
                         self.roll_back(dataset, path, detail, &mut report)?
                     }
                     Err(e) => return Err(e),
                 }
             }
-            _ => Checkpoint::fresh(dataset, self.pipeline.config().clone()),
+            _ => (
+                Checkpoint::fresh(dataset, self.pipeline.config().clone()),
+                Sections::default(),
+            ),
         };
-        self.drive(dataset, ckpt, report)
+        self.drive(dataset, ckpt, sections, report)
     }
 
     /// Attempt rollback to the previous checkpoint generation.
@@ -287,38 +301,42 @@ impl SupervisedRunner {
         path: &Path,
         detail: String,
         report: &mut SupervisionReport,
-    ) -> Result<Checkpoint, PipelineError> {
+    ) -> Result<(Checkpoint, Sections), PipelineError> {
         let prev = prev_checkpoint_path(path);
         if !self.medium.exists(&prev) {
             return Err(PipelineError::CheckpointCorrupt(format!(
                 "{detail} (no previous generation to roll back to)"
             )));
         }
-        let mut ckpt = match load_validated(&*self.medium, &prev, dataset, self.pipeline.config()) {
-            Ok(ckpt) => ckpt,
-            // The current generation's defect is the primary error;
-            // the unusable prev only annotates it.
-            Err(e) => {
-                return Err(PipelineError::CheckpointCorrupt(format!(
-                    "{detail} (previous generation unusable too: {e})"
-                )))
-            }
-        };
+        let (mut ckpt, sections) =
+            match load_validated(&*self.medium, &prev, dataset, self.pipeline.config()) {
+                Ok(loaded) => loaded,
+                // The current generation's defect is the primary error;
+                // the unusable prev only annotates it.
+                Err(e) => {
+                    return Err(PipelineError::CheckpointCorrupt(format!(
+                        "{detail} (previous generation unusable too: {e})"
+                    )))
+                }
+            };
         let metrics = self.pipeline.metrics();
         metrics.inc("checkpoint.rollbacks");
         report.rolled_back = true;
         ckpt.state
             .degradations
             .push(Degradation::CheckpointRolledBack { reason: detail });
-        Ok(ckpt)
+        Ok((ckpt, sections))
     }
 
     /// Run the stages the checkpoint has not yet completed, each under
-    /// the retry/containment policy.
+    /// the retry/containment policy. `sections` holds the encoded
+    /// sections of the stages `ckpt` has already completed (as far as
+    /// they are known), which every persist copies.
     fn drive(
         &self,
         dataset: &Dataset,
         mut ckpt: Checkpoint,
+        mut sections: Sections,
         mut report: SupervisionReport,
     ) -> Result<SupervisedRun, PipelineError> {
         let metrics = self.pipeline.metrics().clone();
@@ -382,7 +400,7 @@ impl SupervisedRunner {
             }
             ckpt.completed.push(stage);
             self.flush_quarantine(&ckpt.state, &metrics, &mut report)?;
-            self.save(&ckpt, &metrics, &mut report)?;
+            self.save(&ckpt, &mut sections, &run_span, &mut report)?;
             metrics.gauge("checkpoint.generation", ckpt.completed.len() as f64);
             if self.halt_after == Some(stage) && !is_last {
                 return Ok(SupervisedRun {
@@ -421,21 +439,28 @@ impl SupervisedRunner {
             .map_err(|e| PipelineError::QuarantineIo(e.to_string()))
     }
 
-    /// Persist the checkpoint, retrying failures under the policy.
+    /// Persist the checkpoint, retrying failures under the policy. The
+    /// stage that just finished is encoded once; every other section is
+    /// copied from `sections`.
     fn save(
         &self,
         ckpt: &Checkpoint,
-        metrics: &meme_metrics::Metrics,
+        sections: &mut Sections,
+        run_span: &meme_metrics::Span,
         report: &mut SupervisionReport,
     ) -> Result<(), PipelineError> {
         let Some(path) = &self.checkpoint_path else {
             return Ok(());
         };
+        let metrics = self.pipeline.metrics();
+        let _persist = run_span.child("persist");
+        let bytes = sections.encode(ckpt);
         let mut attempt: u32 = 0;
         loop {
-            match persist_checkpoint(&*self.medium, path, ckpt) {
+            match persist_checkpoint(&*self.medium, path, bytes) {
                 Ok(()) => {
                     metrics.inc("checkpoint.writes");
+                    metrics.add("checkpoint.bytes_written", bytes.len() as u64);
                     report.checkpoint_writes += 1;
                     return Ok(());
                 }
@@ -506,7 +531,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
+    use crate::checkpoint::decode_checkpoint;
     use crate::pipeline::PipelineConfig;
     use meme_simweb::SimConfig;
     use std::fs;
@@ -823,8 +848,8 @@ mod tests {
         // site, annotate, associate: a checkpoint from then lists `hash`
         // (and maybe `cluster`) as done and carries no site. Resuming
         // one must run `site` and reproduce a fresh run byte for byte.
-        // The envelope is v2 either way, and stages are encoded by name,
-        // so the variant order of `StageId` plays no part.
+        // Such files are v2 envelopes; both formats record stages by
+        // name, so the variant order of `StageId` plays no part.
         use meme_metrics::{Metrics, Registry};
 
         let dataset = SimConfig::tiny(24).generate();
@@ -845,7 +870,13 @@ mod tests {
             old.state.site = None;
             old.state.entry_meme_ids = None;
             old.state.screenshot_metrics = None;
-            fs::write(&path, encode_checkpoint(&old)).unwrap();
+            let json = old.to_json();
+            let v2 = format!(
+                "MEMES-CKPT v2 crc32={:08x} len={}\n{json}",
+                crate::checkpoint::crc32(json.as_bytes()),
+                json.len()
+            );
+            fs::write(&path, v2).unwrap();
             let registry = Arc::new(Registry::new());
             let metrics = Metrics::from_registry(Arc::clone(&registry));
             let resumed = SupervisedRunner::new(pipeline.clone().with_metrics(metrics.clone()))

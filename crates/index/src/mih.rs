@@ -24,7 +24,7 @@
 //! scan — two cache-predictable arrays instead of a pointer-chasing hash
 //! map with one heap `Vec` per bucket. Construction is a counting sort
 //! over the band's value domain (falling back to a pair sort for bands
-//! wider than [`COUNTING_SORT_MAX_WIDTH`] bits), not
+//! wider than `COUNTING_SORT_MAX_WIDTH` = 16 bits), not
 //! `entry().or_default().push()`.
 //!
 //! **Querying.** [`MihIndex`]'s `radius_query_from` gathers candidates

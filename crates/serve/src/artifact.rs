@@ -1,23 +1,27 @@
 //! Loading completed runs from disk.
 //!
 //! The serving layer accepts both artifact formats the pipeline writes:
-//! the `PipelineOutput` JSON export (`memes run --out run.json`) and
-//! the checksummed v2 checkpoint envelope (`memes run --checkpoint
-//! ckpt.json`, once every stage has completed). The format is sniffed
-//! from the leading bytes — envelopes announce themselves with the
-//! `MEMES-CKPT` magic — so callers just hand over a path.
+//! the `PipelineOutput` JSON export (`memes run --out run.json`) and a
+//! completed checkpoint (`memes run --checkpoint run.ckpt`, once every
+//! stage has run). Checkpoints are `MEMES-CKPT v3` files — a header
+//! and one CRC-checked section per stage — or, read-only, the v2
+//! envelope (one CRC over one JSON document) that older builds wrote.
+//! The format is sniffed from the leading bytes — checkpoints announce
+//! themselves with the `MEMES-CKPT` magic — so callers just hand over a
+//! path.
 
 use crate::error::ServeError;
 use meme_core::checkpoint::decode_checkpoint;
 use meme_core::pipeline::PipelineOutput;
 use std::path::Path;
 
-/// The checkpoint envelope magic (`MEMES-CKPT v2 …`); see DESIGN.md §11.
+/// The checkpoint magic (`MEMES-CKPT v3`, or `MEMES-CKPT v2 …` from an
+/// older build); see DESIGN.md §11.
 const CKPT_MAGIC: &[u8] = b"MEMES-CKPT";
 
 /// Read a completed run from `path`, in either artifact format.
 ///
-/// Envelope files are CRC-verified and schema-checked by the runner's
+/// Checkpoints are CRC-verified and schema-checked by the runner's
 /// [`decode_checkpoint`]; torn or stale files surface as
 /// [`ServeError::Checkpoint`], incomplete or inconsistent runs as
 /// [`ServeError::Pipeline`], and files that are neither format as
@@ -44,7 +48,8 @@ pub fn load_output(path: &Path) -> Result<PipelineOutput, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meme_core::checkpoint::Checkpoint;
+    use crate::snapshot::{Snapshot, DEFAULT_THETA};
+    use meme_core::checkpoint::{crc32, decode_checkpoint, Checkpoint};
     use meme_core::pipeline::{Pipeline, PipelineConfig};
     use meme_core::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
@@ -115,5 +120,65 @@ mod tests {
             load_output(&torn_path),
             Err(ServeError::Checkpoint(_))
         ));
+    }
+
+    /// `memes run --checkpoint dir/run.ckpt --out dir/run.json`.
+    fn checkpointed_run(dir: &Path) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dataset = SimConfig::tiny(29).generate();
+        let ckpt_path = dir.join("run.ckpt");
+        let json_path = dir.join("run.json");
+        let _ = std::fs::remove_file(&ckpt_path);
+        let _ = std::fs::remove_file(dir.join("run.ckpt.prev"));
+        let output = SupervisedRunner::new(Pipeline::new(PipelineConfig::fast()))
+            .with_checkpoint(&ckpt_path)
+            .run(&dataset)
+            .unwrap()
+            .expect_complete();
+        std::fs::write(&json_path, output.to_json()).unwrap();
+        (ckpt_path, json_path)
+    }
+
+    fn snapshot_of(path: &Path) -> Snapshot {
+        Snapshot::build(&load_output(path).unwrap(), None, DEFAULT_THETA, 1).unwrap()
+    }
+
+    #[test]
+    fn a_v3_checkpoint_serves_the_same_records_as_its_json() {
+        let dir = tempdir().join("v3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (ckpt_path, json_path) = checkpointed_run(&dir);
+        assert!(std::fs::read(&ckpt_path)
+            .unwrap()
+            .starts_with(b"MEMES-CKPT v3\n"));
+        let from_ckpt = snapshot_of(&ckpt_path);
+        let from_json = snapshot_of(&json_path);
+        assert!(!from_json.records().is_empty());
+        assert_eq!(from_ckpt.records(), from_json.records());
+    }
+
+    #[test]
+    fn a_v2_checkpoint_serves_the_same_records_as_its_json() {
+        // The v2 envelope an older build wrote for the same run: one
+        // CRC over the checkpoint's JSON document.
+        let dir = tempdir().join("v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (ckpt_path, json_path) = checkpointed_run(&dir);
+        let json = decode_checkpoint(&std::fs::read(&ckpt_path).unwrap())
+            .unwrap()
+            .to_json();
+        let v2_path = dir.join("run-v2.ckpt");
+        std::fs::write(
+            &v2_path,
+            format!(
+                "MEMES-CKPT v2 crc32={:08x} len={}\n{json}",
+                crc32(json.as_bytes()),
+                json.len()
+            ),
+        )
+        .unwrap();
+        let from_v2 = snapshot_of(&v2_path);
+        let from_json = snapshot_of(&json_path);
+        assert!(!from_json.records().is_empty());
+        assert_eq!(from_v2.records(), from_json.records());
     }
 }

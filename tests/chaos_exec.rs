@@ -12,11 +12,13 @@
 //! * persistent faults surface as **typed errors** — never a panic,
 //!   never an abort, never silent corruption;
 //! * a torn final checkpoint rolls back to the previous generation on
-//!   resume and still converges to the clean output.
+//!   resume and still converges to the clean output; `fsck` calls the
+//!   torn `MEMES-CKPT v3` file torn, its `.prev` and the repaired file
+//!   clean.
 //!
 //! The last test holds the first line through the `memes` binary.
 
-use origins_of_memes::core::checkpoint::{prev_checkpoint_path, StageId};
+use origins_of_memes::core::checkpoint::{fsck_bytes, prev_checkpoint_path, FsckClass, StageId};
 use origins_of_memes::core::pipeline::{
     Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput, StageError,
 };
@@ -270,6 +272,17 @@ fn torn_final_write_rolls_back_and_resumes_byte_identical() {
         prev_checkpoint_path(&ckpt).exists(),
         "the previous generation must survive the torn final write"
     );
+    // Both generations are v3 files: the torn one is classified torn,
+    // the intact `.prev` (four stage sections) clean.
+    let v3 = |path: &PathBuf| {
+        let bytes = std::fs::read(path).expect("generation on disk");
+        assert!(bytes.starts_with(b"MEMES-CKPT v3\n"), "{}", path.display());
+        fsck_bytes(&bytes, None)
+    };
+    assert_eq!(v3(&ckpt).class, FsckClass::Torn);
+    let prev = v3(&prev_checkpoint_path(&ckpt));
+    assert_eq!(prev.class, FsckClass::Clean, "{}", prev.detail);
+    assert_eq!(prev.completed.len(), StageId::ALL.len() - 1);
 
     // Resume on a healthy disk: the torn current generation must roll
     // back to `.prev` (4 of 5 stages), re-run the rest, and converge.
@@ -291,6 +304,10 @@ fn torn_final_write_rolls_back_and_resumes_byte_identical() {
         json_sans_degradations(&clean),
         "the rolled-back resume must converge to the clean output"
     );
+    // The resume re-ran the lost stage and wrote a whole v3 file again.
+    let repaired = v3(&ckpt);
+    assert_eq!(repaired.class, FsckClass::Clean, "{}", repaired.detail);
+    assert_eq!(repaired.completed.len(), StageId::ALL.len());
     cleanup(&ckpt);
 }
 

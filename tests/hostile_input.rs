@@ -3,8 +3,12 @@
 //!
 //! One property per kind of input, one assertion each, at the default
 //! case count (`PROPTEST_CASES` raises it; CI runs this file at
-//! 10 000). Covered so far: the checkpoint envelope
-//! (`decode_checkpoint`: header, CRC and JSON body), `PHash::from_str`,
+//! 10 000). Covered so far: `decode_checkpoint` on both formats — the
+//! v2 envelope (header, CRC and JSON body) and v3's sections
+//! (truncation at every section boundary, bit flips inside each
+//! section, garbled frame lines, duplicate, unknown, out-of-order and
+//! missing sections, parts cut short of a whole word, cluster labels
+//! past the cluster count) — `PHash::from_str`,
 //! the serve wire protocol's `parse_request`, which runs on the thread
 //! that answers the lookup, the quarantine file's `parse_jsonl`, and
 //! `PipelineOutput::from_json`, which `memes serve` runs on a JSON
@@ -15,8 +19,9 @@
 //! bytes to a live in-process server: it gets typed reply lines and a
 //! close, never a hang, and the server's threads stay bounded.
 
+use origins_of_memes::cluster::Clustering;
 use origins_of_memes::core::checkpoint::{
-    crc32, decode_checkpoint, encode_checkpoint, Checkpoint, StageId, StageState,
+    crc32, decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointDefect, StageId, StageState,
 };
 use origins_of_memes::core::pipeline::{Degradation, Pipeline, PipelineConfig, PipelineOutput};
 use origins_of_memes::core::quarantine::{
@@ -42,6 +47,9 @@ use std::time::{Duration, Instant};
 #[path = "../crates/serve/tests/serveload/mod.rs"]
 mod serveload;
 
+#[allow(dead_code)]
+mod ckpt_v3;
+
 /// A valid envelope around a small checkpoint: two completed stages,
 /// a few post hashes and one degradation.
 fn tiny_envelope() -> (Checkpoint, Vec<u8>) {
@@ -63,21 +71,23 @@ fn tiny_envelope() -> (Checkpoint, Vec<u8>) {
     (ckpt, bytes)
 }
 
-/// Arbitrary bytes, half the time behind a header whose length and CRC
-/// match them, so the JSON body parser sees them too.
+/// Arbitrary bytes: bare, behind a v2 header whose length and CRC
+/// match them (so the JSON body parser sees them too), or as the
+/// CRC-correct `header` section of a v3 file (so the part reader does).
 fn envelope_bytes() -> impl Strategy<Value = Vec<u8>> {
-    (prop::collection::vec(any::<u8>(), 0..96), any::<bool>()).prop_map(|(body, framed)| {
-        if !framed {
-            return body;
+    (prop::collection::vec(any::<u8>(), 0..96), 0u8..3).prop_map(|(body, framing)| match framing {
+        0 => body,
+        1 => {
+            let mut out = format!(
+                "MEMES-CKPT v2 crc32={:08x} len={}\n",
+                crc32(&body),
+                body.len()
+            )
+            .into_bytes();
+            out.extend(body);
+            out
         }
-        let mut out = format!(
-            "MEMES-CKPT v2 crc32={:08x} len={}\n",
-            crc32(&body),
-            body.len()
-        )
-        .into_bytes();
-        out.extend(body);
-        out
+        _ => ckpt_v3::file([&ckpt_v3::frame("header", &body)[..]]),
     })
 }
 
@@ -109,6 +119,211 @@ proptest! {
             decode_checkpoint(&bytes).map_or(true, |c| c.to_json() == ckpt.to_json()),
             "damaged envelope decoded to different data: {:?}",
             String::from_utf8_lossy(&bytes)
+        );
+    }
+}
+
+/// A small checkpoint with every stage completed and every field set
+/// (cut from a real tiny run), and its v3 file.
+fn small_v3() -> &'static (Checkpoint, Vec<u8>) {
+    static FILE: OnceLock<(Checkpoint, Vec<u8>)> = OnceLock::new();
+    FILE.get_or_init(|| {
+        let run = tiny_run();
+        let mut site = run.site.clone();
+        site.entries.truncate(3);
+        let (quarantined, _) = quarantine_file();
+        let ckpt = Checkpoint {
+            dataset_fingerprint: 0x5EED,
+            config: PipelineConfig::fast(),
+            completed: StageId::ALL.to_vec(),
+            state: StageState {
+                post_hashes: Some(run.post_hashes[..12].to_vec()),
+                fringe_posts: Some(vec![0, 2, 5, 7]),
+                clustering: Some(
+                    Clustering::try_new(vec![Some(0), None, Some(1), Some(0)], 2).unwrap(),
+                ),
+                medoid_hashes: Some(run.post_hashes[..2].to_vec()),
+                medoid_posts: Some(vec![0, 5]),
+                site: Some(site),
+                entry_meme_ids: Some(vec![Some(1), None, Some(0)]),
+                screenshot_metrics: None,
+                annotations: Some(run.annotations[..2].to_vec()),
+                occurrences: Some(vec![Some(0), None, Some(1), None]),
+                degradations: vec![Degradation::ItemsQuarantined {
+                    stage: StageId::Hash,
+                    items: 2,
+                }],
+                quarantined,
+            },
+        };
+        let file = encode_checkpoint(&ckpt);
+        (ckpt, file)
+    })
+}
+
+fn is_torn(bytes: &[u8]) -> bool {
+    matches!(decode_checkpoint(bytes), Err(CheckpointDefect::Torn { .. }))
+}
+
+/// Damage surfaced as a defect, or (a change of hex case in a frame
+/// line) the same data.
+fn typed_or_same(bytes: &[u8]) -> bool {
+    let (ckpt, _) = small_v3();
+    decode_checkpoint(bytes).map_or(true, |c| c.to_json() == ckpt.to_json())
+}
+
+/// Where each section of `file` starts.
+fn section_starts(file: &[u8]) -> Vec<usize> {
+    let mut at = ckpt_v3::MAGIC.len();
+    ckpt_v3::sections(file)
+        .iter()
+        .map(|(_, s)| {
+            let start = at;
+            at += s.len();
+            start
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn decode_v3_types_boundary_truncations_and_bit_flips_in_every_section(
+        section in 0usize..6,
+        delta in -3i64..=3,
+        at in 0usize..1 << 16,
+        bit in 0u8..8,
+        flip in any::<bool>(),
+    ) {
+        let (_, file) = small_v3();
+        let starts = section_starts(file);
+        let sections = ckpt_v3::sections(file);
+        let start = starts[section];
+        if flip {
+            let mut bytes = file.clone();
+            bytes[start + at % sections[section].1.len()] ^= 1 << bit;
+            prop_assert!(typed_or_same(&bytes), "flip in `{}`", sections[section].0);
+        } else {
+            let cut = (start as i64 + delta).clamp(0, file.len() as i64 - 1) as usize;
+            prop_assert!(is_torn(&file[..cut]), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn decode_v3_types_garbled_frame_lines(
+        section in 0usize..6,
+        at in 0usize..64,
+        byte in any::<u8>(),
+    ) {
+        let (_, file) = small_v3();
+        let start = section_starts(file)[section];
+        let line_len = file[start..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mut bytes = file.clone();
+        bytes[start + at % line_len] = byte;
+        prop_assert!(typed_or_same(&bytes));
+    }
+
+    #[test]
+    fn decode_v3_types_parts_cut_short_of_a_whole_word(
+        section in 0usize..6,
+        part in 0usize..8,
+        shave in 1usize..8,
+    ) {
+        // Any part, column or JSON, shortened by less than a word and
+        // re-framed with a correct CRC: the length no longer matches
+        // the data, so the part reader must say torn.
+        let (_, file) = small_v3();
+        let sections = ckpt_v3::sections(file);
+        let payload = ckpt_v3::payload(sections[section].1);
+        let parts = ckpt_v3::parts(payload);
+        let (at, len) = parts[part % parts.len()];
+        let shave = shave.min(len);
+        prop_assume!(shave > 0);
+        let mut forged = payload[..at].to_vec();
+        forged.extend_from_slice(&((len - shave) as u64).to_le_bytes());
+        forged.extend_from_slice(&payload[at + 8..at + 8 + len - shave]);
+        forged.extend_from_slice(&payload[at + 8 + len..]);
+        let bytes = ckpt_v3::with_section(file, section, &ckpt_v3::frame(&sections[section].0, &forged));
+        prop_assert!(is_torn(&bytes), "`{}` part {part}", sections[section].0);
+    }
+
+    #[test]
+    fn decode_v3_types_cluster_labels_past_the_cluster_count(
+        item in 0usize..4,
+        over in 0u64..1000,
+        huge in any::<bool>(),
+    ) {
+        // The label column is the cluster count, then one label per
+        // item; a label at or past the count is torn, not a clustering
+        // that panics downstream.
+        let (_, file) = small_v3();
+        let sections = ckpt_v3::sections(file);
+        let i = sections.iter().position(|(n, _)| n == "cluster").unwrap();
+        let payload = ckpt_v3::payload(sections[i].1);
+        let (at, _) = ckpt_v3::parts(payload)[1];
+        let column = at + 8;
+        let n = u64::from_le_bytes(payload[column..column + 8].try_into().unwrap());
+        let mut forged = payload.to_vec();
+        let label = column + 8 * (1 + item);
+        // `u64::MAX` itself is a `None` entry, so the largest label is one less.
+        let value = if huge { u64::MAX - 1 } else { n + over };
+        forged[label..label + 8].copy_from_slice(&value.to_le_bytes());
+        let bytes = ckpt_v3::with_section(file, i, &ckpt_v3::frame("cluster", &forged));
+        let defect = decode_checkpoint(&bytes).expect_err("an out-of-range label must not decode");
+        prop_assert!(
+            matches!(&defect, CheckpointDefect::Torn { detail } if detail.contains("labeled")),
+            "{defect}"
+        );
+    }
+}
+
+#[test]
+fn decode_v3_types_duplicate_unknown_out_of_order_and_missing_sections() {
+    let (_, file) = small_v3();
+    let sections: Vec<&[u8]> = ckpt_v3::sections(file)
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    let names: Vec<String> = ckpt_v3::sections(file)
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(
+        names,
+        ["header", "site", "hash", "cluster", "annotate", "associate"]
+    );
+    let mut forged: Vec<(String, Vec<u8>)> = Vec::new();
+    for i in 0..sections.len() {
+        let mut dup = sections.clone();
+        dup.insert(i + 1, sections[i]);
+        forged.push((format!("duplicate {}", names[i]), ckpt_v3::file(dup)));
+
+        let mut dropped = sections.clone();
+        dropped.remove(i);
+        forged.push((format!("missing {}", names[i]), ckpt_v3::file(dropped)));
+
+        let unknown = ckpt_v3::frame("influence", ckpt_v3::payload(sections[i]));
+        let mut renamed = sections.clone();
+        renamed[i] = &unknown;
+        forged.push((format!("{} renamed", names[i]), ckpt_v3::file(renamed)));
+
+        for j in i + 1..sections.len() {
+            let mut swapped = sections.clone();
+            swapped.swap(i, j);
+            forged.push((
+                format!("{} and {} swapped", names[i], names[j]),
+                ckpt_v3::file(swapped),
+            ));
+        }
+    }
+    let extra = ckpt_v3::frame("influence", b"");
+    let mut appended = sections.clone();
+    appended.push(&extra);
+    forged.push(("unknown section appended".into(), ckpt_v3::file(appended)));
+    for (case, bytes) in forged {
+        assert!(
+            is_torn(&bytes),
+            "{case}: {:?}",
+            decode_checkpoint(&bytes).err()
         );
     }
 }

@@ -3,6 +3,7 @@
 //! (b) carries the per-stage spans, throughput gauges, Hawkes EM
 //! counters, and degradation counters the acceptance criteria promise.
 
+use origins_of_memes::core::checkpoint::{prev_checkpoint_path, StageId};
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, FIT_BETA};
 use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::metrics::{Metrics, Registry};
@@ -76,4 +77,42 @@ fn disabled_metrics_change_nothing_and_export_nothing() {
     m.inc("x");
     m.span("y").finish();
     assert!(m.to_json().is_none());
+}
+
+#[test]
+fn the_checkpoint_layer_has_its_own_spans_and_byte_counter() {
+    // A resume from the post-hash checkpoint: one load, then one
+    // persist per stage it runs, each attributed to its own span.
+    let dataset = SimConfig::tiny(7).generate();
+    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let path =
+        std::env::temp_dir().join(format!("memes-metrics-schema-{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_checkpoint_path(&path));
+    SupervisedRunner::new(pipeline.clone())
+        .with_checkpoint(&path)
+        .halt_after(StageId::Hash)
+        .run(&dataset)
+        .unwrap();
+    let post_hash_bytes = std::fs::metadata(&path).unwrap().len();
+
+    let registry = Arc::new(Registry::new());
+    SupervisedRunner::new(pipeline)
+        .with_metrics(Metrics::from_registry(Arc::clone(&registry)))
+        .with_checkpoint(&path)
+        .resume(&dataset)
+        .unwrap()
+        .expect_complete();
+    validate_metrics_json(&registry.to_json()).unwrap();
+    let snap = registry.snapshot();
+    assert_eq!(snap.spans["pipeline/checkpoint_load"].calls, 1);
+    assert_eq!(snap.spans["pipeline/persist"].calls, 3);
+    assert_eq!(snap.counters["checkpoint.writes"], 3);
+    // Every generation holds at least the post-hash sections, and the
+    // last one is the file left on disk.
+    let last = std::fs::metadata(&path).unwrap().len();
+    let written = snap.counters["checkpoint.bytes_written"];
+    assert!(written > 2 * post_hash_bytes + last, "{written}");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_checkpoint_path(&path));
 }

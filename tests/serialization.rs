@@ -2,9 +2,18 @@
 //! the expensive hashing step can be done once and analyzed many times
 //! (the paper's batch/one-time split, §3.3).
 
+use origins_of_memes::core::checkpoint::{
+    crc32, decode_checkpoint, fsck_bytes, prev_checkpoint_path, CheckpointMedium, DiskMedium,
+    FsckClass, MediumError, StageId,
+};
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::{Dataset, SimConfig};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+
+#[allow(dead_code)]
+mod ckpt_v3;
 
 #[test]
 fn dataset_roundtrips_through_json() {
@@ -50,9 +59,7 @@ fn corrupt_json_is_rejected() {
 
 #[test]
 fn checkpoints_roundtrip_preserving_stage_equality() {
-    use origins_of_memes::core::checkpoint::{
-        decode_checkpoint, encode_checkpoint, prev_checkpoint_path, RunnerOutcome, StageId,
-    };
+    use origins_of_memes::core::checkpoint::{encode_checkpoint, RunnerOutcome};
     let dataset = SimConfig::tiny(5).generate();
     let pipeline = Pipeline::new(PipelineConfig::fast());
     let mut path = std::env::temp_dir();
@@ -99,4 +106,151 @@ fn checkpoints_roundtrip_preserving_stage_equality() {
     assert!(ckpt.state.annotations.is_none());
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_checkpoint_path(&path));
+}
+
+fn scratch_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "memes-serialization-{}-{name}.ckpt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_checkpoint_path(&path));
+    path
+}
+
+fn remove(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(prev_checkpoint_path(path));
+}
+
+/// Run until `stage` completes, leaving its checkpoint at `path`.
+fn halt_after(pipeline: &Pipeline, dataset: &Dataset, stage: StageId, path: &Path) {
+    SupervisedRunner::new(pipeline.clone())
+        .with_checkpoint(path)
+        .halt_after(stage)
+        .run(dataset)
+        .expect("runner halts cleanly");
+}
+
+#[test]
+fn a_v2_post_hash_checkpoint_resumes_to_the_uninterrupted_run_and_is_rewritten_as_v3() {
+    // The post-hash checkpoint an older build would have written: the
+    // same state as one JSON document under one CRC.
+    let dataset = SimConfig::tiny(5).generate();
+    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let uninterrupted = SupervisedRunner::new(pipeline.clone())
+        .run(&dataset)
+        .expect("pipeline runs")
+        .expect_complete();
+    let path = scratch_path("v2-migration");
+    halt_after(&pipeline, &dataset, StageId::Hash, &path);
+    let json = decode_checkpoint(&std::fs::read(&path).unwrap())
+        .expect("post-hash checkpoint decodes")
+        .to_json();
+    let v2 = format!(
+        "MEMES-CKPT v2 crc32={:08x} len={}\n{json}",
+        crc32(json.as_bytes()),
+        json.len()
+    );
+    remove(&path);
+    std::fs::write(&path, &v2).unwrap();
+    assert_eq!(fsck_bytes(v2.as_bytes(), None).class, FsckClass::Clean);
+
+    let resumed = SupervisedRunner::new(pipeline)
+        .with_checkpoint(&path)
+        .resume(&dataset)
+        .expect("a v2 checkpoint resumes")
+        .expect_complete();
+    assert_eq!(resumed.to_json(), uninterrupted.to_json());
+    let on_disk = std::fs::read(&path).unwrap();
+    assert!(
+        on_disk.starts_with(ckpt_v3::MAGIC),
+        "the resume left v2 bytes"
+    );
+    let report = fsck_bytes(&on_disk, None);
+    assert_eq!(report.class, FsckClass::Clean, "{}", report.detail);
+    assert_eq!(report.completed.len(), StageId::ALL.len());
+    remove(&path);
+}
+
+/// Records every write, then passes it to the disk.
+#[derive(Debug, Default)]
+struct Recording {
+    writes: Mutex<Vec<Vec<u8>>>,
+}
+
+impl Recording {
+    fn writes(&self) -> Vec<Vec<u8>> {
+        self.writes.lock().unwrap().clone()
+    }
+}
+
+impl CheckpointMedium for Recording {
+    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), MediumError> {
+        self.writes.lock().unwrap().push(bytes.to_vec());
+        DiskMedium.write(path, bytes)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> Result<(), MediumError> {
+        DiskMedium.rename(from, to)
+    }
+    fn read(&self, path: &Path) -> Result<Vec<u8>, MediumError> {
+        DiskMedium.read(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        DiskMedium.exists(path)
+    }
+}
+
+/// Generation `next` is generation `prev` plus one stage section: past
+/// the header, `prev`'s sections come back byte for byte, and the only
+/// other section is the one `stage` just wrote.
+fn assert_extends(prev: &[u8], next: &[u8], stage: StageId) {
+    let prev = ckpt_v3::sections(prev);
+    let next = ckpt_v3::sections(next);
+    assert_eq!(next[0].0, "header");
+    assert_eq!(next.len(), prev.len() + 1, "{stage}");
+    for (old, new) in prev.iter().zip(&next).skip(1) {
+        assert_eq!(old.0, new.0);
+        assert!(old.1 == new.1, "section `{}` was re-encoded", old.0);
+    }
+    assert_eq!(next.last().unwrap().0, stage.name());
+}
+
+#[test]
+fn each_persist_copies_the_sections_already_written() {
+    let dataset = SimConfig::tiny(5).generate();
+    let pipeline = Pipeline::new(PipelineConfig::fast());
+
+    // A run from scratch: generation k+1 repeats generation k.
+    let path = scratch_path("reuse-run");
+    let medium = Arc::new(Recording::default());
+    SupervisedRunner::new(pipeline.clone())
+        .with_checkpoint(&path)
+        .with_medium(medium.clone())
+        .run(&dataset)
+        .expect("pipeline runs");
+    let generations = medium.writes();
+    assert_eq!(generations.len(), StageId::ALL.len());
+    assert_eq!(ckpt_v3::sections(&generations[0]).len(), 2);
+    for (k, pair) in generations.windows(2).enumerate() {
+        assert_extends(&pair[0], &pair[1], StageId::ALL[k + 1]);
+    }
+    remove(&path);
+
+    // A resume copies the sections it decoded from the file on disk.
+    let path = scratch_path("reuse-resume");
+    halt_after(&pipeline, &dataset, StageId::Hash, &path);
+    let post_hash = std::fs::read(&path).unwrap();
+    let medium = Arc::new(Recording::default());
+    SupervisedRunner::new(pipeline)
+        .with_checkpoint(&path)
+        .with_medium(medium.clone())
+        .resume(&dataset)
+        .expect("resume runs");
+    let generations = medium.writes();
+    assert_eq!(generations.len(), 3);
+    assert_extends(&post_hash, &generations[0], StageId::Cluster);
+    assert_extends(&generations[0], &generations[1], StageId::Annotate);
+    assert_extends(&generations[1], &generations[2], StageId::Associate);
+    remove(&path);
 }
