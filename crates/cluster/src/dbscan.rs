@@ -226,15 +226,12 @@ impl Clustering {
         out
     }
 
-    /// Medoid item index of each cluster, given the item hashes
-    /// (Step 5's cluster representative): one checked bucketing pass over
-    /// the labels (no per-cluster rescans, no [`Clustering::all_members`]
-    /// indexing), then one medoid per cluster, scored over the cluster's
-    /// distinct hashes by [`medoid_of_hashes`]. Label vectors [`try_dbscan`]
-    /// never emits but a corrupt checkpoint can contain — out-of-range
-    /// labels, memberless cluster ids — surface as typed
-    /// [`ClusterError`]s instead of a panic.
-    pub fn try_medoids(&self, hashes: &[PHash]) -> Result<Vec<usize>, ClusterError> {
+    /// Member items of each cluster, indexed by cluster id, each list
+    /// ascending: one checked bucketing pass over the labels. Label
+    /// vectors [`try_dbscan`] never emits but a corrupt checkpoint can
+    /// contain — out-of-range labels, memberless cluster ids — surface
+    /// as typed [`ClusterError`]s instead of a panic.
+    pub fn try_members(&self) -> Result<Vec<Vec<usize>>, ClusterError> {
         let mut members = vec![Vec::new(); self.n_clusters];
         for (item, l) in self.labels.iter().enumerate() {
             if let Some(label) = *l {
@@ -250,14 +247,24 @@ impl Clustering {
                 }
             }
         }
-        let mut out = Vec::with_capacity(members.len());
-        for (cluster, members) in members.iter().enumerate() {
-            match medoid_of_hashes(hashes, members) {
-                Some(m) => out.push(m),
-                None => return Err(ClusterError::EmptyCluster { cluster }),
-            }
+        match members.iter().position(Vec::is_empty) {
+            Some(cluster) => Err(ClusterError::EmptyCluster { cluster }),
+            None => Ok(members),
         }
-        Ok(out)
+    }
+
+    /// Medoid item index of each cluster, given the item hashes
+    /// (Step 5's cluster representative): [`Clustering::try_members`],
+    /// then one medoid per cluster, scored over the cluster's distinct
+    /// hashes by [`medoid_of_hashes`]. The pipeline's cluster stage
+    /// scores the clusters of [`Clustering::try_members`] on its
+    /// workers instead; this is the serial form.
+    pub fn try_medoids(&self, hashes: &[PHash]) -> Result<Vec<usize>, ClusterError> {
+        let members = self.try_members()?;
+        Ok(members
+            .iter()
+            .filter_map(|members| medoid_of_hashes(hashes, members))
+            .collect())
     }
 }
 

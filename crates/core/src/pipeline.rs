@@ -34,6 +34,7 @@ use meme_annotate::nn::TrainConfig;
 use meme_annotate::screenshot::{ClassifierMetrics, ScreenshotCorpus, ScreenshotFilter};
 use meme_annotate::AnnotateError;
 use meme_cluster::dbscan::{try_dbscan_distinct, ClusterError, Clustering, DbscanParams};
+use meme_cluster::medoid::medoid_of_hashes;
 use meme_hawkes::{ClusterInfluence, Event, HawkesError, InfluenceEstimator};
 use meme_imaging::image::Image;
 use meme_index::{
@@ -60,6 +61,18 @@ pub const MAX_TRAIN_ATTEMPTS: usize = 2;
 /// ([`PipelineOutput::estimate_influence`]): events cluster within hours
 /// of each other, and 3/day matches the generator.
 pub const FIT_BETA: f64 = 3.0;
+
+/// Step-7 fits named in the metrics export: the ones with the lowest
+/// log-likelihood per event (`hawkes.worst_fit.<rank>.*`). Every other
+/// fit is only counted, in a histogram over
+/// [`LOG_LIKELIHOOD_PER_EVENT_BUCKETS`].
+pub const WORST_FITS: usize = 5;
+
+/// Bucket upper bounds of the `hawkes.log_likelihood_per_event`
+/// histogram: a fitted cluster's final log-likelihood over its event
+/// count, in nats; the last bucket is overflow.
+pub const LOG_LIKELIHOOD_PER_EVENT_BUCKETS: [f64; 9] =
+    [-8.0, -6.0, -4.0, -3.0, -2.0, -1.0, 0.0, 2.0, 4.0];
 
 /// How Step 4 decides what a screenshot is.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -486,14 +499,28 @@ impl Pipeline {
             .add("cluster.clusters", clustering.n_clusters() as u64);
         self.metrics
             .add("cluster.noise_posts", clustering.noise_count() as u64);
-        let medoid_positions =
-            clustering
-                .try_medoids(&fringe_hashes)
-                .map_err(|e| PipelineError::Stage {
-                    stage: StageId::Cluster,
-                    cluster: None,
-                    source: StageError::Cluster(e),
-                })?;
+        let cluster_error = |e| PipelineError::Stage {
+            stage: StageId::Cluster,
+            cluster: None,
+            source: StageError::Cluster(e),
+        };
+        // One medoid per cluster on the workers, collected by cluster id.
+        let members = clustering.try_members().map_err(cluster_error)?;
+        let mut medoids: Vec<Option<usize>> = vec![None; members.len()];
+        chunked(
+            self.config.threads,
+            &mut medoids,
+            || (),
+            |c, slot, ()| {
+                *slot = medoid_of_hashes(&fringe_hashes, &members[c]);
+            },
+        );
+        let medoid_positions: Vec<usize> = medoids
+            .into_iter()
+            .enumerate()
+            .map(|(cluster, m)| m.ok_or(ClusterError::EmptyCluster { cluster }))
+            .collect::<Result<_, _>>()
+            .map_err(cluster_error)?;
         state.medoid_hashes = Some(medoid_positions.iter().map(|&p| fringe_hashes[p]).collect());
         state.medoid_posts = Some(medoid_positions.iter().map(|&p| fringe_posts[p]).collect());
         state.fringe_posts = Some(fringe_posts);
@@ -1033,9 +1060,11 @@ impl PipelineOutput {
     /// cluster ids are out of range (a mangled artifact) is an `Err`.
     ///
     /// Records the Step-7 span (`pipeline/influence`), per-run EM
-    /// iteration counts (total + histogram), final log-likelihood per
-    /// fitted cluster, and a `degradation.hawkes_cluster_skipped`
-    /// counter per skip; pass a disabled [`Metrics`] to record nothing.
+    /// iteration counts (total + histogram), the final log-likelihood
+    /// per event of every fitted cluster as one histogram plus the
+    /// [`WORST_FITS`] lowest by cluster id (`hawkes.worst_fit.<rank>.*`),
+    /// and a `degradation.hawkes_cluster_skipped` counter per skip; pass
+    /// a disabled [`Metrics`] to record nothing.
     pub fn estimate_influence(
         &self,
         dataset: &Dataset,
@@ -1060,13 +1089,35 @@ impl PipelineOutput {
                 &meme_metrics::ITERATION_BUCKETS,
                 fit.iterations as f64,
             );
-            metrics.gauge(
-                &format!("hawkes.cluster.{}.log_likelihood", annotated[fit.cluster]),
-                fit.log_likelihood,
+            metrics.observe(
+                "hawkes.log_likelihood_per_event",
+                &LOG_LIKELIHOOD_PER_EVENT_BUCKETS,
+                fit.log_likelihood / fit.events as f64,
             );
             if fit.log_likelihood.is_finite() {
                 ll_total += fit.log_likelihood;
             }
+        }
+        // The worst fits by name, a bounded set: the lowest
+        // log-likelihood per event (finite: a diverged fit is skipped),
+        // ties to the lower cluster id.
+        let mut worst: Vec<(f64, usize)> = robust
+            .fit_stats
+            .iter()
+            .map(|fit| {
+                (
+                    fit.log_likelihood / fit.events as f64,
+                    annotated[fit.cluster],
+                )
+            })
+            .collect();
+        worst.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (rank, &(ll, cluster)) in worst.iter().take(WORST_FITS).enumerate() {
+            metrics.gauge(&format!("hawkes.worst_fit.{rank}.cluster"), cluster as f64);
+            metrics.gauge(
+                &format!("hawkes.worst_fit.{rank}.log_likelihood_per_event"),
+                ll,
+            );
         }
         metrics.add("hawkes.em_iterations_total", iterations_total);
         metrics.gauge("hawkes.log_likelihood_total", ll_total);

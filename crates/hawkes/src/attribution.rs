@@ -81,7 +81,7 @@ fn for_each_root(
 ) -> Result<(), HawkesError> {
     let k = model.k();
     validate_stream(events, k, None)?;
-    let mut state = DecayState::new(k, model.beta).with_roots();
+    let mut state = DecayState::new(model).with_roots();
     let mut root = vec![0.0f64; k];
     for e in events {
         let background = root_step(model, &mut state, *e, &mut root);
@@ -98,7 +98,7 @@ fn for_each_root(
 fn root_step(model: &HawkesModel, state: &mut DecayState, e: Event, root: &mut [f64]) -> f64 {
     let c = e.process;
     state.advance_to(e.t);
-    let lambda = state.intensity(&model.mu, &model.w, c);
+    let lambda = state.intensity(c);
     root.fill(0.0);
     // With neither background nor excitation the event is its own root.
     let background = if lambda > 0.0 {

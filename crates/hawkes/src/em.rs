@@ -11,8 +11,8 @@
 //! §2 records why).
 
 use crate::model::{
-    branching_pass, compensator, horizon_fractions, validate_stream, DecayState, Event,
-    HawkesError, HawkesModel,
+    branching_pass, compensator, decay_factors, horizon_fractions, validate_stream, DecayState,
+    Event, HawkesError, HawkesModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -76,12 +76,14 @@ pub fn fit_em(
     let mut pair = vec![vec![0.0f64; k]; k];
     // Shared by the M-step denominator and the compensator.
     let fractions = horizon_fractions(events, k, model.beta, horizon);
+    // β stays fixed, so every iteration's E-step decays by the same steps.
+    let factors = decay_factors(events, model.beta);
     let mut prev_ll = f64::NEG_INFINITY;
     let mut converged = false;
     let mut iterations = 0;
     loop {
-        let mut state = DecayState::new(k, model.beta);
-        let log_lambda = branching_pass(&model, events, &mut state, &mut bg, &mut pair);
+        let mut state = DecayState::new(&model);
+        let log_lambda = branching_pass(&model, events, &factors, &mut state, &mut bg, &mut pair);
         // The pass also scores the model the last M-step produced (the
         // initial guess is not scored).
         if iterations > 0 {

@@ -187,8 +187,9 @@ impl HawkesModel {
         self.validate_events(events, horizon)?;
         let k = self.k();
         let (mut bg, mut pair) = (vec![0.0; k], vec![vec![0.0; k]; k]);
-        let mut state = DecayState::new(k, self.beta);
-        let log_lambda = branching_pass(self, events, &mut state, &mut bg, &mut pair);
+        let mut state = DecayState::new(self);
+        let factors = decay_factors(events, self.beta);
+        let log_lambda = branching_pass(self, events, &factors, &mut state, &mut bg, &mut pair);
         // `ln 0 = −∞`: some event has zero intensity.
         if log_lambda < f64::MIN {
             return Err(HawkesError::InvalidParameter(
@@ -249,6 +250,11 @@ const FORGET_BELOW: f64 = 9.357_622_968_840_175e-14;
 pub(crate) struct DecayState {
     beta: f64,
     t: f64,
+    /// The model's background rates.
+    mu: Vec<f64>,
+    /// `W[s][dst]·β` at `[dst·K + s]`: one destination's column is
+    /// contiguous, and `(W·β)·R_s` is the operand order of `W·β·R_s`.
+    wb: Vec<f64>,
     pub(crate) r: Vec<f64>,
     /// Row `s` at `[s·K, (s+1)·K)`; empty unless built `with_roots`.
     pub(crate) q: Vec<f64>,
@@ -257,11 +263,20 @@ pub(crate) struct DecayState {
 }
 
 impl DecayState {
-    /// An empty past over `k` processes with kernel decay `beta`.
-    pub(crate) fn new(k: usize, beta: f64) -> Self {
+    /// An empty past under `model`.
+    pub(crate) fn new(model: &HawkesModel) -> Self {
+        let k = model.k();
+        let mut wb = vec![0.0; k * k];
+        for (src, row) in model.w.iter().enumerate() {
+            for (dst, &w) in row.iter().enumerate() {
+                wb[dst * k + src] = w * model.beta;
+            }
+        }
         Self {
-            beta,
+            beta: model.beta,
             t: 0.0,
+            mu: model.mu.clone(),
+            wb,
             r: vec![0.0; k],
             q: Vec::new(),
             by_source: vec![0.0; k],
@@ -278,12 +293,19 @@ impl DecayState {
     /// and a tie leaves the state as it is.
     // lint:hotpath(per-event decay of the K or K+K² state floats; no allocation)
     pub(crate) fn advance_to(&mut self, t: f64) {
-        let dt = t - self.t;
+        let step = decay_factor(self.beta, self.t, t);
         self.t = t;
-        if dt <= 0.0 {
-            return;
+        if let Some(d) = step {
+            self.decay(d);
         }
-        let d = (-self.beta * dt).exp();
+    }
+
+    /// Multiply the past by `d`, a step's [`decay_factor`], forgetting a
+    /// source that falls below [`FORGET_BELOW`]. Leaves the state's time
+    /// alone: a caller that steps through [`decay_factors`] never asks
+    /// for it.
+    // lint:hotpath(per-event decay of the K or K+K² state floats; no allocation)
+    pub(crate) fn decay(&mut self, d: f64) {
         for q in &mut self.q {
             *q *= d;
         }
@@ -302,10 +324,12 @@ impl DecayState {
     /// `dst`'s intensity now, `μ_dst + Σ_s W[s][dst] β R_s`, keeping the
     /// terms in `by_source`.
     // lint:hotpath(per-event intensity over K sources; no allocation)
-    pub(crate) fn intensity(&mut self, mu: &[f64], w: &[Vec<f64>], dst: usize) -> f64 {
-        let mut lambda = mu[dst];
-        for ((a, r), row) in self.by_source.iter_mut().zip(&self.r).zip(w) {
-            *a = row[dst] * self.beta * r;
+    pub(crate) fn intensity(&mut self, dst: usize) -> f64 {
+        let k = self.r.len();
+        let column = &self.wb[dst * k..(dst + 1) * k];
+        let mut lambda = self.mu[dst];
+        for ((a, r), wb) in self.by_source.iter_mut().zip(&self.r).zip(column) {
+            *a = wb * r;
             lambda += *a;
         }
         lambda
@@ -325,15 +349,48 @@ impl DecayState {
     }
 }
 
+/// The factor `e^{−β(t − from)}` that decays the past from time `from`
+/// to `t`, or `None` for a tie (`t − from ≤ 0`), which leaves the past
+/// as it is: the one expression [`DecayState::advance_to`] and
+/// [`decay_factors`] evaluate, so both decay by the same bits.
+#[inline]
+fn decay_factor(beta: f64, from: f64, t: f64) -> Option<f64> {
+    let dt = t - from;
+    if dt <= 0.0 {
+        None
+    } else {
+        Some((-beta * dt).exp())
+    }
+}
+
+/// Each event's [`decay_factor`] from the event before it (the first
+/// from time 0, the empty state's), as [`DecayState::advance_to`] would
+/// compute it walking the stream. `β` is fixed for a whole fit, so EM
+/// computes the table once per fit instead of one `exp` per event per
+/// iteration.
+pub(crate) fn decay_factors(events: &[Event], beta: f64) -> Vec<Option<f64>> {
+    let mut from = 0.0;
+    events
+        .iter()
+        .map(|e| {
+            let d = decay_factor(beta, from, e.t);
+            from = e.t;
+            d
+        })
+        .collect()
+}
+
 /// One pass over `events` under `model` — EM's E-step and the
 /// likelihood's event term. Event `j` gives the background
 /// `μ_{c_j} / λ_j` (summed into `bg`) and source `s` the parent mass
-/// `W[s][c_j] β R_s(t_j) / λ_j` (into `pair[s][c_j]`). Returns
+/// `W[s][c_j] β R_s(t_j) / λ_j` (into `pair[s][c_j]`). `factors` is
+/// [`decay_factors`] of `events` at `model.beta`. Returns
 /// `Σ_j ln λ_j`; `state` must be empty.
 // lint:hotpath(one pass: K multiply-adds per event into the caller's buffers)
 pub(crate) fn branching_pass(
     model: &HawkesModel,
     events: &[Event],
+    factors: &[Option<f64>],
     state: &mut DecayState,
     bg: &mut [f64],
     pair: &mut [Vec<f64>],
@@ -343,10 +400,12 @@ pub(crate) fn branching_pass(
         row.fill(0.0);
     }
     let mut log_lambda = 0.0;
-    for e in events {
+    for (e, &factor) in events.iter().zip(factors) {
         let c = e.process;
-        state.advance_to(e.t);
-        let lambda = state.intensity(&model.mu, &model.w, c);
+        if let Some(d) = factor {
+            state.decay(d);
+        }
+        let lambda = state.intensity(c);
         log_lambda += lambda.ln();
         bg[c] += model.mu[c] / lambda;
         for (row, a) in pair.iter_mut().zip(&state.by_source) {
@@ -524,6 +583,87 @@ mod tests {
         assert!((fast - slow).abs() < 1e-9, "fast {fast} slow {slow}");
     }
 
+    /// The reference E-step: `branching_pass` reading the past through
+    /// one `advance_to` per event instead of the decay table.
+    fn branching_pass_walking(
+        model: &HawkesModel,
+        events: &[Event],
+        bg: &mut [f64],
+        pair: &mut [Vec<f64>],
+    ) -> f64 {
+        let mut state = DecayState::new(model);
+        let mut log_lambda = 0.0;
+        for e in events {
+            let c = e.process;
+            state.advance_to(e.t);
+            let lambda = state.intensity(c);
+            log_lambda += lambda.ln();
+            bg[c] += model.mu[c] / lambda;
+            for (row, a) in pair.iter_mut().zip(&state.by_source) {
+                row[c] += a / lambda;
+            }
+            state.push(c);
+        }
+        log_lambda
+    }
+
+    #[test]
+    fn decay_table_pass_is_bit_equal_to_walking_the_stream() {
+        use meme_stats::seeded_rng;
+        use rand::RngExt;
+        let beta = 2.5;
+        let model = HawkesModel::new(
+            vec![0.4, 0.05, 0.2],
+            vec![
+                vec![0.3, 0.1, 0.05],
+                vec![0.2, 0.25, 0.0],
+                vec![0.0, 0.1, 0.4],
+            ],
+            beta,
+        )
+        .unwrap();
+        for seed in 0..40u64 {
+            let mut rng = seeded_rng(seed);
+            // Seeds cycle through: tie-heavy steps on a coarse grid, a
+            // start before 0, and gaps past the 30/β forget horizon.
+            let mut t = if seed % 3 == 1 {
+                -rng.random_range(0.5..5.0)
+            } else {
+                0.0
+            };
+            let events: Vec<Event> = (0..rng.random_range(1..200usize))
+                .map(|_| {
+                    t += match seed % 3 {
+                        0 => f64::from(rng.random_range(0..3u8)) * 0.25,
+                        1 => rng.random_range(0.0..0.4),
+                        _ if rng.random_bool(0.2) => rng.random_range(30.0..80.0) / beta,
+                        _ => rng.random_range(0.0..0.5),
+                    };
+                    Event::new(t, rng.random_range(0..3usize))
+                })
+                .collect();
+            let k = model.k();
+            let (mut bg, mut pair) = (vec![0.0; k], vec![vec![0.0; k]; k]);
+            let (mut bg_ref, mut pair_ref) = (vec![0.0; k], vec![vec![0.0; k]; k]);
+            let factors = decay_factors(&events, beta);
+            let fast = branching_pass(
+                &model,
+                &events,
+                &factors,
+                &mut DecayState::new(&model),
+                &mut bg,
+                &mut pair,
+            );
+            let walked = branching_pass_walking(&model, &events, &mut bg_ref, &mut pair_ref);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(fast.to_bits(), walked.to_bits(), "seed {seed}");
+            assert_eq!(bits(&bg), bits(&bg_ref), "seed {seed}");
+            for (row, row_ref) in pair.iter().zip(&pair_ref) {
+                assert_eq!(bits(row), bits(row_ref), "seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn decayed_state_matches_direct_sums() {
         // R against its O(n) definition at every event, on a stream
@@ -537,7 +677,8 @@ mod tests {
             Event::new(2.5, 1),
             Event::new(2.5, 1),
         ];
-        let mut state = DecayState::new(2, beta);
+        let model = HawkesModel::new(vec![0.1; 2], vec![vec![0.0; 2]; 2], beta).unwrap();
+        let mut state = DecayState::new(&model);
         for (i, e) in events.iter().enumerate() {
             state.advance_to(e.t);
             for s in 0..2 {
@@ -554,7 +695,8 @@ mod tests {
 
     #[test]
     fn a_source_quiet_for_thirty_time_constants_is_forgotten() {
-        let mut state = DecayState::new(2, 2.0).with_roots();
+        let model = HawkesModel::new(vec![0.1; 2], vec![vec![0.0; 2]; 2], 2.0).unwrap();
+        let mut state = DecayState::new(&model).with_roots();
         state.push(0);
         state.push_root(0, &[1.0, 0.0]);
         state.advance_to(14.9); // 29.8 time-constants back: still there

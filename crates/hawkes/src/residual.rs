@@ -43,7 +43,7 @@ pub fn residual_analysis(
     // Λ_k(t) = μ_k t + Σ_{t_j < t} W[c_j][k] (1 − e^{−β (t − t_j)}).
     // With the decayed state's R_c and n_seen[c] = count,
     // Σ (1 − e^..) = n_seen[c] − R_c.
-    let mut state = DecayState::new(k, model.beta);
+    let mut state = DecayState::new(model);
     let mut n_seen = vec![0.0f64; k];
     let mut last_compensator: Vec<Option<f64>> = vec![None; k];
     let mut residuals: Vec<Vec<f64>> = vec![Vec::new(); k];

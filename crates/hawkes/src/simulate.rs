@@ -167,15 +167,13 @@ pub fn simulate_thinning<R: Rng + ?Sized>(
     assert!(horizon > 0.0, "horizon must be positive");
     let k = model.k();
     let mut events: Vec<Event> = Vec::new();
-    let mut state = DecayState::new(k, model.beta);
+    let mut state = DecayState::new(model);
     let mut lambdas = vec![0.0f64; k];
     let mut t = 0.0f64;
     loop {
         // Upper bound on total intensity from now on: current value
         // (intensities only decay between events).
-        let bound: f64 = (0..k)
-            .map(|dst| state.intensity(&model.mu, &model.w, dst))
-            .sum();
+        let bound: f64 = (0..k).map(|dst| state.intensity(dst)).sum();
         if bound <= 0.0 {
             break;
         }
@@ -191,7 +189,7 @@ pub fn simulate_thinning<R: Rng + ?Sized>(
         // Decay state to the candidate time and compute true intensities.
         state.advance_to(t);
         for (dst, lam) in lambdas.iter_mut().enumerate() {
-            *lam = state.intensity(&model.mu, &model.w, dst);
+            *lam = state.intensity(dst);
         }
         let total: f64 = lambdas.iter().sum();
         if rng.random::<f64>() * bound <= total {

@@ -1,6 +1,6 @@
 //! Linear-scan index: the correctness oracle and the small-`n` winner.
 
-use crate::{HammingIndex, QueryScratch};
+use crate::{HammingIndex, JoinBlock, QueryScratch, QueryStats, JOIN_BLOCKS};
 use meme_phash::{swar_distance, PHash};
 
 /// Brute-force radius queries: one XOR + popcount per indexed hash and
@@ -34,27 +34,67 @@ impl HammingIndex for BruteForceIndex {
     }
 
     // lint:hotpath(per-query linear scan; must not allocate per call)
-    fn radius_query_from(
+    fn radius_query_into(
         &self,
         query: PHash,
         radius: u32,
-        start: usize,
         scratch: &mut QueryScratch,
         out: &mut Vec<usize>,
     ) {
-        // A linear scan visits each id exactly once, so the visited
-        // stamps are unnecessary; results are ascending by construction.
+        // A linear scan visits each id exactly once, in ascending order.
         out.clear();
-        let start = start.min(self.hashes.len());
-        let tail = &self.hashes[start..];
         out.extend(
-            tail.iter()
+            self.hashes
+                .iter()
                 .enumerate()
                 .filter(|(_, &h)| swar_distance(query, h) <= radius)
-                .map(|(k, _)| start + k),
+                .map(|(i, _)| i),
         );
-        scratch.stats.candidates += tail.len() as u64;
-        scratch.stats.verified += tail.len() as u64;
+        scratch.stats.candidates += self.hashes.len() as u64;
+        scratch.stats.verified += out.len() as u64;
+    }
+
+    /// Row ranges of the upper triangle, cut where the running pair
+    /// count passes `1/JOIN_BLOCKS` of the total.
+    fn join_blocks(&self, _radius: u32) -> Vec<JoinBlock> {
+        let n = self.hashes.len();
+        let target = (n * n.saturating_sub(1) / 2).div_ceil(JOIN_BLOCKS).max(1);
+        let mut blocks = Vec::new();
+        let (mut lo, mut acc) = (0, 0);
+        for row in 0..n {
+            acc += n - 1 - row;
+            if acc >= target || row + 1 == n {
+                blocks.push(JoinBlock {
+                    band: 0,
+                    lo,
+                    hi: row + 1,
+                });
+                (lo, acc) = (row + 1, 0);
+            }
+        }
+        blocks
+    }
+
+    fn join_pairs(
+        &self,
+        block: JoinBlock,
+        radius: u32,
+        pairs: &mut Vec<(u32, u32)>,
+        stats: &mut QueryStats,
+    ) {
+        let before = pairs.len();
+        for i in block.lo..block.hi {
+            let hi = self.hashes[i];
+            let tail = &self.hashes[i + 1..];
+            pairs.extend(
+                tail.iter()
+                    .enumerate()
+                    .filter(|(_, &h)| swar_distance(hi, h) <= radius)
+                    .map(|(k, _)| (i as u32, (i + 1 + k) as u32)),
+            );
+            stats.candidates += tail.len() as u64;
+        }
+        stats.verified += (pairs.len() - before) as u64;
     }
 }
 

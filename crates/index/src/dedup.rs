@@ -9,7 +9,8 @@
 //!
 //! 1. build the index over `unique()` only (smaller tables, no
 //!    duplicate-degenerate buckets),
-//! 2. query once per unique hash ([`crate::distinct_neighbors`]), and
+//! 2. self-join the unique hashes once ([`crate::distinct_neighbors`]),
+//!    and
 //! 3. keep working on unique hashes — DBSCAN and medoids in
 //!    `meme-cluster` weigh each hash by its owner count — and map only
 //!    the final per-hash answer back to items through `owner_of()`.

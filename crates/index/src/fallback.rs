@@ -6,24 +6,29 @@
 //! the input decide the speed:
 //!
 //! * **Size.** Brute force pays one XOR + popcount per indexed hash and
-//!   nothing else; MIH pays `radius + 1` band probes plus candidate
-//!   stamping and a sort before it saves any scan. Below
-//!   [`MIH_MIN_LEN`] hashes the scan is cheaper. The Step-6 and
-//!   `memes serve` medoid indexes (20–104 annotated medoids) sit below
-//!   it; Step 5's KYM gallery (556–1 876 hashes at small scale) and
-//!   Step 2's distinct fringe hashes (7k–29k) sit above it.
-//! * **Radius.** MIH builds `radius + 1` bands over 64 bits; past
-//!   radius 15 they shrink under 4 bits, every bucket holds a large
-//!   share of the corpus and the probes stop pruning.
+//!   nothing else; MIH pays a few bucket probes per band and a sort
+//!   before it saves any scan. Below [`MIH_MIN_LEN`] hashes the scan is
+//!   cheaper. The Step-6 and `memes serve` medoid indexes (20–104
+//!   annotated medoids) sit below it; Step 5's KYM gallery (556–1 876
+//!   hashes at small scale) sits above it.
+//! * **Radius.** MIH needs at least `⌊radius/2⌋ + 1` bands
+//!   ([`crate::mih::band_count`]); past radius 15 that is over 8 bands
+//!   of under 8 bits, every bucket holds a large share of the corpus
+//!   and the probes stop pruning.
 //!
-//! Duplicates need no rule of their own. A query stamps each candidate
-//! once ([`QueryScratch`]), so even when one hash dominates the corpus
-//! a query costs at most about `bands × n` stamps plus `n` verifies —
-//! the brute-force bound times the band count, not a quadratic stall.
-//! Steps 2 and 6 and the serve snapshot hold at most a few copies of a
-//! hash anyway; only Step 5's gallery is not deduplicated.
+//! Step 2 does not query at all: its ε-graph over the distinct fringe
+//! hashes (7k–29k) is one self-join of the same engine's tables
+//! ([`crate::distinct_neighbors`]), so the same two rules pick the
+//! engine it joins on.
+//!
+//! Duplicates need no rule of their own. A query keeps each hit in the
+//! first band where it lies within the sub-radius, so even when one
+//! hash dominates the corpus a query costs at most about `bands × n`
+//! XORs — the brute-force bound times the band count, not a quadratic
+//! stall. Steps 2 and 6 and the serve snapshot hold at most a few
+//! copies of a hash anyway; only Step 5's gallery is not deduplicated.
 
-use crate::{BruteForceIndex, HammingIndex, MihIndex, QueryScratch};
+use crate::{BruteForceIndex, HammingIndex, JoinBlock, MihIndex, QueryScratch, QueryStats};
 use meme_phash::PHash;
 
 /// Index size from which MIH answers faster than brute force.
@@ -37,8 +42,9 @@ use meme_phash::PHash;
 /// 384 on (470–517 vs 529–570 ns).
 pub const MIH_MIN_LEN: usize = 320;
 
-/// Largest radius MIH takes: beyond it, bands shrink under 4 bits
-/// (`64 / (radius + 1) < 4`) and bucket selectivity vanishes.
+/// Largest radius MIH takes: beyond it, the at least `⌊radius/2⌋ + 1`
+/// bands ([`crate::mih::band_count`]) shrink under 8 bits and bucket
+/// selectivity vanishes.
 const MIH_MAX_RADIUS: u32 = 15;
 
 /// The engine a [`FallbackIndex`] runs on.
@@ -120,17 +126,36 @@ impl HammingIndex for FallbackIndex {
     }
 
     // lint:hotpath(per-query radius lookup; dispatch must stay allocation-free)
-    fn radius_query_from(
+    fn radius_query_into(
         &self,
         query: PHash,
         radius: u32,
-        start: usize,
         scratch: &mut QueryScratch,
         out: &mut Vec<usize>,
     ) {
         match &self.backend {
-            Backend::Mih(x) => x.radius_query_from(query, radius, start, scratch, out),
-            Backend::Brute(x) => x.radius_query_from(query, radius, start, scratch, out),
+            Backend::Mih(x) => x.radius_query_into(query, radius, scratch, out),
+            Backend::Brute(x) => x.radius_query_into(query, radius, scratch, out),
+        }
+    }
+
+    fn join_blocks(&self, radius: u32) -> Vec<JoinBlock> {
+        match &self.backend {
+            Backend::Mih(x) => x.join_blocks(radius),
+            Backend::Brute(x) => x.join_blocks(radius),
+        }
+    }
+
+    fn join_pairs(
+        &self,
+        block: JoinBlock,
+        radius: u32,
+        pairs: &mut Vec<(u32, u32)>,
+        stats: &mut QueryStats,
+    ) {
+        match &self.backend {
+            Backend::Mih(x) => x.join_pairs(block, radius, pairs, stats),
+            Backend::Brute(x) => x.join_pairs(block, radius, pairs, stats),
         }
     }
 

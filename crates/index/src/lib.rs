@@ -10,17 +10,18 @@
 //! * [`BruteForceIndex`] — linear scan; simple, and the correctness
 //!   oracle;
 //! * [`MihIndex`] — multi-index hashing: split each 64-bit hash into
-//!   `r + 1` bands; by pigeonhole, any hash within distance `r` matches
-//!   at least one band exactly, so candidates come from `r + 1` exact
-//!   table lookups.
+//!   [`mih::band_count`] bands; by pigeonhole, any hash within distance
+//!   `r` lies within `⌊r/m⌋ ≤ 1` bits of the query in at least one band,
+//!   so candidates come from a few direct-addressed bucket probes per
+//!   band.
 //!
 //! Both engines implement [`HammingIndex`]'s one query,
-//! [`HammingIndex::radius_query_from`]; [`FallbackIndex`] picks one of
-//! them from the index size and radius alone.
-//! [`distinct_neighbors`] computes every distinct hash's radius
-//! neighbourhood on `std::thread::scope` workers — the "pairwise
-//! comparison" driver;
-//! [`symmetric_neighbors`] expands it to one list per item.
+//! [`HammingIndex::radius_query_into`], and its one self-join,
+//! [`HammingIndex::join_pairs`]; [`FallbackIndex`] picks one of them
+//! from the index size and radius alone. [`distinct_neighbors`] runs
+//! the self-join on `std::thread::scope` workers — the "pairwise
+//! comparison" — and [`symmetric_neighbors`] expands its output to one
+//! list per item.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +39,27 @@ pub use mih::MihIndex;
 pub use scratch::{QueryScratch, QueryStats};
 
 use meme_phash::PHash;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Blocks a self-join is cut into ([`HammingIndex::join_blocks`]): a
+/// fixed count, so the blocking — and with it every work counter — is
+/// the same for every thread count, and fine enough that the worker
+/// that draws the costliest block leaves the others little to idle
+/// through.
+pub const JOIN_BLOCKS: usize = 64;
+
+/// One slice of a self-join's work, as the engine that cut it defines
+/// it: keys `lo..hi` of band `band` for [`MihIndex`], rows `lo..hi` of
+/// the upper triangle for [`BruteForceIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinBlock {
+    /// The band the keys belong to (0 for brute force).
+    pub band: usize,
+    /// First key or row.
+    pub lo: usize,
+    /// One past the last key or row.
+    pub hi: usize,
+}
 
 /// An exact radius-query index over a fixed set of 64-bit hashes.
 ///
@@ -57,33 +79,18 @@ pub trait HammingIndex {
     /// The hash stored at position `i`.
     fn hash_at(&self, i: usize) -> PHash;
 
-    /// All indices `i >= start` with `distance(query, hash_at(i)) <=
-    /// radius`, ascending, written to `out` (cleared first) — the one
-    /// query each engine implements. Intermediate state lives in
-    /// `scratch`, so steady-state calls allocate nothing. `start` skips
-    /// the prefix before distance verification; the symmetric pairwise
-    /// driver passes `u + 1` so each unordered pair is verified once
-    /// and mirrored.
-    fn radius_query_from(
-        &self,
-        query: PHash,
-        radius: u32,
-        start: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<usize>,
-    );
-
-    /// [`HammingIndex::radius_query_from`] over the whole index.
-    // lint:hotpath(per-query radius lookup through the caller's scratch)
+    /// All indices `i` with `distance(query, hash_at(i)) <= radius`,
+    /// ascending, written to `out` (cleared first) — the one query each
+    /// engine implements. Work counters accumulate in `scratch`; a
+    /// query allocates nothing once `out` has grown to its largest
+    /// answer.
     fn radius_query_into(
         &self,
         query: PHash,
         radius: u32,
         scratch: &mut QueryScratch,
         out: &mut Vec<usize>,
-    ) {
-        self.radius_query_from(query, radius, 0, scratch, out);
-    }
+    );
 
     /// All indices `i` with `distance(query, hash_at(i)) <= radius`,
     /// in ascending index order, through fresh working memory.
@@ -112,6 +119,24 @@ pub trait HammingIndex {
             .map(|(distance, pos)| (pos, distance))
     }
 
+    /// The self-join at `radius` cut into about [`JOIN_BLOCKS`] blocks of
+    /// similar estimated cost, for [`HammingIndex::join_pairs`]. The cut
+    /// depends on the index and the radius only.
+    fn join_blocks(&self, radius: u32) -> Vec<JoinBlock>;
+
+    /// Append to `pairs` every unordered pair of positions `{i, j}`,
+    /// `i != j`, within `radius` of each other that `block` owns — each
+    /// pair of the index is owned by exactly one block of
+    /// [`HammingIndex::join_blocks`] — in no particular order, counting
+    /// the work into `stats`.
+    fn join_pairs(
+        &self,
+        block: JoinBlock,
+        radius: u32,
+        pairs: &mut Vec<(u32, u32)>,
+        stats: &mut QueryStats,
+    );
+
     /// Approximate bytes held by the engine's data structures (hash
     /// storage plus per-engine tables) — the `index.memory_bytes`
     /// gauge. The default accounts for the hash slice only.
@@ -121,29 +146,30 @@ pub trait HammingIndex {
 }
 
 /// Work counters of one [`distinct_neighbors`] run — the source of the
-/// `index.*` metrics family. All fields are sums over per-worker
-/// [`QueryStats`], so they are identical for every thread count.
+/// `index.*` metrics family. The join's blocking is fixed
+/// ([`JOIN_BLOCKS`]), so every field is identical for every thread
+/// count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NeighborStats {
     /// Items in the corpus (before duplicate collapsing).
     pub items: usize,
-    /// Unique hashes actually queried.
+    /// Unique hashes joined.
     pub unique: usize,
-    /// Band-bucket probes issued.
+    /// Buckets (MIH: a bucket, or a pair of buckets one bit apart)
+    /// whose pairs the join drew; 0 for brute force.
     pub probes: u64,
-    /// Candidate ids gathered (before dedup).
+    /// Candidate pairs drawn, a pair once per band it is drawn in.
     pub candidates: u64,
-    /// Exact distances verified.
+    /// Candidate pairs within the radius, before the first-band rule
+    /// keeps one per pair.
     pub verified: u64,
-    /// Unordered unique-hash pairs within the radius (each verified
-    /// once and mirrored).
+    /// Unordered unique-hash pairs within the radius, each once.
     pub unique_pairs: u64,
 }
 
 /// Compute the radius neighbourhood of every **distinct hash** of
 /// `groups` from an index built over exactly [`HashGroups::unique`],
-/// querying once per distinct hash and verifying each unordered pair
-/// once.
+/// by one self-join of the index.
 ///
 /// `result[u]` lists all distinct-hash slots `v != u` with
 /// `distance(unique[u], unique[v]) <= radius`, ascending. This is the
@@ -151,13 +177,14 @@ pub struct NeighborStats {
 /// (`meme_cluster::try_dbscan_distinct`): every owner of `u` has the
 /// same neighbours, so nothing is lost by not expanding it to items.
 ///
-/// * exact duplicates collapse — `groups.len_unique()` queries instead
-///   of `groups.len_items()`;
-/// * symmetry is exploited — distinct hash `u` only verifies candidates
-///   `v > u` ([`HammingIndex::radius_query_from`]); the `v → u` edge is
-///   mirrored from the pair list;
-/// * workers reuse [`QueryScratch`] buffers, so the pair sweep performs
-///   no steady-state allocations beyond the pair lists themselves.
+/// * exact duplicates collapse — the join runs over
+///   `groups.len_unique()` hashes, not `groups.len_items()`;
+/// * each unordered pair comes out of the join once: workers claim
+///   [`HammingIndex::join_blocks`] from a shared counter and keep their
+///   pairs;
+/// * the adjacency is built on the workers too: each owns a range of
+///   slots, takes both directions of every pair that lands in it, and
+///   sorts its lists.
 ///
 /// Deterministic for every `threads` value (pass 0 for available
 /// parallelism).
@@ -182,48 +209,65 @@ pub fn distinct_neighbors<I: HammingIndex + Sync>(
         return (Vec::new(), stats);
     }
 
-    // ---- Pass 1: unique-level half-pairs (u, v), u < v, d(u, v) <= r.
-    // Workers own disjoint u-ranges; concatenating their pair lists in
-    // range order yields a list sorted by (u, v) for any thread count.
-    let threads = effective_threads(threads, n_unique);
-    let chunk_len = n_unique.div_ceil(threads);
-    let mut worker_out: Vec<(Vec<(u32, u32)>, QueryStats)> = Vec::new();
-    worker_out.resize_with(threads, Default::default);
+    // ---- The join: blocks claimed from a counter, pairs kept per worker.
+    let blocks = index.join_blocks(radius);
+    let next = AtomicUsize::new(0);
+    let mut workers: Vec<(Vec<(u32, u32)>, QueryStats)> = Vec::new();
+    workers.resize_with(effective_threads(threads, blocks.len()), Default::default);
     std::thread::scope(|s| {
-        for (chunk_id, slot) in worker_out.iter_mut().enumerate() {
-            let unique = groups.unique();
+        for (pairs, worker_stats) in &mut workers {
+            let (blocks, next) = (&blocks, &next);
             s.spawn(move || {
-                let lo = chunk_id * chunk_len;
-                let hi = (lo + chunk_len).min(n_unique);
-                let mut scratch = QueryScratch::new();
-                let mut hits = Vec::new();
-                let mut pairs = Vec::new();
-                for (u, &uh) in unique.iter().enumerate().take(hi).skip(lo) {
-                    index.radius_query_from(uh, radius, u + 1, &mut scratch, &mut hits);
-                    pairs.extend(hits.iter().map(|&v| (u as u32, v as u32)));
+                // Relaxed: the counter only hands out block numbers.
+                while let Some(&block) = blocks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    index.join_pairs(block, radius, pairs, worker_stats);
                 }
-                *slot = (pairs, scratch.take_stats());
             });
         }
     });
-
-    // ---- Pass 2: mirror the half-pairs into unique-level adjacency.
-    // Scanning pairs in (u, v) order appends to every list in ascending
-    // order: w's mirrored entries (u' < w) all precede its forward
-    // entries (v > w), and both runs arrive sorted.
-    let mut uadj: Vec<Vec<usize>> = vec![Vec::new(); n_unique];
-    for (pairs, worker_stats) in &worker_out {
-        let mut merged = QueryStats::default();
-        merged.merge(*worker_stats);
-        stats.probes += merged.probes;
-        stats.candidates += merged.candidates;
-        stats.verified += merged.verified;
+    let mut work = QueryStats::default();
+    let mut degree = vec![0usize; n_unique];
+    for (pairs, worker_stats) in &workers {
+        work.merge(*worker_stats);
         stats.unique_pairs += pairs.len() as u64;
         for &(u, v) in pairs {
-            uadj[u as usize].push(v as usize);
-            uadj[v as usize].push(u as usize);
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
         }
     }
+    (stats.probes, stats.candidates, stats.verified) =
+        (work.probes, work.candidates, work.verified);
+
+    // ---- The adjacency: each worker owns a slot range, so which worker
+    // found a pair does not matter; sorting makes each list ascending.
+    let mut uadj: Vec<Vec<usize>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+    let threads = effective_threads(threads, n_unique);
+    let chunk_len = n_unique.div_ceil(threads);
+    std::thread::scope(|s| {
+        for (chunk_id, chunk) in uadj.chunks_mut(chunk_len).enumerate() {
+            let workers = &workers;
+            s.spawn(move || {
+                let lo = chunk_id * chunk_len;
+                let mut take = |from: u32, to: u32| {
+                    if let Some(list) = (from as usize)
+                        .checked_sub(lo)
+                        .and_then(|k| chunk.get_mut(k))
+                    {
+                        list.push(to as usize);
+                    }
+                };
+                for (pairs, _) in workers {
+                    for &(u, v) in pairs {
+                        take(u, v);
+                        take(v, u);
+                    }
+                }
+                for list in chunk {
+                    list.sort_unstable();
+                }
+            });
+        }
+    });
     (uadj, stats)
 }
 

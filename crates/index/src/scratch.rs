@@ -1,31 +1,26 @@
-//! Reusable per-query working memory.
+//! Per-worker query counters.
 //!
-//! The original engines paid a fresh `Vec` plus a `sort_unstable + dedup`
-//! on every radius query. [`QueryScratch`] replaces that with an
-//! **epoch-stamped visited buffer**: one `u32` stamp per indexed item,
-//! where "item was already seen this query" is `stamps[i] == epoch`.
-//! Starting a new query is a single counter increment — no `O(n)` clear —
-//! and the stamp array is only rewritten lazily as items are touched. A
-//! candidate batch buffer rides along so band probes can gather ids
-//! without allocating.
-//!
-//! Steady state (buffers grown to the workload's high-water mark), a
-//! query through [`crate::HammingIndex::radius_query_into`] performs
-//! **zero heap allocations**; `crates/index/tests/no_alloc.rs` asserts
-//! this with a counting global allocator.
-//!
-//! The scratch also accumulates [`QueryStats`] — band probes, candidates
-//! gathered, distances verified — which the drivers roll up into the
-//! `index.*` metrics family.
+//! A query keeps no per-item state: [`crate::MihIndex`] keeps each hit
+//! in its first band, and brute force visits each id once. What a
+//! caller's [`QueryScratch`] still carries across queries is the work
+//! they did — band probes, candidates drawn, candidates within the
+//! radius — which the pipeline rolls up into the `index.*` metrics
+//! family. Steady state (the output buffer grown to the largest
+//! answer), a query through [`crate::HammingIndex::radius_query_into`]
+//! performs **zero heap allocations**; `crates/index/tests/no_alloc.rs`
+//! asserts this with a counting global allocator.
 
-/// Cumulative work counters for queries run through one scratch.
+/// Cumulative work counters for queries (or self-join blocks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Band-bucket probes (one binary search each for the CSR engine).
+    /// Bucket probes (MIH: one per bucket a query scans, or per bucket
+    /// or pair of buckets a join draws pairs from).
     pub probes: u64,
-    /// Candidate ids gathered from probed buckets, before dedup.
+    /// Candidates drawn from probed buckets, a candidate once per band
+    /// it is drawn in.
     pub candidates: u64,
-    /// Exact Hamming distances computed (candidates surviving dedup).
+    /// Candidates within the radius, before the first-band rule keeps
+    /// one per hit.
     pub verified: u64,
 }
 
@@ -39,54 +34,18 @@ impl QueryStats {
     }
 }
 
-/// Reusable query working memory: epoch-stamped visited set, candidate
-/// buffer, and work counters. One per worker thread; never shared.
+/// A query worker's running [`QueryStats`]. One per worker thread;
+/// never shared.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
-    /// `stamps[i] == epoch` ⇔ item `i` was already gathered this query.
-    stamps: Vec<u32>,
-    /// Current query's epoch; `0` is reserved as "never stamped".
-    epoch: u32,
-    /// Candidate ids gathered by the current query, in probe order.
-    pub(crate) candidates: Vec<u32>,
     /// Cumulative work counters (see [`QueryStats`]).
     pub(crate) stats: QueryStats,
 }
 
 impl QueryScratch {
-    /// An empty scratch; buffers grow to the workload's high-water mark
-    /// on first use and are reused afterwards.
+    /// A scratch with zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Begin a new query over an index of `n` items: bump the epoch and
-    /// make sure the stamp buffer covers all `n` ids. Amortized O(1);
-    /// the stamp array is rewritten wholesale only on epoch wraparound
-    /// (once every `u32::MAX` queries).
-    pub(crate) fn begin(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Wrapped: old stamps could collide with the new epoch,
-                // so clear them all and restart at 1 (0 = never seen).
-                self.stamps.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
-        self.candidates.clear();
-    }
-
-    /// Mark item `id` as seen this query; returns `true` the first time.
-    #[inline(always)]
-    pub(crate) fn mark(&mut self, id: u32) -> bool {
-        let slot = &mut self.stamps[id as usize];
-        let fresh = *slot != self.epoch;
-        *slot = self.epoch;
-        fresh
     }
 
     /// Cumulative work counters since construction (or the last
@@ -106,29 +65,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mark_is_once_per_epoch() {
-        let mut s = QueryScratch::new();
-        s.begin(4);
-        assert!(s.mark(2));
-        assert!(!s.mark(2));
-        assert!(s.mark(0));
-        s.begin(4);
-        assert!(s.mark(2), "new epoch forgets old marks");
-    }
-
-    #[test]
-    fn epoch_wraparound_resets_stamps() {
-        let mut s = QueryScratch::new();
-        s.begin(2);
-        assert!(s.mark(1));
-        s.epoch = u32::MAX; // fast-forward to the wrap
-        s.stamps[0] = u32::MAX; // a stale stamp that must not collide
-        s.begin(2);
-        assert_eq!(s.epoch, 1);
-        assert!(s.mark(0), "stale stamp survived the wrap");
-    }
-
-    #[test]
     fn stats_accumulate_and_take() {
         let mut s = QueryScratch::new();
         s.stats.probes = 3;
@@ -140,14 +76,5 @@ mod tests {
         assert_eq!(s.stats().probes, 4);
         assert_eq!(s.take_stats().verified, 4);
         assert_eq!(s.stats(), QueryStats::default());
-    }
-
-    #[test]
-    fn begin_grows_but_never_shrinks() {
-        let mut s = QueryScratch::new();
-        s.begin(10);
-        assert_eq!(s.stamps.len(), 10);
-        s.begin(3);
-        assert_eq!(s.stamps.len(), 10);
     }
 }

@@ -171,10 +171,6 @@ proptest! {
             prop_assert_eq!(index.radius_query(q, radius), expected.clone(), "{}", ctx);
             index.radius_query_into(q, radius, &mut scratch, &mut out);
             prop_assert_eq!(&out, &expected, "into {}", ctx);
-            let start = hashes.len() / 3;
-            index.radius_query_from(q, radius, start, &mut scratch, &mut out);
-            let tail: Vec<usize> = expected.iter().copied().filter(|&i| i >= start).collect();
-            prop_assert_eq!(&out, &tail, "from {}", ctx);
             let naive = (0..hashes.len())
                 .map(|i| (q.distance(hashes[i]), i))
                 .filter(|&(d, _)| d <= radius)

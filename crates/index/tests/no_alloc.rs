@@ -1,13 +1,12 @@
-//! Steady-state allocation audit for the scratch-reuse query path.
+//! Steady-state allocation audit for the query path.
 //!
-//! The CSR engine's contract is that once a worker's buffers have grown
-//! to the workload's high-water mark, `radius_query_into` /
-//! `radius_query_from` / `nearest_into` perform **zero heap
-//! allocations**: probing is
-//! binary search over flat arrays, dedup is the epoch stamp, results
-//! reuse the caller's output vector, and the final ordering is an
-//! in-place sort. A counting global allocator makes that claim a test
-//! instead of a comment.
+//! Once the caller's output vector has grown to the largest answer,
+//! `radius_query_into` / `nearest_into` perform **zero heap
+//! allocations**: probing reads direct-addressed band tables, the
+//! first-band rule needs no visited set, results reuse the caller's
+//! output vector, and the final ordering is an in-place sort. A
+//! counting global allocator makes that claim a test instead of a
+//! comment.
 //!
 //! The whole file is one `#[test]` so the counter is never shared with
 //! a concurrently running test (the test harness runs tests in threads;
@@ -79,19 +78,16 @@ fn steady_state_queries_do_not_allocate() {
 
     // Warmup: drive every buffer (stamps, candidates, output) to its
     // high-water mark over the full query mix.
-    for (i, &q) in hashes.iter().enumerate() {
+    for &q in &hashes {
         mih.radius_query_into(q, 8, &mut scratch, &mut out);
-        mih.radius_query_from(q, 8, i / 2, &mut scratch, &mut out);
         brute.radius_query_into(q, 8, &mut scratch, &mut out);
     }
     let mut nearest = 0usize;
 
     let before = allocations();
-    for (i, &q) in hashes.iter().enumerate() {
+    for &q in &hashes {
         mih.radius_query_into(q, 8, &mut scratch, &mut out);
-        mih.radius_query_from(q, 8, i / 2, &mut scratch, &mut out);
         brute.radius_query_into(q, 8, &mut scratch, &mut out);
-        brute.radius_query_from(q, 8, i / 2, &mut scratch, &mut out);
         nearest += usize::from(mih.nearest_into(q, 8, &mut scratch, &mut out).is_some());
         nearest += usize::from(brute.nearest_into(q, 8, &mut scratch, &mut out).is_some());
     }

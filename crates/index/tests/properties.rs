@@ -1,16 +1,21 @@
 //! Property-based tests: all engines agree with brute force on
-//! arbitrary workloads, across radii and duplicate patterns.
+//! arbitrary workloads, across radii and duplicate patterns, and the
+//! ε-graph self-join equals a brute-force all-pairs graph.
 
 #![allow(clippy::needless_range_loop)]
 
 mod oracle;
 
+use meme_index::mih::band_count;
 use meme_index::{
-    symmetric_neighbors, BruteForceIndex, HammingIndex, HashGroups, MihIndex, QueryScratch,
+    distinct_neighbors, symmetric_neighbors, BruteForceIndex, FallbackIndex, HammingIndex,
+    HashGroups, MihIndex, QueryScratch,
 };
 use meme_phash::PHash;
-use oracle::all_neighbors;
+use meme_stats::seeded_rng;
+use oracle::{all_neighbors, all_pairs_graph};
 use proptest::prelude::*;
+use rand::RngExt;
 
 fn hashes_strategy() -> impl Strategy<Value = Vec<PHash>> {
     prop::collection::vec(any::<u64>().prop_map(PHash), 0..150)
@@ -84,12 +89,6 @@ fn assert_engines_agree_through_scratch(
         prop_assert_eq!(&out, &expected, "brute scratch r={}", radius);
         mih.radius_query_into(q, radius, &mut scratch, &mut out);
         prop_assert_eq!(&out, &expected, "mih scratch r={}", radius);
-        let start = hashes.len() / 2;
-        let tail: Vec<usize> = expected.iter().copied().filter(|&i| i >= start).collect();
-        mih.radius_query_from(q, radius, start, &mut scratch, &mut out);
-        prop_assert_eq!(&out, &tail, "mih from r={}", radius);
-        brute.radius_query_from(q, radius, start, &mut scratch, &mut out);
-        prop_assert_eq!(&out, &tail, "brute from r={}", radius);
     }
 }
 
@@ -211,5 +210,125 @@ proptest! {
                 prop_assert!(j != i, "self-loop at {i}");
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The ε-graph oracle: `distinct_neighbors` against all pairs.
+
+/// `n` distinct-ish hashes of one corpus family, drawn from `seed`:
+/// 0 clustered (centres plus up to 6 flips), 1 duplicate-heavy (a few
+/// values, most of them repeated, some one flip from another), 2
+/// adversarial (random background plus pairs built against the band
+/// layout [`band_count`] gives `n` hashes at `radius`).
+fn oracle_corpus(kind: u8, n: usize, radius: u32, seed: u64) -> Vec<PHash> {
+    let mut rng = seeded_rng(seed);
+    let mut out: Vec<PHash> = Vec::with_capacity(n);
+    match kind {
+        0 => {
+            while out.len() < n {
+                let center = PHash(rng.random());
+                for _ in 0..rng.random_range(1..12usize) {
+                    let flips: Vec<u8> = (0..rng.random_range(0..=6usize))
+                        .map(|_| rng.random_range(0..64u8))
+                        .collect();
+                    out.push(center.with_flipped_bits(&flips));
+                }
+            }
+        }
+        1 => {
+            while out.len() < n {
+                let h = match out.last() {
+                    Some(&prev) if rng.random_bool(0.3) => {
+                        prev.with_flipped_bits(&[rng.random_range(0..64u8)])
+                    }
+                    _ => PHash(rng.random()),
+                };
+                let copies = rng.random_range(1..6usize);
+                out.extend(std::iter::repeat_n(h, copies));
+            }
+        }
+        _ => {
+            let m = band_count(n, radius);
+            // MihIndex's layout: the first 64 % m bands get an extra bit.
+            let (base, extra) = (64 / m, 64 % m);
+            let bands: Vec<(u32, u32)> = (0..m)
+                .scan(0u32, |shift, i| {
+                    let width = base + u32::from(i < extra);
+                    *shift += width;
+                    Some((*shift - width, width))
+                })
+                .collect();
+            let sub = radius / m;
+            while out.len() < n {
+                let h = PHash(rng.random());
+                out.push(h);
+                // Flips in one band only: at the radius and just past it.
+                let (shift, width) = bands[rng.random_range(0..bands.len())];
+                for d in [radius, radius + 1] {
+                    let flips: Vec<u8> = (shift..shift + d.min(width)).map(|b| b as u8).collect();
+                    out.push(h.with_flipped_bits(&flips));
+                }
+                // First within the sub-radius in the last band: `sub + 1`
+                // flips in every earlier band while the budget lasts, then
+                // at most `sub` in the last, at the radius and just past.
+                for budget in [radius, radius + 1] {
+                    let mut flips = Vec::new();
+                    let mut left = budget;
+                    for (b, &(shift, width)) in bands.iter().enumerate() {
+                        let want = if b + 1 == bands.len() {
+                            left
+                        } else {
+                            (sub + 1).min(left)
+                        };
+                        let take = want.min(width);
+                        let start = rng.random_range(0..=width - take);
+                        flips.extend((shift + start..shift + start + take).map(|bit| bit as u8));
+                        left -= take;
+                    }
+                    out.push(h.with_flipped_bits(&flips));
+                }
+            }
+        }
+    }
+    out.truncate(n);
+    out
+}
+
+proptest! {
+    #[test]
+    fn distinct_neighbors_equal_the_all_pairs_graph(
+        kind in 0u8..3,
+        large in any::<bool>(),
+        radius in 0u32..=12,
+        seed in any::<u64>(),
+    ) {
+        // Small corpora keep r + 1 bands; large ones (≥ 256 distinct
+        // hashes) get fewer, so the join runs at sub-radius 1.
+        let n = if large { 320 + (seed % 400) as usize } else { 8 + (seed % 120) as usize };
+        let hashes = oracle_corpus(kind, n, radius, seed);
+        let groups = HashGroups::new(&hashes);
+        let expected = all_pairs_graph(groups.unique(), radius);
+        let pairs = expected.iter().map(Vec::len).sum::<usize>() / 2;
+        let mih = MihIndex::new(groups.unique().to_vec(), radius);
+        let brute = BruteForceIndex::new(groups.unique().to_vec());
+        let fallback = FallbackIndex::build(groups.unique().to_vec(), radius);
+        let bands = band_count(groups.len_unique(), radius);
+        let ctx = format!("kind {kind} n {n} r {radius} bands {bands}");
+        let mut mih_stats = Vec::new();
+        for threads in [1, 2, 8] {
+            let (via_mih, stats) = distinct_neighbors(&mih, &groups, radius, threads);
+            prop_assert_eq!(&via_mih, &expected, "mih {} threads {}", ctx, threads);
+            prop_assert_eq!(stats.unique_pairs as usize, pairs, "{}", ctx);
+            prop_assert!(stats.unique_pairs <= stats.verified && stats.verified <= stats.candidates);
+            mih_stats.push(stats);
+            let (via_brute, stats) = distinct_neighbors(&brute, &groups, radius, threads);
+            prop_assert_eq!(&via_brute, &expected, "brute {} threads {}", ctx, threads);
+            prop_assert_eq!(stats.unique_pairs as usize, pairs, "{}", ctx);
+            let (via_fallback, _) = distinct_neighbors(&fallback, &groups, radius, threads);
+            prop_assert_eq!(&via_fallback, &expected, "fallback {} threads {}", ctx, threads);
+        }
+        // The work counters do not depend on the thread count either.
+        prop_assert!(mih_stats.windows(2).all(|w| w[0] == w[1]), "{}", ctx);
     }
 }

@@ -1,10 +1,11 @@
 //! End-to-end observability: a metrics-enabled pipeline run must export
 //! JSON that (a) passes the shared DESIGN.md §7 schema validator and
 //! (b) carries the per-stage spans, throughput gauges, Hawkes EM
-//! counters, and degradation counters the acceptance criteria promise.
+//! counters and fit-quality histogram, and degradation counters the
+//! acceptance criteria promise.
 
 use origins_of_memes::core::checkpoint::{prev_checkpoint_path, StageId};
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, FIT_BETA};
+use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, FIT_BETA, WORST_FITS};
 use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::metrics::{Metrics, Registry};
 use origins_of_memes::observability::validate_metrics_json;
@@ -53,6 +54,23 @@ fn metrics_export_passes_schema_validation_and_covers_the_run() {
     );
     let em = &snap.histograms["hawkes.em_iterations"];
     assert_eq!(em.count, snap.counters["hawkes.clusters_fitted"]);
+    // Per-cluster fit quality is one histogram plus the worst few by
+    // name: the set of metric names does not grow with the clusters.
+    let ll = &snap.histograms["hawkes.log_likelihood_per_event"];
+    assert_eq!(ll.count, snap.counters["hawkes.clusters_fitted"]);
+    assert!(!snap.gauges.keys().any(|k| k.starts_with("hawkes.cluster.")));
+    let named = snap
+        .gauges
+        .keys()
+        .filter(|k| k.starts_with("hawkes.worst_fit."))
+        .count() as u64;
+    assert_eq!(
+        named,
+        2 * snap.counters["hawkes.clusters_fitted"].min(WORST_FITS as u64)
+    );
+    let worst =
+        |rank: usize| snap.gauges[&format!("hawkes.worst_fit.{rank}.log_likelihood_per_event")];
+    assert!(worst(0) <= worst(1), "worst first");
 }
 
 #[test]
