@@ -61,8 +61,8 @@ pub fn simulate_panel(
             };
             votes[usize::from(observed)] += 1;
         }
-        // lint:allow(panic-reachable): votes is [usize; 2], indices 0/1 in range by construction
-        let majority_says_correct = votes[1] > votes[0];
+        let [incorrect, correct] = votes;
+        let majority_says_correct = correct > incorrect;
         if majority_says_correct == t {
             majority_correct += 1;
         }

@@ -124,26 +124,18 @@ impl Clustering {
     /// A clustering from stored labels (`None` = noise), validated as
     /// [`try_dbscan`] would have produced it: every label lies in
     /// `0..n_clusters` ([`ClusterError::InvalidLabel`]) and every cluster
-    /// id has a member ([`ClusterError::EmptyCluster`]). Checkpoint
-    /// decoders build their clustering through it.
+    /// id has a member ([`ClusterError::EmptyCluster`]). The checkpoint
+    /// decoder builds its clustering through it.
     pub fn try_new(labels: Vec<Option<usize>>, n_clusters: usize) -> Result<Self, ClusterError> {
-        let clustering = Self { labels, n_clusters };
-        clustering.validate()?;
-        Ok(clustering)
-    }
-
-    /// Check the invariants [`Clustering::try_new`] establishes, for a
-    /// clustering that arrived some other way (a deserialized one).
-    pub fn validate(&self) -> Result<(), ClusterError> {
         // More clusters than items leaves one memberless; checked before
         // sizing the table by a count that may come from hostile bytes.
-        if self.n_clusters > self.labels.len() {
+        if n_clusters > labels.len() {
             return Err(ClusterError::EmptyCluster {
-                cluster: self.labels.len(),
+                cluster: labels.len(),
             });
         }
-        let mut seen = vec![false; self.n_clusters];
-        for (item, l) in self.labels.iter().enumerate() {
+        let mut seen = vec![false; n_clusters];
+        for (item, l) in labels.iter().enumerate() {
             if let Some(label) = *l {
                 match seen.get_mut(label) {
                     Some(s) => *s = true,
@@ -151,7 +143,7 @@ impl Clustering {
                         return Err(ClusterError::InvalidLabel {
                             item,
                             label,
-                            n_clusters: self.n_clusters,
+                            n_clusters,
                         })
                     }
                 }
@@ -159,7 +151,7 @@ impl Clustering {
         }
         match seen.iter().position(|s| !s) {
             Some(cluster) => Err(ClusterError::EmptyCluster { cluster }),
-            None => Ok(()),
+            None => Ok(Self { labels, n_clusters }),
         }
     }
 
@@ -194,16 +186,6 @@ impl Clustering {
             return 0.0;
         }
         self.noise_count() as f64 / self.labels.len() as f64
-    }
-
-    /// Item indices of one cluster.
-    pub fn members(&self, cluster: usize) -> Vec<usize> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l == Some(cluster))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// All clusters as member lists, indexed by cluster id.
@@ -537,10 +519,10 @@ mod tests {
     }
 
     #[test]
-    fn members_and_all_members_agree() {
+    fn try_members_and_all_members_agree() {
         let edges = [(0, 1), (0, 2), (1, 2)];
         let c = try_dbscan(&adjacency(4, &edges), 3).unwrap();
-        assert_eq!(c.members(0), vec![0, 1, 2]);
+        assert_eq!(c.try_members().unwrap(), vec![vec![0, 1, 2]]);
         assert_eq!(c.all_members(), vec![vec![0, 1, 2]]);
         assert_eq!(c.labels()[3], None);
     }
@@ -563,7 +545,7 @@ mod tests {
         let medoids = c.try_medoids(&hashes).unwrap();
         assert_eq!(medoids.len(), 2);
         // Medoid of the first cluster is one of its members.
-        assert!(c.members(0).contains(&medoids[0]));
+        assert!(c.try_members().unwrap()[0].contains(&medoids[0]));
     }
 
     #[test]

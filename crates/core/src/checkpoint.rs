@@ -27,11 +27,11 @@
 //! it decoded or wrote and a persist encodes only the stage that just
 //! finished. Files go through a uniquely-named temp file renamed into
 //! place, with the previous generation kept as `<path>.prev` for
-//! rollback. [`decode_checkpoint`] reads v3 and the older v2 envelope
-//! (one CRC over one JSON document, no longer written), and classifies
-//! every defect as **torn** (truncated or garbled bytes, a CRC or
-//! length mismatch, a missing, duplicate, unknown or misplaced section,
-//! a field that does not decode) or **stale** (another schema version);
+//! rollback. [`decode_checkpoint`] reads v3 only, and classifies every
+//! defect as **torn** (truncated or garbled bytes, a CRC or length
+//! mismatch, a missing, duplicate, unknown or misplaced section, a field
+//! that does not decode) or **stale** (another schema version: a v2
+//! envelope, a pre-envelope v1 file);
 //! [`fsck_bytes`] adds **mismatched** (wrong dataset or configuration)
 //! for the `memes fsck` subcommand. Persistence is routed through the
 //! [`CheckpointMedium`] trait so the chaos suite can inject write
@@ -70,8 +70,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// on demand from a completed [`PipelineOutput`] by its one entry point,
 /// [`PipelineOutput::estimate_influence`]`(dataset, beta, metrics)`.
 ///
-/// A checkpoint records a stage by name — [`StageId::name`] (`"hash"`)
-/// in v3, the variant name (`"Hash"`) in v2 — never by position, and [`Checkpoint::next_stage`] /
+/// A checkpoint records a stage by its [`StageId::name`] (`"hash"`),
+/// never by position, and [`Checkpoint::next_stage`] /
 /// [`Checkpoint::is_complete`] test membership, so a checkpoint written
 /// under the older `hash`-first order resumes by running what it lacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,7 +129,7 @@ impl fmt::Display for StageId {
 /// Every field starts `None` and is filled by exactly one stage; the
 /// assembled [`PipelineOutput`] requires all of them. Degradations are
 /// appended by whichever stage had to fall back.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StageState {
     /// Stage `hash`: pHash per post, aligned with `dataset.posts`.
     pub post_hashes: Option<Vec<PHash>>,
@@ -156,8 +156,6 @@ pub struct StageState {
     /// Poison items diverted to quarantine so far, in stage order
     /// (checkpointed so a resumed run keeps its dead-letter record; the
     /// batch is summarised in `degradations`, not in the output).
-    /// Always present in v2 and v3 files — pre-envelope checkpoints are
-    /// rejected as stale before deserialization.
     pub quarantined: Vec<QuarantineEntry>,
 }
 
@@ -188,7 +186,7 @@ impl StageState {
 }
 
 /// A snapshot of a run after some prefix of completed stages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Fingerprint of the dataset the run was started on.
     pub dataset_fingerprint: u64,
@@ -221,18 +219,6 @@ impl Checkpoint {
         StageId::ALL
             .into_iter()
             .find(|s| !self.completed.contains(s))
-    }
-
-    /// Serialize the checkpoint to one JSON document — the payload of a
-    /// v2 file ([`encode_checkpoint`] writes the v3 on-disk format).
-    pub fn to_json(&self) -> String {
-        // lint:allow(panic-reachable): vendored serde serialization of plain structs is infallible
-        serde_json::to_string(self).expect("checkpoint serializes")
-    }
-
-    /// Restore a checkpoint payload saved with [`Checkpoint::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 
     /// The completed run this checkpoint carries. The serving layer
@@ -274,9 +260,9 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
 // On-disk format: `MEMES-CKPT v3`, one framed section per stage
 // ---------------------------------------------------------------------
 
-/// Schema version of the checkpoints this build writes. v2 files (one
-/// CRC over one JSON document) are still read; any other version
-/// decodes as [`CheckpointDefect::Stale`].
+/// Schema version of the checkpoints this build writes and the only one
+/// it reads: any other version, v2's JSON envelope included, decodes as
+/// [`CheckpointDefect::Stale`].
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 
 const CKPT_MAGIC: &str = "MEMES-CKPT";
@@ -375,7 +361,7 @@ pub enum CheckpointDefect {
         detail: String,
     },
     /// The file is a well-formed checkpoint from a schema version this
-    /// build does not read (including pre-envelope v1 files).
+    /// build does not read (v2 envelopes, pre-envelope v1 files).
     Stale {
         /// Which version was found.
         detail: String,
@@ -602,11 +588,9 @@ fn put_stage(out: &mut Vec<u8>, stage: StageId, state: &StageState, ledger: Ledg
 #[derive(Debug)]
 pub(crate) struct Decoded {
     pub(crate) ckpt: Checkpoint,
-    /// The file's schema version.
-    pub(crate) version: u32,
     /// Where the file's stage sections start, when a later persist may
-    /// copy them: `None` for a v2 file, whose first persist encodes
-    /// every stage as v3.
+    /// copy them: `None` when the header carries ledger entries, so the
+    /// first persist encodes every stage afresh.
     pub(crate) sections_at: Option<usize>,
 }
 
@@ -626,8 +610,7 @@ impl Sections {
     }
 }
 
-/// Decode and verify a checkpoint (v3, or a v2 file written by an
-/// older build), classifying every failure as
+/// Decode and verify a v3 checkpoint, classifying every failure as
 /// [`CheckpointDefect::Torn`] or [`CheckpointDefect::Stale`] — never a
 /// panic, and never a silent success on damaged bytes.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, CheckpointDefect> {
@@ -652,12 +635,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Decoded, CheckpointDefect> {
     let body = line_end.map_or(&[][..], |i| bytes.get(i + 1..).unwrap_or_default());
     match version {
         3 if line_end.is_some() && line.len() + 1 == V3_MAGIC_LINE.len() => decode_v3(body),
-        2 => decode_v2(line, body),
         3 => Err(torn("v3 magic line is truncated or garbled")),
         _ => Err(CheckpointDefect::Stale {
-            detail: format!(
-                "schema v{version}; this build reads v{CHECKPOINT_SCHEMA_VERSION} and v2"
-            ),
+            detail: format!("schema v{version}; this build reads v{CHECKPOINT_SCHEMA_VERSION}"),
         }),
     }
 }
@@ -963,7 +943,6 @@ fn decode_v3(body: &[u8]) -> Result<Decoded, CheckpointDefect> {
             completed,
             state,
         },
-        version: 3,
         sections_at: reusable.then_some(sections_at),
     })
 }
@@ -977,63 +956,6 @@ fn misplaced(found: &str, expected: StageId, decoded: &[StageId]) -> String {
         Some(_) => format!("section `{found}` is out of order: `{expected}` belongs here"),
         None => format!("unknown section `{found}` where `{expected}` belongs"),
     }
-}
-
-/// Decode a v2 file (`MEMES-CKPT v2 crc32=<hex8> len=<N>` over one
-/// JSON document), which this build reads but no longer writes.
-fn decode_v2(line: &str, payload: &[u8]) -> Result<Decoded, CheckpointDefect> {
-    let Some((crc, len)) = parse_v2_header(line) else {
-        return Err(torn("envelope header is truncated or garbled"));
-    };
-    if payload.len() != len {
-        return Err(torn(format!(
-            "payload is {} byte(s), header expects {len} — truncated or overwritten",
-            payload.len()
-        )));
-    }
-    let actual = crc32(payload);
-    if actual != crc {
-        return Err(torn(format!(
-            "payload CRC {actual:08x} does not match header CRC {crc:08x}"
-        )));
-    }
-    let text = std::str::from_utf8(payload)
-        // lint:allow(untyped-error): maps into the typed CheckpointDefect classification
-        .map_err(|e| torn(format!("payload is not UTF-8: {e}")))?;
-    // lint:allow(untyped-error): maps into the typed CheckpointDefect classification
-    let ckpt = Checkpoint::from_json(text).map_err(|e| {
-        torn(format!(
-            "envelope verifies but payload does not decode: {e}"
-        ))
-    })?;
-    for (i, stage) in ckpt.completed.iter().enumerate() {
-        if ckpt.completed.get(..i).unwrap_or_default().contains(stage) {
-            return Err(torn(format!("payload lists stage `{stage}` twice")));
-        }
-    }
-    if let Some(clustering) = &ckpt.state.clustering {
-        clustering
-            .validate()
-            // lint:allow(untyped-error): maps into the typed CheckpointDefect classification
-            .map_err(|e| torn(format!("payload clustering: {e}")))?;
-    }
-    Ok(Decoded {
-        ckpt,
-        version: 2,
-        sections_at: None,
-    })
-}
-
-/// Parse the CRC and length of `MEMES-CKPT v2 crc32=<hex8> len=<N>`.
-fn parse_v2_header(line: &str) -> Option<(u32, usize)> {
-    let rest = line.strip_prefix(CKPT_MAGIC)?.strip_prefix(" v2 ")?;
-    let mut parts = rest.split(' ');
-    let crc = u32::from_str_radix(parts.next()?.strip_prefix("crc32=")?, 16).ok()?;
-    let len: usize = parts.next()?.strip_prefix("len=")?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((crc, len))
 }
 
 /// Classify bytes with no parseable version line: a recognizable
@@ -1266,8 +1188,8 @@ pub struct FsckReport {
 /// configuration to additionally detect [`FsckClass::Mismatched`]; with
 /// `None`, an intact checkpoint from *any* run is [`FsckClass::Clean`].
 pub fn fsck_bytes(bytes: &[u8], expect: Option<(u64, &PipelineConfig)>) -> FsckReport {
-    let (ckpt, version) = match decode(bytes) {
-        Ok(d) => (d.ckpt, d.version),
+    let ckpt = match decode(bytes) {
+        Ok(d) => d.ckpt,
         Err(CheckpointDefect::Torn { detail }) => {
             return FsckReport {
                 class: FsckClass::Torn,
@@ -1306,7 +1228,7 @@ pub fn fsck_bytes(bytes: &[u8], expect: Option<(u64, &PipelineConfig)>) -> FsckR
     FsckReport {
         class: FsckClass::Clean,
         detail: format!(
-            "v{version}, {} of {} stage(s) completed",
+            "v{CHECKPOINT_SCHEMA_VERSION}, {} of {} stage(s) completed",
             completed.len(),
             StageId::ALL.len()
         ),
@@ -1349,14 +1271,10 @@ pub(crate) fn record_throughput(metrics: &meme_metrics::Metrics, stage: StageId,
     let per_sec = |counter: &str| metrics.counter(counter) as f64 / elapsed;
     match stage {
         StageId::Hash => metrics.gauge("hash.images_per_sec", per_sec("hash.images")),
-        StageId::Cluster => metrics.gauge(
-            "cluster.neighbor_queries_per_sec",
-            per_sec("cluster.neighbor_queries"),
-        ),
         StageId::Associate => {
             metrics.gauge("associate.queries_per_sec", per_sec("associate.posts"));
         }
-        StageId::Site | StageId::Annotate => {}
+        StageId::Site | StageId::Cluster | StageId::Annotate => {}
     }
 }
 
@@ -1478,26 +1396,29 @@ mod tests {
         assert!(bytes.starts_with(V3_MAGIC_LINE));
         let back = decode_checkpoint(&bytes).expect("clean envelope decodes");
         assert_eq!(back.dataset_fingerprint, ckpt.dataset_fingerprint);
-        assert_eq!(back.to_json(), ckpt.to_json());
+        assert_eq!(encode_checkpoint(&back), bytes);
 
-        let full = completed_checkpoint();
-        let back = decode_checkpoint(&encode_checkpoint(&full)).unwrap();
-        assert_eq!(back.to_json(), full.to_json());
+        let full = encode_checkpoint(&completed_checkpoint());
+        let back = decode_checkpoint(&full).unwrap();
+        assert_eq!(encode_checkpoint(&back), full);
     }
 
     #[test]
     fn absent_fields_and_none_entries_round_trip() {
-        // Completed stages whose fields are unset (hand-built or v2
-        // files can hold them), `None` index entries, and the ledger of
-        // a checkpoint without sections all survive v3.
+        // Completed stages whose fields are unset (hand-built files can
+        // hold them), `None` index entries, and the ledger of a
+        // checkpoint without sections all survive v3.
         let mut ckpt = completed_checkpoint();
         ckpt.state.clustering = None;
         ckpt.state.site = None;
         ckpt.state.screenshot_metrics = None;
         ckpt.state.entry_meme_ids = Some(vec![None, Some(3), None]);
         ckpt.state.occurrences = Some(vec![Some(0), None]);
-        let back = decode_checkpoint(&encode_checkpoint(&ckpt)).unwrap();
-        assert_eq!(back.to_json(), ckpt.to_json());
+        let bytes = encode_checkpoint(&ckpt);
+        assert_eq!(
+            encode_checkpoint(&decode_checkpoint(&bytes).unwrap()),
+            bytes
+        );
 
         ckpt.completed.clear();
         ckpt.state = StageState {
@@ -1506,8 +1427,11 @@ mod tests {
             }],
             ..StageState::default()
         };
-        let back = decode_checkpoint(&encode_checkpoint(&ckpt)).unwrap();
-        assert_eq!(back.to_json(), ckpt.to_json());
+        let bytes = encode_checkpoint(&ckpt);
+        assert_eq!(
+            encode_checkpoint(&decode_checkpoint(&bytes).unwrap()),
+            bytes
+        );
     }
 
     #[test]
@@ -1544,15 +1468,29 @@ mod tests {
         ));
     }
 
+    /// A pre-envelope (v1) file: the bare JSON document of a checkpoint.
+    const V1_FILE: &str = r#"{"dataset_fingerprint":24301,"config":{"theta":8},"completed":["Hash"],"state":{"post_hashes":[0]}}"#;
+
     #[test]
-    fn pre_envelope_checkpoints_are_stale_not_torn() {
-        let dataset = SimConfig::tiny(21).generate();
-        let ckpt = Checkpoint::fresh(&dataset, PipelineConfig::fast());
-        // A v1 file was the bare JSON payload.
-        let defect = decode_checkpoint(ckpt.to_json().as_bytes()).expect_err("v1 must not decode");
+    fn pre_envelope_and_older_checkpoints_are_stale_not_torn() {
+        let defect = decode_checkpoint(V1_FILE.as_bytes()).expect_err("v1 must not decode");
         assert!(matches!(defect, CheckpointDefect::Stale { .. }), "{defect}");
+        // A v2 envelope (one CRC over one JSON document) is stale too,
+        // whatever its body.
+        let v2 = format!(
+            "{CKPT_MAGIC} v2 crc32={:08x} len={}\n{V1_FILE}",
+            crc32(V1_FILE.as_bytes()),
+            V1_FILE.len()
+        );
+        assert_eq!(
+            decode_checkpoint(v2.as_bytes()).expect_err("v2 must not decode"),
+            CheckpointDefect::Stale {
+                detail: "schema v2; this build reads v3".to_string()
+            }
+        );
         // As is a well-formed file from a future schema version.
-        let bytes = encode_checkpoint(&ckpt);
+        let dataset = SimConfig::tiny(21).generate();
+        let bytes = encode_checkpoint(&Checkpoint::fresh(&dataset, PipelineConfig::fast()));
         let mut future = format!("{CKPT_MAGIC} v{}\n", CHECKPOINT_SCHEMA_VERSION + 1).into_bytes();
         future.extend_from_slice(&bytes[V3_MAGIC_LINE.len()..]);
         assert!(matches!(
@@ -1617,7 +1555,7 @@ mod tests {
         let torn = fsck_bytes(&bytes[..bytes.len() / 2], Some((fp, &config)));
         assert_eq!(torn.class, FsckClass::Torn);
 
-        let stale = fsck_bytes(ckpt.to_json().as_bytes(), Some((fp, &config)));
+        let stale = fsck_bytes(V1_FILE.as_bytes(), Some((fp, &config)));
         assert_eq!(stale.class, FsckClass::Stale);
 
         let wrong_fp = dataset_fingerprint(&other);

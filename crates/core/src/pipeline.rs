@@ -475,7 +475,7 @@ impl Pipeline {
             .collect();
         let fringe_hashes: Vec<PHash> = fringe_posts.iter().map(|&i| post_hashes[i]).collect();
         // Collapse exact re-posts before indexing: the index holds one
-        // entry per distinct hash, queries run once per distinct hash,
+        // entry per distinct hash, the ε-graph joins distinct hashes,
         // and DBSCAN runs on the distinct-hash adjacency; per-post
         // labels come from one expansion through the owner table.
         let groups = HashGroups::new(&fringe_hashes);
@@ -484,8 +484,6 @@ impl Pipeline {
         let index = self.build_index(groups.unique().to_vec(), self.config.dbscan.eps, "cluster");
         self.metrics
             .add("cluster.fringe_posts", fringe_posts.len() as u64);
-        self.metrics
-            .add("cluster.neighbor_queries", groups.len_unique() as u64);
         let (adjacency, nstats) =
             distinct_neighbors(&index, &groups, self.config.dbscan.eps, self.config.threads);
         self.record_neighbor_stats(&nstats);
@@ -1060,11 +1058,13 @@ impl PipelineOutput {
     /// cluster ids are out of range (a mangled artifact) is an `Err`.
     ///
     /// Records the Step-7 span (`pipeline/influence`), per-run EM
-    /// iteration counts (total + histogram), the final log-likelihood
-    /// per event of every fitted cluster as one histogram plus the
-    /// [`WORST_FITS`] lowest by cluster id (`hawkes.worst_fit.<rank>.*`),
-    /// and a `degradation.hawkes_cluster_skipped` counter per skip; pass
-    /// a disabled [`Metrics`] to record nothing.
+    /// iteration counts (total + histogram), the fits that stopped at
+    /// the iteration budget (`hawkes.clusters_unconverged`), the final
+    /// log-likelihood per event of every fitted cluster as one histogram
+    /// plus the [`WORST_FITS`] lowest by cluster id
+    /// (`hawkes.worst_fit.<rank>.*`), and a
+    /// `degradation.hawkes_cluster_skipped` counter per skip; pass a
+    /// disabled [`Metrics`] to record nothing.
     pub fn estimate_influence(
         &self,
         dataset: &Dataset,
@@ -1080,6 +1080,8 @@ impl PipelineOutput {
         metrics.add("hawkes.clusters_total", streams.len() as u64);
         metrics.add("hawkes.clusters_fitted", robust.fit_stats.len() as u64);
         metrics.add("hawkes.clusters_skipped", robust.skipped.len() as u64);
+        let unconverged = robust.fit_stats.iter().filter(|fit| !fit.converged);
+        metrics.add("hawkes.clusters_unconverged", unconverged.count() as u64);
         let mut iterations_total = 0u64;
         let mut ll_total = 0.0f64;
         for fit in &robust.fit_stats {

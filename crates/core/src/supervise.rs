@@ -848,8 +848,8 @@ mod tests {
         // site, annotate, associate: a checkpoint from then lists `hash`
         // (and maybe `cluster`) as done and carries no site. Resuming
         // one must run `site` and reproduce a fresh run byte for byte.
-        // Such files are v2 envelopes; both formats record stages by
-        // name, so the variant order of `StageId` plays no part.
+        // Checkpoints record stages by name, so the variant order of
+        // `StageId` plays no part.
         use meme_metrics::{Metrics, Registry};
 
         let dataset = SimConfig::tiny(24).generate();
@@ -870,13 +870,7 @@ mod tests {
             old.state.site = None;
             old.state.entry_meme_ids = None;
             old.state.screenshot_metrics = None;
-            let json = old.to_json();
-            let v2 = format!(
-                "MEMES-CKPT v2 crc32={:08x} len={}\n{json}",
-                crate::checkpoint::crc32(json.as_bytes()),
-                json.len()
-            );
-            fs::write(&path, v2).unwrap();
+            fs::write(&path, crate::checkpoint::encode_checkpoint(&old)).unwrap();
             let registry = Arc::new(Registry::new());
             let metrics = Metrics::from_registry(Arc::clone(&registry));
             let resumed = SupervisedRunner::new(pipeline.clone().with_metrics(metrics.clone()))

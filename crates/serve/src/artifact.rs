@@ -4,9 +4,9 @@
 //! the `PipelineOutput` JSON export (`memes run --out run.json`) and a
 //! completed checkpoint (`memes run --checkpoint run.ckpt`, once every
 //! stage has run). Checkpoints are `MEMES-CKPT v3` files — a header
-//! and one CRC-checked section per stage — or, read-only, the v2
-//! envelope (one CRC over one JSON document) that older builds wrote.
-//! The format is sniffed from the leading bytes — checkpoints announce
+//! and one CRC-checked section per stage; a checkpoint of any other
+//! schema version, such as the v2 envelope older builds wrote, is
+//! refused as stale. The format is sniffed from the leading bytes — checkpoints announce
 //! themselves with the `MEMES-CKPT` magic — so callers just hand over a
 //! path.
 
@@ -15,8 +15,8 @@ use meme_core::checkpoint::decode_checkpoint;
 use meme_core::pipeline::PipelineOutput;
 use std::path::Path;
 
-/// The checkpoint magic (`MEMES-CKPT v3`, or `MEMES-CKPT v2 …` from an
-/// older build); see DESIGN.md §11.
+/// The checkpoint magic, followed by the schema version; see
+/// DESIGN.md §11.
 const CKPT_MAGIC: &[u8] = b"MEMES-CKPT";
 
 /// Read a completed run from `path`, in either artifact format.
@@ -49,7 +49,7 @@ pub fn load_output(path: &Path) -> Result<PipelineOutput, ServeError> {
 mod tests {
     use super::*;
     use crate::snapshot::{Snapshot, DEFAULT_THETA};
-    use meme_core::checkpoint::{crc32, decode_checkpoint, Checkpoint};
+    use meme_core::checkpoint::{crc32, Checkpoint, CheckpointDefect};
     use meme_core::pipeline::{Pipeline, PipelineConfig};
     use meme_core::supervise::SupervisedRunner;
     use meme_simweb::SimConfig;
@@ -157,15 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn a_v2_checkpoint_serves_the_same_records_as_its_json() {
-        // The v2 envelope an older build wrote for the same run: one
-        // CRC over the checkpoint's JSON document.
-        let dir = tempdir().join("v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (ckpt_path, json_path) = checkpointed_run(&dir);
-        let json = decode_checkpoint(&std::fs::read(&ckpt_path).unwrap())
-            .unwrap()
-            .to_json();
+    fn a_v2_checkpoint_is_refused_as_stale() {
+        // The v2 envelope older builds wrote: one CRC over one JSON
+        // document. No build reads it any more.
+        let dir = tempdir();
+        let json = crate::testutil::tiny_output().to_json();
         let v2_path = dir.join("run-v2.ckpt");
         std::fs::write(
             &v2_path,
@@ -176,9 +172,9 @@ mod tests {
             ),
         )
         .unwrap();
-        let from_v2 = snapshot_of(&v2_path);
-        let from_json = snapshot_of(&json_path);
-        assert!(!from_json.records().is_empty());
-        assert_eq!(from_v2.records(), from_json.records());
+        assert!(matches!(
+            load_output(&v2_path),
+            Err(ServeError::Checkpoint(CheckpointDefect::Stale { .. }))
+        ));
     }
 }

@@ -11,7 +11,7 @@
 //! Layers, bottom up:
 //!
 //! - [`artifact`]: load a completed run from disk — `PipelineOutput`
-//!   JSON or a completed checkpoint (v3, or v2 read-only), sniffed by magic.
+//!   JSON or a completed v3 checkpoint, sniffed by magic.
 //! - [`Snapshot`]: the artifact recast as an immutable read-optimized
 //!   index (the annotated medoids behind the workspace's
 //!   [`FallbackIndex`](meme_index::FallbackIndex), denormalized

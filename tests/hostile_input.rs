@@ -3,8 +3,8 @@
 //!
 //! One property per kind of input, one assertion each, at the default
 //! case count (`PROPTEST_CASES` raises it; CI runs this file at
-//! 10 000). Covered so far: `decode_checkpoint` on both formats — the
-//! v2 envelope (header, CRC and JSON body) and v3's sections
+//! 10 000). Covered so far: `decode_checkpoint` — on bytes behind a v2
+//! envelope header, which must come back stale, and on v3's sections
 //! (truncation at every section boundary, bit flips inside each
 //! section, garbled frame lines, duplicate, unknown, out-of-order and
 //! missing sections, parts cut short of a whole word, cluster labels
@@ -52,8 +52,8 @@ mod ckpt_v3;
 
 /// A valid envelope around a small checkpoint: two completed stages,
 /// a few post hashes and one degradation.
-fn tiny_envelope() -> (Checkpoint, Vec<u8>) {
-    let ckpt = Checkpoint {
+fn tiny_envelope() -> Vec<u8> {
+    encode_checkpoint(&Checkpoint {
         dataset_fingerprint: 0x5EED,
         config: PipelineConfig::fast(),
         completed: vec![StageId::Hash, StageId::Cluster],
@@ -66,14 +66,13 @@ fn tiny_envelope() -> (Checkpoint, Vec<u8>) {
             }],
             ..StageState::default()
         },
-    };
-    let bytes = encode_checkpoint(&ckpt);
-    (ckpt, bytes)
+    })
 }
 
 /// Arbitrary bytes: bare, behind a v2 header whose length and CRC
-/// match them (so the JSON body parser sees them too), or as the
-/// CRC-correct `header` section of a v3 file (so the part reader does).
+/// match them (a well-formed file of a schema this build does not
+/// read), or as the CRC-correct `header` section of a v3 file (so the
+/// part reader sees them).
 fn envelope_bytes() -> impl Strategy<Value = Vec<u8>> {
     (prop::collection::vec(any::<u8>(), 0..96), 0u8..3).prop_map(|(body, framing)| match framing {
         0 => body,
@@ -94,9 +93,19 @@ fn envelope_bytes() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #[test]
     fn decode_checkpoint_types_every_byte_sequence(bytes in envelope_bytes()) {
-        // No checkpoint's JSON fits in 96 bytes, so none of these may
-        // decode; each must come back as a `CheckpointDefect`.
-        prop_assert!(decode_checkpoint(&bytes).is_err());
+        // No checkpoint fits in 96 bytes, so none of these may decode;
+        // each must come back as a `CheckpointDefect`, and one behind a
+        // v2 header as `Stale`.
+        let v2 = bytes.starts_with(b"MEMES-CKPT v2 ");
+        prop_assert!(
+            match decode_checkpoint(&bytes) {
+                Ok(_) => false,
+                Err(CheckpointDefect::Stale { .. }) => true,
+                Err(CheckpointDefect::Torn { .. }) => !v2,
+            },
+            "{:?}",
+            String::from_utf8_lossy(&bytes)
+        );
     }
 
     #[test]
@@ -106,7 +115,8 @@ proptest! {
         bit in 0u8..8,
         flip in any::<bool>(),
     ) {
-        let (ckpt, mut bytes) = tiny_envelope();
+        let mut bytes = tiny_envelope();
+        let intact = bytes.clone();
         if flip {
             let at = at % bytes.len();
             bytes[at] ^= 1 << bit;
@@ -116,23 +126,23 @@ proptest! {
         // Damage either surfaces as a defect or, where it is only a
         // change of hex case in the header, decodes to the same data.
         prop_assert!(
-            decode_checkpoint(&bytes).map_or(true, |c| c.to_json() == ckpt.to_json()),
+            decode_checkpoint(&bytes).map_or(true, |c| encode_checkpoint(&c) == intact),
             "damaged envelope decoded to different data: {:?}",
             String::from_utf8_lossy(&bytes)
         );
     }
 }
 
-/// A small checkpoint with every stage completed and every field set
-/// (cut from a real tiny run), and its v3 file.
-fn small_v3() -> &'static (Checkpoint, Vec<u8>) {
-    static FILE: OnceLock<(Checkpoint, Vec<u8>)> = OnceLock::new();
+/// The v3 file of a small checkpoint with every stage completed and
+/// every field set (cut from a real tiny run).
+fn small_v3() -> &'static Vec<u8> {
+    static FILE: OnceLock<Vec<u8>> = OnceLock::new();
     FILE.get_or_init(|| {
         let run = tiny_run();
         let mut site = run.site.clone();
         site.entries.truncate(3);
         let (quarantined, _) = quarantine_file();
-        let ckpt = Checkpoint {
+        encode_checkpoint(&Checkpoint {
             dataset_fingerprint: 0x5EED,
             config: PipelineConfig::fast(),
             completed: StageId::ALL.to_vec(),
@@ -155,9 +165,7 @@ fn small_v3() -> &'static (Checkpoint, Vec<u8>) {
                 }],
                 quarantined,
             },
-        };
-        let file = encode_checkpoint(&ckpt);
-        (ckpt, file)
+        })
     })
 }
 
@@ -168,8 +176,8 @@ fn is_torn(bytes: &[u8]) -> bool {
 /// Damage surfaced as a defect, or (a change of hex case in a frame
 /// line) the same data.
 fn typed_or_same(bytes: &[u8]) -> bool {
-    let (ckpt, _) = small_v3();
-    decode_checkpoint(bytes).map_or(true, |c| c.to_json() == ckpt.to_json())
+    let file = small_v3();
+    decode_checkpoint(bytes).map_or(true, |c| encode_checkpoint(&c) == *file)
 }
 
 /// Where each section of `file` starts.
@@ -194,7 +202,7 @@ proptest! {
         bit in 0u8..8,
         flip in any::<bool>(),
     ) {
-        let (_, file) = small_v3();
+        let file = small_v3();
         let starts = section_starts(file);
         let sections = ckpt_v3::sections(file);
         let start = starts[section];
@@ -214,7 +222,7 @@ proptest! {
         at in 0usize..64,
         byte in any::<u8>(),
     ) {
-        let (_, file) = small_v3();
+        let file = small_v3();
         let start = section_starts(file)[section];
         let line_len = file[start..].iter().position(|&b| b == b'\n').unwrap() + 1;
         let mut bytes = file.clone();
@@ -231,7 +239,7 @@ proptest! {
         // Any part, column or JSON, shortened by less than a word and
         // re-framed with a correct CRC: the length no longer matches
         // the data, so the part reader must say torn.
-        let (_, file) = small_v3();
+        let file = small_v3();
         let sections = ckpt_v3::sections(file);
         let payload = ckpt_v3::payload(sections[section].1);
         let parts = ckpt_v3::parts(payload);
@@ -255,7 +263,7 @@ proptest! {
         // The label column is the cluster count, then one label per
         // item; a label at or past the count is torn, not a clustering
         // that panics downstream.
-        let (_, file) = small_v3();
+        let file = small_v3();
         let sections = ckpt_v3::sections(file);
         let i = sections.iter().position(|(n, _)| n == "cluster").unwrap();
         let payload = ckpt_v3::payload(sections[i].1);
@@ -278,7 +286,7 @@ proptest! {
 
 #[test]
 fn decode_v3_types_duplicate_unknown_out_of_order_and_missing_sections() {
-    let (_, file) = small_v3();
+    let file = small_v3();
     let sections: Vec<&[u8]> = ckpt_v3::sections(file)
         .into_iter()
         .map(|(_, s)| s)

@@ -52,6 +52,10 @@ fn metrics_export_passes_schema_validation_and_covers_the_run() {
         snap.counters["hawkes.clusters_fitted"] + snap.counters["hawkes.clusters_skipped"],
         snap.counters["hawkes.clusters_total"]
     );
+    // EM that stops at its iteration budget is counted, not hidden.
+    assert!(
+        snap.counters["hawkes.clusters_unconverged"] <= snap.counters["hawkes.clusters_fitted"]
+    );
     let em = &snap.histograms["hawkes.em_iterations"];
     assert_eq!(em.count, snap.counters["hawkes.clusters_fitted"]);
     // Per-cluster fit quality is one histogram plus the worst few by

@@ -6,7 +6,9 @@ use origins_of_memes::core::checkpoint::{
     crc32, decode_checkpoint, fsck_bytes, prev_checkpoint_path, CheckpointMedium, DiskMedium,
     FsckClass, MediumError, StageId,
 };
-use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use origins_of_memes::core::pipeline::{
+    Degradation, Pipeline, PipelineConfig, PipelineError, PipelineOutput,
+};
 use origins_of_memes::core::supervise::SupervisedRunner;
 use origins_of_memes::simweb::{Dataset, SimConfig};
 use std::path::{Path, PathBuf};
@@ -132,34 +134,66 @@ fn halt_after(pipeline: &Pipeline, dataset: &Dataset, stage: StageId, path: &Pat
         .expect("runner halts cleanly");
 }
 
-#[test]
-fn a_v2_post_hash_checkpoint_resumes_to_the_uninterrupted_run_and_is_rewritten_as_v3() {
-    // The post-hash checkpoint an older build would have written: the
-    // same state as one JSON document under one CRC.
-    let dataset = SimConfig::tiny(5).generate();
-    let pipeline = Pipeline::new(PipelineConfig::fast());
-    let uninterrupted = SupervisedRunner::new(pipeline.clone())
-        .run(&dataset)
-        .expect("pipeline runs")
-        .expect_complete();
-    let path = scratch_path("v2-migration");
-    halt_after(&pipeline, &dataset, StageId::Hash, &path);
-    let json = decode_checkpoint(&std::fs::read(&path).unwrap())
-        .expect("post-hash checkpoint decodes")
-        .to_json();
-    let v2 = format!(
+/// A v2 file (`MEMES-CKPT v2 crc32=<hex8> len=<N>` over one JSON
+/// document) holding the post-hash state of the v3 checkpoint `v3`, as
+/// an older build wrote it.
+fn v2_post_hash_file(v3: &[u8]) -> Vec<u8> {
+    let ckpt = decode_checkpoint(v3).expect("post-hash checkpoint decodes");
+    let json = format!(
+        r#"{{"dataset_fingerprint":{},"config":{},"completed":["Site","Hash"],"state":{{"post_hashes":{}}}}}"#,
+        ckpt.dataset_fingerprint,
+        serde_json::to_string(&ckpt.config).unwrap(),
+        serde_json::to_string(&ckpt.state.post_hashes).unwrap(),
+    );
+    format!(
         "MEMES-CKPT v2 crc32={:08x} len={}\n{json}",
         crc32(json.as_bytes()),
         json.len()
-    );
+    )
+    .into_bytes()
+}
+
+#[test]
+fn a_v2_post_hash_checkpoint_is_stale_and_resume_rolls_back_to_a_v3_prev() {
+    let dataset = SimConfig::tiny(5).generate();
+    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let path = scratch_path("v2-stale");
+    halt_after(&pipeline, &dataset, StageId::Hash, &path);
+    let v3 = std::fs::read(&path).unwrap();
+    let v2 = v2_post_hash_file(&v3);
+    let report = fsck_bytes(&v2, None);
+    assert_eq!(report.class, FsckClass::Stale, "{}", report.detail);
+
+    // With no previous generation, resuming fails typed: never a
+    // silent fresh run.
     remove(&path);
     std::fs::write(&path, &v2).unwrap();
-    assert_eq!(fsck_bytes(v2.as_bytes(), None).class, FsckClass::Clean);
-
-    let resumed = SupervisedRunner::new(pipeline)
+    let err = SupervisedRunner::new(pipeline.clone())
         .with_checkpoint(&path)
         .resume(&dataset)
-        .expect("a v2 checkpoint resumes")
+        .expect_err("a v2 checkpoint does not resume");
+    assert!(
+        matches!(&err, PipelineError::CheckpointCorrupt(detail) if detail.contains("schema v2")),
+        "{err}"
+    );
+
+    // With an intact v3 `.prev`, resuming rolls back to it and converges
+    // to the uninterrupted run.
+    std::fs::write(prev_checkpoint_path(&path), &v3).unwrap();
+    let resumed = SupervisedRunner::new(pipeline.clone())
+        .with_checkpoint(&path)
+        .resume(&dataset)
+        .expect("rollback rescues the v2 checkpoint");
+    assert!(resumed.report.rolled_back, "rollback must be reported");
+    let mut resumed = resumed.expect_complete();
+    let before = resumed.degradations.len();
+    resumed
+        .degradations
+        .retain(|d| !matches!(d, Degradation::CheckpointRolledBack { .. }));
+    assert_eq!(before, resumed.degradations.len() + 1);
+    let uninterrupted = SupervisedRunner::new(pipeline)
+        .run(&dataset)
+        .expect("pipeline runs")
         .expect_complete();
     assert_eq!(resumed.to_json(), uninterrupted.to_json());
     let on_disk = std::fs::read(&path).unwrap();
