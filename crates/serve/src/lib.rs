@@ -22,13 +22,14 @@
 //!   artifact under live traffic; readers pin a generation per lookup
 //!   and never pause.
 //! - [`Server`] + [`ConnRegistry`]: the TCP front end speaking a
-//!   line-delimited JSON [`protocol`]. Each connection's reader is a
-//!   scoped thread of the acceptor and answers its own lookups; the
-//!   registry is the table of live sockets behind the admission cap
-//!   and the drain. The lifecycle is hardened for production: bounded
-//!   request lines, per-line read deadlines, typed load shedding, and a
-//!   drain that wakes every reader so the acceptor's scope joins them
-//!   (DESIGN.md §12).
+//!   line-delimited JSON [`protocol`]. A leader/follower pool of
+//!   threads: the member that accepts a connection serves it and
+//!   answers its lookups, after passing leadership to a spare member;
+//!   the registry is the table of live sockets behind the admission
+//!   cap and the drain. The lifecycle is hardened for production:
+//!   bounded request lines, per-line read deadlines, typed load
+//!   shedding, and a drain that wakes every member so the pool's scope
+//!   joins them (DESIGN.md §12).
 //! - [`BatchQueue`]: a bounded MPMC micro-batch queue that no server
 //!   path uses; the benchmark's `serve.queue_handoff_ns` probe still
 //!   drives it, and it goes once that probe measures elsewhere.

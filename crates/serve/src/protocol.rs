@@ -191,8 +191,9 @@ pub fn render_error(buf: &mut String, detail: &str) {
 }
 
 /// The load-shedding rejection, byte-for-byte: sent at accept time when
-/// the connection cap is reached (or a reader thread cannot be
-/// spawned), just before the close. Clients key on the exact string.
+/// the connection cap is reached (or no pool member can be spawned to
+/// lead in the accepting one's place), just before the close. Clients
+/// key on the exact string.
 pub const OVERLOADED: &str = "{\"error\":\"overloaded\"}";
 
 /// The idle/slow-read rejection, byte-for-byte: sent when a connection

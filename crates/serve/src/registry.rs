@@ -1,12 +1,13 @@
 //! The live-socket table: one stream clone per admitted connection.
 //!
-//! Readers are scoped threads of the acceptor, whose scope joins them;
-//! the table only knows which sockets are live (DESIGN.md §12
-//! "Connection lifecycle and overload"). [`ConnRegistry::admit`]
-//! refuses a connection once `max_conns` are live, and the acceptor
-//! sheds it typed. A reader's [`ConnGuard`] frees its slot on exit,
-//! also while unwinding. [`ConnRegistry::shutdown_all`] wakes every
-//! parked reader for drain. Every change republishes the
+//! The server's pool members are scoped threads of its first member,
+//! whose scope joins them; the table only knows which sockets are live
+//! (DESIGN.md §12 "Connection lifecycle and overload").
+//! [`ConnRegistry::admit`] refuses a connection once `max_conns` are
+//! live, and the leading member sheds it typed. The serving member's
+//! [`ConnGuard`] frees its slot when the connection ends, also while
+//! unwinding. [`ConnRegistry::shutdown_all`] wakes every member parked
+//! on a socket for drain. Every change republishes the
 //! `serve.connections` gauge; sockets are shut down and the gauge set
 //! only outside the table lock.
 
@@ -27,7 +28,7 @@ struct Table {
     next_id: u64,
 }
 
-/// A reader's hold on its slot. Dropping it frees the slot and shuts
+/// A serving member's hold on its slot. Dropping it frees the slot and shuts
 /// the socket down: the table's clone would otherwise keep it open,
 /// and the peer would never see EOF.
 #[derive(Debug)]
@@ -73,14 +74,14 @@ impl ConnRegistry {
         Some(id)
     }
 
-    /// The guard a reader takes first thing for slot `id`.
+    /// The guard a member takes before serving slot `id`.
     pub fn guard(&self, id: u64) -> ConnGuard<'_> {
         ConnGuard { registry: self, id }
     }
 
     /// Take slot `id`'s stream clone out of the table, freeing the
-    /// slot: a reader's guard on exit, or the acceptor when no reader
-    /// could be spawned for it.
+    /// slot: a member's guard when its connection ends, or the leader
+    /// when no member could be spawned to lead in its place.
     pub fn take(&self, id: u64) -> Option<TcpStream> {
         let taken = {
             let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
@@ -98,7 +99,7 @@ impl ConnRegistry {
     }
 
     /// Empty the table and shut every socket in it down:
-    /// `Shutdown::Both` wakes a reader parked in `read` or `write` at
+    /// `Shutdown::Both` wakes a member parked in `read` or `write` at
     /// once, with no waiting out a timeout.
     pub fn shutdown_all(&self) {
         let live = {
@@ -111,7 +112,7 @@ impl ConnRegistry {
         self.publish();
     }
 
-    /// Set `serve.connections` to the live count. Two readers leaving
+    /// Set `serve.connections` to the live count. Two members leaving
     /// at once can write their counts out of order, so each re-reads
     /// after writing and writes again if the count moved.
     fn publish(&self) {

@@ -1,37 +1,40 @@
 //! The TCP query server.
 //!
-//! Dependency-free networking on `std::net`: an acceptor thread hands
-//! each connection to its own reader thread, and the reader answers
-//! every request on that connection itself. A lookup is one
-//! [`SnapshotStore::load`] (which pins the generation for that reply),
-//! one [`Snapshot::lookup`] with the connection's [`ServeScratch`], and
-//! a render into the connection's reused `String` — no queue, no second
-//! thread and no reply copy on the hot path. Control requests (`stats`,
-//! `reload`) run on the same reader.
+//! Dependency-free networking on `std::net`: a leader/follower pool.
+//! One member at a time leads, blocked in `accept`; once it admits a
+//! connection it passes leadership to a spare member (spawning one if
+//! none is spare) and serves the connection itself, answering every
+//! request on it: a lookup is one [`SnapshotStore::load`] (which pins
+//! the generation for that reply), one [`Snapshot::lookup`] with the
+//! connection's [`ServeScratch`], and a render into the connection's
+//! reused `String` — no queue and no hand-off. When the peer leaves,
+//! the member waits to lead again.
 //!
 //! The connection lifecycle is hardened against hostile traffic
 //! (DESIGN.md §12 "Connection lifecycle and overload"):
 //!
-//! * every reader is a scoped thread of the acceptor, whose scope joins
-//!   it; every thread the server starts is named (`memes-accept`,
-//!   `memes-conn` — each fits Linux's 15-byte `comm`), so a running
-//!   server's threads can be counted from outside through
-//!   `/proc/<pid>/task/*/comm`;
+//! * every member after the first is a scoped thread of the first,
+//!   whose scope joins them; all are named `memes-conn` (within Linux's
+//!   15-byte `comm`), so a running server's threads can be counted from
+//!   outside through `/proc/<pid>/task/*/comm`;
 //! * accepts past `max_conns` live sockets in the [`ConnRegistry`] are
-//!   shed with the typed [`OVERLOADED`](crate::protocol::OVERLOADED)
-//!   response (`serve.shed`), so thread count is bounded by acceptor +
-//!   cap, and lookups in flight by the cap;
+//!   shed by the leader with the typed
+//!   [`OVERLOADED`](crate::protocol::OVERLOADED) response
+//!   (`serve.shed`). Serving members hold a live socket each and at
+//!   most one more leads, so the pool never exceeds cap + 1 threads,
+//!   and lookups in flight never exceed the cap;
 //! * a request line must complete within `read_timeout_ms` measured
-//!   from the moment the reader starts waiting for it — a socket read
+//!   from the moment the member starts waiting for it — a socket read
 //!   timeout alone only bounds the gap between bytes, which a
 //!   slow-loris trickle resets forever — and may not exceed
-//!   `max_line_bytes`, so reader memory is bounded too.
+//!   `max_line_bytes`, so per-connection memory is bounded too.
 //!
 //! Shutdown is cooperative and complete: [`Server::shutdown`] raises
-//! the stop flag, unblocks the acceptor with a loopback connection and
-//! joins it. The acceptor shuts every live socket down, which wakes
-//! parked readers at once, and its scope joins them before it returns.
-//! No thread of the server outlives `shutdown`.
+//! the stop flag, unblocks the leader with a loopback connection and
+//! joins the first member. The leader closes the pool, which wakes
+//! every parked member, and shuts every live socket down, which wakes
+//! every serving one; the first member's scope joins them all before it
+//! returns. No thread of the server outlives `shutdown`.
 
 use crate::artifact::load_output;
 use crate::error::ServeError;
@@ -48,13 +51,12 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::{Builder, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{Builder, JoinHandle, Scope};
 use std::time::Duration;
 
-/// Thread names, each within Linux's 15-byte `comm`; tests count the
-/// server's threads by the shared `memes-` prefix.
-const ACCEPT_THREAD: &str = "memes-accept";
+/// The name of every pool member, within Linux's 15-byte `comm`; tests
+/// count the server's threads by its `memes-` prefix.
 const CONN_THREAD: &str = "memes-conn";
 
 /// How a [`Server`] listens and bounds its clients.
@@ -104,8 +106,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the acceptor owns and its readers borrow.
+/// What the first member owns and every member borrows.
 struct ConnShared {
+    listener: TcpListener,
+    pool: Pool,
     store: Arc<SnapshotStore>,
     registry: Arc<ConnRegistry>,
     metrics: Metrics,
@@ -126,12 +130,12 @@ pub struct Server {
     registry: Arc<ConnRegistry>,
     stop: Arc<AtomicBool>,
     queries: Arc<AtomicU64>,
-    acceptor: Option<JoinHandle<()>>,
+    first_member: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the acceptor, and start serving `store`'s current
-    /// snapshot.
+    /// Bind, spawn the pool's first member, and start serving
+    /// `store`'s current snapshot.
     pub fn start(
         store: Arc<SnapshotStore>,
         config: ServerConfig,
@@ -152,6 +156,8 @@ impl Server {
         metrics.gauge("serve.connections", 0.0);
 
         let shared = ConnShared {
+            listener,
+            pool: Pool::default(),
             store: Arc::clone(&store),
             registry: Arc::clone(&registry),
             metrics,
@@ -165,11 +171,11 @@ impl Server {
         };
         // A failed spawn drops the closure and the listener in it, so
         // no dead socket stays bound.
-        let acceptor = Builder::new()
-            .name(ACCEPT_THREAD.to_string())
-            .spawn(move || accept_loop(&listener, &shared))
+        let first_member = Builder::new()
+            .name(CONN_THREAD.to_string())
+            .spawn(move || std::thread::scope(|scope| member(scope, &shared)))
             .map_err(|e| ServeError::Io {
-                target: format!("thread {ACCEPT_THREAD}"),
+                target: format!("thread {CONN_THREAD}"),
                 detail: e.to_string(),
             })?;
 
@@ -179,7 +185,7 @@ impl Server {
             registry,
             stop,
             queries,
-            acceptor: Some(acceptor),
+            first_member: Some(first_member),
         })
     }
 
@@ -204,23 +210,23 @@ impl Server {
     }
 
     /// Stop accepting, then join **every** thread the server spawned —
-    /// the acceptor and each connection reader.
+    /// each pool member, leading, serving or parked.
     pub fn shutdown(mut self) {
         self.stop_threads();
     }
 
     fn stop_threads(&mut self) {
-        let Some(acceptor) = self.acceptor.take() else {
+        let Some(first_member) = self.first_member.take() else {
             return; // already shut down
         };
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock `accept` with a throwaway loopback connection; if the
-        // listener is somehow unreachable the acceptor is already dead.
+        // Unblock the leader's `accept` with a throwaway loopback
+        // connection; if the listener is unreachable the pool is dead.
         let _ = TcpStream::connect(self.local_addr);
-        // The acceptor returns once its scope has joined every reader.
-        // A reader's panic re-raises in the acceptor there, and the
-        // join's `Err` carries it; shutdown goes on regardless.
-        let _ = acceptor.join();
+        // The first member returns once its scope has joined every
+        // other. A member's panic re-raises in the first member there,
+        // and the join's `Err` carries it; shutdown goes on regardless.
+        let _ = first_member.join();
     }
 }
 
@@ -230,53 +236,136 @@ impl Drop for Server {
     }
 }
 
-/// Accept until the stop flag, serving each admitted connection on a
-/// reader scoped to this thread. At stop, every live socket is shut
-/// down, so the scope's join of the readers returns at once.
-fn accept_loop(listener: &TcpListener, shared: &ConnShared) {
-    std::thread::scope(|scope| {
-        for conn in listener.incoming() {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
+/// Who leads the pool. `spare` counts members that neither lead nor
+/// serve: parked, or on their way back from a connection, which they
+/// count themselves in before freeing its registry slot. A leader adds
+/// a member only when none is spare, so members never outnumber the
+/// live connections plus the leader.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// Leadership is free: no member leads or is being spawned to lead.
+    /// False at start, when the first member leads.
+    vacant: bool,
+    spare: usize,
+    closed: bool,
+}
+
+impl Pool {
+    /// The state is two flags and a count, each valid after any write,
+    /// so a poisoned lock still guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait, as a spare member, until leadership is free and take it.
+    /// `false` once the pool is closed.
+    fn take_lead(&self) -> bool {
+        let state = self.lock();
+        let mut state = self
+            .wake
+            .wait_while(state, |s| !s.vacant && !s.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.closed {
+            return false;
+        }
+        state.vacant = false;
+        state.spare -= 1;
+        true
+    }
+
+    /// Pass leadership to a spare member. `false` if none is spare: the
+    /// caller still leads, and must spawn a member to lead for it.
+    fn pass_lead(&self) -> bool {
+        {
+            let mut state = self.lock();
+            if state.spare == 0 {
+                return false;
             }
-            let Ok(stream) = conn else {
-                continue; // transient accept failure; keep serving
-            };
-            // One-line requests and responses are far below the MSS;
-            // Nagle plus delayed ACKs would stall every round trip ~40ms.
-            let _ = stream.set_nodelay(true);
-            // Socket timeouts make every blocking read/write finite;
-            // the per-line deadline, which a trickle cannot reset, is
-            // `read_request_line`'s.
-            let _ = stream.set_read_timeout(Some(shared.read_timeout));
-            let _ = stream.set_write_timeout(Some(shared.read_timeout));
-            let Some(id) = shared.registry.admit(&stream, shared.max_conns) else {
-                shed(stream, &shared.metrics); // at the cap
+            state.vacant = true;
+        }
+        self.wake.notify_one();
+        true
+    }
+}
+
+/// One pool member, started as the leader: lead until a connection is
+/// admitted, pass the lead on, serve that connection, then wait as a
+/// spare to lead again; until the pool closes.
+fn member<'scope>(scope: &'scope Scope<'scope, '_>, shared: &'scope ConnShared) {
+    loop {
+        let Some((stream, id)) = accept_admitted(shared) else {
+            // Stop: wake every parked member to exit, and shut every
+            // live socket down, so the scope's join returns at once.
+            shared.pool.lock().closed = true;
+            shared.pool.wake.notify_all();
+            shared.registry.shutdown_all();
+            return;
+        };
+        if !shared.pool.pass_lead() {
+            let follower = Builder::new()
+                .name(CONN_THREAD.to_string())
+                .spawn_scoped(scope, move || member(scope, shared));
+            if follower.is_err() {
+                // Still the leader: answer as past the cap and go on.
+                drop(shared.registry.take(id));
+                shed(stream, &shared.metrics);
                 continue;
-            };
-            let reader = move || {
-                let _guard = shared.registry.guard(id);
-                connection_loop(stream, shared);
-            };
-            let builder = Builder::new().name(CONN_THREAD.to_string());
-            if builder.spawn_scoped(scope, reader).is_err() {
-                // The dropped closure closed `stream`; the table's clone
-                // still reaches the peer, with the answer past the cap.
-                if let Some(stream) = shared.registry.take(id) {
-                    shed(stream, &shared.metrics);
-                }
             }
         }
-        shared.registry.shutdown_all();
-    });
+        let guard = shared.registry.guard(id);
+        connection_loop(&stream, shared);
+        // Spare before the guard frees the slot: a leader that admits
+        // into it finds this member and spawns none.
+        shared.pool.lock().spare += 1;
+        drop(guard);
+        drop(stream); // closed now, not after the wait for the lead
+        if !shared.pool.take_lead() {
+            return;
+        }
+    }
+}
+
+/// Accept as the leader until a connection is admitted, shedding those
+/// past the cap. `None` once the stop flag is up.
+fn accept_admitted(shared: &ConnShared) -> Option<(TcpStream, u64)> {
+    loop {
+        let conn = shared.listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        let Ok((stream, _)) = conn else {
+            continue; // transient accept failure; keep serving
+        };
+        // One-line requests and responses are far below the MSS;
+        // Nagle plus delayed ACKs would stall every round trip ~40ms.
+        let _ = stream.set_nodelay(true);
+        // Socket timeouts make every blocking read/write finite; the
+        // per-line deadline, which a trickle cannot reset, is
+        // `read_request_line`'s.
+        let _ = stream.set_read_timeout(Some(shared.read_timeout));
+        let _ = stream.set_write_timeout(Some(shared.read_timeout));
+        match shared.registry.admit(&stream, shared.max_conns) {
+            Some(id) => return Some((stream, id)),
+            None => shed(stream, &shared.metrics), // at the cap
+        }
+    }
 }
 
 /// Turn a connection away with the typed `overloaded` line and hang
-/// up. The write is bounded by the socket's write timeout.
+/// up. One write, so the line leaves in one segment under
+/// `TCP_NODELAY`; it is bounded by the socket's write timeout.
 fn shed(mut stream: TcpStream, metrics: &Metrics) {
+    const OVERLOADED: &[u8] = crate::protocol::OVERLOADED.as_bytes();
     metrics.inc("serve.shed");
-    let _ = stream.write_all(crate::protocol::OVERLOADED.as_bytes());
-    let _ = stream.write_all(b"\n");
+    let mut line = [b'\n'; OVERLOADED.len() + 1];
+    line[..OVERLOADED.len()].copy_from_slice(OVERLOADED);
+    let _ = stream.write_all(&line);
 }
 
 /// How one attempt to read a request line ended.
@@ -296,7 +385,7 @@ enum LineRead {
 /// Read one newline-terminated request line into `raw` (cleared
 /// first), enforcing the length cap and the end-to-end deadline.
 fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     raw: &mut Vec<u8>,
     max_line_bytes: usize,
     budget: Duration,
@@ -342,11 +431,8 @@ fn read_request_line(
     }
 }
 
-fn connection_loop(stream: TcpStream, shared: &ConnShared) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+fn connection_loop(stream: &TcpStream, shared: &ConnShared) {
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let mut scratch = ServeScratch::new();
     let mut raw: Vec<u8> = Vec::new();
@@ -677,6 +763,24 @@ mod tests {
         let doc = roundtrip(
             &mut admitted,
             &mut admitted_reader,
+            &format!("{{\"hash\":\"{m}\"}}"),
+        );
+        assert_eq!(field(&doc, "found"), &Value::Bool(true));
+
+        // The leader kept accepting after the shed: once the admitted
+        // client leaves, the freed slot admits and answers a new one.
+        drop(admitted);
+        drop(admitted_reader);
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while server.active_connections() != 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(server.active_connections(), 0, "slot freed");
+        let mut next = TcpStream::connect(server.local_addr()).unwrap();
+        let mut next_reader = BufReader::new(next.try_clone().unwrap());
+        let doc = roundtrip(
+            &mut next,
+            &mut next_reader,
             &format!("{{\"hash\":\"{m}\"}}"),
         );
         assert_eq!(field(&doc, "found"), &Value::Bool(true));

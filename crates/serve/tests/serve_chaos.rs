@@ -8,7 +8,7 @@
 //! * the **well-behaved cohort answers byte-identically** to an
 //!   attack-free run while the full adversary wave and an accept flood
 //!   are live;
-//! * the server's **threads stay bounded** by acceptor + cap under
+//! * the server's **threads stay bounded** by cap + 1 under
 //!   attack (that `Server::shutdown` joins every one of them with
 //!   attackers still connected is tier-1's
 //!   `tests/cli_serve.rs::shutdown_joins_every_reader_thread`);
@@ -217,7 +217,7 @@ fn cohort_is_byte_identical_under_full_adversary_wave_and_flood() {
         "serve.shed counts every typed shed: {shed:?} vs {flood:?}"
     );
 
-    // The server's threads stay bounded: acceptor + cap.
+    // The server's threads stay bounded: cap + 1 (the leader).
     if let Some(during) = threads_during {
         let bound = 1 + max_conns;
         assert!(

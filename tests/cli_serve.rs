@@ -237,28 +237,37 @@ fn serve_sheds_connections_past_the_cap_with_a_typed_error() {
     let _ = server.wait();
 }
 
-/// In-process twin of the spawned-server tests: `Server::shutdown` must
-/// join the acceptor and every connection reader, with attackers still
-/// parked on it. The server names its threads (`memes-accept` and one
-/// `memes-conn` per connection), so they are counted
-/// by name — no baseline for libtest's own threads to race against.
+/// In-process twin of the spawned-server tests: the server's pool
+/// reuses its threads across sessions, and `Server::shutdown` must join
+/// every one of them, with attackers still parked on it and spare
+/// members parked for leadership. Every server thread is named
+/// `memes-conn`, so they are counted by name — no baseline for
+/// libtest's own threads to race against.
 #[test]
 fn shutdown_joins_every_reader_thread() {
     use origins_of_memes::metrics::Metrics;
     use origins_of_memes::serve::{Server, ServerConfig, Snapshot, SnapshotStore, DEFAULT_THETA};
+    use std::collections::BTreeSet;
     use std::io::Write;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    fn server_threads() -> Option<usize> {
+    /// The TIDs of this process's server threads, by `comm` prefix.
+    fn server_tids() -> Option<BTreeSet<String>> {
         let tasks = std::fs::read_dir("/proc/self/task").ok()?;
         Some(
             tasks
                 .flatten()
-                .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
-                .filter(|comm| comm.starts_with("memes-"))
-                .count(),
+                .filter(|task| {
+                    std::fs::read_to_string(task.path().join("comm"))
+                        .is_ok_and(|comm| comm.starts_with("memes-"))
+                })
+                .map(|task| task.file_name().to_string_lossy().into_owned())
+                .collect(),
         )
+    }
+    fn server_threads() -> Option<usize> {
+        server_tids().map(|tids| tids.len())
     }
 
     if server_threads().is_none() {
@@ -270,6 +279,7 @@ fn shutdown_joins_every_reader_thread() {
         .unwrap()
         .expect_complete();
     let snapshot = Snapshot::build(&output, None, DEFAULT_THETA, 0).expect("snapshot builds");
+    let lookup = format!("{{\"hash\": \"{}\"}}\n", snapshot.records()[0].medoid);
     let store = Arc::new(SnapshotStore::new(snapshot));
 
     let config = ServerConfig {
@@ -278,6 +288,22 @@ fn shutdown_joins_every_reader_thread() {
     };
     let server = Server::start(store, config, Metrics::disabled()).expect("start server");
     let addr = server.local_addr();
+    // Sequential sessions reuse the pool's members instead of spawning
+    // one per connection: one serves, one leads, and one more at most
+    // while a member leaving one session races the next accept.
+    let mut seen = BTreeSet::new();
+    for _ in 0..20 {
+        let mut session = std::net::TcpStream::connect(addr).expect("session connects");
+        session.write_all(lookup.as_bytes()).expect("send lookup");
+        let response = read_response(&session);
+        assert!(response.starts_with("{\"found\""), "answered: {response}");
+        seen.extend(server_tids().expect("procfs"));
+    }
+    assert!(
+        seen.len() <= 3,
+        "20 sessions ran on {} server threads",
+        seen.len()
+    );
     // Park attackers, then shut down underneath them: idle holders
     // (blocking reads) and a slow loris (mid-line).
     let holders: Vec<std::net::TcpStream> = (0..3)
