@@ -10,6 +10,9 @@
 //! precomputed cosine matrix turns the transform into two small
 //! matrix multiplications, which is both simple and fast at this size.
 
+/// Sums [`Dct2d::forward_topleft_into`] runs side by side.
+const LANES: usize = 8;
+
 /// A planned 2-D DCT for a fixed square size `n`.
 ///
 /// Holds the orthonormal DCT-II basis matrix `C` (`n × n`, row-major,
@@ -19,6 +22,8 @@
 pub struct Dct2d {
     n: usize,
     basis: Vec<f64>,
+    /// `C^T`, row-major: `basis_t[x * n + k] == basis[k * n + x]`.
+    basis_t: Vec<f64>,
 }
 
 impl Dct2d {
@@ -39,7 +44,13 @@ impl Dct2d {
                         .cos();
             }
         }
-        Self { n, basis }
+        let mut basis_t = vec![0.0f64; n * n];
+        for k in 0..n {
+            for x in 0..n {
+                basis_t[x * n + k] = basis[k * n + x];
+            }
+        }
+        Self { n, basis, basis_t }
     }
 
     /// Transform size.
@@ -94,29 +105,15 @@ impl Dct2d {
         assert_eq!(tmp.len(), hs * n, "tmp must be hs*n");
         assert_eq!(out.len(), hs * hs, "out must be hs*hs");
         // First hs rows of C * X, accumulated exactly like
-        // `mul_basis_left` (same i-order per row, same zero skip).
-        tmp.fill(0.0);
-        for k in 0..hs {
-            for i in 0..n {
-                let c = self.basis[k * n + i];
-                if c == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    tmp[k * n + j] += c * input[i * n + j];
-                }
-            }
+        // `mul_basis_left`: same i-order per cell, same zero skip.
+        for (t, c_row) in tmp.chunks_exact_mut(n).zip(self.basis.chunks_exact(n)) {
+            sums_into::<true>(t, c_row, input, n);
         }
-        // First hs columns of (C X) * C^T, dot products ordered exactly
-        // like `mul_basis_right_t`.
-        for i in 0..hs {
-            for k in 0..hs {
-                let mut acc = 0.0;
-                for j in 0..n {
-                    acc += tmp[i * n + j] * self.basis[k * n + j];
-                }
-                out[i * hs + k] = acc;
-            }
+        // First hs columns of (C X) * C^T: each coefficient is the dot
+        // product `mul_basis_right_t` computes, over j in the same order,
+        // read from the transposed basis.
+        for (t, out_row) in tmp.chunks_exact(n).zip(out.chunks_exact_mut(hs)) {
+            sums_into::<false>(out_row, t, &self.basis_t, n);
         }
     }
 
@@ -189,6 +186,44 @@ impl Dct2d {
         }
         out
     }
+}
+
+/// `out[l] = Σ_i w[i] * m[i][l]` over the rows of the row-major
+/// `n`-wide matrix `m`, each sum accumulated from `0.0` in `i` order.
+/// With `SKIP_ZERO` a row whose weight is `0.0` adds nothing, as in
+/// `mul_basis_left`; without it every row is added, as in
+/// `mul_basis_right_t`. [`LANES`] sums run side by side in registers, so
+/// their addition chains overlap instead of waiting on each other.
+fn sums_into<const SKIP_ZERO: bool>(out: &mut [f64], w: &[f64], m: &[f64], n: usize) {
+    let full = out.len() - out.len() % LANES;
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (b, block) in (&mut blocks).enumerate() {
+        block.copy_from_slice(&column_sums::<LANES, SKIP_ZERO>(w, m, n, b * LANES));
+    }
+    for (j, cell) in (full..).zip(blocks.into_remainder()) {
+        *cell = column_sums::<1, SKIP_ZERO>(w, m, n, j)[0];
+    }
+}
+
+/// `W` of [`sums_into`]'s sums, those of columns `j0..j0 + W`.
+#[inline(always)]
+fn column_sums<const W: usize, const SKIP_ZERO: bool>(
+    w: &[f64],
+    m: &[f64],
+    n: usize,
+    j0: usize,
+) -> [f64; W] {
+    let mut acc = [0.0f64; W];
+    for (&w, row) in w.iter().zip(m.chunks_exact(n)) {
+        if SKIP_ZERO && w == 0.0 {
+            continue;
+        }
+        let row = &row[j0..j0 + W];
+        for l in 0..W {
+            acc[l] += w * row[l];
+        }
+    }
+    acc
 }
 
 /// One-shot forward 2-D DCT-II of a square block (plans internally;

@@ -140,17 +140,30 @@ impl Image {
                 dx * dx
             })
             .collect();
+        let x_mid = (0..dx2.len()).fold(0, |m, x| if dx2[x] < dx2[m] { x } else { m });
         for y in y_lo..=y_hi {
             let dy = (y as f64 + 0.5 - cy) / ry;
             let dy2 = dy * dy;
+            // `dx²` falls to its minimum at `x_mid` and rises after it,
+            // so the row's pixels with `d2 < 1` are one run around it.
+            let inside = |x: usize| dx2[x] + dy2 < 1.0;
+            if !inside(x_mid) {
+                continue;
+            }
+            let mut a = x_mid;
+            while a > 0 && inside(a - 1) {
+                a -= 1;
+            }
+            let mut b = x_mid + 1;
+            while b < dx2.len() && inside(b) {
+                b += 1;
+            }
             let row = &mut self.data[y * self.width + x_lo..=y * self.width + x_hi];
-            for (p, &dx2) in row.iter_mut().zip(&dx2) {
+            for (p, &dx2) in row[a..b].iter_mut().zip(&dx2[a..b]) {
                 let d2 = dx2 + dy2;
-                if d2 < 1.0 {
-                    // Smooth falloff: 1 at center, 0 at rim.
-                    let w = ((1.0 - d2) as f32) * opacity;
-                    *p += (tone - *p) * w.clamp(0.0, 1.0);
-                }
+                // Smooth falloff: 1 at center, 0 at rim.
+                let w = ((1.0 - d2) as f32) * opacity;
+                *p += (tone - *p) * w.clamp(0.0, 1.0);
             }
         }
     }

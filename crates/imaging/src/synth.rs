@@ -23,6 +23,111 @@ use crate::transform;
 use meme_stats::{child_seed, seeded_rng};
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
+use std::array::from_fn;
+use std::cell::RefCell;
+use std::f64::consts::PI;
+
+/// Cosine modes in a template's field.
+const MODES: usize = 6;
+/// Highest frequency of a mode along either axis.
+const MAX_FREQ: usize = 5;
+
+thread_local! {
+    /// This thread's cosine-field tables (see [`CosineField`]).
+    static FIELD: RefCell<CosineField> = RefCell::new(CosineField::default());
+    /// This thread's buffers for [`VariantGenome::jitter_base`]'s
+    /// resampling steps.
+    static RESAMPLER: RefCell<transform::Resampler> = RefCell::new(transform::Resampler::default());
+}
+
+/// The tables behind [`TemplateGenome::render`]'s cosine field.
+///
+/// The field is separable: pixel `(x, y)` sums, over the modes,
+/// `amp * cos(π(x+½)u/n) * cos(π(y+½)v/n + phase)`. The x-cosine
+/// depends on `(x, u)` and the size alone, so `x_cos` holds it for every
+/// `u` at the size last rendered and is rebuilt only when the size
+/// changes; the y-cosine carries the mode's random phase and is
+/// recomputed per render. Each thread keeps its own tables.
+#[derive(Debug, Default)]
+struct CosineField {
+    size: usize,
+    /// `cos(π(x+½)u/n)` at `[(u - 1) * size + x]`.
+    x_cos: Vec<f64>,
+    /// `amp * cos(π(x+½)u/n)` of mode `m` at `[m * size + x]`.
+    amp_cx: Vec<f64>,
+    /// `cos(π(y+½)v/n + phase)` of mode `m` at `[y * MODES + m]`.
+    cy: Vec<f64>,
+    /// Running minimum of column `x` at `[x]`.
+    lo: Vec<f32>,
+    /// Running maximum of column `x` at `[x]`.
+    hi: Vec<f32>,
+}
+
+impl CosineField {
+    /// Write the field of `modes` into the `size × size` raster `px`
+    /// and return its minimum and maximum.
+    ///
+    /// Each pixel folds its modes in order in one register,
+    /// `acc += amp_cx * cy` from `acc = 0.0`: the operands and the order
+    /// of the per-pixel form `acc += amp * cx * cy`, with `amp * cx`
+    /// hoisted per column. Min/max run per column and fold at the end;
+    /// on the field's finite values that selects the same `lo` / `hi` as
+    /// one sequential scan (a signed zero can differ, which `p - lo` and
+    /// `hi - lo` cannot observe).
+    fn render(
+        &mut self,
+        modes: &[(usize, usize, f64, f64); MODES],
+        size: usize,
+        px: &mut [f32],
+    ) -> (f32, f32) {
+        let n = size as f64;
+        if self.size != size {
+            self.x_cos.clear();
+            for u in 1..=MAX_FREQ {
+                self.x_cos
+                    .extend((0..size).map(|x| (PI * (x as f64 + 0.5) * u as f64 / n).cos()));
+            }
+            self.amp_cx.resize(MODES * size, 0.0);
+            self.cy.resize(MODES * size, 0.0);
+            self.size = size;
+        }
+        for (m, &(u, v, amp, phase)) in modes.iter().enumerate() {
+            let cx = &self.x_cos[(u - 1) * size..u * size];
+            for (a, &c) in self.amp_cx[m * size..(m + 1) * size].iter_mut().zip(cx) {
+                *a = amp * c;
+            }
+            for (y, cy) in self.cy.chunks_exact_mut(MODES).enumerate() {
+                cy[m] = (PI * (y as f64 + 0.5) * v as f64 / n + phase).cos();
+            }
+        }
+        let a: [&[f64]; MODES] = from_fn(|m| &self.amp_cx[m * size..(m + 1) * size]);
+        self.lo.clear();
+        self.lo.resize(size, f32::MAX);
+        self.hi.clear();
+        self.hi.resize(size, f32::MIN);
+        for (out, cy) in px.chunks_exact_mut(size).zip(self.cy.chunks_exact(MODES)) {
+            let c: [f64; MODES] = from_fn(|m| cy[m]);
+            for (x, ((p, lo), hi)) in out
+                .iter_mut()
+                .zip(self.lo.iter_mut())
+                .zip(self.hi.iter_mut())
+                .enumerate()
+            {
+                let mut acc = 0.0f64;
+                for m in 0..MODES {
+                    acc += a[m][x] * c[m];
+                }
+                let v = acc as f32;
+                *p = v;
+                *lo = if v < *lo { v } else { *lo };
+                *hi = if v > *hi { v } else { *hi };
+            }
+        }
+        let lo = self.lo.iter().fold(f32::MAX, |m, &v| m.min(v));
+        let hi = self.hi.iter().fold(f32::MIN, |m, &v| m.max(v));
+        (lo, hi)
+    }
+}
 
 /// Seed-only genome of a meme template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -50,70 +155,16 @@ impl TemplateGenome {
         let mut img = Image::new(size, size);
 
         // Low-frequency cosine mixture.
-        let modes: Vec<(usize, usize, f64, f64)> = (0..6)
-            .map(|_| {
-                let u = rng.random_range(1..=5usize);
-                let v = rng.random_range(1..=5usize);
-                let amp =
-                    rng.random_range(0.35..1.0f64) * if rng.random_bool(0.5) { 1.0 } else { -1.0 };
-                let phase = rng.random_range(0.0..std::f64::consts::TAU);
-                (u, v, amp, phase)
-            })
-            .collect();
+        let modes: [(usize, usize, f64, f64); MODES] = from_fn(|_| {
+            let u = rng.random_range(1..=MAX_FREQ);
+            let v = rng.random_range(1..=MAX_FREQ);
+            let amp =
+                rng.random_range(0.35..1.0f64) * if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+            let phase = rng.random_range(0.0..std::f64::consts::TAU);
+            (u, v, amp, phase)
+        });
         let n = size as f64;
-        // The field is separable: the x-cosine depends only on (x, u)
-        // and the y-cosine only on (y, v, phase), so the per-pixel
-        // `cos` calls collapse into per-mode tables, and `amp * cx`
-        // (the left product of `amp * cx * cy`) into one row per mode.
-        // Each row of the image is then one pass per mode,
-        // `row[x] += amp_cx[x] * cy`, which accumulates every pixel's
-        // modes in the same order and with the same operands as the
-        // direct per-pixel form, so the image is bit-identical to it.
-        let mut amp_cx = vec![0.0f64; modes.len() * size];
-        let mut cy_tab = vec![0.0f64; modes.len() * size];
-        for (m, &(u, v, amp, phase)) in modes.iter().enumerate() {
-            for x in 0..size {
-                let cx = (std::f64::consts::PI * (x as f64 + 0.5) * u as f64 / n).cos();
-                amp_cx[m * size + x] = amp * cx;
-            }
-            for y in 0..size {
-                cy_tab[m * size + y] =
-                    (std::f64::consts::PI * (y as f64 + 0.5) * v as f64 / n + phase).cos();
-            }
-        }
-        // Min/max run in 8 independent lanes while the rows are written.
-        // On finite values the lanes fold to the same `lo`/`hi` as one
-        // sequential scan (a signed zero can differ, which `p - lo` and
-        // `hi - lo` below cannot observe).
-        let mut lo = [f32::MAX; 8];
-        let mut hi = [f32::MIN; 8];
-        let mut row = vec![0.0f64; size];
-        for (y, out) in img.data_mut().chunks_exact_mut(size).enumerate() {
-            row.fill(0.0);
-            for m in 0..modes.len() {
-                let cy = cy_tab[m * size + y];
-                for (acc, &ax) in row.iter_mut().zip(&amp_cx[m * size..(m + 1) * size]) {
-                    *acc += ax * cy;
-                }
-            }
-            for (p, &acc) in out.iter_mut().zip(&row) {
-                *p = acc as f32;
-            }
-            let mut lanes = out.chunks_exact(8);
-            for chunk in &mut lanes {
-                for l in 0..8 {
-                    lo[l] = lo[l].min(chunk[l]);
-                    hi[l] = hi[l].max(chunk[l]);
-                }
-            }
-            for (l, &p) in lanes.remainder().iter().enumerate() {
-                lo[l] = lo[l].min(p);
-                hi[l] = hi[l].max(p);
-            }
-        }
-        let lo = lo.into_iter().fold(f32::MAX, f32::min);
-        let hi = hi.into_iter().fold(f32::MIN, f32::max);
-
+        let (lo, hi) = FIELD.with_borrow_mut(|field| field.render(&modes, size, img.data_mut()));
         // Normalize the cosine field into [0.15, 0.85] so blobs and
         // captions have headroom.
         let span = (hi - lo).max(1e-6);
@@ -127,7 +178,9 @@ impl TemplateGenome {
             let tone = if rng.random_bool(0.5) { 0.95 } else { 0.05 };
             img.blend_ellipse(cx, cy, r, r * rng.random_range(0.6..1.4), tone, 0.8);
         }
-        img.clamp();
+        // No clamp: the field lies in [0.15, 0.85] and a blob moves a
+        // pixel toward a tone in {0.05, 0.95} by a weight in [0, 1], so
+        // every pixel is already inside [0, 1] and a clamp changes none.
         img
     }
 }
@@ -335,9 +388,10 @@ impl VariantGenome {
     ///
     /// The result is exactly `brightness → contrast → gaussian_noise →
     /// rescale_cycle → border_crop` from `meme_imaging::transform`, run
-    /// in place on one copy of `base` (plus one spare buffer for the
-    /// resampling steps). Brightness consumes no draw, so drawing the
-    /// contrast factor first lets both run as one pass.
+    /// in place on one copy of `base`; the resampling steps reuse this
+    /// thread's buffers from one call to the next. Brightness consumes
+    /// no draw, so drawing the contrast factor first lets both run as
+    /// one pass.
     pub fn jitter_base<R: Rng + ?Sized>(base: &Image, jitter: &JitterConfig, rng: &mut R) -> Image {
         let b = rng.random_range(-jitter.brightness..=jitter.brightness);
         let c = 1.0 + rng.random_range(-jitter.contrast..=jitter.contrast);
@@ -346,15 +400,16 @@ impl VariantGenome {
         if jitter.noise_sigma > 0.0 {
             transform::add_gaussian_noise(img.data_mut(), jitter.noise_sigma, rng);
         }
-        let mut spare = Vec::new();
-        if rng.random_bool(jitter.rescale_prob) {
-            let factor = rng.random_range(0.7..0.95);
-            transform::rescale_cycle_in_place(&mut img, factor, &mut spare);
-        }
-        if jitter.crop_max > 0.0 && rng.random_bool(jitter.crop_prob) {
-            let frac = rng.random_range(0.0..jitter.crop_max);
-            transform::border_crop_in_place(&mut img, frac, &mut spare);
-        }
+        RESAMPLER.with_borrow_mut(|resampler| {
+            if rng.random_bool(jitter.rescale_prob) {
+                let factor = rng.random_range(0.7..0.95);
+                transform::rescale_cycle_in_place(&mut img, factor, resampler);
+            }
+            if jitter.crop_max > 0.0 && rng.random_bool(jitter.crop_prob) {
+                let frac = rng.random_range(0.0..jitter.crop_max);
+                transform::border_crop_in_place(&mut img, frac, resampler);
+            }
+        });
         img
     }
 

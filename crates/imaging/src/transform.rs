@@ -9,7 +9,7 @@
 
 use crate::dct::Dct2d;
 use crate::image::Image;
-use crate::resize::{bilinear_into, box_filter, BoxResizeScratch};
+use crate::resize::{bilinear_into, box_filter, BilinearScratch, BoxResizeScratch};
 use meme_stats::dist::normal_fill;
 use rand::Rng;
 
@@ -98,13 +98,23 @@ pub fn flip_horizontal(img: &Image) -> Image {
 /// Panics unless `0 <= frac < 0.5`.
 pub fn border_crop(img: &Image, frac: f32) -> Image {
     let mut out = img.clone();
-    border_crop_in_place(&mut out, frac, &mut Vec::new());
+    border_crop_in_place(&mut out, frac, &mut Resampler::default());
     out
 }
 
-/// [`border_crop`] in place; the cropped window is copied into `spare`
-/// and resampled from there back into `img`.
-pub(crate) fn border_crop_in_place(img: &mut Image, frac: f32, spare: &mut Vec<f32>) {
+/// The buffers the in-place resampling transforms reuse from one call
+/// to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Resampler {
+    /// A rescale's intermediate raster, or a crop's window.
+    mid: Vec<f32>,
+    boxes: BoxResizeScratch,
+    bilinear: BilinearScratch,
+}
+
+/// [`border_crop`] in place; the cropped window is copied out and
+/// resampled from there back into `img`.
+pub(crate) fn border_crop_in_place(img: &mut Image, frac: f32, resampler: &mut Resampler) {
     assert!(
         (0.0..0.5).contains(&frac),
         "crop fraction must be in [0, 0.5)"
@@ -114,11 +124,12 @@ pub(crate) fn border_crop_in_place(img: &mut Image, frac: f32, spare: &mut Vec<f
     let dy = ((h as f32) * frac) as usize;
     let cw = (w - 2 * dx).max(1);
     let ch = (h - 2 * dy).max(1);
-    spare.clear();
+    let Resampler { mid, bilinear, .. } = resampler;
+    mid.clear();
     for row in img.data().chunks_exact(w).skip(dy).take(ch) {
-        spare.extend_from_slice(&row[dx..dx + cw]);
+        mid.extend_from_slice(&row[dx..dx + cw]);
     }
-    bilinear_into(spare, cw, ch, img.data_mut(), w, h);
+    bilinear_into(mid, cw, ch, img.data_mut(), w, h, bilinear);
 }
 
 /// Rescale by `factor` (via box filter when shrinking, bilinear when
@@ -129,24 +140,30 @@ pub(crate) fn border_crop_in_place(img: &mut Image, frac: f32, spare: &mut Vec<f
 /// Panics when `factor <= 0`.
 pub fn rescale_cycle(img: &Image, factor: f32) -> Image {
     let mut out = img.clone();
-    rescale_cycle_in_place(&mut out, factor, &mut Vec::new());
+    rescale_cycle_in_place(&mut out, factor, &mut Resampler::default());
     out
 }
 
-/// [`rescale_cycle`] in place; the intermediate size lives in `spare`.
-pub(crate) fn rescale_cycle_in_place(img: &mut Image, factor: f32, spare: &mut Vec<f32>) {
+/// [`rescale_cycle`] in place; the intermediate size lives in the
+/// resampler.
+pub(crate) fn rescale_cycle_in_place(img: &mut Image, factor: f32, resampler: &mut Resampler) {
     assert!(factor > 0.0, "scale factor must be positive");
     let (w, h) = (img.width(), img.height());
     let nw = ((w as f32 * factor).round() as usize).max(1);
     let nh = ((h as f32 * factor).round() as usize).max(1);
-    spare.clear();
-    spare.resize(nw * nh, 0.0);
+    let Resampler {
+        mid,
+        boxes,
+        bilinear,
+    } = resampler;
+    mid.clear();
+    mid.resize(nw * nh, 0.0);
     if factor < 1.0 {
-        box_filter(img, &mut BoxResizeScratch::new(), spare, nw, nh);
+        box_filter(img, boxes, mid, nw, nh);
     } else {
-        bilinear_into(img.data(), w, h, spare, nw, nh);
+        bilinear_into(img.data(), w, h, mid, nw, nh, bilinear);
     }
-    bilinear_into(spare, nw, nh, img.data_mut(), w, h);
+    bilinear_into(mid, nw, nh, img.data_mut(), w, h, bilinear);
 }
 
 /// Paint a caption band (top or bottom) with pseudo-text texture — the

@@ -1,10 +1,14 @@
 //! Differential oracles for the row kernels: every rewritten pixel loop
 //! against the per-pixel formulation it replaced, kept here verbatim,
 //! compared bit for bit (`to_bits`) and, where the kernel draws from an
-//! rng, with the rng state compared afterwards too.
+//! rng, with the rng state compared afterwards too. The truncated DCT is
+//! checked against a crop of the full transform.
+//!
+//! Each property runs at least 256 cases; `PROPTEST_CASES` raises that.
 
+use meme_imaging::dct::Dct2d;
 use meme_imaging::image::Image;
-use meme_imaging::resize::{resize_bilinear, resize_box};
+use meme_imaging::resize::{resize_bilinear, resize_box, resize_box_into_f64, BoxResizeScratch};
 use meme_imaging::synth::{JitterConfig, TemplateGenome, VariantGenome};
 use meme_imaging::transform;
 use meme_stats::seeded_rng;
@@ -239,6 +243,44 @@ fn arbitrary_image(max_side: usize) -> impl Strategy<Value = Image> {
     })
 }
 
+/// A `w × h` image of seeded pixels as [`arbitrary_image`] draws them,
+/// at a size the caller picks.
+fn seeded_image(w: usize, h: usize, seed: u64) -> Image {
+    let mut rng = seeded_rng(seed);
+    let data = (0..w * h)
+        .map(|_| {
+            if rng.random_range(0..8u8) == 0 {
+                let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                let exp = rng.random_range(-60..=40i32);
+                sign * rng.random_range(1.0f32..2.0) * 2f32.powi(exp)
+            } else {
+                rng.random_range(-0.1f32..1.1)
+            }
+        })
+        .collect();
+    Image::from_raw(w, h, data).unwrap()
+}
+
+/// An `n × n` plane of `f64`s, one in four of them exotic: a signed
+/// zero, a subnormal, or any sign at a magnitude from 2^-1000 to 2^500
+/// (small enough that no sum of 32 products with the basis overflows).
+fn arbitrary_plane(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = seeded_rng(seed);
+    (0..n * n)
+        .map(|_| {
+            let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+            match rng.random_range(0..16u8) {
+                0 => sign * 0.0,
+                1 => sign * f64::from_bits(rng.random_range(1..1u64 << 52)),
+                2 | 3 => {
+                    sign * rng.random_range(1.0f64..2.0) * 2f64.powi(rng.random_range(-1000..=500))
+                }
+                _ => rng.random_range(-1.0f64..2.0),
+            }
+        })
+        .collect()
+}
+
 fn same_bits(got: &Image, want: &Image) {
     assert_eq!((got.width(), got.height()), (want.width(), want.height()));
     for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
@@ -247,11 +289,63 @@ fn same_bits(got: &Image, want: &Image) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig { cases: ProptestConfig::default().cases.max(256) })]
 
     #[test]
     fn resize_box_matches_per_pixel(img in arbitrary_image(48), w in 1usize..72, h in 1usize..72) {
         same_bits(&resize_box(&img, w, h), &per_pixel::resize_box(&img, w, h));
+    }
+
+    #[test]
+    fn resize_box_into_f64_matches_per_pixel(
+        images in prop::collection::vec(arbitrary_image(48), 1..4),
+        w in 1usize..72,
+        h in 1usize..72,
+    ) {
+        // One scratch across images of different shapes: the windows are
+        // re-derived whenever the shape changes.
+        let mut scratch = BoxResizeScratch::new();
+        for img in &images {
+            let mut plane = vec![0.0f64; w * h];
+            resize_box_into_f64(img, w, h, &mut scratch, &mut plane);
+            let want = per_pixel::resize_box(img, w, h);
+            for (i, (&got, &want)) in plane.iter().zip(want.data()).enumerate() {
+                prop_assert_eq!(got.to_bits(), (want as f64).to_bits(), "pixel {} diverged", i);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ratio_windows_match_per_pixel(shape in 0usize..3, seed: u64) {
+        // The windows tile the row: 2, 2 and 3 source pixels per column.
+        let (src, dst) = [(64usize, 32usize), (48, 24), (96, 32)][shape];
+        let img = seeded_image(src, src, seed);
+        let want = per_pixel::resize_box(&img, dst, dst);
+        same_bits(&resize_box(&img, dst, dst), &want);
+        let mut plane = vec![0.0f64; dst * dst];
+        resize_box_into_f64(&img, dst, dst, &mut BoxResizeScratch::new(), &mut plane);
+        for (i, (&got, &want)) in plane.iter().zip(want.data()).enumerate() {
+            prop_assert_eq!(got.to_bits(), (want as f64).to_bits(), "pixel {} diverged", i);
+        }
+    }
+
+    #[test]
+    fn forward_topleft_is_a_crop_of_forward(n in 1usize..40, hs in 1usize..40, seed: u64) {
+        let hs = hs.min(n);
+        let plan = Dct2d::new(n);
+        let plane = arbitrary_plane(n, seed);
+        let full = plan.forward(&plane);
+        let (mut tmp, mut block) = (vec![0.0; hs * n], vec![0.0; hs * hs]);
+        plan.forward_topleft_into(&plane, hs, &mut tmp, &mut block);
+        for y in 0..hs {
+            for x in 0..hs {
+                prop_assert_eq!(
+                    block[y * hs + x].to_bits(),
+                    full[y * n + x].to_bits(),
+                    "coefficient ({}, {}) diverged", y, x
+                );
+            }
+        }
     }
 
     #[test]
@@ -282,6 +376,16 @@ proptest! {
     fn template_render_matches_per_pixel(seed: u64, size in 0usize..3) {
         let size = [8usize, 32, 64][size];
         same_bits(&TemplateGenome::new(seed).render(size), &per_pixel::template_render(seed, size));
+    }
+
+    #[test]
+    fn template_renders_of_mixed_sizes_match_per_pixel(seed: u64) {
+        // One thread renders 8, 64, 32 and 64 in turn, so each render
+        // follows one of another size.
+        for (i, size) in [8usize, 64, 32, 64].into_iter().enumerate() {
+            let seed = seed.wrapping_add(i as u64);
+            same_bits(&TemplateGenome::new(seed).render(size), &per_pixel::template_render(seed, size));
+        }
     }
 
     #[test]

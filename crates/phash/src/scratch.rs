@@ -14,10 +14,12 @@ use meme_imaging::resize::BoxResizeScratch;
 ///
 /// All buffers grow to the hasher's fixed geometry on first use
 /// (`32×32` plane, `8×32` DCT temporary, `8×8` block for the default
-/// configuration) and never shrink. Source images of varying shapes —
-/// jitter crops change dimensions post to post — only re-derive the
-/// cached box-filter windows in place; the window vectors' capacity is
-/// bounded by the destination side, which is constant.
+/// configuration) and never shrink. Every raster the simulator renders
+/// is `IMAGE_SIZE`² (a jitter's crop and rescale resample back to the
+/// original size), but a hasher may be handed other shapes: they only
+/// re-derive the cached box-filter windows in place, and the window
+/// vectors' capacity is bounded by the destination side, which is
+/// constant.
 ///
 /// A scratch is not tied to one hasher instance: any `PerceptualHasher`
 /// (or other [`ImageHasher`](crate::ImageHasher)) may use it, resizing

@@ -4,11 +4,11 @@
 //! [`HashScratch`] buffers have grown to the kernel's fixed geometry,
 //! hashing performs **zero heap allocations**: the box resize writes
 //! into the cached f64 plane, the truncated DCT fills caller-owned
-//! temporaries, and the median threshold is in-place selection. Source
-//! images of varying shapes (jitter crops change dimensions post to
-//! post) must only re-derive the cached filter windows in place. A
-//! counting global allocator makes that claim a test instead of a
-//! comment.
+//! temporaries, and the median threshold is in-place selection. Every
+//! jittered re-post is resampled back to its original size, but a
+//! hasher handed images of other shapes must only re-derive the cached
+//! filter windows in place. A counting global allocator makes that
+//! claim a test instead of a comment.
 //!
 //! The whole file is one `#[test]` so the counter is never shared with
 //! a concurrently running test (the test harness runs tests in threads;
@@ -53,9 +53,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A deterministic image mix covering the shapes the hash stage sees:
-/// canonical 64×64 renders, jittered re-posts (whose crop component
-/// shrinks dimensions), and off-size renders.
+/// A deterministic image mix: canonical 64×64 renders, jittered
+/// re-posts (64×64 too: crop and rescale resample back), and off-size
+/// renders, so the shape changes from one image to the next.
 fn workload() -> Vec<Image> {
     let mut rng = seeded_rng(0x5EED);
     let mut images = Vec::new();
